@@ -345,13 +345,8 @@ def _ungraded_center_vectors(a: AssocSuper, parity: int):
         outs = sorted({o for d in per_col for o in d})
         for o in outs:
             rows.append([d.get(o, tower.zero()) for d in per_col])
-    if not rows:
-        kerns = [[one if i == t else tower.zero() for i in range(len(cols))]
-                 for t in range(len(cols))]
-    else:
-        kerns = mat_kernel(rows, len(cols), tower)
     vecs = []
-    for kv in kerns:
+    for kv in mat_kernel(rows, len(cols), tower):
         vec = [tower.zero()] * a.dim
         for c, i in enumerate(cols):
             vec[i] = kv[c]

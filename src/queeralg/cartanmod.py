@@ -13,7 +13,7 @@ from fractions import Fraction
 from .assocsuper import QuadraticPair, clifford_irrep, density_type_from_maps
 from .coeffalg import CoeffAlgebra, IdealRep, quotient_algebra
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, commutant,
-                     mat_kernel, mat_rref, solve_right, zero_rows)
+                     mat_kernel, solve_right, zero_rows)
 from .liesuper import LieModule, is_isomorphic_flat, subalgebra
 from .mapsuper import tensor_lie
 from .queer import QueerData
@@ -78,7 +78,11 @@ class PsiFunctional:
         vals = [ctx.tower.zero()] * ctx.n_even
         h_labels = {f"h{i + 1}": i for i in range(ctx.n)}
         a_labels = {lbl: j for j, lbl in enumerate(ctx.coeff.space.labels)}
-        for h_lbl, a_lbl, v in pairs:
+        for entry in pairs:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                raise ValueError("each value must be an [h_label, a_label, "
+                                 f"scalar] triple, not {entry!r}")
+            h_lbl, a_lbl, v = entry
             if h_lbl not in h_labels:
                 raise ValueError(f"unknown Cartan label {h_lbl!r}")
             if a_lbl not in a_labels:
@@ -157,11 +161,7 @@ def i_psi(psi: PsiFunctional) -> IdealRep:
                 prod = ctx.coeff.product({b: one}, {j: one})
                 row.append(psi.eval_even({i: one}, prod))
             rows.append(row)
-    kern = mat_kernel(rows, na, tower)
-    sp = Span(tower)
-    for v in kern:
-        sp.add(v)
-    ideal = IdealRep(ctx.coeff, sp.basis_vectors(na))
+    ideal = IdealRep(ctx.coeff, mat_kernel(rows, na, tower))
     ideal.verify()
     return ideal
 
@@ -193,8 +193,9 @@ class CliffordData:
                 prod_a = self.quotient.lift(prod_q)
                 gram[a][b] = psi.eval_even(hbr, prod_a)
         self.gram = gram
-        self.radical_vectors = mat_kernel(gram, n_odd, tower)
-        rref, pivots = mat_rref(gram, n_odd, tower)
+        gram_span = Span(tower, gram)
+        pivots = sorted(gram_span.rows)
+        self.radical_vectors = gram_span.kernel(n_odd)
         self.reduced_indices = pivots
         self.rank = len(pivots)
         self.reduced_gram = [[gram[p][q] for q in pivots] for p in pivots]

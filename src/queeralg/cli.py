@@ -36,16 +36,32 @@ def _emit(report: dict, text_lines, fmt: str, out_path):
         sys.stdout.write(payload)
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> dict:
+    """The JSON object in path; anything else is a usage error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            spec = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SystemExit(
             f"error: {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise SystemExit(f"error: {path}: expected a JSON object, "
+                         f"not a {type(spec).__name__}")
+    return spec
+
+
+def _parse(path: str, build, *args):
+    """build(*args) on data read from path; an input of the wrong shape
+    (a missing key, a value of the wrong type) is a usage error."""
+    try:
+        return build(*args)
+    except KeyError as exc:
+        raise SystemExit(f"error: {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"error: {path}: {exc}") from exc
 
 
 def cmd_verify(args) -> int:
@@ -68,7 +84,8 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     tower = Tower()
     qd = build_q(tower, args.n)
-    alg = algebra_from_spec(tower, _load_json(args.algebra)) if args.algebra \
+    alg = _parse(args.algebra, algebra_from_spec, tower,
+                 _load_json(args.algebra)) if args.algebra \
         else preset_base_field(tower)
     catalog = Catalog(qd)
     wanted = [s for s in args.catalog.split(",") if s]
@@ -84,7 +101,8 @@ def cmd_classify(args) -> int:
     ms = tensor_lie(qd, alg)
     inv = None
     if args.group:
-        act = gamma_from_spec(tower, _load_json(args.group), alg, qd)
+        act = _parse(args.group, gamma_from_spec, tower,
+                     _load_json(args.group), alg, qd)
         try:
             inv = invariants(ms, act)
         except ValueError as exc:
@@ -128,13 +146,18 @@ def cmd_classify(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    if args.depth < 0:
+        print(f"error: --depth must be nonnegative, not {args.depth}",
+              file=sys.stderr)
+        return USAGE_EXIT
     tower = Tower()
     qd = build_q(tower, args.n)
     spec = _load_json(args.psi)
-    alg = algebra_from_spec(tower, spec["algebra"]) if "algebra" in spec \
-        else preset_base_field(tower)
+    alg = _parse(args.psi, algebra_from_spec, tower, spec["algebra"]) \
+        if "algebra" in spec else preset_base_field(tower)
     ctx = CartanAlgebra(qd, alg)
-    psi = PsiFunctional.from_pairs(ctx, spec.get("values", []))
+    psi = _parse(args.psi, PsiFunctional.from_pairs, ctx,
+                 spec.get("values", []))
     ms = tensor_lie(qd, alg)
     vm = TruncatedVerma(ms, psi, args.depth)
     sq = SimpleQuotient(vm)

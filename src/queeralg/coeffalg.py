@@ -11,8 +11,8 @@ computation in scope.
 from __future__ import annotations
 
 from .assocsuper import AssocSuper
-from .graded import (EVEN, GradedMap, GradedSpace, Span, mat_kernel, mat_mul,
-                     solve_right, zero_rows)
+from .graded import (EVEN, GradedMap, GradedSpace, Span, identity_rows,
+                     mat_kernel, mat_mul, solve_right, zero_rows)
 from .scalars import Scalar, Tower, parse_scalar
 
 
@@ -55,27 +55,25 @@ class CoeffAlgebra(AssocSuper):
 
 
 class IdealRep:
-    """Ideal of a CoeffAlgebra as an echelonized dense basis."""
+    """Ideal of a CoeffAlgebra spanned by the given vectors (dense lists
+    or sparse dicts), kept as the RREF basis of their span."""
 
-    def __init__(self, algebra: CoeffAlgebra, basis):
+    def __init__(self, algebra: CoeffAlgebra, vectors):
         self.algebra = algebra
-        self.basis = basis  # dense vectors, echelon form
-        self._span = Span(algebra.tower)
-        for v in basis:
-            self._span.add(v)
+        self._span = Span(algebra.tower, vectors)
+        self.basis = self._span.basis_vectors(algebra.dim)
 
     @classmethod
     def from_generators(cls, algebra: CoeffAlgebra, gens):
         """Smallest ideal containing the generators: span of A * gens."""
-        tower = algebra.tower
-        sp = Span(tower)
-        one = tower.one()
+        one = algebra.tower.one()
+        vectors = []
         for g in gens:
             gd = g if isinstance(g, dict) else \
                 {k: v for k, v in enumerate(g) if not v.is_zero}
-            for i in range(algebra.dim):
-                sp.add(algebra.product({i: one}, gd))
-        return cls(algebra, sp.basis_vectors(algebra.dim))
+            vectors.extend(algebra.product({i: one}, gd)
+                           for i in range(algebra.dim))
+        return cls(algebra, vectors)
 
     @property
     def dim(self) -> int:
@@ -92,7 +90,8 @@ class IdealRep:
                 and self.is_subideal_of(other))
 
     def key(self):
-        """Canonical hashable form (sorted echelon rows)."""
+        """Canonical hashable form (the RREF rows): equal ideals have equal
+        keys whatever generators built them."""
         return tuple(tuple(x.sort_key() for x in row) for row in self.basis)
 
     def verify(self):
@@ -198,6 +197,8 @@ def preset_base_field(tower: Tower) -> CoeffAlgebra:
 
 def algebra_from_spec(tower: Tower, spec: dict) -> CoeffAlgebra:
     """Build a preset from its JSON description."""
+    if not isinstance(spec, dict):
+        raise ValueError("an algebra preset must be a JSON object")
     kind = spec.get("type")
     if kind != "poly_quotient":
         raise ValueError(f"unknown algebra preset type {kind!r}")
@@ -219,13 +220,13 @@ def algebra_from_spec(tower: Tower, spec: dict) -> CoeffAlgebra:
 
 def ideal_product(i1: IdealRep, i2: IdealRep) -> IdealRep:
     a = i1.algebra
-    sp = Span(a.tower)
+    products = []
     for u in i1.basis:
         ud = {k: v for k, v in enumerate(u) if not v.is_zero}
         for w in i2.basis:
             wd = {k: v for k, v in enumerate(w) if not v.is_zero}
-            sp.add(a.product(ud, wd))
-    return IdealRep(a, sp.basis_vectors(a.dim))
+            products.append(a.product(ud, wd))
+    return IdealRep(a, products)
 
 
 def ideal_intersect(i1: IdealRep, i2: IdealRep) -> IdealRep:
@@ -234,22 +235,19 @@ def ideal_intersect(i1: IdealRep, i2: IdealRep) -> IdealRep:
     n = a.dim
     cols = [[v[i] for v in i1.basis] + [v[i] for v in i2.basis] for i in range(n)]
     k1 = len(i1.basis)
-    sp = Span(tower)
+    vecs = []
     for kv in mat_kernel(cols, k1 + len(i2.basis), tower):
         vec = [tower.zero()] * n
         for c in range(k1):
             if not kv[c].is_zero:
                 for i in range(n):
                     vec[i] = vec[i] + kv[c] * i1.basis[c][i]
-        sp.add(vec)
-    return IdealRep(a, sp.basis_vectors(n))
+        vecs.append(vec)
+    return IdealRep(a, vecs)
 
 
 def ideal_sum(i1: IdealRep, i2: IdealRep) -> IdealRep:
-    sp = Span(i1.algebra.tower)
-    for v in i1.basis + i2.basis:
-        sp.add(v)
-    return IdealRep(i1.algebra, sp.basis_vectors(i1.algebra.dim))
+    return IdealRep(i1.algebra, i1.basis + i2.basis)
 
 
 def ideal_power(i1: IdealRep, k: int) -> IdealRep:
@@ -265,18 +263,15 @@ class QuotientAlgebra(CoeffAlgebra):
     def __init__(self, source: CoeffAlgebra, ideal: IdealRep):
         tower = source.tower
         n = source.dim
-        pivots = [min(k for k, x in enumerate(v) if not x.is_zero)
-                  for v in ideal.basis]
-        free = [i for i in range(n) if i not in set(pivots)]
-        d = len(free)
-        # projection: reduce the coordinate vector by the ideal's echelon rows
+        # projection: the residual modulo the ideal lives on its free
+        # (non-pivot) columns
         sp = ideal._span
+        free = [i for i in range(n) if i not in sp.rows]
+        pos = {c: t for t, c in enumerate(free)}
+        d = len(free)
 
         def project(vec) -> dict:
-            dense = vec if isinstance(vec, dict) else \
-                {k: v for k, v in enumerate(vec) if not v.is_zero}
-            red = sp.reduce(dense)
-            return {free.index(k): v for k, v in red.items()}
+            return {pos[k]: v for k, v in sp.reduce(vec).items()}
 
         one = tower.one()
         mult = [[{} for _ in range(d)] for _ in range(d)]
@@ -338,13 +333,7 @@ def radical(ideal: IdealRep) -> IdealRep:
     gens = [dict(v) for v in
             ({k: x for k, x in enumerate(kv) if not x.is_zero}
              for kv in mat_kernel(gram, d, tower))]
-    lifted = [q.lift(g) for g in gens]
-    sp = Span(tower)
-    for v in ideal.basis:
-        sp.add(v)
-    for g in lifted:
-        sp.add(g)
-    pre = IdealRep(a, sp.basis_vectors(a.dim))
+    pre = IdealRep(a, ideal.basis + [q.lift(g) for g in gens])
     out = IdealRep.from_generators(a, pre.basis) if pre.basis else zero_ideal(a)
     return out
 
@@ -416,13 +405,9 @@ def crt_split(a: CoeffAlgebra, ideal: IdealRep):
             if q.product(e, idems[j]):
                 raise ValueError("idempotents are not orthogonal")
     pieces = []
+    one = tower.one()
     for e in idems:
-        sp = Span(tower)
-        one = tower.one()
-        for i in range(q.dim):
-            prod = q.product(e, {i: one})
-            if prod:
-                sp.add(prod)
+        sp = Span(tower, (q.product(e, {i: one}) for i in range(q.dim)))
         pieces.append(sp.basis_vectors(q.dim))
     return q, idems, pieces
 
@@ -458,10 +443,10 @@ class GammaAction:
         tower = self.tower
         dim_a = len(self.generators[0][1])
         dim_q = len(self.generators[0][2].rows)
-        out = [(identity_rows_local(tower, dim_a), identity_rows_local(tower, dim_q))]
+        out = [(identity_rows(tower, dim_a), identity_rows(tower, dim_q))]
         for order, arows, qmap in self.generators:
-            powers_a, powers_q = [identity_rows_local(tower, dim_a)], \
-                [identity_rows_local(tower, dim_q)]
+            powers_a, powers_q = [identity_rows(tower, dim_a)], \
+                [identity_rows(tower, dim_q)]
             for _ in range(order - 1):
                 powers_a.append(mat_mul(arows, powers_a[-1], tower))
                 powers_q.append(mat_mul(qmap.rows, powers_q[-1], tower))
@@ -474,14 +459,6 @@ class GammaAction:
 
     def is_trivial(self) -> bool:
         return self.order == 1
-
-
-def identity_rows_local(tower, n):
-    rows = zero_rows(tower, n, n)
-    one = tower.one()
-    for i in range(n):
-        rows[i][i] = one
-    return rows
 
 
 def trivial_gamma(tower: Tower, a: CoeffAlgebra, qd) -> GammaAction:
@@ -520,8 +497,8 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
         for _ in range(order - 1):
             pa = mat_mul(arows, pa, tower)
             pq = mat_mul(qmap.rows, pq, tower)
-        if pa != identity_rows_local(tower, dim_a) or \
-                pq != identity_rows_local(tower, g.dim):
+        if pa != identity_rows(tower, dim_a) or \
+                pq != identity_rows(tower, g.dim):
             report["relations"] = False
             report["failures"].append(f"generator {gi}: order relation fails")
         # algebra automorphism: multiplicative and unit-preserving
@@ -600,8 +577,7 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
     for ek, (arows, _) in enumerate(act.elements()):
         perm = []
         for k, m in enumerate(a.maximal_ideals):
-            img = _apply_rows_to_ideal(arows, m)
-            img_ideal = IdealRep(a, _echelon(tower, img, a.dim))
+            img_ideal = IdealRep(a, _apply_rows_to_ideal(arows, m))
             target = None
             for k2, m2 in enumerate(a.maximal_ideals):
                 if img_ideal == m2:
@@ -643,20 +619,15 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
     return report
 
 
-def _echelon(tower, vectors, n):
-    sp = Span(tower)
-    for v in vectors:
-        sp.add(v)
-    return sp.basis_vectors(n)
-
-
 def gamma_from_spec(tower: Tower, spec: dict, a: CoeffAlgebra, qd) -> GammaAction:
     """Build a group action from its JSON description.  Generators carry
     an order, an action on the algebra and an action on q; each action is
     an explicit matrix or one of the shortcuts substitute_t / diag_conj /
     trivial."""
     gens = []
-    for g in spec.get("generators", []):
+    for gi, g in enumerate(spec.get("generators", [])):
+        if not isinstance(g, dict):
+            raise ValueError(f"generator {gi} must be a JSON object")
         order = int(g["order"])
         on_a = g["on_algebra"]
         if isinstance(on_a, dict):
@@ -667,7 +638,7 @@ def gamma_from_spec(tower: Tower, spec: dict, a: CoeffAlgebra, qd) -> GammaActio
                 for k in range(a.dim):
                     rows[k][k] = c ** k
             elif kind == "trivial":
-                rows = identity_rows_local(tower, a.dim)
+                rows = identity_rows(tower, a.dim)
             else:
                 raise ValueError(f"unknown algebra action type {kind!r}")
         else:

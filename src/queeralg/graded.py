@@ -105,10 +105,6 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a, s: Scalar):
     return [[x * s for x in row] for row in a]
 
@@ -132,78 +128,77 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def _row_span(rows, ncols: int, tower: Tower) -> Span:
+    sp = Span(tower)
+    for row in rows:
+        if sp.dim == ncols:
+            break  # every further row lies in the span
+        sp.add(row)
+    return sp
+
+
 def mat_rref(rows, ncols: int, tower: Tower):
-    """Reduced row echelon form by exact Gaussian elimination with
-    first-nonzero pivoting.  Returns (rref_rows, pivot_cols); zero rows
-    are dropped."""
-    work = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for k in range(r, len(work)):
-            if not work[k][c].is_zero:
-                pr = k
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = work[r][c].inv()
-        work[r] = [x * inv for x in work[r]]
-        for k in range(len(work)):
-            if k != r and not work[k][c].is_zero:
-                f = work[k][c]
-                work[k] = [x - f * y for x, y in zip(work[k], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+    """Reduced row echelon form of the rows (dense lists or sparse dicts).
+    Returns (rref_rows, pivot_cols) with dense rows; zero rows are
+    dropped."""
+    sp = _row_span(rows, ncols, tower)
+    return sp.basis_vectors(ncols), sorted(sp.rows)
 
 
 def mat_rank(rows, ncols: int, tower: Tower) -> int:
-    return len(mat_rref(rows, ncols, tower)[0])
+    return _row_span(rows, ncols, tower).dim
 
 
 def mat_kernel(rows, ncols: int, tower: Tower):
-    """Basis (list of coordinate vectors) of {x : A x = 0}."""
-    rref, pivots = mat_rref(rows, ncols, tower)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    zero, one = tower.zero(), tower.one()
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
-        for r, p in enumerate(pivots):
-            vec[p] = -rref[r][f]
-        basis.append(vec)
-    return basis
+    """Basis (list of coordinate vectors) of {x : A x = 0}; the identity
+    basis when A has no rows."""
+    return _row_span(rows, ncols, tower).kernel(ncols)
+
+
+def solve_columns(rows, rhs_cols, ncols: int, tower: Tower):
+    """Solutions x_c of A x_c = b_c for every right-hand side b_c, from one
+    elimination of [A | B]; None when some b_c is outside the column
+    space of A.  Each x_c is the solution solve_right finds for b_c alone
+    (pivot coordinates read off the RREF, free coordinates zero)."""
+    if not rhs_cols:
+        return []
+    aug = [list(r) + list(b) for r, b in zip(rows, zip(*rhs_cols))]
+    rref, pivots = mat_rref(aug, ncols + len(rhs_cols), tower)
+    if pivots and pivots[-1] >= ncols:
+        return None  # inconsistent
+    zero = tower.zero()
+    sols = [[zero] * ncols for _ in rhs_cols]
+    for row, p in zip(rref, pivots):
+        for c, x in enumerate(sols):
+            x[p] = row[ncols + c]
+    return sols
 
 
 def solve_right(rows, rhs, ncols: int, tower: Tower):
     """One solution x of A x = b, or None (A given as rows, b a vector)."""
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    rref, pivots = mat_rref(aug, ncols + 1, tower)
-    zero = tower.zero()
-    x = [zero] * ncols
-    for r, p in enumerate(pivots):
-        if p == ncols:
-            return None  # inconsistent
-        x[p] = rref[r][ncols]
-    return x
+    sols = solve_columns(rows, [rhs], ncols, tower)
+    return None if sols is None else sols[0]
 
 
 class Span:
-    """Incrementally maintained echelon basis of a subspace of K^n.
+    """Subspace of K^n in reduced row echelon form: the package's one
+    exact elimination engine (mat_rref, mat_kernel and the solvers are
+    thin layers over it).
 
-    Vectors may be supplied as dense lists or as {index: Scalar} dicts;
-    rows are stored sparsely with pivot entry normalized to 1.
+    Vectors may be dense lists or {index: Scalar} dicts.  Rows are stored
+    sparsely, keyed by pivot column, and keep one invariant: every row
+    has a 1 in its pivot column and a 0 in every other pivot column.
+    reduce() therefore clears every pivot column of a vector in one pass,
+    and add() back-substitutes each new row into the stored ones.  The
+    basis is the RREF of the subspace, so it does not depend on the order
+    in which vectors were added.
     """
 
-    def __init__(self, tower: Tower):
+    def __init__(self, tower: Tower, vectors=()):
         self.tower = tower
         self.rows: dict[int, dict[int, Scalar]] = {}
+        for v in vectors:
+            self.add(v)
 
     @property
     def dim(self) -> int:
@@ -215,17 +210,20 @@ class Span:
         return {k: v for k, v in enumerate(vec) if not v.is_zero}
 
     def reduce(self, vec) -> dict:
-        """Residual of vec modulo the current span (sparse dict)."""
+        """Residual of vec modulo the current span (sparse dict): it has
+        no entry in any pivot column, and is empty exactly when vec lies
+        in the span."""
         v = self._as_dict(vec)
-        while v:
-            p = min(v)
-            row = self.rows.get(p)
-            if row is None:
-                return v
-            f = v[p]
-            for k, x in row.items():
-                cur = v.get(k, None)
-                nxt = (cur - f * x) if cur is not None else -f * x
+        rows = self.rows
+        # a stored row is zero in every other pivot column, so eliminating
+        # one pivot never brings another back
+        for p in [k for k in v if k in rows]:
+            f = v.pop(p)
+            for k, x in rows[p].items():
+                if k == p:
+                    continue
+                cur = v.get(k)
+                nxt = -f * x if cur is None else cur - f * x
                 if nxt.is_zero:
                     v.pop(k, None)
                 else:
@@ -240,13 +238,15 @@ class Span:
         p = min(v)
         inv = v[p].inv()
         row = {k: x * inv for k, x in v.items()}
-        # back-substitute into existing rows to keep reduced form
-        for q, other in self.rows.items():
-            f = other.get(p)
+        # back-substitute into the stored rows to keep the invariant
+        for other in self.rows.values():
+            f = other.pop(p, None)
             if f is not None:
                 for k, x in row.items():
+                    if k == p:
+                        continue
                     cur = other.get(k)
-                    nxt = (cur - f * x) if cur is not None else -f * x
+                    nxt = -f * x if cur is None else cur - f * x
                     if nxt.is_zero:
                         other.pop(k, None)
                     else:
@@ -257,8 +257,25 @@ class Span:
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
 
+    def kernel(self, n: int):
+        """Basis of {x in K^n : r . x = 0 for every r in the span}, one
+        vector per free column f: e_f minus the column f of the RREF."""
+        zero, one = self.tower.zero(), self.tower.one()
+        basis = []
+        for f in range(n):
+            if f in self.rows:
+                continue
+            vec = [zero] * n
+            vec[f] = one
+            for p, row in self.rows.items():
+                x = row.get(f)
+                if x is not None:
+                    vec[p] = -x
+            basis.append(vec)
+        return basis
+
     def basis_vectors(self, n: int):
-        """Dense basis rows (deterministic pivot order)."""
+        """Dense basis rows, in increasing pivot order (the RREF)."""
         zero = self.tower.zero()
         out = []
         for p in sorted(self.rows):
@@ -476,9 +493,7 @@ def commutant(ops, space: GradedSpace, tower: Tower, parity_filter=(EVEN, ODD)):
                             nz = True
                     if nz:
                         rows.append(row)
-        for kvec in mat_kernel(rows, len(slots), tower) if rows else \
-                [[tower.one() if k == m else tower.zero()
-                  for k in range(len(slots))] for m in range(len(slots))]:
+        for kvec in mat_kernel(rows, len(slots), tower):
             mat = zero_rows(tower, n, n)
             for k, (i, j) in enumerate(slots):
                 if not kvec[k].is_zero:

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from .cartanmod import CartanAlgebra, PsiFunctional, build_H
 from .coeffalg import IdealRep
-from .graded import EVEN, GradedMap, Span, mat_kernel, mat_mul, zero_rows
+from .graded import (EVEN, GradedMap, Span, mat_kernel, mat_mul, mat_rank,
+                     zero_rows)
 from .liesuper import GradedSpaceMixed, LieModule, LieSuper
 from .mapsuper import InvariantSub, MapSuper
 from .scalars import Tower
@@ -155,9 +156,7 @@ class WeightModule:
             for g in raising_gens:
                 for (_, blk) in self.blocks_of(g, w):
                     rows.extend(blk)
-            out[w] = mat_kernel(rows, d, tower) if rows else \
-                [[tower.one() if i == j else tower.zero() for i in range(d)]
-                 for j in range(d)]
+            out[w] = mat_kernel(rows, d, tower)
         return out
 
     def spin_span(self, start_weight, gen_indices) -> int:
@@ -521,15 +520,12 @@ class TruncatedVerma:
         out = {}
         for beta in self._betas:
             d = len(self.basis[beta])
-            if d == 0:
-                out[beta] = 0
-                continue
             rows = []
             for g in self.ms.raising_gens:
                 blk = self.block(g, beta)
                 if blk is not None:
                     rows.extend(blk[1])
-            out[beta] = len(mat_kernel(rows, d, self.tower)) if rows else d
+            out[beta] = d - mat_rank(rows, d, self.tower)
         return out
 
 
@@ -586,14 +582,9 @@ class SimpleQuotient:
                     if rmat is None:
                         continue  # target quotient is zero: no constraint
                     rows.extend(mat_mul(rmat, mat, tower))
-                nsub[beta] = mat_kernel(rows, d, tower) if rows else \
-                    [[tower.one() if i == j else tower.zero()
-                      for i in range(d)] for j in range(d)]
-            sp = Span(tower)
-            for v in nsub[beta]:
-                sp.add(v)
-            pivots = sorted(sp.rows)
-            free = [c for c in range(d) if c not in set(pivots)]
+                nsub[beta] = mat_kernel(rows, d, tower)
+            sp = Span(tower, nsub[beta])
+            free = [c for c in range(d) if c not in sp.rows]
             quot_dims[beta] = len(free)
             free_cols[beta] = free
             # residual matrix: coordinates of the class of e_c over the

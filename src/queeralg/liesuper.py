@@ -5,7 +5,8 @@ module actions used throughout."""
 from __future__ import annotations
 
 from .assocsuper import AssocSuper
-from .graded import EVEN, ODD, GradedMap, GradedSpace, Span, zero_rows
+from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, mat_kernel,
+                     solve_columns, zero_rows)
 from .scalars import Tower
 
 
@@ -136,26 +137,24 @@ def subalgebra(g: LieSuper, vectors, name: str = "") -> tuple:
     dense = [dense[t] for t in order]
     par = [par[t] for t in order]
     space = GradedSpace(par.count(EVEN), par.count(ODD))
-    span = Span(tower)
-    for v in dense:
-        if not span.add(v):
-            raise ValueError("subalgebra basis vectors are dependent")
-    from .graded import solve_right
-    cols = [[dense[j][i] for j in range(len(dense))] for i in range(g.dim)]
     n = len(dense)
-    bk = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        ui = {k: s for k, s in enumerate(dense[i]) if not s.is_zero}
-        for j in range(n):
-            uj = {k: s for k, s in enumerate(dense[j]) if not s.is_zero}
-            br = g.bracket(ui, uj)
+    if Span(tower, dense).dim < n:
+        raise ValueError("subalgebra basis vectors are dependent")
+    # coordinates of every bracket [u_i, u_j], from one elimination
+    cols = [[dense[j][i] for j in range(n)] for i in range(g.dim)]
+    sparse = [{k: s for k, s in enumerate(v) if not s.is_zero} for v in dense]
+    brackets = []
+    for ui in sparse:
+        for uj in sparse:
             vec = [tower.zero()] * g.dim
-            for k, s in br.items():
+            for k, s in g.bracket(ui, uj).items():
                 vec[k] = s
-            sol = solve_right(cols, vec, n, tower)
-            if sol is None:
-                raise ValueError("vectors do not span a subalgebra")
-            bk[i][j] = {k: s for k, s in enumerate(sol) if not s.is_zero}
+            brackets.append(vec)
+    sols = solve_columns(cols, brackets, n, tower)
+    if sols is None:
+        raise ValueError("vectors do not span a subalgebra")
+    bk = [[{k: s for k, s in enumerate(sols[i * n + j]) if not s.is_zero}
+           for j in range(n)] for i in range(n)]
     sub = LieSuper(tower, space, bk, name=name)
     emb = GradedMap(tower, space, g.space,
                     [[dense[j][i] for j in range(n)] for i in range(g.dim)],
@@ -216,13 +215,6 @@ class GradedSpaceMixed(GradedSpace):
 # ---------------------------------------------------------------------------
 # Structural predicates
 # ---------------------------------------------------------------------------
-
-
-def _span_of(g: LieSuper, vectors) -> Span:
-    sp = Span(g.tower)
-    for v in vectors:
-        sp.add(v)
-    return sp
 
 
 def derived_series(g: LieSuper):
@@ -378,12 +370,8 @@ def module_hom_basis(m: LieModule, n: LieModule):
                         nz = True
                 if nz:
                     rows.append(row)
-    from .graded import mat_kernel
-    kerns = mat_kernel(rows, dn * dm, tower) if rows else \
-        [[tower.one() if t == s else tower.zero() for t in range(dn * dm)]
-         for s in range(dn * dm)]
     out = []
-    for kv in kerns:
+    for kv in mat_kernel(rows, dn * dm, tower):
         mat = [[kv[i * dm + j] for j in range(dm)] for i in range(dn)]
         out.append(GradedMap(tower, m.space, n.space, mat))
     return out

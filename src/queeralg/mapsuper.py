@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from .coeffalg import (CoeffAlgebra, GammaAction, IdealRep, gamma_validate,
                        ideal_product, radical, support)
-from .graded import Span, solve_right, zero_rows
+from .graded import Span, mat_kernel, mat_rank, solve_right, zero_rows
 from .liesuper import GradedSpaceMixed, LieSuper, direct_sum, subalgebra
 from .queer import QueerData
 from .scalars import Tower
@@ -267,7 +267,6 @@ class EvMap:
         return out
 
     def rank(self) -> int:
-        from .graded import mat_rank
         return mat_rank(self.rows, self.ms.dim, self.ms.tower)
 
     def is_surjective(self) -> bool:
@@ -287,7 +286,6 @@ class EvMap:
                 expected.add(ms.embed_g({xi: tower.one()},
                                         {j: s for j, s in enumerate(v)
                                          if not s.is_zero}))
-        from .graded import mat_kernel
         kern = mat_kernel(self.rows, ms.dim, tower)
         if len(kern) != expected.dim:
             return False
@@ -323,7 +321,6 @@ def ev_gamma(inv: InvariantSub, point_indices):
 
 
 def ev_gamma_rank(inv: InvariantSub, point_indices) -> int:
-    from .graded import mat_rank
     emap, rows = ev_gamma(inv, point_indices)
     return mat_rank(rows, inv.dim, inv.tower)
 
@@ -354,15 +351,7 @@ def ann_and_support(module, ms: MapSuper):
                           key=lambda t: str(t))
             for key in keys:
                 rows.append([mset.get(key, tower.zero()) for mset in mats])
-    from .graded import mat_kernel
-    kern = mat_kernel(rows, na, tower) if rows else []
-    if not rows:
-        kern = [[one if i == j else tower.zero() for i in range(na)]
-                for j in range(na)]
-    sp = Span(tower)
-    for v in kern:
-        sp.add(v)
-    ann = IdealRep(ms.coeff, sp.basis_vectors(na))
+    ann = IdealRep(ms.coeff, mat_kernel(rows, na, tower))
     ann.verify()
     supp = support(ann)
     reduced = radical(ann) == ann
@@ -412,13 +401,7 @@ def ann_and_support_gamma(module, inv: InvariantSub):
                           key=lambda t: str(t))
             for key in keys:
                 rows.append([mset.get(key, tower.zero()) for mset in mats])
-    from .graded import mat_kernel
-    kern = mat_kernel(rows, na, tower) if rows else \
-        [[one if i == j else tower.zero() for i in range(na)] for j in range(na)]
-    sp = Span(tower)
-    for v in kern:
-        sp.add(v)
-    ann = IdealRep(ms.coeff, sp.basis_vectors(na))
+    ann = IdealRep(ms.coeff, mat_kernel(rows, na, tower))
     ann.verify()
     supp = support(ann)
     reduced = radical(ann) == ann

@@ -7,8 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assocsuper import density_type_from_maps
-from .graded import (EVEN, ODD, GradedMap, commutant, mat_kernel, mat_mul,
-                     mat_rank, solve_right, zero_rows)
+from .graded import (EVEN, ODD, GradedMap, commutant, graded_tensor,
+                     identity_rows, mat_kernel, mat_mul, mat_rank,
+                     solve_columns, tensor_space, zero_rows)
 from .hwmod import (WeightModule, is_irreducible_hw,
                     triangular_of_invariants, triangular_of_map,
                     weight_sort_key)
@@ -23,17 +24,6 @@ from .scalars import Scalar
 # ---------------------------------------------------------------------------
 # Flat module utilities
 # ---------------------------------------------------------------------------
-
-
-def is_irreducible_general(module) -> bool:
-    """Oracle-backed irreducibility for flat modules and small weight
-    modules (span-closure density; weight modules are flattened)."""
-    if isinstance(module, WeightModule):
-        flat = module.flatten()
-    else:
-        flat = module
-    d = density_type_from_maps(flat.mats, flat.space, flat.tower)
-    return d.certifies_irreducible
 
 
 def direct_sum_module(m1: LieModule, m2: LieModule) -> LieModule:
@@ -105,7 +95,6 @@ def schur_data(m: LieModule, certify=True) -> SchurData:
 def outer_tensor_flat(m1: LieModule, m2: LieModule):
     """V1 (x) V2 as a module over g1 (+) g2, with Koszul signs on the
     second factor.  Returns (module, embedding index map)."""
-    from .graded import graded_tensor, tensor_space
     tower = m1.tower
     gsum = direct_sum(m1.algebra, m2.algebra)
     id1 = GradedMap.identity(tower, m1.space)
@@ -125,7 +114,6 @@ def hat_tensor_flat(m1: LieModule, m2: LieModule,
     Returns (module, info) where info records the branch: the full tensor
     product when at most one factor has odd Schur data, else the
     +1-eigenspace of phi1_hat (x) phi2 together with its complement."""
-    from .graded import graded_tensor
     tower = m1.tower
     s1 = s1 or schur_data(m1)
     s2 = s2 or schur_data(m2)
@@ -184,26 +172,23 @@ def _flat_eigenspace(m: LieModule, op: GradedMap, eigval) -> LieModule:
 
 
 def _solve_columns(emb, img, tower):
-    """Solve emb * X = img column by column; raises when a column leaves
-    the span."""
+    """Solve emb * X = img by one elimination of [emb | img]; raises when
+    a column leaves the span."""
     ncols_emb = len(emb[0]) if emb else 0
     ncols = len(img[0]) if img else 0
-    out = zero_rows(tower, ncols_emb, ncols)
-    for c in range(ncols):
-        rhs = [img[i][c] for i in range(len(img))]
-        sol = solve_right(emb, rhs, ncols_emb, tower)
-        if sol is None:
-            raise AssertionError("operator image leaves the subspace")
-        # verify exactly (solve_right only guarantees pivot consistency)
+    rhs_cols = [[row[c] for row in img] for c in range(ncols)]
+    sols = solve_columns(emb, rhs_cols, ncols_emb, tower)
+    if sols is None:
+        raise AssertionError("operator image leaves the subspace")
+    # verify exactly (the solver only guarantees pivot consistency)
+    for sol, rhs in zip(sols, rhs_cols):
         for i in range(len(emb)):
             acc = tower.zero()
             for j in range(ncols_emb):
                 acc = acc + emb[i][j] * sol[j]
             if acc != rhs[i]:
                 raise AssertionError("operator image leaves the subspace")
-        for j in range(ncols_emb):
-            out[j][c] = sol[j]
-    return out
+    return [[sol[j] for sol in sols] for j in range(ncols_emb)]
 
 
 def assoc_check(m1: LieModule, m2: LieModule, m3: LieModule) -> bool:
@@ -590,13 +575,9 @@ def twist_q_module(m: WeightModule, qd: QueerData, sigma_rows) -> WeightModule:
     one = tower.one()
     # sigma^-1 columns = solve sigma X = I
     n = qd.dim
-    inv_cols = []
-    for j in range(n):
-        rhs = [one if i == j else tower.zero() for i in range(n)]
-        sol = solve_right([list(r) for r in sigma_rows], rhs, n, tower)
-        if sol is None:
-            raise ValueError("automorphism matrix is singular")
-        inv_cols.append(sol)
+    inv_cols = solve_columns(sigma_rows, identity_rows(tower, n), n, tower)
+    if inv_cols is None:
+        raise ValueError("automorphism matrix is singular")
     for hidx in qd.h0_indices:
         for i in range(n):
             expect = one if i == hidx else tower.zero()
@@ -777,16 +758,7 @@ def hom_space_weight(m: WeightModule, n: WeightModule):
                         row = {k: v for k, v in row.items() if not v.is_zero}
                         if row:
                             srows.append(row)
-    dense = []
-    for row in srows:
-        r = [tower.zero()] * len(slots)
-        for k, v in row.items():
-            r[k] = v
-        dense.append(r)
-    kerns = mat_kernel(dense, len(slots), tower) if dense else \
-        [[tower.one() if a == b else tower.zero() for a in range(len(slots))]
-         for b in range(len(slots))]
-    return kerns, slots
+    return mat_kernel(srows, len(slots), tower), slots
 
 
 def is_isomorphic_weight(m: WeightModule, n: WeightModule):

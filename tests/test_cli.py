@@ -117,3 +117,38 @@ def test_bad_json_reports_position(files, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "line 1" in err
+
+
+def _one_line_usage_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_dims_negative_depth_is_usage_error(files, capsys):
+    rc = main(["dims", "--n", "2", "--psi", files["psi"], "--depth", "-3"])
+    _one_line_usage_error(rc, capsys)
+
+
+@pytest.mark.parametrize("flag,payload", [
+    ("--algebra", [{"type": "poly_quotient"}]),
+    ("--group", {"generators": [{"order": 2, "on_q": {"type": "trivial"}}]}),
+])
+def test_classify_wrong_shape_json(files, tmp_path, capsys, flag, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    args = ["classify", "--n", "2", flag, str(bad)]
+    if flag == "--group":
+        args += ["--algebra", files["two"]]
+    _one_line_usage_error(main(args), capsys)
+
+
+@pytest.mark.parametrize("payload", [
+    [["h1", "1", "1"]],
+    {"values": "x"},
+])
+def test_dims_wrong_shape_json(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc = main(["dims", "--n", "2", "--psi", str(bad), "--depth", "2"])
+    _one_line_usage_error(rc, capsys)

@@ -1,14 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from queeralg.coeffalg import (algebra_from_spec, crt_split, gamma_from_spec,
-                               gamma_validate, ideal_intersect, ideal_power,
-                               ideal_product, preset_base_field,
-                               preset_truncated, quotient_algebra, radical,
-                               support, unit_ideal, zero_ideal)
+from queeralg.coeffalg import (IdealRep, algebra_from_spec, crt_split,
+                               gamma_from_spec, gamma_validate,
+                               ideal_intersect, ideal_power, ideal_product,
+                               ideal_sum, preset_base_field, preset_truncated,
+                               quotient_algebra, radical, support, unit_ideal,
+                               zero_ideal)
 from queeralg.queer import build_q
-from queeralg.scalars import Tower
+from queeralg.scalars import Tower, parse_scalar
 
 
 @pytest.fixture
@@ -204,3 +206,44 @@ def test_crt_idempotents_commute_with_gamma(K):
                for i in range(a.dim)]
         imgs.append({i: v for i, v in enumerate(img) if not v.is_zero})
     assert sorted(map(str, imgs)) == sorted(map(str, idems))
+
+
+# ---------------------------------------------------------------------------
+# Canonical ideal keys
+# ---------------------------------------------------------------------------
+
+GEN_PAIRS = [
+    (["0", "1", "0", "1"], ["-1", "0", "-1", "1"]),
+    (["1", "0", "0", "0"], ["1", "-1", "0", "-1"]),
+    (["-1", "0", "-1", "0"], ["-1", "1", "-1", "0"]),
+]
+
+
+@pytest.mark.parametrize("g1,g2", GEN_PAIRS)
+def test_ideal_key_independent_of_generator_order(K, g1, g2):
+    a = four_point(K)
+    gens = [[parse_scalar(K, x) for x in g] for g in (g1, g2)]
+    fwd = IdealRep.from_generators(a, gens)
+    rev = IdealRep.from_generators(a, gens[::-1])
+    assert fwd == rev
+    assert fwd.key() == rev.key()
+
+
+_QI = Tower()
+_FOUR = four_point(_QI)
+_coeff = st.builds(_QI.from_int, st.sampled_from([0, 0, 1, -1, 2]))
+_gens = st.lists(st.lists(_coeff, min_size=4, max_size=4),
+                 min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_gens, _gens, st.randoms(use_true_random=False))
+def test_ideal_key_equality_is_ideal_equality(gens1, gens2, rnd):
+    i1 = IdealRep.from_generators(_FOUR, gens1)
+    shuffled = list(gens1)
+    rnd.shuffle(shuffled)
+    assert IdealRep.from_generators(_FOUR, shuffled).key() == i1.key()
+    i2 = IdealRep.from_generators(_FOUR, gens2)
+    assert (i1.key() == i2.key()) == (i1 == i2)
+    # the ideal generated by both lists does not depend on which comes first
+    assert ideal_sum(i1, i2).key() == ideal_sum(i2, i1).key()

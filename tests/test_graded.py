@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from queeralg.graded import (EVEN, ODD, GradedMap, GradedSpace, Span, commutant,
                              graded_tensor, kernel, mat_kernel, mat_rank,
-                             solve_right, tensor_space)
+                             mat_rref, solve_columns, solve_right,
+                             tensor_space)
 from queeralg.scalars import Tower
 
 
@@ -156,3 +158,115 @@ def test_tensor_space_ordering():
     # even pairs (0,0),(1,1) come first
     assert idx[(0, 0)] == 0 and idx[(1, 1)] == 1
     assert idx[(0, 1)] == 2 and idx[(1, 0)] == 3
+
+
+# ---------------------------------------------------------------------------
+# Span keeps a true reduced row echelon form
+# ---------------------------------------------------------------------------
+
+QI = Tower()   # Q(i) only: these tests never adjoin a square root
+
+
+def test_span_residual_has_no_pivot_column(K):
+    one = K.one()
+    sp = Span(K)
+    sp.add({3: one})
+    sp.add({1: one, 2: one, 3: one})
+    res = sp.reduce({1: one})
+    assert set(res) == {2}
+    assert res[2] == -one
+    assert all(set(row) & set(sp.rows) == {p} for p, row in sp.rows.items())
+
+
+def test_span_basis_independent_of_order(K):
+    one, zero = K.one(), K.zero()
+    u, v = [one, one, zero], [zero, one, one]
+    assert Span(K, [u, v]).basis_vectors(3) == Span(K, [v, u]).basis_vectors(3)
+    assert Span(K, [u, v]).basis_vectors(3) == \
+        [[one, zero, -one], [zero, one, one]]
+
+
+def qi_entries():
+    # about half the entries are zero, so pivots skip columns
+    return st.one_of(st.just(QI.zero()),
+                     st.builds(QI.from_qi, st.integers(-2, 2),
+                               st.integers(-1, 1), st.sampled_from([1, 2])))
+
+
+def qi_vectors(n):
+    return st.lists(qi_entries(), min_size=n, max_size=n)
+
+
+@st.composite
+def vector_lists(draw, max_vectors=5):
+    n = draw(st.integers(1, 5))
+    vecs = draw(st.lists(qi_vectors(n), min_size=0, max_size=max_vectors))
+    return n, vecs
+
+
+def is_rref(rows, pivots, n):
+    if pivots != sorted(set(pivots)) or len(rows) != len(pivots):
+        return False
+    for row, p in zip(rows, pivots):
+        if len(row) != n or row[p] != 1:
+            return False
+        if any(not x.is_zero for x in row[:p]):
+            return False
+        if any(not row[q].is_zero for q in pivots if q != p):
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_lists(), st.randoms(use_true_random=False))
+def test_span_basis_is_insertion_order_free(data, rnd):
+    n, vecs = data
+    shuffled = list(vecs)
+    rnd.shuffle(shuffled)
+    assert Span(QI, vecs).basis_vectors(n) == \
+        Span(QI, shuffled).basis_vectors(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_lists(), st.data())
+def test_span_residual_avoids_pivots(data, draw):
+    n, vecs = data
+    w = draw.draw(qi_vectors(n))
+    sp = Span(QI, vecs)
+    res = sp.reduce(w)
+    assert not set(res) & set(sp.rows)
+    # w - residual lies in the span, and the residual is zero exactly on it
+    diff = [x - res.get(k, QI.zero()) for k, x in enumerate(w)]
+    assert sp.contains(diff)
+    assert (not res) == sp.contains(w)
+    assert is_rref(sp.basis_vectors(n), sorted(sp.rows), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_lists())
+def test_mat_rref_is_reduced(data):
+    n, rows = data
+    rref, pivots = mat_rref(rows, n, QI)
+    assert is_rref(rref, pivots, n)
+    assert len(rref) == mat_rank(rows, n, QI)
+    sp = Span(QI, rref)
+    assert all(sp.contains(r) for r in rows)
+    assert all(Span(QI, rows).contains(r) for r in rref)
+    for x in mat_kernel(rows, n, QI):
+        assert all(sum((a * b for a, b in zip(r, x)), QI.zero()).is_zero
+                   for r in rows)
+    assert len(mat_kernel(rows, n, QI)) == n - len(rref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(vector_lists(max_vectors=4), st.data())
+def test_solve_columns_matches_solve_right(data, draw):
+    ncols, rows = data
+    nrows = len(rows)
+    rhs_cols = draw.draw(st.lists(qi_vectors(nrows), min_size=1, max_size=3))
+    one_by_one = [solve_right(rows, b, ncols, QI) for b in rhs_cols]
+    together = solve_columns(rows, rhs_cols, ncols, QI)
+    if any(x is None for x in one_by_one):
+        assert together is None
+    else:
+        assert together == one_by_one

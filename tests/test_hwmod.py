@@ -1,8 +1,10 @@
 import itertools
+import json
 
 import pytest
 
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional
+from queeralg.cli import main
 from queeralg.coeffalg import preset_base_field, preset_truncated, zero_ideal
 from queeralg.hwmod import (check_psi0_ideal, is_irreducible_hw,
                             simple_quotient, top_psi, triangular_of_map,
@@ -271,3 +273,25 @@ def test_truncated_vpsi_matches_ev_dims(setup):
             continue
         w = sq.verma.weight_tuple(beta)
         assert d == mod.block_dim(w)
+
+
+def test_dims_q3_psi_2_m1_1_completes(tmp_path):
+    """The simple quotient at psi = (2, -1, 1) used to stop on a pivot
+    column left in a reduced residual; every induced dimension is the PBW
+    count times dim H = 4 (Clifford rank 3)."""
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps({"values": [["h1", "1", "2"], ["h2", "1", "-1"],
+                                          ["h3", "1", "1"]]}))
+    out = tmp_path / "dims.json"
+    assert main(["dims", "--n", "3", "--psi", str(psi), "--depth", "3",
+                 "--format", "structured", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["highest_weight_dim"] == 4
+    # positive roots of A_3 in simple-root coordinates, once even, once odd
+    roots = [tuple(1 if i <= k <= j else 0 for k in range(3))
+             for i in range(3) for j in range(i, 3)]
+    assert rep["rows"]
+    for row in rep["rows"]:
+        beta = row["weight_coords"]
+        assert row["induced_dim"] == pbw_count_oracle(roots + roots, beta) * 4
+        assert 0 <= row["simple_dim"] <= row["induced_dim"]
