@@ -77,20 +77,6 @@ class WeightModule:
                                 out[key] = nxt
         return out
 
-    def apply_gen(self, i: int, vec: dict) -> dict:
-        """vec: {weight: dense coord list} -> same representation."""
-        out: dict = {}
-        for w, coords in vec.items():
-            for (w2, rows) in self.blocks_of(i, w):
-                tgt = out.setdefault(w2, [self.tower.zero()] * len(rows))
-                for r, row in enumerate(rows):
-                    acc = tgt[r]
-                    for s, v in enumerate(row):
-                        if not v.is_zero and not coords[s].is_zero:
-                            acc = acc + v * coords[s]
-                    tgt[r] = acc
-        return {w: v for w, v in out.items() if any(not x.is_zero for x in v)}
-
     # -- flattening --------------------------------------------------------
 
     def flat_index(self):
@@ -159,28 +145,33 @@ class WeightModule:
             out[w] = mat_kernel(rows, d, tower)
         return out
 
-    def spin_span(self, start_weight, gen_indices) -> int:
-        """Dimension of the submodule generated by the full start-weight
-        block under the given generators."""
-        tower = self.tower
-        idx = self.flat_index()
-        sp = Span(tower)
-        frontier = []
-        d = self.block_dim(start_weight)
-        for k in range(d):
-            vec = {start_weight: [tower.one() if t == k else tower.zero()
-                                  for t in range(d)]}
-            sp.add(_flatten_vec(vec, idx))
-            frontier.append(vec)
-        while frontier:
-            nxt = []
-            for vec in frontier:
-                for g in gen_indices:
-                    img = self.apply_gen(g, vec)
-                    if img and sp.add(_flatten_vec(img, idx)):
-                        nxt.append(img)
-            frontier = nxt
-        return sp.dim
+    def generated_by_top(self, top, lowering) -> bool:
+        """True when every weight block below the top is spanned by the
+        images of the blocks above it under the lowering generators.
+
+        This is generation by the top block when top is the unique maximal
+        weight lambda and its block is killed by the raising generators and
+        stable under the Cartan part (the earlier clauses of
+        is_irreducible_hw): by PBW the generated submodule is then
+        N = U(n^-) M_lambda, each N_w with w != lambda is the sum of
+        f(N_w') over lowering f and weights w' strictly above w, and
+        induction down from lambda gives N = M exactly when every such
+        rank is full.  Cartan generators stay out of the rank: h0 acts on
+        each block by a scalar and would make every rank full.
+        """
+        cols = {w: [] for w in self.weights}
+        for g in lowering:
+            for w in self.weights:
+                for (w2, rows) in self.blocks_of(g, w):
+                    if w2 == w:
+                        raise AssertionError("a lowering generator maps a "
+                                             "weight to itself")
+                    cols[w2].extend(zip(*rows))
+        for w in self.weights:
+            d = self.block_dim(w)
+            if w != top and mat_rank(cols[w], d, self.tower) != d:
+                return False
+        return True
 
     def top_block_maps(self, w, gen_indices):
         """GradedMap-like dense matrices of the given generators on the w
@@ -197,15 +188,6 @@ class WeightModule:
             out.append(GradedMap(tower, space, space,
                                  [list(r) for r in rows]))
         return out
-
-
-def _flatten_vec(vec: dict, idx) -> dict:
-    out = {}
-    for w, coords in vec.items():
-        for k, v in enumerate(coords):
-            if not v.is_zero:
-                out[idx[(w, k)]] = v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -670,12 +652,14 @@ def is_irreducible_hw(m: WeightModule, tri: TriangularSplit,
                       details: dict | None = None) -> bool:
     """Four conditions, each exact: singular vectors only at the top
     weight; the whole top block singular; the top block irreducible over
-    the Cartan part (density oracle); spinning the top block under the
-    lowering generators regenerates the module."""
+    the Cartan part (density oracle); the top block generates the module,
+    checked by one rank per weight (generated_by_top).  details["reason"]
+    names the clause that failed, or is "irreducible"."""
+    info = details if details is not None else {}
     if m.dim == 0:
+        info["reason"] = "zero module"
         return False
     maxw = m.maximal_weights()
-    info = details if details is not None else {}
     if len(maxw) != 1:
         info["reason"] = "several maximal weights"
         return False
@@ -696,8 +680,7 @@ def is_irreducible_hw(m: WeightModule, tri: TriangularSplit,
     if d is None or not d.certifies_irreducible:
         info["reason"] = "top block reducible over the Cartan part"
         return False
-    spun = m.spin_span(lam, tri.lowering + tri.cartan)
-    if spun != m.dim:
+    if not m.generated_by_top(lam, tri.lowering):
         info["reason"] = "top block does not generate"
         return False
     info["reason"] = "irreducible"

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from .coeffalg import (CoeffAlgebra, GammaAction, IdealRep, gamma_validate,
                        ideal_product, radical, support)
-from .graded import Span, mat_kernel, mat_rank, solve_right, zero_rows
+from .graded import Span, mat_kernel, mat_rank, zero_rows
 from .liesuper import GradedSpaceMixed, LieSuper, direct_sum, subalgebra
 from .queer import QueerData
 from .scalars import Tower
@@ -123,7 +123,17 @@ class InvariantSub:
         self.algebra = algebra
         self.basis_vectors = basis_vectors  # dense, in parent coordinates
         self.gamma_report = report
-        self._emb_rows = None
+        # the basis is an RREF up to order: vector j is 1 at its pivot
+        # column (its first nonzero entry) and every other vector is 0 there
+        one = parent.tower.one()
+        self._pivots = []
+        for j, vec in enumerate(basis_vectors):
+            p = next((k for k, v in enumerate(vec) if not v.is_zero), 0)
+            col = [b[p] for b in basis_vectors]
+            if col[j] != one or sum(not x.is_zero for x in col) != 1:
+                raise ValueError("invariant basis is not in reduced row "
+                                 "echelon form")
+            self._pivots.append(p)
 
     @property
     def tower(self):
@@ -147,15 +157,16 @@ class InvariantSub:
         return out
 
     def coords_of(self, parent_coords: dict):
-        """Invariant-basis coordinates of an ambient vector, or None."""
-        n = self.parent.dim
-        if self._emb_rows is None:
-            self._emb_rows = [[self.basis_vectors[j][i]
-                               for j in range(self.dim)] for i in range(n)]
-        vec = [self.tower.zero()] * n
-        for k, v in parent_coords.items():
-            vec[k] = v
-        return solve_right(self._emb_rows, vec, self.dim, self.tower)
+        """Invariant-basis coordinates of an ambient vector, or None when
+        it is not invariant.  Coordinate j is the vector's entry at the
+        pivot column of basis vector j; the sum is then checked exactly."""
+        zero = self.tower.zero()
+        coords = [parent_coords.get(p, zero) for p in self._pivots]
+        target = {k: v for k, v in parent_coords.items() if not v.is_zero}
+        if self.embed({j: c for j, c in enumerate(coords)
+                       if not c.is_zero}) != target:
+            return None
+        return coords
 
 
 def gamma_element_action(ms: MapSuper, arows, qrows) -> dict:

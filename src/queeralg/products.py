@@ -852,17 +852,19 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
             module, untwisted, audit = ev_hat_gamma(inv, assign, catalog)
             # restriction property: the untwisted module has support in
             # one point per orbit, and restricting preserves irreducibility
-            if not is_irreducible_hw(untwisted, triangular_of_map(ms)):
+            why = {}
+            if not is_irreducible_hw(untwisted, triangular_of_map(ms), why):
                 raise AssertionError(
-                    f"untwisted module for {assign} is not irreducible")
+                    f"untwisted module for {assign} is not irreducible "
+                    f"({why['reason']})")
             ann, supp, reduced = ann_and_support_gamma(module, inv)
         else:
             module, audit = ev_hat(ms, assign, catalog)
             ann, supp, reduced = ann_and_support(module, ms)
-        irr = is_irreducible_hw(module, tri)
-        if not irr:
+        why = {}
+        if not is_irreducible_hw(module, tri, why):
             raise AssertionError(f"module for {assign} failed the "
-                                 "irreducibility criterion")
+                                 f"irreducibility criterion ({why['reason']})")
         top = module.maximal_weights()[0]
         ne, no = module.graded_dims()
         row = ClassificationRow(

@@ -2,11 +2,13 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional
 from queeralg.cli import main
 from queeralg.coeffalg import preset_base_field, preset_truncated, zero_ideal
-from queeralg.hwmod import (check_psi0_ideal, is_irreducible_hw,
+from queeralg.graded import EVEN, Span
+from queeralg.hwmod import (WeightModule, check_psi0_ideal, is_irreducible_hw,
                             simple_quotient, top_psi, triangular_of_map,
                             verma)
 from queeralg.mapsuper import tensor_lie
@@ -226,6 +228,109 @@ def test_is_irreducible_hw(setup):
     assert not is_irreducible_hw(same, tri)
     triv = ev_module(ms, 0, trivial_q_module(q2))
     assert is_irreducible_hw(triv, tri)
+
+
+@pytest.mark.parametrize("into_lowest_only", [False, True])
+def test_generation_clause_fails_without_lowering(setup, into_lowest_only):
+    """adjoint@p0 with lowering blocks zeroed keeps the first three
+    clauses but its top block no longer generates.  Zeroing only the
+    blocks into the lowest weight -theta checks that the Cartan
+    generators stay out of the rank: h0 acts on that block by a nonzero
+    scalar.  (With every lowering block zeroed they could not fill the
+    rank anyway: nothing in the Cartan part reaches the odd zero-weight
+    vectors.)"""
+    q2 = setup["q2"]
+    _, ms, _ = setup["two"]
+    tri = triangular_of_map(ms)
+    ad0 = ev_module(ms, 0, adjoint_q_module(q2))
+    top = ad0.maximal_weights()[0]
+    bottom = tuple(-x for x in top)
+    assert bottom in ad0.weights
+    low = set(tri.lowering)
+
+    def keep(g, w2):
+        return g not in low or (into_lowest_only and w2 != bottom)
+
+    act = [{w: [(w2, rows) for (w2, rows) in blocks if keep(g, w2)]
+            for w, blocks in ad0.act[g].items()} for g in range(ms.dim)]
+    cut = WeightModule(ad0.algebra, ad0.tower, ad0.weights, ad0.parities,
+                       act, qd=ad0.qd)
+    why = {}
+    assert not is_irreducible_hw(cut, tri, why)
+    assert why["reason"] == "top block does not generate"
+
+
+QI = Tower()   # Q(i) only
+
+
+def closure_dim(m, start, gens):
+    """Breadth-first closure of the start block under the generators, on
+    flat coordinates: an independent oracle for generated_by_top."""
+    idx = m.flat_index()
+    images = []  # per generator: source column -> [(target row, value)]
+    for g in gens:
+        ent = {}
+        for w in m.weights:
+            for (w2, rows) in m.blocks_of(g, w):
+                for r, row in enumerate(rows):
+                    for s, v in enumerate(row):
+                        if not v.is_zero:
+                            ent.setdefault(idx[(w, s)], []).append(
+                                (idx[(w2, r)], v))
+        images.append(ent)
+    sp = Span(QI)
+    frontier = [{idx[(start, k)]: QI.one()} for k in range(m.block_dim(start))]
+    for vec in frontier:
+        sp.add(vec)
+    while frontier:
+        nxt = []
+        for vec in frontier:
+            for ent in images:
+                img = {}
+                for s, c in vec.items():
+                    for r, v in ent.get(s, ()):
+                        img[r] = img.get(r, QI.zero()) + c * v
+                if sp.add(img):
+                    nxt.append(img)
+        frontier = nxt
+    return sp.dim
+
+
+@st.composite
+def chain_modules(draw):
+    """Weights lam > lam - alpha > lam - 2 alpha with blocks of dimension
+    1..3, and one or two lowering generators acting on both steps by
+    small Q(i) blocks (about half the entries zero, so some blocks are)."""
+    entry = st.one_of(st.just(QI.zero()),
+                      st.builds(QI.from_qi, st.integers(-2, 2),
+                                st.integers(-1, 1)))
+    lam, alpha = (QI.from_int(2), QI.zero()), (QI.one(), -QI.one())
+    ws = [tuple(a - k * b for a, b in zip(lam, alpha)) for k in range(3)]
+    dims = [draw(st.integers(1, 3)) for _ in ws]
+    act = []
+    for _ in range(draw(st.integers(1, 2))):
+        act.append({ws[k]: [(ws[k + 1],
+                             [[draw(entry) for _ in range(dims[k])]
+                              for _ in range(dims[k + 1])])]
+                    for k in range(2)})
+    parities = {w: (EVEN,) * d for w, d in zip(ws, dims)}
+    return WeightModule(None, QI, ws, parities, act), ws[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(chain_modules())
+def test_generated_by_top_matches_closure(data):
+    m, top = data
+    gens = range(len(m.act))
+    assert m.generated_by_top(top, gens) == \
+        (closure_dim(m, top, gens) == m.dim)
+
+
+def test_generated_by_top_rejects_weight_preserving_lowering():
+    w = (QI.one(), QI.zero())
+    m = WeightModule(None, QI, [w], {w: (EVEN,)}, [{w: [(w, [[QI.one()]])]}])
+    with pytest.raises(AssertionError):
+        m.generated_by_top(w, [0])
 
 
 def test_top_psi_reads_functional(setup):

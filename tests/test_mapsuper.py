@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from queeralg.coeffalg import (gamma_from_spec, preset_base_field,
                                preset_truncated)
-from queeralg.graded import GradedMap, GradedSpace
+from queeralg.graded import GradedMap, GradedSpace, Span, solve_right
 from queeralg.liesuper import LieModule, subalgebra
-from queeralg.mapsuper import (ann_and_support, ann_and_support_gamma, ev,
-                               ev_gamma_rank, invariants, tensor_lie)
+from queeralg.mapsuper import (InvariantSub, ann_and_support,
+                               ann_and_support_gamma, ev, ev_gamma_rank,
+                               invariants, tensor_lie)
 from queeralg.queer import build_q
 from queeralg.scalars import Tower
 
@@ -181,3 +183,69 @@ def test_ann_gamma(K, q2):
     inv = invariants(ms, act)
     ann, supp, reduced = ann_and_support_gamma(trivial_module(K, inv.algebra), inv)
     assert ann.dim == a.dim and supp == [] and reduced
+
+
+@pytest.fixture(scope="module")
+def twisted4():
+    """Invariants of q(2) (x) K[t]/(t^4 - 16) under t -> -t with
+    diag_conj (1, 1, -1)."""
+    K = Tower()
+    q2 = build_q(K, 2)
+    a = preset_truncated(
+        K, [K.from_int(-16), K.zero(), K.zero(), K.zero(), K.one()],
+        [(K.from_int(2), 1), (K.from_int(-2), 1), (K.from_qi(0, 2), 1),
+         (K.from_qi(0, -2), 1)])
+    ms = tensor_lie(q2, a)
+    act = flip_action(K, a, q2, {"type": "diag_conj", "diag": ["1", "1", "-1"]})
+    return K, invariants(ms, act)
+
+
+def small_qi(K):
+    return st.one_of(st.just(K.zero()),
+                     st.builds(K.from_qi, st.integers(-3, 3),
+                               st.integers(-2, 2), st.sampled_from([1, 2])))
+
+
+def test_invariant_basis_must_be_rref(twisted4):
+    K, inv = twisted4
+    b = inv.basis_vectors
+    for bad in ([[x * K.from_int(2) for x in b[0]]] + b[1:],
+                [[x + y for x, y in zip(b[0], b[1])]] + b[1:]):
+        with pytest.raises(ValueError):
+            InvariantSub(inv.parent, inv.act, inv.algebra, bad,
+                         inv.gamma_report)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_coords_of_inverts_embed(twisted4, data):
+    K, inv = twisted4
+    c = data.draw(st.lists(small_qi(K), min_size=inv.dim, max_size=inv.dim))
+    assert inv.coords_of(inv.embed(dict(enumerate(c)))) == c
+
+
+def test_coords_of_rejects_non_invariant(twisted4):
+    K, inv = twisted4
+    sp = Span(K, inv.basis_vectors)
+    inside = [k for k in range(inv.parent.dim) if sp.contains({k: K.one()})]
+    outside = [k for k in range(inv.parent.dim) if k not in inside]
+    assert outside
+    assert all(inv.coords_of({k: K.one()}) is None for k in outside)
+    assert all(inv.coords_of({k: K.one()}) is not None for k in inside)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_coords_of_matches_solve_right(twisted4, data):
+    K, inv = twisted4
+    n = inv.parent.dim
+    c = data.draw(st.lists(small_qi(K), min_size=inv.dim, max_size=inv.dim))
+    noise = data.draw(st.dictionaries(st.integers(0, n - 1), small_qi(K),
+                                      max_size=2))
+    vec = inv.embed(dict(enumerate(c)))
+    for k, v in noise.items():
+        vec[k] = vec.get(k, K.zero()) + v
+    vec = {k: v for k, v in vec.items() if not v.is_zero}
+    rows = [[b[i] for b in inv.basis_vectors] for i in range(n)]
+    dense = [vec.get(k, K.zero()) for k in range(n)]
+    assert inv.coords_of(vec) == solve_right(rows, dense, inv.dim, K)
