@@ -306,6 +306,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
+    if getattr(args, "n", 1) < 1:
+        print(f"error: --n must be at least 1, not {args.n}", file=sys.stderr)
+        return USAGE_EXIT
     if getattr(args, "depth", "missing") is None:
         args.depth = args.n * (args.n + 1)
     try:

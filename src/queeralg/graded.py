@@ -8,7 +8,8 @@ vectors come before odd ones; within a parity, construction order.
 
 from __future__ import annotations
 
-from .scalars import Scalar, Tower
+from .scalars import (Scalar, Tower, raw_inv, raw_mul, raw_of, raw_submul,
+                      scalar_of)
 
 EVEN, ODD = 0, 1
 
@@ -192,11 +193,16 @@ class Span:
     and add() back-substitutes each new row into the stored ones.  The
     basis is the RREF of the subspace, so it does not depend on the order
     in which vectors were added.
+
+    The stored entries are raw (see scalars.raw_of): bare (a, b, d)
+    triples in Q(i), coefficient dicts above it.  Scalars are built only
+    at the edges, in reduce()'s result, kernel() and basis_vectors().
     """
 
     def __init__(self, tower: Tower, vectors=()):
         self.tower = tower
-        self.rows: dict[int, dict[int, Scalar]] = {}
+        # pivot column -> {column: raw entry}
+        self.rows: dict[int, dict] = {}
         for v in vectors:
             self.add(v)
 
@@ -204,17 +210,15 @@ class Span:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _as_dict(self, vec) -> dict:
-        if isinstance(vec, dict):
-            return {k: v for k, v in vec.items() if not v.is_zero}
-        return {k: v for k, v in enumerate(vec) if not v.is_zero}
-
-    def reduce(self, vec) -> dict:
-        """Residual of vec modulo the current span (sparse dict): it has
-        no entry in any pivot column, and is empty exactly when vec lies
-        in the span."""
-        v = self._as_dict(vec)
+    def _reduce_raw(self, vec) -> dict:
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        v = {}
+        for k, x in items:
+            r = raw_of(x)
+            if r is not None:
+                v[k] = r
         rows = self.rows
+        gens = self.tower.gens
         # a stored row is zero in every other pivot column, so eliminating
         # one pivot never brings another back
         for p in [k for k in v if k in rows]:
@@ -222,22 +226,30 @@ class Span:
             for k, x in rows[p].items():
                 if k == p:
                     continue
-                cur = v.get(k)
-                nxt = -f * x if cur is None else cur - f * x
-                if nxt.is_zero:
+                nxt = raw_submul(v.get(k), f, x, gens)
+                if nxt is None:
                     v.pop(k, None)
                 else:
                     v[k] = nxt
         return v
 
+    def reduce(self, vec) -> dict:
+        """Residual of vec modulo the current span (sparse dict): it has
+        no entry in any pivot column, and is empty exactly when vec lies
+        in the span."""
+        tower = self.tower
+        return {k: scalar_of(tower, x)
+                for k, x in self._reduce_raw(vec).items()}
+
     def add(self, vec) -> bool:
         """Insert vec; True if the dimension grew."""
-        v = self.reduce(vec)
+        v = self._reduce_raw(vec)
         if not v:
             return False
+        gens = self.tower.gens
         p = min(v)
-        inv = v[p].inv()
-        row = {k: x * inv for k, x in v.items()}
+        inv = raw_inv(v[p], gens)
+        row = {k: raw_mul(x, inv, gens) for k, x in v.items()}
         # back-substitute into the stored rows to keep the invariant
         for other in self.rows.values():
             f = other.pop(p, None)
@@ -245,9 +257,8 @@ class Span:
                 for k, x in row.items():
                     if k == p:
                         continue
-                    cur = other.get(k)
-                    nxt = -f * x if cur is None else cur - f * x
-                    if nxt.is_zero:
+                    nxt = raw_submul(other.get(k), f, x, gens)
+                    if nxt is None:
                         other.pop(k, None)
                     else:
                         other[k] = nxt
@@ -255,12 +266,13 @@ class Span:
         return True
 
     def contains(self, vec) -> bool:
-        return not self.reduce(vec)
+        return not self._reduce_raw(vec)
 
     def kernel(self, n: int):
         """Basis of {x in K^n : r . x = 0 for every r in the span}, one
         vector per free column f: e_f minus the column f of the RREF."""
-        zero, one = self.tower.zero(), self.tower.one()
+        tower = self.tower
+        zero, one = tower.zero(), tower.one()
         basis = []
         for f in range(n):
             if f in self.rows:
@@ -270,18 +282,19 @@ class Span:
             for p, row in self.rows.items():
                 x = row.get(f)
                 if x is not None:
-                    vec[p] = -x
+                    vec[p] = -scalar_of(tower, x)
             basis.append(vec)
         return basis
 
     def basis_vectors(self, n: int):
         """Dense basis rows, in increasing pivot order (the RREF)."""
-        zero = self.tower.zero()
+        tower = self.tower
+        zero = tower.zero()
         out = []
         for p in sorted(self.rows):
             row = [zero] * n
             for k, x in self.rows[p].items():
-                row[k] = x
+                row[k] = scalar_of(tower, x)
             out.append(row)
         return out
 

@@ -42,6 +42,7 @@ class WeightModule:
         self.act = act
         self.qd = qd
         self._windex = {w: k for k, w in enumerate(self.weights)}
+        self._entries: dict = {}   # generator -> its nonzero entries
 
     @property
     def dim(self) -> int:
@@ -59,22 +60,28 @@ class WeightModule:
 
     # -- generic operator plumbing ---------------------------------------
 
+    def _gen_entries(self, i: int):
+        """Nonzero entries ((w2, r, w, s), value) of generator i's blocks,
+        collected on first use."""
+        ent = self._entries.get(i)
+        if ent is None:
+            ent = self._entries[i] = [
+                ((w2, r, w, s), v)
+                for w in self.weights for (w2, rows) in self.blocks_of(i, w)
+                for r, row in enumerate(rows) for s, v in enumerate(row)
+                if not v.is_zero]
+        return ent
+
     def op_entries(self, coords: dict) -> dict:
         out: dict = {}
         for i, c in coords.items():
-            for w in self.weights:
-                for (w2, rows) in self.blocks_of(i, w):
-                    for r, row in enumerate(rows):
-                        for s, v in enumerate(row):
-                            if v.is_zero:
-                                continue
-                            key = (w2, r, w, s)
-                            cur = out.get(key)
-                            nxt = c * v if cur is None else cur + c * v
-                            if nxt.is_zero:
-                                out.pop(key, None)
-                            else:
-                                out[key] = nxt
+            for key, v in self._gen_entries(i):
+                cur = out.get(key)
+                nxt = c * v if cur is None else cur + c * v
+                if nxt.is_zero:
+                    out.pop(key, None)
+                else:
+                    out[key] = nxt
         return out
 
     # -- flattening --------------------------------------------------------

@@ -358,8 +358,8 @@ def ann_and_support(module, ms: MapSuper):
                 prod = ms.coeff.product({b: one}, {j: one})
                 coords = ms.embed_g({xi: one}, prod)
                 mats.append(module.op_entries(coords))
-            keys = sorted({k for mset in mats for k in mset},
-                          key=lambda t: str(t))
+            # the kernel is an RREF, so the row order does not matter
+            keys = dict.fromkeys(k for mset in mats for k in mset)
             for key in keys:
                 rows.append([mset.get(key, tower.zero()) for mset in mats])
     ann = IdealRep(ms.coeff, mat_kernel(rows, na, tower))
@@ -408,8 +408,8 @@ def ann_and_support_gamma(module, inv: InvariantSub):
                     raise AssertionError("averaged element left the invariants")
                 cd = {k: v for k, v in enumerate(coords) if not v.is_zero}
                 mats.append(module.op_entries(cd))
-            keys = sorted({k for mset in mats for k in mset},
-                          key=lambda t: str(t))
+            # the kernel is an RREF, so the row order does not matter
+            keys = dict.fromkeys(k for mset in mats for k in mset)
             for key in keys:
                 rows.append([mset.get(key, tower.zero()) for mset in mats])
     ann = IdealRep(ms.coeff, mat_kernel(rows, na, tower))

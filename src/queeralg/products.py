@@ -240,38 +240,45 @@ def tensor_same_algebra(m1: WeightModule, m2: WeightModule) -> WeightModule:
         blocks: dict = {}
         gpar = alg.space.parity(g)
         for w in weights:
+            # target weight -> {(row, col): entry}, in order of first meeting
             targets: dict = {}
             for col, (w1, k1, w2, k2) in enumerate(pair_basis[w]):
                 # rho1(g) (x) 1
                 for (w1t, blk) in m1.blocks_of(g, w1):
                     wt = tuple(a + b for a, b in zip(w1t, w2))
-                    tgt = targets.setdefault(
-                        wt, zero_rows(tower, len(pair_basis.get(wt, [])),
-                                      len(pair_basis[w])))
                     if not pair_basis.get(wt):
                         continue
+                    tgt = targets.setdefault(wt, {})
                     for r in range(len(blk)):
                         v = blk[r][k1]
                         if not v.is_zero:
-                            row = index[wt][(w1t, r, w2, k2)]
-                            tgt[row][col] = tgt[row][col] + v
+                            key = (index[wt][(w1t, r, w2, k2)], col)
+                            cur = tgt.get(key)
+                            tgt[key] = v if cur is None else cur + v
                 # 1 (x) rho2(g), sign by parity of the first factor
                 sgn = -1 if (gpar and m1.parities[w1][k1]) else 1
                 for (w2t, blk) in m2.blocks_of(g, w2):
                     wt = tuple(a + b for a, b in zip(w1, w2t))
-                    tgt = targets.setdefault(
-                        wt, zero_rows(tower, len(pair_basis.get(wt, [])),
-                                      len(pair_basis[w])))
                     if not pair_basis.get(wt):
                         continue
+                    tgt = targets.setdefault(wt, {})
                     for r in range(len(blk)):
                         v = blk[r][k2]
                         if not v.is_zero:
-                            row = index[wt][(w1, k1, w2t, r)]
+                            key = (index[wt][(w1, k1, w2t, r)], col)
                             add = v if sgn > 0 else -v
-                            tgt[row][col] = tgt[row][col] + add
-            blocks[w] = [(wt, rows) for wt, rows in targets.items()
-                         if any(not v.is_zero for rr in rows for v in rr)]
+                            cur = tgt.get(key)
+                            tgt[key] = add if cur is None else cur + add
+            found = []
+            for wt, entries in targets.items():
+                nz = [(key, v) for key, v in entries.items() if not v.is_zero]
+                if nz:
+                    rows = zero_rows(tower, len(pair_basis[wt]),
+                                     len(pair_basis[w]))
+                    for (r, c), v in nz:
+                        rows[r][c] = v
+                    found.append((wt, rows))
+            blocks[w] = found
         act.append({w: blks for w, blks in blocks.items() if blks})
     out = WeightModule(alg, tower, weights, parities, act, qd=m1.qd)
     out.pair_data = (m1, m2, pair_basis, index)

@@ -24,17 +24,15 @@ def _mat(tower: Tower, n1: int):
     return [[tower.zero()] * n1 for _ in range(n1)]
 
 
-def _unit_mat(tower: Tower, n1: int, i: int, j: int):
-    m = _mat(tower, n1)
-    m[i][j] = tower.one()
-    return m
+def _sparse_h(i: int) -> dict:
+    return {(i, i): 1, (i + 1, i + 1): -1}
 
 
-def _h_mat(tower: Tower, n1: int, i: int):
-    m = _mat(tower, n1)
-    m[i][i] = tower.one()
-    m[i + 1][i + 1] = -tower.one()
-    return m
+def _dense(tower: Tower, n1: int, m: dict):
+    out = _mat(tower, n1)
+    for (i, j), v in m.items():
+        out[i][j] = tower.from_int(v)
+    return out
 
 
 class RootDatum:
@@ -134,27 +132,29 @@ class QueerData:
         self.n = n
         n1 = n + 1
         labels = []
-        mats = []  # (A, B) pairs
-        zero = _mat(tower, n1)
+        units = []  # (parity, sparse integer matrix) of each basis vector
         for i in range(1, n + 1):
             labels.append(f"h{i}")
-            mats.append((_h_mat(tower, n1, i - 1), zero))
+            units.append((EVEN, _sparse_h(i - 1)))
         offdiag = [(i, j) for i in range(1, n1 + 1) for j in range(1, n1 + 1)
                    if i != j]
         for i, j in offdiag:
             labels.append(f"e[{i},{j}]")
-            mats.append((_unit_mat(tower, n1, i - 1, j - 1), zero))
+            units.append((EVEN, {(i - 1, j - 1): 1}))
         n_even = len(labels)
         for i in range(1, n + 1):
             labels.append(f"h'{i}")
-            mats.append((zero, _h_mat(tower, n1, i - 1)))
+            units.append((ODD, _sparse_h(i - 1)))
         for i, j in offdiag:
             labels.append(f"e'[{i},{j}]")
-            mats.append((zero, _unit_mat(tower, n1, i - 1, j - 1)))
+            units.append((ODD, {(i - 1, j - 1): 1}))
         self.space = GradedSpace(n_even, len(labels) - n_even, tuple(labels))
         self.index = {lbl: k for k, lbl in enumerate(labels)}
-        self.mats = mats
-        bk = _queer_structure(tower, n, mats, self)
+        zero = _mat(tower, n1)
+        # (A, B) pairs
+        self.mats = [(_dense(tower, n1, m), zero) if p == EVEN
+                     else (zero, _dense(tower, n1, m)) for p, m in units]
+        bk = _queer_structure(tower, n, units, self)
         self.algebra = LieSuper(tower, self.space, bk, name=f"q({n})")
         self.roots = RootDatum(self)
         # triangular parts (indices into the global basis)
@@ -269,57 +269,50 @@ class QueerData:
         return GradedMap(tower, self.space, self.space, rows, parity=EVEN)
 
 
-def _queer_structure(tower: Tower, n: int, mats, qd: QueerData):
+def _sparse_mul(x: dict, y: dict) -> dict:
+    out: dict = {}
+    for (i, k), a in x.items():
+        for (k2, j), b in y.items():
+            if k == k2:
+                out[(i, j)] = out.get((i, j), 0) + a * b
+    return out
+
+
+def _queer_structure(tower: Tower, n: int, units, qd: QueerData):
+    """bk[i][j]: coordinates of [e_i, e_j], bracketing the basis matrices
+    as sparse exact rationals.  Coordinates come in the order of
+    QueerData.coords_of_pair: off-diagonal entries row by row, then the
+    partial sums of the diagonal on h_1..h_n."""
     n1 = n + 1
-    dim = len(mats)
-
-    def matmul(x, y):
-        out = _mat(tower, n1)
-        for i in range(n1):
-            for k in range(n1):
-                if x[i][k].is_zero:
-                    continue
-                for j in range(n1):
-                    if not y[k][j].is_zero:
-                        out[i][j] = out[i][j] + x[i][k] * y[k][j]
-        return out
-
-    def msub(x, y):
-        return [[x[i][j] - y[i][j] for j in range(n1)] for i in range(n1)]
-
-    def madd(x, y):
-        return [[x[i][j] + y[i][j] for j in range(n1)] for i in range(n1)]
-
-    bk = [[{} for _ in range(dim)] for _ in range(dim)]
-    n_even = qd.space.even_dim
-    for i in range(dim):
-        ai, bi = mats[i]
-        pi = qd.space.parity(i)
-        for j in range(dim):
-            aj, bj = mats[j]
-            pj = qd.space.parity(j)
-            if pi == EVEN and pj == EVEN:
-                c = msub(matmul(ai, aj), matmul(aj, ai))
-                d = None
-            elif pi == EVEN and pj == ODD:
-                c = None
-                d = msub(matmul(ai, bj), matmul(bj, ai))
-            elif pi == ODD and pj == EVEN:
-                c = None
-                d = msub(matmul(bi, aj), matmul(aj, bi))
-            else:
-                s = madd(matmul(bi, bj), matmul(bj, bi))
-                tr = tower.zero()
-                for t in range(n1):
-                    tr = tr + s[t][t]
-                if not tr.is_zero:
-                    # project back into the traceless slice
-                    shift = tr / tower.from_int(n1)
+    index = qd.index
+    bk = []
+    for pi, x in units:
+        row = []
+        for pj, y in units:
+            xy, yx = _sparse_mul(x, y), _sparse_mul(y, x)
+            sign = 1 if pi == pj == ODD else -1
+            m = dict(xy)
+            for key, v in yx.items():
+                m[key] = m.get(key, 0) + sign * v
+            if sign > 0:
+                # project the anticommutator back into the traceless slice
+                shift = Fraction(sum(m.get((t, t), 0) for t in range(n1)), n1)
+                if shift:
                     for t in range(n1):
-                        s[t][t] = s[t][t] - shift
-                c = s
-                d = None
-            bk[i][j] = qd.coords_of_pair(c, d)
+                        m[(t, t)] = m.get((t, t), 0) - shift
+            which = "'" if pi != pj else ""
+            coords = {}
+            for (i, j) in sorted(m):
+                if i != j and m[(i, j)]:
+                    coords[index[f"e{which}[{i + 1},{j + 1}]"]] = \
+                        tower.from_fraction(m[(i, j)])
+            acc = 0
+            for k in range(n):
+                acc += m.get((k, k), 0)
+                if acc:
+                    coords[index[f"h{which}{k + 1}"]] = tower.from_fraction(acc)
+            row.append(coords)
+        bk.append(row)
     return bk
 
 
@@ -338,21 +331,21 @@ def build_q_tilde(tower: Tower, n: int) -> LieSuper:
               for i in range(n1)], zero)]
     for i in range(1, n + 1):
         labels.append(f"h{i}")
-        mats.append((_h_mat(tower, n1, i - 1), zero))
+        mats.append((_dense(tower, n1, _sparse_h(i - 1)), zero))
     for i in range(1, n1 + 1):
         for j in range(1, n1 + 1):
             if i != j:
                 labels.append(f"e[{i},{j}]")
-                mats.append((_unit_mat(tower, n1, i - 1, j - 1), zero))
+                mats.append((_dense(tower, n1, {(i - 1, j - 1): 1}), zero))
     n_even = len(labels)
     for i in range(1, n + 1):
         labels.append(f"h'{i}")
-        mats.append((zero, _h_mat(tower, n1, i - 1)))
+        mats.append((zero, _dense(tower, n1, _sparse_h(i - 1))))
     for i in range(1, n1 + 1):
         for j in range(1, n1 + 1):
             if i != j:
                 labels.append(f"e'[{i},{j}]")
-                mats.append((zero, _unit_mat(tower, n1, i - 1, j - 1)))
+                mats.append((zero, _dense(tower, n1, {(i - 1, j - 1): 1})))
     space = GradedSpace(n_even, len(labels) - n_even, tuple(labels))
 
     index = {lbl: k for k, lbl in enumerate(labels)}

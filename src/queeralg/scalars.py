@@ -373,8 +373,82 @@ def _co_sqrt_lvl(c: dict, gens, lvl: int) -> dict | None:
     return None
 
 
+# -- raw entries: the form the elimination loops work on --------------------
+#
+# A nonzero value is its (a, b, d) triple when it lies in Q(i) and its
+# coefficient dict otherwise; zero has no raw form (None).  Height-0
+# arithmetic then runs on bare triples, and the tower's coefficient-dict
+# arithmetic is reached only above Q(i).
+
+
+def _co_raw(co: dict):
+    if not co:
+        return None
+    if len(co) == 1:
+        q = co.get(0)
+        if q is not None:
+            return q
+    return co
+
+
+def _raw_co(x) -> dict:
+    return {0: x} if x.__class__ is tuple else x
+
+
+def raw_of(x: Scalar):
+    """Raw form of a scalar; None when it is zero."""
+    return _co_raw(x.co)
+
+
+def scalar_of(tower: Tower, x) -> Scalar:
+    """The scalar of a (nonzero) raw entry."""
+    return Scalar(tower, {0: x} if x.__class__ is tuple else x)
+
+
+def raw_mul(x, y, gens):
+    """Product of two nonzero raw entries (nonzero: the tower is a field)."""
+    if x.__class__ is tuple and y.__class__ is tuple:
+        return qi_mul(x, y)
+    return _co_raw(_co_mul(_raw_co(x), _raw_co(y), gens))
+
+
+def raw_inv(x, gens):
+    if x.__class__ is tuple:
+        return qi_inv(x)
+    return _co_raw(_co_inv(x, gens))
+
+
+def raw_submul(cur, f, x, gens):
+    """Raw cur - f*x, with cur None standing for zero; None when the
+    result is zero."""
+    if f.__class__ is tuple and x.__class__ is tuple:
+        a1, b1, d1 = f
+        a2, b2, d2 = x
+        pa, pb, pd = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+        if cur is None:
+            return qi_make(-pa, -pb, pd)
+        if cur.__class__ is tuple:
+            a, b, d = cur
+            a, b = a * pd - pa * d, b * pd - pb * d
+            if a == 0 and b == 0:
+                return None
+            return qi_make(a, b, d * pd)
+    if f.__class__ is tuple:
+        neg = _co_scale(_raw_co(x), qi_neg(f))
+    elif x.__class__ is tuple:
+        neg = _co_scale(f, qi_neg(x))
+    else:
+        neg = _co_neg(_co_mul(f, x, gens))
+    if cur is None:
+        return _co_raw(neg)
+    return _co_raw(_co_add(_raw_co(cur), neg))
+
+
 class Scalar:
-    """Immutable element of a Tower; hashable, pure-value semantics."""
+    """Immutable element of a Tower; hashable, pure-value semantics.
+
+    +, - and * of two Q(i) scalars of one tower compute the triple
+    directly; everything else goes through the coefficient dicts."""
 
     __slots__ = ("tower", "co", "_hash")
 
@@ -416,7 +490,22 @@ class Scalar:
             return self.tower._coerce(other)
         return None
 
+    def _qi_pair(self, other):
+        """The two triples when both operands are Q(i) scalars of one
+        tower, else None."""
+        if other.__class__ is Scalar and other.tower is self.tower:
+            c1, c2 = self.co, other.co
+            if len(c1) == 1 and len(c2) == 1:
+                x, y = c1.get(0), c2.get(0)
+                if x is not None and y is not None:
+                    return x, y
+        return None
+
     def __add__(self, other):
+        qq = self._qi_pair(other)
+        if qq is not None:
+            s = qi_add(*qq)
+            return Scalar(self.tower, {0: s} if s[0] or s[1] else {})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -428,6 +517,10 @@ class Scalar:
         return Scalar(self.tower, _co_neg(self.co))
 
     def __sub__(self, other):
+        qq = self._qi_pair(other)
+        if qq is not None:
+            s = qi_sub(*qq)
+            return Scalar(self.tower, {0: s} if s[0] or s[1] else {})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -440,6 +533,9 @@ class Scalar:
         return Scalar(self.tower, _co_add(o.co, _co_neg(self.co)))
 
     def __mul__(self, other):
+        qq = self._qi_pair(other)
+        if qq is not None:
+            return Scalar(self.tower, {0: qi_mul(*qq)})
         o = self._coerce(other)
         if o is None:
             return NotImplemented

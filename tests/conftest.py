@@ -1,5 +1,13 @@
-"""Collects acceptance-criterion outcomes and prints one pass/fail line
-per criterion at the end of the session."""
+"""Loads the suite's hypothesis profile, and collects acceptance-criterion
+outcomes to print one pass/fail line per criterion after the test run."""
+
+from hypothesis import settings
+
+# Exact arithmetic has no meaningful per-example deadline on a loaded host,
+# and a failure should print the blob that reproduces it.  Tests that set
+# their own max_examples keep it.
+settings.register_profile("queeralg", deadline=None, print_blob=True)
+settings.load_profile("queeralg")
 
 _acceptance_results = {}
 

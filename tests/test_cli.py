@@ -130,6 +130,19 @@ def test_dims_negative_depth_is_usage_error(files, capsys):
     _one_line_usage_error(rc, capsys)
 
 
+@pytest.mark.parametrize("command", [
+    ["classify"],
+    ["dims", "--depth", "2"],
+    ["decompose", "--factors", "trivial,adjoint"],
+])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_n_below_one_is_usage_error(files, capsys, command, n):
+    args = command[:1] + ["--n", n] + command[1:]
+    if command[0] == "dims":
+        args += ["--psi", files["psi"]]
+    _one_line_usage_error(main(args), capsys)
+
+
 @pytest.mark.parametrize("flag,payload", [
     ("--algebra", [{"type": "poly_quotient"}]),
     ("--group", {"generators": [{"order": 2, "on_q": {"type": "trivial"}}]}),

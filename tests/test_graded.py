@@ -270,3 +270,113 @@ def test_solve_columns_matches_solve_right(data, draw):
         assert together is None
     else:
         assert together == one_by_one
+
+
+# ---------------------------------------------------------------------------
+# Span on raw rows agrees with elimination on Scalar rows
+# ---------------------------------------------------------------------------
+
+
+class ScalarSpan:
+    """The RREF loop on Scalar entries, as Span ran it before its rows
+    became raw: the reference for Span's raw arithmetic."""
+
+    def __init__(self, tower, vectors=()):
+        self.tower = tower
+        self.rows = {}
+        for v in vectors:
+            self.add(v)
+
+    def reduce(self, vec):
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        v = {k: x for k, x in items if not x.is_zero}
+        rows = self.rows
+        for p in [k for k in v if k in rows]:
+            f = v.pop(p)
+            for k, x in rows[p].items():
+                if k == p:
+                    continue
+                cur = v.get(k)
+                nxt = -f * x if cur is None else cur - f * x
+                if nxt.is_zero:
+                    v.pop(k, None)
+                else:
+                    v[k] = nxt
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        if not v:
+            return False
+        p = min(v)
+        inv = v[p].inv()
+        row = {k: x * inv for k, x in v.items()}
+        for other in self.rows.values():
+            f = other.pop(p, None)
+            if f is not None:
+                for k, x in row.items():
+                    if k == p:
+                        continue
+                    cur = other.get(k)
+                    nxt = -f * x if cur is None else cur - f * x
+                    if nxt.is_zero:
+                        other.pop(k, None)
+                    else:
+                        other[k] = nxt
+        self.rows[p] = row
+        return True
+
+    def basis_vectors(self, n):
+        zero = self.tower.zero()
+        out = []
+        for p in sorted(self.rows):
+            row = [zero] * n
+            for k, x in self.rows[p].items():
+                row[k] = x
+            out.append(row)
+        return out
+
+    def kernel(self, n):
+        zero, one = self.tower.zero(), self.tower.one()
+        basis = []
+        for f in range(n):
+            if f in self.rows:
+                continue
+            vec = [zero] * n
+            vec[f] = one
+            for p, row in self.rows.items():
+                if f in row:
+                    vec[p] = -row[f]
+            basis.append(vec)
+        return basis
+
+
+EXT = Tower()
+S2 = EXT.adjoin_sqrt(EXT.from_int(2))   # height 1: Q(i)(sqrt 2)
+
+
+def mixed_entries():
+    # zero, Q(i) values and values that use sqrt 2, so one row mixes heights
+    qi = st.builds(EXT.from_qi, st.integers(-2, 2), st.integers(-1, 1),
+                   st.sampled_from([1, 2]))
+    return st.one_of(st.just(EXT.zero()), qi,
+                     st.builds(lambda x, y: x + y * S2, qi, qi))
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(mixed_entries(), min_size=n, max_size=n), max_size=5),
+    st.lists(mixed_entries(), min_size=n, max_size=n))))
+def test_span_matches_scalar_oracle(data):
+    n, vecs, w = data
+    sp, ref = Span(EXT), ScalarSpan(EXT)
+    for v in vecs:
+        assert sp.add(v) == ref.add(v)
+    assert sp.basis_vectors(n) == ref.basis_vectors(n)
+    assert sp.kernel(n) == ref.kernel(n)
+    # residuals agree entry by entry, in the same order
+    assert list(sp.reduce(w).items()) == list(ref.reduce(w).items())
+    assert list(sp.reduce(dict(enumerate(w))).items()) == \
+        list(ref.reduce(w).items())
+    assert sp.contains(w) == (not ref.reduce(w))

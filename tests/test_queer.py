@@ -135,3 +135,50 @@ def test_conj_automorphism(K, q2):
                                    {t: v for t, v in enumerate(vj) if not v.is_zero})
         rhs = [rhs_d.get(t, K.zero()) for t in range(q2.dim)]
         assert lhs == rhs
+
+
+def dense_structure(qd):
+    """bk of q(n) by bracketing the dense Scalar matrices of qd.mats and
+    reading coordinates with coords_of_pair: the reference for the sparse
+    rational bracket build_q uses."""
+    tower, n1 = qd.tower, qd.n + 1
+
+    def mul(x, y):
+        out = [[tower.zero()] * n1 for _ in range(n1)]
+        for i in range(n1):
+            for k in range(n1):
+                for j in range(n1):
+                    out[i][j] = out[i][j] + x[i][k] * y[k][j]
+        return out
+
+    def comb(x, y, sign):
+        return [[a + sign * b for a, b in zip(r1, r2)] for r1, r2 in zip(x, y)]
+
+    bk = []
+    for i, (ai, bi) in enumerate(qd.mats):
+        row = []
+        for j, (aj, bj) in enumerate(qd.mats):
+            pi, pj = qd.space.parity(i), qd.space.parity(j)
+            x, y = (ai if pi == 0 else bi), (aj if pj == 0 else bj)
+            if pi == pj == 1:
+                s = comb(mul(x, y), mul(y, x), 1)
+                shift = sum((s[t][t] for t in range(n1)), tower.zero()) / n1
+                for t in range(n1):
+                    s[t][t] = s[t][t] - shift
+                row.append(qd.coords_of_pair(s, None))
+            elif pi == pj:
+                row.append(qd.coords_of_pair(comb(mul(x, y), mul(y, x), -1), None))
+            else:
+                row.append(qd.coords_of_pair(None, comb(mul(x, y), mul(y, x), -1)))
+        bk.append(row)
+    return bk
+
+
+@pytest.mark.filterwarnings("ignore:q\\(1\\) is not simple")
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_structure_constants_match_dense_oracle(K, n):
+    qd = build_q(K, n)
+    ref = dense_structure(qd)
+    # same constants, and the same key order (it reaches act_on and reports)
+    assert [[list(d.items()) for d in row] for row in qd.algebra.bk] == \
+        [[list(d.items()) for d in row] for row in ref]

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from queeralg.scalars import Tower, parse_scalar
+from queeralg.scalars import (Tower, _co_add, _co_mul, _co_neg, parse_scalar,
+                              raw_inv, raw_mul, raw_of, raw_submul, scalar_of)
 
 
 @pytest.fixture
@@ -142,3 +144,73 @@ def test_serialization_roundtrip(K):
     x = 1 + s2
     assert x.to_json() == [[0, "1"], [1, "1"]]
     assert str(x) == "1 + (1)*s1"
+
+
+# ---------------------------------------------------------------------------
+# The Q(i) fast path agrees with the coefficient-dict path
+# ---------------------------------------------------------------------------
+
+QI = Tower()
+EXT = Tower()
+S2 = EXT.adjoin_sqrt(EXT.from_int(2))   # EXT = Q(i)(sqrt 2), height 1
+
+
+def qi_scalars(tower):
+    return st.builds(tower.from_qi, st.integers(-3, 3), st.integers(-2, 2),
+                     st.sampled_from([1, 2, 3]))
+
+
+def ext_scalars():
+    # about half the draws lie in Q(i), the rest use sqrt 2
+    return st.one_of(qi_scalars(EXT),
+                     st.builds(lambda x, y: x + y * S2,
+                               qi_scalars(EXT), qi_scalars(EXT)))
+
+
+@st.composite
+def operand_pairs(draw, scalars):
+    a = draw(scalars)
+    b = draw(st.one_of(scalars, st.just(a), st.just(-a)))  # zero sums too
+    return a, b
+
+
+def co_oracle(a, b):
+    """+, - and * through the coefficient-dict functions alone."""
+    gens = a.tower.gens
+    prod = _co_mul(a.co, b.co, gens) if a.co and b.co else {}
+    return (_co_add(a.co, b.co), _co_add(a.co, _co_neg(b.co)), prod)
+
+
+@settings(max_examples=200)
+@given(st.one_of(operand_pairs(qi_scalars(QI)), operand_pairs(ext_scalars())),
+       st.integers(-3, 3))
+def test_fast_arithmetic_matches_co_path(pair, n):
+    a, b = pair
+    add, sub, mul = co_oracle(a, b)
+    assert ((a + b).co, (a - b).co, (a * b).co) == (add, sub, mul)
+    # int operands on either side take the coercing path
+    c = a.tower.from_int(n)
+    add, sub, mul = co_oracle(a, c)
+    assert ((a + n).co, (n + a).co, (a - n).co, (a * n).co, (n * a).co) == \
+        (add, add, sub, mul, mul)
+    assert (n - a).co == co_oracle(c, a)[1]
+
+
+@settings(max_examples=200)
+@given(ext_scalars(), ext_scalars(), ext_scalars())
+def test_raw_submul_matches_scalars(c, f, x):
+    assume(not f.is_zero and not x.is_zero)   # raw entries are nonzero
+    gens = EXT.gens
+    # a zero c is None, the raw form of zero
+    assert raw_submul(raw_of(c), raw_of(f), raw_of(x), gens) == \
+        raw_of(c - f * x)
+    assert raw_mul(raw_of(f), raw_of(x), gens) == raw_of(f * x)
+    assert scalar_of(EXT, raw_inv(raw_of(f), gens)) == f.inv()
+    assert scalar_of(EXT, raw_of(f)) == f
+
+
+def test_fast_path_keeps_cross_tower_error():
+    a, b = QI.from_qi(1, 1), Tower().from_qi(1, 1)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+        with pytest.raises(ValueError):
+            op()
