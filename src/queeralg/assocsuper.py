@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, commutant,
                      graded_tensor, mat_kernel, mat_rref, tensor_space,
                      zero_rows)
-from .scalars import Tower
+from .scalars import QI_ONE, Tower, raw_dot, raw_of
 
 
 class AssocSuper:
@@ -495,22 +495,25 @@ class ModuleAction:
                     raise AssertionError(f"action not multiplicative at ({i},{j})")
 
 
-def clifford_irrep(q: QuadraticPair, pivot_order=None) -> ModuleAction:
-    """The unique irreducible module of the Clifford superalgebra of a
-    nondegenerate pair, of dimension 2^ceil(r/2).
+def clifford_generators(q: QuadraticPair, pivot_order=None):
+    """The irreducible module of the Clifford superalgebra of a
+    nondegenerate pair, of dimension 2^ceil(r/2), by its generators.
 
-    The form is diagonalized by congruence; diagonal generators are paired
-    into creation/annihilation operators acting on an exterior-algebra
-    model (one square root adjoined per pair), and for odd r the leftover
-    generator is tensored in through the rank-one Clifford module C^{1|1}.
-    pivot_order permutes the diagonalization pivots (used to exhibit
-    uniqueness up to isomorphism).
+    Returns (carrier, generator_maps, z_maps): the carrier space, the
+    action of x_1, ..., x_r, and the action of the diagonalized generators
+    z = P x.  The form is diagonalized by congruence; diagonal generators
+    are paired into creation/annihilation operators acting on an
+    exterior-algebra model (one square root adjoined per pair), and for
+    odd r the leftover generator is tensored in through the rank-one
+    Clifford module C^{1|1}.  pivot_order permutes the diagonalization
+    pivots (used to exhibit uniqueness up to isomorphism).  The Clifford
+    relations x_i x_j + x_j x_i = 2 f_ij are checked exactly on the
+    carrier (AssertionError otherwise); the algebra itself is never built.
     """
     tower = q.tower
     r = q.r
     if q.radical_dim() != 0:
         raise ValueError("form is degenerate; no irreducible Clifford module")
-    alg = clifford(q)
     p_rows, diag = _congruence_diagonalize(q, pivot_order)
 
     k = r // 2
@@ -551,16 +554,45 @@ def clifford_irrep(q: QuadraticPair, pivot_order=None) -> ModuleAction:
             if not c.is_zero:
                 acc = acc + z_mats[j] * c
         gen_mats.append(GradedMap(tower, carrier, carrier, acc.rows, parity=ODD))
+    _check_clifford_relations(q, gen_mats)
+    return carrier, gen_mats, z_mats
 
-    # matrices of all monomials
-    masks = sorted(range(1 << r), key=lambda m: (bin(m).count("1") % 2, m))
+
+def _check_clifford_relations(q: QuadraticPair, gen_mats):
+    """x_i x_j + x_j x_i == 2 f_ij * id for all i <= j, exactly (on raw
+    sparse matrices, each entry one raw_dot)."""
+    gens = q.tower.gens
+    n = gen_mats[0].source.dim if gen_mats else 0
+    xs = [_raw_mat(_sparse_of(m.rows)) for m in gen_mats]
+    for i in range(q.r):
+        for j in range(i, q.r):
+            if i == j:   # x_i^2 = f_ii
+                anti = _raw_products(((xs[i], xs[i]),), gens)
+                f = raw_of(q.rows[i][i])
+            else:
+                anti = _raw_products(((xs[i], xs[j]), (xs[j], xs[i])), gens)
+                f = raw_of(2 * q.rows[i][j])
+            if anti != ({p: {p: f} for p in range(n)} if f else {}):
+                raise AssertionError("Clifford relation fails at "
+                                     f"generators ({i},{j})")
+
+
+def clifford_irrep(q: QuadraticPair, pivot_order=None) -> ModuleAction:
+    """The irreducible Clifford module of clifford_generators as a
+    ModuleAction: the Clifford superalgebra and the matrices of all 2^r
+    monomials are built on top of the generator maps (for the module
+    checks and the density oracle; HModule needs only the generators).
+    """
+    carrier, gen_mats, z_mats = clifford_generators(q, pivot_order)
+    tower = q.tower
+    masks = sorted(range(1 << q.r), key=lambda m: (bin(m).count("1") % 2, m))
     mats = []
     for m in masks:
         cur = GradedMap.identity(tower, carrier)
         for g in _mask_bits(m):
             cur = cur * gen_mats[g]
         mats.append(cur)
-    act = ModuleAction(alg, carrier, mats)
+    act = ModuleAction(clifford(q), carrier, mats)
     act.generator_maps = gen_mats
     # the diagonalized generators span the same generating set but have
     # single-monomial scalar entries, which keeps the closure cheap
@@ -679,58 +711,75 @@ def _sparse_of(rows):
     return out
 
 
-def _sparse_mul(a, b):
-    c: dict = {}
-    for i, arow in a.items():
-        ci = None
-        for k, av in arow.items():
-            brow = b.get(k)
-            if not brow:
-                continue
-            if ci is None:
-                ci = c.setdefault(i, {})
-            for j, bv in brow.items():
-                cur = ci.get(j)
-                nxt = av * bv if cur is None else cur + av * bv
-                if nxt.is_zero:
-                    ci.pop(j, None)
-                else:
-                    ci[j] = nxt
-        if ci is not None and not ci:
-            c.pop(i, None)
-    return c
+def _raw_mat(mat) -> dict:
+    """A sparse Scalar matrix {i: {j: Scalar}} with raw entries."""
+    out = {}
+    for i, row in mat.items():
+        r = {j: raw_of(x) for j, x in row.items() if not x.is_zero}
+        if r:
+            out[i] = r
+    return out
+
+
+def _raw_products(factors, gens) -> dict:
+    """Sum of the products A*B over the (A, B) pairs of raw sparse
+    matrices, each entry one raw_dot."""
+    terms: dict = {}
+    for a, b in factors:
+        for i, arow in a.items():
+            ti = terms.setdefault(i, {})
+            for k, av in arow.items():
+                brow = b.get(k)
+                if brow:
+                    for j, bv in brow.items():
+                        tij = ti.get(j)
+                        if tij is None:
+                            ti[j] = [(av, bv)]
+                        else:
+                            tij.append((av, bv))
+    out = {}
+    for i, ti in terms.items():
+        ci = {}
+        for j, pairs in ti.items():
+            v = raw_dot(pairs, gens)
+            if v is not None:
+                ci[j] = v
+        if ci:
+            out[i] = ci
+    return out
 
 
 def operator_closure_dim(ops, dim: int, tower: Tower, cap: int | None = None,
                          multipliers=None):
-    """Dimension of the unital algebra generated by the operators under
-    span-closure; optionally stops early once the dimension exceeds cap.
+    """Dimension of the unital algebra generated by the operators (sparse
+    {i: {j: Scalar}} matrices) under span-closure; optionally stops early
+    once the dimension exceeds cap.
 
     multipliers, when given, must be a subset of the ops whose products
     already reach every op (e.g. algebra generators); the closure is the
-    same and the worklist is smaller."""
+    same and the worklist is smaller.  The operators are converted to raw
+    entries once, and the products and the span run on those."""
     n = dim
+    gens = tower.gens
     span = Span(tower)
-    elements = []
 
     def flat(mat):
         return {i * n + j: v for i, row in mat.items() for j, v in row.items()}
 
-    ident = {i: {i: tower.one()} for i in range(n)}
-    for mat in [ident] + list(ops):
-        if span.add(flat(mat)):
-            elements.append(mat)
-    gens = list(multipliers) if multipliers is not None else list(ops)
-    frontier = list(elements)
+    ident = {i: {i: QI_ONE} for i in range(n)}
+    raw_ops = [_raw_mat(m) for m in ops]
+    frontier = [mat for mat in [ident] + raw_ops if span.add(flat(mat))]
+    mults = raw_ops if multipliers is None else \
+        [_raw_mat(m) for m in multipliers]
     while frontier:
         if cap is not None and span.dim > cap:
             return span.dim
         new_frontier = []
         for e in frontier:
-            for g in gens:
-                for prod in (_sparse_mul(g, e), _sparse_mul(e, g)):
+            for g in mults:
+                for prod in (_raw_products(((g, e),), gens),
+                             _raw_products(((e, g),), gens)):
                     if prod and span.add(flat(prod)):
-                        elements.append(prod)
                         new_frontier.append(prod)
         frontier = new_frontier
     return span.dim

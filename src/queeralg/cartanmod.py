@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .assocsuper import QuadraticPair, clifford_irrep, density_type_from_maps
+from .assocsuper import (QuadraticPair, clifford_generators,
+                         density_type_from_maps)
 from .coeffalg import CoeffAlgebra, IdealRep, quotient_algebra
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, commutant,
                      mat_kernel, solve_right, zero_rows)
@@ -232,7 +233,12 @@ class HModule:
 
     cartan_mats follows the canonical Cartan generator order of the
     CartanAlgebra (even pairs then odd pairs); the even part acts by the
-    psi scalars and the radical of f_psi acts by zero.
+    psi scalars and the radical of f_psi acts by zero.  The odd part acts
+    through generator_maps, the Clifford generators of the reduced form
+    (psi/2 on the nondegenerate reduction) from
+    assocsuper.clifford_generators, which checks the Clifford relations on
+    the carrier; the Clifford algebra and its monomial matrices are never
+    built.
     """
 
     def __init__(self, psi: PsiFunctional, pivot_order=None):
@@ -255,12 +261,12 @@ class HModule:
         pair = QuadraticPair(tower, [[half * x for x in row]
                                      for row in data.reduced_gram])
         if data.rank > 0:
-            irrep = clifford_irrep(pair, pivot_order=pivot_order)
-            self.carrier = irrep.space
-            gen_maps = irrep.generator_maps
+            self.carrier, gen_maps, _ = clifford_generators(
+                pair, pivot_order=pivot_order)
         else:
             self.carrier = GradedSpace(1, 0)
             gen_maps = []
+        self.generator_maps = gen_maps
         ident = GradedMap.identity(tower, self.carrier)
         mats = []
         for i in range(ctx.n):

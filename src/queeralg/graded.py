@@ -186,13 +186,14 @@ class Span:
     exact elimination engine (mat_rref, mat_kernel and the solvers are
     thin layers over it).
 
-    Vectors may be dense lists or {index: Scalar} dicts.  Rows are stored
-    sparsely, keyed by pivot column, and keep one invariant: every row
-    has a 1 in its pivot column and a 0 in every other pivot column.
-    reduce() therefore clears every pivot column of a vector in one pass,
-    and add() back-substitutes each new row into the stored ones.  The
-    basis is the RREF of the subspace, so it does not depend on the order
-    in which vectors were added.
+    Vectors may be dense lists or index-keyed dicts, of Scalars or of raw
+    entries (a value that is not a Scalar is taken as its raw form, None
+    as zero).  Rows are stored sparsely, keyed by pivot column, and keep
+    one invariant: every row has a 1 in its pivot column and a 0 in every
+    other pivot column.  reduce() therefore clears every pivot column of a
+    vector in one pass, and add() back-substitutes each new row into the
+    stored ones.  The basis is the RREF of the subspace, so it does not
+    depend on the order in which vectors were added.
 
     The stored entries are raw (see scalars.raw_of): bare (a, b, d)
     triples in Q(i), coefficient dicts above it.  Scalars are built only
@@ -214,7 +215,7 @@ class Span:
         items = vec.items() if isinstance(vec, dict) else enumerate(vec)
         v = {}
         for k, x in items:
-            r = raw_of(x)
+            r = raw_of(x) if x.__class__ is Scalar else x
             if r is not None:
                 v[k] = r
         rows = self.rows

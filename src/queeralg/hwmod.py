@@ -283,6 +283,9 @@ class TruncatedVerma:
             root = ms.gen_root[g]
             neg = tuple(-x for x in root)
             self.low_coords.append(self.qd.roots.decompose_qplus(neg))
+        # height of each lowering position (the window test of act_on)
+        self.low_height = [sum(c) for c in self.low_coords]
+        self._shift: dict = {}   # generator -> weight shift of its blocks
         self.cartan_pos = {g: k for k, g in enumerate(ms.cartan_gens)}
         self._act_memo: dict = {}
         self._betas = self._enumerate_betas()
@@ -417,11 +420,6 @@ class TruncatedVerma:
                 _dict_add(out, m2, c * c2)
         return out
 
-    def _mono_weight(self, mono):
-        n = self.qd.n
-        return tuple(sum(self.low_coords[p][k] for p in mono)
-                     for k in range(n))
-
     def act_on(self, gen: int, mono: tuple, h: int) -> dict:
         """gen * (mono (x) w_h) expanded in the basis, truncated to the
         window; keys are (mono, h) pairs."""
@@ -458,10 +456,21 @@ class TruncatedVerma:
                 for m3, c3 in self._insert_lowering(p, m2).items():
                     _dict_add(out, (m3, h2), c * c3 if sgn > 0 else -c * c3)
         # truncate to the window
+        low_height, depth = self.low_height, self.depth
         out = {k: v for k, v in out.items()
-               if sum(self._mono_weight(k[0])) <= self.depth}
+               if sum(low_height[p] for p in k[0]) <= depth}
         memo[key] = out
         return out
+
+    def _weight_shift(self, gen: int):
+        """beta coordinates added by gen: -root over the simple roots."""
+        root = self.ms.gen_root[gen]
+        if all(x.is_zero for x in root):
+            return (0,) * self.qd.n
+        delta = self.qd.roots.decompose_qplus(tuple(-x for x in root))
+        if delta is not None:
+            return delta
+        return tuple(-d for d in self.qd.roots.decompose_qplus(root))
 
     def block(self, gen: int, beta):
         """Matrix of gen from the beta component to its target component,
@@ -474,16 +483,10 @@ class TruncatedVerma:
         if not src:
             self._block_memo[key] = None
             return None
-        root = self.ms.gen_root[gen]
-        if all(x.is_zero for x in root):
-            target = beta
-        else:
-            delta = self.qd.roots.decompose_qplus(tuple(-x for x in root))
-            if delta is not None:
-                target = tuple(b + d for b, d in zip(beta, delta))
-            else:
-                delta = self.qd.roots.decompose_qplus(root)
-                target = tuple(b - d for b, d in zip(beta, delta))
+        shift = self._shift.get(gen)
+        if shift is None:
+            shift = self._shift[gen] = self._weight_shift(gen)
+        target = tuple(b + d for b, d in zip(beta, shift))
         if any(t < 0 for t in target) or sum(target) > self.depth:
             self._block_memo[key] = None
             return None

@@ -418,9 +418,81 @@ def raw_inv(x, gens):
     return _co_raw(_co_inv(x, gens))
 
 
+def _raw_prod_into(acc: dict, f, x, gens):
+    """Add f*x into acc, a mask -> unnormalized (a, b, d) accumulator.
+
+    s_j^2 folds in as the triple of d_j when d_j lies in Q(i); only a
+    radicand above Q(i) goes through _co_mul."""
+    for m1, (a1, b1, d1) in (((0, f),) if f.__class__ is tuple
+                             else f.items()):
+        for m2, (a2, b2, d2) in (((0, x),) if x.__class__ is tuple
+                                 else x.items()):
+            a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+            m = m1 ^ m2
+            common = m1 & m2
+            j = 0
+            while common:
+                if common & 1:
+                    r = gens[j].co
+                    t = r.get(0) if len(r) == 1 else None
+                    if t is None:
+                        break   # a radicand above Q(i)
+                    ta, tb, td = t
+                    a, b, d = a * ta - b * tb, a * tb + b * ta, d * td
+                common >>= 1
+                j += 1
+            if common:
+                term = {m: qi_make(a, b, d)}
+                while common:
+                    if common & 1:
+                        term = _co_mul(term, gens[j].co, gens)
+                    common >>= 1
+                    j += 1
+                terms = term.items()
+            else:
+                terms = ((m, (a, b, d)),)
+            for m, (a, b, d) in terms:
+                p = acc.get(m)
+                if p is not None:
+                    pa, pb, pd = p
+                    if pd == d:
+                        a, b = pa + a, pb + b
+                    else:
+                        a, b, d = pa * d + a * pd, pb * d + b * pd, pd * d
+                acc[m] = (a, b, d)
+
+
+def raw_dot(pairs, gens):
+    """Raw sum of f*x over (f, x) pairs of nonzero raw entries,
+    normalized once at the end; None when it is zero."""
+    a = b = 0
+    d = 1
+    acc = None
+    for f, x in pairs:
+        if f.__class__ is tuple and x.__class__ is tuple:
+            a1, b1, d1 = f
+            a2, b2, d2 = x
+            pa, pb, pd = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+            if pd == d:
+                a, b = a + pa, b + pb
+            else:
+                a, b, d = a * pd + pa * d, b * pd + pb * d, d * pd
+        else:
+            if acc is None:
+                acc = {}
+            _raw_prod_into(acc, f, x, gens)
+    if acc is None:
+        return qi_make(a, b, d) if a or b else None
+    if a or b:   # the Q(i) products join at mask 0
+        _raw_prod_into(acc, (a, b, d), QI_ONE, gens)
+    return _co_raw({m: qi_make(a, b, d) for m, (a, b, d) in acc.items()
+                    if a or b})
+
+
 def raw_submul(cur, f, x, gens):
     """Raw cur - f*x, with cur None standing for zero; None when the
-    result is zero."""
+    result is zero.  Above Q(i) f*x is accumulated by mask and subtracted
+    from one copy of cur."""
     if f.__class__ is tuple and x.__class__ is tuple:
         a1, b1, d1 = f
         a2, b2, d2 = x
@@ -433,15 +505,19 @@ def raw_submul(cur, f, x, gens):
             if a == 0 and b == 0:
                 return None
             return qi_make(a, b, d * pd)
-    if f.__class__ is tuple:
-        neg = _co_scale(_raw_co(x), qi_neg(f))
-    elif x.__class__ is tuple:
-        neg = _co_scale(f, qi_neg(x))
-    else:
-        neg = _co_neg(_co_mul(f, x, gens))
-    if cur is None:
-        return _co_raw(neg)
-    return _co_raw(_co_add(_raw_co(cur), neg))
+    prod: dict = {}
+    _raw_prod_into(prod, f, x, gens)
+    out = {} if cur is None else dict(_raw_co(cur))
+    for m, (a, b, d) in prod.items():
+        c = out.get(m)
+        if c is not None:
+            a1, b1, d1 = c
+            a, b, d = a * d1 - a1 * d, b * d1 - b1 * d, d * d1
+        if a or b:
+            out[m] = qi_make(-a, -b, d)
+        elif c is not None:
+            del out[m]
+    return _co_raw(out)
 
 
 class Scalar:

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import queeralg.assocsuper as assocsuper
 from queeralg.assocsuper import (ModuleAction, QuadraticPair, assoc_tensor,
                                  classify_simple, clifford, clifford_irrep,
-                                 density_type, make_M, make_Q, odd_center,
+                                 clifford_generators, density_type, make_M,
+                                 make_Q, odd_center, operator_closure_dim,
                                  straighten)
-from queeralg.graded import GradedMap, GradedSpace
+from queeralg.graded import GradedMap, GradedSpace, Span
 from queeralg.scalars import Tower
 
 
@@ -211,3 +214,133 @@ def test_classify_clifford_random_forms(K):
                     break
             t = classify_simple(clifford(q))
             assert t.kind == ("Q" if r % 2 else "M")
+
+
+# ---------------------------------------------------------------------------
+# The closure oracle on raw entries against the Scalar closure it replaced
+# ---------------------------------------------------------------------------
+
+
+def scalar_sparse_mul(a, b):
+    """Reference: the sparse product on Scalar entries."""
+    c: dict = {}
+    for i, arow in a.items():
+        ci = None
+        for k, av in arow.items():
+            brow = b.get(k)
+            if not brow:
+                continue
+            if ci is None:
+                ci = c.setdefault(i, {})
+            for j, bv in brow.items():
+                cur = ci.get(j)
+                nxt = av * bv if cur is None else cur + av * bv
+                if nxt.is_zero:
+                    ci.pop(j, None)
+                else:
+                    ci[j] = nxt
+        if ci is not None and not ci:
+            c.pop(i, None)
+    return c
+
+
+def scalar_closure_dim(ops, n, tower, multipliers=None):
+    """Reference: span-closure with Scalar products."""
+    span = Span(tower)
+
+    def flat(mat):
+        return {i * n + j: v for i, row in mat.items() for j, v in row.items()}
+
+    ident = {i: {i: tower.one()} for i in range(n)}
+    frontier = [m for m in [ident] + list(ops) if span.add(flat(m))]
+    gens = list(multipliers) if multipliers is not None else list(ops)
+    while frontier:
+        new = []
+        for e in frontier:
+            for g in gens:
+                for prod in (scalar_sparse_mul(g, e), scalar_sparse_mul(e, g)):
+                    if prod and span.add(flat(prod)):
+                        new.append(prod)
+        frontier = new
+    return span.dim
+
+
+CL = Tower()
+CL.adjoin_sqrt(CL.from_int(2))
+CL.adjoin_sqrt(CL.from_int(3) + CL.gen(0))   # a radicand above Q(i)
+
+
+@st.composite
+def operator_sets(draw):
+    """1-3 sparse n x n operators, n in 1..3, entries at tower heights up to
+    the drawn one (0, 1 or 2)."""
+    h = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 3))
+    entry = st.builds(
+        lambda q, m: CL.from_qi(*q) * (CL.gen(0) if m & 1 else 1)
+        * (CL.gen(1) if m & 2 else 1),
+        st.tuples(st.integers(-2, 2), st.integers(-1, 1),
+                  st.sampled_from([1, 2])),
+        st.integers(0, (1 << h) - 1))
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        cells = draw(st.dictionaries(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            entry, max_size=n * n))
+        mat: dict = {}
+        for (i, j), v in cells.items():
+            if not v.is_zero:
+                mat.setdefault(i, {})[j] = v
+        ops.append(mat)
+    return n, ops
+
+
+@settings(max_examples=60)
+@given(operator_sets(), st.booleans())
+def test_operator_closure_dim_matches_scalar_closure(drawn, as_multipliers):
+    n, ops = drawn
+    mults = ops if as_multipliers else None
+    assert operator_closure_dim(ops, n, CL, multipliers=mults) == \
+        scalar_closure_dim(ops, n, CL, multipliers=mults)
+
+
+# ---------------------------------------------------------------------------
+# The generator-only Clifford module
+# ---------------------------------------------------------------------------
+
+
+def test_clifford_generators_need_no_clifford_algebra(K, monkeypatch):
+    def refuse(q):
+        raise AssertionError("clifford() called")
+    f = form(K, [[1, 2, 0], [2, 3, 1], [0, 1, 1]])
+    monkeypatch.setattr(assocsuper, "clifford", refuse)
+    carrier, gens, z_maps = clifford_generators(f)
+    assert carrier.dim == 4 and len(gens) == len(z_maps) == 3
+    monkeypatch.undo()
+    act = clifford_irrep(f)
+    assert [m.rows for m in gens] == [m.rows for m in act.generator_maps]
+    assert [m.rows for m in z_maps] == \
+        [m.rows for m in act.closure_generator_maps]
+
+
+def test_clifford_relation_check_catches_corrupt_generator(K, monkeypatch):
+    real = assocsuper._exterior_model
+
+    def corrupt(tower, k):
+        space, create, annihilate = real(tower, k)
+        return space, create, [annihilate[0] * 2] + annihilate[1:]
+    monkeypatch.setattr(assocsuper, "_exterior_model", corrupt)
+    with pytest.raises(AssertionError, match="Clifford relation"):
+        clifford_generators(form(K, [[1, 0], [0, 1]]))
+
+
+def test_clifford_relation_check_on_given_maps(K):
+    f = form(K, [[1, 1], [1, 3]])
+    _, gens, _ = clifford_generators(f)
+    assocsuper._check_clifford_relations(f, gens)
+    bad = list(gens)
+    rows = [list(r) for r in bad[1].rows]
+    rows[0][-1] = rows[0][-1] + 1
+    bad[1] = GradedMap(K, bad[1].source, bad[1].target, rows)
+    with pytest.raises(AssertionError, match=r"\(0,1\)"):
+        assocsuper._check_clifford_relations(f, bad)

@@ -214,3 +214,76 @@ def test_fast_path_keeps_cross_tower_error():
     for op in (lambda: a + b, lambda: a - b, lambda: a * b):
         with pytest.raises(ValueError):
             op()
+
+
+# ---------------------------------------------------------------------------
+# One-pass raw_submul against the coefficient-dict composition it replaced
+# ---------------------------------------------------------------------------
+
+HIGH = Tower()
+HIGH.adjoin_sqrt(HIGH.from_int(2))                     # s1, radicand in Q(i)
+HIGH.adjoin_sqrt(HIGH.from_int(3) + HIGH.gen(0))       # s2, radicand 3 + s1
+HIGH.adjoin_sqrt(HIGH.from_int(5))                     # s3, radicand in Q(i)
+assert HIGH.height == 3
+
+
+def old_raw_submul(cur, f, x, gens):
+    """Reference: the two-dict path, _co_add(cur, -(f*x)) in raw form."""
+    co = _co_add(_raw_co(cur) if cur is not None else {},
+                 _co_neg(_co_mul(_raw_co(f), _raw_co(x), gens)))
+    return raw_of(HIGH.scalar(co))
+
+
+def _raw_co(x):
+    return {0: x} if x.__class__ is tuple else x
+
+
+@st.composite
+def high_scalars(draw, height=None):
+    """A scalar of HIGH using generators below the drawn height only."""
+    h = draw(st.integers(0, 3)) if height is None else height
+    masks = draw(st.sets(st.integers(0, (1 << h) - 1), max_size=4))
+    co = {}
+    for m in masks:
+        q = draw(st.tuples(st.integers(-3, 3), st.integers(-2, 2),
+                           st.sampled_from([1, 2, 3, 6])))
+        s = HIGH.from_qi(*q)
+        if not s.is_zero:
+            co[m] = s.co[0]
+    return HIGH.scalar(co)
+
+
+@settings(max_examples=400)
+@given(high_scalars(), high_scalars(), high_scalars(),
+       st.sampled_from(["drawn", "none", "cancel"]))
+def test_one_pass_raw_submul_matches_two_dict_path(c, f, x, mode):
+    assume(not f.is_zero and not x.is_zero)
+    gens = HIGH.gens
+    rf, rx = raw_of(f), raw_of(x)
+    if mode == "none":
+        rc = None
+    elif mode == "cancel":           # the result is zero
+        rc = raw_of(f * x)
+    else:
+        rc = raw_of(c)
+    got = raw_submul(rc, rf, rx, gens)
+    assert got == old_raw_submul(rc, rf, rx, gens)
+    assert got == raw_of((scalar_of(HIGH, rc) if rc is not None
+                          else HIGH.zero()) - f * x)
+    if mode == "cancel":
+        assert got is None
+
+
+def test_one_pass_raw_submul_each_height():
+    gens = HIGH.gens
+    s1, s2, s3 = (HIGH.gen(j) for j in range(3))
+    one = HIGH.one()
+    cases = [(one, HIGH.from_qi(1, 2, 3), HIGH.from_qi(-2, 1, 5)),      # h0
+             (one + s1, s1, 2 - s1),                                  # h1
+             (s1 * s2, s2, s1 + s2),            # h2: s2^2 = 3 + s1
+             (s3 + s2, s1 * s2 * s3, s2 * s3 - s1)]                   # h3
+    for c, f, x in cases:
+        for cur in (raw_of(c), None, raw_of(f * x)):
+            got = raw_submul(cur, raw_of(f), raw_of(x), gens)
+            assert got == old_raw_submul(cur, raw_of(f), raw_of(x), gens)
+    assert raw_submul(raw_of(s2 * s2), raw_of(s2), raw_of(s2), gens) is None
