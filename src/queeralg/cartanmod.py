@@ -18,7 +18,7 @@ from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, commutant,
 from .liesuper import LieModule, is_isomorphic_flat, subalgebra
 from .mapsuper import tensor_lie
 from .queer import QueerData
-from .scalars import Scalar
+from .scalars import Scalar, scalar_from_json
 
 
 class CartanAlgebra:
@@ -46,9 +46,6 @@ class CartanAlgebra:
         """Generator index of h_i (x) a_j (0-based i < n, j < dim A)."""
         return i * self.na + j
 
-    def odd_pair(self, i: int, j: int) -> int:
-        return self.n_even + i * self.na + j
-
     def odd_bracket_even_coords(self, i1: int, i2: int):
         """[h'_{i1}, h'_{i2}] expanded over h_1..h_n (inside h alone)."""
         one = self.tower.one()
@@ -75,7 +72,6 @@ class PsiFunctional:
     def from_pairs(cls, ctx: CartanAlgebra, pairs):
         """pairs: iterable of (h_label, a_label, scalar), e.g.
         ("h1", "t", value); scalars may be exact strings like "3/2+i"."""
-        from .scalars import parse_scalar
         vals = [ctx.tower.zero()] * ctx.n_even
         h_labels = {f"h{i + 1}": i for i in range(ctx.n)}
         a_labels = {lbl: j for j, lbl in enumerate(ctx.coeff.space.labels)}
@@ -89,9 +85,7 @@ class PsiFunctional:
             if a_lbl not in a_labels:
                 raise ValueError(f"unknown coefficient label {a_lbl!r}")
             idx = ctx.even_pair(h_labels[h_lbl], a_labels[a_lbl])
-            val = parse_scalar(ctx.tower, v) if isinstance(v, str) \
-                else ctx.tower._coerce(v)
-            vals[idx] = vals[idx] + val
+            vals[idx] = vals[idx] + scalar_from_json(ctx.tower, v)
         return cls(ctx, vals)
 
     @classmethod

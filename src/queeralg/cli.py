@@ -161,7 +161,7 @@ def cmd_dims(args) -> int:
     ms = tensor_lie(qd, alg)
     vm = TruncatedVerma(ms, psi, args.depth)
     sq = SimpleQuotient(vm)
-    sing = vm.singular_dims()
+    sing = sq.singular_dims
     betas = sorted(vm.dims_by_weight(), key=lambda b: (sum(b), b))
     rows = []
     for beta in betas:

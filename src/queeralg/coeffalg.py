@@ -13,7 +13,7 @@ from __future__ import annotations
 from .assocsuper import AssocSuper
 from .graded import (EVEN, GradedMap, GradedSpace, Span, identity_rows,
                      mat_kernel, mat_mul, solve_right, zero_rows)
-from .scalars import Scalar, Tower, parse_scalar
+from .scalars import Scalar, Tower, parse_scalar, scalar_from_json
 
 
 class CoeffAlgebra(AssocSuper):
@@ -202,14 +202,20 @@ def algebra_from_spec(tower: Tower, spec: dict) -> CoeffAlgebra:
     kind = spec.get("type")
     if kind != "poly_quotient":
         raise ValueError(f"unknown algebra preset type {kind!r}")
-    modulus = [parse_scalar(tower, str(c)) if isinstance(c, str)
-               else tower._coerce(c) for c in spec["modulus"]]
+    modulus = [scalar_from_json(tower, c) for c in spec["modulus"]]
     roots = []
     for entry in spec["roots"]:
-        if isinstance(entry, (list, tuple)):
-            roots.append((parse_scalar(tower, str(entry[0])), int(entry[1])))
-        else:
-            roots.append((parse_scalar(tower, str(entry)), 1))
+        if not isinstance(entry, (list, tuple)):
+            roots.append((scalar_from_json(tower, entry), 1))
+            continue
+        if len(entry) != 2:
+            raise ValueError(f"a root with multiplicity must be a "
+                             f"[root, multiplicity] pair, not {entry!r}")
+        root, mult = entry
+        if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
+            raise ValueError(f"a root multiplicity must be a positive "
+                             f"integer, not {mult!r}")
+        roots.append((scalar_from_json(tower, root), mult))
     return preset_truncated(tower, modulus, roots)
 
 
@@ -459,10 +465,6 @@ class GammaAction:
 
     def is_trivial(self) -> bool:
         return self.order == 1
-
-
-def trivial_gamma(tower: Tower, a: CoeffAlgebra, qd) -> GammaAction:
-    return GammaAction(tower, [])
 
 
 def _apply_rows_to_ideal(rows, ideal: IdealRep) -> list:

@@ -9,15 +9,10 @@ from fractions import Fraction
 
 from .cartanmod import CartanAlgebra, PsiFunctional, build_H
 from .coeffalg import IdealRep
-from .graded import (EVEN, GradedMap, Span, mat_kernel, mat_mul, mat_rank,
-                     zero_rows)
+from .graded import EVEN, GradedMap, Span, mat_kernel, mat_rank, zero_rows
 from .liesuper import GradedSpaceMixed, LieModule, LieSuper
 from .mapsuper import InvariantSub, MapSuper
-from .scalars import Tower
-
-
-def weight_key(values) -> tuple:
-    return tuple(values)
+from .scalars import Tower, scalar_of
 
 
 def weight_sort_key(w):
@@ -371,9 +366,6 @@ class TruncatedVerma:
         rec(0, tuple(target), [])
         return out
 
-    def beta_height(self, beta) -> int:
-        return sum(beta)
-
     def weight_tuple(self, beta):
         """Absolute weight lambda - sum beta_k alpha_k on h_1..h_n."""
         vals = list(self.lam)
@@ -506,20 +498,6 @@ class TruncatedVerma:
     def dims_by_weight(self):
         return {beta: len(self.basis[beta]) for beta in self._betas}
 
-    def singular_dims(self):
-        """Per weight component, the dimension of the joint kernel of all
-        raising generators."""
-        out = {}
-        for beta in self._betas:
-            d = len(self.basis[beta])
-            rows = []
-            for g in self.ms.raising_gens:
-                blk = self.block(g, beta)
-                if blk is not None:
-                    rows.extend(blk[1])
-            out[beta] = d - mat_rank(rows, d, self.tower)
-        return out
-
 
 def _dict_add(d: dict, key, val):
     if val.is_zero:
@@ -544,57 +522,69 @@ def verma(ms: MapSuper, psi: PsiFunctional, depth: int) -> TruncatedVerma:
 class SimpleQuotient:
     """Truncation of the simple highest-weight module V(psi).
 
+    The maximal submodule N is built one weight at a time, in order of
+    height: a vector of weight beta lies in N_beta exactly when every
+    raising generator maps it into N at its target weight tgt.  Each N_beta
+    is kept as its RREF Span, with pivot columns P and free columns F (the
+    free columns index a basis of the quotient).  One Span per weight then
+    gives both N_beta and the singular dimension, by two exact identities.
+
+    1. Let R_tgt send e_c to its residual modulo N_tgt, keyed by F.
+       Reducing the column B_g e_c of a raising block modulo N_tgt gives
+       exactly the column c of R_tgt B_g.  So the reduced columns,
+       regrouped into rows, span the rows of R_tgt B_g, and N_beta is the
+       kernel of all of them.  A target whose quotient is 0 adds no rows.
+    2. Row operations give B_F - C B_P = R_tgt B, where B_F and B_P are
+       the rows of B at F and at P and C holds the RREF entries at F.  So
+       ker B = ker [R_tgt B ; B_P]: once N_beta is read off, adding the
+       rows of every raising block at the pivot columns of its target
+       leaves the joint kernel of the raising generators, and
+       singular_dims[beta] = d - span.dim.  For a target whose quotient
+       is 0 that is every row.
+
+    At beta = 0 no raising block lands in the window: N_0 = 0 (the top
+    block generates V(psi)) and the singular dimension is d.
+
     conclusive is True when the quotient vanishes on a band of n
     consecutive heights inside the window (n = maximal root height), in
     which case the module is complete and module is a WeightModule over
-    the full map superalgebra."""
+    the full map superalgebra, its blocks read off the same reductions."""
 
     def __init__(self, vm: TruncatedVerma):
         self.verma = vm
         tower = vm.tower
-        qd = vm.qd
-        n = qd.n
+        n = vm.qd.n
         betas = sorted(vm._betas, key=lambda b: (sum(b), b))
+        nspan: dict = {}   # beta -> RREF Span of N_beta
         nsub: dict = {}
-        residual: dict = {}
         quot_dims: dict = {}
         free_cols: dict = {}
+        singular_dims: dict = {}
         for beta in betas:
             d = len(vm.basis[beta])
-            if sum(beta) == 0:
-                nsub[beta] = []
-            else:
-                rows = []
-                for g in vm.ms.raising_gens:
-                    blk = vm.block(g, beta)
-                    if blk is None:
-                        continue
-                    tgt, mat = blk
-                    rmat = residual[tgt]
-                    if rmat is None:
-                        continue  # target quotient is zero: no constraint
-                    rows.extend(mat_mul(rmat, mat, tower))
-                nsub[beta] = mat_kernel(rows, d, tower)
-            sp = Span(tower, nsub[beta])
-            free = [c for c in range(d) if c not in sp.rows]
-            quot_dims[beta] = len(free)
-            free_cols[beta] = free
-            # residual matrix: coordinates of the class of e_c over the
-            # free columns
-            if not free:
-                residual[beta] = None
-                continue
-            pos = {c: t for t, c in enumerate(free)}
-            rrows = zero_rows(tower, len(free), d)
-            for c in range(d):
-                red = sp.reduce({c: tower.one()})
-                for k, v in red.items():
-                    rrows[pos[k]][c] = v
-            residual[beta] = rrows
+            blocks = [blk for blk in (vm.block(g, beta)
+                                      for g in vm.ms.raising_gens)
+                      if blk is not None]
+            sp = Span(tower)
+            for tgt, mat in blocks:
+                if quot_dims[tgt] and sp.dim < d:
+                    rows: dict = {}
+                    for f, c, x in _residual_entries(nspan[tgt], mat,
+                                                     range(d)):
+                        rows.setdefault(f, {})[c] = x
+                    _add_rows(sp, rows.values(), d)
+            nsub[beta] = sp.kernel(d) if any(beta) else []
+            for tgt, mat in blocks:
+                _add_rows(sp, (_sparse(mat[p]) for p in nspan[tgt].rows), d)
+            singular_dims[beta] = d - sp.dim
+            nspan[beta] = Span(tower, map(_sparse, nsub[beta]))
+            free_cols[beta] = [c for c in range(d)
+                               if c not in nspan[beta].rows]
+            quot_dims[beta] = len(free_cols[beta])
         self.nsub = nsub
         self.quot_dims = quot_dims
-        self.residual = residual
         self.free_cols = free_cols
+        self.singular_dims = singular_dims
         # vanishing band detection
         max_h = vm.depth
         heights = {h: sum(quot_dims[b] for b in betas if sum(b) == h)
@@ -607,9 +597,11 @@ class SimpleQuotient:
                 break
         self.conclusive = band_at is not None
         self.band_start = band_at
-        self.module = self._assemble() if self.conclusive else None
+        self.module = self._assemble(nspan) if self.conclusive else None
 
-    def _assemble(self) -> WeightModule:
+    def _assemble(self, nspan) -> WeightModule:
+        """The quotient's blocks: block columns at the free columns of the
+        source, reduced modulo N at the target."""
         vm = self.verma
         tower = vm.tower
         betas = [b for b in vm._betas
@@ -635,15 +627,40 @@ class SimpleQuotient:
                 tgt, mat = blk
                 if tgt not in weights:
                     continue  # target is zero in the quotient
-                rmat = self.residual[tgt]
-                free = self.free_cols[beta]
-                sub = [[row[c] for c in free] for row in mat]
-                red = mat_mul(rmat, sub, tower)
-                if any(not v.is_zero for row in red for v in row):
-                    blocks[weights[beta]] = [(weights[tgt], red)]
+                entries = list(_residual_entries(nspan[tgt], mat,
+                                                 self.free_cols[beta]))
+                if not entries:
+                    continue
+                pos = {f: t for t, f in enumerate(self.free_cols[tgt])}
+                red = zero_rows(tower, len(pos), len(self.free_cols[beta]))
+                for f, j, x in entries:
+                    red[pos[f]][j] = scalar_of(tower, x)
+                blocks[weights[beta]] = [(weights[tgt], red)]
             act.append(blocks)
         return WeightModule(vm.ms.algebra, tower, list(weights.values()),
                             parities, act, qd=vm.qd)
+
+
+def _residual_entries(ntgt: Span, mat, cols):
+    """Entries (f, j, raw) of R_tgt B at the source columns cols: column
+    cols[j] of the dense block mat reduced modulo N_tgt (given by its
+    Span), f a free column of the target."""
+    columns = list(zip(*mat))
+    for j, c in enumerate(cols):
+        for f, x in ntgt._reduce_raw(_sparse(columns[c])).items():
+            yield f, j, x
+
+
+def _sparse(vec) -> dict:
+    """The nonzero entries of a dense vector of Scalars, by index."""
+    return {k: x for k, x in enumerate(vec) if x.co}
+
+
+def _add_rows(sp: Span, rows, d: int):
+    for row in rows:
+        if sp.dim == d:
+            return  # every further row lies in the span
+        sp.add(row)
 
 
 def simple_quotient(ms: MapSuper, psi: PsiFunctional, depth=None) -> SimpleQuotient:

@@ -51,10 +51,6 @@ class MapSuper:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def pair_of(self, idx: int):
-        na = self.coeff.dim
-        return idx // na, idx % na
-
     def embed_g(self, x_coords: dict, a_coords: dict) -> dict:
         """Coordinates of x (x) a for x in g-coordinates, a in A-coordinates."""
         out = {}

@@ -60,28 +60,12 @@ class RootDatum:
         # eps_i evaluated on h_k = E_kk - E_{k+1,k+1}
         return (1 if i == k else 0) - (1 if i == k + 1 else 0)
 
-    def epsilon(self, i: int):
-        tower = self.qd.tower
-        return tuple(tower.from_int(self._eps_on_h(i, k))
-                     for k in range(1, self.n + 1))
-
     def root_tuple(self, pair):
         return self._tuples[pair]
-
-    def qplus_coords(self, pair):
-        """Coordinates of eps_i - eps_j (i < j) over the simple roots."""
-        i, j = pair
-        if i >= j:
-            raise ValueError("not a positive root")
-        return tuple(1 if i <= k < j else 0 for k in range(1, self.n + 1))
 
     def height(self, pair) -> int:
         i, j = pair
         return abs(j - i)
-
-    @property
-    def positive_tuples(self):
-        return [self._tuples[p] for p in self.positive_pairs]
 
     def decompose_qplus(self, delta):
         """Write a weight difference as nonnegative-integer coordinates
@@ -199,19 +183,6 @@ class QueerData:
                 if not c.is_zero:
                     out[self.index[f"h{which}{k + 1}"]] = c
         return out
-
-    def element_pair(self, coords: dict):
-        """Matrix pair (A, B) of a coordinate vector."""
-        a, b = _mat(self.tower, self.n + 1), _mat(self.tower, self.n + 1)
-        for k, c in coords.items():
-            am, bm = self.mats[k]
-            for i in range(self.n + 1):
-                for j in range(self.n + 1):
-                    if not am[i][j].is_zero:
-                        a[i][j] = a[i][j] + c * am[i][j]
-                    if not bm[i][j].is_zero:
-                        b[i][j] = b[i][j] + c * bm[i][j]
-        return a, b
 
     # -- roots --------------------------------------------------------------
 

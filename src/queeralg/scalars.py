@@ -201,9 +201,6 @@ class Tower:
         self._roots[key] = r
         return r
 
-    def is_square(self, x) -> bool:
-        return self.sqrt(x) is not None
-
     def adjoin_sqrt(self, d) -> Scalar:
         """Return r with r*r == d, extending the tower only when needed.
 
@@ -694,6 +691,18 @@ class Scalar:
 # ---------------------------------------------------------------------------
 # Parsing of exact scalar strings: "p/q", "a+b*i", "-3/4*i", ...
 # ---------------------------------------------------------------------------
+
+
+def scalar_from_json(tower: Tower, x) -> Scalar:
+    """A scalar given in JSON input: an exact string such as "3/2+i", or
+    an integer.  A boolean is refused, although Python counts it as an
+    int, and so is a float, which is not exact."""
+    if isinstance(x, str):
+        return parse_scalar(tower, x)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"a scalar must be a string or an integer, "
+                         f"not {x!r}")
+    return tower.from_int(x)
 
 
 def parse_scalar(tower: Tower, text: str) -> Scalar:

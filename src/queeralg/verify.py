@@ -226,12 +226,6 @@ def suite_queer(seed: int) -> Checks:
     return ck
 
 
-def _random_psi(ctx, rng):
-    vals = [ctx.tower.from_int(rng.randint(-3, 3)) +
-            ctx.tower.i() * rng.randint(-1, 1) for _ in range(ctx.n_even)]
-    return PsiFunctional(ctx, vals)
-
-
 def cartan_random_corpus(label_maker, rng, count: int, ck: Checks,
                          label: str):
     """Shared body of the functional-corpus checks: each draw runs in its

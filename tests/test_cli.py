@@ -165,3 +165,37 @@ def test_dims_wrong_shape_json(tmp_path, capsys, payload):
     bad.write_text(json.dumps(payload))
     rc = main(["dims", "--n", "2", "--psi", str(bad), "--depth", "2"])
     _one_line_usage_error(rc, capsys)
+
+
+@pytest.mark.parametrize("payload", [
+    {"values": [["h1", "1", True]]},
+    {"values": [["h1", "1", False], ["h2", "1", "1"]]},
+    {"values": [["h1", "1", 1.5]]},
+    {"algebra": {"type": "poly_quotient", "modulus": [False, True],
+                 "roots": ["0"]}, "values": []},
+    {"algebra": {"type": "poly_quotient", "modulus": ["0", "0", "1"],
+                 "roots": [["0", 2.7]]}, "values": []},
+    {"algebra": {"type": "poly_quotient", "modulus": ["0", "0", "1"],
+                 "roots": [["0", True], ["0", True]]}, "values": []},
+    {"algebra": {"type": "poly_quotient", "modulus": ["0", "0", "1"],
+                 "roots": [["0", "2"]]}, "values": []},
+    {"algebra": {"type": "poly_quotient", "modulus": ["-1", "0", "1"],
+                 "roots": ["1", "-1", ["5", 0]]}, "values": []},
+    {"algebra": {"type": "poly_quotient", "modulus": ["0", "1"],
+                 "roots": [["0"]]}, "values": []},
+])
+def test_dims_rejects_non_numbers(tmp_path, capsys, payload):
+    """Booleans, floats and multiplicities that are not positive integers
+    are usage errors, not values read as 1, 0 or a truncated integer."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc = main(["dims", "--n", "2", "--psi", str(bad), "--depth", "1"])
+    _one_line_usage_error(rc, capsys)
+
+
+def test_classify_rejects_boolean_modulus(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "poly_quotient",
+                               "modulus": [False, True], "roots": ["0"]}))
+    rc = main(["classify", "--n", "2", "--algebra", str(bad)])
+    _one_line_usage_error(rc, capsys)

@@ -2,15 +2,16 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional
 from queeralg.cli import main
 from queeralg.coeffalg import preset_base_field, preset_truncated, zero_ideal
-from queeralg.graded import EVEN, Span
-from queeralg.hwmod import (WeightModule, check_psi0_ideal, is_irreducible_hw,
-                            simple_quotient, top_psi, triangular_of_map,
-                            verma)
+from queeralg.graded import (EVEN, Span, mat_kernel, mat_mul, mat_rank,
+                             zero_rows)
+from queeralg.hwmod import (SimpleQuotient, WeightModule, check_psi0_ideal,
+                            is_irreducible_hw, simple_quotient, top_psi,
+                            triangular_of_map, verma)
 from queeralg.mapsuper import tensor_lie
 from queeralg.products import (adjoint_q_module, direct_sum_weight, ev_module,
                                is_isomorphic_weight, tensor_same_algebra,
@@ -164,7 +165,8 @@ def test_singular_vectors_verma_top(setup):
     _, ms, ctx = setup["C"]
     psi = PsiFunctional(ctx, [K.from_int(5), K.from_int(3)])
     vm = verma(ms, psi, 0)
-    assert vm.singular_dims()[(0, 0)] == vm.h_mod.dim
+    assert oracle_singular_dims(vm)[(0, 0)] == vm.h_mod.dim
+    assert SimpleQuotient(vm).singular_dims[(0, 0)] == vm.h_mod.dim
 
 
 def test_singular_vectors_adjoint_module(setup):
@@ -400,3 +402,163 @@ def test_dims_q3_psi_2_m1_1_completes(tmp_path):
         beta = row["weight_coords"]
         assert row["induced_dim"] == pbw_count_oracle(roots + roots, beta) * 4
         assert 0 <= row["simple_dim"] <= row["induced_dim"]
+
+
+# ---------------------------------------------------------------------------
+# Reference simple quotient: dense residual matrices multiplied into every
+# raising block, and the singular dimensions from a fresh elimination of
+# the stacked raising blocks.  SimpleQuotient must agree with it exactly.
+# ---------------------------------------------------------------------------
+
+
+def oracle_singular_dims(vm):
+    out = {}
+    for beta in vm._betas:
+        d = len(vm.basis[beta])
+        rows = []
+        for g in vm.ms.raising_gens:
+            blk = vm.block(g, beta)
+            if blk is not None:
+                rows.extend(blk[1])
+        out[beta] = d - mat_rank(rows, d, vm.tower)
+    return out
+
+
+class ResidualQuotient:
+    def __init__(self, vm):
+        self.verma = vm
+        tower = vm.tower
+        n = vm.qd.n
+        betas = sorted(vm._betas, key=lambda b: (sum(b), b))
+        nsub, residual, quot_dims, free_cols = {}, {}, {}, {}
+        for beta in betas:
+            d = len(vm.basis[beta])
+            if sum(beta) == 0:
+                nsub[beta] = []
+            else:
+                rows = []
+                for g in vm.ms.raising_gens:
+                    blk = vm.block(g, beta)
+                    if blk is None:
+                        continue
+                    tgt, mat = blk
+                    rmat = residual[tgt]
+                    if rmat is None:
+                        continue  # target quotient is zero: no constraint
+                    rows.extend(mat_mul(rmat, mat, tower))
+                nsub[beta] = mat_kernel(rows, d, tower)
+            sp = Span(tower, nsub[beta])
+            free = [c for c in range(d) if c not in sp.rows]
+            quot_dims[beta] = len(free)
+            free_cols[beta] = free
+            if not free:
+                residual[beta] = None
+                continue
+            pos = {c: t for t, c in enumerate(free)}
+            rrows = zero_rows(tower, len(free), d)
+            for c in range(d):
+                for k, v in sp.reduce({c: tower.one()}).items():
+                    rrows[pos[k]][c] = v
+            residual[beta] = rrows
+        self.nsub = nsub
+        self.quot_dims = quot_dims
+        self.residual = residual
+        self.free_cols = free_cols
+        self.singular_dims = oracle_singular_dims(vm)
+        heights = {h: sum(quot_dims[b] for b in betas if sum(b) == h)
+                   for h in range(vm.depth + 1)}
+        band_at = None
+        for h0 in range(1, vm.depth - n + 2):
+            if all(heights.get(h0 + t, None) == 0 for t in range(n)):
+                band_at = h0
+                break
+        self.conclusive = band_at is not None
+        self.band_start = band_at
+        self.module = self._assemble() if self.conclusive else None
+
+    def _assemble(self):
+        vm = self.verma
+        tower = vm.tower
+        betas = [b for b in vm._betas
+                 if self.quot_dims.get(b, 0) > 0 and sum(b) < self.band_start]
+        weights, parities = {}, {}
+        for beta in betas:
+            w = vm.weight_tuple(beta)
+            weights[beta] = w
+            parities[w] = tuple(vm.mono_parity(*vm.basis[beta][c])
+                                for c in self.free_cols[beta])
+        act = []
+        for g in range(vm.ms.dim):
+            blocks = {}
+            for beta in betas:
+                blk = vm.block(g, beta)
+                if blk is None:
+                    continue
+                tgt, mat = blk
+                if tgt not in weights:
+                    continue
+                sub = [[row[c] for c in self.free_cols[beta]] for row in mat]
+                red = mat_mul(self.residual[tgt], sub, tower)
+                if any(not v.is_zero for row in red for v in row):
+                    blocks[weights[beta]] = [(weights[tgt], red)]
+            act.append(blocks)
+        return WeightModule(vm.ms.algebra, tower, list(weights.values()),
+                            parities, act, qd=vm.qd)
+
+
+def assert_same_quotient(vm):
+    new, ref = SimpleQuotient(vm), ResidualQuotient(vm)
+    assert new.nsub == ref.nsub
+    assert new.quot_dims == ref.quot_dims
+    assert new.free_cols == ref.free_cols
+    assert new.singular_dims == ref.singular_dims
+    assert new.conclusive == ref.conclusive
+    if ref.conclusive:
+        a, b = new.module, ref.module
+        assert a.weights == b.weights and a.parities == b.parities
+        assert a.act == b.act
+    return new
+
+
+def _qn_setup(n):
+    K = Tower()
+    qd = build_q(K, n)
+    A = preset_base_field(K)
+    return K, tensor_lie(qd, A), CartanAlgebra(qd, A)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(st.integers(-2, 3), st.integers(-2, 3)),
+       st.integers(1, 5))
+@example((0, 0), 3)    # trivial: conclusive, band at 1
+@example((2, 3), 5)    # tower height 1 (the box reaches no higher)
+def test_simple_quotient_matches_residual_oracle_q2(psi_vals, depth):
+    K, ms, ctx = _qn_setup(2)
+    psi = PsiFunctional(ctx, [K.from_int(v) for v in psi_vals])
+    assert_same_quotient(verma(ms, psi, depth))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.tuples(*[st.integers(-1, 3)] * 3), st.integers(1, 2))
+@example((2, 1, 0), 2)     # tower height 1
+@example((2, -1, 1), 2)    # tower height 2
+def test_simple_quotient_matches_residual_oracle_q3(psi_vals, depth):
+    K, ms, ctx = _qn_setup(3)
+    psi = PsiFunctional(ctx, [K.from_int(v) for v in psi_vals])
+    vm = verma(ms, psi, depth)
+    assume(vm.h_mod.dim == 4)   # Clifford rank 3
+    assert_same_quotient(vm)
+
+
+@pytest.mark.parametrize("psi_vals,depth,dim", [
+    ((0, 0), 3, 1),      # trivial
+    ((1, 1), 6, 16),     # adjoint, band at 5
+])
+def test_conclusive_quotient_matches_oracle(psi_vals, depth, dim):
+    """Conclusive quotients assemble the oracle's module, block by block,
+    and have the known dimension."""
+    K, ms, ctx = _qn_setup(2)
+    psi = PsiFunctional(ctx, [K.from_int(v) for v in psi_vals])
+    sq = assert_same_quotient(verma(ms, psi, depth))
+    assert sq.conclusive and sq.module.dim == dim
+    assert sq.singular_dims[(0, 0)] == sq.verma.h_mod.dim
