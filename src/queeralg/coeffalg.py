@@ -13,7 +13,7 @@ from __future__ import annotations
 from .assocsuper import AssocSuper
 from .graded import (EVEN, GradedMap, GradedSpace, Span, identity_rows,
                      mat_kernel, mat_mul, solve_right, zero_rows)
-from .scalars import Scalar, Tower, parse_scalar, scalar_from_json
+from .scalars import Scalar, Tower, scalar_from_json
 
 
 class CoeffAlgebra(AssocSuper):
@@ -621,6 +621,15 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
     return report
 
 
+def _matrix_from_json(tower: Tower, rows) -> list:
+    """A matrix given in JSON input: a list of rows, each a list of
+    scalars as scalars.scalar_from_json reads them."""
+    if not isinstance(rows, list) or \
+            not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"a matrix must be a list of rows, not {rows!r}")
+    return [[scalar_from_json(tower, x) for x in row] for row in rows]
+
+
 def gamma_from_spec(tower: Tower, spec: dict, a: CoeffAlgebra, qd) -> GammaAction:
     """Build a group action from its JSON description.  Generators carry
     an order, an action on the algebra and an action on q; each action is
@@ -630,12 +639,15 @@ def gamma_from_spec(tower: Tower, spec: dict, a: CoeffAlgebra, qd) -> GammaActio
     for gi, g in enumerate(spec.get("generators", [])):
         if not isinstance(g, dict):
             raise ValueError(f"generator {gi} must be a JSON object")
-        order = int(g["order"])
+        order = g["order"]
+        if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+            raise ValueError(f"generator {gi}: the order must be a positive "
+                             f"integer, not {order!r}")
         on_a = g["on_algebra"]
         if isinstance(on_a, dict):
             kind = on_a.get("type")
             if kind == "substitute_t":
-                c = parse_scalar(tower, str(on_a["scale"]))
+                c = scalar_from_json(tower, on_a["scale"])
                 rows = zero_rows(tower, a.dim, a.dim)
                 for k in range(a.dim):
                     rows[k][k] = c ** k
@@ -644,19 +656,19 @@ def gamma_from_spec(tower: Tower, spec: dict, a: CoeffAlgebra, qd) -> GammaActio
             else:
                 raise ValueError(f"unknown algebra action type {kind!r}")
         else:
-            rows = [[parse_scalar(tower, str(x)) for x in row] for row in on_a]
+            rows = _matrix_from_json(tower, on_a)
         on_q = g["on_q"]
         if isinstance(on_q, dict):
             kind = on_q.get("type")
             if kind == "diag_conj":
                 qmap = qd.conj_automorphism(
-                    [parse_scalar(tower, str(x)) for x in on_q["diag"]])
+                    [scalar_from_json(tower, x) for x in on_q["diag"]])
             elif kind == "trivial":
                 qmap = GradedMap.identity(tower, qd.space)
             else:
                 raise ValueError(f"unknown q action type {kind!r}")
         else:
-            qrows = [[parse_scalar(tower, str(x)) for x in row] for row in on_q]
+            qrows = _matrix_from_json(tower, on_q)
             qmap = GradedMap(tower, qd.space, qd.space, qrows, parity=EVEN)
         gens.append((order, rows, qmap))
     return GammaAction(tower, gens)

@@ -185,6 +185,21 @@ def gamma_element_action(ms: MapSuper, arows, qrows) -> dict:
     return cols
 
 
+def _averaged(actions, idx: int, scale) -> dict:
+    """(1/|Gamma|) sum_gamma gamma(e_idx), sparse, given each element's
+    action as a gamma_element_action column dict and scale = 1/|Gamma|."""
+    avg = {}
+    for cols in actions:
+        for k, v in cols[idx].items():
+            cur = avg.get(k)
+            nxt = v if cur is None else cur + v
+            if nxt.is_zero:
+                avg.pop(k, None)
+            else:
+                avg[k] = nxt
+    return {k: v * scale for k, v in avg.items()}
+
+
 def invariants(ms: MapSuper, act: GammaAction, qd_for_report=None) -> InvariantSub:
     """Image of the averaging projector (1/|Gamma|) sum_gamma gamma, as a
     Lie subalgebra (bracket closure is re-verified by construction)."""
@@ -209,16 +224,7 @@ def invariants(ms: MapSuper, act: GammaAction, qd_for_report=None) -> InvariantS
     sp = Span(tower)
     actions = [gamma_element_action(ms, ar, qr) for ar, qr in elements]
     for idx in range(ms.dim):
-        avg = {}
-        for cols in actions:
-            for k, v in cols[idx].items():
-                cur = avg.get(k)
-                nxt = v if cur is None else cur + v
-                if nxt.is_zero:
-                    avg.pop(k, None)
-                else:
-                    avg[k] = nxt
-        avg = {k: v * scale for k, v in avg.items()}
+        avg = _averaged(actions, idx, scale)
         if avg:
             sp.add(avg)
     vecs = sp.basis_vectors(ms.dim)
@@ -337,32 +343,55 @@ def ev_gamma_rank(inv: InvariantSub, point_indices) -> int:
 # ---------------------------------------------------------------------------
 
 
-def ann_and_support(module, ms: MapSuper):
-    """(Ann_A(V), Supp(V), reduced?) for a module over g (x) A.
+def _annihilator(module, ms: MapSuper, element):
+    """(Ann_A(V), Supp(V), reduced?) of a module over a subalgebra of
+    g (x) A that contains element(x, j) for every basis x of g and a_j of
+    A, given in the module's coordinates.
 
-    Ann is the largest ideal with (g (x) I) V = 0, computed as
-    {a : rho(x (x) b a) = 0 for all x, b}; the module must expose
-    op_entries(coords) returning the sparse entries of the operator."""
+    J = {a : rho(element(x, a)) = 0 for every x} is one kernel over dim A
+    columns, fed one operator entry at a time and stopped as soon as its
+    constraints have full rank (then J = 0).  Ann is the largest ideal
+    inside J, {a : b a in J for every basis b}: the kernel of the rows
+    c L_b, for c a constraint row of J and L_b multiplication by b."""
     tower = ms.tower
-    na = ms.coeff.dim
+    coeff = ms.coeff
+    na = coeff.dim
     one = tower.one()
-    rows = []
+    cons = Span(tower)
     for xi in range(ms.g.dim):
+        if cons.dim == na:
+            break
+        mats = [module.op_entries(element(xi, j)) for j in range(na)]
+        for key in dict.fromkeys(k for mset in mats for k in mset):
+            if cons.add({j: mset[key] for j, mset in enumerate(mats)
+                         if key in mset}) and cons.dim == na:
+                break
+    if cons.dim == na:
+        ann = IdealRep(coeff, [])
+    else:
+        constraints = cons.basis_vectors(na)
+        rows = []
         for b in range(na):
-            mats = []
-            for j in range(na):
-                prod = ms.coeff.product({b: one}, {j: one})
-                coords = ms.embed_g({xi: one}, prod)
-                mats.append(module.op_entries(coords))
-            # the kernel is an RREF, so the row order does not matter
-            keys = dict.fromkeys(k for mset in mats for k in mset)
-            for key in keys:
-                rows.append([mset.get(key, tower.zero()) for mset in mats])
-    ann = IdealRep(ms.coeff, mat_kernel(rows, na, tower))
+            lb = [coeff.product({b: one}, {j: one}) for j in range(na)]
+            for c in constraints:
+                rows.append([sum((c[i] * v for i, v in lb[j].items()
+                                  if not c[i].is_zero), tower.zero())
+                             for j in range(na)])
+        ann = IdealRep(coeff, mat_kernel(rows, na, tower))
     ann.verify()
     supp = support(ann)
     reduced = radical(ann) == ann
     return ann, supp, reduced
+
+
+def ann_and_support(module, ms: MapSuper):
+    """(Ann_A(V), Supp(V), reduced?) for a module over g (x) A.
+
+    Ann is the largest ideal with (g (x) I) V = 0; the module must expose
+    op_entries(coords) returning the sparse entries of the operator."""
+    one = ms.tower.one()
+    return _annihilator(module, ms,
+                        lambda xi, j: {ms.pair_index[(xi, j)]: one})
 
 
 def ann_and_support_gamma(module, inv: InvariantSub):
@@ -370,46 +399,19 @@ def ann_and_support_gamma(module, inv: InvariantSub):
     (g (x) I)^Gamma V = 0, via the averaged generators."""
     ms = inv.parent
     tower = ms.tower
-    na = ms.coeff.dim
     one = tower.one()
-    elements = inv.act.elements()
-    actions = [gamma_element_action(ms, ar, qr) for ar, qr in elements] \
-        if not inv.act.is_trivial() else None
-    scale = tower.from_int(max(1, len(elements))).inv() if elements else tower.one()
+    actions = None
+    if not inv.act.is_trivial():
+        elements = inv.act.elements()
+        actions = [gamma_element_action(ms, ar, qr) for ar, qr in elements]
+        scale = tower.from_int(len(elements)).inv()
 
-    def average(coords: dict) -> dict:
-        if actions is None:
-            return coords
-        avg = {}
-        for cols in actions:
-            for idx, c in coords.items():
-                for k, v in cols[idx].items():
-                    cur = avg.get(k)
-                    nxt = c * v if cur is None else cur + c * v
-                    if nxt.is_zero:
-                        avg.pop(k, None)
-                    else:
-                        avg[k] = nxt
-        return {k: v * scale for k, v in avg.items()}
+    def averaged(xi: int, j: int) -> dict:
+        idx = ms.pair_index[(xi, j)]
+        coords = inv.coords_of({idx: one} if actions is None
+                               else _averaged(actions, idx, scale))
+        if coords is None:
+            raise AssertionError("averaged element left the invariants")
+        return {k: v for k, v in enumerate(coords) if not v.is_zero}
 
-    rows = []
-    for xi in range(ms.g.dim):
-        for b in range(na):
-            mats = []
-            for j in range(na):
-                prod = ms.coeff.product({b: one}, {j: one})
-                amb = average(ms.embed_g({xi: one}, prod))
-                coords = inv.coords_of(amb)
-                if coords is None:
-                    raise AssertionError("averaged element left the invariants")
-                cd = {k: v for k, v in enumerate(coords) if not v.is_zero}
-                mats.append(module.op_entries(cd))
-            # the kernel is an RREF, so the row order does not matter
-            keys = dict.fromkeys(k for mset in mats for k in mset)
-            for key in keys:
-                rows.append([mset.get(key, tower.zero()) for mset in mats])
-    ann = IdealRep(ms.coeff, mat_kernel(rows, na, tower))
-    ann.verify()
-    supp = support(ann)
-    reduced = radical(ann) == ann
-    return ann, supp, reduced
+    return _annihilator(module, ms, averaged)

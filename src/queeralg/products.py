@@ -218,71 +218,96 @@ def _reindexed_copy(m: LieModule, algebra: LieSuper) -> LieModule:
 
 def tensor_same_algebra(m1: WeightModule, m2: WeightModule) -> WeightModule:
     """V1 (x) V2 with the diagonal action over a common algebra; weights
-    add.  The Koszul sign acts through the parity of the first factor."""
+    add.  The Koszul sign acts through the parity of the first factor.
+
+    Weights are handled by position: i1, i2 index m1.weights and
+    m2.weights, t the product's weights.  out.pair_data holds
+    (m1, m2, pair_basis, target, offset): pair_basis[t] lists the
+    (i1, k1, i2, k2) spanning product weight t, and the pair block
+    (i1, i2) sits in weight target[i1][i2] from position offset[i1][i2]
+    on, k1-major, so (i1, k1, i2, k2) is at offset + k1 * d2 + k2."""
     tower = m1.tower
     alg = m1.algebra
-    pair_basis: dict = {}
-    for w1 in m1.weights:
-        for w2 in m2.weights:
-            w = tuple(a + b for a, b in zip(w1, w2))
-            pair_basis.setdefault(w, []).extend(
-                (w1, k1, w2, k2)
-                for k1 in range(m1.block_dim(w1))
-                for k2 in range(m2.block_dim(w2)))
-    weights = sorted(pair_basis, key=weight_sort_key)
-    index = {w: {p: i for i, p in enumerate(pair_basis[w])} for w in weights}
+    ws1, ws2 = m1.weights, m2.weights
+    d2 = [m2.block_dim(w) for w in ws2]
+    sums: dict = {}   # product weight -> [(i1, i2), ...] in meeting order
+    for i1, w1 in enumerate(ws1):
+        for i2, w2 in enumerate(ws2):
+            sums.setdefault(tuple(a + b for a, b in zip(w1, w2)),
+                            []).append((i1, i2))
+    weights = sorted(sums, key=weight_sort_key)
+    target = [[0] * len(ws2) for _ in ws1]
+    offset = [[0] * len(ws2) for _ in ws1]
+    pair_basis = []
     parities = {}
-    for w in weights:
-        parities[w] = tuple((m1.parities[w1][k1] + m2.parities[w2][k2]) % 2
-                            for (w1, k1, w2, k2) in pair_basis[w])
+    for t, w in enumerate(weights):
+        basis = []
+        for i1, i2 in sums[w]:
+            target[i1][i2], offset[i1][i2] = t, len(basis)
+            basis.extend((i1, k1, i2, k2)
+                         for k1 in range(m1.block_dim(ws1[i1]))
+                         for k2 in range(d2[i2]))
+        pair_basis.append(basis)
+        parities[w] = tuple((m1.parities[ws1[i1]][k1]
+                             + m2.parities[ws2[i2]][k2]) % 2
+                            for (i1, k1, i2, k2) in basis)
+    pos1 = {w: i for i, w in enumerate(ws1)}
+    pos2 = {w: i for i, w in enumerate(ws2)}
+    par1 = [m1.parities[w] for w in ws1]
     act = []
     for g in range(alg.dim):
+        odd = alg.space.parity(g)
+        # each factor's blocks of g as (target position, nonzero entries)
+        b1 = [_indexed_blocks(m1.blocks_of(g, w), pos1) for w in ws1]
+        b2 = [_indexed_blocks(m2.blocks_of(g, w), pos2) for w in ws2]
         blocks: dict = {}
-        gpar = alg.space.parity(g)
-        for w in weights:
+        for t, w in enumerate(weights):
             # target weight -> {(row, col): entry}, in order of first meeting
-            targets: dict = {}
-            for col, (w1, k1, w2, k2) in enumerate(pair_basis[w]):
+            found: dict = {}
+            for i1, i2 in sums[w]:
+                c0, dd = offset[i1][i2], d2[i2]
                 # rho1(g) (x) 1
-                for (w1t, blk) in m1.blocks_of(g, w1):
-                    wt = tuple(a + b for a, b in zip(w1t, w2))
-                    if not pair_basis.get(wt):
-                        continue
-                    tgt = targets.setdefault(wt, {})
-                    for r in range(len(blk)):
-                        v = blk[r][k1]
-                        if not v.is_zero:
-                            key = (index[wt][(w1t, r, w2, k2)], col)
+                for i1t, nz in b1[i1]:
+                    tgt = found.setdefault(target[i1t][i2], {})
+                    r0 = offset[i1t][i2]
+                    for r, k1, v in nz:
+                        for k2 in range(dd):
+                            key = (r0 + r * dd + k2, c0 + k1 * dd + k2)
                             cur = tgt.get(key)
                             tgt[key] = v if cur is None else cur + v
                 # 1 (x) rho2(g), sign by parity of the first factor
-                sgn = -1 if (gpar and m1.parities[w1][k1]) else 1
-                for (w2t, blk) in m2.blocks_of(g, w2):
-                    wt = tuple(a + b for a, b in zip(w1, w2t))
-                    if not pair_basis.get(wt):
-                        continue
-                    tgt = targets.setdefault(wt, {})
-                    for r in range(len(blk)):
-                        v = blk[r][k2]
-                        if not v.is_zero:
-                            key = (index[wt][(w1, k1, w2t, r)], col)
-                            add = v if sgn > 0 else -v
+                for i2t, nz in b2[i2]:
+                    tgt = found.setdefault(target[i1][i2t], {})
+                    r0, dt = offset[i1][i2t], d2[i2t]
+                    for k1, p in enumerate(par1[i1]):
+                        for r, k2, v in nz:
+                            key = (r0 + k1 * dt + r, c0 + k1 * dd + k2)
+                            add = -v if odd and p else v
                             cur = tgt.get(key)
                             tgt[key] = add if cur is None else cur + add
-            found = []
-            for wt, entries in targets.items():
-                nz = [(key, v) for key, v in entries.items() if not v.is_zero]
-                if nz:
-                    rows = zero_rows(tower, len(pair_basis[wt]),
-                                     len(pair_basis[w]))
-                    for (r, c), v in nz:
+            pieces = []
+            for tt, entries in found.items():
+                nonzero = [(key, v) for key, v in entries.items()
+                           if not v.is_zero]
+                if nonzero:
+                    rows = zero_rows(tower, len(pair_basis[tt]),
+                                     len(pair_basis[t]))
+                    for (r, c), v in nonzero:
                         rows[r][c] = v
-                    found.append((wt, rows))
-            blocks[w] = found
-        act.append({w: blks for w, blks in blocks.items() if blks})
+                    pieces.append((weights[tt], rows))
+            if pieces:
+                blocks[w] = pieces
+        act.append(blocks)
     out = WeightModule(alg, tower, weights, parities, act, qd=m1.qd)
-    out.pair_data = (m1, m2, pair_basis, index)
+    out.pair_data = (m1, m2, pair_basis, target, offset)
     return out
+
+
+def _indexed_blocks(blocks, pos: dict):
+    """(target weight position, [(row, col, entry) nonzero]) per block."""
+    return [(pos[wt], [(r, c, v) for r, row in enumerate(rows)
+                       for c, v in enumerate(row) if not v.is_zero])
+            for wt, rows in blocks]
 
 
 def weight_phi_blocks(m: WeightModule, phi_flat: GradedMap) -> dict:
@@ -361,27 +386,30 @@ def _tensor_phi_blocks(full: WeightModule, side: int, phi: dict) -> dict:
     """Blocks of phi (x) 1 (side 0) or 1 (x) phi (side 1) on a tensor
     module built by tensor_same_algebra; the second-factor case carries
     the Koszul sign of the first factor's parity."""
-    m1, m2, pair_basis, index = full.pair_data
-    tower = full.tower
+    m1, m2, pair_basis, _, offset = full.pair_data
+    m = m2 if side else m1
+    blocks = [phi[w] for w in m.weights]
+    par1 = [m1.parities[w] for w in m1.weights]
+    d2 = [m2.block_dim(w) for w in m2.weights]
     out = {}
-    for w in full.weights:
-        d = len(pair_basis[w])
-        rows = zero_rows(tower, d, d)
-        for col, (w1, k1, w2, k2) in enumerate(pair_basis[w]):
+    for t, w in enumerate(full.weights):
+        d = len(pair_basis[t])
+        rows = zero_rows(full.tower, d, d)
+        for col, (i1, k1, i2, k2) in enumerate(pair_basis[t]):
+            base = offset[i1][i2]
             if side == 0:
-                blk = phi[w1]
+                blk = blocks[i1]
                 for r in range(len(blk)):
                     v = blk[r][k1]
                     if not v.is_zero:
-                        rows[index[w][(w1, r, w2, k2)]][col] = v
+                        rows[base + r * d2[i2] + k2][col] = v
             else:
-                sgn = -1 if m1.parities[w1][k1] else 1
-                blk = phi[w2]
+                blk = blocks[i2]
                 for r in range(len(blk)):
                     v = blk[r][k2]
                     if not v.is_zero:
-                        rows[index[w][(w1, k1, w2, r)]][col] = \
-                            v if sgn > 0 else -v
+                        rows[base + k1 * d2[i2] + r][col] = \
+                            -v if par1[i1][k1] else v
         out[w] = rows
     return out
 
@@ -409,21 +437,22 @@ def hat_tensor_weight(m1: WeightModule, m2: WeightModule,
             result = WeightSchur(False, None)
         info["result_schur"] = result
         return full, info
-    _, _, pair_basis, index = full.pair_data
+    _, _, pair_basis, _, offset = full.pair_data
     i_unit = tower.adjoin_sqrt(tower.from_int(-1))
-    phi1 = {w: [[x * i_unit for x in row] for row in blk]
-            for w, blk in s1.phi_blocks.items()}
-    phi2 = s2.phi_blocks
+    phi1 = [[[x * i_unit for x in row] for row in s1.phi_blocks[w]]
+            for w in m1.weights]
+    phi2 = [s2.phi_blocks[w] for w in m2.weights]
+    par1 = [m1.parities[w] for w in m1.weights]
+    d2 = [m2.block_dim(w) for w in m2.weights]
     # op(v (x) w) = (-1)^{|phi2||v|} phi1_tilde v (x) phi2 w, blockwise
     plus_basis: dict = {}
     minus_basis: dict = {}
-    for w in full.weights:
-        d = len(pair_basis[w])
+    for t, w in enumerate(full.weights):
+        d = len(pair_basis[t])
         op = zero_rows(tower, d, d)
-        for col, (w1, k1, w2, k2) in enumerate(pair_basis[w]):
-            sgn = -1 if m1.parities[w1][k1] else 1
-            b1 = phi1[w1]
-            b2 = phi2[w2]
+        for col, (i1, k1, i2, k2) in enumerate(pair_basis[t]):
+            b1, b2 = phi1[i1], phi2[i2]
+            base, dd = offset[i1][i2], d2[i2]
             for r1 in range(len(b1)):
                 v1 = b1[r1][k1]
                 if v1.is_zero:
@@ -431,9 +460,10 @@ def hat_tensor_weight(m1: WeightModule, m2: WeightModule,
                 for r2 in range(len(b2)):
                     v2 = b2[r2][k2]
                     if not v2.is_zero:
-                        row = index[w][(w1, r1, w2, r2)]
+                        row = base + r1 * dd + r2
                         add = v1 * v2
-                        op[row][col] = op[row][col] + (add if sgn > 0 else -add)
+                        op[row][col] = op[row][col] + \
+                            (-add if par1[i1][k1] else add)
         # eigenspaces, blockwise and parity-homogeneous
         for eig, store in ((tower.one(), plus_basis), (-tower.one(), minus_basis)):
             diff = [[op[i][j] - (eig if i == j else tower.zero())
@@ -591,25 +621,7 @@ def twist_q_module(m: WeightModule, qd: QueerData, sigma_rows) -> WeightModule:
             if inv_cols[hidx][i] != expect:
                 raise ValueError("automorphism moves the even Cartan part; "
                                  "cannot keep the weight grading")
-    act = []
-    for g in range(n):
-        blocks: dict = {}
-        for k in range(n):
-            c = inv_cols[g][k]
-            if c.is_zero:
-                continue
-            for w, blks in m.act[k].items():
-                cur = blocks.setdefault(w, {})
-                for (wt, rows) in blks:
-                    tgt = cur.get(wt)
-                    if tgt is None:
-                        cur[wt] = [[c * v for v in row] for row in rows]
-                    else:
-                        cur[wt] = [[a + c * v for a, v in zip(ra, row)]
-                                   for ra, row in zip(tgt, rows)]
-        act.append({w: [(wt, rows) for wt, rows in d.items()
-                        if any(not v.is_zero for rr in rows for v in rr)]
-                    for w, d in blocks.items()})
+    act = [_combine(m, enumerate(inv_cols[g])) for g in range(n)]
     return WeightModule(m.algebra, tower, list(m.weights), dict(m.parities),
                         act, qd=m.qd)
 
@@ -617,20 +629,9 @@ def twist_q_module(m: WeightModule, qd: QueerData, sigma_rows) -> WeightModule:
 def ev_module(ms: MapSuper, point: int, rho: WeightModule) -> WeightModule:
     """Pullback of a q-module along evaluation at a declared maximal ideal."""
     tower = ms.tower
-    na = ms.coeff.dim
-    act = []
-    for x in range(ms.g.dim):
-        for j in range(na):
-            c = ms.coeff.evaluate(point, {j: tower.one()})
-            if c.is_zero:
-                act.append({})
-                continue
-            blocks: dict = {}
-            for w, blks in rho.act[x].items():
-                scaled = [(wt, [[c * v for v in row] for row in rows])
-                          for (wt, rows) in blks]
-                blocks[w] = scaled
-            act.append(blocks)
+    values = [ms.coeff.evaluate(point, {j: tower.one()})
+              for j in range(ms.coeff.dim)]
+    act = [_combine(rho, [(x, c)]) for x in range(ms.g.dim) for c in values]
     return WeightModule(ms.algebra, tower, list(rho.weights),
                         dict(rho.parities), act, qd=rho.qd)
 
@@ -692,25 +693,38 @@ def ev_hat_gamma(inv: InvariantSub, assignment: dict, catalog: Catalog):
 
 def restrict_to_invariants(m: WeightModule, inv: InvariantSub) -> WeightModule:
     """The same carrier viewed as a module over the invariant subalgebra."""
-    tower = m.tower
-    act = []
-    for vec in inv.basis_vectors:
-        blocks: dict = {}
-        for idx, c in ((k, v) for k, v in enumerate(vec) if not v.is_zero):
-            for w, blks in m.act[idx].items():
-                cur = blocks.setdefault(w, {})
-                for (wt, rows) in blks:
-                    tgt = cur.get(wt)
-                    if tgt is None:
-                        cur[wt] = [[c * v for v in row] for row in rows]
-                    else:
-                        cur[wt] = [[a + c * v for a, v in zip(ra, row)]
-                                   for ra, row in zip(tgt, rows)]
-        act.append({w: [(wt, rows) for wt, rows in d.items()
-                        if any(not v.is_zero for rr in rows for v in rr)]
-                    for w, d in blocks.items()})
-    return WeightModule(inv.algebra, tower, list(m.weights),
+    act = [_combine(m, enumerate(vec)) for vec in inv.basis_vectors]
+    return WeightModule(inv.algebra, m.tower, list(m.weights),
                         dict(m.parities), act, qd=m.qd)
+
+
+def _combine(m: WeightModule, terms) -> dict:
+    """Blocks of sum_k c_k rho(x_k) over (k, c_k) terms, in the act[i]
+    form {w: [(target, rows)]}.  Only nonzero coefficients and entries
+    are multiplied and added; blocks that cancel to zero are dropped."""
+    zero = m.tower.zero()
+    acc: dict = {}   # w -> {target: dense rows}
+    for k, c in terms:
+        if c.is_zero:
+            continue
+        for w, blks in m.act[k].items():
+            cur = acc.setdefault(w, {})
+            for (wt, rows) in blks:
+                tgt = cur.get(wt)
+                if tgt is None:
+                    tgt = cur[wt] = [[zero] * len(row) for row in rows]
+                for ra, row in zip(tgt, rows):
+                    for s, v in enumerate(row):
+                        if not v.is_zero:
+                            a = ra[s]
+                            ra[s] = c * v if a.is_zero else a + c * v
+    act = {}
+    for w, d in acc.items():
+        pieces = [(wt, rows) for wt, rows in d.items()
+                  if any(not v.is_zero for row in rows for v in row)]
+        if pieces:
+            act[w] = pieces
+    return act
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -199,3 +200,76 @@ def test_classify_rejects_boolean_modulus(tmp_path, capsys):
                                "modulus": [False, True], "roots": ["0"]}))
     rc = main(["classify", "--n", "2", "--algebra", str(bad)])
     _one_line_usage_error(rc, capsys)
+
+
+def _group(order=2, scale="-1", diag=("1", "1", "-1"), on_algebra=None):
+    return {"generators": [{
+        "order": order,
+        "on_algebra": on_algebra if on_algebra is not None
+        else {"type": "substitute_t", "scale": scale},
+        "on_q": {"type": "diag_conj", "diag": list(diag)}}]}
+
+
+@pytest.mark.parametrize("payload", [
+    _group(order=2.9, scale=-1.0),
+    _group(order=2.0),
+    _group(order="2"),
+    _group(order=True),
+    _group(order=0),
+    _group(scale=-1.0),
+    _group(diag=(1.0, 1, "-1")),
+    _group(diag=(True, 1, "-1")),
+    _group(on_algebra=[[1, 0], [0, -1.0]]),
+    _group(on_algebra=["10", "0-1"]),
+])
+def test_classify_group_rejects_non_integers(files, tmp_path, capsys,
+                                             payload):
+    """Group orders must be JSON integers of at least 1; scalars (scale,
+    diag and matrix entries) are exact strings or integers, never floats
+    or booleans."""
+    bad = tmp_path / "group.json"
+    bad.write_text(json.dumps(payload))
+    rc = main(["classify", "--n", "2", "--algebra", files["two"],
+               "--group", str(bad), "--catalog", "trivial"])
+    _one_line_usage_error(rc, capsys)
+
+
+def test_classify_group_accepts_integer_scalars(files, tmp_path, capsys):
+    grp = tmp_path / "group.json"
+    grp.write_text(json.dumps(_group(scale=-1, diag=(1, 1, -1))))
+    assert main(["classify", "--n", "2", "--algebra", files["two"],
+                 "--group", str(grp), "--catalog", "trivial"]) == 0
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _four_point(r):
+    return {"type": "poly_quotient",
+            "modulus": [str(-r ** 4), "0", "0", "0", "1"],
+            "roots": [str(r), str(-r), f"{r}*i", f"-{r}*i"]}
+
+
+@pytest.mark.parametrize("golden,algebra,group", [
+    ("classify_twisted4_r2.json", _four_point(2), _group()),
+    ("classify_twisted4_r3.json", _four_point(3), _group()),
+    ("classify_twisted4_r4.json", _four_point(4), _group()),
+    ("classify_two_point.json", {"type": "poly_quotient",
+                                 "modulus": ["-1", "0", "1"],
+                                 "roots": ["1", "-1"]}, None),
+])
+def test_classify_report_matches_golden(tmp_path, golden, algebra, group):
+    """Structured classify reports, byte for byte: q(2) over
+    K[t]/(t^4 - r^4) under t -> -t with diag_conj (1, 1, -1), and q(2)
+    over two points without a group."""
+    alg = tmp_path / "algebra.json"
+    alg.write_text(json.dumps(algebra))
+    args = ["classify", "--n", "2", "--algebra", str(alg),
+            "--catalog", "trivial,adjoint"]
+    if group is not None:
+        grp = tmp_path / "group.json"
+        grp.write_text(json.dumps(group))
+        args += ["--group", str(grp)]
+    out = tmp_path / "report.json"
+    assert main(args + ["--format", "structured", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()

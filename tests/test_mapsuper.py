@@ -3,13 +3,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from queeralg.coeffalg import (gamma_from_spec, preset_base_field,
-                               preset_truncated)
-from queeralg.graded import GradedMap, GradedSpace, Span, solve_right
-from queeralg.liesuper import LieModule, subalgebra
+import queeralg.products as products
+from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
+from queeralg.coeffalg import (IdealRep, gamma_from_spec, preset_base_field,
+                               preset_truncated, radical, support)
+from queeralg.graded import (GradedMap, GradedSpace, Span, mat_kernel,
+                             solve_right)
+from queeralg.liesuper import LieModule, LieSuper, subalgebra
 from queeralg.mapsuper import (InvariantSub, ann_and_support,
                                ann_and_support_gamma, ev, ev_gamma_rank,
-                               invariants, tensor_lie)
+                               gamma_element_action, invariants, tensor_lie)
+from queeralg.products import Catalog, classify_enumerate
 from queeralg.queer import build_q
 from queeralg.scalars import Tower
 
@@ -155,14 +159,12 @@ def test_ann_trivial_module(K, q2):
     assert ann.dim == a.dim and supp == [] and reduced
 
 
-def test_ann_ev_module(K, q2):
-    # pull the adjoint back through evaluation at t = 1
-    a = two_point(K)
-    ms = tensor_lie(q2, a)
+def adjoint_at_point(K, q2, ms, point):
+    """The adjoint of q(2) pulled back through evaluation at a point."""
     one = K.one()
     ad_mats = [GradedMap(K, q2.space, q2.space, q2.algebra.ad_rows(i))
                for i in range(16)]
-    emap = ev(ms, [0])
+    emap = ev(ms, [point])
     mats = []
     for idx in range(ms.dim):
         img = emap.apply({idx: one})
@@ -170,7 +172,14 @@ def test_ann_ev_module(K, q2):
         for xk, c in img.items():
             acc = acc + ad_mats[xk] * c
         mats.append(acc)
-    mod = LieModule(ms.algebra, q2.space, mats)
+    return LieModule(ms.algebra, q2.space, mats)
+
+
+def test_ann_ev_module(K, q2):
+    # pull the adjoint back through evaluation at t = 1
+    a = two_point(K)
+    ms = tensor_lie(q2, a)
+    mod = adjoint_at_point(K, q2, ms, 0)
     ann, supp, reduced = ann_and_support(mod, ms)
     assert supp == [0] and reduced
     assert ann == a.maximal_ideals[0]
@@ -249,3 +258,137 @@ def test_coords_of_matches_solve_right(twisted4, data):
     rows = [[b[i] for b in inv.basis_vectors] for i in range(n)]
     dense = [vec.get(k, K.zero()) for k in range(n)]
     assert inv.coords_of(vec) == solve_right(rows, dense, inv.dim, K)
+
+
+# ---------------------------------------------------------------------------
+# Annihilators against the direct construction
+# ---------------------------------------------------------------------------
+
+
+def _oracle_rows(module, ms, element):
+    """Rows of the direct construction: for every x in g and basis b of
+    A, the operator entries of element(x, b a_j) as functions of a."""
+    K = ms.tower
+    na = ms.coeff.dim
+    one = K.one()
+    rows = []
+    for xi in range(ms.g.dim):
+        for b in range(na):
+            mats = [module.op_entries(element(
+                ms.embed_g({xi: one}, ms.coeff.product({b: one}, {j: one}))))
+                for j in range(na)]
+            keys = dict.fromkeys(k for mset in mats for k in mset)
+            for key in keys:
+                rows.append([mset.get(key, K.zero()) for mset in mats])
+    ann = IdealRep(ms.coeff, mat_kernel(rows, na, K))
+    return ann, support(ann), radical(ann) == ann
+
+
+def oracle_ann(module, ms):
+    """Ann = {a : rho(x (x) b a) = 0 for all x, b}, one operator per
+    (x, b, a_j): dim g (dim A)^2 operators."""
+    return _oracle_rows(module, ms, lambda coords: coords)
+
+
+def oracle_ann_gamma(module, inv):
+    """The same through the averaging projector onto the invariants."""
+    ms = inv.parent
+    K = ms.tower
+    elements = inv.act.elements()
+    actions = [gamma_element_action(ms, ar, qr) for ar, qr in elements]
+    scale = K.from_int(len(elements)).inv()
+
+    def element(coords):
+        avg = {}
+        for cols in actions:
+            for idx, c in coords.items():
+                for k, v in cols[idx].items():
+                    avg[k] = avg.get(k, K.zero()) + c * v
+        inv_coords = inv.coords_of({k: v * scale for k, v in avg.items()
+                                    if not v.is_zero})
+        assert inv_coords is not None
+        return {k: v for k, v in enumerate(inv_coords) if not v.is_zero}
+
+    return _oracle_rows(module, ms, element)
+
+
+def assert_same_ann(got, want):
+    assert got[0].key() == want[0].key()
+    assert (got[1], got[2]) == (want[1], want[2])
+
+
+def test_ann_matches_oracle_on_small_modules(K, q2):
+    a = two_point(K)
+    ms = tensor_lie(q2, a)
+    for mod in (trivial_module(K, ms.algebra),
+                adjoint_at_point(K, q2, ms, 0),
+                adjoint_at_point(K, q2, ms, 1)):
+        assert_same_ann(ann_and_support(mod, ms), oracle_ann(mod, ms))
+    act = flip_action(K, a, q2, {"type": "diag_conj", "diag": ["1", "1", "-1"]})
+    inv = invariants(ms, act)
+    mod = trivial_module(K, inv.algebra)
+    assert_same_ann(ann_and_support_gamma(mod, inv),
+                    oracle_ann_gamma(mod, inv))
+
+
+def test_ann_matches_oracle_on_dual_cartan_modules(K, q2):
+    ctx = CartanAlgebra(q2, preset_truncated(
+        K, [K.zero(), K.zero(), K.one()], [(K.zero(), 2)]))
+    for values in ([1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]):
+        psi = PsiFunctional(ctx, [K.from_int(v) for v in values])
+        mod = build_H(psi).as_lie_module()
+        assert_same_ann(ann_and_support(mod, ctx.ms),
+                        oracle_ann(mod, ctx.ms))
+
+
+def test_ann_is_the_largest_ideal_inside_J(K):
+    """A 1-dim module of the abelian g (x) K[t]/(t^2 - 1) that kills
+    g (x) 1 but not g (x) t: J = {a : rho(x (x) a) = 0} is span{1}, which
+    is no ideal, and Ann, the largest ideal inside J, is 0."""
+    g = LieSuper(K, GradedSpace(1, 0), [[{}]], name="abelian")
+    a = two_point(K)
+    ms = tensor_lie(g, a)
+    sp = GradedSpace(1, 0)
+    mats = [None] * ms.dim
+    mats[ms.pair_index[(0, 0)]] = GradedMap.zero(K, sp, sp)
+    mats[ms.pair_index[(0, 1)]] = GradedMap.identity(K, sp)
+    mod = LieModule(ms.algebra, sp, mats)
+    got = ann_and_support(mod, ms)
+    assert got[0].dim == 0 and got[1] == [0, 1] and got[2]
+    assert_same_ann(got, oracle_ann(mod, ms))
+
+
+def four_point(K, r):
+    return preset_truncated(
+        K, [K.from_int(-r ** 4), K.zero(), K.zero(), K.zero(), K.one()],
+        [(K.from_int(r), 1), (K.from_int(-r), 1), (K.from_qi(0, r), 1),
+         (K.from_qi(0, -r), 1)])
+
+
+@pytest.mark.parametrize("r", [None, 2, 3, 4])
+def test_classify_annihilators_match_oracle(monkeypatch, r):
+    """Every row of twisted classify at r = 2, 3, 4 (q(2) over
+    K[t]/(t^4 - r^4), t -> -t with diag_conj (1, 1, -1)) and of the
+    untwisted two-point classify gets the oracle's annihilator."""
+    K = Tower()
+    q2 = build_q(K, 2)
+    a = two_point(K) if r is None else four_point(K, r)
+    ms = tensor_lie(q2, a)
+    inv = None if r is None else invariants(ms, flip_action(
+        K, a, q2, {"type": "diag_conj", "diag": ["1", "1", "-1"]}))
+    calls = []
+
+    def checked(fn, oracle):
+        def wrapped(module, where):
+            got = fn(module, where)
+            assert_same_ann(got, oracle(module, where))
+            calls.append(got[0].dim)
+            return got
+        return wrapped
+
+    monkeypatch.setattr(products, "ann_and_support",
+                        checked(ann_and_support, oracle_ann))
+    monkeypatch.setattr(products, "ann_and_support_gamma",
+                        checked(ann_and_support_gamma, oracle_ann_gamma))
+    rep = classify_enumerate(ms, Catalog(q2), inv=inv)
+    assert len(calls) == len(rep["rows"]) == 4

@@ -344,3 +344,118 @@ def test_hat_tensor_weight_mixed_factor_phi(env):
                 lhs = sum((phi[i][k] * rho[k][j] for k in range(2)), K.zero())
                 rhs = sum((rho[i][k] * phi[k][j] for k in range(2)), K.zero())
                 assert lhs == rhs * sgn
+
+
+# ---------------------------------------------------------------------------
+# Tensor products against the flat Koszul tensor
+# ---------------------------------------------------------------------------
+
+
+def _flat_entries(mat, perm):
+    """Nonzero entries of a dense matrix, positions renamed by perm."""
+    return {(perm[i], perm[j]): v for i, row in enumerate(mat)
+            for j, v in enumerate(row) if not v.is_zero}
+
+
+def assert_tensor_is_flat_koszul(m1, m2):
+    """flatten(tensor_same_algebra(m1, m2)) equals, for every generator g,
+    graded_tensor(rho1(g), id) + graded_tensor(id, rho2(g)) once the flat
+    positions are matched through the pair basis."""
+    from queeralg.graded import graded_tensor, tensor_space
+    K = m1.tower
+    full = tensor_same_algebra(m1, m2)
+    f1, f2, flat = m1.flatten(), m2.flatten(), full.flatten()
+    tspace, tindex = tensor_space(f1.space, f2.space)
+    idx1, idx2 = m1.flat_index(), m2.flat_index()
+    _, _, pair_basis, _, _ = full.pair_data
+    perm = {}
+    for (w, k), pos in full.flat_index().items():
+        i1, k1, i2, k2 = pair_basis[full.weights.index(w)][k]
+        perm[pos] = tindex[(idx1[(m1.weights[i1], k1)],
+                            idx2[(m2.weights[i2], k2)])]
+    assert sorted(perm.values()) == list(range(full.dim))
+    assert all(flat.space.parity(pos) == tspace.parity(p)
+               for pos, p in perm.items())
+    id1 = GradedMap.identity(K, f1.space)
+    id2 = GradedMap.identity(K, f2.space)
+    ident = list(range(full.dim))
+    for g in range(m1.algebra.dim):
+        want = _flat_entries(graded_tensor(f1.mats[g], id2).rows, ident)
+        for key, v in _flat_entries(graded_tensor(id1, f2.mats[g]).rows,
+                                    ident).items():
+            want[key] = want[key] + v if key in want else v
+        want = {key: v for key, v in want.items() if not v.is_zero}
+        assert _flat_entries(flat.mats[g].rows, perm) == want
+    return full
+
+
+def _phi_flat(m, blocks):
+    """Assemble weight-blocked endomorphism blocks into one dense matrix."""
+    K = m.tower
+    idx = m.flat_index()
+    rows = [[K.zero()] * m.dim for _ in range(m.dim)]
+    for w, blk in blocks.items():
+        for r, row in enumerate(blk):
+            for c, v in enumerate(row):
+                rows[idx[(w, r)]][idx[(w, c)]] = v
+    return GradedMap(K, m.flatten().space, m.flatten().space, rows)
+
+
+def _q_and_m_pair():
+    """A type-Q and a type-M weight module over Lie(Q(1)) (+) q(1): C^{1|1}
+    through the first summand (one weight) and the three-dimensional
+    simple q(1)-module of highest weight 2 through the second."""
+    import warnings
+    from queeralg.cartanmod import CartanAlgebra, PsiFunctional
+    from queeralg.coeffalg import preset_base_field
+    from queeralg.graded import EVEN, ODD
+    from queeralg.hwmod import SimpleQuotient, TruncatedVerma, WeightModule
+    from queeralg.liesuper import direct_sum
+    from queeralg.products import WeightSchur, weight_phi_blocks
+    K = Tower()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q(1) is not simple
+        q1 = build_q(K, 1)
+    base = preset_base_field(K)
+    psi = PsiFunctional.from_pairs(CartanAlgebra(q1, base), [["h1", "1", "2"]])
+    sq = SimpleQuotient(TruncatedVerma(tensor_lie(q1, base), psi, 3))
+    assert sq.conclusive and sq.module.dim == 3
+    g = direct_sum(from_assoc(make_Q(K, 1)), q1.algebra)
+    w0 = (K.zero(),)
+    one, zero = K.one(), K.zero()
+    mq = WeightModule(g, K, [w0], {w0: (EVEN, ODD)},
+                      [{w0: [(w0, [[one, zero], [zero, one]])]},
+                       {w0: [(w0, [[zero, one], [one, zero]])]}]
+                      + [{} for _ in range(q1.dim)])
+    mm = WeightModule(g, K, sq.module.weights, sq.module.parities,
+                      [{}, {}] + sq.module.act)
+    sq_flat = schur_data(mq.flatten())
+    assert sq_flat.is_type_q and not schur_data(mm.flatten()).is_type_q
+    return mq, mm, WeightSchur(True, weight_phi_blocks(mq, sq_flat.phi_hat))
+
+
+def test_tensor_of_adjoints_is_flat_koszul(env):
+    ad = env["cat"].module("adjoint")
+    assert_tensor_is_flat_koszul(ad, ad)
+
+
+@pytest.mark.parametrize("q_first", [True, False])
+def test_tensor_q_with_m_is_flat_koszul_and_phi_supercommutes(q_first):
+    from queeralg.products import WeightSchur, hat_tensor_weight
+    mq, mm, wsq = _q_and_m_pair()
+    m1, m2 = (mq, mm) if q_first else (mm, mq)
+    full = assert_tensor_is_flat_koszul(m1, m2)
+    s1, s2 = (wsq, WeightSchur(False, None)) if q_first else \
+        (WeightSchur(False, None), wsq)
+    prod, info = hat_tensor_weight(m1, m2, s1, s2)
+    assert not info["split"] and prod.dim == full.dim == 6
+    rs = info["result_schur"]
+    assert rs.is_type_q
+    K = prod.tower
+    phi = _phi_flat(prod, rs.phi_blocks)
+    flat = prod.flatten()
+    assert phi.parity == 1
+    assert phi * phi == GradedMap.identity(K, flat.space) * (-1)
+    for g, rho in enumerate(flat.mats):
+        sgn = -1 if flat.algebra.space.parity(g) else 1
+        assert phi * rho == rho * phi * sgn
