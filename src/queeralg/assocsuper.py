@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, commutant,
-                     graded_tensor, mat_kernel, mat_rref, tensor_space,
+from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, graded_tensor,
+                     mat_kernel, mat_rref, odd_schur, tensor_space,
                      zero_rows)
 from .scalars import QI_ONE, Tower, raw_dot, raw_of
 
@@ -815,12 +815,7 @@ def density_type_from_maps(maps, space: GradedSpace, tower: Tower,
         return DensityType("full", d)
     m = space.even_dim
     if space.odd_dim == m and d == 2 * m * m:
-        homog = [mp for mp in maps if mp.parity is not None]
-        if len(homog) == len(maps):
-            for phi in commutant(homog, space, tower, parity_filter=ODD):
-                sq = phi * phi
-                c = sq.rows[0][0]
-                if not c.is_zero and \
-                        sq == GradedMap.identity(tower, space) * c:
-                    return DensityType("qcomm", d)
+        if all(mp.parity is not None for mp in maps) and \
+                odd_schur(maps, space, tower) is not None:
+            return DensityType("qcomm", d)
     return DensityType("smaller", d)

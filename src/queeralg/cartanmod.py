@@ -13,8 +13,8 @@ from fractions import Fraction
 from .assocsuper import (QuadraticPair, clifford_generators,
                          density_type_from_maps)
 from .coeffalg import CoeffAlgebra, IdealRep, quotient_algebra
-from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, commutant,
-                     mat_kernel, solve_right, zero_rows)
+from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, mat_kernel,
+                     odd_schur, solve_right, zero_rows)
 from .liesuper import LieModule, is_isomorphic_flat, subalgebra
 from .mapsuper import tensor_lie
 from .queer import QueerData
@@ -295,14 +295,12 @@ class HModule:
         """Odd endomorphism supercommuting with the action, normalized to
         phi^2 = -id (adjoins a square root when needed)."""
         tower = self.ctx.tower
-        homog = [m for m in self.cartan_mats if not m.is_zero]
-        for phi in commutant(homog, self.carrier, tower, parity_filter=ODD):
-            sq = phi * phi
-            c = sq.rows[0][0]
-            if not c.is_zero and sq == GradedMap.identity(tower, self.carrier) * c:
-                t = tower.adjoin_sqrt(-c.inv())
-                return phi * t
-        raise AssertionError("no odd Schur endomorphism found for odd rank")
+        found = odd_schur([m for m in self.cartan_mats if not m.is_zero],
+                          self.carrier, tower)
+        if found is None:
+            raise AssertionError("no odd Schur endomorphism found for odd rank")
+        phi, c = found
+        return phi * tower.adjoin_sqrt(-c.inv())
 
 
 def build_H(psi: PsiFunctional, pivot_order=None) -> HModule:

@@ -1,6 +1,6 @@
 """Z2-graded vector spaces, parity-homogeneous maps, and the exact
-linear-algebra routines (elimination, kernels, spans, supercommutants)
-used by every other module.
+linear-algebra routines (elimination, kernels, spans, intertwiners and
+supercommutants) used by every other module.
 
 Basis order convention, used for every matrix in the package: even basis
 vectors come before odd ones; within a parity, construction order.
@@ -15,37 +15,48 @@ EVEN, ODD = 0, 1
 
 
 class GradedSpace:
-    """Finite-dimensional Z2-graded space with a chosen homogeneous basis."""
+    """Finite-dimensional Z2-graded space with a chosen homogeneous basis;
+    parities[k] is the parity of basis vector k.  GradedSpace(e, o) puts
+    the even vectors first; from_parities takes any pattern (a direct sum
+    keeps each summand's own order)."""
 
-    __slots__ = ("even_dim", "odd_dim", "labels")
+    __slots__ = ("parities", "even_dim", "odd_dim", "labels")
 
     def __init__(self, even_dim: int, odd_dim: int, labels=None):
         if even_dim < 0 or odd_dim < 0:
             raise ValueError("negative dimension")
-        self.even_dim = even_dim
-        self.odd_dim = odd_dim
         if labels is None:
             labels = tuple(f"e{k}" for k in range(even_dim)) + \
                 tuple(f"o{k}" for k in range(odd_dim))
-        if len(labels) != even_dim + odd_dim:
+        self._set((EVEN,) * even_dim + (ODD,) * odd_dim, labels)
+
+    @classmethod
+    def from_parities(cls, parities, labels=None):
+        space = cls.__new__(cls)
+        parities = tuple(parities)
+        if labels is None:
+            labels = tuple(f"b{k}" for k in range(len(parities)))
+        space._set(parities, labels)
+        return space
+
+    def _set(self, parities, labels):
+        if len(labels) != len(parities):
             raise ValueError("label count does not match dimension")
+        self.parities = parities
+        self.even_dim = parities.count(EVEN)
+        self.odd_dim = len(parities) - self.even_dim
         self.labels = tuple(labels)
 
     @property
     def dim(self) -> int:
-        return self.even_dim + self.odd_dim
+        return len(self.parities)
 
     def parity(self, idx: int) -> int:
-        return EVEN if idx < self.even_dim else ODD
-
-    @property
-    def parities(self):
-        return (EVEN,) * self.even_dim + (ODD,) * self.odd_dim
+        return self.parities[idx]
 
     def __eq__(self, other):
         return (isinstance(other, GradedSpace)
-                and self.even_dim == other.even_dim
-                and self.odd_dim == other.odd_dim)
+                and self.parities == other.parities)
 
     def __repr__(self):
         return f"GradedSpace({self.even_dim}|{self.odd_dim})"
@@ -470,6 +481,48 @@ def graded_tensor(f: GradedMap, g: GradedMap):
     return GradedMap(tower, src, tgt, rows, parity=(f.parity + g.parity) % 2)
 
 
+def intertwiners(pairs, slots, tower: Tower):
+    """Kernel basis of {T : T a - s b T = 0 for every (a, b, s) in pairs}.
+
+    The unknowns are the entries slots = [(row_key, col_key), ...] of T;
+    every other entry of T is zero, and the basis vectors are coordinate
+    vectors in slot order.  a and b are sparse {(row_key, col_key):
+    Scalar} operators on the source and the target, and s is 1 or -1.
+
+    The equation at entry (r, c) of T a - s b T is one sparse row keyed by
+    slot index.  Rows of different pairs are never merged: on an
+    evaluation module at t = -1, x (x) 1 and x (x) t act by opposite
+    operators, and a shared row would cancel their equations.  Rows are
+    built one pair at a time and pairs may be a lazy iterable: the
+    elimination stops reading once the rows have full rank (then T = 0).
+    The kernel is read off the RREF of the rows, so it depends only on
+    their span and the slot order."""
+    by_row: dict = {}
+    by_col: dict = {}
+    for k, (r, c) in enumerate(slots):
+        by_row.setdefault(r, []).append((c, k))
+        by_col.setdefault(c, []).append((r, k))
+
+    def equations():
+        for a, b, s in pairs:
+            eqs: dict = {}
+            # (T a)_{r c} = sum_k T_{r k} a_{k c}
+            for (k, c), v in a.items():
+                for r, t in by_col.get(k, ()):
+                    eq = eqs.setdefault((r, c), {})
+                    eq[t] = eq[t] + v if t in eq else v
+            # (s b T)_{r c} = s sum_k b_{r k} T_{k c}, subtracted
+            for (r, k), v in b.items():
+                if s > 0:
+                    v = -v
+                for c, t in by_row.get(k, ()):
+                    eq = eqs.setdefault((r, c), {})
+                    eq[t] = eq[t] + v if t in eq else v
+            yield from eqs.values()
+
+    return mat_kernel(equations(), len(slots), tower)
+
+
 def commutant(ops, space: GradedSpace, tower: Tower, parity_filter=(EVEN, ODD)):
     """Basis of {T of requested parity on space :
     T r - (-1)^{|T||r|} r T = 0 for all r in ops}.
@@ -482,35 +535,68 @@ def commutant(ops, space: GradedSpace, tower: Tower, parity_filter=(EVEN, ODD)):
         if op.parity is None:
             raise ValueError("commutant requires parity-homogeneous operators")
     n = space.dim
+    par = space.parities
+    entries = [({(i, j): x for i, row in enumerate(op.rows)
+                 for j, x in enumerate(row) if not x.is_zero}, op.parity)
+               for op in ops]
     out = []
     for p in parity_filter:
         slots = [(i, j) for i in range(n) for j in range(n)
-                 if (space.parity(i) + space.parity(j)) % 2 == p]
-        slot_idx = {s: k for k, s in enumerate(slots)}
-        rows = []
-        for op in ops:
-            sgn = -1 if (p and op.parity) else 1
-            for i in range(n):
-                for j in range(n):
-                    # entry (i, j) of T*op - sign*op*T
-                    row = [tower.zero()] * len(slots)
-                    nz = False
-                    for k in range(n):
-                        a = op.rows[k][j]
-                        if not a.is_zero and (i, k) in slot_idx:
-                            row[slot_idx[(i, k)]] = row[slot_idx[(i, k)]] + a
-                            nz = True
-                        b = op.rows[i][k]
-                        if not b.is_zero and (k, j) in slot_idx:
-                            term = -b if sgn > 0 else b
-                            row[slot_idx[(k, j)]] = row[slot_idx[(k, j)]] + term
-                            nz = True
-                    if nz:
-                        rows.append(row)
-        for kvec in mat_kernel(rows, len(slots), tower):
+                 if (par[i] + par[j]) % 2 == p]
+        pairs = [(e, e, -1 if p and q else 1) for e, q in entries]
+        for kvec in intertwiners(pairs, slots, tower):
             mat = zero_rows(tower, n, n)
-            for k, (i, j) in enumerate(slots):
-                if not kvec[k].is_zero:
-                    mat[i][j] = kvec[k]
+            for (i, j), x in zip(slots, kvec):
+                if not x.is_zero:
+                    mat[i][j] = x
             out.append(GradedMap(tower, space, space, mat, parity=p))
     return out
+
+
+def odd_schur(ops, space: GradedSpace, tower: Tower):
+    """(phi, c) for the first odd supercommutant phi of ops (in
+    commutant's basis order) with phi^2 = c id and c != 0, or None.  Such
+    a phi makes an irreducible module type Q."""
+    ident = GradedMap.identity(tower, space)
+    for phi in commutant(ops, space, tower, parity_filter=ODD):
+        sq = phi * phi
+        c = sq.rows[0][0]
+        if not c.is_zero and sq == ident * c:
+            return phi, c
+    return None
+
+
+def first_invertible(basis, invertible, add):
+    """The first invertible element among the basis elements and then
+    their pairwise sums add(basis[i], basis[j]), i < j; None when there is
+    none.  The isomorphism tests run it on a basis of Hom(M, N).
+
+    The scan is exact when dim Hom(M, N) <= 2.  If some T0 in Hom(M, N) is
+    invertible, T -> T0^-1 T identifies Hom(M, N) with End(M), a unital
+    algebra of dimension <= 2, so K or K[x]/(q) with q quadratic; its
+    non-units lie on at most two lines through the origin.  T1, T2 and
+    T1 + T2 are pairwise independent, so no two of them lie on one such
+    line, and one of them is invertible.  In higher dimension every
+    candidate can be singular although an isomorphism exists (three
+    trivial modules: Hom = M_3(K), every candidate of rank <= 2), so the
+    scan raises ValueError rather than answer "not isomorphic".
+
+    Between irreducible modules the dimension does not matter.  The
+    equations of a Hom space never mix the parities of the slots, so its
+    RREF kernel basis is homogeneous, and a nonzero homogeneous intertwiner
+    of irreducible modules is invertible (its kernel and image are graded
+    submodules): the first basis element decides."""
+    for t in basis:
+        if invertible(t):
+            return t
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            t = add(basis[i], basis[j])
+            if invertible(t):
+                return t
+    if len(basis) > 2:
+        raise ValueError(
+            f"isomorphism scan inconclusive: no basis element of the "
+            f"{len(basis)}-dimensional Hom space nor a sum of two is "
+            f"invertible (exact only up to dimension 2)")
+    return None

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 from .cartanmod import CartanAlgebra, PsiFunctional, build_H
 from .coeffalg import IdealRep
-from .graded import EVEN, GradedMap, Span, mat_kernel, mat_rank, zero_rows
-from .liesuper import GradedSpaceMixed, LieModule, LieSuper
+from .graded import (EVEN, GradedMap, GradedSpace, Span, mat_kernel,
+                     mat_rank, zero_rows)
+from .liesuper import LieModule, LieSuper
 from .mapsuper import InvariantSub, MapSuper
 from .scalars import Tower, scalar_of
 
@@ -36,7 +37,6 @@ class WeightModule:
         self.parities = parities
         self.act = act
         self.qd = qd
-        self._windex = {w: k for k, w in enumerate(self.weights)}
         self._entries: dict = {}   # generator -> its nonzero entries
 
     @property
@@ -94,11 +94,8 @@ class WeightModule:
         tower = self.tower
         idx = self.flat_index()
         n = self.dim
-        pars = [None] * n
-        for w in self.weights:
-            for k, p in enumerate(self.parities[w]):
-                pars[idx[(w, k)]] = p
-        space = GradedSpaceMixed(pars)
+        space = GradedSpace.from_parities(
+            p for w in self.weights for p in self.parities[w])
         mats = []
         for i in range(self.algebra.dim):
             rows = zero_rows(tower, n, n)
@@ -180,7 +177,7 @@ class WeightModule:
         block (only their weight-preserving parts)."""
         tower = self.tower
         d = self.block_dim(w)
-        space = GradedSpaceMixed(self.parities[w])
+        space = GradedSpace.from_parities(self.parities[w])
         out = []
         for g in gen_indices:
             rows = zero_rows(tower, d, d)

@@ -4,9 +4,12 @@ module actions used throughout."""
 
 from __future__ import annotations
 
+import operator
+
 from .assocsuper import AssocSuper
-from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, mat_kernel,
-                     solve_columns, zero_rows)
+from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span,
+                     first_invertible, intertwiners, solve_columns,
+                     zero_rows)
 from .scalars import Tower
 
 
@@ -169,9 +172,8 @@ def direct_sum(g1: LieSuper, g2: LieSuper, name: str = "") -> LieSuper:
     n1, n2 = g1.dim, g2.dim
     labels = tuple(f"l.{x}" for x in g1.space.labels) + \
         tuple(f"r.{x}" for x in g2.space.labels)
-    parities = [g1.space.parity(i) for i in range(n1)] + \
-        [g2.space.parity(i) for i in range(n2)]
-    space = GradedSpaceMixed(parities, labels)
+    space = GradedSpace.from_parities(g1.space.parities + g2.space.parities,
+                                      labels)
     bk = [[{} for _ in range(n1 + n2)] for _ in range(n1 + n2)]
     for i in range(n1):
         for j in range(n1):
@@ -181,35 +183,6 @@ def direct_sum(g1: LieSuper, g2: LieSuper, name: str = "") -> LieSuper:
             bk[n1 + i][n1 + j] = {n1 + k: s for k, s in g2.bk[i][j].items()}
     return LieSuper(tower, space, bk,
                     name=name or f"{g1.name}(+){g2.name}")
-
-
-class GradedSpaceMixed(GradedSpace):
-    """Graded space whose basis parities follow an explicit pattern rather
-    than the even-block-first convention (used for direct sums, where each
-    summand keeps its own internal order)."""
-
-    __slots__ = ("_parities",)
-
-    def __init__(self, parities, labels=None):
-        self._parities = tuple(parities)
-        ne = sum(1 for p in self._parities if p == EVEN)
-        no = len(self._parities) - ne
-        if labels is None:
-            labels = tuple(f"b{k}" for k in range(len(self._parities)))
-        GradedSpace.__init__(self, ne, no, labels)
-
-    def parity(self, idx: int) -> int:
-        return self._parities[idx]
-
-    @property
-    def parities(self):
-        return self._parities
-
-    def __eq__(self, other):
-        if isinstance(other, GradedSpaceMixed):
-            return self._parities == other._parities
-        return (isinstance(other, GradedSpace)
-                and self.parities == other.parities)
 
 
 # ---------------------------------------------------------------------------
@@ -350,47 +323,26 @@ def module_hom_basis(m: LieModule, n: LieModule):
     if m.algebra is not n.algebra and m.algebra.dim != n.algebra.dim:
         raise ValueError("modules are over different algebras")
     tower = m.tower
+    one = tower.one()
     dm, dn = m.dim, n.dim
-    rows = []
-    for g in range(m.algebra.dim):
-        a = m.mats[g].rows
-        b = n.mats[g].rows
-        # (T a - b T)_{i j} = sum_k T_{i k} a_{k j} - b_{i k} T_{k j}
-        for i in range(dn):
-            for j in range(dm):
-                row = [tower.zero()] * (dn * dm)
-                nz = False
-                for k in range(dm):
-                    if not a[k][j].is_zero:
-                        row[i * dm + k] = row[i * dm + k] + a[k][j]
-                        nz = True
-                for k in range(dn):
-                    if not b[i][k].is_zero:
-                        row[k * dm + j] = row[k * dm + j] - b[i][k]
-                        nz = True
-                if nz:
-                    rows.append(row)
-    out = []
-    for kv in mat_kernel(rows, dn * dm, tower):
-        mat = [[kv[i * dm + j] for j in range(dm)] for i in range(dn)]
-        out.append(GradedMap(tower, m.space, n.space, mat))
-    return out
+    pairs = ((m.op_entries({g: one}), n.op_entries({g: one}), 1)
+             for g in range(m.algebra.dim))
+    kernel = intertwiners(pairs, [(i, j) for i in range(dn)
+                                  for j in range(dm)], tower)
+    return [GradedMap(tower, m.space, n.space,
+                      [kv[i * dm:(i + 1) * dm] for i in range(dn)])
+            for kv in kernel]
 
 
 def is_isomorphic_flat(m: LieModule, n: LieModule):
     """(bool, witness): an invertible (possibly inhomogeneous) strict
-    intertwiner, if one exists."""
+    intertwiner, if one exists (graded.first_invertible scans the Hom
+    basis; exact up to dim Hom = 2, ValueError above when it finds none)."""
     if m.dim != n.dim:
         return False, None
-    homs = module_hom_basis(m, n)
-    candidates = list(homs)
-    for i in range(len(homs)):
-        for j in range(i + 1, len(homs)):
-            candidates.append(homs[i] + homs[j])
-    for t in candidates:
-        if t.rank() == m.dim:
-            return True, t
-    return False, None
+    t = first_invertible(module_hom_basis(m, n),
+                         lambda t: t.rank() == m.dim, operator.add)
+    return t is not None, t
 
 
 def check_solvable_module_dim(g: LieSuper, act: LieModule) -> dict:

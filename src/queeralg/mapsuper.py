@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from .coeffalg import (CoeffAlgebra, GammaAction, IdealRep, gamma_validate,
                        ideal_product, radical, support)
-from .graded import Span, mat_kernel, mat_rank, zero_rows
-from .liesuper import GradedSpaceMixed, LieSuper, direct_sum, subalgebra
+from .graded import GradedSpace, Span, mat_kernel, mat_rank, zero_rows
+from .liesuper import LieSuper, direct_sum, subalgebra
 from .queer import QueerData
 from .scalars import Tower
 
@@ -78,7 +78,7 @@ def tensor_lie(g, coeff: CoeffAlgebra) -> MapSuper:
             pair_index[(xi, aj)] = len(labels)
             labels.append(f"{g.space.labels[xi]}(x){coeff.space.labels[aj]}")
             parities.append(g.space.parity(xi))
-    space = GradedSpaceMixed(parities, tuple(labels))
+    space = GradedSpace.from_parities(parities, tuple(labels))
     dim = len(labels)
     one = tower.one()
     bk = [[{} for _ in range(dim)] for _ in range(dim)]

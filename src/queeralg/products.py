@@ -7,14 +7,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assocsuper import density_type_from_maps
-from .graded import (EVEN, ODD, GradedMap, commutant, graded_tensor,
-                     identity_rows, mat_kernel, mat_mul, mat_rank,
+from .graded import (EVEN, GradedMap, GradedSpace, commutant,
+                     first_invertible, graded_tensor, identity_rows,
+                     intertwiners, kernel, mat_mul, mat_rank, odd_schur,
                      solve_columns, tensor_space, zero_rows)
 from .hwmod import (WeightModule, is_irreducible_hw,
                     triangular_of_invariants, triangular_of_map,
                     weight_sort_key)
-from .liesuper import (GradedSpaceMixed, LieModule, LieSuper, direct_sum,
-                       is_isomorphic_flat)
+from .liesuper import LieModule, LieSuper, direct_sum, is_isomorphic_flat
 from .mapsuper import (InvariantSub, MapSuper, ann_and_support,
                        ann_and_support_gamma)
 from .queer import QueerData
@@ -30,8 +30,7 @@ def direct_sum_module(m1: LieModule, m2: LieModule) -> LieModule:
     """Block direct sum of two modules over the same algebra."""
     tower = m1.tower
     n1, n2 = m1.dim, m2.dim
-    pars = list(m1.space.parities) + list(m2.space.parities)
-    space = GradedSpaceMixed(pars)
+    space = GradedSpace.from_parities(m1.space.parities + m2.space.parities)
     mats = []
     for a, b in zip(m1.mats, m2.mats):
         rows = zero_rows(tower, n1 + n2, n1 + n2)
@@ -69,22 +68,14 @@ def schur_data(m: LieModule, certify=True) -> SchurData:
         d = density_type_from_maps(m.mats, m.space, tower)
         if not d.certifies_irreducible:
             raise ValueError(f"module is not irreducible (oracle: {d!r})")
-    evens = commutant([x for x in m.mats if not x.is_zero], m.space, tower,
-                      parity_filter=EVEN)
-    odds = commutant([x for x in m.mats if not x.is_zero], m.space, tower,
-                     parity_filter=ODD)
-    phi = None
-    c = None
-    phi_hat = None
-    for cand in odds:
-        sq = cand * cand
-        cc = sq.rows[0][0]
-        if not cc.is_zero and sq == GradedMap.identity(tower, m.space) * cc:
-            phi, c = cand, cc
-            t = tower.adjoin_sqrt(-cc.inv())
-            phi_hat = cand * t
-            break
-    return SchurData(len(evens), phi, c, phi_hat)
+    ops = [x for x in m.mats if not x.is_zero]
+    evens = commutant(ops, m.space, tower, parity_filter=EVEN)
+    found = odd_schur(ops, m.space, tower)
+    if found is None:
+        return SchurData(len(evens), None, None, None)
+    phi, c = found
+    return SchurData(len(evens), phi, c,
+                     phi * tower.adjoin_sqrt(-c.inv()))
 
 
 # ---------------------------------------------------------------------------
@@ -145,22 +136,8 @@ def _flat_eigenspace(m: LieModule, op: GradedMap, eigval) -> LieModule:
     """Restriction of a flat module to an eigenspace of an even operator
     commuting with the action."""
     tower = m.tower
-    n = m.dim
-    diff = op - GradedMap.identity(tower, m.space) * eigval
-    cols = {EVEN: [j for j in range(n) if m.space.parity(j) == EVEN],
-            ODD: [j for j in range(n) if m.space.parity(j) == ODD]}
-    basis = []
-    pars = []
-    for par in (EVEN, ODD):
-        sub = [[diff.rows[i][j] for j in cols[par]] for i in range(n)]
-        for kv in mat_kernel(sub, len(cols[par]), tower):
-            vec = [tower.zero()] * n
-            for c, j in enumerate(cols[par]):
-                vec[j] = kv[c]
-            basis.append(vec)
-            pars.append(par)
-    space = GradedSpaceMixed(pars)
-    emb = [[basis[j][i] for j in range(len(basis))] for i in range(n)]
+    space, inclusion = kernel(op - GradedMap.identity(tower, m.space) * eigval)
+    emb = inclusion.rows
     mats = []
     for x in m.mats:
         img = mat_mul(x.rows, emb, tower)
@@ -465,20 +442,13 @@ def hat_tensor_weight(m1: WeightModule, m2: WeightModule,
                         op[row][col] = op[row][col] + \
                             (-add if par1[i1][k1] else add)
         # eigenspaces, blockwise and parity-homogeneous
+        space = GradedSpace.from_parities(full.parities[w])
         for eig, store in ((tower.one(), plus_basis), (-tower.one(), minus_basis)):
             diff = [[op[i][j] - (eig if i == j else tower.zero())
                      for j in range(d)] for i in range(d)]
-            pars = full.parities[w]
-            for par in (EVEN, ODD):
-                cols = [j for j in range(d) if pars[j] == par]
-                if not cols:
-                    continue
-                sub = [[diff[i][j] for j in cols] for i in range(d)]
-                for kv in mat_kernel(sub, len(cols), tower):
-                    vec = [tower.zero()] * d
-                    for c, j in enumerate(cols):
-                        vec[j] = kv[c]
-                    store.setdefault(w, []).append(vec)
+            _, emb = kernel(GradedMap(tower, space, space, diff, parity=EVEN))
+            if emb.source.dim:
+                store[w] = [list(col) for col in zip(*emb.rows)]
     plus = restrict_weight_module(full, plus_basis)
     minus = restrict_weight_module(full, minus_basis)
     info.update({"split": True, "plus": plus, "minus": minus, "full": full,
@@ -739,52 +709,23 @@ def hom_space_weight(m: WeightModule, n: WeightModule):
     (dim N_w) x (dim M_w) over the shared weights."""
     tower = m.tower
     n_weights = set(n.weights)
-    shared = [w for w in m.weights if w in n_weights]
-    shared_set = set(shared)
-    slots = []
-    slot_index = {}
-    for w in shared:
-        for i in range(n.block_dim(w)):
-            for j in range(m.block_dim(w)):
-                slot_index[(w, i, j)] = len(slots)
-                slots.append((w, i, j))
-    if not slots:
-        return [], slots
-    srows = []
-    for g in range(m.algebra.dim):
-        for w in m.weights:
-            m_blocks = {wt: blk for (wt, blk) in m.blocks_of(g, w)}
-            n_blocks = {wt: blk for (wt, blk) in n.blocks_of(g, w)} \
-                if w in shared_set else {}
-            # equations live in the N component at each target weight
-            targets = (set(m_blocks) | set(n_blocks)) & n_weights
-            for wt in targets:
-                blk_m = m_blocks.get(wt)
-                blk_n = n_blocks.get(wt)
-                for i in range(n.block_dim(wt)):
-                    for j in range(m.block_dim(w)):
-                        row = {}
-                        if blk_m is not None and wt in shared_set:
-                            for k in range(m.block_dim(wt)):
-                                v = blk_m[k][j]
-                                if not v.is_zero:
-                                    key = slot_index[(wt, i, k)]
-                                    row[key] = row.get(key, tower.zero()) + v
-                        if blk_n is not None:
-                            for k in range(n.block_dim(w)):
-                                v = blk_n[i][k]
-                                if not v.is_zero:
-                                    key = slot_index[(w, k, j)]
-                                    row[key] = row.get(key, tower.zero()) - v
-                        row = {k: v for k, v in row.items() if not v.is_zero}
-                        if row:
-                            srows.append(row)
-    return mat_kernel(srows, len(slots), tower), slots
+    slots = [(w, i, j) for w in m.weights if w in n_weights
+             for i in range(n.block_dim(w)) for j in range(m.block_dim(w))]
+    one = tower.one()
+
+    def keyed(mod, g):
+        return {((w2, r), (w, s)): v
+                for (w2, r, w, s), v in mod.op_entries({g: one}).items()}
+
+    pairs = ((keyed(m, g), keyed(n, g), 1) for g in range(m.algebra.dim))
+    return intertwiners(pairs, [((w, i), (w, j)) for w, i, j in slots],
+                        tower), slots
 
 
 def is_isomorphic_weight(m: WeightModule, n: WeightModule):
     """(bool, witness coords): strict isomorphism test for weight modules
-    over the same algebra."""
+    over the same algebra (graded.first_invertible scans the Hom basis;
+    exact up to dim Hom = 2, ValueError above when it finds none)."""
     if m.dim != n.dim:
         return False, None
     if sorted(map(weight_sort_key, m.weights)) != \
@@ -794,14 +735,10 @@ def is_isomorphic_weight(m: WeightModule, n: WeightModule):
         if m.block_dim(w) != n.block_dim(w):
             return False, None
     kerns, slots = hom_space_weight(m, n)
-    candidates = list(kerns)
-    for i in range(len(kerns)):
-        for j in range(i + 1, len(kerns)):
-            candidates.append([a + b for a, b in zip(kerns[i], kerns[j])])
-    for vec in candidates:
-        if _weight_hom_invertible(vec, slots, m, n):
-            return True, vec
-    return False, None
+    vec = first_invertible(
+        kerns, lambda v: _weight_hom_invertible(v, slots, m, n),
+        lambda u, v: [a + b for a, b in zip(u, v)])
+    return vec is not None, vec
 
 
 def _weight_hom_invertible(vec, slots, m: WeightModule, n: WeightModule) -> bool:

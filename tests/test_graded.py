@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from queeralg.graded import (EVEN, ODD, GradedMap, GradedSpace, Span, commutant,
-                             graded_tensor, kernel, mat_kernel, mat_rank,
-                             mat_rref, solve_columns, solve_right,
-                             tensor_space)
+                             first_invertible, graded_tensor, intertwiners,
+                             kernel, mat_kernel, mat_rank, mat_rref,
+                             solve_columns, solve_right, tensor_space)
 from queeralg.scalars import Tower
 
 
@@ -127,6 +127,69 @@ def test_commutant_supercommutes(K):
         for op in ops:
             resid = t * op - op * t * (1 if not (t.parity and op.parity) else -1)
             assert resid.is_zero
+
+
+def test_intertwiners_keep_pairs_apart(K):
+    # T a = a T for a nilpotent a: T in span(1, a).  A second pair with -a
+    # adds the same equations up to sign; summed into shared rows the two
+    # would cancel and leave every T.
+    one = K.one()
+    a = {(0, 1): one}
+    slots = [(i, j) for i in range(2) for j in range(2)]
+    alone = intertwiners([(a, a, 1)], slots, K)
+    minus = {(0, 1): -one}
+    assert len(alone) == 2
+    assert intertwiners([(a, a, 1), (minus, minus, 1)], slots, K) == alone
+
+
+def test_intertwiners_between_spaces(K):
+    # T: K^1 -> K^2 with T a = b T, a = 0 on the source, b = E_{12} on the
+    # target: b T = 0 forces T_2 = 0; the unknown T_1 is free
+    one = K.one()
+    slots = [((0,), "s"), ((1,), "s")]
+    b = {((0,), (1,)): one}
+    basis = intertwiners([({}, b, 1)], slots, K)
+    assert basis == [[one, K.zero()]]
+
+
+def test_space_from_parities():
+    v = GradedSpace.from_parities([ODD, EVEN, ODD])
+    assert (v.even_dim, v.odd_dim, v.dim) == (1, 2, 3)
+    assert v.parity(0) == ODD and v.parities == (ODD, EVEN, ODD)
+    assert v.labels == ("b0", "b1", "b2")
+    assert GradedSpace.from_parities([EVEN, ODD]) == GradedSpace(1, 1)
+    assert GradedSpace.from_parities([ODD, EVEN]) != GradedSpace(1, 1)
+    with pytest.raises(ValueError):
+        GradedSpace.from_parities([EVEN], labels=("a", "b"))
+
+
+def _diag(K, *entries):
+    v = GradedSpace(len(entries), 0)
+    return GradedMap(K, v, v, [[x if i == j else K.zero()
+                                for j, x in enumerate(entries)]
+                               for i in range(len(entries))])
+
+
+def test_first_invertible_scan(K):
+    one, zero = K.one(), K.zero()
+
+    def full_rank(t):
+        return t.rank() == t.source.dim
+
+    def add(s, t):
+        return s + t
+
+    # K x K: both basis elements are singular, their sum is the identity
+    e1, e2 = _diag(K, one, zero), _diag(K, zero, one)
+    assert first_invertible([e1, e2], full_rank, add) == _diag(K, one, one)
+    assert first_invertible([e1], full_rank, add) is None
+    assert first_invertible([], full_rank, add) is None
+    # three singular diagonal maps of K^3 whose pairwise sums stay
+    # singular: beyond dimension 2 the scan refuses to answer
+    e3 = _diag(K, zero, zero, one)
+    f1, f2 = _diag(K, one, zero, zero), _diag(K, zero, one, zero)
+    with pytest.raises(ValueError, match="3-dimensional"):
+        first_invertible([f1, f2, e3], full_rank, add)
 
 
 def test_span_incremental(K):

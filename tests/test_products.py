@@ -6,7 +6,8 @@ from queeralg.coeffalg import gamma_from_spec, preset_truncated
 from queeralg.graded import GradedMap, GradedSpace
 from queeralg.hwmod import is_irreducible_hw, triangular_of_invariants, \
     triangular_of_map, top_psi
-from queeralg.liesuper import LieModule, from_assoc, is_isomorphic_flat
+from queeralg.liesuper import (LieModule, from_assoc, is_isomorphic_flat,
+                               module_hom_basis)
 from queeralg.mapsuper import ann_and_support, invariants, tensor_lie
 from queeralg.products import (Catalog, assoc_check, classify_enumerate,
                                direct_sum_weight, ev_hat, ev_hat_gamma,
@@ -151,6 +152,44 @@ def test_hom_separates_points(env):
     assert not ok
     ok_self, wit = is_isomorphic_weight(ad0, ad0)
     assert ok_self and wit is not None
+
+
+def _three_trivials(env):
+    triv = env["cat"].module("trivial")
+    return direct_sum_weight(direct_sum_weight(triv, triv), triv)
+
+
+def test_iso_scan_on_three_trivials_weight(env):
+    # Hom = M_3(K): every basis element E_ij and every sum of two has
+    # rank <= 2, so the scan cannot decide; it must not answer "no"
+    t3 = _three_trivials(env)
+    with pytest.raises(ValueError, match="9-dimensional"):
+        is_isomorphic_weight(t3, t3)
+
+
+def test_iso_scan_on_three_trivials_flat(env):
+    flat = _three_trivials(env).flatten()
+    with pytest.raises(ValueError, match="9-dimensional"):
+        is_isomorphic_flat(flat, flat)
+
+
+def test_iso_scan_finds_identity_among_sums(env):
+    # Hom(ad + ad, ad + ad) = M_2(K): the sum E_11 + E_22 is invertible
+    ad = env["cat"].module("adjoint")
+    two = direct_sum_weight(ad, ad)
+    ok, wit = is_isomorphic_weight(two, two)
+    assert ok and wit is not None
+    ok, wit = is_isomorphic_flat(two.flatten(), two.flatten())
+    assert ok and wit.rank() == two.dim
+
+
+def test_hom_basis_is_homogeneous(env):
+    # the Hom equations never mix slot parities, so every RREF kernel
+    # vector is homogeneous (what makes the isomorphism scan exact between
+    # irreducible modules); C^{1|1} over Q(1) has an even and an odd one
+    m = q1_module(env["K"])
+    homs = module_hom_basis(m, m)
+    assert sorted(t.parity for t in homs) == [0, 1]
 
 
 def test_hom_direct_sum_dimension(env):
