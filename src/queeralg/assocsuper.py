@@ -546,14 +546,9 @@ def clifford_generators(q: QuadraticPair, pivot_order=None):
                               for jx in range(r)] for i in range(r)]
     rref, _ = mat_rref(aug, 2 * r, tower)
     pinv = [row[r:] for row in rref]
-    gen_mats = []
-    for i in range(r):
-        acc = GradedMap.zero(tower, carrier, carrier)
-        for j in range(r):
-            c = pinv[i][j]
-            if not c.is_zero:
-                acc = acc + z_mats[j] * c
-        gen_mats.append(GradedMap(tower, carrier, carrier, acc.rows, parity=ODD))
+    gen_mats = [GradedMap.combination(tower, carrier, carrier,
+                                      zip(pinv[i], z_mats))
+                for i in range(r)]
     _check_clifford_relations(q, gen_mats)
     return carrier, gen_mats, z_mats
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .assocsuper import (QuadraticPair, clifford_generators,
                          density_type_from_maps)
 from .coeffalg import CoeffAlgebra, IdealRep, quotient_algebra
-from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, mat_kernel,
+from .graded import (GradedMap, GradedSpace, Span, mat_kernel,
                      odd_schur, solve_right, zero_rows)
 from .liesuper import LieModule, is_isomorphic_flat, subalgebra
 from .mapsuper import tensor_lie
@@ -273,14 +273,9 @@ class HModule:
                 vec = [tower.zero()] * len(data.odd_basis)
                 for jq, c in abar.items():
                     vec[i * nq + jq] = c
-                coords = data.reduce_odd(vec)
-                acc = GradedMap.zero(tower, self.carrier, self.carrier)
-                for p, c in enumerate(coords):
-                    if not c.is_zero:
-                        acc = acc + gen_maps[p] * c
-                mats.append(GradedMap(tower, self.carrier, self.carrier,
-                                      acc.rows,
-                                      parity=ODD if not acc.is_zero else EVEN))
+                mats.append(GradedMap.combination(
+                    tower, self.carrier, self.carrier,
+                    zip(data.reduce_odd(vec), gen_maps)))
         self.cartan_mats = mats
         self.phi = self._attach_phi() if self.rank % 2 == 1 else None
 

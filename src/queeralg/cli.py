@@ -15,7 +15,8 @@ from .graded import GradedMap, GradedSpace
 from .hwmod import TruncatedVerma, SimpleQuotient
 from .liesuper import LieModule, from_assoc
 from .mapsuper import invariants, tensor_lie
-from .products import Catalog, classify_enumerate, hat_tensor_flat, schur_data
+from .products import (Catalog, classify_enumerate, hat_tensor_flat,
+                       product_schur, schur_data)
 from .queer import build_q
 from .scalars import Tower
 from .verify import SUITES, run_suites
@@ -89,7 +90,14 @@ def cmd_classify(args) -> int:
         else preset_base_field(tower)
     catalog = Catalog(qd)
     wanted = [s for s in args.catalog.split(",") if s]
-    for name in wanted:
+    if not wanted:
+        print("error: --catalog names no entry", file=sys.stderr)
+        return USAGE_EXIT
+    for i, name in enumerate(wanted):
+        if name in wanted[:i]:
+            print(f"error: catalog entry {name!r} is named twice",
+                  file=sys.stderr)
+            return USAGE_EXIT
         if name not in catalog.entries:
             print(f"error: unknown catalog entry {name!r} "
                   f"(available: {', '.join(catalog.names())})",
@@ -212,7 +220,8 @@ def cmd_decompose(args) -> int:
         print("error: need at least two factors", file=sys.stderr)
         return USAGE_EXIT
     factors = [_decompose_factor(tower, qd, catalog, n) for n in names]
-    schurs = [schur_data(f) for f in factors]
+    schurs = [catalog.schur(n) if n in catalog.entries else schur_data(f)
+              for n, f in zip(names, factors)]
     steps = []
     cur, cur_s = factors[0], schurs[0]
     for name, f, s in zip(names[1:], factors[1:], schurs[1:]):
@@ -224,8 +233,7 @@ def cmd_decompose(args) -> int:
             "halves": [info["plus"].dim, info["minus"].dim]
             if info["split"] else None,
         })
-        cur = prod
-        cur_s = schur_data(cur) if cur.dim <= 8 else _schur_stub(info, cur_s, s)
+        cur, cur_s = prod, product_schur(prod, info)
     report = {"command": "decompose", "n": args.n, "factors": names,
               "factor_schur_types": ["Q" if s.is_type_q else "M"
                                      for s in schurs],
@@ -246,13 +254,6 @@ def cmd_decompose(args) -> int:
     lines.append(f"result dim: {cur.dim}")
     _emit(report, lines, args.format, args.out)
     return 0
-
-
-def _schur_stub(info, s1, s2):
-    from .products import SchurData
-    if info["split"] or not (s1.is_type_q or s2.is_type_q):
-        return SchurData(1, None, None, None)
-    return SchurData(1, info.get("phi"), None, info.get("phi"))
 
 
 def build_parser() -> argparse.ArgumentParser:

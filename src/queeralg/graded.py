@@ -369,6 +369,29 @@ class GradedMap:
     def identity(cls, tower, space):
         return cls(tower, space, space, identity_rows(tower, space.dim), parity=EVEN)
 
+    @classmethod
+    def combination(cls, tower, source, target, terms):
+        """sum_k c_k M_k over (c_k, M_k) terms in one pass: only nonzero
+        coefficients and entries are multiplied and added, and the parity
+        (the terms' common parity, EVEN when the sum is zero) is checked
+        once."""
+        rows = zero_rows(tower, target.dim, source.dim)
+        parities = set()
+        for c, m in terms:
+            if c.is_zero:
+                continue
+            parities.add(m.parity)
+            for ra, row in zip(rows, m.rows):
+                for j, v in enumerate(row):
+                    if not v.is_zero:
+                        a = ra[j]
+                        ra[j] = c * v if a.is_zero else a + c * v
+        if mat_is_zero(rows):
+            parity = EVEN
+        else:
+            parity = parities.pop() if len(parities) == 1 else None
+        return cls(tower, source, target, rows, parity)
+
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other):

@@ -13,6 +13,7 @@ from .graded import (EVEN, GradedMap, GradedSpace, Span, mat_kernel,
                      mat_rank, zero_rows)
 from .liesuper import LieModule, LieSuper
 from .mapsuper import InvariantSub, MapSuper
+from .queer import QueerData
 from .scalars import Tower, scalar_of
 
 
@@ -208,6 +209,12 @@ class TriangularSplit:
 def triangular_of_map(ms: MapSuper) -> TriangularSplit:
     return TriangularSplit(ms.raising_gens, ms.cartan_gens, ms.lowering_gens,
                            cartan_even=ms.h0_gens)
+
+
+def triangular_of_q(qd: QueerData) -> TriangularSplit:
+    """The triangular pieces of q itself, for modules over qd.algebra."""
+    return TriangularSplit(qd.npos_indices, qd.cartan_indices,
+                           qd.nneg_indices, cartan_even=qd.h0_indices)
 
 
 def triangular_of_invariants(inv: InvariantSub) -> TriangularSplit:

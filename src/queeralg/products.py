@@ -6,19 +6,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assocsuper import density_type_from_maps
-from .graded import (EVEN, GradedMap, GradedSpace, commutant,
+from .assocsuper import (_raw_mat, _raw_products, _sparse_of,
+                         density_type_from_maps)
+from .graded import (EVEN, ODD, GradedMap, GradedSpace, commutant,
                      first_invertible, graded_tensor, identity_rows,
                      intertwiners, kernel, mat_mul, mat_rank, odd_schur,
                      solve_columns, tensor_space, zero_rows)
 from .hwmod import (WeightModule, is_irreducible_hw,
                     triangular_of_invariants, triangular_of_map,
-                    weight_sort_key)
+                    triangular_of_q, weight_sort_key)
 from .liesuper import LieModule, LieSuper, direct_sum, is_isomorphic_flat
 from .mapsuper import (InvariantSub, MapSuper, ann_and_support,
                        ann_and_support_gamma)
 from .queer import QueerData
-from .scalars import Scalar
+from .scalars import Scalar, raw_of
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +131,37 @@ def hat_tensor_flat(m1: LieModule, m2: LieModule,
     info.update({"split": True, "plus": plus, "minus": minus, "phi": None,
                  "operator": op})
     return plus, info
+
+
+def product_schur(prod: LieModule, info: dict) -> SchurData:
+    """Schur data of a product from hat_tensor_flat by the type rule
+    (Cheng-Wang): a split product (two type Q factors) and a product of
+    two type M factors are of type M; a product with one type Q factor is
+    of type Q with phi = info["phi"] (phi_hat on that factor), c = -1.
+
+    phi is checked exactly: it must be odd, supercommute with every
+    generator map of the product and square to -id; AssertionError
+    otherwise."""
+    phi = info["phi"]
+    if info["split"] or phi is None:
+        return SchurData(1, None, None, None)
+    tower = prod.tower
+    if phi.parity != ODD:
+        raise AssertionError("phi of the product is not odd")
+    ph = _raw_mat(_sparse_of(phi.rows))
+    neg = _raw_mat(_sparse_of((-phi).rows))
+    for x in prod.mats:
+        # x phi - (-1)^|x| phi x, each entry one raw_dot
+        xs = _raw_mat(_sparse_of(x.rows))
+        if _raw_products(((xs, ph), (ph if x.parity == ODD else neg, xs)),
+                         tower.gens):
+            raise AssertionError("phi of the product does not supercommute "
+                                 "with the action")
+    minus_one = raw_of(-tower.one())
+    if _raw_products(((ph, ph),), tower.gens) != \
+            {p: {p: minus_one} for p in range(prod.dim)}:
+        raise AssertionError("phi of the product does not square to -id")
+    return SchurData(1, phi, -tower.one(), phi)
 
 
 def _flat_eigenspace(m: LieModule, op: GradedMap, eigval) -> LieModule:
@@ -550,9 +582,28 @@ class Catalog:
         return self.entries[name]["module"]
 
     def schur(self, name: str) -> SchurData:
+        """Schur data of an entry, certified irreducible first by the
+        highest-weight criterion (is_irreducible_hw over the triangular
+        pieces of q) instead of the density oracle on the flat module.
+
+        The criterion is sufficient.  Let N != 0 be a graded submodule of
+        the finite-dimensional entry M; it is the sum of its weight
+        spaces, since h0 acts diagonally.  The vectors of a maximal weight
+        of N are killed by the raising generators, so they are singular;
+        clause 1 puts that weight at the top lambda, so N meets M_lambda
+        in a nonzero Cartan submodule.  Clause 3 (the density oracle on
+        the small top block) gives M_lambda inside N, and clause 4
+        (generated_by_top) gives N = M.  It is also necessary for
+        finite-dimensional irreducibles, so no valid entry is refused.
+        Raises ValueError naming the entry and the failing clause."""
         e = self.entries[name]
         if e["schur"] is None:
-            e["schur"] = schur_data(e["flat"])
+            why: dict = {}
+            if not is_irreducible_hw(e["module"], triangular_of_q(self.qd),
+                                     why):
+                raise ValueError(f"catalog entry {name!r} is not "
+                                 f"irreducible: {why['reason']}")
+            e["schur"] = schur_data(e["flat"], certify=False)
         return e["schur"]
 
     def weight_schur(self, name: str) -> "WeightSchur":

@@ -76,6 +76,25 @@ def test_classify_unknown_catalog_entry(files, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("names", [",", "", ",,"])
+def test_classify_empty_catalog_is_usage_error(files, capsys, names):
+    rc = main(["classify", "--algebra", files["two"], "--catalog", names])
+    assert rc == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.strip().splitlines() == ["error: --catalog names no entry"]
+
+
+def test_classify_repeated_catalog_entry_is_usage_error(files, capsys):
+    rc = main(["classify", "--algebra", files["two"],
+               "--catalog", "trivial,adjoint,adjoint"])
+    assert rc == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.strip().splitlines() == [
+        "error: catalog entry 'adjoint' is named twice"]
+
+
 def test_dims_adjoint(files, capsys):
     assert main(["dims", "--n", "2", "--psi", files["psi"],
                  "--depth", "6"]) == 0
@@ -273,3 +292,15 @@ def test_classify_report_matches_golden(tmp_path, golden, algebra, group):
     out = tmp_path / "report.json"
     assert main(args + ["--format", "structured", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("factors", ["qone,qone", "qone,qone,qone",
+                                     "adjoint,qone", "adjoint,qone,qone"])
+def test_decompose_report_matches_golden(tmp_path, factors):
+    """Structured decompose reports over q(2), byte for byte; the last
+    case types a product by the type rule before splitting it."""
+    out = tmp_path / "report.json"
+    assert main(["decompose", "--n", "2", "--factors", factors,
+                 "--format", "structured", "--out", str(out)]) == 0
+    golden = DATA / f"decompose_{factors.replace(',', '_')}.json"
+    assert out.read_bytes() == golden.read_bytes()

@@ -443,3 +443,24 @@ def test_span_matches_scalar_oracle(data):
     assert list(sp.reduce(dict(enumerate(w))).items()) == \
         list(ref.reduce(w).items())
     assert sp.contains(w) == (not ref.reduce(w))
+
+
+def test_combination_matches_repeated_sums(K):
+    rng = random.Random(5)
+    sp = GradedSpace(2, 2)
+    for parity in (EVEN, ODD):
+        maps = [rand_map(K, rng, sp, sp, parity) for _ in range(4)]
+        coeffs = [K.from_int(c) for c in (2, 0, -1, 3)]
+        acc = GradedMap.zero(K, sp, sp)
+        for c, m in zip(coeffs, maps):
+            acc = acc + m * c
+        got = GradedMap.combination(K, sp, sp, zip(coeffs, maps))
+        assert got == acc and got.parity == parity
+    # a sum that cancels is the even zero map; mixed parities are None
+    m = rand_map(K, rng, sp, sp, ODD)
+    zero = GradedMap.combination(K, sp, sp, [(K.one(), m), (-K.one(), m)])
+    assert zero.is_zero and zero.parity == EVEN
+    mixed = GradedMap.combination(
+        K, sp, sp, [(K.one(), m), (K.one(), GradedMap.identity(K, sp))])
+    assert mixed.parity is None and mixed == m + GradedMap.identity(K, sp)
+    assert GradedMap.combination(K, sp, sp, []) == GradedMap.zero(K, sp, sp)

@@ -68,6 +68,88 @@ def test_schur_rejects_reducible(env):
         schur_data(direct_sum_module(m, m))
 
 
+@pytest.fixture(scope="module")
+def q3():
+    return build_q(Tower(), 3)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_catalog_schur_needs_no_flat_oracle(env, q3, n, monkeypatch):
+    """Catalog entries are certified by the highest-weight criterion: with
+    the flat density oracle of products disabled, schur still works and
+    gives the same data as the certified flat solve."""
+    qd = env["q2"] if n == 2 else q3
+    cat = Catalog(qd)
+    with monkeypatch.context() as mp:
+        def refuse(*args, **kwargs):
+            raise AssertionError("flat density oracle called")
+        mp.setattr("queeralg.products.density_type_from_maps", refuse)
+        got = {name: cat.schur(name) for name in ("trivial", "adjoint")}
+    for name, s in got.items():
+        ref = schur_data(cat.entries[name]["flat"])
+        assert (s.even_dim, s.phi, s.c) == (ref.even_dim, ref.phi, ref.c)
+
+
+def test_catalog_schur_refuses_reducible_entry(env):
+    cat = Catalog(env["q2"])
+    cat.add("sum", direct_sum_weight(cat.module("adjoint"),
+                                     cat.module("trivial")))
+    with pytest.raises(ValueError, match="'sum' is not irreducible: "
+                                         "singular vectors below the top"):
+        cat.schur("sum")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_catalog_criterion_agrees_with_flat_oracle(env, q3, n):
+    from queeralg.hwmod import triangular_of_q
+    qd = env["q2"] if n == 2 else q3
+    cat = Catalog(qd)
+    ad, triv = cat.module("adjoint"), cat.module("trivial")
+    for m in (triv, ad, direct_sum_weight(ad, triv)):
+        flat = m.flatten()
+        oracle = density_type_from_maps(flat.mats, flat.space, qd.tower)
+        assert is_irreducible_hw(m, triangular_of_q(qd)) == \
+            oracle.certifies_irreducible
+
+
+def test_product_schur_by_type_rule(env):
+    from queeralg.products import product_schur
+    K, cat = env["K"], env["cat"]
+    qone = q1_module(K)
+    ad = cat.entries["adjoint"]["flat"]
+    prod, info = hat_tensor_flat(ad, qone, s1=cat.schur("adjoint"))
+    s = product_schur(prod, info)
+    assert s.is_type_q and s.phi is info["phi"] and s.c == -K.one()
+    split, info2 = hat_tensor_flat(qone, qone)
+    assert not product_schur(split, info2).is_type_q
+    mm, info3 = hat_tensor_flat(ad, ad, s1=cat.schur("adjoint"),
+                                s2=cat.schur("adjoint"))
+    assert not product_schur(mm, info3).is_type_q
+
+
+def test_product_schur_rejects_corrupted_phi(env):
+    """Mutations of phi on adjoint (x) C^{1|1}: a wrong scale breaks
+    phi^2 = -id, a non-scalar even twist on the first factor keeps
+    phi^2 = -id but breaks supercommutation, and an even map is refused."""
+    from queeralg.graded import graded_tensor
+    from queeralg.products import product_schur
+    K, cat = env["K"], env["cat"]
+    qone = q1_module(K)
+    s_q = schur_data(qone)
+    ad = cat.entries["adjoint"]["flat"]
+    prod, info = hat_tensor_flat(ad, qone, s1=cat.schur("adjoint"), s2=s_q)
+    flip = GradedMap.identity(K, ad.space)
+    flip.rows[0][0] = -K.one()
+    cases = [
+        (info["phi"] * 2, "square to -id"),
+        (graded_tensor(flip, s_q.phi_hat), "supercommute"),
+        (GradedMap.identity(K, prod.space), "not odd"),
+    ]
+    for bad, msg in cases:
+        with pytest.raises(AssertionError, match=msg):
+            product_schur(prod, dict(info, phi=bad))
+
+
 def test_hat_tensor_split_and_iso(env):
     K = env["K"]
     m = q1_module(K)
