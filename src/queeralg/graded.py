@@ -8,8 +8,8 @@ vectors come before odd ones; within a parity, construction order.
 
 from __future__ import annotations
 
-from .scalars import (Scalar, Tower, raw_inv, raw_mul, raw_of, raw_submul,
-                      scalar_of)
+from .scalars import (QI_ONE, Scalar, Tower, raw_inv, raw_mul, raw_neg, raw_of,
+                      raw_submul, scalar_of)
 
 EVEN, ODD = 0, 1
 
@@ -280,21 +280,27 @@ class Span:
     def contains(self, vec) -> bool:
         return not self._reduce_raw(vec)
 
+    def _kernel_raw(self, n: int):
+        """The kernel basis of kernel(), as sparse dicts of raw entries."""
+        for f in range(n):
+            if f not in self.rows:
+                vec = {f: QI_ONE}
+                for p, row in self.rows.items():
+                    x = row.get(f)
+                    if x is not None:
+                        vec[p] = raw_neg(x)
+                yield vec
+
     def kernel(self, n: int):
         """Basis of {x in K^n : r . x = 0 for every r in the span}, one
         vector per free column f: e_f minus the column f of the RREF."""
         tower = self.tower
-        zero, one = tower.zero(), tower.one()
+        zero = tower.zero()
         basis = []
-        for f in range(n):
-            if f in self.rows:
-                continue
+        for sparse in self._kernel_raw(n):
             vec = [zero] * n
-            vec[f] = one
-            for p, row in self.rows.items():
-                x = row.get(f)
-                if x is not None:
-                    vec[p] = -scalar_of(tower, x)
+            for k, x in sparse.items():
+                vec[k] = scalar_of(tower, x)
             basis.append(vec)
         return basis
 

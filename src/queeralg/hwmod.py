@@ -5,8 +5,6 @@ simple quotients, and the four-condition irreducibility criterion."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cartanmod import CartanAlgebra, PsiFunctional, build_H
 from .coeffalg import IdealRep
 from .graded import (EVEN, GradedMap, GradedSpace, Span, mat_kernel,
@@ -14,7 +12,8 @@ from .graded import (EVEN, GradedMap, GradedSpace, Span, mat_kernel,
 from .liesuper import LieModule, LieSuper
 from .mapsuper import InvariantSub, MapSuper
 from .queer import QueerData
-from .scalars import Tower, scalar_of
+from .scalars import (QI_ONE, Tower, raw_dot, raw_mul, raw_neg, raw_of,
+                      scalar_of)
 
 
 def weight_sort_key(w):
@@ -261,7 +260,10 @@ class TruncatedVerma:
 
     Monomials are tuples of lowering-generator positions: even positions
     nondecreasing, then odd positions strictly increasing (positions are
-    indices into the lowering generator list, evens first)."""
+    indices into the lowering generator list, evens first).  Straightening
+    runs on raw entries (scalars.raw_of): the bracket table and the Cartan
+    matrices of H(psi) are converted once, and blocks are sparse raw
+    columns."""
 
     def __init__(self, ms: MapSuper, psi: PsiFunctional, depth: int):
         if ms.qd is None:
@@ -286,7 +288,18 @@ class TruncatedVerma:
         self.low_height = [sum(c) for c in self.low_coords]
         self._shift: dict = {}   # generator -> weight shift of its blocks
         self.cartan_pos = {g: k for k, g in enumerate(ms.cartan_gens)}
+        # raw forms, converted once: bk[i][j] as (k, raw) pairs, and per
+        # Cartan generator and column h of H(psi) its nonzero (k, raw)
+        self._bk = [[tuple((k, raw_of(c)) for k, c in entry.items())
+                     for entry in row] for row in ms.algebra.bk]
+        self._cartan = [[tuple((k, raw_of(mat.rows[k][h]))
+                               for k in range(self.h_mod.dim)
+                               if not mat.rows[k][h].is_zero)
+                         for h in range(self.h_mod.dim)]
+                        for mat in self.h_mod.cartan_mats]
+        self._odd = [ms.algebra.space.parity(g) for g in range(ms.dim)]
         self._act_memo: dict = {}
+        self._ins_memo: dict = {}
         self._betas = self._enumerate_betas()
         self.basis = {}
         self.basis_index = {}
@@ -385,76 +398,82 @@ class TruncatedVerma:
 
     # -- straightening ------------------------------------------------------
 
+    def _shift_of(self, gen: int):
+        shift = self._shift.get(gen)
+        if shift is None:
+            shift = self._shift[gen] = self._weight_shift(gen)
+        return shift
+
     def _insert_lowering(self, p: int, mono: tuple) -> dict:
-        """f_p * (monomial) expanded over PBW monomials (weight may exceed
-        the window; filtering happens at act time)."""
-        if not mono:
-            return {(p,): self.tower.one()}
-        q = mono[0]
-        p_odd = p >= self.n_even_low
-        q_odd = q >= self.n_even_low
-        if p < q or (p == q and not p_odd):
-            return {(p,) + mono: self.tower.one()}
-        out: dict = {}
-        if p == q:  # both odd: f_p^2 = (1/2)[f_p, f_p]
-            half = self.tower.from_fraction(Fraction(1, 2))
-            br = self.ms.algebra.bk[self.lowering[p]][self.lowering[p]]
-            for g2, c in br.items():
-                for m2, c2 in self._insert_lowering(self.low_pos[g2],
-                                                    mono[1:]).items():
-                    _dict_add(out, m2, half * c * c2)
+        """f_p * (monomial) expanded over PBW monomials, raw (weight may
+        exceed the window; act_on filters by height first)."""
+        q = mono[0] if mono else None
+        if q is None or p < q or (p == q and p < self.n_even_low):
+            return {(p,) + mono: QI_ONE}
+        key = (p, mono)
+        out = self._ins_memo.get(key)
+        if out is not None:
             return out
-        # p > q: f_p f_q = (-1)^{|p||q|} f_q f_p + [f_p, f_q]
-        sgn = -1 if (p_odd and q_odd) else 1
-        inner = self._insert_lowering(p, mono[1:])
-        for m2, c in inner.items():
-            _dict_add(out, (q,) + m2, c if sgn > 0 else -c)
-        br = self.ms.algebra.bk[self.lowering[p]][self.lowering[q]]
-        for g2, c in br.items():
-            for m2, c2 in self._insert_lowering(self.low_pos[g2],
-                                                mono[1:]).items():
-                _dict_add(out, m2, c * c2)
+        terms: dict = {}
+        fp, rest = self.lowering[p], mono[1:]
+        if p == q:  # both odd: f_p^2 = (1/2)[f_p, f_p]
+            for g2, c in self._bk[fp][fp]:
+                c = raw_mul(_HALF, c, self.tower.gens)
+                for m2, c2 in self._insert_lowering(self.low_pos[g2],
+                                                    rest).items():
+                    terms.setdefault(m2, []).append((c, c2))
+        else:
+            # p > q: f_p f_q = (-1)^{|p||q|} f_q f_p + [f_p, f_q], and q
+            # odd makes p odd (odd positions come last)
+            sgn = _MINUS_ONE if q >= self.n_even_low else QI_ONE
+            for m2, c in self._insert_lowering(p, rest).items():
+                terms.setdefault((q,) + m2, []).append((sgn, c))
+            for g2, c in self._bk[fp][self.lowering[q]]:
+                for m2, c2 in self._insert_lowering(self.low_pos[g2],
+                                                    rest).items():
+                    terms.setdefault(m2, []).append((c, c2))
+        out = self._ins_memo[key] = _sum_terms(terms, self.tower.gens)
         return out
 
     def act_on(self, gen: int, mono: tuple, h: int) -> dict:
         """gen * (mono (x) w_h) expanded in the basis, truncated to the
-        window; keys are (mono, h) pairs."""
+        window; keys are (mono, h) pairs, values raw entries.  Every term
+        has the height of mono plus the height gen adds, so the whole
+        expansion is empty when that leaves the window."""
         key = (gen, mono, h)
         memo = self._act_memo
-        if key in memo:
-            return memo[key]
-        ms = self.ms
-        out: dict = {}
-        if not mono:
+        out = memo.get(key)
+        if out is not None:
+            return out
+        low_height = self.low_height
+        if sum(low_height[p] for p in mono) + sum(self._shift_of(gen)) \
+                > self.depth:
+            out = {}
+        elif not mono:
             if gen in self.low_pos:
-                out = {((self.low_pos[gen],), h): self.tower.one()}
+                out = {((self.low_pos[gen],), h): QI_ONE}
             elif gen in self.cartan_pos:
-                mat = self.h_mod.cartan_mats[self.cartan_pos[gen]]
-                for k in range(self.h_mod.dim):
-                    v = mat.rows[k][h]
-                    if not v.is_zero:
-                        out[((), k)] = v
+                out = {((), k): v
+                       for k, v in self._cartan[self.cartan_pos[gen]][h]}
             else:
                 out = {}
         else:
+            terms: dict = {}
             p = mono[0]
             rest = mono[1:]
             fp = self.lowering[p]
             # [gen, f_p] (rest (x) w) term
-            br = ms.algebra.bk[gen][fp]
-            for g2, c in br.items():
+            for g2, c in self._bk[gen][fp]:
                 for bkey, c2 in self.act_on(g2, rest, h).items():
-                    _dict_add(out, bkey, c * c2)
+                    terms.setdefault(bkey, []).append((c, c2))
             # (-1)^{|gen||f_p|} f_p (gen (rest (x) w)) term
-            sgn = -1 if (ms.algebra.space.parity(gen)
-                         and ms.algebra.space.parity(fp)) else 1
+            neg = self._odd[gen] and self._odd[fp]
             for (m2, h2), c in self.act_on(gen, rest, h).items():
+                if neg:
+                    c = raw_neg(c)
                 for m3, c3 in self._insert_lowering(p, m2).items():
-                    _dict_add(out, (m3, h2), c * c3 if sgn > 0 else -c * c3)
-        # truncate to the window
-        low_height, depth = self.low_height, self.depth
-        out = {k: v for k, v in out.items()
-               if sum(low_height[p] for p in k[0]) <= depth}
+                    terms.setdefault((m3, h2), []).append((c, c3))
+            out = _sum_terms(terms, self.tower.gens)
         memo[key] = out
         return out
 
@@ -470,8 +489,9 @@ class TruncatedVerma:
 
     def block(self, gen: int, beta):
         """Matrix of gen from the beta component to its target component,
-        as (target_beta, rows); None when the target leaves the window or
-        the source is empty."""
+        as (target_beta, columns): columns[c] is the image of source basis
+        vector c as a sparse dict {target index: raw entry}.  None when the
+        target leaves the window or the source is empty."""
         key = (gen, beta)
         if key in self._block_memo:
             return self._block_memo[key]
@@ -479,23 +499,22 @@ class TruncatedVerma:
         if not src:
             self._block_memo[key] = None
             return None
-        shift = self._shift.get(gen)
-        if shift is None:
-            shift = self._shift[gen] = self._weight_shift(gen)
-        target = tuple(b + d for b, d in zip(beta, shift))
+        target = tuple(b + d for b, d in zip(beta, self._shift_of(gen)))
         if any(t < 0 for t in target) or sum(target) > self.depth:
             self._block_memo[key] = None
             return None
         tgt_index = self.basis_index[target]
-        rows = zero_rows(self.tower, len(self.basis[target]), len(src))
-        for col, (mono, h) in enumerate(src):
+        cols = []
+        for mono, h in src:
+            col = {}
             for bkey, c in self.act_on(gen, mono, h).items():
-                if bkey in tgt_index:
-                    rows[tgt_index[bkey]][col] = c
-                elif not c.is_zero:
+                t = tgt_index.get(bkey)
+                if t is None:
                     raise AssertionError("straightened term landed outside "
                                          "its weight component")
-        result = (target, rows)
+                col[t] = c
+            cols.append(col)
+        result = (target, cols)
         self._block_memo[key] = result
         return result
 
@@ -503,15 +522,25 @@ class TruncatedVerma:
         return {beta: len(self.basis[beta]) for beta in self._betas}
 
 
-def _dict_add(d: dict, key, val):
-    if val.is_zero:
-        return
-    cur = d.get(key)
-    nxt = val if cur is None else cur + val
-    if nxt.is_zero:
-        d.pop(key, None)
-    else:
-        d[key] = nxt
+_HALF = (1, 0, 2)
+_MINUS_ONE = (-1, 0, 1)
+
+
+def _sum_terms(terms: dict, gens) -> dict:
+    """{key: sum of f*x over its (f, x) pairs}, raw, zero sums dropped.
+    Most keys have one pair with a factor 1 (the q(n) brackets are mostly
+    unit constants), which is taken as it is."""
+    out = {}
+    for k, pairs in terms.items():
+        if len(pairs) == 1:
+            f, x = pairs[0]
+            out[k] = x if f == QI_ONE else f if x == QI_ONE else \
+                raw_mul(f, x, gens)
+        else:
+            v = raw_dot(pairs, gens)
+            if v is not None:
+                out[k] = v
+    return out
 
 
 def verma(ms: MapSuper, psi: PsiFunctional, depth: int) -> TruncatedVerma:
@@ -527,32 +556,41 @@ class SimpleQuotient:
     """Truncation of the simple highest-weight module V(psi).
 
     The maximal submodule N is built one weight at a time, in order of
-    height: a vector of weight beta lies in N_beta exactly when every
-    raising generator maps it into N at its target weight tgt.  Each N_beta
-    is kept as its RREF Span, with pivot columns P and free columns F (the
-    free columns index a basis of the quotient).  One Span per weight then
-    gives both N_beta and the singular dimension, by two exact identities.
+    height: a vector v of weight beta lies in N_beta exactly when every
+    raising generator maps it into N at its target weight tgt.  It is
+    enough to ask this of the simple raising generators e_{alpha_k} (x) a_j
+    and e'_{alpha_k} (x) a_j (MapSuper.simple_raising_gens): A is unital, so
+    they generate n+ (x) A, and since N is stable under n+ (x) A the set of
+    x with x v in N is a subalgebra ([x, y] v = x (y v) -+ y (x v)).  The
+    same argument with N = 0 gives the singular spaces.
+
+    Each N_beta is kept as its RREF Span, with pivot columns P and free
+    columns F (the free columns index a basis of the quotient).  One Span
+    per weight then gives both N_beta and the singular dimension, by two
+    exact identities, over the simple raising blocks B.
 
     1. Let R_tgt send e_c to its residual modulo N_tgt, keyed by F.
-       Reducing the column B_g e_c of a raising block modulo N_tgt gives
-       exactly the column c of R_tgt B_g.  So the reduced columns,
-       regrouped into rows, span the rows of R_tgt B_g, and N_beta is the
+       Reducing the column B e_c of a raising block modulo N_tgt gives
+       exactly the column c of R_tgt B.  So the reduced columns,
+       regrouped into rows, span the rows of R_tgt B, and N_beta is the
        kernel of all of them.  A target whose quotient is 0 adds no rows.
     2. Row operations give B_F - C B_P = R_tgt B, where B_F and B_P are
        the rows of B at F and at P and C holds the RREF entries at F.  So
        ker B = ker [R_tgt B ; B_P]: once N_beta is read off, adding the
-       rows of every raising block at the pivot columns of its target
-       leaves the joint kernel of the raising generators, and
+       rows of every simple raising block at the pivot columns of its
+       target leaves the joint kernel of the raising generators, and
        singular_dims[beta] = d - span.dim.  For a target whose quotient
        is 0 that is every row.
 
     At beta = 0 no raising block lands in the window: N_0 = 0 (the top
-    block generates V(psi)) and the singular dimension is d.
+    block generates V(psi)) and the singular dimension is d.  Blocks stay
+    sparse raw columns throughout; Scalars are made only in _assemble.
 
     conclusive is True when the quotient vanishes on a band of n
     consecutive heights inside the window (n = maximal root height), in
     which case the module is complete and module is a WeightModule over
-    the full map superalgebra, its blocks read off the same reductions."""
+    the full map superalgebra, its blocks read off the same reductions
+    for every generator."""
 
     def __init__(self, vm: TruncatedVerma):
         self.verma = vm
@@ -560,32 +598,41 @@ class SimpleQuotient:
         n = vm.qd.n
         betas = sorted(vm._betas, key=lambda b: (sum(b), b))
         nspan: dict = {}   # beta -> RREF Span of N_beta
-        nsub: dict = {}
         quot_dims: dict = {}
         free_cols: dict = {}
         singular_dims: dict = {}
         for beta in betas:
             d = len(vm.basis[beta])
             blocks = [blk for blk in (vm.block(g, beta)
-                                      for g in vm.ms.raising_gens)
+                                      for g in vm.ms.simple_raising_gens)
                       if blk is not None]
             sp = Span(tower)
-            for tgt, mat in blocks:
-                if quot_dims[tgt] and sp.dim < d:
-                    rows: dict = {}
-                    for f, c, x in _residual_entries(nspan[tgt], mat,
-                                                     range(d)):
-                        rows.setdefault(f, {})[c] = x
-                    _add_rows(sp, rows.values(), d)
-            nsub[beta] = sp.kernel(d) if any(beta) else []
-            for tgt, mat in blocks:
-                _add_rows(sp, (_sparse(mat[p]) for p in nspan[tgt].rows), d)
+            rows = []   # identity 1: the rows of every R_tgt B
+            for tgt, cols in blocks:
+                if quot_dims[tgt]:
+                    ntgt = nspan[tgt]
+                    by_free: dict = {}
+                    for c, col in enumerate(cols):
+                        for f, x in ntgt._reduce_raw(col).items():
+                            by_free.setdefault(f, {})[c] = x
+                    rows.extend(by_free.values())
+            _add_rows(sp, rows, d)
+            nspan[beta] = Span(tower, sp._kernel_raw(d) if any(beta) else ())
+            rows = []   # identity 2: the rows of every B at P_tgt
+            for tgt, cols in blocks:
+                pivots = nspan[tgt].rows
+                by_pivot: dict = {}
+                for c, col in enumerate(cols):
+                    for t, x in col.items():
+                        if t in pivots:
+                            by_pivot.setdefault(t, {})[c] = x
+                rows.extend(by_pivot.values())
+            _add_rows(sp, rows, d)
             singular_dims[beta] = d - sp.dim
-            nspan[beta] = Span(tower, map(_sparse, nsub[beta]))
             free_cols[beta] = [c for c in range(d)
                                if c not in nspan[beta].rows]
             quot_dims[beta] = len(free_cols[beta])
-        self.nsub = nsub
+        self.nspan = nspan
         self.quot_dims = quot_dims
         self.free_cols = free_cols
         self.singular_dims = singular_dims
@@ -601,9 +648,9 @@ class SimpleQuotient:
                 break
         self.conclusive = band_at is not None
         self.band_start = band_at
-        self.module = self._assemble(nspan) if self.conclusive else None
+        self.module = self._assemble() if self.conclusive else None
 
-    def _assemble(self, nspan) -> WeightModule:
+    def _assemble(self) -> WeightModule:
         """The quotient's blocks: block columns at the free columns of the
         source, reduced modulo N at the target."""
         vm = self.verma
@@ -628,11 +675,13 @@ class SimpleQuotient:
                 blk = vm.block(g, beta)
                 if blk is None:
                     continue
-                tgt, mat = blk
+                tgt, cols = blk
                 if tgt not in weights:
                     continue  # target is zero in the quotient
-                entries = list(_residual_entries(nspan[tgt], mat,
-                                                 self.free_cols[beta]))
+                ntgt = self.nspan[tgt]
+                entries = [(f, j, x)
+                           for j, c in enumerate(self.free_cols[beta])
+                           for f, x in ntgt._reduce_raw(cols[c]).items()]
                 if not entries:
                     continue
                 pos = {f: t for t, f in enumerate(self.free_cols[tgt])}
@@ -645,22 +694,12 @@ class SimpleQuotient:
                             parities, act, qd=vm.qd)
 
 
-def _residual_entries(ntgt: Span, mat, cols):
-    """Entries (f, j, raw) of R_tgt B at the source columns cols: column
-    cols[j] of the dense block mat reduced modulo N_tgt (given by its
-    Span), f a free column of the target."""
-    columns = list(zip(*mat))
-    for j, c in enumerate(cols):
-        for f, x in ntgt._reduce_raw(_sparse(columns[c])).items():
-            yield f, j, x
-
-
-def _sparse(vec) -> dict:
-    """The nonzero entries of a dense vector of Scalars, by index."""
-    return {k: x for k, x in enumerate(vec) if x.co}
-
-
-def _add_rows(sp: Span, rows, d: int):
+def _add_rows(sp: Span, rows: list, d: int):
+    """Add rows in decreasing order of their first column.  A new pivot
+    then mostly lies left of the stored ones, where every stored row is
+    zero, so the back-substitution of Span.add rarely has work: on the
+    dims-q3 pool this cuts the entry updates by a third."""
+    rows.sort(key=min, reverse=True)
     for row in rows:
         if sp.dim == d:
             return  # every further row lies in the span

@@ -38,6 +38,10 @@ class MapSuper:
                              for j in range(na)]
         self.lowering_gens = [self.pair_index[(x, j)] for x in qd.nneg_indices
                               for j in range(na)]
+        # (simple root vector) (x) a_j: they generate npos (x) A, A unital
+        self.simple_raising_gens = [self.pair_index[(x, j)]
+                                    for x in qd.simple_pos_indices
+                                    for j in range(na)]
         self.gen_root = {}
         for (x, j), idx in self.pair_index.items():
             w = qd.weight_of({x: self.g.tower.one()})

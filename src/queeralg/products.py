@@ -19,7 +19,7 @@ from .liesuper import LieModule, LieSuper, direct_sum, is_isomorphic_flat
 from .mapsuper import (InvariantSub, MapSuper, ann_and_support,
                        ann_and_support_gamma)
 from .queer import QueerData
-from .scalars import Scalar, raw_of
+from .scalars import Scalar, raw_dot, raw_of
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +189,16 @@ def _solve_columns(emb, img, tower):
     sols = solve_columns(emb, rhs_cols, ncols_emb, tower)
     if sols is None:
         raise AssertionError("operator image leaves the subspace")
-    # verify exactly (the solver only guarantees pivot consistency)
+    # verify every row exactly (the solver only guarantees pivot
+    # consistency): row i of emb x is one raw_dot over its nonzeros
+    emb_raw = [[(j, raw_of(x)) for j, x in enumerate(row) if x.co]
+               for row in emb]
     for sol, rhs in zip(sols, rhs_cols):
-        for i in range(len(emb)):
-            acc = tower.zero()
-            for j in range(ncols_emb):
-                acc = acc + emb[i][j] * sol[j]
-            if acc != rhs[i]:
+        xs = [raw_of(x) for x in sol]
+        for row, b in zip(emb_raw, rhs):
+            got = raw_dot(((f, xs[j]) for j, f in row if xs[j] is not None),
+                          tower.gens)
+            if got != raw_of(b):
                 raise AssertionError("operator image leaves the subspace")
     return [[sol[j] for sol in sols] for j in range(ncols_emb)]
 
@@ -722,27 +725,31 @@ def restrict_to_invariants(m: WeightModule, inv: InvariantSub) -> WeightModule:
 def _combine(m: WeightModule, terms) -> dict:
     """Blocks of sum_k c_k rho(x_k) over (k, c_k) terms, in the act[i]
     form {w: [(target, rows)]}.  Only nonzero coefficients and entries
-    are multiplied and added; blocks that cancel to zero are dropped."""
+    are multiplied and added; a target block is allocated when the first
+    nonzero entry lands in it, and blocks that cancel to zero are dropped
+    (with one nonzero term nothing can cancel: the tower is a field)."""
     zero = m.tower.zero()
     acc: dict = {}   # w -> {target: dense rows}
+    nterms = 0
     for k, c in terms:
-        if c.is_zero:
+        if not c.co:
             continue
+        nterms += 1
         for w, blks in m.act[k].items():
             cur = acc.setdefault(w, {})
             for (wt, rows) in blks:
                 tgt = cur.get(wt)
-                if tgt is None:
-                    tgt = cur[wt] = [[zero] * len(row) for row in rows]
-                for ra, row in zip(tgt, rows):
+                for r, row in enumerate(rows):
                     for s, v in enumerate(row):
-                        if not v.is_zero:
-                            a = ra[s]
-                            ra[s] = c * v if a.is_zero else a + c * v
+                        if v.co:
+                            if tgt is None:
+                                tgt = cur[wt] = [[zero] * len(x) for x in rows]
+                            a = tgt[r][s]
+                            tgt[r][s] = a + c * v if a.co else c * v
     act = {}
     for w, d in acc.items():
         pieces = [(wt, rows) for wt, rows in d.items()
-                  if any(not v.is_zero for row in rows for v in row)]
+                  if nterms == 1 or any(v.co for row in rows for v in row)]
         if pieces:
             act[w] = pieces
     return act

@@ -149,6 +149,11 @@ class QueerData:
             [self.index[f"e'[{i},{j}]"] for i, j in offdiag if i < j]
         self.nneg_indices = [self.index[f"e[{i},{j}]"] for i, j in offdiag if i > j] + \
             [self.index[f"e'[{i},{j}]"] for i, j in offdiag if i > j]
+        # the simple root vectors e_{alpha_k} and their odd twins, which
+        # generate npos as a Lie superalgebra
+        self.simple_pos_indices = \
+            [self.index[f"e[{k},{k + 1}]"] for k in range(1, n + 1)] + \
+            [self.index[f"e'[{k},{k + 1}]"] for k in range(1, n + 1)]
         self.borel_indices = sorted(self.cartan_indices + self.npos_indices)
 
     @property

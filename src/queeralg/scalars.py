@@ -409,6 +409,13 @@ def raw_mul(x, y, gens):
     return _co_raw(_co_mul(_raw_co(x), _raw_co(y), gens))
 
 
+def raw_neg(x):
+    """Negative of a nonzero raw entry."""
+    if x.__class__ is tuple:
+        return qi_neg(x)
+    return _co_neg(x)
+
+
 def raw_inv(x, gens):
     if x.__class__ is tuple:
         return qi_inv(x)

@@ -17,7 +17,7 @@ from queeralg.products import (adjoint_q_module, direct_sum_weight, ev_module,
                                is_isomorphic_weight, tensor_same_algebra,
                                trivial_q_module)
 from queeralg.queer import build_q
-from queeralg.scalars import Tower
+from queeralg.scalars import Tower, scalar_of
 
 
 @pytest.fixture(scope="module")
@@ -117,21 +117,20 @@ def test_verma_relations_within_window(setup):
     pairs = [(rng.randrange(alg.dim), rng.randrange(alg.dim)) for _ in range(40)]
     for i, j in pairs:
         for beta in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-            bi = vm.block(j, beta)
+            bi = dense_block(vm, j, beta)
             if bi is None:
                 continue
             mid, mat_j = bi
-            b2 = vm.block(i, mid)
+            b2 = dense_block(vm, i, mid)
             if b2 is None:
                 continue
             tgt, mat_i = b2
-            from queeralg.graded import mat_mul
             lhs = mat_mul(mat_i, mat_j, K)
-            bj = vm.block(i, beta)
+            bj = dense_block(vm, i, beta)
             if bj is None:
                 continue
             mid2, mat_i2 = bj
-            b3 = vm.block(j, mid2)
+            b3 = dense_block(vm, j, mid2)
             if b3 is None:
                 continue
             tgt2, mat_j2 = b3
@@ -145,7 +144,7 @@ def test_verma_relations_within_window(setup):
             br = alg.bk[i][j]
             expect = None
             for g, c in br.items():
-                bg = vm.block(g, beta)
+                bg = dense_block(vm, g, beta)
                 if bg is None:
                     continue
                 t3, m3 = bg
@@ -411,13 +410,26 @@ def test_dims_q3_psi_2_m1_1_completes(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def dense_block(vm, g, beta):
+    """vm.block(g, beta) as (target, dense rows of Scalars), or None."""
+    blk = vm.block(g, beta)
+    if blk is None:
+        return None
+    tgt, cols = blk
+    rows = zero_rows(vm.tower, len(vm.basis[tgt]), len(cols))
+    for c, col in enumerate(cols):
+        for t, x in col.items():
+            rows[t][c] = scalar_of(vm.tower, x)
+    return tgt, rows
+
+
 def oracle_singular_dims(vm):
     out = {}
     for beta in vm._betas:
         d = len(vm.basis[beta])
         rows = []
         for g in vm.ms.raising_gens:
-            blk = vm.block(g, beta)
+            blk = dense_block(vm, g, beta)
             if blk is not None:
                 rows.extend(blk[1])
         out[beta] = d - mat_rank(rows, d, vm.tower)
@@ -438,7 +450,7 @@ class ResidualQuotient:
             else:
                 rows = []
                 for g in vm.ms.raising_gens:
-                    blk = vm.block(g, beta)
+                    blk = dense_block(vm, g, beta)
                     if blk is None:
                         continue
                     tgt, mat = blk
@@ -491,7 +503,7 @@ class ResidualQuotient:
         for g in range(vm.ms.dim):
             blocks = {}
             for beta in betas:
-                blk = vm.block(g, beta)
+                blk = dense_block(vm, g, beta)
                 if blk is None:
                     continue
                 tgt, mat = blk
@@ -508,7 +520,8 @@ class ResidualQuotient:
 
 def assert_same_quotient(vm):
     new, ref = SimpleQuotient(vm), ResidualQuotient(vm)
-    assert new.nsub == ref.nsub
+    assert {b: sp.rows for b, sp in new.nspan.items()} == \
+        {b: Span(vm.tower, vecs).rows for b, vecs in ref.nsub.items()}
     assert new.quot_dims == ref.quot_dims
     assert new.free_cols == ref.free_cols
     assert new.singular_dims == ref.singular_dims
@@ -548,6 +561,36 @@ def test_simple_quotient_matches_residual_oracle_q3(psi_vals, depth):
     vm = verma(ms, psi, depth)
     assume(vm.h_mod.dim == 4)   # Clifford rank 3
     assert_same_quotient(vm)
+
+
+@pytest.mark.parametrize("alg,psi_vals,depth", [
+    ("dual", (1, 0, 1, 0), 3),     # adjoint weight at t = 0
+    ("dual", (2, 0, 0, 1), 3),     # dim H(psi) = 4
+    ("two", (1, 1, 1, 1), 3),      # adjoint weight at t = 1
+    ("two", (1, 0, 1, 0), 2),
+    ("two", (1, 1, 0, 1), 2),      # tower height 2
+    ("two", (0, 0, 0, 0), 2),      # trivial: conclusive, band at 1
+])
+def test_simple_quotient_matches_residual_oracle_over_algebras(
+        setup, alg, psi_vals, depth):
+    """dim A = 2: SimpleQuotient imposes only e_{alpha_k} (x) a_j and
+    e'_{alpha_k} (x) a_j, the oracle all of n+ (x) A, so a restriction
+    that kept too few a_j (or dropped the odd ones) would show here."""
+    K = setup["K"]
+    _, ms, ctx = setup[alg]
+    psi = PsiFunctional(ctx, [K.from_int(v) for v in psi_vals])
+    assert_same_quotient(verma(ms, psi, depth))
+
+
+def test_conclusive_quotient_over_dual_numbers_matches_oracle(setup):
+    """The adjoint weight at t = 0 over the dual numbers: V(psi) is the
+    evaluation of the 16-dimensional adjoint module, complete at depth 6,
+    and its assembled blocks over all of q(2) (x) A match the oracle's."""
+    K = setup["K"]
+    _, ms, ctx = setup["dual"]
+    psi = PsiFunctional(ctx, [K.from_int(v) for v in (1, 0, 1, 0)])
+    sq = assert_same_quotient(verma(ms, psi, 6))
+    assert sq.conclusive and sq.module.dim == 16
 
 
 @pytest.mark.parametrize("psi_vals,depth,dim", [

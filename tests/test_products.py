@@ -580,3 +580,47 @@ def test_tensor_q_with_m_is_flat_koszul_and_phi_supercommutes(q_first):
     for g, rho in enumerate(flat.mats):
         sgn = -1 if flat.algebra.space.parity(g) else 1
         assert phi * rho == rho * phi * sgn
+
+
+def test_combine_matches_dense_sums_and_drops_cancelled_blocks():
+    """_combine against sums of the flat matrices, with coefficients above
+    Q(i); a combination that cancels leaves no block at all."""
+    from queeralg.products import _combine, adjoint_q_module
+    from queeralg.hwmod import WeightModule
+    K = Tower()
+    qd = build_q(K, 2)
+    ad = adjoint_q_module(qd)
+    s = K.adjoin_sqrt(K.from_int(2))
+    flat = ad.flatten().mats
+    combos = [[(0, K.one()), (3, s), (8, K.from_int(-2))],
+              [(k, s * K.from_int(k + 1)) for k in range(qd.dim)],
+              [(5, K.i()), (5, K.zero()), (13, s + K.one())]]
+    act = [_combine(ad, terms) for terms in combos]
+    got = WeightModule(ad.algebra, K, ad.weights, ad.parities,
+                       act + [{}] * (qd.dim - len(act)), qd=qd).flatten()
+    for terms, m in zip(combos, got.mats):
+        want = GradedMap.zero(K, m.source, m.target)
+        for k, c in terms:
+            want = want + flat[k] * c
+        assert m.rows == want.rows
+    assert _combine(ad, [(4, s), (4, -s)]) == {}
+    assert all(rows for blks in act[0].values() for _, rows in blks)
+
+
+def test_solve_columns_check_is_exact_on_every_row(monkeypatch):
+    """The exact check after the solver reads every row of emb x, at tower
+    height 1 as well: a solution that is wrong in the last row only is
+    rejected."""
+    import queeralg.products as products
+    K = Tower()
+    s = K.adjoin_sqrt(K.from_int(3))
+    one, zero = K.one(), K.zero()
+    emb = [[one, zero], [zero, s], [s, one]]
+    x = [K.from_int(2), s + one]
+    img = [[sum((e * v for e, v in zip(row, x)), zero)] for row in emb]
+    assert products._solve_columns(emb, img, K) == [[x[0]], [x[1]]]
+    img[2][0] = img[2][0] + one
+    monkeypatch.setattr(products, "solve_columns",
+                        lambda rows, rhs, n, tower: [list(x)])
+    with pytest.raises(AssertionError, match="leaves the subspace"):
+        products._solve_columns(emb, img, K)
