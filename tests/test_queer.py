@@ -1,4 +1,7 @@
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -182,3 +185,44 @@ def test_structure_constants_match_dense_oracle(K, n):
     # same constants, and the same key order (it reaches act_on and reports)
     assert [[list(d.items()) for d in row] for row in qd.algebra.bk] == \
         [[list(d.items()) for d in row] for row in ref]
+
+
+Q_STRUCTURE = Path(__file__).resolve().parent / "data" / "q_structure.json"
+
+
+def _structure_table(qd):
+    """bk as strings: one "index: value" list per entry, in key order."""
+    return [[", ".join(f"{k}: {v}" for k, v in d.items()) for d in row]
+            for row in qd.algebra.bk]
+
+
+def q_structure_pin():
+    K = Tower()
+    q4 = json.dumps(_structure_table(build_q(K, 4))).encode()
+    return {"q(2)": _structure_table(build_q(K, 2)),
+            "q(3)": _structure_table(build_q(K, 3)),
+            "q(4) sha256": hashlib.sha256(q4).hexdigest()}
+
+
+def _dump_pin(data) -> str:
+    return json.dumps(data, indent=1, sort_keys=True) + "\n"
+
+
+def test_structure_constants_match_pin():
+    """tests/data/q_structure.json pins the structure constants of q(2)
+    and q(3) (values and key order) and a sha256 of q(4)'s.  Regenerate
+    with `PYTHONPATH=src python tests/test_queer.py` only when a change
+    of basis is intended."""
+    assert _dump_pin(q_structure_pin()) == Q_STRUCTURE.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_structure_constants_live_in_calling_tower(n):
+    K = Tower()
+    K.adjoin_sqrt(K.from_int(2))
+    bk = build_q(K, n).algebra.bk
+    assert all(v.tower is K for row in bk for d in row for v in d.values())
+
+
+if __name__ == "__main__":
+    Q_STRUCTURE.write_text(_dump_pin(q_structure_pin()), encoding="utf-8")
