@@ -744,38 +744,52 @@ def _raw_products(factors, gens) -> dict:
     return out
 
 
-def operator_closure_dim(ops, dim: int, tower: Tower, cap: int | None = None,
-                         multipliers=None):
+def operator_closure_dim(ops, dim: int, tower: Tower, multipliers=None):
     """Dimension of the unital algebra generated by the operators (sparse
-    {i: {j: Scalar}} matrices) under span-closure; optionally stops early
-    once the dimension exceeds cap.
+    {i: {j: Scalar}} matrices on K^dim).
+
+    With S the multipliers (the ops unless given), the algebra is the
+    union of V_0 = span(1, ops) and V_{k+1} = V_k + V_k*S: a word in S is
+    a shorter word times one letter on the right.  So only e*g is formed,
+    for e added at the last step (the rest of V_k was multiplied before)
+    and g in S; the mirrored g*e is never needed.  A multiplier in span(1,
+    earlier multipliers) adds no word, since e*(c + sum a_i g_i) = c e +
+    sum a_i e*g_i is already in the span; such multipliers, for example
+    operators that act by scalars, are dropped first.  The span lies in
+    End(K^dim), so it is complete once it has dimension dim^2, and the
+    loop stops there.
 
     multipliers, when given, must be a subset of the ops whose products
     already reach every op (e.g. algebra generators); the closure is the
     same and the worklist is smaller.  The operators are converted to raw
     entries once, and the products and the span run on those."""
     n = dim
+    full = n * n
     gens = tower.gens
     span = Span(tower)
 
     def flat(mat):
         return {i * n + j: v for i, row in mat.items() for j, v in row.items()}
 
-    ident = {i: {i: QI_ONE} for i in range(n)}
-    raw_ops = [_raw_mat(m) for m in ops]
-    frontier = [mat for mat in [ident] + raw_ops if span.add(flat(mat))]
-    mults = raw_ops if multipliers is None else \
-        [_raw_mat(m) for m in multipliers]
-    while frontier:
-        if cap is not None and span.dim > cap:
-            return span.dim
+    ident = flat({i: {i: QI_ONE} for i in range(n)})
+    span.add(ident)
+    # 1*g = g is already in V_0, so the identity needs no multiplying
+    frontier = [m for m in map(_raw_mat, ops) if span.add(flat(m))]
+    if multipliers is None:
+        # an op that adds nothing lies in span(1, the ops kept before it)
+        mults = frontier
+    else:
+        basis = Span(tower, [ident])
+        mults = [g for g in map(_raw_mat, multipliers) if basis.add(flat(g))]
+    while frontier and span.dim < full:
         new_frontier = []
         for e in frontier:
             for g in mults:
-                for prod in (_raw_products(((g, e),), gens),
-                             _raw_products(((e, g),), gens)):
-                    if prod and span.add(flat(prod)):
-                        new_frontier.append(prod)
+                prod = _raw_products(((e, g),), gens)
+                if prod and span.add(flat(prod)):
+                    if span.dim == full:
+                        return full
+                    new_frontier.append(prod)
         frontier = new_frontier
     return span.dim
 
@@ -794,8 +808,7 @@ def density_type(act: ModuleAction) -> DensityType:
         # a generating subset yields the same closure as the full list of
         # acting operators (each operator is a product of generators)
         ops = [_sparse_of(m.rows) for m in gen_maps]
-        return density_type_from_maps(act.mats, act.space, act.tower, ops,
-                                      multipliers=ops)
+        return density_type_from_maps(act.mats, act.space, act.tower, ops)
     ops = [_sparse_of(m.rows) for m in act.mats]
     return density_type_from_maps(act.mats, act.space, act.tower, ops)
 

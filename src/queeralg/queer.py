@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from math import lcm
 
 from .assocsuper import make_Q
 from .graded import EVEN, ODD, GradedSpace, GradedMap, Span, zero_rows
 from .liesuper import LieSuper, from_assoc
-from .scalars import Tower
+from .scalars import Scalar, Tower, raw_of
 
 
 def _mat(tower: Tower, n1: int):
@@ -69,37 +70,40 @@ class RootDatum:
 
     def decompose_qplus(self, delta):
         """Write a weight difference as nonnegative-integer coordinates
-        over the simple roots, or return None."""
-        coords = []
-        acc = 0
-        # alpha_k has eps-coordinates delta at positions k, k+1; on the h
-        # basis, value of sum a_k alpha_k at h_m is a_m*2 - a_{m-1} - a_{m+1}.
-        # Solve the tridiagonal system over exact scalars.
+        over the simple roots, or return None.
+
+        The coordinates solve delta_m = 2 a_m - a_{m-1} - a_{m+1}
+        (a_0 = a_{n+1} = 0), whose matrix is rational and invertible, so
+        a delta with an entry outside Q has no rational solution.  The
+        system is solved exactly in integers: N_m = (n+1) D a_m, with D
+        the common denominator of delta."""
         n = self.n
-        tower = self.qd.tower
-        a = [tower.zero()] * (n + 2)  # 1-indexed, with a_0 = a_{n+1} = 0
-        # forward substitution: delta_m = 2 a_m - a_{m-1} - a_{m+1}
-        # rearranged: a_{m+1} = 2 a_m - a_{m-1} - delta_m
-        # need a_1: use the closed form a_1 = sum_{m=1..n} (n+1-m)/(n+1) delta_m
-        s = tower.zero()
-        for m in range(1, n + 1):
-            s = s + delta[m - 1] * tower.from_fraction(Fraction(n + 1 - m, n + 1))
-        a[1] = s
+        nums, dens = [], []
+        for x in delta:
+            if x.__class__ is Scalar:
+                q = raw_of(x)   # None for 0, (a, b, d) for (a + b i)/d in Q(i)
+                if q is None:
+                    q = (0, 0, 1)
+                elif q.__class__ is not tuple or q[1]:
+                    return None
+                nums.append(q[0])
+                dens.append(q[2])
+            else:
+                fr = Fraction(x)
+                nums.append(fr.numerator)
+                dens.append(fr.denominator)
+        den = lcm(*dens)
+        e = [a * (den // d) for a, d in zip(nums, dens)]   # D delta
+        scale = (n + 1) * den
+        # a_1 = sum_m (n+1-m)/(n+1) delta_m is row 1 of the inverse Cartan
+        # matrix; forward substitution a_{m+1} = 2 a_m - a_{m-1} - delta_m
+        # then gives the unique solution, so the last equation holds
+        scaled = [0, sum((n + 1 - m) * e[m - 1] for m in range(1, n + 1))]
         for m in range(1, n):
-            a[m + 1] = 2 * a[m] - a[m - 1] - delta[m - 1]
-        # consistency at the last equation
-        if not (2 * a[n] - a[n - 1] - delta[n - 1]).is_zero:
+            scaled.append(2 * scaled[m] - scaled[m - 1] - (n + 1) * e[m - 1])
+        if any(v < 0 or v % scale for v in scaled[1:]):
             return None
-        out = []
-        for m in range(1, n + 1):
-            v = a[m]
-            if not v.is_rational:
-                return None
-            fr = v.as_fraction()
-            if fr.denominator != 1 or fr < 0:
-                return None
-            out.append(int(fr))
-        return tuple(out)
+        return tuple(v // scale for v in scaled[1:])
 
 
 class QueerData:
@@ -245,49 +249,72 @@ class QueerData:
         return GradedMap(tower, self.space, self.space, rows, parity=EVEN)
 
 
-def _sparse_mul(x: dict, y: dict) -> dict:
-    out: dict = {}
-    for (i, k), a in x.items():
-        for (k2, j), b in y.items():
-            if k == k2:
-                out[(i, j)] = out.get((i, j), 0) + a * b
-    return out
-
-
 def _queer_structure(tower: Tower, n: int, units, qd: QueerData):
     """bk[i][j]: coordinates of [e_i, e_j], bracketing the basis matrices
-    as sparse exact rationals.  Coordinates come in the order of
+    as sparse integer matrices.  Coordinates come in the order of
     QueerData.coords_of_pair: off-diagonal entries row by row, then the
-    partial sums of the diagonal on h_1..h_n."""
+    partial sums of the diagonal on h_1..h_n.  Entries stay integers up
+    to the traceless projection of an anticommutator, and each distinct
+    value becomes one Scalar, shared by every entry that has it (Scalars
+    are never mutated)."""
     n1 = n + 1
     index = qd.index
+    # coordinate indices by parity of the bracket: "" even, "'" odd
+    off = {p: {(i, j): index[f"e{w}[{i + 1},{j + 1}]"]
+               for i in range(n1) for j in range(n1) if i != j}
+           for p, w in ((EVEN, ""), (ODD, "'"))}
+    diag = {p: [index[f"h{w}{k + 1}"] for k in range(n)]
+            for p, w in ((EVEN, ""), (ODD, "'"))}
+    # each unit's entries grouped by row: {row: [(column, value)]}
+    by_row = []
+    for _, x in units:
+        rows: dict = {}
+        for (i, j), v in x.items():
+            rows.setdefault(i, []).append((j, v))
+        by_row.append(rows)
+    scalars: dict = {}
+
+    def scalar(num, den=1):
+        s = scalars.get((num, den))
+        if s is None:
+            s = scalars[(num, den)] = tower.from_fraction(Fraction(num, den))
+        return s
+
     bk = []
-    for pi, x in units:
+    for (pi, x), xrows in zip(units, by_row):
         row = []
-        for pj, y in units:
-            xy, yx = _sparse_mul(x, y), _sparse_mul(y, x)
+        for (pj, y), yrows in zip(units, by_row):
+            # x*y + sign*y*x: the anticommutator for two odd units
             sign = 1 if pi == pj == ODD else -1
-            m = dict(xy)
-            for key, v in yx.items():
-                m[key] = m.get(key, 0) + sign * v
-            if sign > 0:
-                # project the anticommutator back into the traceless slice
-                shift = Fraction(sum(m.get((t, t), 0) for t in range(n1)), n1)
-                if shift:
-                    for t in range(n1):
-                        m[(t, t)] = m.get((t, t), 0) - shift
-            which = "'" if pi != pj else ""
+            m: dict = {}
+            for (i, k), a in x.items():
+                for j, b in yrows.get(k, ()):
+                    m[(i, j)] = m.get((i, j), 0) + a * b
+            for (i, k), a in y.items():
+                for j, b in xrows.get(k, ()):
+                    m[(i, j)] = m.get((i, j), 0) + sign * a * b
             coords = {}
-            for (i, j) in sorted(m):
-                if i != j and m[(i, j)]:
-                    coords[index[f"e{which}[{i + 1},{j + 1}]"]] = \
-                        tower.from_fraction(m[(i, j)])
+            row.append(coords)
+            if not m:
+                continue
+            offp, diagp = off[pi ^ pj], diag[pi ^ pj]
+            dvals = [m.pop((t, t), 0) for t in range(n1)]
+            for key in sorted(m):
+                if m[key]:
+                    coords[offp[key]] = scalar(m[key])
+            # partial sums of the diagonal; an anticommutator is projected
+            # back into the traceless slice, so its k-th partial sum loses
+            # (k + 1) tr / n1 (a commutator has trace 0)
+            tr = sum(dvals)
             acc = 0
             for k in range(n):
-                acc += m.get((k, k), 0)
-                if acc:
-                    coords[index[f"h{which}{k + 1}"]] = tower.from_fraction(acc)
-            row.append(coords)
+                acc += dvals[k]
+                if tr:
+                    num = n1 * acc - (k + 1) * tr
+                    if num:
+                        coords[diagp[k]] = scalar(num, n1)
+                elif acc:
+                    coords[diagp[k]] = scalar(acc)
         bk.append(row)
     return bk
 

@@ -273,7 +273,9 @@ CL.adjoin_sqrt(CL.from_int(3) + CL.gen(0))   # a radicand above Q(i)
 @st.composite
 def operator_sets(draw):
     """1-3 sparse n x n operators, n in 1..3, entries at tower heights up to
-    the drawn one (0, 1 or 2)."""
+    the drawn one (0, 1 or 2); then, in random places, scalar multiples of
+    the identity and combinations of the operators drawn before, which the
+    closure must drop as multipliers."""
     h = draw(st.integers(0, 2))
     n = draw(st.integers(1, 3))
     entry = st.builds(
@@ -292,6 +294,24 @@ def operator_sets(draw):
             if not v.is_zero:
                 mat.setdefault(i, {})[j] = v
         ops.append(mat)
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(entry)
+        if draw(st.booleans()):
+            extra = {i: {i: c} for i in range(n)} if not c.is_zero else {}
+        else:
+            # c * ident + sum of drawn multiples of earlier operators
+            terms = [({i: {i: CL.one()} for i in range(n)}, c)] + \
+                [(op, draw(entry)) for op in ops]
+            extra = {}
+            for op, f in terms:
+                for i, row in op.items():
+                    for j, v in row.items():
+                        t = extra.setdefault(i, {}).get(j, CL.zero()) + f * v
+                        extra[i][j] = t
+            extra = {i: {j: v for j, v in row.items() if not v.is_zero}
+                     for i, row in extra.items()}
+            extra = {i: row for i, row in extra.items() if row}
+        ops.insert(draw(st.integers(0, len(ops))), extra)
     return n, ops
 
 
@@ -302,6 +322,66 @@ def test_operator_closure_dim_matches_scalar_closure(drawn, as_multipliers):
     mults = ops if as_multipliers else None
     assert operator_closure_dim(ops, n, CL, multipliers=mults) == \
         scalar_closure_dim(ops, n, CL, multipliers=mults)
+
+
+def unit(K, n, i, j):
+    return {i: {j: K.one()}}
+
+
+def test_operator_closure_stops_at_full_algebra(K, monkeypatch):
+    """E12, E21 on K^2: E12*E21 = E11 fills End(K^2) while E21 is still
+    on the frontier; nothing more is formed once the span has n^2."""
+    adds = []
+    add = Span.add
+
+    def counted(self, vec):
+        adds.append(1)
+        return add(self, vec)
+
+    monkeypatch.setattr(Span, "add", counted)
+    ops = [unit(K, 2, 0, 1), unit(K, 2, 1, 0)]
+    assert operator_closure_dim(ops, 2, K) == 4
+    # the identity, both operators, then E12*E12 = 0 (not added) and
+    # E12*E21: E21*E12, E21*E21 and the E11 row are never formed
+    assert len(adds) == 4
+    monkeypatch.undo()
+    assert scalar_closure_dim(ops, 2, K) == 4
+    # the cyclic shift and one diagonal unit generate End(K^3)
+    shift = {0: {1: K.one()}, 1: {2: K.one()}, 2: {0: K.one()}}
+    ops3 = [shift, unit(K, 3, 0, 0)]
+    assert operator_closure_dim(ops3, 3, K) == 9 == scalar_closure_dim(ops3, 3, K)
+
+
+def test_operator_closure_drops_scalar_and_dependent_multipliers(K):
+    """Operators acting by scalars, and a combination of the others, add
+    no words: only the two independent nilpotents are multiplied."""
+    e = {0: {1: K.one()}}
+    f = {1: {0: K.one()}}
+    two = {i: {i: K.from_int(2)} for i in range(2)}
+    comb = {0: {0: K.from_int(3), 1: K.one()}, 1: {0: K.from_int(-1),
+                                                  1: K.from_int(3)}}
+    ops = [two, e, comb, f]
+    assert operator_closure_dim(ops, 2, K) == 4 == scalar_closure_dim(ops, 2, K)
+    assert operator_closure_dim([two, e], 2, K) == 2 == \
+        scalar_closure_dim([two, e], 2, K)
+
+
+def test_operator_closure_odd_rank_cartan_module_is_qcomm():
+    """H(psi) of q(3) over the base field with Clifford rank 3: carrier
+    C^{2|2}, closure 2 m^2 = 8 < 16, and the density oracle says QComm.
+    The even Cartan operators act by the scalars psi(h_k)."""
+    from queeralg.assocsuper import _sparse_of, density_type_from_maps
+    from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
+    from queeralg.coeffalg import preset_base_field
+    from queeralg.queer import build_q
+    K = Tower()
+    ctx = CartanAlgebra(build_q(K, 3), preset_base_field(K))
+    h = build_H(PsiFunctional(ctx, [K.from_int(v) for v in (2, 1, 0)]))
+    assert h.rank == 3 and h.dim == 4
+    ops = [_sparse_of(m.rows) for m in h.cartan_mats]
+    assert operator_closure_dim(ops, 4, K) == 8 == scalar_closure_dim(ops, 4, K)
+    d = density_type_from_maps(h.cartan_mats, h.carrier, K)
+    assert d.kind == "qcomm" and d.closure_dim == 8
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from queeralg.liesuper import is_simple, is_solvable, subalgebra
 from queeralg.queer import build_q, build_q_hat, build_q_tilde, cartan_generation_check
@@ -185,6 +186,90 @@ def test_structure_constants_match_dense_oracle(K, n):
     # same constants, and the same key order (it reaches act_on and reports)
     assert [[list(d.items()) for d in row] for row in qd.algebra.bk] == \
         [[list(d.items()) for d in row] for row in ref]
+
+
+def scalar_decompose_qplus(roots, delta):
+    """Reference: the tridiagonal solve on exact Scalars that
+    RootDatum.decompose_qplus replaced."""
+    n = roots.n
+    tower = roots.qd.tower
+    a = [tower.zero()] * (n + 2)
+    s = tower.zero()
+    for m in range(1, n + 1):
+        s = s + delta[m - 1] * tower.from_fraction(Fraction(n + 1 - m, n + 1))
+    a[1] = s
+    for m in range(1, n):
+        a[m + 1] = 2 * a[m] - a[m - 1] - delta[m - 1]
+    if not (2 * a[n] - a[n - 1] - delta[n - 1]).is_zero:
+        return None
+    out = []
+    for m in range(1, n + 1):
+        v = a[m]
+        if not v.is_rational:
+            return None
+        fr = v.as_fraction()
+        if fr.denominator != 1 or fr < 0:
+            return None
+        out.append(int(fr))
+    return tuple(out)
+
+
+QP = Tower()
+QP.adjoin_sqrt(QP.from_int(2))
+
+
+@pytest.fixture(scope="module")
+def root_data():
+    with pytest.warns(UserWarning, match="not simple"):
+        q1 = build_q(QP, 1)
+    return {1: q1.roots, **{n: build_q(QP, n).roots for n in (2, 3, 4)}}
+
+
+@st.composite
+def weight_differences(draw):
+    """n in 1..4 and a delta over QP: a point of the root lattice with
+    coordinates in -1..3 (so often in Q+), arbitrary integers, rationals
+    with denominators 2 and 3, or one entry moved off Q by i or sqrt 2."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("lattice", "integer", "rational",
+                                 "non-rational")))
+    if kind == "lattice":
+        a = [0] + draw(st.lists(st.integers(-1, 3), min_size=n,
+                                max_size=n)) + [0]
+        vals = [Fraction(2 * a[m] - a[m - 1] - a[m + 1])
+                for m in range(1, n + 1)]
+    elif kind == "integer":
+        vals = [Fraction(v) for v in draw(st.lists(
+            st.integers(-4, 4), min_size=n, max_size=n))]
+    else:
+        vals = [Fraction(p, q) for p, q in draw(st.lists(
+            st.tuples(st.integers(-6, 6), st.sampled_from((1, 2, 3))),
+            min_size=n, max_size=n))]
+    delta = [QP.from_fraction(v) for v in vals]
+    if kind == "non-rational":
+        k = draw(st.integers(0, n - 1))
+        delta[k] = delta[k] + draw(st.sampled_from((QP.i(), QP.gen(0),
+                                                    -QP.gen(0) / 2)))
+    return n, tuple(delta)
+
+
+@settings(max_examples=200)
+@given(weight_differences())
+def test_decompose_qplus_matches_scalar_solve(root_data, drawn):
+    n, delta = drawn
+    roots = root_data[n]
+    assert roots.decompose_qplus(delta) == scalar_decompose_qplus(roots, delta)
+
+
+def test_decompose_qplus_examples(root_data):
+    roots = root_data[3]
+    one, two = QP.from_int(1), QP.from_int(2)
+    # alpha_1 + alpha_2 + alpha_3 = (1, 0, 1) on h_1..h_3
+    assert roots.decompose_qplus((one, QP.zero(), one)) == (1, 1, 1)
+    assert roots.decompose_qplus((two, -one, QP.zero())) == (1, 0, 0)
+    assert roots.decompose_qplus((-two, one, QP.zero())) is None
+    assert roots.decompose_qplus((one, QP.zero(), QP.zero())) is None
+    assert roots.decompose_qplus((one + QP.gen(0), QP.zero(), one)) is None
 
 
 Q_STRUCTURE = Path(__file__).resolve().parent / "data" / "q_structure.json"
