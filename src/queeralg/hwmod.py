@@ -5,6 +5,8 @@ simple quotients, and the four-condition irreducibility criterion."""
 
 from __future__ import annotations
 
+from itertools import product
+
 from .cartanmod import CartanAlgebra, PsiFunctional, build_H
 from .coeffalg import IdealRep
 from .graded import (EVEN, GradedMap, GradedSpace, Span, mat_kernel,
@@ -254,6 +256,26 @@ def triangular_of_invariants(inv: InvariantSub) -> TriangularSplit:
 # ---------------------------------------------------------------------------
 
 
+def _multisets(positions, weights, i, left, acc, out):
+    """Append to out each acc + (a nondecreasing list of positions[i:])
+    whose weights sum to left.  Module-level, so that no recursive
+    closure ties the caller's module into a reference cycle."""
+    if i == len(positions):
+        if all(x == 0 for x in left):
+            out.append(list(acc))
+        return
+    w = weights[i]
+    cur = list(left)
+    mult = 0
+    while True:
+        _multisets(positions, weights, i + 1, tuple(cur),
+                   acc + [positions[i]] * mult, out)
+        if not all(c >= x for c, x in zip(cur, w)):
+            break
+        cur = [c - x for c, x in zip(cur, w)]
+        mult += 1
+
+
 class TruncatedVerma:
     """Weight components of the induced module for psi down to a given
     height, with PBW monomial basis and straightening-based actions.
@@ -316,21 +338,12 @@ class TruncatedVerma:
     # -- combinatorics ---------------------------------------------------
 
     def _enumerate_betas(self):
+        """Every beta in N^n of height <= depth, by height, then in
+        lexicographic order."""
         n = self.qd.n
-        out = []
-        for h in range(self.depth + 1):
-            tmp = []
-
-            def rec(prefix, left):
-                if len(prefix) == n - 1:
-                    tmp.append(tuple(prefix + [left]))
-                    return
-                for v in range(left + 1):
-                    rec(prefix + [v], left - v)
-
-            rec([], h)
-            out.extend(tmp)
-        return out
+        return [head + (h - sum(head),) for h in range(self.depth + 1)
+                for head in product(range(h + 1), repeat=n - 1)
+                if sum(head) <= h]
 
     def _monomials_of_weight(self, beta):
         """All PBW monomials with total lowering weight beta."""
@@ -365,22 +378,8 @@ class TruncatedVerma:
         """Multisets of even lowering positions with the given total weight
         (as nondecreasing position lists)."""
         out = []
-
-        def rec(i, left, acc):
-            if i == len(positions):
-                if all(x == 0 for x in left):
-                    out.append(list(acc))
-                return
-            w = self.low_coords[positions[i]]
-            cur = list(left)
-            mult = 0
-            while True:
-                rec(i + 1, tuple(cur), acc + [positions[i]] * mult)
-                if not all(c >= x for c, x in zip(cur, w)):
-                    break
-                cur = [c - x for c, x in zip(cur, w)]
-                mult += 1
-        rec(0, tuple(target), [])
+        _multisets(positions, [self.low_coords[p] for p in positions], 0,
+                   tuple(target), [], out)
         return out
 
     def weight_tuple(self, beta):

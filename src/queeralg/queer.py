@@ -41,7 +41,8 @@ class RootDatum:
     the basis h[1], ..., h[n] of traceless diagonals."""
 
     def __init__(self, qd):
-        self.qd = qd
+        # no reference back to qd: QueerData holds this datum, and a cycle
+        # would keep the whole algebra alive until a full collection
         n = qd.n
         tower = qd.tower
         self.n = n

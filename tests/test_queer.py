@@ -188,11 +188,9 @@ def test_structure_constants_match_dense_oracle(K, n):
         [[list(d.items()) for d in row] for row in ref]
 
 
-def scalar_decompose_qplus(roots, delta):
+def scalar_decompose_qplus(tower, n, delta):
     """Reference: the tridiagonal solve on exact Scalars that
     RootDatum.decompose_qplus replaced."""
-    n = roots.n
-    tower = roots.qd.tower
     a = [tower.zero()] * (n + 2)
     s = tower.zero()
     for m in range(1, n + 1):
@@ -258,7 +256,7 @@ def weight_differences(draw):
 def test_decompose_qplus_matches_scalar_solve(root_data, drawn):
     n, delta = drawn
     roots = root_data[n]
-    assert roots.decompose_qplus(delta) == scalar_decompose_qplus(roots, delta)
+    assert roots.decompose_qplus(delta) == scalar_decompose_qplus(QP, n, delta)
 
 
 def test_decompose_qplus_examples(root_data):
