@@ -254,10 +254,10 @@ def _queer_structure(tower: Tower, n: int, units, qd: QueerData):
     """bk[i][j]: coordinates of [e_i, e_j], bracketing the basis matrices
     as sparse integer matrices.  Coordinates come in the order of
     QueerData.coords_of_pair: off-diagonal entries row by row, then the
-    partial sums of the diagonal on h_1..h_n.  Entries stay integers up
-    to the traceless projection of an anticommutator, and each distinct
-    value becomes one Scalar, shared by every entry that has it (Scalars
-    are never mutated)."""
+    partial sums of the diagonal on h_1..h_n.  The arithmetic stays in
+    integers; only the traceless projection of an anticommutator divides,
+    by n + 1.  Each distinct (numerator, denominator) becomes one Scalar,
+    shared by every entry that has it (Scalars are never mutated)."""
     n1 = n + 1
     index = qd.index
     # coordinate indices by parity of the bracket: "" even, "'" odd

@@ -324,7 +324,7 @@ def test_operator_closure_dim_matches_scalar_closure(drawn, as_multipliers):
         scalar_closure_dim(ops, n, CL, multipliers=mults)
 
 
-def unit(K, n, i, j):
+def unit(K, i, j):
     return {i: {j: K.one()}}
 
 
@@ -339,16 +339,16 @@ def test_operator_closure_stops_at_full_algebra(K, monkeypatch):
         return add(self, vec)
 
     monkeypatch.setattr(Span, "add", counted)
-    ops = [unit(K, 2, 0, 1), unit(K, 2, 1, 0)]
+    ops = [unit(K, 0, 1), unit(K, 1, 0)]
     assert operator_closure_dim(ops, 2, K) == 4
-    # the identity, both operators, then E12*E12 = 0 (not added) and
-    # E12*E21: E21*E12, E21*E21 and the E11 row are never formed
+    # the identity, E12 and E21, then E12*E12 = 0 (never added) and
+    # E12*E21 = E11, which fills End(K^2): E21 is never multiplied
     assert len(adds) == 4
     monkeypatch.undo()
     assert scalar_closure_dim(ops, 2, K) == 4
     # the cyclic shift and one diagonal unit generate End(K^3)
     shift = {0: {1: K.one()}, 1: {2: K.one()}, 2: {0: K.one()}}
-    ops3 = [shift, unit(K, 3, 0, 0)]
+    ops3 = [shift, unit(K, 0, 0)]
     assert operator_closure_dim(ops3, 3, K) == 9 == scalar_closure_dim(ops3, 3, K)
 
 
