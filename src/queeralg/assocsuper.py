@@ -744,25 +744,21 @@ def _raw_products(factors, gens) -> dict:
     return out
 
 
-def operator_closure_dim(ops, dim: int, tower: Tower, multipliers=None):
+def operator_closure_dim(ops, dim: int, tower: Tower):
     """Dimension of the unital algebra generated by the operators (sparse
     {i: {j: Scalar}} matrices on K^dim).
 
-    With S the multipliers (the ops unless given), the algebra is the
-    union of V_0 = span(1, ops) and V_{k+1} = V_k + V_k*S: a word in S is
-    a shorter word times one letter on the right.  So only e*g is formed,
-    for e added at the last step (the rest of V_k was multiplied before)
-    and g in S; the mirrored g*e is never needed.  A multiplier in span(1,
-    earlier multipliers) adds no word, since e*(c + sum a_i g_i) = c e +
-    sum a_i e*g_i is already in the span; such multipliers, for example
-    operators that act by scalars, are dropped first.  The span lies in
+    With S the ops, the algebra is the union of V_0 = span(1, S) and
+    V_{k+1} = V_k + V_k*S: a word in S is a shorter word times one letter
+    on the right.  So only e*g is formed, for e added at the last step
+    (the rest of V_k was multiplied before) and g in S; the mirrored g*e
+    is never needed.  A multiplier in span(1, earlier multipliers) adds
+    no word, since e*(c + sum a_i g_i) = c e + sum a_i e*g_i is already
+    in the span; such multipliers, for example operators that act by
+    scalars, are dropped first.  The span lies in
     End(K^dim), so it is complete once it has dimension dim^2, and the
-    loop stops there.
-
-    multipliers, when given, must be a subset of the ops whose products
-    already reach every op (e.g. algebra generators); the closure is the
-    same and the worklist is smaller.  The operators are converted to raw
-    entries once, and the products and the span run on those."""
+    loop stops there.  The operators are converted to raw entries once,
+    and the products and the span run on those."""
     n = dim
     full = n * n
     gens = tower.gens
@@ -775,12 +771,8 @@ def operator_closure_dim(ops, dim: int, tower: Tower, multipliers=None):
     span.add(ident)
     # 1*g = g is already in V_0, so the identity needs no multiplying
     frontier = [m for m in map(_raw_mat, ops) if span.add(flat(m))]
-    if multipliers is None:
-        # an op that adds nothing lies in span(1, the ops kept before it)
-        mults = frontier
-    else:
-        basis = Span(tower, [ident])
-        mults = [g for g in map(_raw_mat, multipliers) if basis.add(flat(g))]
+    # an op that adds nothing lies in span(1, the ops kept before it)
+    mults = frontier
     while frontier and span.dim < full:
         new_frontier = []
         for e in frontier:
@@ -802,23 +794,20 @@ def density_type(act: ModuleAction) -> DensityType:
     contains phi with phi^2 a nonzero scalar.  Both certify
     irreducibility over any extension field; otherwise Smaller(d).
     """
+    # a generating subset yields the same closure as the full list of
+    # acting operators (each operator is a product of generators)
     gen_maps = getattr(act, "closure_generator_maps", None) or \
-        getattr(act, "generator_maps", None)
-    if gen_maps:
-        # a generating subset yields the same closure as the full list of
-        # acting operators (each operator is a product of generators)
-        ops = [_sparse_of(m.rows) for m in gen_maps]
-        return density_type_from_maps(act.mats, act.space, act.tower, ops)
-    ops = [_sparse_of(m.rows) for m in act.mats]
+        getattr(act, "generator_maps", None) or act.mats
+    ops = [_sparse_of(m.rows) for m in gen_maps]
     return density_type_from_maps(act.mats, act.space, act.tower, ops)
 
 
 def density_type_from_maps(maps, space: GradedSpace, tower: Tower,
-                           sparse_ops=None, multipliers=None) -> DensityType:
+                           sparse_ops=None) -> DensityType:
     n = space.dim
     if sparse_ops is None:
         sparse_ops = [_sparse_of(m.rows) for m in maps]
-    d = operator_closure_dim(sparse_ops, n, tower, multipliers=multipliers)
+    d = operator_closure_dim(sparse_ops, n, tower)
     if d == n * n:
         return DensityType("full", d)
     m = space.even_dim

@@ -18,7 +18,7 @@ from math import lcm
 from .assocsuper import make_Q
 from .graded import EVEN, ODD, GradedSpace, GradedMap, Span, zero_rows
 from .liesuper import LieSuper, from_assoc
-from .scalars import Scalar, Tower, raw_of
+from .scalars import Tower, raw_of
 
 
 def _mat(tower: Tower, n1: int):
@@ -81,18 +81,13 @@ class RootDatum:
         n = self.n
         nums, dens = [], []
         for x in delta:
-            if x.__class__ is Scalar:
-                q = raw_of(x)   # None for 0, (a, b, d) for (a + b i)/d in Q(i)
-                if q is None:
-                    q = (0, 0, 1)
-                elif q.__class__ is not tuple or q[1]:
-                    return None
-                nums.append(q[0])
-                dens.append(q[2])
-            else:
-                fr = Fraction(x)
-                nums.append(fr.numerator)
-                dens.append(fr.denominator)
+            q = raw_of(x)   # None for 0, (a, b, d) for (a + b i)/d in Q(i)
+            if q is None:
+                q = (0, 0, 1)
+            elif q.__class__ is not tuple or q[1]:
+                return None
+            nums.append(q[0])
+            dens.append(q[2])
         den = lcm(*dens)
         e = [a * (den // d) for a, d in zip(nums, dens)]   # D delta
         scale = (n + 1) * den

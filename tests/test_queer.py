@@ -1,7 +1,4 @@
-import hashlib
-import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -270,35 +267,6 @@ def test_decompose_qplus_examples(root_data):
     assert roots.decompose_qplus((one + QP.gen(0), QP.zero(), one)) is None
 
 
-Q_STRUCTURE = Path(__file__).resolve().parent / "data" / "q_structure.json"
-
-
-def _structure_table(qd):
-    """bk as strings: one "index: value" list per entry, in key order."""
-    return [[", ".join(f"{k}: {v}" for k, v in d.items()) for d in row]
-            for row in qd.algebra.bk]
-
-
-def q_structure_pin():
-    K = Tower()
-    q4 = json.dumps(_structure_table(build_q(K, 4))).encode()
-    return {"q(2)": _structure_table(build_q(K, 2)),
-            "q(3)": _structure_table(build_q(K, 3)),
-            "q(4) sha256": hashlib.sha256(q4).hexdigest()}
-
-
-def _dump_pin(data) -> str:
-    return json.dumps(data, indent=1, sort_keys=True) + "\n"
-
-
-def test_structure_constants_match_pin():
-    """tests/data/q_structure.json pins the structure constants of q(2)
-    and q(3) (values and key order) and a sha256 of q(4)'s.  Regenerate
-    with `PYTHONPATH=src python tests/test_queer.py` only when a change
-    of basis is intended."""
-    assert _dump_pin(q_structure_pin()) == Q_STRUCTURE.read_text(encoding="utf-8")
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_structure_constants_live_in_calling_tower(n):
     K = Tower()
@@ -306,6 +274,3 @@ def test_structure_constants_live_in_calling_tower(n):
     bk = build_q(K, n).algebra.bk
     assert all(v.tower is K for row in bk for d in row for v in d.values())
 
-
-if __name__ == "__main__":
-    Q_STRUCTURE.write_text(_dump_pin(q_structure_pin()), encoding="utf-8")
