@@ -15,8 +15,9 @@ from .assocsuper import (AssocSuper, ModuleAction, QuadraticPair, SimpleType,
                          clifford_irrep, density_type, make_M, make_Q,
                          odd_center)
 from .liesuper import (LieModule, LieSuper, check_solvable_module_dim,
-                       derived_series, direct_sum, from_assoc, ideal_closure,
-                       is_simple, is_solvable, module_hom_basis, subalgebra)
+                       derived_series, direct_sum, direct_sum_module,
+                       from_assoc, ideal_closure, is_simple, is_solvable,
+                       module_hom_basis, subalgebra)
 from .queer import QueerData, build_q, build_q_hat, build_q_tilde, \
     cartan_generation_check
 from .coeffalg import (CoeffAlgebra, GammaAction, IdealRep, algebra_from_spec,
@@ -33,10 +34,11 @@ from .hwmod import (SimpleQuotient, TruncatedVerma, WeightModule,
                     check_psi0_ideal, is_irreducible_hw, simple_quotient,
                     top_psi, triangular_of_invariants, triangular_of_map,
                     verma)
-from .products import (Catalog, SchurData, assoc_check, classify_enumerate,
-                       ev_hat, ev_hat_gamma, ev_module, hat_tensor_flat,
+from .products import (Catalog, SchurData, WeightSchur, assoc_check,
+                       classify_enumerate, ev_hat, ev_hat_gamma, ev_module,
                        hat_tensor_weight, hom_space_weight,
-                       is_isomorphic_weight, schur_data, tensor_same_algebra,
-                       trivial_q_module, adjoint_q_module)
+                       is_isomorphic_weight, outer_factors, pullback,
+                       q1_module, schur_data, tensor_same_algebra,
+                       trivial_q_module, adjoint_q_module, weight_schur_data)
 
 __version__ = "0.1.0"

@@ -11,12 +11,10 @@ import sys
 
 from .cartanmod import CartanAlgebra, PsiFunctional
 from .coeffalg import algebra_from_spec, gamma_from_spec, preset_base_field
-from .graded import GradedMap, GradedSpace
 from .hwmod import TruncatedVerma, SimpleQuotient
-from .liesuper import LieModule, from_assoc
 from .mapsuper import invariants, tensor_lie
-from .products import (Catalog, classify_enumerate, hat_tensor_flat,
-                       product_schur, schur_data)
+from .products import (Catalog, classify_enumerate, hat_tensor_weight,
+                       outer_factors, q1_module, weight_schur_data)
 from .queer import build_q
 from .scalars import Tower
 from .verify import SUITES, run_suites
@@ -196,17 +194,13 @@ def cmd_dims(args) -> int:
     return 0
 
 
-def _decompose_factor(tower, qd, catalog, name):
+def _decompose_factor(tower, catalog, name):
+    """(module, WeightSchur) of a decompose factor."""
     if name == "qone":
-        from .assocsuper import make_Q
-        g = from_assoc(make_Q(tower, 1))
-        sp = GradedSpace(1, 1)
-        one, zero = tower.one(), tower.zero()
-        mats = [GradedMap(tower, sp, sp, [[one, zero], [zero, one]]),
-                GradedMap(tower, sp, sp, [[zero, one], [one, zero]])]
-        return LieModule(g, sp, mats)
+        m = q1_module(tower)
+        return m, weight_schur_data(m)
     if name in catalog.entries:
-        return catalog.entries[name]["flat"]
+        return catalog.module(name), catalog.weight_schur(name)
     raise SystemExit(f"error: unknown factor {name!r} "
                      f"(catalog: {', '.join(catalog.names())}, qone)")
 
@@ -219,13 +213,12 @@ def cmd_decompose(args) -> int:
     if len(names) < 2:
         print("error: need at least two factors", file=sys.stderr)
         return USAGE_EXIT
-    factors = [_decompose_factor(tower, qd, catalog, n) for n in names]
-    schurs = [catalog.schur(n) if n in catalog.entries else schur_data(f)
-              for n, f in zip(names, factors)]
+    factors, schurs = zip(*(_decompose_factor(tower, catalog, n)
+                            for n in names))
     steps = []
     cur, cur_s = factors[0], schurs[0]
     for name, f, s in zip(names[1:], factors[1:], schurs[1:]):
-        prod, info = hat_tensor_flat(cur, f, s1=cur_s, s2=s)
+        prod, info = hat_tensor_weight(*outer_factors(cur, f, cur_s, s))
         steps.append({
             "factor": name,
             "split": info["split"],
@@ -233,7 +226,7 @@ def cmd_decompose(args) -> int:
             "halves": [info["plus"].dim, info["minus"].dim]
             if info["split"] else None,
         })
-        cur, cur_s = prod, product_schur(prod, info)
+        cur, cur_s = prod, info["result_schur"]
     report = {"command": "decompose", "n": args.n, "factors": names,
               "factor_schur_types": ["Q" if s.is_type_q else "M"
                                      for s in schurs],

@@ -315,6 +315,24 @@ class LieModule:
                 raise AssertionError(f"module relation fails at ({i},{j})")
 
 
+def direct_sum_module(m1: LieModule, m2: LieModule) -> LieModule:
+    """Block direct sum of two modules over the same algebra."""
+    tower = m1.tower
+    n1, n2 = m1.dim, m2.dim
+    space = GradedSpace.from_parities(m1.space.parities + m2.space.parities)
+    mats = []
+    for a, b in zip(m1.mats, m2.mats):
+        rows = zero_rows(tower, n1 + n2, n1 + n2)
+        for i in range(n1):
+            for j in range(n1):
+                rows[i][j] = a.rows[i][j]
+        for i in range(n2):
+            for j in range(n2):
+                rows[n1 + i][n1 + j] = b.rows[i][j]
+        mats.append(GradedMap(tower, space, space, rows))
+    return LieModule(m1.algebra, space, mats)
+
+
 def module_hom_basis(m: LieModule, n: LieModule):
     """Basis of strict module homomorphisms T: M -> N, i.e. linear maps
     with T rho_M(x) = rho_N(x) T for every basis element x (no Koszul

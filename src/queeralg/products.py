@@ -6,43 +6,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assocsuper import (_raw_mat, _raw_products, _sparse_of,
-                         density_type_from_maps)
+from .assocsuper import _raw_products, density_type_from_maps, make_Q
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, commutant,
-                     first_invertible, graded_tensor, identity_rows,
-                     intertwiners, kernel, mat_mul, mat_rank, odd_schur,
-                     solve_columns, tensor_space, zero_rows)
+                     first_invertible, identity_rows, intertwiners, kernel,
+                     mat_mul, mat_rank, odd_schur, solve_columns, zero_rows)
 from .hwmod import (WeightModule, is_irreducible_hw,
                     triangular_of_invariants, triangular_of_map,
                     triangular_of_q, weight_sort_key)
-from .liesuper import LieModule, LieSuper, direct_sum, is_isomorphic_flat
+from .liesuper import LieModule, direct_sum, from_assoc
 from .mapsuper import (InvariantSub, MapSuper, ann_and_support,
                        ann_and_support_gamma)
 from .queer import QueerData
-from .scalars import Scalar, raw_dot, raw_of
+from .scalars import Scalar, Tower, raw_dot, raw_of
 
 
 # ---------------------------------------------------------------------------
-# Flat module utilities
+# Schur data
 # ---------------------------------------------------------------------------
-
-
-def direct_sum_module(m1: LieModule, m2: LieModule) -> LieModule:
-    """Block direct sum of two modules over the same algebra."""
-    tower = m1.tower
-    n1, n2 = m1.dim, m2.dim
-    space = GradedSpace.from_parities(m1.space.parities + m2.space.parities)
-    mats = []
-    for a, b in zip(m1.mats, m2.mats):
-        rows = zero_rows(tower, n1 + n2, n1 + n2)
-        for i in range(n1):
-            for j in range(n1):
-                rows[i][j] = a.rows[i][j]
-        for i in range(n2):
-            for j in range(n2):
-                rows[n1 + i][n1 + j] = b.rows[i][j]
-        mats.append(GradedMap(tower, space, space, rows))
-    return LieModule(m1.algebra, space, mats)
 
 
 @dataclass
@@ -79,148 +59,36 @@ def schur_data(m: LieModule, certify=True) -> SchurData:
                      phi * tower.adjoin_sqrt(-c.inv()))
 
 
-# ---------------------------------------------------------------------------
-# Flat irreducible product over a direct sum of algebras
-# ---------------------------------------------------------------------------
+@dataclass
+class WeightSchur:
+    """Schur data for a weight module: the type flag and, for type Q, the
+    normalized odd endomorphism stored blockwise by weight."""
+
+    is_type_q: bool
+    phi_blocks: dict | None
 
 
-def outer_tensor_flat(m1: LieModule, m2: LieModule):
-    """V1 (x) V2 as a module over g1 (+) g2, with Koszul signs on the
-    second factor.  Returns (module, embedding index map)."""
-    tower = m1.tower
-    gsum = direct_sum(m1.algebra, m2.algebra)
-    id1 = GradedMap.identity(tower, m1.space)
-    id2 = GradedMap.identity(tower, m2.space)
-    mats = [graded_tensor(x, id2) for x in m1.mats] + \
-        [graded_tensor(id1, y) for y in m2.mats]
-    space = mats[0].source if mats else tensor_space(m1.space, m2.space)[0]
-    return LieModule(gsum, space, mats)
+def weight_schur_data(m: WeightModule,
+                      s: SchurData | None = None) -> WeightSchur:
+    """WeightSchur of an irreducible weight module from its flat Schur
+    data s, by default schur_data(m.flatten()) (certified by the density
+    oracle); phi_hat is re-blocked by weight."""
+    if s is None:
+        s = schur_data(m.flatten())
+    if not s.is_type_q:
+        return WeightSchur(False, None)
+    return WeightSchur(True, weight_phi_blocks(m, s.phi_hat))
 
 
-def hat_tensor_flat(m1: LieModule, m2: LieModule,
-                    s1: SchurData | None = None,
-                    s2: SchurData | None = None):
-    """The irreducible product of two irreducible modules, as a module
-    over the direct sum of their algebras.
-
-    Returns (module, info) where info records the branch: the full tensor
-    product when at most one factor has odd Schur data, else the
-    +1-eigenspace of phi1_hat (x) phi2 together with its complement."""
-    tower = m1.tower
-    s1 = s1 or schur_data(m1)
-    s2 = s2 or schur_data(m2)
-    full = outer_tensor_flat(m1, m2)
-    info = {"split": False, "schur_types": (s1.is_type_q, s2.is_type_q)}
-    if not (s1.is_type_q and s2.is_type_q):
-        if s2.is_type_q:
-            info["phi"] = graded_tensor(GradedMap.identity(tower, m1.space),
-                                        s2.phi_hat)
-        elif s1.is_type_q:
-            info["phi"] = graded_tensor(s1.phi_hat,
-                                        GradedMap.identity(tower, m2.space))
-        else:
-            info["phi"] = None
-        return full, info
-    op = graded_tensor(s1.phi_hat * tower.adjoin_sqrt(tower.from_int(-1)),
-                       s2.phi_hat)
-    ident = GradedMap.identity(tower, full.space)
-    if not (op * op == ident):
-        raise AssertionError("(phi1_hat (x) phi2)^2 != id; normalization broken")
-    plus = _flat_eigenspace(full, op, tower.one())
-    minus = _flat_eigenspace(full, op, -tower.one())
-    info.update({"split": True, "plus": plus, "minus": minus, "phi": None,
-                 "operator": op})
-    return plus, info
-
-
-def product_schur(prod: LieModule, info: dict) -> SchurData:
-    """Schur data of a product from hat_tensor_flat by the type rule
-    (Cheng-Wang): a split product (two type Q factors) and a product of
-    two type M factors are of type M; a product with one type Q factor is
-    of type Q with phi = info["phi"] (phi_hat on that factor), c = -1.
-
-    phi is checked exactly: it must be odd, supercommute with every
-    generator map of the product and square to -id; AssertionError
-    otherwise."""
-    phi = info["phi"]
-    if info["split"] or phi is None:
-        return SchurData(1, None, None, None)
-    tower = prod.tower
-    if phi.parity != ODD:
-        raise AssertionError("phi of the product is not odd")
-    ph = _raw_mat(_sparse_of(phi.rows))
-    neg = _raw_mat(_sparse_of((-phi).rows))
-    for x in prod.mats:
-        # x phi - (-1)^|x| phi x, each entry one raw_dot
-        xs = _raw_mat(_sparse_of(x.rows))
-        if _raw_products(((xs, ph), (ph if x.parity == ODD else neg, xs)),
-                         tower.gens):
-            raise AssertionError("phi of the product does not supercommute "
-                                 "with the action")
-    minus_one = raw_of(-tower.one())
-    if _raw_products(((ph, ph),), tower.gens) != \
-            {p: {p: minus_one} for p in range(prod.dim)}:
-        raise AssertionError("phi of the product does not square to -id")
-    return SchurData(1, phi, -tower.one(), phi)
-
-
-def _flat_eigenspace(m: LieModule, op: GradedMap, eigval) -> LieModule:
-    """Restriction of a flat module to an eigenspace of an even operator
-    commuting with the action."""
-    tower = m.tower
-    space, inclusion = kernel(op - GradedMap.identity(tower, m.space) * eigval)
-    emb = inclusion.rows
-    mats = []
-    for x in m.mats:
-        img = mat_mul(x.rows, emb, tower)
-        sol = _solve_columns(emb, img, tower)
-        mats.append(GradedMap(tower, space, space, sol))
-    sub_mod = LieModule(m.algebra, space, mats)
-    sub_mod.embedding = emb
-    return sub_mod
-
-
-def _solve_columns(emb, img, tower):
-    """Solve emb * X = img by one elimination of [emb | img]; raises when
-    a column leaves the span."""
-    ncols_emb = len(emb[0]) if emb else 0
-    ncols = len(img[0]) if img else 0
-    rhs_cols = [[row[c] for row in img] for c in range(ncols)]
-    sols = solve_columns(emb, rhs_cols, ncols_emb, tower)
-    if sols is None:
-        raise AssertionError("operator image leaves the subspace")
-    # verify every row exactly (the solver only guarantees pivot
-    # consistency): row i of emb x is one raw_dot over its nonzeros
-    emb_raw = [[(j, raw_of(x)) for j, x in enumerate(row) if x.co]
-               for row in emb]
-    for sol, rhs in zip(sols, rhs_cols):
-        xs = [raw_of(x) for x in sol]
-        for row, b in zip(emb_raw, rhs):
-            got = raw_dot(((f, xs[j]) for j, f in row if xs[j] is not None),
-                          tower.gens)
-            if got != raw_of(b):
-                raise AssertionError("operator image leaves the subspace")
-    return [[sol[j] for sol in sols] for j in range(ncols_emb)]
-
-
-def assoc_check(m1: LieModule, m2: LieModule, m3: LieModule) -> bool:
-    """(V1 hat-x V2) hat-x V3 isomorphic to V1 hat-x (V2 hat-x V3), with
-    an explicit witness."""
-    left_in, _ = hat_tensor_flat(m1, m2)
-    left, _ = hat_tensor_flat(left_in, m3)
-    right_in, _ = hat_tensor_flat(m2, m3)
-    right, _ = hat_tensor_flat(m1, right_in)
-    # both are modules over (g1 + g2) + g3 vs g1 + (g2 + g3): the basis
-    # enumeration of the direct sums coincides, so the actions compare
-    # directly.
-    ok, _ = is_isomorphic_flat(left, _reindexed_copy(right, left.algebra))
-    return ok
-
-
-def _reindexed_copy(m: LieModule, algebra: LieSuper) -> LieModule:
-    if algebra.dim != m.algebra.dim:
-        raise ValueError("algebra dimensions differ")
-    return LieModule(algebra, m.space, m.mats)
+def q1_module(tower: Tower) -> WeightModule:
+    """C^{1|1} over Lie(Q(1)), of type Q: the identity acts as the
+    identity and the odd generator as the parity swap.  Q(1) has no even
+    Cartan part of q's kind, so the module has the one weight ()."""
+    one, zero = tower.one(), tower.zero()
+    act = [{(): [((), [[one, zero], [zero, one]])]},
+           {(): [((), [[zero, one], [one, zero]])]}]
+    return WeightModule(from_assoc(make_Q(tower, 1)), tower, [()],
+                        {(): (EVEN, ODD)}, act)
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +253,27 @@ def restrict_weight_module(m: WeightModule, sub_basis: dict) -> WeightModule:
     return out
 
 
-@dataclass
-class WeightSchur:
-    """Schur data for a weight module: the type flag and, for type Q, the
-    normalized odd endomorphism stored blockwise by weight."""
-
-    is_type_q: bool
-    phi_blocks: dict | None
+def _solve_columns(emb, img, tower):
+    """Solve emb * X = img by one elimination of [emb | img]; raises when
+    a column leaves the span."""
+    ncols_emb = len(emb[0]) if emb else 0
+    ncols = len(img[0]) if img else 0
+    rhs_cols = [[row[c] for row in img] for c in range(ncols)]
+    sols = solve_columns(emb, rhs_cols, ncols_emb, tower)
+    if sols is None:
+        raise AssertionError("operator image leaves the subspace")
+    # verify every row exactly (the solver only guarantees pivot
+    # consistency): row i of emb x is one raw_dot over its nonzeros
+    emb_raw = [[(j, raw_of(x)) for j, x in enumerate(row) if x.co]
+               for row in emb]
+    for sol, rhs in zip(sols, rhs_cols):
+        xs = [raw_of(x) for x in sol]
+        for row, b in zip(emb_raw, rhs):
+            got = raw_dot(((f, xs[j]) for j, f in row if xs[j] is not None),
+                          tower.gens)
+            if got != raw_of(b):
+                raise AssertionError("operator image leaves the subspace")
+    return [[sol[j] for sol in sols] for j in range(ncols_emb)]
 
 
 def _tensor_phi_blocks(full: WeightModule, side: int, phi: dict) -> dict:
@@ -429,24 +311,25 @@ def _tensor_phi_blocks(full: WeightModule, side: int, phi: dict) -> dict:
 def hat_tensor_weight(m1: WeightModule, m2: WeightModule,
                       s1: WeightSchur, s2: WeightSchur):
     """Irreducible product of two weight modules over a common algebra
-    (diagonal action; used for evaluation modules with disjoint supports).
+    (diagonal action; used for evaluation modules with disjoint supports,
+    and through outer_factors for products over a direct sum).
 
     info carries the split decision, the resulting WeightSchur (the odd
     endomorphism of a product with exactly one type-Q factor is phi (x) 1
-    or 1 (x) phi; a split result is type M), and in the split case both
-    eigenspace halves."""
+    or 1 (x) phi, checked by _check_product_phi; a split result is type
+    M), and in the split case both eigenspace halves.  The split
+    operator phi1_tilde (x) phi2 must square to id on every block;
+    AssertionError otherwise."""
     tower = m1.tower
     full = tensor_same_algebra(m1, m2)
     info = {"split": False, "schur_types": (s1.is_type_q, s2.is_type_q)}
     if not (s1.is_type_q and s2.is_type_q):
-        if s1.is_type_q:
-            result = WeightSchur(True, _tensor_phi_blocks(full, 0,
-                                                          s1.phi_blocks))
-        elif s2.is_type_q:
-            result = WeightSchur(True, _tensor_phi_blocks(full, 1,
-                                                          s2.phi_blocks))
-        else:
-            result = WeightSchur(False, None)
+        result = WeightSchur(False, None)
+        if s1.is_type_q or s2.is_type_q:
+            side, s = (0, s1) if s1.is_type_q else (1, s2)
+            phi = _tensor_phi_blocks(full, side, s.phi_blocks)
+            _check_product_phi(full, phi)
+            result = WeightSchur(True, phi)
         info["result_schur"] = result
         return full, info
     _, _, pair_basis, _, offset = full.pair_data
@@ -476,6 +359,9 @@ def hat_tensor_weight(m1: WeightModule, m2: WeightModule,
                         add = v1 * v2
                         op[row][col] = op[row][col] + \
                             (-add if par1[i1][k1] else add)
+        if mat_mul(op, op, tower) != identity_rows(tower, d):
+            raise AssertionError("(phi1_hat (x) phi2)^2 != id; "
+                                 "normalization broken")
         # eigenspaces, blockwise and parity-homogeneous
         space = GradedSpace.from_parities(full.parities[w])
         for eig, store in ((tower.one(), plus_basis), (-tower.one(), minus_basis)):
@@ -489,6 +375,91 @@ def hat_tensor_weight(m1: WeightModule, m2: WeightModule,
     info.update({"split": True, "plus": plus, "minus": minus, "full": full,
                  "result_schur": WeightSchur(False, None)})
     return plus, info
+
+
+def _check_product_phi(m: WeightModule, phi: dict):
+    """The type rule's phi on a product, checked exactly: it must be odd,
+    supercommute with every generator of m and square to -id (each
+    entry one raw_dot); AssertionError otherwise."""
+    tower = m.tower
+    ph, neg = {}, {}
+    for w, blk in phi.items():
+        pars = m.parities[w]
+        for r, row in enumerate(blk):
+            for c, v in enumerate(row):
+                if v.is_zero:
+                    continue
+                if pars[r] == pars[c]:
+                    raise AssertionError("phi of the product is not odd")
+                ph.setdefault((w, r), {})[(w, c)] = raw_of(v)
+                neg.setdefault((w, r), {})[(w, c)] = raw_of(-v)
+    one = tower.one()
+    for g in range(m.algebra.dim):
+        # x phi - (-1)^|x| phi x
+        xs: dict = {}
+        for (w2, r, w, c), v in m.op_entries({g: one}).items():
+            xs.setdefault((w2, r), {})[(w, c)] = raw_of(v)
+        odd = m.algebra.space.parity(g) == ODD
+        if _raw_products(((xs, ph), (ph if odd else neg, xs)), tower.gens):
+            raise AssertionError("phi of the product does not supercommute "
+                                 "with the action")
+    minus_one = raw_of(-one)
+    if _raw_products(((ph, ph),), tower.gens) != \
+            {(w, r): {(w, r): minus_one}
+             for w in m.weights for r in range(m.block_dim(w))}:
+        raise AssertionError("phi of the product does not square to -id")
+
+
+def outer_factors(m1: WeightModule, m2: WeightModule,
+                  s1: WeightSchur, s2: WeightSchur):
+    """The factors of V1 (x) V2 over g1 (+) g2, in the argument order of
+    hat_tensor_weight: each is pulled back along its projection, and its
+    weights become weights of h1 (+) h2, w -> (w, 0) and w -> (0, w), so
+    that the diagonal product carries true weights.  The phi blocks of
+    the Schur data move with them."""
+    g = direct_sum(m1.algebra, m2.algebra)
+    n1, n2 = m1.algebra.dim, m2.algebra.dim
+    one, zero = m1.tower.one(), m1.tower.zero()
+    z1 = tuple(zero for _ in m1.weights[0])
+    z2 = tuple(zero for _ in m2.weights[0])
+    p1, t1 = _relabelled(
+        pullback(m1, g, [[(k, one)] for k in range(n1)] + [[]] * n2),
+        s1, lambda w: w + z2)
+    p2, t2 = _relabelled(
+        pullback(m2, g, [[]] * n1 + [[(k, one)] for k in range(n2)]),
+        s2, lambda w: z1 + w)
+    return p1, p2, t1, t2
+
+
+def _relabelled(m: WeightModule, s: WeightSchur, f):
+    """m and its Schur data with every weight w renamed f(w); the weights
+    are no longer those of q, so the result carries no root datum."""
+    act = [{f(w): [(f(wt), rows) for wt, rows in blks]
+            for w, blks in a.items()} for a in m.act]
+    out = WeightModule(m.algebra, m.tower, [f(w) for w in m.weights],
+                       {f(w): p for w, p in m.parities.items()}, act)
+    if not s.is_type_q:
+        return out, s
+    return out, WeightSchur(True, {f(w): blk
+                                   for w, blk in s.phi_blocks.items()})
+
+
+def assoc_check(m1: WeightModule, m2: WeightModule,
+                m3: WeightModule) -> bool:
+    """(V1 hat-x V2) hat-x V3 isomorphic to V1 hat-x (V2 hat-x V3), with
+    an explicit witness.  Both are modules over (g1 + g2) + g3 and
+    g1 + (g2 + g3): the basis enumerations of the direct sums and the
+    concatenated weights coincide, so the actions compare directly."""
+
+    def hat(a, sa, b, sb):
+        prod, info = hat_tensor_weight(*outer_factors(a, b, sa, sb))
+        return prod, info["result_schur"]
+
+    s1, s2, s3 = (weight_schur_data(m) for m in (m1, m2, m3))
+    left, _ = hat(*hat(m1, s1, m2, s2), m3, s3)
+    right, _ = hat(m1, s1, *hat(m2, s2, m3, s3))
+    ok, _ = is_isomorphic_weight(left, right)
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +580,8 @@ class Catalog:
             e["schur"] = schur_data(e["flat"], certify=False)
         return e["schur"]
 
-    def weight_schur(self, name: str) -> "WeightSchur":
-        s = self.schur(name)
-        if not s.is_type_q:
-            return WeightSchur(False, None)
-        return WeightSchur(True, weight_phi_blocks(self.module(name),
-                                                   s.phi_hat))
+    def weight_schur(self, name: str) -> WeightSchur:
+        return weight_schur_data(self.module(name), self.schur(name))
 
     def match_class(self, module: WeightModule):
         """Name of the catalog entry isomorphic to the module, or None."""
@@ -645,9 +612,7 @@ def twist_q_module(m: WeightModule, qd: QueerData, sigma_rows) -> WeightModule:
             if inv_cols[hidx][i] != expect:
                 raise ValueError("automorphism moves the even Cartan part; "
                                  "cannot keep the weight grading")
-    act = [_combine(m, enumerate(inv_cols[g])) for g in range(n)]
-    return WeightModule(m.algebra, tower, list(m.weights), dict(m.parities),
-                        act, qd=m.qd)
+    return pullback(m, m.algebra, (enumerate(inv_cols[g]) for g in range(n)))
 
 
 def ev_module(ms: MapSuper, point: int, rho: WeightModule) -> WeightModule:
@@ -655,9 +620,8 @@ def ev_module(ms: MapSuper, point: int, rho: WeightModule) -> WeightModule:
     tower = ms.tower
     values = [ms.coeff.evaluate(point, {j: tower.one()})
               for j in range(ms.coeff.dim)]
-    act = [_combine(rho, [(x, c)]) for x in range(ms.g.dim) for c in values]
-    return WeightModule(ms.algebra, tower, list(rho.weights),
-                        dict(rho.parities), act, qd=rho.qd)
+    return pullback(rho, ms.algebra,
+                    ([(x, c)] for x in range(ms.g.dim) for c in values))
 
 
 def ev_hat(ms: MapSuper, assignment: dict, catalog: Catalog):
@@ -717,9 +681,17 @@ def ev_hat_gamma(inv: InvariantSub, assignment: dict, catalog: Catalog):
 
 def restrict_to_invariants(m: WeightModule, inv: InvariantSub) -> WeightModule:
     """The same carrier viewed as a module over the invariant subalgebra."""
-    act = [_combine(m, enumerate(vec)) for vec in inv.basis_vectors]
-    return WeightModule(inv.algebra, m.tower, list(m.weights),
-                        dict(m.parities), act, qd=m.qd)
+    return pullback(m, inv.algebra,
+                    (enumerate(vec) for vec in inv.basis_vectors))
+
+
+def pullback(m: WeightModule, algebra, images) -> WeightModule:
+    """m as a module over algebra through a linear map into m.algebra:
+    basis element k of algebra acts as sum_j c_j rho(x_j) over the
+    (j, c_j) in images[k].  Weights and parities are kept."""
+    act = [_combine(m, terms) for terms in images]
+    return WeightModule(algebra, m.tower, list(m.weights), dict(m.parities),
+                        act, qd=m.qd)
 
 
 def _combine(m: WeightModule, terms) -> dict:

@@ -18,15 +18,15 @@ from .graded import GradedMap, GradedSpace, commutant, kernel, \
     graded_tensor, mat_kernel
 from .hwmod import (check_psi0_ideal, is_irreducible_hw, simple_quotient,
                     top_psi, triangular_of_map, verma)
-from .liesuper import (LieModule, from_assoc, is_isomorphic_flat, is_simple,
-                       is_solvable, subalgebra)
+from .liesuper import is_isomorphic_flat, is_simple, is_solvable, subalgebra
 from .mapsuper import (ann_and_support, ev_gamma_rank, invariants,
                        tensor_lie)
 from .products import (Catalog, assoc_check, classify_enumerate,
                        direct_sum_weight, ev_hat, ev_module,
-                       hat_tensor_flat, hom_space_weight,
-                       is_isomorphic_weight, restrict_to_invariants,
-                       tensor_same_algebra, trivial_q_module, twist_q_module)
+                       hat_tensor_weight, hom_space_weight,
+                       is_isomorphic_weight, outer_factors, q1_module,
+                       restrict_to_invariants, tensor_same_algebra,
+                       trivial_q_module, twist_q_module, weight_schur_data)
 from .queer import build_q, build_q_tilde, cartan_generation_check
 from .scalars import Tower
 
@@ -79,15 +79,6 @@ def _four_point(tower):
         [-tower.one(), tower.zero(), tower.zero(), tower.zero(), tower.one()],
         [(tower.one(), 1), (-tower.one(), 1), (tower.i(), 1),
          (-tower.i(), 1)])
-
-
-def _q1_module(tower):
-    g = from_assoc(make_Q(tower, 1))
-    sp = GradedSpace(1, 1)
-    one, zero = tower.one(), tower.zero()
-    mats = [GradedMap(tower, sp, sp, [[one, zero], [zero, one]]),
-            GradedMap(tower, sp, sp, [[zero, one], [one, zero]])]
-    return LieModule(g, sp, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +168,13 @@ def suite_superalg(seed: int) -> Checks:
 
     # the rank-one queer module tensor square splits into two isomorphic
     # halves of dimension 2, and the image algebra acts densely
-    m = _q1_module(tower)
-    prod, info = hat_tensor_flat(m, m)
+    m = q1_module(tower)
+    s = weight_schur_data(m)
+    prod, info = hat_tensor_weight(*outer_factors(m, m, s, s))
     ok = info["split"] and prod.dim == 2 and info["minus"].dim == 2
-    iso, _ = is_isomorphic_flat(info["plus"], info["minus"])
-    dd = density_type_from_maps(prod.mats, prod.space, tower)
+    iso, _ = is_isomorphic_weight(info["plus"], info["minus"])
+    flat = prod.flatten()
+    dd = density_type_from_maps(flat.mats, flat.space, tower)
     ck.add("tensor square of the rank-one queer module splits V (+) V",
            ok and iso and dd.kind == "full",
            f"dim V={prod.dim}, density={dd!r}")
@@ -325,22 +318,6 @@ def _pbw_count(low_weights, beta):
     evens, odds = low_weights[:n_even], low_weights[n_even:]
     total = 0
 
-    def count_even(i, left):
-        if all(x == 0 for x in left):
-            base = 1
-        else:
-            base = 0
-        if i == len(evens):
-            return base
-        acc = 0
-        cur = list(left)
-        while True:
-            acc += count_even(i + 1, tuple(cur))
-            if not all(c >= w for c, w in zip(cur, evens[i])):
-                break
-            cur = [c - w for c, w in zip(cur, evens[i])]
-        return acc
-
     def count_even_exact(left):
         # count multisets with total weight exactly `left`
         def rec(i, rem):
@@ -463,7 +440,7 @@ def suite_products(seed: int) -> Checks:
     tri2 = triangular_of_map(ms2)
     ctx2 = CartanAlgebra(qd, a2)
 
-    m = _q1_module(tower)
+    m = q1_module(tower)
     ck.add("triple product associativity for rank-one queer factors",
            assoc_check(m, m, m))
 
@@ -472,7 +449,6 @@ def suite_products(seed: int) -> Checks:
     s = cat.weight_schur("adjoint")
     full = tensor_same_algebra(ad0, ad1)
     if s.is_type_q:
-        from .products import hat_tensor_weight
         plus, info = hat_tensor_weight(ad0, ad1, s, s)
         iso, _ = is_isomorphic_weight(plus, info["minus"])
         ck.add("disjoint-support tensor dichotomy (split branch)",

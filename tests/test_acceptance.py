@@ -12,23 +12,24 @@ from queeralg.assocsuper import (QuadraticPair, assoc_tensor, classify_simple,
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional
 from queeralg.cli import main as cli_main
 from queeralg.coeffalg import gamma_from_spec, preset_base_field, zero_ideal
-from queeralg.graded import GradedMap, GradedSpace
-from queeralg.hwmod import (check_psi0_ideal, is_irreducible_hw,
-                            simple_quotient, top_psi, triangular_of_map,
-                            verma)
-from queeralg.liesuper import LieModule, is_isomorphic_flat, is_simple
+from queeralg.graded import EVEN
+from queeralg.hwmod import (WeightModule, check_psi0_ideal,
+                            is_irreducible_hw, simple_quotient, top_psi,
+                            triangular_of_map, verma)
+from queeralg.liesuper import is_simple
 from queeralg.mapsuper import (ann_and_support, ev_gamma_rank, invariants,
                                tensor_lie)
 from queeralg.products import (Catalog, assoc_check, classify_enumerate,
                                direct_sum_weight, ev_hat, ev_module,
-                               hat_tensor_flat, hat_tensor_weight,
-                               hom_space_weight, is_isomorphic_weight,
-                               restrict_to_invariants,
-                               tensor_same_algebra, trivial_q_module)
+                               hat_tensor_weight, hom_space_weight,
+                               is_isomorphic_weight, outer_factors,
+                               q1_module, restrict_to_invariants,
+                               tensor_same_algebra, trivial_q_module,
+                               weight_schur_data)
 from queeralg.queer import build_q, cartan_generation_check
 from queeralg.scalars import Tower
 from queeralg.verify import cartan_random_corpus, Checks, _pbw_count
-from queeralg.verify import _two_point, _dual, _four_point, _q1_module
+from queeralg.verify import _two_point, _dual, _four_point
 
 
 class Budget:
@@ -48,11 +49,12 @@ def test_criterion_1_tensor_square_of_rank_one_queer_module():
     K = Tower()
     t = classify_simple(assoc_tensor(make_Q(K, 1), make_Q(K, 1)))
     assert (t.kind, t.m, t.n) == ("M", 1, 1)
-    m = _q1_module(K)
-    prod, info = hat_tensor_flat(m, m)
+    m = q1_module(K)
+    s = weight_schur_data(m)
+    prod, info = hat_tensor_weight(*outer_factors(m, m, s, s))
     assert info["split"]
     assert prod.dim == 2 and info["minus"].dim == 2
-    ok, _ = is_isomorphic_flat(info["plus"], info["minus"])
+    ok, _ = is_isomorphic_weight(info["plus"], info["minus"])
     assert ok
     budget.check()
 
@@ -284,10 +286,8 @@ def test_criterion_7_evaluation_section_suite():
             assert ok
 
     # associativity witnesses (all queer-type factors, and a mixed case)
-    m = _q1_module(K)
-    g = m.algebra
-    sp1 = GradedSpace(1, 0)
-    triv_q1 = LieModule(g, sp1, [GradedMap.zero(K, sp1, sp1)] * 2)
+    m = q1_module(K)
+    triv_q1 = WeightModule(m.algebra, K, [()], {(): (EVEN,)}, [{}, {}])
     assert assoc_check(m, m, m)
     assert assoc_check(m, triv_q1, m)
 

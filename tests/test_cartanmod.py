@@ -9,8 +9,8 @@ from queeralg.assocsuper import (QuadraticPair, clifford_irrep,
 from queeralg.cartanmod import (CartanAlgebra, CliffordData, PsiFunctional,
                                 build_H, classify_cartan_module, i_psi)
 from queeralg.coeffalg import preset_base_field, preset_truncated
-from queeralg.graded import GradedMap, GradedSpace, Span
-from queeralg.liesuper import LieModule
+from queeralg.graded import GradedMap, Span
+from queeralg.liesuper import LieModule, direct_sum_module
 from queeralg.queer import build_q
 from queeralg.scalars import Tower
 
@@ -246,20 +246,6 @@ def test_classify_rejects_reducible(K, q2):
     ctx = ctx_over(K, q2, "C")
     psi = PsiFunctional(ctx, [K.one(), K.one()])
     h = build_H(psi)
-    sp = GradedSpace(h.carrier.even_dim * 2, h.carrier.odd_dim * 2)
-    mats = []
-    n = h.dim
-    for m in h.cartan_mats:
-        rows = [[K.zero()] * 2 * n for _ in range(2 * n)]
-        for i in range(n):
-            for j in range(n):
-                v = m.rows[i][j]
-                if not v.is_zero:
-                    # block-diagonal on (even|even, odd|odd) reordered basis
-                    pass
-        mats.append(rows)
-    # simpler: direct sum in the flat even-first ordering
-    from queeralg.products import direct_sum_module
     big = direct_sum_module(h.as_lie_module(), h.as_lie_module())
     with pytest.raises(ValueError):
         classify_cartan_module(big, ctx)

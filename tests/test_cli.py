@@ -295,10 +295,13 @@ def test_classify_report_matches_golden(tmp_path, golden, algebra, group):
 
 
 @pytest.mark.parametrize("factors", ["qone,qone", "qone,qone,qone",
-                                     "adjoint,qone", "adjoint,qone,qone"])
+                                     "adjoint,qone", "adjoint,qone,qone",
+                                     "adjoint,adjoint"])
 def test_decompose_report_matches_golden(tmp_path, factors):
-    """Structured decompose reports over q(2), byte for byte; the last
-    case types a product by the type rule before splitting it."""
+    """Structured decompose reports over q(2), byte for byte;
+    adjoint,qone,qone types a product by the type rule before splitting
+    it, and adjoint,adjoint is the 256-dimensional product over
+    q(2) (+) q(2)."""
     out = tmp_path / "report.json"
     assert main(["decompose", "--n", "2", "--factors", factors,
                  "--format", "structured", "--out", str(out)]) == 0

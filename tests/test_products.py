@@ -3,18 +3,20 @@ import pytest
 from queeralg.assocsuper import density_type_from_maps, make_Q
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
 from queeralg.coeffalg import gamma_from_spec, preset_truncated
-from queeralg.graded import GradedMap, GradedSpace
+from queeralg.graded import GradedMap
 from queeralg.hwmod import is_irreducible_hw, triangular_of_invariants, \
     triangular_of_map, top_psi
-from queeralg.liesuper import (LieModule, from_assoc, is_isomorphic_flat,
-                               module_hom_basis)
+from queeralg.liesuper import (direct_sum_module, from_assoc,
+                               is_isomorphic_flat, module_hom_basis)
 from queeralg.mapsuper import ann_and_support, invariants, tensor_lie
-from queeralg.products import (Catalog, assoc_check, classify_enumerate,
-                               direct_sum_weight, ev_hat, ev_hat_gamma,
-                               ev_module, hat_tensor_flat, hom_space_weight,
-                               is_isomorphic_weight, restrict_to_invariants,
-                               schur_data, tensor_same_algebra,
-                               twist_q_module)
+from queeralg.products import (Catalog, WeightSchur, assoc_check,
+                               classify_enumerate, direct_sum_weight, ev_hat,
+                               ev_hat_gamma, ev_module, hat_tensor_weight,
+                               hom_space_weight, is_isomorphic_weight,
+                               outer_factors, q1_module,
+                               restrict_to_invariants, schur_data,
+                               tensor_same_algebra, twist_q_module,
+                               weight_schur_data)
 from queeralg.queer import build_q
 from queeralg.scalars import Tower
 
@@ -30,17 +32,9 @@ def env():
     return {"K": K, "q2": q2, "A": A, "ms": ms, "cat": cat}
 
 
-def q1_module(K):
-    g = from_assoc(make_Q(K, 1))
-    sp = GradedSpace(1, 1)
-    mats = [GradedMap(K, sp, sp, [[K.one(), K.zero()], [K.zero(), K.one()]]),
-            GradedMap(K, sp, sp, [[K.zero(), K.one()], [K.one(), K.zero()]])]
-    return LieModule(g, sp, mats)
-
-
 def test_schur_data_types(env):
     K = env["K"]
-    m = q1_module(K)
+    m = q1_module(K).flatten()
     s = schur_data(m)
     assert s.is_type_q
     assert (s.phi_hat * s.phi_hat) == GradedMap.identity(K, m.space) * (-1)
@@ -53,7 +47,7 @@ def test_schur_phi_is_P_action(env):
     # the odd commutant of C^{1|1} over Q(1) is spanned by the action of
     # the odd involution with square -1
     K = env["K"]
-    s = schur_data(q1_module(K))
+    s = schur_data(q1_module(K).flatten())
     phi = s.phi
     assert phi.parity == 1
     sq = phi * phi
@@ -62,8 +56,7 @@ def test_schur_phi_is_P_action(env):
 
 def test_schur_rejects_reducible(env):
     K = env["K"]
-    m = q1_module(K)
-    from queeralg.products import direct_sum_module
+    m = q1_module(K).flatten()
     with pytest.raises(ValueError):
         schur_data(direct_sum_module(m, m))
 
@@ -112,63 +105,99 @@ def test_catalog_criterion_agrees_with_flat_oracle(env, q3, n):
             oracle.certifies_irreducible
 
 
-def test_product_schur_by_type_rule(env):
-    from queeralg.products import product_schur
+def _hat(m1, m2, s1, s2):
+    """V1 hat-x V2 over g1 (+) g2."""
+    return hat_tensor_weight(*outer_factors(m1, m2, s1, s2))
+
+
+def _adjoint_qone(env):
+    cat = env["cat"]
+    qone = q1_module(env["K"])
+    return _hat(cat.module("adjoint"), qone, cat.weight_schur("adjoint"),
+                weight_schur_data(qone))
+
+
+def test_product_type_rule(env):
     K, cat = env["K"], env["cat"]
     qone = q1_module(K)
-    ad = cat.entries["adjoint"]["flat"]
-    prod, info = hat_tensor_flat(ad, qone, s1=cat.schur("adjoint"))
-    s = product_schur(prod, info)
-    assert s.is_type_q and s.phi is info["phi"] and s.c == -K.one()
-    split, info2 = hat_tensor_flat(qone, qone)
-    assert not product_schur(split, info2).is_type_q
-    mm, info3 = hat_tensor_flat(ad, ad, s1=cat.schur("adjoint"),
-                                s2=cat.schur("adjoint"))
-    assert not product_schur(mm, info3).is_type_q
+    s_q = weight_schur_data(qone)
+    ad, s_ad = cat.module("adjoint"), cat.weight_schur("adjoint")
+    _, info = _adjoint_qone(env)
+    s = info["result_schur"]
+    assert s.is_type_q and not info["split"]
+    # phi = 1 (x) phi_hat squares to -id
+    minus = {w: [[-K.one() if i == j else K.zero() for j in range(len(b))]
+                 for i in range(len(b))] for w, b in s.phi_blocks.items()}
+    assert {w: [[sum((b[i][k] * b[k][j] for k in range(len(b))), K.zero())
+                 for j in range(len(b))] for i in range(len(b))]
+            for w, b in s.phi_blocks.items()} == minus
+    _, info2 = _hat(qone, qone, s_q, s_q)
+    assert info2["split"] and not info2["result_schur"].is_type_q
+    _, info3 = _hat(ad, ad, s_ad, s_ad)
+    assert not info3["result_schur"].is_type_q
 
 
-def test_product_schur_rejects_corrupted_phi(env):
+def test_product_phi_check_rejects_corrupted_phi(env):
     """Mutations of phi on adjoint (x) C^{1|1}: a wrong scale breaks
     phi^2 = -id, a non-scalar even twist on the first factor keeps
     phi^2 = -id but breaks supercommutation, and an even map is refused."""
-    from queeralg.graded import graded_tensor
-    from queeralg.products import product_schur
-    K, cat = env["K"], env["cat"]
-    qone = q1_module(K)
-    s_q = schur_data(qone)
-    ad = cat.entries["adjoint"]["flat"]
-    prod, info = hat_tensor_flat(ad, qone, s1=cat.schur("adjoint"), s2=s_q)
-    flip = GradedMap.identity(K, ad.space)
-    flip.rows[0][0] = -K.one()
+    from queeralg.products import _check_product_phi
+    K = env["K"]
+    prod, info = _adjoint_qone(env)
+    phi = info["result_schur"].phi_blocks
+    _check_product_phi(prod, phi)
+    _, _, pair_basis, _, _ = prod.pair_data
+    # flip (x) 1 with flip = -1 on the first basis vector of the adjoint
+    twisted = {w: [[-v for v in row] if pair_basis[t][r][:2] == (0, 0)
+                   else list(row) for r, row in enumerate(phi[w])]
+               for t, w in enumerate(prod.weights)}
+    ident = {w: [[K.one() if i == j else K.zero() for j in range(len(b))]
+                 for i in range(len(b))] for w, b in phi.items()}
     cases = [
-        (info["phi"] * 2, "square to -id"),
-        (graded_tensor(flip, s_q.phi_hat), "supercommute"),
-        (GradedMap.identity(K, prod.space), "not odd"),
+        ({w: [[v * 2 for v in row] for row in b] for w, b in phi.items()},
+         "square to -id"),
+        (twisted, "supercommute"),
+        (ident, "not odd"),
     ]
     for bad, msg in cases:
         with pytest.raises(AssertionError, match=msg):
-            product_schur(prod, dict(info, phi=bad))
+            _check_product_phi(prod, bad)
+
+
+def test_split_operator_check_rejects_unnormalized_phi(env):
+    """A phi of square -4 id on a type-Q factor makes
+    (phi1_tilde (x) phi2)^2 = 4 id: the split refuses it."""
+    qone = q1_module(env["K"])
+    s_q = weight_schur_data(qone)
+    bad = WeightSchur(True, {w: [[v * 2 for v in row] for row in b]
+                             for w, b in s_q.phi_blocks.items()})
+    with pytest.raises(AssertionError, match="normalization broken"):
+        _hat(qone, qone, bad, s_q)
 
 
 def test_hat_tensor_split_and_iso(env):
     K = env["K"]
     m = q1_module(K)
-    prod, info = hat_tensor_flat(m, m)
+    s = weight_schur_data(m)
+    prod, info = _hat(m, m, s, s)
     assert info["split"]
     assert prod.dim == 2 and info["minus"].dim == 2
-    ok, _ = is_isomorphic_flat(info["plus"], info["minus"])
+    ok, _ = is_isomorphic_weight(info["plus"], info["minus"])
     assert ok
-    assert density_type_from_maps(prod.mats, prod.space, K).kind == "full"
+    flat = prod.flatten()
+    assert density_type_from_maps(flat.mats, flat.space, K).kind == "full"
 
 
 def test_hat_tensor_trivial_factor(env):
     # tensor with a trivial one-dimensional module returns the same dims
+    from queeralg.graded import EVEN
+    from queeralg.hwmod import WeightModule
     K = env["K"]
     m = q1_module(K)
-    g_triv = from_assoc(make_Q(K, 1))
-    sp = GradedSpace(1, 0)
-    triv = LieModule(g_triv, sp, [GradedMap.zero(K, sp, sp)] * 2)
-    prod, info = hat_tensor_flat(m, triv, s2=schur_data(triv, certify=False))
+    triv = WeightModule(m.algebra, K, [()], {(): (EVEN,)}, [{}, {}])
+    prod, info = _hat(m, triv, weight_schur_data(m),
+                      weight_schur_data(triv, schur_data(triv.flatten(),
+                                                         certify=False)))
     assert not info["split"] and prod.dim == 2
 
 
@@ -176,6 +205,51 @@ def test_assoc_check_three_q_factors(env):
     K = env["K"]
     m = q1_module(K)
     assert assoc_check(m, m, m)
+
+
+def test_outer_factors_weights_and_pullbacks(env):
+    """adjoint (x) adjoint over q(2) (+) q(2): each factor acts through its
+    own summand, the weights are (w, 0) and (0, w), and the product's
+    weights are the pairs (w1, w2)."""
+    cat = env["cat"]
+    ad, s = cat.module("adjoint"), cat.weight_schur("adjoint")
+    p1, p2, t1, t2 = outer_factors(ad, ad, s, s)
+    zero = (env["K"].zero(),) * 2
+    assert set(p1.weights) == {w + zero for w in ad.weights}
+    assert set(p2.weights) == {zero + w for w in ad.weights}
+    assert p1.qd is None and p2.qd is None
+    n = ad.algebra.dim
+    assert p1.algebra.dim == p2.algebra.dim == 2 * n
+    flat, f1, f2 = ad.flatten(), p1.flatten(), p2.flatten()
+    for g in range(n):
+        assert f1.mats[g].rows == flat.mats[g].rows and f1.mats[n + g].is_zero
+        assert f2.mats[n + g].rows == flat.mats[g].rows and f2.mats[g].is_zero
+    assert (t1, t2) == (s, s) and not s.is_type_q
+    prod, info = hat_tensor_weight(p1, p2, t1, t2)
+    assert not info["split"] and prod.dim == 256
+    assert set(prod.weights) == {w1 + w2 for w1 in ad.weights
+                                 for w2 in ad.weights}
+
+
+def test_decompose_reaches_type_q_branches(monkeypatch, capsys):
+    """adjoint,qone,qone: the first step takes phi from the qone factor
+    and checks it, the second splits and restricts to both halves."""
+    import queeralg.products as products
+    from queeralg.cli import main
+    calls = {"_tensor_phi_blocks": 0, "_check_product_phi": 0,
+             "restrict_weight_module": 0}
+    for name in calls:
+        real = getattr(products, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(products, name, counted)
+    assert main(["decompose", "--n", "2",
+                 "--factors", "adjoint,qone,qone"]) == 0
+    assert "splits V(32) (+) V(32)" in capsys.readouterr().out
+    assert calls == {"_tensor_phi_blocks": 1, "_check_product_phi": 1,
+                     "restrict_weight_module": 2}
 
 
 def test_ev_module_and_ann(env):
@@ -269,7 +343,7 @@ def test_hom_basis_is_homogeneous(env):
     # the Hom equations never mix slot parities, so every RREF kernel
     # vector is homogeneous (what makes the isomorphism scan exact between
     # irreducible modules); C^{1|1} over Q(1) has an even and an odd one
-    m = q1_module(env["K"])
+    m = q1_module(env["K"]).flatten()
     homs = module_hom_basis(m, m)
     assert sorted(t.parity for t in homs) == [0, 1]
 
@@ -405,9 +479,25 @@ def _toy_weight_pair(K):
     return m1, m2, ws1, ws2
 
 
+def test_outer_factors_match_hand_built_pair():
+    """outer_factors of two C^{1|1} is the hand-built single-weight model
+    of _toy_weight_pair, up to the weight label, Schur data included."""
+    K = Tower()
+    m = q1_module(K)
+    s = weight_schur_data(m)
+    p1, p2, t1, t2 = outer_factors(m, m, s, s)
+    toy = _toy_weight_pair(K)
+    for got, want in ((p1, toy[0]), (p2, toy[1])):
+        assert got.weights == [()]
+        assert [x.rows for x in got.flatten().mats] == \
+            [x.rows for x in want.flatten().mats]
+    w0 = (K.zero(),)
+    assert t1.phi_blocks[()] == toy[2].phi_blocks[w0]
+    assert t2.phi_blocks[()] == toy[3].phi_blocks[w0]
+
+
 def test_hat_tensor_weight_split_branch(env):
-    # synthetic pair of type-Q weight modules: the weight-level split must
-    # agree with the flat computation
+    # synthetic pair of type-Q weight modules: the weight-level split
     from queeralg.assocsuper import density_type_from_maps
     from queeralg.products import hat_tensor_weight
     K = Tower()
@@ -420,14 +510,6 @@ def test_hat_tensor_weight_split_branch(env):
     assert ok
     flat = plus.flatten()
     assert density_type_from_maps(flat.mats, flat.space, K).kind == "full"
-    # against the flat route
-    mflat = _toy_weight_pair(Tower())  # fresh context for the flat build
-    K2 = mflat[0].tower
-    prod_flat, info_flat = hat_tensor_flat(mflat[0].flatten(),
-                                           mflat[1].flatten(),
-                                           s1=schur_data(mflat[0].flatten()),
-                                           s2=schur_data(mflat[1].flatten()))
-    assert info_flat["split"] and prod_flat.dim == 2
 
 
 def test_hat_tensor_weight_mixed_factor_phi(env):
