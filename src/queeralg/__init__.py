@@ -34,11 +34,10 @@ from .hwmod import (SimpleQuotient, TruncatedVerma, WeightModule,
                     check_psi0_ideal, is_irreducible_hw, simple_quotient,
                     top_psi, triangular_of_invariants, triangular_of_map,
                     verma)
-from .products import (Catalog, SchurData, WeightSchur, assoc_check,
-                       classify_enumerate, ev_hat, ev_hat_gamma, ev_module,
-                       hat_tensor_weight, hom_space_weight,
-                       is_isomorphic_weight, outer_factors, pullback,
-                       q1_module, schur_data, tensor_same_algebra,
+from .products import (Catalog, WeightSchur, assoc_check, classify_enumerate,
+                       ev_hat, ev_hat_gamma, ev_module, hat_tensor_weight,
+                       hom_space_weight, is_isomorphic_weight, outer_factors,
+                       pullback, q1_module, tensor_same_algebra,
                        trivial_q_module, adjoint_q_module, weight_schur_data)
 
 __version__ = "0.1.0"

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, graded_tensor,
-                     mat_kernel, mat_rref, odd_schur, tensor_space,
-                     zero_rows)
+                     homogeneous_entries, mat_kernel, mat_rref, odd_schur,
+                     tensor_space, zero_rows)
 from .scalars import QI_ONE, Tower, raw_dot, raw_of
 
 
@@ -812,7 +812,7 @@ def density_type_from_maps(maps, space: GradedSpace, tower: Tower,
         return DensityType("full", d)
     m = space.even_dim
     if space.odd_dim == m and d == 2 * m * m:
-        if all(mp.parity is not None for mp in maps) and \
-                odd_schur(maps, space, tower) is not None:
+        if all(mp.parity is not None for mp in maps) and odd_schur(
+                homogeneous_entries(maps), space, tower) is not None:
             return DensityType("qcomm", d)
     return DensityType("smaller", d)

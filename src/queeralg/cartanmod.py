@@ -13,8 +13,8 @@ from fractions import Fraction
 from .assocsuper import (QuadraticPair, clifford_generators,
                          density_type_from_maps)
 from .coeffalg import CoeffAlgebra, IdealRep, quotient_algebra
-from .graded import (GradedMap, GradedSpace, Span, mat_kernel,
-                     odd_schur, solve_right, zero_rows)
+from .graded import (GradedMap, GradedSpace, Span, homogeneous_entries,
+                     mat_kernel, odd_schur, solve_right, zero_rows)
 from .liesuper import LieModule, is_isomorphic_flat, subalgebra
 from .mapsuper import tensor_lie
 from .queer import QueerData
@@ -290,8 +290,8 @@ class HModule:
         """Odd endomorphism supercommuting with the action, normalized to
         phi^2 = -id (adjoins a square root when needed)."""
         tower = self.ctx.tower
-        found = odd_schur([m for m in self.cartan_mats if not m.is_zero],
-                          self.carrier, tower)
+        found = odd_schur(homogeneous_entries(self.cartan_mats), self.carrier,
+                          tower)
         if found is None:
             raise AssertionError("no odd Schur endomorphism found for odd rank")
         phi, c = found

@@ -107,18 +107,9 @@ def cmd_classify(args) -> int:
     ms = tensor_lie(qd, alg)
     inv = None
     if args.group:
-        act = _parse(args.group, gamma_from_spec, tower,
-                     _load_json(args.group), alg, qd)
-        try:
-            inv = invariants(ms, act)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return FAILURE_EXIT
-    try:
-        rep = classify_enumerate(ms, catalog, inv=inv)
-    except (ValueError, AssertionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAILURE_EXIT
+        inv = invariants(ms, _parse(args.group, gamma_from_spec, tower,
+                                    _load_json(args.group), alg, qd))
+    rep = classify_enumerate(ms, catalog, inv=inv)
     rows = []
     for r in rep["rows"]:
         rows.append({
@@ -312,6 +303,10 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return USAGE_EXIT
         return exc.code if exc.code is not None else 0
+    except (ValueError, AssertionError) as exc:
+        # a failed check or validation, such as a reducible catalog entry
+        print(f"error: {exc}", file=sys.stderr)
+        return FAILURE_EXIT
 
 
 if __name__ == "__main__":

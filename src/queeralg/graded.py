@@ -552,6 +552,19 @@ def intertwiners(pairs, slots, tower: Tower):
     return mat_kernel(equations(), len(slots), tower)
 
 
+def homogeneous_entries(ops):
+    """(nonzero entries {(i, j): Scalar}, parity) of each operator, the
+    operator form of commutant and odd_schur; every op must be
+    parity-homogeneous."""
+    out = []
+    for op in ops:
+        if op.parity is None:
+            raise ValueError("commutant requires parity-homogeneous operators")
+        out.append(({(i, j): x for i, row in enumerate(op.rows)
+                     for j, x in enumerate(row) if not x.is_zero}, op.parity))
+    return out
+
+
 def commutant(ops, space: GradedSpace, tower: Tower, parity_filter=(EVEN, ODD)):
     """Basis of {T of requested parity on space :
     T r - (-1)^{|T||r|} r T = 0 for all r in ops}.
@@ -560,34 +573,44 @@ def commutant(ops, space: GradedSpace, tower: Tower, parity_filter=(EVEN, ODD)):
     """
     if isinstance(parity_filter, int):
         parity_filter = (parity_filter,)
-    for op in ops:
-        if op.parity is None:
-            raise ValueError("commutant requires parity-homogeneous operators")
-    n = space.dim
+    entries = homogeneous_entries(ops)
     par = space.parities
-    entries = [({(i, j): x for i, row in enumerate(op.rows)
-                 for j, x in enumerate(row) if not x.is_zero}, op.parity)
-               for op in ops]
-    out = []
-    for p in parity_filter:
-        slots = [(i, j) for i in range(n) for j in range(n)
-                 if (par[i] + par[j]) % 2 == p]
-        pairs = [(e, e, -1 if p and q else 1) for e, q in entries]
-        for kvec in intertwiners(pairs, slots, tower):
-            mat = zero_rows(tower, n, n)
-            for (i, j), x in zip(slots, kvec):
-                if not x.is_zero:
-                    mat[i][j] = x
-            out.append(GradedMap(tower, space, space, mat, parity=p))
-    return out
+    return [t for p in parity_filter for t in _supercommutant(
+        entries, space, tower, p,
+        [(i, j) for i in range(space.dim) for j in range(space.dim)
+         if (par[i] + par[j]) % 2 == p])]
 
 
-def odd_schur(ops, space: GradedSpace, tower: Tower):
-    """(phi, c) for the first odd supercommutant phi of ops (in
-    commutant's basis order) with phi^2 = c id and c != 0, or None.  Such
-    a phi makes an irreducible module type Q."""
+def _supercommutant(entries, space: GradedSpace, tower: Tower, p, slots):
+    """The kernel basis of commutant at parity p over the given slots, as
+    GradedMaps, one at a time; entries as from homogeneous_entries."""
+    n = space.dim
+    pairs = [(e, e, -1 if p and q else 1) for e, q in entries]
+    for kvec in intertwiners(pairs, slots, tower):
+        mat = zero_rows(tower, n, n)
+        for (i, j), x in zip(slots, kvec):
+            if not x.is_zero:
+                mat[i][j] = x
+        yield GradedMap(tower, space, space, mat, parity=p)
+
+
+def odd_schur(ops, space: GradedSpace, tower: Tower, slots=None):
+    """(phi, c) for the first odd supercommutant phi of ops (in the
+    kernel basis order) with phi^2 = c id and c != 0, or None.  Such a
+    phi makes an irreducible module type Q.
+
+    ops are homogeneous_entries pairs on the basis of space.  The
+    unknowns are the entries slots of phi, by default every (i, j) of
+    opposite parities, row-major.  A caller that knows phi vanishes off
+    some of them may pass the rest in the same relative order: the kernel
+    basis depends only on the solution space and the slot order, so phi
+    is the same."""
+    if slots is None:
+        par = space.parities
+        slots = [(i, j) for i in range(space.dim) for j in range(space.dim)
+                 if par[i] != par[j]]
     ident = GradedMap.identity(tower, space)
-    for phi in commutant(ops, space, tower, parity_filter=ODD):
+    for phi in _supercommutant(ops, space, tower, ODD, slots):
         sq = phi * phi
         c = sq.rows[0][0]
         if not c.is_zero and sq == ident * c:

@@ -7,17 +7,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assocsuper import _raw_products, density_type_from_maps, make_Q
-from .graded import (EVEN, ODD, GradedMap, GradedSpace, commutant,
-                     first_invertible, identity_rows, intertwiners, kernel,
-                     mat_mul, mat_rank, odd_schur, solve_columns, zero_rows)
+from .graded import (EVEN, ODD, GradedMap, GradedSpace, first_invertible,
+                     identity_rows, intertwiners, kernel, mat_mul, mat_rank,
+                     odd_schur, solve_columns, zero_rows)
 from .hwmod import (WeightModule, is_irreducible_hw,
                     triangular_of_invariants, triangular_of_map,
                     triangular_of_q, weight_sort_key)
-from .liesuper import LieModule, direct_sum, from_assoc
+from .liesuper import direct_sum, from_assoc
 from .mapsuper import (InvariantSub, MapSuper, ann_and_support,
                        ann_and_support_gamma)
 from .queer import QueerData
-from .scalars import Scalar, Tower, raw_dot, raw_of
+from .scalars import Tower, raw_dot, raw_of
 
 
 # ---------------------------------------------------------------------------
@@ -26,58 +26,82 @@ from .scalars import Scalar, Tower, raw_dot, raw_of
 
 
 @dataclass
-class SchurData:
-    """Graded endomorphism data of an irreducible module: the even
-    commutant is scalar; phi spans the odd part (or is None) and is
-    normalized so that phi_hat^2 = -id."""
-
-    even_dim: int
-    phi: GradedMap | None
-    c: Scalar | None  # phi^2 = c id before normalization
-    phi_hat: GradedMap | None
-
-    @property
-    def is_type_q(self) -> bool:
-        return self.phi is not None
-
-
-def schur_data(m: LieModule, certify=True) -> SchurData:
-    """Supercommutant solve on a flat module; requires irreducibility
-    (density oracle) unless certify=False."""
-    tower = m.tower
-    if certify:
-        d = density_type_from_maps(m.mats, m.space, tower)
-        if not d.certifies_irreducible:
-            raise ValueError(f"module is not irreducible (oracle: {d!r})")
-    ops = [x for x in m.mats if not x.is_zero]
-    evens = commutant(ops, m.space, tower, parity_filter=EVEN)
-    found = odd_schur(ops, m.space, tower)
-    if found is None:
-        return SchurData(len(evens), None, None, None)
-    phi, c = found
-    return SchurData(len(evens), phi, c,
-                     phi * tower.adjoin_sqrt(-c.inv()))
-
-
-@dataclass
 class WeightSchur:
     """Schur data for a weight module: the type flag and, for type Q, the
-    normalized odd endomorphism stored blockwise by weight."""
+    odd endomorphism normalized to phi^2 = -id, stored blockwise by
+    weight."""
 
     is_type_q: bool
     phi_blocks: dict | None
 
 
-def weight_schur_data(m: WeightModule,
-                      s: SchurData | None = None) -> WeightSchur:
-    """WeightSchur of an irreducible weight module from its flat Schur
-    data s, by default schur_data(m.flatten()) (certified by the density
-    oracle); phi_hat is re-blocked by weight."""
-    if s is None:
-        s = schur_data(m.flatten())
-    if not s.is_type_q:
+def weight_schur_data(m: WeightModule) -> WeightSchur:
+    """WeightSchur of a weight module certified irreducible first
+    (ValueError otherwise, see _certify_irreducible)."""
+    _certify_irreducible(m, "module")
+    return _solve_weight_schur(m)
+
+
+def _certify_irreducible(m: WeightModule, subject: str):
+    """Raise ValueError "<subject> is not irreducible: <clause>" unless m
+    is certified irreducible: a module over q itself by the
+    highest-weight criterion (is_irreducible_hw over the triangular pieces
+    of q), any other module by the density oracle on m.flatten().
+
+    The criterion is sufficient.  Let N != 0 be a graded submodule of the
+    finite-dimensional module M; it is the sum of its weight spaces, since
+    h0 acts diagonally.  The vectors of a maximal weight of N are killed
+    by the raising generators, so they are singular; clause 1 puts that
+    weight at the top lambda, so N meets M_lambda in a nonzero Cartan
+    submodule.  Clause 3 (the density oracle on the small top block) gives
+    M_lambda inside N, and clause 4 (generated_by_top) gives N = M.  It is
+    also necessary for finite-dimensional irreducibles, so no valid module
+    is refused."""
+    if m.qd is not None and m.algebra is m.qd.algebra:
+        why: dict = {}
+        if not is_irreducible_hw(m, triangular_of_q(m.qd), why):
+            raise ValueError(f"{subject} is not irreducible: "
+                             f"{why['reason']}")
+        return
+    flat = m.flatten()
+    d = density_type_from_maps(flat.mats, flat.space, m.tower)
+    if not d.certifies_irreducible:
+        raise ValueError(f"{subject} is not irreducible: density oracle "
+                         f"gives {d!r}")
+
+
+def _solve_weight_schur(m: WeightModule) -> WeightSchur:
+    """WeightSchur of an irreducible weight module, from its odd
+    supercommutant solved on the weight blocks.
+
+    phi supercommutes with the even Cartan generators, which act on block
+    w by the scalars w (as in hom_space_weight, the grading is taken to
+    be that of m's algebra), so phi preserves weights.  The unknowns are
+    therefore the slots of opposite parity inside each block, in
+    flat-index order, and odd_schur returns the phi of the solve over all
+    of End(V).  phi is normalized to phi^2 = -id (adjoining sqrt(-1/c)
+    when needed)."""
+    tower = m.tower
+    idx = m.flat_index()
+    one = tower.one()
+    ops = [({(idx[(w2, r)], idx[(w, s)]): v
+             for (w2, r, w, s), v in m.op_entries({g: one}).items()},
+            m.algebra.space.parity(g)) for g in range(m.algebra.dim)]
+    slots = [(idx[(w, i)], idx[(w, j)]) for w in m.weights
+             for i, p in enumerate(m.parities[w])
+             for j, q in enumerate(m.parities[w]) if p != q]
+    space = GradedSpace.from_parities(p for w in m.weights
+                                      for p in m.parities[w])
+    found = odd_schur(ops, space, tower, slots)
+    if found is None:
         return WeightSchur(False, None)
-    return WeightSchur(True, weight_phi_blocks(m, s.phi_hat))
+    phi, c = found
+    rows = (phi * tower.adjoin_sqrt(-c.inv())).rows
+    blocks = {}
+    for w in m.weights:
+        b, d = idx[(w, 0)], m.block_dim(w)
+        blocks[w] = [row[b:b + d] for row in rows[b:b + d]]
+    return WeightSchur(True, blocks)
 
 
 def q1_module(tower: Tower) -> WeightModule:
@@ -188,30 +212,6 @@ def _indexed_blocks(blocks, pos: dict):
     return [(pos[wt], [(r, c, v) for r, row in enumerate(rows)
                        for c, v in enumerate(row) if not v.is_zero])
             for wt, rows in blocks]
-
-
-def weight_phi_blocks(m: WeightModule, phi_flat: GradedMap) -> dict:
-    """Re-block a weight-preserving flat endomorphism by weight; raises
-    if it mixes weights."""
-    idx = m.flat_index()
-    rev = {v: k for k, v in idx.items()}
-    out = {}
-    tower = m.tower
-    for w in m.weights:
-        d = m.block_dim(w)
-        out[w] = zero_rows(tower, d, d)
-    n = m.dim
-    for i in range(n):
-        wi, ki = rev[i]
-        for j in range(n):
-            v = phi_flat.rows[i][j]
-            if v.is_zero:
-                continue
-            wj, kj = rev[j]
-            if wi != wj:
-                raise ValueError("endomorphism does not preserve weights")
-            out[wi][ki][kj] = v
-    return out
 
 
 def restrict_weight_module(m: WeightModule, sub_basis: dict) -> WeightModule:
@@ -537,7 +537,7 @@ def adjoint_q_module(qd: QueerData) -> WeightModule:
 
 class Catalog:
     """Finite user-extensible catalog of irreducible q-modules (weight
-    modules over q with cached flat forms and Schur data)."""
+    modules over q with cached Schur data)."""
 
     def __init__(self, qd: QueerData):
         self.qd = qd
@@ -546,8 +546,7 @@ class Catalog:
         self.add("adjoint", adjoint_q_module(qd))
 
     def add(self, name: str, module: WeightModule):
-        flat = module.flatten()
-        self.entries[name] = {"module": module, "flat": flat, "schur": None}
+        self.entries[name] = {"module": module, "schur": None}
 
     def names(self):
         return sorted(self.entries)
@@ -555,33 +554,15 @@ class Catalog:
     def module(self, name: str) -> WeightModule:
         return self.entries[name]["module"]
 
-    def schur(self, name: str) -> SchurData:
-        """Schur data of an entry, certified irreducible first by the
-        highest-weight criterion (is_irreducible_hw over the triangular
-        pieces of q) instead of the density oracle on the flat module.
-
-        The criterion is sufficient.  Let N != 0 be a graded submodule of
-        the finite-dimensional entry M; it is the sum of its weight
-        spaces, since h0 acts diagonally.  The vectors of a maximal weight
-        of N are killed by the raising generators, so they are singular;
-        clause 1 puts that weight at the top lambda, so N meets M_lambda
-        in a nonzero Cartan submodule.  Clause 3 (the density oracle on
-        the small top block) gives M_lambda inside N, and clause 4
-        (generated_by_top) gives N = M.  It is also necessary for
-        finite-dimensional irreducibles, so no valid entry is refused.
-        Raises ValueError naming the entry and the failing clause."""
+    def weight_schur(self, name: str) -> WeightSchur:
+        """Schur data of an entry, certified irreducible first (by the
+        highest-weight criterion for an entry over q) and cached.  Raises
+        ValueError naming the entry and the failing clause."""
         e = self.entries[name]
         if e["schur"] is None:
-            why: dict = {}
-            if not is_irreducible_hw(e["module"], triangular_of_q(self.qd),
-                                     why):
-                raise ValueError(f"catalog entry {name!r} is not "
-                                 f"irreducible: {why['reason']}")
-            e["schur"] = schur_data(e["flat"], certify=False)
+            _certify_irreducible(e["module"], f"catalog entry {name!r}")
+            e["schur"] = _solve_weight_schur(e["module"])
         return e["schur"]
-
-    def weight_schur(self, name: str) -> WeightSchur:
-        return weight_schur_data(self.module(name), self.schur(name))
 
     def match_class(self, module: WeightModule):
         """Name of the catalog entry isomorphic to the module, or None."""

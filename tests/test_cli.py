@@ -121,6 +121,20 @@ def test_decompose_usage_error(capsys):
     assert main(["decompose", "--factors", "qone"]) == 2
 
 
+@pytest.mark.filterwarnings("ignore:q\\(1\\) is not simple")
+@pytest.mark.parametrize("command", [
+    ["decompose", "--n", "1", "--factors", "adjoint,adjoint"],
+    ["classify", "--n", "1", "--catalog", "trivial,adjoint"],
+])
+def test_reducible_catalog_entry_is_one_error_line(capsys, command):
+    """The adjoint of q(1) is reducible: both commands refuse it with one
+    error line and exit 1, no traceback."""
+    assert main(command) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: catalog entry 'adjoint' is not irreducible: "
+                   "top block reducible over the Cartan part\n")
+
+
 def test_structured_reports_deterministic(files):
     f1 = files["dir"] / "d1.json"
     f2 = files["dir"] / "d2.json"
@@ -294,16 +308,19 @@ def test_classify_report_matches_golden(tmp_path, golden, algebra, group):
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
-@pytest.mark.parametrize("factors", ["qone,qone", "qone,qone,qone",
-                                     "adjoint,qone", "adjoint,qone,qone",
-                                     "adjoint,adjoint"])
-def test_decompose_report_matches_golden(tmp_path, factors):
-    """Structured decompose reports over q(2), byte for byte;
-    adjoint,qone,qone types a product by the type rule before splitting
-    it, and adjoint,adjoint is the 256-dimensional product over
-    q(2) (+) q(2)."""
+@pytest.mark.parametrize("n,factors", [
+    *(pytest.param("2", f, id=f) for f in (
+        "qone,qone", "qone,qone,qone", "adjoint,qone", "adjoint,qone,qone",
+        "adjoint,adjoint")),
+    pytest.param("3", "adjoint,qone,qone", id="n3-adjoint,qone,qone")])
+def test_decompose_report_matches_golden(tmp_path, n, factors):
+    """Structured decompose reports, byte for byte; adjoint,qone,qone
+    types a product by the type rule before splitting it (over q(3), a
+    type-Q product of dimension 60), and adjoint,adjoint is the
+    256-dimensional product over q(2) (+) q(2)."""
     out = tmp_path / "report.json"
-    assert main(["decompose", "--n", "2", "--factors", factors,
+    assert main(["decompose", "--n", n, "--factors", factors,
                  "--format", "structured", "--out", str(out)]) == 0
-    golden = DATA / f"decompose_{factors.replace(',', '_')}.json"
+    prefix = "decompose_" if n == "2" else f"decompose_n{n}_"
+    golden = DATA / f"{prefix}{factors.replace(',', '_')}.json"
     assert out.read_bytes() == golden.read_bytes()

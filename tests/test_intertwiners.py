@@ -72,7 +72,7 @@ def golden():
     for par in (EVEN, ODD):
         out[f"commutant H(psi) parity {par}"] = [
             _map(t) for t in commutant(ops, h.carrier, K, par)]
-    phi, c = graded.odd_schur(ops, h.carrier, K)
+    phi, c = graded.odd_schur(graded.homogeneous_entries(ops), h.carrier, K)
     out["odd_schur H(psi)"] = {"phi": _map(phi), "c": str(c),
                                "attached": _map(h.phi)}
     return out

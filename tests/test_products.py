@@ -3,18 +3,18 @@ import pytest
 from queeralg.assocsuper import density_type_from_maps, make_Q
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
 from queeralg.coeffalg import gamma_from_spec, preset_truncated
-from queeralg.graded import GradedMap
+from queeralg.graded import (EVEN, ODD, GradedMap, commutant,
+                             homogeneous_entries, odd_schur)
 from queeralg.hwmod import is_irreducible_hw, triangular_of_invariants, \
     triangular_of_map, top_psi
-from queeralg.liesuper import (direct_sum_module, from_assoc,
-                               is_isomorphic_flat, module_hom_basis)
+from queeralg.liesuper import from_assoc, is_isomorphic_flat, module_hom_basis
 from queeralg.mapsuper import ann_and_support, invariants, tensor_lie
 from queeralg.products import (Catalog, WeightSchur, assoc_check,
                                classify_enumerate, direct_sum_weight, ev_hat,
                                ev_hat_gamma, ev_module, hat_tensor_weight,
                                hom_space_weight, is_isomorphic_weight,
                                outer_factors, q1_module,
-                               restrict_to_invariants, schur_data,
+                               restrict_to_invariants,
                                tensor_same_algebra, twist_q_module,
                                weight_schur_data)
 from queeralg.queer import build_q
@@ -34,31 +34,41 @@ def env():
 
 def test_schur_data_types(env):
     K = env["K"]
-    m = q1_module(K).flatten()
-    s = schur_data(m)
+    m = q1_module(K)
+    s = weight_schur_data(m)
     assert s.is_type_q
-    assert (s.phi_hat * s.phi_hat) == GradedMap.identity(K, m.space) * (-1)
+    phi = _phi_flat(m, s.phi_blocks)
+    assert (phi * phi) == GradedMap.identity(K, phi.source) * (-1)
     # trivial module: even only
-    triv = env["cat"].schur("trivial")
-    assert not triv.is_type_q and triv.even_dim == 1
+    triv = env["cat"].weight_schur("trivial")
+    flat = env["cat"].module("trivial").flatten()
+    assert not triv.is_type_q
+    assert len(commutant(flat.mats, flat.space, K, parity_filter=EVEN)) == 1
 
 
 def test_schur_phi_is_P_action(env):
     # the odd commutant of C^{1|1} over Q(1) is spanned by the action of
     # the odd involution with square -1
     K = env["K"]
-    s = schur_data(q1_module(K).flatten())
-    phi = s.phi
+    m = q1_module(K)
+    phi = _phi_flat(m, weight_schur_data(m).phi_blocks)
     assert phi.parity == 1
     sq = phi * phi
     assert sq.rows[0][0] == sq.rows[1][1] and not sq.rows[0][0].is_zero
 
 
 def test_schur_rejects_reducible(env):
-    K = env["K"]
-    m = q1_module(K).flatten()
-    with pytest.raises(ValueError):
-        schur_data(direct_sum_module(m, m))
+    """Both certificates: the density oracle for C^{1|1} (+) C^{1|1} over
+    Q(1), the highest-weight criterion for a sum of q(2)-modules."""
+    qone = q1_module(env["K"])
+    with pytest.raises(ValueError, match="module is not irreducible: "
+                                         "density oracle"):
+        weight_schur_data(direct_sum_weight(qone, qone))
+    cat = env["cat"]
+    with pytest.raises(ValueError, match="module is not irreducible: "
+                                         "singular vectors below the top"):
+        weight_schur_data(direct_sum_weight(cat.module("adjoint"),
+                                            cat.module("trivial")))
 
 
 @pytest.fixture(scope="module")
@@ -66,21 +76,84 @@ def q3():
     return build_q(Tower(), 3)
 
 
+def _flat_schur_reference(m):
+    """The Schur data of m from graded.odd_schur over all of End(V) on
+    m.flatten(), normalized to phi^2 = -id and cut into weight blocks
+    here; phi must vanish off the blocks."""
+    K = m.tower
+    flat = m.flatten()
+    found = odd_schur(homogeneous_entries(flat.mats), flat.space, K)
+    if found is None:
+        return WeightSchur(False, None)
+    phi, c = found
+    rows = (phi * K.adjoin_sqrt(-c.inv())).rows
+    idx = m.flat_index()
+    blocks = {w: [[rows[idx[(w, i)]][idx[(w, j)]]
+                   for j in range(m.block_dim(w))]
+                  for i in range(m.block_dim(w))] for w in m.weights}
+    assert sum(not v.is_zero for row in rows for v in row) == \
+        sum(not v.is_zero for b in blocks.values() for row in b for v in row)
+    return WeightSchur(True, blocks)
+
+
+def _scaled_qone(K):
+    """C^{1|1} over Q(1) with the odd generator acting by [[0, 2], [1/2, 0]]
+    instead of the swap: its first odd supercommutant squares to -4 id."""
+    from queeralg.hwmod import WeightModule
+    one, zero, two = K.one(), K.zero(), K.from_int(2)
+    return WeightModule(from_assoc(make_Q(K, 1)), K, [()], {(): (EVEN, ODD)},
+                        [{(): [((), [[one, zero], [zero, one]])]},
+                         {(): [((), [[zero, two], [two.inv(), zero]])]}])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_weight_schur_phi_matches_flat_solve(env, q3, n):
+    """The weight-block solve gives the flat solve's phi entry for entry:
+    on the catalog entries of q(n), on C^{1|1} and a rescaled C^{1|1}
+    (phi^2 = -4 id before normalization), and on adjoint (x) C^{1|1} over
+    q(n) (+) Q(1), a type-Q module of dimension 2 dim q(n).  The product
+    is irreducible by the type rule, so its solve skips the density
+    certificate (3 s over q(3))."""
+    from queeralg.products import _solve_weight_schur
+    qd = env["q2"] if n == 2 else q3
+    K = qd.tower
+    cat = Catalog(qd)
+    qone, scaled = q1_module(K), _scaled_qone(K)
+    flat = scaled.flatten()
+    assert odd_schur(homogeneous_entries(flat.mats), flat.space, K)[1] == -4
+    prod, _ = _hat(cat.module("adjoint"), qone, cat.weight_schur("adjoint"),
+                   weight_schur_data(qone))
+    mods = {"trivial": cat.module("trivial"),
+            "adjoint": cat.module("adjoint"), "qone": qone,
+            "scaled qone": scaled, "adjoint (x) qone": prod}
+    got = {"trivial": cat.weight_schur("trivial"),
+           "adjoint": cat.weight_schur("adjoint"),
+           "qone": weight_schur_data(qone),
+           "scaled qone": weight_schur_data(scaled),
+           "adjoint (x) qone": _solve_weight_schur(prod)}
+    for name, m in mods.items():
+        assert got[name] == _flat_schur_reference(m), name
+    assert [s.is_type_q for s in got.values()] == \
+        [False, False, True, True, True]
+    phi = _phi_flat(scaled, got["scaled qone"].phi_blocks)
+    assert phi * phi == GradedMap.identity(K, phi.source) * (-1)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_catalog_schur_needs_no_flat_oracle(env, q3, n, monkeypatch):
     """Catalog entries are certified by the highest-weight criterion: with
-    the flat density oracle of products disabled, schur still works and
-    gives the same data as the certified flat solve."""
+    the flat density oracle of products disabled, weight_schur still
+    works and gives the flat solve's data."""
     qd = env["q2"] if n == 2 else q3
     cat = Catalog(qd)
     with monkeypatch.context() as mp:
         def refuse(*args, **kwargs):
             raise AssertionError("flat density oracle called")
         mp.setattr("queeralg.products.density_type_from_maps", refuse)
-        got = {name: cat.schur(name) for name in ("trivial", "adjoint")}
+        got = {name: cat.weight_schur(name)
+               for name in ("trivial", "adjoint")}
     for name, s in got.items():
-        ref = schur_data(cat.entries[name]["flat"])
-        assert (s.even_dim, s.phi, s.c) == (ref.even_dim, ref.phi, ref.c)
+        assert s == _flat_schur_reference(cat.module(name))
 
 
 def test_catalog_schur_refuses_reducible_entry(env):
@@ -89,7 +162,7 @@ def test_catalog_schur_refuses_reducible_entry(env):
                                      cat.module("trivial")))
     with pytest.raises(ValueError, match="'sum' is not irreducible: "
                                          "singular vectors below the top"):
-        cat.schur("sum")
+        cat.weight_schur("sum")
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -195,9 +268,7 @@ def test_hat_tensor_trivial_factor(env):
     K = env["K"]
     m = q1_module(K)
     triv = WeightModule(m.algebra, K, [()], {(): (EVEN,)}, [{}, {}])
-    prod, info = _hat(m, triv, weight_schur_data(m),
-                      weight_schur_data(triv, schur_data(triv.flatten(),
-                                                         certify=False)))
+    prod, info = _hat(m, triv, weight_schur_data(m), weight_schur_data(triv))
     assert not info["split"] and prod.dim == 2
 
 
@@ -452,7 +523,6 @@ def _toy_weight_pair(K):
     from queeralg.graded import EVEN, ODD
     from queeralg.hwmod import WeightModule
     from queeralg.liesuper import direct_sum
-    from queeralg.products import WeightSchur, weight_phi_blocks
     g1 = from_assoc(make_Q(K, 1))
     g = direct_sum(g1, from_assoc(make_Q(K, 1)))
     w0 = (K.zero(),)
@@ -472,10 +542,8 @@ def _toy_weight_pair(K):
         return WeightModule(g, K, [w0], {w0: (EVEN, ODD)}, act)
 
     m1, m2 = wm(0), wm(1)
-    schur1 = schur_data(m1.flatten())
-    schur2 = schur_data(m2.flatten())
-    ws1 = WeightSchur(True, weight_phi_blocks(m1, schur1.phi_hat))
-    ws2 = WeightSchur(True, weight_phi_blocks(m2, schur2.phi_hat))
+    ws1, ws2 = weight_schur_data(m1), weight_schur_data(m2)
+    assert ws1.is_type_q and ws2.is_type_q
     return m1, m2, ws1, ws2
 
 
@@ -614,7 +682,6 @@ def _q_and_m_pair():
     from queeralg.graded import EVEN, ODD
     from queeralg.hwmod import SimpleQuotient, TruncatedVerma, WeightModule
     from queeralg.liesuper import direct_sum
-    from queeralg.products import WeightSchur, weight_phi_blocks
     K = Tower()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # q(1) is not simple
@@ -632,9 +699,9 @@ def _q_and_m_pair():
                       + [{} for _ in range(q1.dim)])
     mm = WeightModule(g, K, sq.module.weights, sq.module.parities,
                       [{}, {}] + sq.module.act)
-    sq_flat = schur_data(mq.flatten())
-    assert sq_flat.is_type_q and not schur_data(mm.flatten()).is_type_q
-    return mq, mm, WeightSchur(True, weight_phi_blocks(mq, sq_flat.phi_hat))
+    wsq = weight_schur_data(mq)
+    assert wsq.is_type_q and not weight_schur_data(mm).is_type_q
+    return mq, mm, wsq
 
 
 def test_tensor_of_adjoints_is_flat_koszul(env):
