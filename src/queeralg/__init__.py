@@ -14,10 +14,10 @@ from .assocsuper import (AssocSuper, ModuleAction, QuadraticPair, SimpleType,
                          assoc_tensor, classify_simple, clifford,
                          clifford_irrep, density_type, make_M, make_Q,
                          odd_center)
-from .liesuper import (LieModule, LieSuper, check_solvable_module_dim,
-                       derived_series, direct_sum, direct_sum_module,
-                       from_assoc, ideal_closure, is_simple, is_solvable,
-                       module_hom_basis, subalgebra)
+from .liesuper import (LieSuper, WeightModule, derived_series, direct_sum,
+                       direct_sum_weight, from_assoc, hom_map,
+                       hom_space_weight, ideal_closure, is_isomorphic_weight,
+                       is_simple, is_solvable, subalgebra)
 from .queer import QueerData, build_q, build_q_hat, build_q_tilde, \
     cartan_generation_check
 from .coeffalg import (CoeffAlgebra, GammaAction, IdealRep, algebra_from_spec,
@@ -30,14 +30,12 @@ from .mapsuper import (InvariantSub, MapSuper, ann_and_support,
                        invariants, tensor_lie)
 from .cartanmod import (CartanAlgebra, CliffordData, HModule, PsiFunctional,
                         build_H, classify_cartan_module, i_psi)
-from .hwmod import (SimpleQuotient, TruncatedVerma, WeightModule,
-                    check_psi0_ideal, is_irreducible_hw, simple_quotient,
-                    top_psi, triangular_of_invariants, triangular_of_map,
-                    verma)
+from .hwmod import (SimpleQuotient, TruncatedVerma, check_psi0_ideal,
+                    is_irreducible_hw, simple_quotient, top_psi,
+                    triangular_of_invariants, triangular_of_map, verma)
 from .products import (Catalog, WeightSchur, assoc_check, classify_enumerate,
                        ev_hat, ev_hat_gamma, ev_module, hat_tensor_weight,
-                       hom_space_weight, is_isomorphic_weight, outer_factors,
-                       pullback, q1_module, tensor_same_algebra,
+                       outer_factors, pullback, q1_module, tensor_same_algebra,
                        trivial_q_module, adjoint_q_module, weight_schur_data)
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from .assocsuper import (QuadraticPair, clifford_generators,
 from .coeffalg import CoeffAlgebra, IdealRep, quotient_algebra
 from .graded import (GradedMap, GradedSpace, Span, homogeneous_entries,
                      mat_kernel, odd_schur, solve_right, zero_rows)
-from .liesuper import LieModule, is_isomorphic_flat, subalgebra
+from .liesuper import WeightModule, is_isomorphic_weight, subalgebra
 from .mapsuper import tensor_lie
 from .queer import QueerData
 from .scalars import Scalar, scalar_from_json
@@ -283,8 +283,10 @@ class HModule:
     def dim(self) -> int:
         return self.carrier.dim
 
-    def as_lie_module(self) -> LieModule:
-        return LieModule(self.ctx.ms.algebra, self.carrier, self.cartan_mats)
+    def as_lie_module(self) -> WeightModule:
+        """The one-weight module over h (x) A on the carrier."""
+        return WeightModule.from_flat(self.ctx.ms.algebra, self.carrier,
+                                      self.cartan_mats)
 
     def _attach_phi(self):
         """Odd endomorphism supercommuting with the action, normalized to
@@ -302,24 +304,26 @@ def build_H(psi: PsiFunctional, pivot_order=None) -> HModule:
     return HModule(psi, pivot_order=pivot_order)
 
 
-def classify_cartan_module(v: LieModule, ctx: CartanAlgebra):
+def classify_cartan_module(v: WeightModule, ctx: CartanAlgebra):
     """Read psi off an irreducible h (x) A module and produce an explicit
-    isomorphism witness onto build_H(psi)."""
+    isomorphism witness onto build_H(psi): an invertible map T from
+    v.space to the model's carrier with T rho_v(x) = rho_H(x) T."""
     tower = ctx.tower
-    d = density_type_from_maps(v.mats, v.space, tower)
+    mats, space = v.mats, v.space
+    d = density_type_from_maps(mats, space, tower)
     if not d.certifies_irreducible:
         raise ValueError(f"module is not irreducible (oracle: {d!r})")
-    ident = GradedMap.identity(tower, v.space)
+    ident = GradedMap.identity(tower, space)
     vals = []
     for k in range(ctx.n_even):
-        m = v.mats[k]
+        m = mats[k]
         c = m.rows[0][0]
         if not (m == ident * c):
             raise ValueError("even Cartan part does not act by scalars")
         vals.append(c)
     psi = PsiFunctional(ctx, vals)
     h = build_H(psi)
-    ok, witness = is_isomorphic_flat(v, h.as_lie_module())
+    ok, witness = is_isomorphic_weight(v, h.as_lie_module())
     if not ok:
         raise AssertionError("no isomorphism onto the model module found")
     return psi, witness

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .cartanmod import CartanAlgebra, PsiFunctional
 from .coeffalg import algebra_from_spec, gamma_from_spec, preset_base_field
@@ -33,6 +34,13 @@ def _emit(report: dict, text_lines, fmt: str, out_path):
             fh.write(payload)
     else:
         sys.stdout.write(payload)
+
+
+def _warning_line(message, category, filename, lineno, file=None,
+                  line=None):
+    """Show a warning as one "warning: ..." line, without the source
+    location (the warnings.showwarning signature)."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _load_json(path: str) -> dict:
@@ -297,7 +305,9 @@ def main(argv=None) -> int:
     if getattr(args, "depth", "missing") is None:
         args.depth = args.n * (args.n + 1)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            return args.func(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

@@ -1,194 +1,21 @@
-"""Highest-weight machinery over map queer superalgebras: weight modules
-stored blockwise by weight, truncated induced modules built from PBW
-monomials by straightening, singular vectors, maximal submodules and
-simple quotients, and the four-condition irreducibility criterion."""
+"""Highest-weight machinery over map queer superalgebras: truncated
+induced modules built from PBW monomials by straightening, singular
+vectors, maximal submodules and simple quotients (as
+liesuper.WeightModule), and the four-condition irreducibility
+criterion."""
 
 from __future__ import annotations
 
 from itertools import product
 
+from .assocsuper import density_type_from_maps
 from .cartanmod import CartanAlgebra, PsiFunctional, build_H
 from .coeffalg import IdealRep
-from .graded import (EVEN, GradedMap, GradedSpace, Span, mat_kernel,
-                     mat_rank, zero_rows)
-from .liesuper import LieModule, LieSuper
+from .graded import EVEN, Span, zero_rows
+from .liesuper import WeightModule
 from .mapsuper import InvariantSub, MapSuper
 from .queer import QueerData
-from .scalars import (QI_ONE, Tower, raw_dot, raw_mul, raw_neg, raw_of,
-                      scalar_of)
-
-
-def weight_sort_key(w):
-    return tuple(x.sort_key() for x in w)
-
-
-class WeightModule:
-    """Module graded by weights of the even Cartan subalgebra of q.
-
-    weights: sorted list of weight tuples (values on h_1..h_n).
-    parities[w]: tuple of parities of the basis vectors of the w block.
-    act[i][w]: list of (target_weight, rows) blocks for algebra basis
-    element i (rows maps the w block into the target block).
-    """
-
-    def __init__(self, algebra: LieSuper, tower: Tower, weights, parities,
-                 act, qd=None):
-        self.algebra = algebra
-        self.tower = tower
-        self.weights = sorted(weights, key=weight_sort_key)
-        self.parities = parities
-        self.act = act
-        self.qd = qd
-        self._entries: dict = {}   # generator -> its nonzero entries
-
-    @property
-    def dim(self) -> int:
-        return sum(len(self.parities[w]) for w in self.weights)
-
-    def block_dim(self, w) -> int:
-        return len(self.parities.get(w, ()))
-
-    def blocks_of(self, i: int, w):
-        return self.act[i].get(w, [])
-
-    def graded_dims(self):
-        ne = sum(p == EVEN for w in self.weights for p in self.parities[w])
-        return ne, self.dim - ne
-
-    # -- generic operator plumbing ---------------------------------------
-
-    def _gen_entries(self, i: int):
-        """Nonzero entries ((w2, r, w, s), value) of generator i's blocks,
-        collected on first use."""
-        ent = self._entries.get(i)
-        if ent is None:
-            ent = self._entries[i] = [
-                ((w2, r, w, s), v)
-                for w in self.weights for (w2, rows) in self.blocks_of(i, w)
-                for r, row in enumerate(rows) for s, v in enumerate(row)
-                if not v.is_zero]
-        return ent
-
-    def op_entries(self, coords: dict) -> dict:
-        out: dict = {}
-        for i, c in coords.items():
-            for key, v in self._gen_entries(i):
-                cur = out.get(key)
-                nxt = c * v if cur is None else cur + c * v
-                if nxt.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = nxt
-        return out
-
-    # -- flattening --------------------------------------------------------
-
-    def flat_index(self):
-        idx = {}
-        pos = 0
-        for w in self.weights:
-            for k in range(len(self.parities[w])):
-                idx[(w, k)] = pos
-                pos += 1
-        return idx
-
-    def flatten(self) -> LieModule:
-        tower = self.tower
-        idx = self.flat_index()
-        n = self.dim
-        space = GradedSpace.from_parities(
-            p for w in self.weights for p in self.parities[w])
-        mats = []
-        for i in range(self.algebra.dim):
-            rows = zero_rows(tower, n, n)
-            for w in self.weights:
-                for (w2, blk) in self.blocks_of(i, w):
-                    for r, row in enumerate(blk):
-                        for s, v in enumerate(row):
-                            if not v.is_zero:
-                                rows[idx[(w2, r)]][idx[(w, s)]] = v
-            mats.append(GradedMap(tower, space, space, rows))
-        return LieModule(self.algebra, space, mats)
-
-    # -- structure ---------------------------------------------------------
-
-    def maximal_weights(self):
-        """Weights maximal for the partial order mu >= nu iff mu - nu is a
-        nonnegative integer combination of simple roots."""
-        if self.qd is None:
-            raise ValueError("weight comparison needs the root datum")
-        out = []
-        for w in self.weights:
-            dominated = False
-            for w2 in self.weights:
-                if w2 == w:
-                    continue
-                delta = tuple(a - b for a, b in zip(w2, w))
-                dec = self.qd.roots.decompose_qplus(delta)
-                if dec is not None and any(dec):
-                    dominated = True
-                    break
-            if not dominated:
-                out.append(w)
-        return out
-
-    def singular_spaces(self, raising_gens):
-        """Per weight, a basis of the joint kernel of the raising
-        generators (as dense vectors in the block)."""
-        tower = self.tower
-        out = {}
-        for w in self.weights:
-            d = self.block_dim(w)
-            rows = []
-            for g in raising_gens:
-                for (_, blk) in self.blocks_of(g, w):
-                    rows.extend(blk)
-            out[w] = mat_kernel(rows, d, tower)
-        return out
-
-    def generated_by_top(self, top, lowering) -> bool:
-        """True when every weight block below the top is spanned by the
-        images of the blocks above it under the lowering generators.
-
-        This is generation by the top block when top is the unique maximal
-        weight lambda and its block is killed by the raising generators and
-        stable under the Cartan part (the earlier clauses of
-        is_irreducible_hw): by PBW the generated submodule is then
-        N = U(n^-) M_lambda, each N_w with w != lambda is the sum of
-        f(N_w') over lowering f and weights w' strictly above w, and
-        induction down from lambda gives N = M exactly when every such
-        rank is full.  Cartan generators stay out of the rank: h0 acts on
-        each block by a scalar and would make every rank full.
-        """
-        cols = {w: [] for w in self.weights}
-        for g in lowering:
-            for w in self.weights:
-                for (w2, rows) in self.blocks_of(g, w):
-                    if w2 == w:
-                        raise AssertionError("a lowering generator maps a "
-                                             "weight to itself")
-                    cols[w2].extend(zip(*rows))
-        for w in self.weights:
-            d = self.block_dim(w)
-            if w != top and mat_rank(cols[w], d, self.tower) != d:
-                return False
-        return True
-
-    def top_block_maps(self, w, gen_indices):
-        """GradedMap-like dense matrices of the given generators on the w
-        block (only their weight-preserving parts)."""
-        tower = self.tower
-        d = self.block_dim(w)
-        space = GradedSpace.from_parities(self.parities[w])
-        out = []
-        for g in gen_indices:
-            rows = zero_rows(tower, d, d)
-            for (w2, blk) in self.blocks_of(g, w):
-                if w2 == w:
-                    rows = blk
-            out.append(GradedMap(tower, space, space,
-                                 [list(r) for r in rows]))
-        return out
+from .scalars import QI_ONE, raw_dot, raw_mul, raw_neg, raw_of, scalar_of
 
 
 # ---------------------------------------------------------------------------
@@ -740,9 +567,8 @@ def is_irreducible_hw(m: WeightModule, tri: TriangularSplit,
                 info["reason"] = "top block not singular"
                 return False
         elif sing[w]:
-            info["reason"] = f"singular vectors below the top"
+            info["reason"] = "singular vectors below the top"
             return False
-    from .assocsuper import density_type_from_maps
     top_maps = m.top_block_maps(lam, tri.cartan)
     d = density_type_from_maps(top_maps, top_maps[0].source, m.tower) \
         if top_maps else None

@@ -1,15 +1,14 @@
 """Finite-dimensional Lie superalgebras by structure constants, with the
-structural predicates (solvability, ideal closure, simplicity) and flat
-module actions used throughout."""
+structural predicates (solvability, ideal closure, simplicity), and the
+one module class used throughout: modules stored blockwise by weight,
+with their direct sum, Hom solver and isomorphism test."""
 
 from __future__ import annotations
 
-import operator
-
 from .assocsuper import AssocSuper
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span,
-                     first_invertible, intertwiners, solve_columns,
-                     zero_rows)
+                     first_invertible, intertwiners, mat_kernel, mat_rank,
+                     solve_columns, zero_rows)
 from .scalars import Tower
 
 
@@ -256,142 +255,326 @@ def is_simple(g: LieSuper) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Flat module actions
+# Modules
 # ---------------------------------------------------------------------------
 
 
-class LieModule:
-    """Module over a LieSuper: one GradedMap per Lie basis element."""
+def weight_sort_key(w):
+    return tuple(x.sort_key() for x in w)
 
-    def __init__(self, algebra: LieSuper, space: GradedSpace, mats):
+
+class WeightModule:
+    """Module over a LieSuper, stored blockwise by weight of the even
+    Cartan subalgebra of q.  A module with no such grading (from_flat) is
+    the one-weight case, with the weight ().
+
+    weights: sorted list of weight tuples (values on h_1..h_n).
+    parities[w]: tuple of parities of the basis vectors of the w block.
+    act[i][w]: list of (target_weight, rows) blocks for algebra basis
+    element i (rows maps the w block into the target block).
+    """
+
+    def __init__(self, algebra: LieSuper, tower: Tower, weights, parities,
+                 act, qd=None):
         self.algebra = algebra
-        self.space = space
-        self.mats = mats
+        self.tower = tower
+        self.weights = sorted(weights, key=weight_sort_key)
+        self.parities = parities
+        self.act = act
+        self.qd = qd
+        self._entries: dict = {}   # generator -> its nonzero entries
+
+    @classmethod
+    def from_flat(cls, algebra: LieSuper, space: GradedSpace, mats):
+        """The one-weight module on space where basis element i of algebra
+        acts by mats[i]."""
         if len(mats) != algebra.dim:
             raise ValueError("one matrix per Lie basis element required")
-
-    @property
-    def tower(self):
-        return self.algebra.tower
+        return cls(algebra, algebra.tower, [()], {(): space.parities},
+                   [{(): [((), m.rows)]} for m in mats])
 
     @property
     def dim(self) -> int:
-        return self.space.dim
+        return sum(len(self.parities[w]) for w in self.weights)
 
-    def act(self, coords: dict) -> GradedMap:
-        out = GradedMap.zero(self.tower, self.space, self.space)
-        for i, c in coords.items():
-            out = out + self.mats[i] * c
-        return out
+    def block_dim(self, w) -> int:
+        return len(self.parities.get(w, ()))
+
+    def blocks_of(self, i: int, w):
+        return self.act[i].get(w, [])
+
+    def graded_dims(self):
+        ne = sum(p == EVEN for w in self.weights for p in self.parities[w])
+        return ne, self.dim - ne
+
+    # -- generic operator plumbing ---------------------------------------
+
+    def _gen_entries(self, i: int):
+        """Nonzero entries (((w2, r), (w, s)), value) of generator i's
+        blocks, collected on first use."""
+        ent = self._entries.get(i)
+        if ent is None:
+            ent = self._entries[i] = [
+                (((w2, r), (w, s)), v)
+                for w in self.weights for (w2, rows) in self.blocks_of(i, w)
+                for r, row in enumerate(rows) for s, v in enumerate(row)
+                if not v.is_zero]
+        return ent
 
     def op_entries(self, coords: dict) -> dict:
-        """Sparse entries {(row, col): value} of the operator of an
-        algebra element given in coordinates."""
+        """Sparse entries {((w2, r), (w, s)): value} of the operator of an
+        algebra element given in coordinates: row r of block w2, column s
+        of block w (the keys of flat_index)."""
         out: dict = {}
         for i, c in coords.items():
-            for r, row in enumerate(self.mats[i].rows):
-                for s, v in enumerate(row):
-                    if v.is_zero:
-                        continue
-                    cur = out.get((r, s))
-                    nxt = c * v if cur is None else cur + c * v
-                    if nxt.is_zero:
-                        out.pop((r, s), None)
-                    else:
-                        out[(r, s)] = nxt
+            for key, v in self._gen_entries(i):
+                cur = out.get(key)
+                nxt = c * v if cur is None else cur + c * v
+                if nxt.is_zero:
+                    out.pop(key, None)
+                else:
+                    out[key] = nxt
         return out
+
+    # -- flat view -----------------------------------------------------------
+
+    def flat_index(self):
+        idx = {}
+        pos = 0
+        for w in self.weights:
+            for k in range(len(self.parities[w])):
+                idx[(w, k)] = pos
+                pos += 1
+        return idx
+
+    @property
+    def space(self) -> GradedSpace:
+        """The carrier, blocks in weight order (flat_index)."""
+        return GradedSpace.from_parities(
+            p for w in self.weights for p in self.parities[w])
+
+    @property
+    def mats(self):
+        """One dense GradedMap on space per algebra basis element, built
+        from the blocks on each access."""
+        tower = self.tower
+        idx = self.flat_index()
+        n = self.dim
+        space = self.space
+        mats = []
+        for i in range(self.algebra.dim):
+            rows = zero_rows(tower, n, n)
+            for (row, col), v in self._gen_entries(i):
+                rows[idx[row]][idx[col]] = v
+            mats.append(GradedMap(tower, space, space, rows))
+        return mats
 
     def check(self, pairs="all"):
         """rho([x,y]) = rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x) on
         basis pairs; raises on failure."""
         g = self.algebra
+        mats, space = self.mats, self.space
         if pairs == "all":
             pairs = ((i, j) for i in range(g.dim) for j in range(g.dim))
         for i, j in pairs:
             sgn = -1 if (g.space.parity(i) and g.space.parity(j)) else 1
-            lhs = self.mats[i] * self.mats[j] - self.mats[j] * self.mats[i] * sgn
-            rhs = self.act(g.bk[i][j])
+            lhs = mats[i] * mats[j] - mats[j] * mats[i] * sgn
+            rhs = GradedMap.combination(
+                self.tower, space, space,
+                ((c, mats[k]) for k, c in g.bk[i][j].items()))
             if not (lhs - rhs).is_zero:
                 raise AssertionError(f"module relation fails at ({i},{j})")
 
+    # -- structure ---------------------------------------------------------
 
-def direct_sum_module(m1: LieModule, m2: LieModule) -> LieModule:
-    """Block direct sum of two modules over the same algebra."""
+    def maximal_weights(self):
+        """Weights maximal for the partial order mu >= nu iff mu - nu is a
+        nonnegative integer combination of simple roots."""
+        if self.qd is None:
+            raise ValueError("weight comparison needs the root datum")
+        out = []
+        for w in self.weights:
+            dominated = False
+            for w2 in self.weights:
+                if w2 == w:
+                    continue
+                delta = tuple(a - b for a, b in zip(w2, w))
+                dec = self.qd.roots.decompose_qplus(delta)
+                if dec is not None and any(dec):
+                    dominated = True
+                    break
+            if not dominated:
+                out.append(w)
+        return out
+
+    def singular_spaces(self, raising_gens):
+        """Per weight, a basis of the joint kernel of the raising
+        generators (as dense vectors in the block)."""
+        tower = self.tower
+        out = {}
+        for w in self.weights:
+            d = self.block_dim(w)
+            rows = []
+            for g in raising_gens:
+                for (_, blk) in self.blocks_of(g, w):
+                    rows.extend(blk)
+            out[w] = mat_kernel(rows, d, tower)
+        return out
+
+    def generated_by_top(self, top, lowering) -> bool:
+        """True when every weight block below the top is spanned by the
+        images of the blocks above it under the lowering generators.
+
+        This is generation by the top block when top is the unique maximal
+        weight lambda and its block is killed by the raising generators and
+        stable under the Cartan part (the earlier clauses of
+        is_irreducible_hw): by PBW the generated submodule is then
+        N = U(n^-) M_lambda, each N_w with w != lambda is the sum of
+        f(N_w') over lowering f and weights w' strictly above w, and
+        induction down from lambda gives N = M exactly when every such
+        rank is full.  Cartan generators stay out of the rank: h0 acts on
+        each block by a scalar and would make every rank full.
+        """
+        cols = {w: [] for w in self.weights}
+        for g in lowering:
+            for w in self.weights:
+                for (w2, rows) in self.blocks_of(g, w):
+                    if w2 == w:
+                        raise AssertionError("a lowering generator maps a "
+                                             "weight to itself")
+                    cols[w2].extend(zip(*rows))
+        for w in self.weights:
+            d = self.block_dim(w)
+            if w != top and mat_rank(cols[w], d, self.tower) != d:
+                return False
+        return True
+
+    def top_block_maps(self, w, gen_indices):
+        """GradedMap-like dense matrices of the given generators on the w
+        block (only their weight-preserving parts)."""
+        tower = self.tower
+        d = self.block_dim(w)
+        space = GradedSpace.from_parities(self.parities[w])
+        out = []
+        for g in gen_indices:
+            rows = zero_rows(tower, d, d)
+            for (w2, blk) in self.blocks_of(g, w):
+                if w2 == w:
+                    rows = blk
+            out.append(GradedMap(tower, space, space,
+                                 [list(r) for r in rows]))
+        return out
+
+
+def direct_sum_weight(m1: WeightModule, m2: WeightModule) -> WeightModule:
+    """Blockwise direct sum of weight modules over the same algebra."""
     tower = m1.tower
-    n1, n2 = m1.dim, m2.dim
-    space = GradedSpace.from_parities(m1.space.parities + m2.space.parities)
-    mats = []
-    for a, b in zip(m1.mats, m2.mats):
-        rows = zero_rows(tower, n1 + n2, n1 + n2)
-        for i in range(n1):
-            for j in range(n1):
-                rows[i][j] = a.rows[i][j]
-        for i in range(n2):
-            for j in range(n2):
-                rows[n1 + i][n1 + j] = b.rows[i][j]
-        mats.append(GradedMap(tower, space, space, rows))
-    return LieModule(m1.algebra, space, mats)
+    weights = sorted(set(m1.weights) | set(m2.weights), key=weight_sort_key)
+    parities = {}
+    for w in weights:
+        parities[w] = tuple(m1.parities.get(w, ())) + \
+            tuple(m2.parities.get(w, ()))
+    act = []
+    for g in range(m1.algebra.dim):
+        blocks: dict = {}
+        for w in weights:
+            d1, d2 = m1.block_dim(w), m2.block_dim(w)
+            pieces: dict = {}
+            for (wt, blk) in m1.blocks_of(g, w):
+                t1, t2 = m1.block_dim(wt), m2.block_dim(wt)
+                tgt = pieces.setdefault(wt, zero_rows(tower, t1 + t2, d1 + d2))
+                for i in range(t1):
+                    for j in range(d1):
+                        tgt[i][j] = blk[i][j]
+            for (wt, blk) in m2.blocks_of(g, w):
+                t1, t2 = m1.block_dim(wt), m2.block_dim(wt)
+                tgt = pieces.setdefault(wt, zero_rows(tower, t1 + t2, d1 + d2))
+                for i in range(t2):
+                    for j in range(d2):
+                        tgt[t1 + i][d1 + j] = blk[i][j]
+            if pieces:
+                blocks[w] = list(pieces.items())
+        act.append(blocks)
+    return WeightModule(m1.algebra, tower, weights, parities, act, qd=m1.qd)
 
 
-def module_hom_basis(m: LieModule, n: LieModule):
-    """Basis of strict module homomorphisms T: M -> N, i.e. linear maps
-    with T rho_M(x) = rho_N(x) T for every basis element x (no Koszul
-    sign; odd homomorphisms are allowed and satisfy the same equation).
-    Returned as GradedMap objects with inferred parity."""
+# ---------------------------------------------------------------------------
+# Hom spaces and isomorphism testing
+# ---------------------------------------------------------------------------
+
+
+def _check_comparable(m: WeightModule, n: WeightModule):
+    """ValueError unless m and n are over one algebra and graded by one
+    Cartan part: a one-weight module (weight ()) shares no weight with a
+    weight-graded one, so their Hom space would read 0 whatever the
+    actions are."""
     if m.algebra is not n.algebra and m.algebra.dim != n.algebra.dim:
         raise ValueError("modules are over different algebras")
+    if len({len(w) for w in m.weights + n.weights}) > 1:
+        raise ValueError("modules are graded by different Cartan parts "
+                         "(a one-weight module against a weight module)")
+
+
+def hom_space_weight(m: WeightModule, n: WeightModule):
+    """Strict intertwiners T: M -> N, i.e. linear maps with
+    T rho_M(x) = rho_N(x) T for every basis element x (no Koszul sign; odd
+    homomorphisms are allowed and satisfy the same equation).
+    Intertwiners commute with the even Cartan action, hence preserve
+    weights; unknowns are blockwise, T_w of shape (dim N_w) x (dim M_w)
+    over the shared weights.  Returns (kernel basis over slots, slots)."""
+    _check_comparable(m, n)
     tower = m.tower
+    n_weights = set(n.weights)
+    slots = [(w, i, j) for w in m.weights if w in n_weights
+             for i in range(n.block_dim(w)) for j in range(m.block_dim(w))]
     one = tower.one()
-    dm, dn = m.dim, n.dim
     pairs = ((m.op_entries({g: one}), n.op_entries({g: one}), 1)
              for g in range(m.algebra.dim))
-    kernel = intertwiners(pairs, [(i, j) for i in range(dn)
-                                  for j in range(dm)], tower)
-    return [GradedMap(tower, m.space, n.space,
-                      [kv[i * dm:(i + 1) * dm] for i in range(dn)])
-            for kv in kernel]
+    return intertwiners(pairs, [((w, i), (w, j)) for w, i, j in slots],
+                        tower), slots
 
 
-def is_isomorphic_flat(m: LieModule, n: LieModule):
+def hom_map(vec, slots, m: WeightModule, n: WeightModule) -> GradedMap:
+    """The intertwiner with coordinates vec over slots (as returned by
+    hom_space_weight), as a map from m.space to n.space."""
+    src, tgt = m.flat_index(), n.flat_index()
+    rows = zero_rows(m.tower, n.dim, m.dim)
+    for (w, i, j), x in zip(slots, vec):
+        rows[tgt[(w, i)]][src[(w, j)]] = x
+    return GradedMap(m.tower, m.space, n.space, rows)
+
+
+def is_isomorphic_weight(m: WeightModule, n: WeightModule):
     """(bool, witness): an invertible (possibly inhomogeneous) strict
-    intertwiner, if one exists (graded.first_invertible scans the Hom
-    basis; exact up to dim Hom = 2, ValueError above when it finds none)."""
-    if m.dim != n.dim:
+    intertwiner from m.space to n.space, if one exists
+    (graded.first_invertible scans the Hom basis; exact up to
+    dim Hom = 2, ValueError above when it finds none)."""
+    _check_comparable(m, n)
+    if m.weights != n.weights or \
+            any(m.block_dim(w) != n.block_dim(w) for w in m.weights):
+        return False, None   # both weight lists are sorted
+    kerns, slots = hom_space_weight(m, n)
+    vec = first_invertible(
+        kerns, lambda v: _weight_hom_invertible(v, slots, m, n),
+        lambda u, v: [a + b for a, b in zip(u, v)])
+    if vec is None:
         return False, None
-    t = first_invertible(module_hom_basis(m, n),
-                         lambda t: t.rank() == m.dim, operator.add)
-    return t is not None, t
+    return True, hom_map(vec, slots, m, n)
 
 
-def check_solvable_module_dim(g: LieSuper, act: LieModule) -> dict:
-    """Verification harness for the one-dimensionality of irreducible
-    modules over solvable superalgebras with [g1, g1] inside [g0, g0].
+# the second name of the one isomorphism test, under which callers of the
+# former flat-module API reach it
+is_isomorphic_flat = is_isomorphic_weight
 
-    The caller certifies irreducibility of act; the returned report
-    carries the hypothesis status separately and claims nothing when the
-    hypothesis fails.
-    """
-    solvable = is_solvable(g)
-    one = g.tower.one()
-    even_idx = [i for i in range(g.dim) if g.space.parity(i) == EVEN]
-    odd_idx = [i for i in range(g.dim) if g.space.parity(i) == ODD]
-    even_span = Span(g.tower)
-    for i in even_idx:
-        for j in even_idx:
-            br = g.bracket({i: one}, {j: one})
-            if br:
-                even_span.add(br)
-    hypothesis = True
-    for i in odd_idx:
-        for j in odd_idx:
-            br = g.bracket({i: one}, {j: one})
-            if br and not even_span.contains(br):
-                hypothesis = False
-    applies = solvable and hypothesis
-    return {
-        "solvable": solvable,
-        "odd_bracket_in_even_bracket": hypothesis,
-        "module_dim": act.dim,
-        "conclusion_holds": (not applies) or act.dim == 1,
-        "applies": applies,
-    }
+
+def _weight_hom_invertible(vec, slots, m: WeightModule, n: WeightModule) -> bool:
+    tower = m.tower
+    for w in m.weights:
+        d = m.block_dim(w)
+        rows = zero_rows(tower, n.block_dim(w), d)
+        for k, (w2, i, j) in enumerate(slots):
+            if w2 == w and not vec[k].is_zero:
+                rows[i][j] = vec[k]
+        if mat_rank(rows, d, tower) != d:
+            return False
+    return True

@@ -1,19 +1,18 @@
 """Irreducible products of modules, evaluation modules over map queer
-superalgebras, Schur data, isomorphism testing, and the classification
-enumerator for finitely supported point assignments."""
+superalgebras, Schur data, and the classification enumerator for finitely
+supported point assignments."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .assocsuper import _raw_products, density_type_from_maps, make_Q
-from .graded import (EVEN, ODD, GradedMap, GradedSpace, first_invertible,
-                     identity_rows, intertwiners, kernel, mat_mul, mat_rank,
-                     odd_schur, solve_columns, zero_rows)
-from .hwmod import (WeightModule, is_irreducible_hw,
-                    triangular_of_invariants, triangular_of_map,
-                    triangular_of_q, weight_sort_key)
-from .liesuper import direct_sum, from_assoc
+from .graded import (EVEN, ODD, GradedMap, GradedSpace, identity_rows,
+                     kernel, mat_mul, odd_schur, solve_columns, zero_rows)
+from .hwmod import (is_irreducible_hw, triangular_of_invariants,
+                    triangular_of_map, triangular_of_q)
+from .liesuper import (WeightModule, direct_sum, from_assoc,
+                       is_isomorphic_weight, weight_sort_key)
 from .mapsuper import (InvariantSub, MapSuper, ann_and_support,
                        ann_and_support_gamma)
 from .queer import QueerData
@@ -46,7 +45,7 @@ def _certify_irreducible(m: WeightModule, subject: str):
     """Raise ValueError "<subject> is not irreducible: <clause>" unless m
     is certified irreducible: a module over q itself by the
     highest-weight criterion (is_irreducible_hw over the triangular pieces
-    of q), any other module by the density oracle on m.flatten().
+    of q), any other module by the density oracle on its flat view.
 
     The criterion is sufficient.  Let N != 0 be a graded submodule of the
     finite-dimensional module M; it is the sum of its weight spaces, since
@@ -63,8 +62,7 @@ def _certify_irreducible(m: WeightModule, subject: str):
             raise ValueError(f"{subject} is not irreducible: "
                              f"{why['reason']}")
         return
-    flat = m.flatten()
-    d = density_type_from_maps(flat.mats, flat.space, m.tower)
+    d = density_type_from_maps(m.mats, m.space, m.tower)
     if not d.certifies_irreducible:
         raise ValueError(f"{subject} is not irreducible: density oracle "
                          f"gives {d!r}")
@@ -84,15 +82,13 @@ def _solve_weight_schur(m: WeightModule) -> WeightSchur:
     tower = m.tower
     idx = m.flat_index()
     one = tower.one()
-    ops = [({(idx[(w2, r)], idx[(w, s)]): v
-             for (w2, r, w, s), v in m.op_entries({g: one}).items()},
+    ops = [({(idx[row], idx[col]): v
+             for (row, col), v in m.op_entries({g: one}).items()},
             m.algebra.space.parity(g)) for g in range(m.algebra.dim)]
     slots = [(idx[(w, i)], idx[(w, j)]) for w in m.weights
              for i, p in enumerate(m.parities[w])
              for j, q in enumerate(m.parities[w]) if p != q]
-    space = GradedSpace.from_parities(p for w in m.weights
-                                      for p in m.parities[w])
-    found = odd_schur(ops, space, tower, slots)
+    found = odd_schur(ops, m.space, tower, slots)
     if found is None:
         return WeightSchur(False, None)
     phi, c = found
@@ -397,8 +393,8 @@ def _check_product_phi(m: WeightModule, phi: dict):
     for g in range(m.algebra.dim):
         # x phi - (-1)^|x| phi x
         xs: dict = {}
-        for (w2, r, w, c), v in m.op_entries({g: one}).items():
-            xs.setdefault((w2, r), {})[(w, c)] = raw_of(v)
+        for (row, col), v in m.op_entries({g: one}).items():
+            xs.setdefault(row, {})[col] = raw_of(v)
         odd = m.algebra.space.parity(g) == ODD
         if _raw_products(((xs, ph), (ph if odd else neg, xs)), tower.gens):
             raise AssertionError("phi of the product does not supercommute "
@@ -465,38 +461,6 @@ def assoc_check(m1: WeightModule, m2: WeightModule,
 # ---------------------------------------------------------------------------
 # Catalog of q-modules and evaluation modules
 # ---------------------------------------------------------------------------
-
-
-def direct_sum_weight(m1: WeightModule, m2: WeightModule) -> WeightModule:
-    """Blockwise direct sum of weight modules over the same algebra."""
-    tower = m1.tower
-    weights = sorted(set(m1.weights) | set(m2.weights), key=weight_sort_key)
-    parities = {}
-    for w in weights:
-        parities[w] = tuple(m1.parities.get(w, ())) + \
-            tuple(m2.parities.get(w, ()))
-    act = []
-    for g in range(m1.algebra.dim):
-        blocks: dict = {}
-        for w in weights:
-            d1, d2 = m1.block_dim(w), m2.block_dim(w)
-            pieces: dict = {}
-            for (wt, blk) in m1.blocks_of(g, w):
-                t1, t2 = m1.block_dim(wt), m2.block_dim(wt)
-                tgt = pieces.setdefault(wt, zero_rows(tower, t1 + t2, d1 + d2))
-                for i in range(t1):
-                    for j in range(d1):
-                        tgt[i][j] = blk[i][j]
-            for (wt, blk) in m2.blocks_of(g, w):
-                t1, t2 = m1.block_dim(wt), m2.block_dim(wt)
-                tgt = pieces.setdefault(wt, zero_rows(tower, t1 + t2, d1 + d2))
-                for i in range(t2):
-                    for j in range(d2):
-                        tgt[t1 + i][d1 + j] = blk[i][j]
-            if pieces:
-                blocks[w] = list(pieces.items())
-        act.append(blocks)
-    return WeightModule(m1.algebra, tower, weights, parities, act, qd=m1.qd)
 
 
 def trivial_q_module(qd: QueerData) -> WeightModule:
@@ -706,63 +670,6 @@ def _combine(m: WeightModule, terms) -> dict:
         if pieces:
             act[w] = pieces
     return act
-
-
-# ---------------------------------------------------------------------------
-# Hom spaces and isomorphism testing
-# ---------------------------------------------------------------------------
-
-
-def hom_space_weight(m: WeightModule, n: WeightModule):
-    """Strict intertwiners T: M -> N between weight modules over the same
-    algebra.  Intertwiners commute with the even Cartan action, hence
-    preserve weights; unknowns are blockwise, T_w of shape
-    (dim N_w) x (dim M_w) over the shared weights."""
-    tower = m.tower
-    n_weights = set(n.weights)
-    slots = [(w, i, j) for w in m.weights if w in n_weights
-             for i in range(n.block_dim(w)) for j in range(m.block_dim(w))]
-    one = tower.one()
-
-    def keyed(mod, g):
-        return {((w2, r), (w, s)): v
-                for (w2, r, w, s), v in mod.op_entries({g: one}).items()}
-
-    pairs = ((keyed(m, g), keyed(n, g), 1) for g in range(m.algebra.dim))
-    return intertwiners(pairs, [((w, i), (w, j)) for w, i, j in slots],
-                        tower), slots
-
-
-def is_isomorphic_weight(m: WeightModule, n: WeightModule):
-    """(bool, witness coords): strict isomorphism test for weight modules
-    over the same algebra (graded.first_invertible scans the Hom basis;
-    exact up to dim Hom = 2, ValueError above when it finds none)."""
-    if m.dim != n.dim:
-        return False, None
-    if sorted(map(weight_sort_key, m.weights)) != \
-            sorted(map(weight_sort_key, n.weights)):
-        return False, None
-    for w in m.weights:
-        if m.block_dim(w) != n.block_dim(w):
-            return False, None
-    kerns, slots = hom_space_weight(m, n)
-    vec = first_invertible(
-        kerns, lambda v: _weight_hom_invertible(v, slots, m, n),
-        lambda u, v: [a + b for a, b in zip(u, v)])
-    return vec is not None, vec
-
-
-def _weight_hom_invertible(vec, slots, m: WeightModule, n: WeightModule) -> bool:
-    tower = m.tower
-    for w in m.weights:
-        d = m.block_dim(w)
-        rows = zero_rows(tower, n.block_dim(w), d)
-        for k, (w2, i, j) in enumerate(slots):
-            if w2 == w and not vec[k].is_zero:
-                rows[i][j] = vec[k]
-        if mat_rank(rows, d, tower) != d:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,16 @@ from .graded import GradedMap, GradedSpace, commutant, kernel, \
     graded_tensor, mat_kernel
 from .hwmod import (check_psi0_ideal, is_irreducible_hw, simple_quotient,
                     top_psi, triangular_of_map, verma)
-from .liesuper import is_isomorphic_flat, is_simple, is_solvable, subalgebra
+from .liesuper import (direct_sum_weight, hom_space_weight,
+                       is_isomorphic_weight, is_simple, is_solvable,
+                       subalgebra)
 from .mapsuper import (ann_and_support, ev_gamma_rank, invariants,
                        tensor_lie)
-from .products import (Catalog, assoc_check, classify_enumerate,
-                       direct_sum_weight, ev_hat, ev_module,
-                       hat_tensor_weight, hom_space_weight,
-                       is_isomorphic_weight, outer_factors, q1_module,
-                       restrict_to_invariants, tensor_same_algebra,
-                       trivial_q_module, twist_q_module, weight_schur_data)
+from .products import (Catalog, assoc_check, classify_enumerate, ev_hat,
+                       ev_module, hat_tensor_weight, outer_factors,
+                       q1_module, restrict_to_invariants,
+                       tensor_same_algebra, trivial_q_module, twist_q_module,
+                       weight_schur_data)
 from .queer import build_q, build_q_tilde, cartan_generation_check
 from .scalars import Tower
 
@@ -173,8 +174,7 @@ def suite_superalg(seed: int) -> Checks:
     prod, info = hat_tensor_weight(*outer_factors(m, m, s, s))
     ok = info["split"] and prod.dim == 2 and info["minus"].dim == 2
     iso, _ = is_isomorphic_weight(info["plus"], info["minus"])
-    flat = prod.flatten()
-    dd = density_type_from_maps(flat.mats, flat.space, tower)
+    dd = density_type_from_maps(prod.mats, prod.space, tower)
     ck.add("tensor square of the rank-one queer module splits V (+) V",
            ok and iso and dd.kind == "full",
            f"dim V={prod.dim}, density={dd!r}")
@@ -254,7 +254,7 @@ def cartan_random_corpus(label_maker, rng, count: int, ck: Checks,
             ok_psi &= h.cartan_mats[k] == ident * psi.values[k]
         ok_dim &= h.dim == 2 ** -(-h.rank // 2)
         h2 = build_H(psi, pivot_order=list(range(h.rank))[::-1] or None)
-        iso, _ = is_isomorphic_flat(mod, h2.as_lie_module())
+        iso, _ = is_isomorphic_weight(mod, h2.as_lie_module())
         ok_iso &= iso
         ideal = i_psi(psi)
         for v in ideal.basis:
@@ -281,8 +281,8 @@ def cartan_random_corpus(label_maker, rng, count: int, ck: Checks,
     ctx = CartanAlgebra(qd, a)
     psi_a = PsiFunctional(ctx, [tower.from_int(1)] * ctx.n_even)
     psi_b = PsiFunctional(ctx, [tower.from_int(2)] * ctx.n_even)
-    iso, _ = is_isomorphic_flat(build_H(psi_a).as_lie_module(),
-                                build_H(psi_b).as_lie_module())
+    iso, _ = is_isomorphic_weight(build_H(psi_a).as_lie_module(),
+                                  build_H(psi_b).as_lie_module())
     ck.add(f"[{label}] distinct functionals: no intertwiner found", not iso)
 
 
@@ -367,7 +367,7 @@ def suite_hw(seed: int) -> Checks:
         else (False, None)
     ck.add("adjoint weight recovers the 16-dim adjoint representation",
            sq.conclusive and sq.module.dim == 16 and iso)
-    sq.module.flatten().check()
+    sq.module.check()
     ck.add("recovered module satisfies all bracket relations", True)
 
     a2 = _two_point(tower)
@@ -386,8 +386,7 @@ def suite_hw(seed: int) -> Checks:
     details = []
     for name, mod, expect in corpus:
         crit = is_irreducible_hw(mod, tri)
-        flat = mod.flatten()
-        d = density_type_from_maps(flat.mats, flat.space, tower)
+        d = density_type_from_maps(mod.mats, mod.space, tower)
         agree = crit == d.certifies_irreducible == expect
         ok &= agree
         details.append(f"{name}:{crit}/{d.kind}")
@@ -399,19 +398,13 @@ def suite_hw(seed: int) -> Checks:
     # checked as a joint kernel of all operators x (x) a, a in m1
     one = tower.one()
     all_rows = []
-    idx = ad0.flat_index()
+    mats, space = ad0.mats, ad0.space
     for v in a2.maximal_ideals[1].basis:
         coords = {j: s for j, s in enumerate(v) if not s.is_zero}
         for xi in range(qd.dim):
-            ent = ad0.op_entries(ms2.embed_g({xi: one}, coords))
-            grouped = {}
-            for (w2, r, w, s), val in ent.items():
-                grouped.setdefault((w2, r), {})[idx[(w, s)]] = val
-            for _, rowd in grouped.items():
-                row = [tower.zero()] * ad0.dim
-                for k, val in rowd.items():
-                    row[k] = val
-                all_rows.append(row)
+            terms = ms2.embed_g({xi: one}, coords).items()
+            all_rows.extend(GradedMap.combination(
+                tower, space, space, ((c, mats[k]) for k, c in terms)).rows)
     kern = mat_kernel(all_rows, ad0.dim, tower)
     ck.add("nonannihilating ideal kills no nonzero vector", kern == [])
     ann, supp, reduced = ann_and_support(ad0, ms2)

@@ -13,19 +13,19 @@ from queeralg.cartanmod import CartanAlgebra, PsiFunctional
 from queeralg.cli import main as cli_main
 from queeralg.coeffalg import gamma_from_spec, preset_base_field, zero_ideal
 from queeralg.graded import EVEN
-from queeralg.hwmod import (WeightModule, check_psi0_ideal,
-                            is_irreducible_hw, simple_quotient, top_psi,
-                            triangular_of_map, verma)
-from queeralg.liesuper import is_simple
+from queeralg.hwmod import (check_psi0_ideal, is_irreducible_hw,
+                            simple_quotient, top_psi, triangular_of_map,
+                            verma)
+from queeralg.liesuper import (WeightModule, direct_sum_weight,
+                               hom_space_weight, is_isomorphic_weight,
+                               is_simple)
 from queeralg.mapsuper import (ann_and_support, ev_gamma_rank, invariants,
                                tensor_lie)
 from queeralg.products import (Catalog, assoc_check, classify_enumerate,
-                               direct_sum_weight, ev_hat, ev_module,
-                               hat_tensor_weight, hom_space_weight,
-                               is_isomorphic_weight, outer_factors,
-                               q1_module, restrict_to_invariants,
-                               tensor_same_algebra, trivial_q_module,
-                               weight_schur_data)
+                               ev_hat, ev_module, hat_tensor_weight,
+                               outer_factors, q1_module,
+                               restrict_to_invariants, tensor_same_algebra,
+                               trivial_q_module, weight_schur_data)
 from queeralg.queer import build_q, cartan_generation_check
 from queeralg.scalars import Tower
 from queeralg.verify import cartan_random_corpus, Checks, _pbw_count
@@ -181,8 +181,7 @@ def test_criterion_5_highest_weight_suite():
     for name, mod in corpus:
         assert mod.dim <= 64
         crit = is_irreducible_hw(mod, tri)
-        flat = mod.flatten()
-        d = density_type_from_maps(flat.mats, flat.space, K)
+        d = density_type_from_maps(mod.mats, mod.space, K)
         if crit != d.certifies_irreducible:
             disagreements.append(name)
     assert disagreements == []

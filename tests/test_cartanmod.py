@@ -10,7 +10,8 @@ from queeralg.cartanmod import (CartanAlgebra, CliffordData, PsiFunctional,
                                 build_H, classify_cartan_module, i_psi)
 from queeralg.coeffalg import preset_base_field, preset_truncated
 from queeralg.graded import GradedMap, Span
-from queeralg.liesuper import LieModule, direct_sum_module
+from queeralg.liesuper import (WeightModule, direct_sum_weight,
+                               is_isomorphic_flat)
 from queeralg.queer import build_q
 from queeralg.scalars import Tower
 
@@ -171,13 +172,38 @@ def test_pbw_dimension_bound(K, q2):
 
 
 def test_uniqueness_different_pivots(K, q2):
-    from queeralg.liesuper import is_isomorphic_flat
     ctx = ctx_over(K, q2, "C")
     psi = PsiFunctional(ctx, [K.one(), K.one()])
     h1 = build_H(psi)
     h2 = build_H(psi, pivot_order=[1, 0])
     ok, wit = is_isomorphic_flat(h1.as_lie_module(), h2.as_lie_module())
     assert ok and wit.rank() == h1.dim
+
+
+@pytest.mark.parametrize("which", ["C", "dual", "two"])
+def test_iso_witness_intertwines_rebuilt_module(which):
+    """H(psi) against its rebuild with reversed pivots, for random psi as
+    in the cartan-corpus benchmark: the witness is_isomorphic_flat returns,
+    either way round, is invertible and satisfies T rho_M(g) = rho_N(g) T
+    exactly for every generator g."""
+    rng = random.Random(11)
+    for _ in range(3):
+        K = Tower()   # each build adjoins its own square roots
+        ctx = ctx_over(K, build_q(K, 2), which)
+        vals = [(0, 0)]
+        while all(v == (0, 0) for v in vals):
+            vals = [(rng.randint(-3, 3), rng.randint(-1, 1))
+                    for _ in range(ctx.n_even)]
+        psi = PsiFunctional(ctx, [K.from_int(x) + K.i() * y
+                                  for x, y in vals])
+        h = build_H(psi)
+        h2 = build_H(psi, pivot_order=list(range(h.rank))[::-1] or None)
+        m1, m2 = h.as_lie_module(), h2.as_lie_module()
+        for m, n in ((m1, m2), (m2, m1)):
+            ok, wit = is_isomorphic_flat(m, n)
+            assert ok and wit.rank() == m.dim
+            for rho_m, rho_n in zip(m.mats, n.mats):
+                assert wit * rho_m == rho_n * wit
 
 
 def test_phi_attached_for_odd_rank(K, q2):
@@ -215,8 +241,8 @@ def test_classify_cartan_module_roundtrip(K, q2):
     inv = GradedMap(K, h.carrier, h.carrier,
                     [[K.one() if perm[j] == i else K.zero()
                       for j in range(h.dim)] for i in range(h.dim)])
-    twisted = LieModule(mod.algebra, h.carrier,
-                        [pmap * m * inv for m in mod.mats])
+    twisted = WeightModule.from_flat(mod.algebra, h.carrier,
+                                     [pmap * m * inv for m in mod.mats])
     got2, wit2 = classify_cartan_module(twisted, ctx)
     assert got2 == psi
 
@@ -246,7 +272,7 @@ def test_classify_rejects_reducible(K, q2):
     ctx = ctx_over(K, q2, "C")
     psi = PsiFunctional(ctx, [K.one(), K.one()])
     h = build_H(psi)
-    big = direct_sum_module(h.as_lie_module(), h.as_lie_module())
+    big = direct_sum_weight(h.as_lie_module(), h.as_lie_module())
     with pytest.raises(ValueError):
         classify_cartan_module(big, ctx)
 

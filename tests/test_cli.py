@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,6 +136,32 @@ def test_reducible_catalog_entry_is_one_error_line(capsys, command):
     err = capsys.readouterr().err
     assert err == ("error: catalog entry 'adjoint' is not irreducible: "
                    "top block reducible over the Cartan part\n")
+
+
+Q1_WARNING = ("warning: q(1) is not simple; constructions that assume "
+              "simplicity do not apply")
+
+
+@pytest.mark.parametrize("command, code, errors", [
+    (["dims", "--n", "1", "--psi", "{psi1}"], 0, []),
+    (["classify", "--n", "1", "--catalog", "trivial"], 0, []),
+    (["decompose", "--n", "1", "--factors", "adjoint,adjoint"], 1,
+     ["error: catalog entry 'adjoint' is not irreducible: top block "
+      "reducible over the Cartan part"]),
+])
+def test_q1_warning_is_one_line(tmp_path, command, code, errors):
+    """In a fresh interpreter, where Python shows warnings with their file
+    and source line, the q(1) warning is one "warning:" line on stderr."""
+    psi1 = tmp_path / "psi1.json"
+    psi1.write_text(json.dumps({"values": [["h1", "1", "1"]]}))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "queeralg.cli"]
+        + [c.format(psi1=psi1) for c in command],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == code
+    assert run.stderr.splitlines() == [Q1_WARNING] + errors
 
 
 def test_structured_reports_deterministic(files):

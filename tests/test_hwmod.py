@@ -9,13 +9,14 @@ from queeralg.cli import main
 from queeralg.coeffalg import preset_base_field, preset_truncated, zero_ideal
 from queeralg.graded import (EVEN, Span, mat_kernel, mat_mul, mat_rank,
                              zero_rows)
-from queeralg.hwmod import (SimpleQuotient, WeightModule, check_psi0_ideal,
+from queeralg.hwmod import (SimpleQuotient, check_psi0_ideal,
                             is_irreducible_hw, simple_quotient, top_psi,
                             triangular_of_map, verma)
+from queeralg.liesuper import (WeightModule, direct_sum_weight,
+                               is_isomorphic_weight)
 from queeralg.mapsuper import tensor_lie
-from queeralg.products import (adjoint_q_module, direct_sum_weight, ev_module,
-                               is_isomorphic_weight, tensor_same_algebra,
-                               trivial_q_module)
+from queeralg.products import (adjoint_q_module, ev_module,
+                               tensor_same_algebra, trivial_q_module)
 from queeralg.queer import build_q
 from queeralg.scalars import Tower, scalar_of
 
@@ -192,8 +193,8 @@ def test_adjoint_recovered_from_verma(setup):
     assert sq.conclusive
     mod = sq.module
     assert mod.dim == 16
-    # exact representation: flatten and sweep all bracket relations
-    mod.flatten().check()
+    # exact representation: sweep all bracket relations
+    mod.check()
     # isomorphic to the adjoint representation pulled back along ev
     adA = ev_module(ms, 0, adjoint_q_module(q2))
     ok, _ = is_isomorphic_weight(mod, adA)

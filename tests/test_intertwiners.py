@@ -1,11 +1,13 @@
 """Golden kernel bases of the intertwiner solvers.
 
 tests/data/intertwiners.json holds, as strings, the bases that
-hom_space_weight, module_hom_basis, commutant and odd_schur return on a
-fixed set of q(2) modules: the adjoint, adjoint (+) adjoint, the two
-evaluation modules of K[t]/(t^2 - 1), the sum of three trivial modules
-(a 9-dimensional Hom space), their flattenings, and the
-odd-rank Cartan module H(psi) (type Q).  The test compares them byte for
+hom_space_weight, commutant and odd_schur return on a fixed set of q(2)
+modules: the adjoint, adjoint (+) adjoint, the two evaluation modules of
+K[t]/(t^2 - 1), the sum of three trivial modules (a 9-dimensional Hom
+space), their flat views as one-weight modules, and the odd-rank Cartan
+module H(psi) (type Q).  The "module_hom_basis" entries are the Hom
+bases of the one-weight modules, as maps: the flat solver they once
+came from gave the same bases.  The test compares them byte for
 byte, so a change of slot order or of the kernel's column order shows
 here.  Regenerate with `PYTHONPATH=src python tests/test_intertwiners.py`
 only when a change of basis is intended.
@@ -18,10 +20,10 @@ from queeralg import graded
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
 from queeralg.coeffalg import preset_base_field, preset_truncated
 from queeralg.graded import EVEN, ODD, commutant
-from queeralg.liesuper import module_hom_basis
-from queeralg.mapsuper import tensor_lie
-from queeralg.products import (Catalog, direct_sum_weight, ev_module,
+from queeralg.liesuper import (WeightModule, direct_sum_weight, hom_map,
                                hom_space_weight)
+from queeralg.mapsuper import tensor_lie
+from queeralg.products import Catalog, ev_module
 from queeralg.queer import build_q
 from queeralg.scalars import Tower
 
@@ -48,7 +50,8 @@ def golden():
             "ev0": ev_module(ms, 0, ad), "ev1": ev_module(ms, 1, ad),
             "trivial^3": direct_sum_weight(direct_sum_weight(triv, triv),
                                            triv)}
-    flat = {name: m.flatten() for name, m in mods.items()}
+    flat = {name: WeightModule.from_flat(m.algebra, m.space, m.mats)
+            for name, m in mods.items()}
     out = {}
     for src, tgt in (("adjoint", "adjoint"), ("adjoint", "adjoint+adjoint"),
                      ("ev0", "ev0"), ("ev1", "ev1"), ("ev0", "ev1"),
@@ -57,8 +60,9 @@ def golden():
         out[f"hom_space_weight {src} -> {tgt}"] = {
             "kernel": [_vec(v) for v in kern],
             "slots": [[_vec(w), i, j] for w, i, j in slots]}
+        kern, slots = hom_space_weight(flat[src], flat[tgt])
         out[f"module_hom_basis {src} -> {tgt}"] = [
-            _map(t) for t in module_hom_basis(flat[src], flat[tgt])]
+            _map(hom_map(v, slots, flat[src], flat[tgt])) for v in kern]
     for name in ("adjoint", "ev0", "ev1", "trivial^3"):
         m = flat[name]
         for par in (EVEN, ODD):

@@ -1,11 +1,12 @@
 import pytest
 
 from queeralg.assocsuper import make_M, make_Q
+from queeralg.coeffalg import preset_truncated
 from queeralg.graded import GradedMap, GradedSpace
-from queeralg.liesuper import (LieModule, LieSuper, check_solvable_module_dim,
-                               derived_series, direct_sum, from_assoc,
-                               ideal_closure, is_simple, is_solvable,
-                               subalgebra)
+from queeralg.liesuper import (LieSuper, WeightModule, derived_series,
+                               direct_sum, from_assoc, ideal_closure,
+                               is_simple, is_solvable, subalgebra)
+from queeralg.mapsuper import tensor_lie
 from queeralg.queer import build_q
 from queeralg.scalars import Tower
 
@@ -69,6 +70,18 @@ def test_solvability(K):
     one = K.one()
     npos, _ = subalgebra(qd.algebra, [{i: one} for i in qd.npos_indices])
     assert is_solvable(npos)
+    # q(2) (x) tJ inside q(2) (x) C[t]/(t^2)
+    ga = tensor_lie(qd.algebra, preset_truncated(
+        K, [K.zero(), K.zero(), K.one()], [(K.zero(), 2)]))
+    sub, _ = subalgebra(ga.algebra,
+                        [{ga.pair_index[(x, 1)]: one} for x in range(16)])
+    assert is_solvable(sub)
+    # one odd x with [x, x] = 2h, h central even
+    bk = [[{} for _ in range(2)] for _ in range(2)]
+    bk[1][1] = {0: K.from_int(2)}
+    g = LieSuper(K, GradedSpace(1, 1), bk)
+    g.check()
+    assert is_solvable(g)
 
 
 def test_ideal_closure(K):
@@ -105,46 +118,8 @@ def test_direct_sum(K):
 def test_lie_module_check(K):
     qd = build_q(K, 2)
     adj = [GradedMap(K, qd.space, qd.space, qd.algebra.ad_rows(i)) for i in range(16)]
-    mod = LieModule(qd.algebra, qd.space, adj)
+    mod = WeightModule.from_flat(qd.algebra, qd.space, adj)
     mod.check()
-
-
-def test_check_solvable_module_dim(K):
-    g = abelian(K, 2)
-    triv = LieModule(g, GradedSpace(1, 0),
-                     [GradedMap.zero(K, GradedSpace(1, 0), GradedSpace(1, 0))] * 2)
-    rep = check_solvable_module_dim(g, triv)
-    assert rep["applies"] and rep["conclusion_holds"]
-
-
-def test_check_solvable_module_dim_nilpotent_tensor(K):
-    # q(2) (x) tJ inside q(2) (x) C[t]/(t^2): solvable with
-    # [g1, g1] = 0 inside [g0, g0]; the trivial module is one-dimensional
-    from queeralg.coeffalg import preset_truncated
-    from queeralg.mapsuper import tensor_lie
-    a = preset_truncated(K, [K.zero(), K.zero(), K.one()], [(K.zero(), 2)])
-    qd = build_q(K, 2)
-    ga = tensor_lie(qd.algebra, a)
-    one = K.one()
-    seeds = [{ga.pair_index[(x, 1)]: one} for x in range(16)]
-    sub, _ = subalgebra(ga.algebra, seeds)
-    assert is_solvable(sub)
-    triv = LieModule(sub, GradedSpace(1, 0),
-                     [GradedMap.zero(K, GradedSpace(1, 0), GradedSpace(1, 0))] * sub.dim)
-    rep = check_solvable_module_dim(sub, triv)
-    assert rep["applies"] and rep["conclusion_holds"]
-
-
-def test_hypothesis_failure_reported(K):
-    # one odd generator with [x, x] = 2h, h central even, no even brackets
-    space = GradedSpace(1, 1)
-    bk = [[{} for _ in range(2)] for _ in range(2)]
-    bk[1][1] = {0: K.from_int(2)}
-    g = LieSuper(K, space, bk)
-    g.check()
-    assert is_solvable(g)
-    triv = LieModule(g, GradedSpace(1, 0),
-                     [GradedMap.zero(K, GradedSpace(1, 0), GradedSpace(1, 0))] * 2)
-    rep = check_solvable_module_dim(g, triv)
-    assert not rep["odd_bracket_in_even_bracket"]
-    assert not rep["applies"]
+    bad = WeightModule.from_flat(qd.algebra, qd.space, [adj[0] * 2] + adj[1:])
+    with pytest.raises(AssertionError, match="module relation fails"):
+        bad.check()

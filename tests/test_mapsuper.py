@@ -9,7 +9,7 @@ from queeralg.coeffalg import (IdealRep, gamma_from_spec, preset_base_field,
                                preset_truncated, radical, support)
 from queeralg.graded import (GradedMap, GradedSpace, Span, mat_kernel,
                              solve_right)
-from queeralg.liesuper import LieModule, LieSuper, subalgebra
+from queeralg.liesuper import LieSuper, WeightModule, subalgebra
 from queeralg.mapsuper import (InvariantSub, ann_and_support,
                                ann_and_support_gamma, ev, ev_gamma_rank,
                                gamma_element_action, invariants, tensor_lie)
@@ -149,7 +149,8 @@ def test_ev_gamma_surjectivity(K, q2):
 
 def trivial_module(K, algebra):
     sp = GradedSpace(1, 0)
-    return LieModule(algebra, sp, [GradedMap.zero(K, sp, sp)] * algebra.dim)
+    return WeightModule.from_flat(algebra, sp,
+                                  [GradedMap.zero(K, sp, sp)] * algebra.dim)
 
 
 def test_ann_trivial_module(K, q2):
@@ -172,7 +173,7 @@ def adjoint_at_point(K, q2, ms, point):
         for xk, c in img.items():
             acc = acc + ad_mats[xk] * c
         mats.append(acc)
-    return LieModule(ms.algebra, q2.space, mats)
+    return WeightModule.from_flat(ms.algebra, q2.space, mats)
 
 
 def test_ann_ev_module(K, q2):
@@ -352,7 +353,7 @@ def test_ann_is_the_largest_ideal_inside_J(K):
     mats = [None] * ms.dim
     mats[ms.pair_index[(0, 0)]] = GradedMap.zero(K, sp, sp)
     mats[ms.pair_index[(0, 1)]] = GradedMap.identity(K, sp)
-    mod = LieModule(ms.algebra, sp, mats)
+    mod = WeightModule.from_flat(ms.algebra, sp, mats)
     got = ann_and_support(mod, ms)
     assert got[0].dim == 0 and got[1] == [0, 1] and got[2]
     assert_same_ann(got, oracle_ann(mod, ms))

@@ -7,12 +7,13 @@ from queeralg.graded import (EVEN, ODD, GradedMap, commutant,
                              homogeneous_entries, odd_schur)
 from queeralg.hwmod import is_irreducible_hw, triangular_of_invariants, \
     triangular_of_map, top_psi
-from queeralg.liesuper import from_assoc, is_isomorphic_flat, module_hom_basis
+from queeralg.liesuper import (WeightModule, direct_sum_weight, from_assoc,
+                               hom_map, hom_space_weight, is_isomorphic_flat,
+                               is_isomorphic_weight)
 from queeralg.mapsuper import ann_and_support, invariants, tensor_lie
-from queeralg.products import (Catalog, WeightSchur, assoc_check,
-                               classify_enumerate, direct_sum_weight, ev_hat,
+from queeralg.products import (Catalog, WeightSchur, adjoint_q_module,
+                               assoc_check, classify_enumerate, ev_hat,
                                ev_hat_gamma, ev_module, hat_tensor_weight,
-                               hom_space_weight, is_isomorphic_weight,
                                outer_factors, q1_module,
                                restrict_to_invariants,
                                tensor_same_algebra, twist_q_module,
@@ -41,7 +42,7 @@ def test_schur_data_types(env):
     assert (phi * phi) == GradedMap.identity(K, phi.source) * (-1)
     # trivial module: even only
     triv = env["cat"].weight_schur("trivial")
-    flat = env["cat"].module("trivial").flatten()
+    flat = env["cat"].module("trivial")
     assert not triv.is_type_q
     assert len(commutant(flat.mats, flat.space, K, parity_filter=EVEN)) == 1
 
@@ -78,11 +79,10 @@ def q3():
 
 def _flat_schur_reference(m):
     """The Schur data of m from graded.odd_schur over all of End(V) on
-    m.flatten(), normalized to phi^2 = -id and cut into weight blocks
+    its flat view, normalized to phi^2 = -id and cut into weight blocks
     here; phi must vanish off the blocks."""
     K = m.tower
-    flat = m.flatten()
-    found = odd_schur(homogeneous_entries(flat.mats), flat.space, K)
+    found = odd_schur(homogeneous_entries(m.mats), m.space, K)
     if found is None:
         return WeightSchur(False, None)
     phi, c = found
@@ -99,7 +99,6 @@ def _flat_schur_reference(m):
 def _scaled_qone(K):
     """C^{1|1} over Q(1) with the odd generator acting by [[0, 2], [1/2, 0]]
     instead of the swap: its first odd supercommutant squares to -4 id."""
-    from queeralg.hwmod import WeightModule
     one, zero, two = K.one(), K.zero(), K.from_int(2)
     return WeightModule(from_assoc(make_Q(K, 1)), K, [()], {(): (EVEN, ODD)},
                         [{(): [((), [[one, zero], [zero, one]])]},
@@ -119,8 +118,8 @@ def test_weight_schur_phi_matches_flat_solve(env, q3, n):
     K = qd.tower
     cat = Catalog(qd)
     qone, scaled = q1_module(K), _scaled_qone(K)
-    flat = scaled.flatten()
-    assert odd_schur(homogeneous_entries(flat.mats), flat.space, K)[1] == -4
+    assert odd_schur(homogeneous_entries(scaled.mats), scaled.space,
+                     K)[1] == -4
     prod, _ = _hat(cat.module("adjoint"), qone, cat.weight_schur("adjoint"),
                    weight_schur_data(qone))
     mods = {"trivial": cat.module("trivial"),
@@ -172,8 +171,7 @@ def test_catalog_criterion_agrees_with_flat_oracle(env, q3, n):
     cat = Catalog(qd)
     ad, triv = cat.module("adjoint"), cat.module("trivial")
     for m in (triv, ad, direct_sum_weight(ad, triv)):
-        flat = m.flatten()
-        oracle = density_type_from_maps(flat.mats, flat.space, qd.tower)
+        oracle = density_type_from_maps(m.mats, m.space, qd.tower)
         assert is_irreducible_hw(m, triangular_of_q(qd)) == \
             oracle.certifies_irreducible
 
@@ -257,14 +255,12 @@ def test_hat_tensor_split_and_iso(env):
     assert prod.dim == 2 and info["minus"].dim == 2
     ok, _ = is_isomorphic_weight(info["plus"], info["minus"])
     assert ok
-    flat = prod.flatten()
-    assert density_type_from_maps(flat.mats, flat.space, K).kind == "full"
+    assert density_type_from_maps(prod.mats, prod.space, K).kind == "full"
 
 
 def test_hat_tensor_trivial_factor(env):
     # tensor with a trivial one-dimensional module returns the same dims
     from queeralg.graded import EVEN
-    from queeralg.hwmod import WeightModule
     K = env["K"]
     m = q1_module(K)
     triv = WeightModule(m.algebra, K, [()], {(): (EVEN,)}, [{}, {}])
@@ -291,10 +287,10 @@ def test_outer_factors_weights_and_pullbacks(env):
     assert p1.qd is None and p2.qd is None
     n = ad.algebra.dim
     assert p1.algebra.dim == p2.algebra.dim == 2 * n
-    flat, f1, f2 = ad.flatten(), p1.flatten(), p2.flatten()
+    flat, f1, f2 = ad.mats, p1.mats, p2.mats
     for g in range(n):
-        assert f1.mats[g].rows == flat.mats[g].rows and f1.mats[n + g].is_zero
-        assert f2.mats[n + g].rows == flat.mats[g].rows and f2.mats[g].is_zero
+        assert f1[g].rows == flat[g].rows and f1[n + g].is_zero
+        assert f2[n + g].rows == flat[g].rows and f2[g].is_zero
     assert (t1, t2) == (s, s) and not s.is_type_q
     prod, info = hat_tensor_weight(p1, p2, t1, t2)
     assert not info["split"] and prod.dim == 256
@@ -328,7 +324,7 @@ def test_ev_module_and_ann(env):
     ad0 = ev_module(ms, 0, cat.module("adjoint"))
     ann, supp, reduced = ann_and_support(ad0, ms)
     assert supp == [0] and reduced
-    ad0.flatten().check()
+    ad0.check()
 
 
 def test_ev_hat_trivial_everywhere(env):
@@ -395,7 +391,8 @@ def test_iso_scan_on_three_trivials_weight(env):
 
 
 def test_iso_scan_on_three_trivials_flat(env):
-    flat = _three_trivials(env).flatten()
+    t3 = _three_trivials(env)
+    flat = WeightModule.from_flat(t3.algebra, t3.space, t3.mats)
     with pytest.raises(ValueError, match="9-dimensional"):
         is_isomorphic_flat(flat, flat)
 
@@ -405,17 +402,35 @@ def test_iso_scan_finds_identity_among_sums(env):
     ad = env["cat"].module("adjoint")
     two = direct_sum_weight(ad, ad)
     ok, wit = is_isomorphic_weight(two, two)
-    assert ok and wit is not None
-    ok, wit = is_isomorphic_flat(two.flatten(), two.flatten())
     assert ok and wit.rank() == two.dim
+    flat = WeightModule.from_flat(two.algebra, two.space, two.mats)
+    ok, wit = is_isomorphic_flat(flat, flat)
+    assert ok and wit.rank() == two.dim
+
+
+def test_flat_against_weight_module_is_refused(env):
+    """A one-weight module (weight ()) and a weight-graded module share no
+    weight label, so the weight shortcut would answer "not isomorphic"
+    and the Hom solver 0 for the adjoint against its own flat view; both
+    refuse the comparison instead."""
+    ad = adjoint_q_module(env["q2"])
+    flat = WeightModule.from_flat(ad.algebra, ad.space, ad.mats)
+    for m, n in ((flat, ad), (ad, flat)):
+        with pytest.raises(ValueError, match="different Cartan parts"):
+            is_isomorphic_weight(m, n)
+        with pytest.raises(ValueError, match="different Cartan parts"):
+            hom_space_weight(m, n)
+    ok, wit = is_isomorphic_flat(flat, flat)
+    assert ok and wit.rank() == ad.dim
 
 
 def test_hom_basis_is_homogeneous(env):
     # the Hom equations never mix slot parities, so every RREF kernel
     # vector is homogeneous (what makes the isomorphism scan exact between
     # irreducible modules); C^{1|1} over Q(1) has an even and an odd one
-    m = q1_module(env["K"]).flatten()
-    homs = module_hom_basis(m, m)
+    m = q1_module(env["K"])
+    kern, slots = hom_space_weight(m, m)
+    homs = [hom_map(v, slots, m, m) for v in kern]
     assert sorted(t.parity for t in homs) == [0, 1]
 
 
@@ -521,7 +536,6 @@ def _toy_weight_pair(K):
     queer Lie superalgebras, each factor acting through one summand only
     (a single-weight model of disjoint supports)."""
     from queeralg.graded import EVEN, ODD
-    from queeralg.hwmod import WeightModule
     from queeralg.liesuper import direct_sum
     g1 = from_assoc(make_Q(K, 1))
     g = direct_sum(g1, from_assoc(make_Q(K, 1)))
@@ -557,8 +571,7 @@ def test_outer_factors_match_hand_built_pair():
     toy = _toy_weight_pair(K)
     for got, want in ((p1, toy[0]), (p2, toy[1])):
         assert got.weights == [()]
-        assert [x.rows for x in got.flatten().mats] == \
-            [x.rows for x in want.flatten().mats]
+        assert [x.rows for x in got.mats] == [x.rows for x in want.mats]
     w0 = (K.zero(),)
     assert t1.phi_blocks[()] == toy[2].phi_blocks[w0]
     assert t2.phi_blocks[()] == toy[3].phi_blocks[w0]
@@ -576,15 +589,13 @@ def test_hat_tensor_weight_split_branch(env):
     assert not info["result_schur"].is_type_q
     ok, _ = is_isomorphic_weight(plus, info["minus"])
     assert ok
-    flat = plus.flatten()
-    assert density_type_from_maps(flat.mats, flat.space, K).kind == "full"
+    assert density_type_from_maps(plus.mats, plus.space, K).kind == "full"
 
 
 def test_hat_tensor_weight_mixed_factor_phi(env):
     # one type-Q factor: the product carries an explicit odd endomorphism
     # that supercommutes with the action and squares to -id
     from queeralg.graded import EVEN
-    from queeralg.hwmod import WeightModule
     from queeralg.products import WeightSchur, hat_tensor_weight
     K = Tower()
     m1, m2, ws1, ws2 = _toy_weight_pair(K)
@@ -629,14 +640,15 @@ def _flat_entries(mat, perm):
 
 
 def assert_tensor_is_flat_koszul(m1, m2):
-    """flatten(tensor_same_algebra(m1, m2)) equals, for every generator g,
+    """The flat view of tensor_same_algebra(m1, m2) equals, for every
+    generator g,
     graded_tensor(rho1(g), id) + graded_tensor(id, rho2(g)) once the flat
     positions are matched through the pair basis."""
     from queeralg.graded import graded_tensor, tensor_space
     K = m1.tower
     full = tensor_same_algebra(m1, m2)
-    f1, f2, flat = m1.flatten(), m2.flatten(), full.flatten()
-    tspace, tindex = tensor_space(f1.space, f2.space)
+    f1, f2, flat = m1.mats, m2.mats, full.mats
+    tspace, tindex = tensor_space(m1.space, m2.space)
     idx1, idx2 = m1.flat_index(), m2.flat_index()
     _, _, pair_basis, _, _ = full.pair_data
     perm = {}
@@ -645,18 +657,18 @@ def assert_tensor_is_flat_koszul(m1, m2):
         perm[pos] = tindex[(idx1[(m1.weights[i1], k1)],
                             idx2[(m2.weights[i2], k2)])]
     assert sorted(perm.values()) == list(range(full.dim))
-    assert all(flat.space.parity(pos) == tspace.parity(p)
+    assert all(full.space.parity(pos) == tspace.parity(p)
                for pos, p in perm.items())
-    id1 = GradedMap.identity(K, f1.space)
-    id2 = GradedMap.identity(K, f2.space)
+    id1 = GradedMap.identity(K, m1.space)
+    id2 = GradedMap.identity(K, m2.space)
     ident = list(range(full.dim))
     for g in range(m1.algebra.dim):
-        want = _flat_entries(graded_tensor(f1.mats[g], id2).rows, ident)
-        for key, v in _flat_entries(graded_tensor(id1, f2.mats[g]).rows,
+        want = _flat_entries(graded_tensor(f1[g], id2).rows, ident)
+        for key, v in _flat_entries(graded_tensor(id1, f2[g]).rows,
                                     ident).items():
             want[key] = want[key] + v if key in want else v
         want = {key: v for key, v in want.items() if not v.is_zero}
-        assert _flat_entries(flat.mats[g].rows, perm) == want
+        assert _flat_entries(flat[g].rows, perm) == want
     return full
 
 
@@ -669,7 +681,7 @@ def _phi_flat(m, blocks):
         for r, row in enumerate(blk):
             for c, v in enumerate(row):
                 rows[idx[(w, r)]][idx[(w, c)]] = v
-    return GradedMap(K, m.flatten().space, m.flatten().space, rows)
+    return GradedMap(K, m.space, m.space, rows)
 
 
 def _q_and_m_pair():
@@ -680,7 +692,7 @@ def _q_and_m_pair():
     from queeralg.cartanmod import CartanAlgebra, PsiFunctional
     from queeralg.coeffalg import preset_base_field
     from queeralg.graded import EVEN, ODD
-    from queeralg.hwmod import SimpleQuotient, TruncatedVerma, WeightModule
+    from queeralg.hwmod import SimpleQuotient, TruncatedVerma
     from queeralg.liesuper import direct_sum
     K = Tower()
     with warnings.catch_warnings():
@@ -723,30 +735,28 @@ def test_tensor_q_with_m_is_flat_koszul_and_phi_supercommutes(q_first):
     assert rs.is_type_q
     K = prod.tower
     phi = _phi_flat(prod, rs.phi_blocks)
-    flat = prod.flatten()
     assert phi.parity == 1
-    assert phi * phi == GradedMap.identity(K, flat.space) * (-1)
-    for g, rho in enumerate(flat.mats):
-        sgn = -1 if flat.algebra.space.parity(g) else 1
+    assert phi * phi == GradedMap.identity(K, prod.space) * (-1)
+    for g, rho in enumerate(prod.mats):
+        sgn = -1 if prod.algebra.space.parity(g) else 1
         assert phi * rho == rho * phi * sgn
 
 
 def test_combine_matches_dense_sums_and_drops_cancelled_blocks():
     """_combine against sums of the flat matrices, with coefficients above
     Q(i); a combination that cancels leaves no block at all."""
-    from queeralg.products import _combine, adjoint_q_module
-    from queeralg.hwmod import WeightModule
+    from queeralg.products import _combine
     K = Tower()
     qd = build_q(K, 2)
     ad = adjoint_q_module(qd)
     s = K.adjoin_sqrt(K.from_int(2))
-    flat = ad.flatten().mats
+    flat = ad.mats
     combos = [[(0, K.one()), (3, s), (8, K.from_int(-2))],
               [(k, s * K.from_int(k + 1)) for k in range(qd.dim)],
               [(5, K.i()), (5, K.zero()), (13, s + K.one())]]
     act = [_combine(ad, terms) for terms in combos]
     got = WeightModule(ad.algebra, K, ad.weights, ad.parities,
-                       act + [{}] * (qd.dim - len(act)), qd=qd).flatten()
+                       act + [{}] * (qd.dim - len(act)), qd=qd)
     for terms, m in zip(combos, got.mats):
         want = GradedMap.zero(K, m.source, m.target)
         for k, c in terms:
