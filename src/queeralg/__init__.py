@@ -18,15 +18,13 @@ from .liesuper import (LieSuper, WeightModule, derived_series, direct_sum,
                        direct_sum_weight, from_assoc, hom_map,
                        hom_space_weight, ideal_closure, is_isomorphic_weight,
                        is_simple, is_solvable, subalgebra)
-from .queer import QueerData, build_q, build_q_hat, build_q_tilde, \
-    cartan_generation_check
+from .queer import QueerData, build_q, build_q_tilde, cartan_generation_check
 from .coeffalg import (CoeffAlgebra, GammaAction, IdealRep, algebra_from_spec,
-                       crt_split, gamma_from_spec, gamma_validate,
-                       ideal_intersect, ideal_product, preset_base_field,
-                       preset_truncated, quotient_algebra, radical, support,
-                       zero_ideal)
+                       gamma_from_spec, gamma_validate, ideal_product,
+                       preset_base_field, preset_truncated, quotient_algebra,
+                       radical, support, zero_ideal)
 from .mapsuper import (InvariantSub, MapSuper, ann_and_support,
-                       ann_and_support_gamma, ev, ev_gamma, ev_gamma_rank,
+                       ann_and_support_gamma, ev_gamma, ev_gamma_rank,
                        invariants, tensor_lie)
 from .cartanmod import (CartanAlgebra, CliffordData, HModule, PsiFunctional,
                         build_H, classify_cartan_module, i_psi)

@@ -288,21 +288,8 @@ def clifford(q: QuadraticPair) -> AssocSuper:
     dim = 1 << r
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
     for a, ma in enumerate(masks):
-        base = {ma: tower.one()}
         for b, mb in enumerate(masks):
-            terms = dict(base)
-            for g in _mask_bits(mb):
-                nxt: dict = {}
-                for mask, c in terms.items():
-                    for m2, c2 in _cliff_mul_gen(mask, g, q.rows, tower).items():
-                        s = c * c2
-                        cur = nxt.get(m2)
-                        s = s if cur is None else cur + s
-                        if s.is_zero:
-                            nxt.pop(m2, None)
-                        else:
-                            nxt[m2] = s
-                terms = nxt
+            terms = straighten(_mask_bits(ma) + _mask_bits(mb), q.rows, tower)
             mult[a][b] = {pos[m]: c for m, c in terms.items()}
     unit = {0: tower.one()}
     alg = AssocSuper(tower, space, mult, unit, name=f"C({r})")

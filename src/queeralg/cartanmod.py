@@ -125,7 +125,6 @@ class PsiFunctional:
 
     def restriction_to_q(self):
         """lambda = psi restricted to h (x) 1: weight tuple on h_1..h_n."""
-        one_idx = None
         unit = self.ctx.coeff.unit
         # unit may involve several basis vectors in a quotient; evaluate
         return tuple(self.eval_even({i: self.ctx.tower.one()}, unit)
@@ -205,7 +204,6 @@ class CliffordData:
             if self.z:
                 break
         # projection to the reduced odd coordinates, modulo the radical
-        cols = []
         unit_cols = [[tower.one() if t == p else tower.zero()
                       for t in range(n_odd)] for p in pivots]
         cols = unit_cols + self.radical_vectors

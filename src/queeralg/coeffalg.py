@@ -1,6 +1,6 @@
 """Finite-dimensional commutative coefficient algebras with declared
-maximal spectra, ideal arithmetic (product, intersection, radical,
-support), Chinese-remainder splittings, and finite abelian group actions.
+maximal spectra, ideal arithmetic (product, radical, support), and
+finite abelian group actions.
 
 Maximal ideals are declared by the presets rather than solved for:
 locating the maximal ideals of an arbitrary algebra needs root finding
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .assocsuper import AssocSuper
 from .graded import (EVEN, GradedMap, GradedSpace, Span, identity_rows,
-                     mat_kernel, mat_mul, solve_right, zero_rows)
+                     mat_kernel, mat_mul, zero_rows)
 from .scalars import Scalar, Tower, scalar_from_json
 
 
@@ -108,12 +108,6 @@ class IdealRep:
 
 def zero_ideal(a: CoeffAlgebra) -> IdealRep:
     return IdealRep(a, [])
-
-
-def unit_ideal(a: CoeffAlgebra) -> IdealRep:
-    one = a.tower.one()
-    return IdealRep(a, [[one if i == j else a.tower.zero()
-                         for i in range(a.dim)] for j in range(a.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -235,34 +229,6 @@ def ideal_product(i1: IdealRep, i2: IdealRep) -> IdealRep:
     return IdealRep(a, products)
 
 
-def ideal_intersect(i1: IdealRep, i2: IdealRep) -> IdealRep:
-    a = i1.algebra
-    tower = a.tower
-    n = a.dim
-    cols = [[v[i] for v in i1.basis] + [v[i] for v in i2.basis] for i in range(n)]
-    k1 = len(i1.basis)
-    vecs = []
-    for kv in mat_kernel(cols, k1 + len(i2.basis), tower):
-        vec = [tower.zero()] * n
-        for c in range(k1):
-            if not kv[c].is_zero:
-                for i in range(n):
-                    vec[i] = vec[i] + kv[c] * i1.basis[c][i]
-        vecs.append(vec)
-    return IdealRep(a, vecs)
-
-
-def ideal_sum(i1: IdealRep, i2: IdealRep) -> IdealRep:
-    return IdealRep(i1.algebra, i1.basis + i2.basis)
-
-
-def ideal_power(i1: IdealRep, k: int) -> IdealRep:
-    out = unit_ideal(i1.algebra)
-    for _ in range(k):
-        out = ideal_product(out, i1)
-    return out
-
-
 class QuotientAlgebra(CoeffAlgebra):
     """A/I with the projection and a linear section kept explicit."""
 
@@ -350,74 +316,6 @@ def support(ideal: IdealRep):
             if ideal.is_subideal_of(m)]
 
 
-def crt_split(a: CoeffAlgebra, ideal: IdealRep):
-    """Splitting of A/I into its local pieces at the support points.
-
-    Returns (quotient, idempotents, pieces) where idempotents are
-    orthogonal coordinate dicts in A/I summing to 1 and pieces[k] is the
-    echelon basis of the corresponding component e_k * (A/I).
-    Raises if the idempotent solve fails (non-split input).
-    """
-    tower = a.tower
-    q = QuotientAlgebra(a, ideal)
-    supp = list(range(len(q.maximal_ideals)))
-    if not supp:
-        raise ValueError("ideal has empty support; no splitting")
-    if len(supp) == 1:
-        e = dict(q.unit)
-        piece = [[tower.one() if i == j else tower.zero() for i in range(q.dim)]
-                 for j in range(q.dim)]
-        return q, [e], [piece]
-    primaries = []
-    for k in supp:
-        primaries.append(ideal_power(q.maximal_ideals[k], q.dim))
-    comp = []
-    for k in supp:
-        cur = None
-        for j in supp:
-            if j == k:
-                continue
-            cur = primaries[j] if cur is None else ideal_product(cur, primaries[j])
-        comp.append(cur)
-    # solve sum e_k = 1 with e_k in comp[k]
-    cols = [c.basis for c in comp]
-    ncols = sum(len(b) for b in cols)
-    rows = [[] for _ in range(q.dim)]
-    for b in cols:
-        for v in b:
-            for i in range(q.dim):
-                rows[i].append(v[i])
-    unit_vec = [tower.zero()] * q.dim
-    for i, c in q.unit.items():
-        unit_vec[i] = c
-    sol = solve_right(rows, unit_vec, ncols, tower)
-    if sol is None:
-        raise ValueError("idempotent solve failed; input is not split")
-    idems = []
-    pos = 0
-    for b in cols:
-        e = [tower.zero()] * q.dim
-        for v in b:
-            c = sol[pos]
-            pos += 1
-            if not c.is_zero:
-                for i in range(q.dim):
-                    e[i] = e[i] + c * v[i]
-        idems.append({i: x for i, x in enumerate(e) if not x.is_zero})
-    for k, e in enumerate(idems):
-        if q.product(e, e) != e:
-            raise ValueError("idempotent solve failed; input is not split")
-        for j in range(k + 1, len(idems)):
-            if q.product(e, idems[j]):
-                raise ValueError("idempotents are not orthogonal")
-    pieces = []
-    one = tower.one()
-    for e in idems:
-        sp = Span(tower, (q.product(e, {i: one}) for i in range(q.dim)))
-        pieces.append(sp.basis_vectors(q.dim))
-    return q, idems, pieces
-
-
 # ---------------------------------------------------------------------------
 # Finite abelian group actions
 # ---------------------------------------------------------------------------
@@ -482,6 +380,29 @@ def _apply_rows_to_ideal(rows, ideal: IdealRep) -> list:
     return out
 
 
+def _first_unpreserved_pair(rows, op, table):
+    """First (i, j), in row-major order, with op(M e_i, M e_j) !=
+    M table[i][j] for the square matrix M = rows; None if M preserves op.
+    table[i][j] is the coordinate dict of op(e_i, e_j)."""
+    dim = len(rows)
+    cols = [{k: rows[k][i] for k in range(dim) if not rows[k][i].is_zero}
+            for i in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            rhs = {}
+            for k, c in table[i][j].items():
+                for t, x in cols[k].items():
+                    cur = rhs.get(t)
+                    nxt = x * c if cur is None else cur + x * c
+                    if nxt.is_zero:
+                        rhs.pop(t, None)
+                    else:
+                        rhs[t] = nxt
+            if op(cols[i], cols[j]) != rhs:
+                return i, j
+    return None
+
+
 def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
     """Exact validation report: generator relations, automorphism laws,
     abelianness, freeness on the declared MaxSpec, and the orbit
@@ -490,7 +411,6 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
     report = {"relations": True, "algebra_automorphism": True,
               "lie_automorphism": True, "abelian": True, "free": True,
               "closed_on_maxspec": True, "failures": []}
-    one = tower.one()
     dim_a = a.dim
     g = qd.algebra
 
@@ -510,59 +430,19 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
         if img_unit != unit_vec:
             report["algebra_automorphism"] = False
             report["failures"].append(f"generator {gi}: unit not fixed")
-        for i in range(dim_a):
-            ui = {k: arows[k][i] for k in range(dim_a) if not arows[k][i].is_zero}
-            for j in range(dim_a):
-                uj = {k: arows[k][j] for k in range(dim_a) if not arows[k][j].is_zero}
-                lhs = a.product(ui, uj)
-                rhs = {}
-                for k, c in a.product({i: one}, {j: one}).items():
-                    for t in range(dim_a):
-                        if not arows[t][k].is_zero:
-                            cur = rhs.get(t)
-                            add = arows[t][k] * c
-                            nxt = add if cur is None else cur + add
-                            if nxt.is_zero:
-                                rhs.pop(t, None)
-                            else:
-                                rhs[t] = nxt
-                if lhs != rhs:
-                    report["algebra_automorphism"] = False
-                    report["failures"].append(
-                        f"generator {gi}: not multiplicative at ({i},{j})")
-                    break
-            else:
-                continue
-            break
+        pair = _first_unpreserved_pair(arows, a.product, a.mult)
+        if pair is not None:
+            report["algebra_automorphism"] = False
+            report["failures"].append(
+                f"generator {gi}: not multiplicative at ({pair[0]},{pair[1]})")
         if qmap.parity != EVEN:
             report["lie_automorphism"] = False
             report["failures"].append(f"generator {gi}: q-map is not even")
-        for i in range(g.dim):
-            vi = {k: qmap.rows[k][i] for k in range(g.dim)
-                  if not qmap.rows[k][i].is_zero}
-            for j in range(g.dim):
-                vj = {k: qmap.rows[k][j] for k in range(g.dim)
-                      if not qmap.rows[k][j].is_zero}
-                lhs = g.bracket(vi, vj)
-                rhs = {}
-                for k, c in g.bk[i][j].items():
-                    for t in range(g.dim):
-                        if not qmap.rows[t][k].is_zero:
-                            cur = rhs.get(t)
-                            add = qmap.rows[t][k] * c
-                            nxt = add if cur is None else cur + add
-                            if nxt.is_zero:
-                                rhs.pop(t, None)
-                            else:
-                                rhs[t] = nxt
-                if lhs != rhs:
-                    report["lie_automorphism"] = False
-                    report["failures"].append(
-                        f"generator {gi}: bracket not preserved at ({i},{j})")
-                    break
-            else:
-                continue
-            break
+        pair = _first_unpreserved_pair(qmap.rows, g.bracket, g.bk)
+        if pair is not None:
+            report["lie_automorphism"] = False
+            report["failures"].append(
+                f"generator {gi}: bracket not preserved at ({pair[0]},{pair[1]})")
     # abelian: generators commute pairwise
     for x in range(len(act.generators)):
         for y in range(x + 1, len(act.generators)):
@@ -657,6 +537,9 @@ def gamma_from_spec(tower: Tower, spec: dict, a: CoeffAlgebra, qd) -> GammaActio
                 raise ValueError(f"unknown algebra action type {kind!r}")
         else:
             rows = _matrix_from_json(tower, on_a)
+            if len(rows) != a.dim or any(len(r) != a.dim for r in rows):
+                raise ValueError(f"generator {gi}: on_algebra must be a "
+                                 f"{a.dim} x {a.dim} matrix")
         on_q = g["on_q"]
         if isinstance(on_q, dict):
             kind = on_q.get("type")

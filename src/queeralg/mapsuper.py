@@ -5,9 +5,9 @@ computation for modules."""
 from __future__ import annotations
 
 from .coeffalg import (CoeffAlgebra, GammaAction, IdealRep, gamma_validate,
-                       ideal_product, radical, support)
+                       radical, support)
 from .graded import GradedSpace, Span, mat_kernel, mat_rank, zero_rows
-from .liesuper import LieSuper, direct_sum, subalgebra
+from .liesuper import LieSuper, subalgebra
 from .queer import QueerData
 from .scalars import Tower
 
@@ -246,7 +246,8 @@ def invariants(ms: MapSuper, act: GammaAction, qd_for_report=None) -> InvariantS
 
 class EvMap:
     """Surjection g (x) A -> (+)_i g at pairwise distinct maximal ideals,
-    with explicit matrix; target is the external direct sum of copies of g."""
+    as an explicit matrix: row t * dim g + x is coordinate x of the copy
+    of g at the t-th point."""
 
     def __init__(self, ms: MapSuper, point_indices):
         if len(set(point_indices)) != len(point_indices):
@@ -255,12 +256,7 @@ class EvMap:
         self.points = list(point_indices)
         tower = ms.tower
         g = ms.g
-        k = len(self.points)
-        target = g
-        for _ in range(k - 1):
-            target = direct_sum(target, g)
-        self.target = target if k > 1 else g
-        rows = zero_rows(tower, g.dim * k, ms.dim)
+        rows = zero_rows(tower, g.dim * len(self.points), ms.dim)
         for (xi, aj), idx in ms.pair_index.items():
             for t, p in enumerate(self.points):
                 val = ms.coeff.evaluate(p, {aj: tower.one()})
@@ -282,35 +278,6 @@ class EvMap:
                     else:
                         out[i] = nxt
         return out
-
-    def rank(self) -> int:
-        return mat_rank(self.rows, self.ms.dim, self.ms.tower)
-
-    def is_surjective(self) -> bool:
-        return self.rank() == len(self.rows)
-
-    def kernel_matches_product_ideal(self) -> bool:
-        """ker(ev) = g (x) prod m_i, verified exactly."""
-        ms = self.ms
-        tower = ms.tower
-        prod = None
-        for p in self.points:
-            m = ms.coeff.maximal_ideals[p]
-            prod = m if prod is None else ideal_product(prod, m)
-        expected = Span(tower)
-        for xi in range(ms.g.dim):
-            for v in prod.basis:
-                expected.add(ms.embed_g({xi: tower.one()},
-                                        {j: s for j, s in enumerate(v)
-                                         if not s.is_zero}))
-        kern = mat_kernel(self.rows, ms.dim, tower)
-        if len(kern) != expected.dim:
-            return False
-        return all(expected.contains(v) for v in kern)
-
-
-def ev(ms: MapSuper, point_indices) -> EvMap:
-    return EvMap(ms, point_indices)
 
 
 def ev_gamma(inv: InvariantSub, point_indices):

@@ -6,7 +6,7 @@ diagonal block pair and the odd component as the antidiagonal pair.  The
 bracket is computed blockwise and, for odd-odd brackets, projected back
 into the slice by removing the multiple of the identity.  Also provided:
 the pre-quotient algebra (with the identity as an explicit basis vector),
-the full block algebra, the root datum, and the triangular decomposition.
+the root datum, and the triangular decomposition.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import warnings
 from fractions import Fraction
 from math import lcm
 
-from .assocsuper import make_Q
 from .graded import EVEN, ODD, GradedSpace, GradedMap, Span, zero_rows
-from .liesuper import LieSuper, from_assoc
+from .liesuper import LieSuper
 from .scalars import Tower, raw_of
 
 
@@ -414,11 +413,6 @@ def build_q_tilde(tower: Tower, n: int) -> LieSuper:
                 d = _mat(tower, n1)
             bk[i][j] = coords(c, d)
     return LieSuper(tower, space, bk, name=f"q~({n})")
-
-
-def build_q_hat(tower: Tower, n: int) -> LieSuper:
-    """The Lie superalgebra of the full block algebra Q(n+1)."""
-    return from_assoc(make_Q(tower, n + 1))
 
 
 def cartan_generation_check(qd: QueerData) -> bool:

@@ -5,6 +5,7 @@ by the conftest reporter."""
 import json
 import random
 import time
+from pathlib import Path
 
 from queeralg.assocsuper import (QuadraticPair, assoc_tensor, classify_simple,
                                  clifford, clifford_irrep, density_type,
@@ -346,6 +347,10 @@ def test_criterion_8_classification_both_flavors():
     budget.check()
 
 
+VERIFY_GOLDEN = Path(__file__).resolve().parent / "data" / \
+    "verify_all_seed7.json"
+
+
 def test_criterion_9_determinism(tmp_path):
     f1, f2 = tmp_path / "run1.json", tmp_path / "run2.json"
     for f in (f1, f2):
@@ -353,6 +358,7 @@ def test_criterion_9_determinism(tmp_path):
                        "--format", "structured", "--out", str(f)])
         assert rc == 0
     b1, b2 = f1.read_bytes(), f2.read_bytes()
+    assert b1 == VERIFY_GOLDEN.read_bytes()
     assert b1 == b2
     rep = json.loads(b1)
     assert rep["failures"] == 0 and rep["seed"] == 7

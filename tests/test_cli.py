@@ -206,9 +206,19 @@ def test_n_below_one_is_usage_error(files, capsys, command, n):
     _one_line_usage_error(main(args), capsys)
 
 
+def _algebra_matrix_group(on_algebra):
+    return {"generators": [{"order": 2, "on_algebra": on_algebra,
+                            "on_q": {"type": "trivial"}}]}
+
+
 @pytest.mark.parametrize("flag,payload", [
     ("--algebra", [{"type": "poly_quotient"}]),
     ("--group", {"generators": [{"order": 2, "on_q": {"type": "trivial"}}]}),
+    # the two-point algebra needs a 2 x 2 on_algebra matrix
+    ("--group", _algebra_matrix_group([["1"]])),
+    ("--group", _algebra_matrix_group([["1", "0"], ["0"]])),
+    ("--group", _algebra_matrix_group([["1", "0"], ["0", "1"], ["0", "0"]])),
+    ("--group", _algebra_matrix_group([["1", "0", "0"], ["0", "1", "0"]])),
 ])
 def test_classify_wrong_shape_json(files, tmp_path, capsys, flag, payload):
     bad = tmp_path / "bad.json"

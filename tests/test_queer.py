@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from queeralg.liesuper import is_simple, is_solvable, subalgebra
-from queeralg.queer import build_q, build_q_hat, build_q_tilde, cartan_generation_check
+from queeralg.queer import build_q, build_q_tilde, cartan_generation_check
 from queeralg.scalars import Tower
 
 
@@ -22,7 +22,6 @@ def test_dims(K, q2):
     assert q2.dim == 16
     assert build_q(K, 3).dim == 30
     assert build_q_tilde(K, 2).space.dim == 17
-    assert build_q_hat(K, 2).dim == 18
 
 
 def test_jacobi_sweep_n2(q2):
