@@ -30,7 +30,7 @@ from .cartanmod import (CartanAlgebra, CliffordData, HModule, PsiFunctional,
                         build_H, classify_cartan_module, i_psi)
 from .hwmod import (SimpleQuotient, TruncatedVerma, check_psi0_ideal,
                     is_irreducible_hw, simple_quotient, top_psi,
-                    triangular_of_invariants, triangular_of_map, verma)
+                    triangular_of_map, verma)
 from .products import (Catalog, WeightSchur, assoc_check, classify_enumerate,
                        ev_hat, ev_hat_gamma, ev_module, hat_tensor_weight,
                        outer_factors, pullback, q1_module, tensor_same_algebra,

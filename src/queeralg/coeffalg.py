@@ -469,8 +469,7 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
                 report["closed_on_maxspec"] = False
                 report["failures"].append(
                     f"element {ek}: image of maximal ideal {k} is undeclared")
-                target = k
-            perm.append(target)
+            perm.append(target)  # None: neither a fixed point nor in an orbit
         perms.append(perm)
         if ek > 0 and any(perm[k] == k for k in range(n_pts)):
             fixed = [k for k in range(n_pts) if perm[k] == k]
@@ -483,7 +482,7 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
     for k in range(n_pts):
         if k in seen:
             continue
-        orbit = sorted({perm[k] for perm in perms})
+        orbit = sorted({perm[k] for perm in perms} - {None})
         seen.update(orbit)
         orbits.append(orbit)
     report["orbits"] = orbits

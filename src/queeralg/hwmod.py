@@ -13,7 +13,7 @@ from .cartanmod import CartanAlgebra, PsiFunctional, build_H
 from .coeffalg import IdealRep
 from .graded import EVEN, Span, zero_rows
 from .liesuper import WeightModule
-from .mapsuper import InvariantSub, MapSuper
+from .mapsuper import MapSuper
 from .queer import QueerData
 from .scalars import QI_ONE, raw_dot, raw_mul, raw_neg, raw_of, scalar_of
 
@@ -25,57 +25,22 @@ from .scalars import QI_ONE, raw_dot, raw_mul, raw_neg, raw_of, scalar_of
 
 class TriangularSplit:
     """Raising / Cartan / lowering generator indices for an algebra acting
-    on weight modules, with one h0-reading basis for weights."""
+    on weight modules."""
 
-    def __init__(self, raising, cartan, lowering, cartan_even=None):
+    def __init__(self, raising, cartan, lowering):
         self.raising = list(raising)
         self.cartan = list(cartan)
         self.lowering = list(lowering)
-        self.cartan_even = list(cartan_even) if cartan_even is not None else []
 
 
 def triangular_of_map(ms: MapSuper) -> TriangularSplit:
-    return TriangularSplit(ms.raising_gens, ms.cartan_gens, ms.lowering_gens,
-                           cartan_even=ms.h0_gens)
+    return TriangularSplit(ms.raising_gens, ms.cartan_gens, ms.lowering_gens)
 
 
 def triangular_of_q(qd: QueerData) -> TriangularSplit:
     """The triangular pieces of q itself, for modules over qd.algebra."""
     return TriangularSplit(qd.npos_indices, qd.cartan_indices,
-                           qd.nneg_indices, cartan_even=qd.h0_indices)
-
-
-def triangular_of_invariants(inv: InvariantSub) -> TriangularSplit:
-    """Classify invariant basis vectors by the sign of the roots they are
-    supported on; requires the group to preserve the triangular pieces."""
-    ms = inv.parent
-    raising, cartan, lowering, cartan_even = [], [], [], []
-    for k, vec in enumerate(inv.basis_vectors):
-        kinds = set()
-        even_only = True
-        for idx, v in enumerate(vec):
-            if v.is_zero:
-                continue
-            if idx in set(ms.raising_gens):
-                kinds.add("+")
-            elif idx in set(ms.lowering_gens):
-                kinds.add("-")
-            else:
-                kinds.add("0")
-                if idx not in set(ms.h0_gens):
-                    even_only = False
-        if kinds == {"+"}:
-            raising.append(k)
-        elif kinds == {"-"}:
-            lowering.append(k)
-        elif kinds == {"0"}:
-            cartan.append(k)
-            if even_only:
-                cartan_even.append(k)
-        else:
-            raise ValueError("group action does not preserve the triangular "
-                             "decomposition; weight criteria unavailable")
-    return TriangularSplit(raising, cartan, lowering, cartan_even=cartan_even)
+                           qd.nneg_indices)
 
 
 # ---------------------------------------------------------------------------

@@ -367,7 +367,10 @@ def ann_and_support(module, ms: MapSuper):
 
 def ann_and_support_gamma(module, inv: InvariantSub):
     """Twisted variant: the largest Gamma-invariant ideal I with
-    (g (x) I)^Gamma V = 0, via the averaged generators."""
+    (g (x) I)^Gamma V = 0, via the averaged generators, for a module over
+    g (x) A on which the invariants act through the inclusion.  Each
+    averaged element is checked to be invariant and applied in g (x) A
+    coordinates."""
     ms = inv.parent
     tower = ms.tower
     one = tower.one()
@@ -379,10 +382,9 @@ def ann_and_support_gamma(module, inv: InvariantSub):
 
     def averaged(xi: int, j: int) -> dict:
         idx = ms.pair_index[(xi, j)]
-        coords = inv.coords_of({idx: one} if actions is None
-                               else _averaged(actions, idx, scale))
-        if coords is None:
+        avg = {idx: one} if actions is None else _averaged(actions, idx, scale)
+        if inv.coords_of(avg) is None:
             raise AssertionError("averaged element left the invariants")
-        return {k: v for k, v in enumerate(coords) if not v.is_zero}
+        return avg
 
     return _annihilator(module, ms, averaged)

@@ -9,12 +9,11 @@ from dataclasses import dataclass
 from .assocsuper import _raw_products, density_type_from_maps, make_Q
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, identity_rows,
                      kernel, mat_mul, odd_schur, solve_columns, zero_rows)
-from .hwmod import (is_irreducible_hw, triangular_of_invariants,
-                    triangular_of_map, triangular_of_q)
+from .hwmod import is_irreducible_hw, triangular_of_map, triangular_of_q
 from .liesuper import (WeightModule, direct_sum, from_assoc,
                        is_isomorphic_weight, weight_sort_key)
 from .mapsuper import (InvariantSub, MapSuper, ann_and_support,
-                       ann_and_support_gamma)
+                       ann_and_support_gamma, ev_gamma_rank)
 from .queer import QueerData
 from .scalars import Tower, raw_dot, raw_of
 
@@ -602,12 +601,14 @@ def ev_hat(ms: MapSuper, assignment: dict, catalog: Catalog):
 
 
 def ev_hat_gamma(inv: InvariantSub, assignment: dict, catalog: Catalog):
-    """Equivariant version: build the untwisted module at one point per
-    orbit (the smallest declared index) and restrict it to the invariant
-    subalgebra.  The assignment must be constant on orbits as catalog
-    names; classify_enumerate verifies beforehand that the group twist
-    fixes every catalog class, which makes such assignments exactly the
-    equivariant ones."""
+    """Equivariant version: (module, audit) for the untwisted module over
+    q (x) A built at one point per orbit (the smallest declared index).
+    The invariants act on it through the inclusion, by the same operators
+    as q (x) A once evaluation at those points maps them onto (+) q, which
+    classify_enumerate checks.  The assignment must be constant on orbits
+    as catalog names; classify_enumerate verifies beforehand that
+    the group twist fixes every catalog class, which makes such
+    assignments exactly the equivariant ones."""
     ms = inv.parent
     orbits = inv.gamma_report["orbits"]
     chosen: dict = {}
@@ -619,9 +620,8 @@ def ev_hat_gamma(inv: InvariantSub, assignment: dict, catalog: Catalog):
         if name != "trivial":
             chosen[min(orbit)] = name
     untwisted, audit = ev_hat(ms, chosen, catalog)
-    restricted = restrict_to_invariants(untwisted, inv)
     audit["orbit_representatives"] = sorted(chosen)
-    return restricted, untwisted, audit
+    return untwisted, audit
 
 
 def restrict_to_invariants(m: WeightModule, inv: InvariantSub) -> WeightModule:
@@ -694,10 +694,23 @@ class ClassificationRow:
 def classify_enumerate(ms: MapSuper, catalog: Catalog,
                        inv: InvariantSub | None = None) -> dict:
     """Build every (equivariant) finitely supported assignment over the
-    catalog, certify each module irreducible, assert pairwise
-    non-isomorphism, and (in the twisted case) check the restriction
-    property.  Aborts with a counterexample on any failed assertion."""
-    tower = ms.tower
+    catalog, certify each module irreducible by the highest-weight
+    criterion over q (x) A, and assert pairwise non-isomorphism.  Aborts
+    with a counterexample on any failed assertion.
+
+    In the twisted case the rows are modules over the invariants
+    (q (x) A)^Gamma, built as modules over q (x) A at the orbit
+    representatives reps (the smallest index of each orbit, as in
+    ev_hat_gamma), and certified once per run by the argument of the
+    paper.  Each such module factors through evaluation ev at reps, and
+    the run first checks, exactly, that ev maps the invariants onto
+    (+)_reps q (AssertionError naming reps otherwise).  Then the
+    invariants act on every row by exactly the same set of operators as
+    q (x) A does, so (1) the submodules over both algebras are the same
+    and the untwisted criterion certifies the restriction irreducible;
+    (2) the Hom spaces are the same, so the non-isomorphism sweep may
+    compare the untwisted modules; (3) the averaged operators that
+    ann_and_support_gamma applies are the same."""
     points = list(range(len(ms.coeff.maximal_ideals)))
     names = catalog.names()
     twisted = inv is not None and not inv.act.is_trivial()
@@ -717,22 +730,18 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
                 if not ok:
                     raise ValueError(f"catalog class {name!r} is not stable "
                                      "under the group twist")
+        reps = [min(orbit) for orbit in orbits]
+        if ev_gamma_rank(inv, reps) != len(reps) * ms.g.dim:
+            raise AssertionError("evaluation of the invariants at the orbit "
+                                 f"representatives {reps} is not onto")
         assignments = _assignments(orbits, names)
-        tri = triangular_of_invariants(inv)
     else:
         assignments = _assignments([[p] for p in points], names)
-        tri = triangular_of_map(ms)
+    tri = triangular_of_map(ms)
     built = []
     for assign in assignments:
         if twisted:
-            module, untwisted, audit = ev_hat_gamma(inv, assign, catalog)
-            # restriction property: the untwisted module has support in
-            # one point per orbit, and restricting preserves irreducibility
-            why = {}
-            if not is_irreducible_hw(untwisted, triangular_of_map(ms), why):
-                raise AssertionError(
-                    f"untwisted module for {assign} is not irreducible "
-                    f"({why['reason']})")
+            module, audit = ev_hat_gamma(inv, assign, catalog)
             ann, supp, reduced = ann_and_support_gamma(module, inv)
         else:
             module, audit = ev_hat(ms, assign, catalog)

@@ -73,6 +73,20 @@ def test_classify_refuses_non_free_group(files, capsys):
     assert "freeness violated" in err
 
 
+def test_classify_deficient_evaluation_is_one_error_line(files, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr("queeralg.products.ev_gamma_rank",
+                        lambda inv, reps: 0)
+    rc = main(["classify", "--n", "2", "--algebra", files["four"],
+               "--group", files["grp"]])
+    assert rc == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.strip().splitlines() == [
+        "error: evaluation of the invariants at the orbit representatives "
+        "[0, 2] is not onto"]
+
+
 def test_classify_unknown_catalog_entry(files, capsys):
     rc = main(["classify", "--algebra", files["two"],
                "--catalog", "trivial,mystery"])

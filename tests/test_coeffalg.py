@@ -159,8 +159,9 @@ def test_gamma_validate_reports_first_non_multiplicative_pair(K):
     assert rep["failures"] == [
         "generator 0: not multiplicative at (1,1)",
         "element 1: image of maximal ideal 0 is undeclared",
-        "element 1: image of maximal ideal 1 is undeclared",
-        "freeness violated at maximal ideal 0"]
+        "element 1: image of maximal ideal 1 is undeclared"]
+    # an undeclared image is neither a fixed point nor an orbit member
+    assert rep["free"] and rep["orbits"] == [[0], [1]]
 
 
 def test_gamma_validate_reports_first_unpreserved_bracket(K):

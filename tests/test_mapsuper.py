@@ -188,7 +188,7 @@ def test_ann_gamma(K, q2):
     ms = tensor_lie(q2, a)
     act = flip_action(K, a, q2, {"type": "diag_conj", "diag": ["1", "1", "-1"]})
     inv = invariants(ms, act)
-    ann, supp, reduced = ann_and_support_gamma(trivial_module(K, inv.algebra), inv)
+    ann, supp, reduced = ann_and_support_gamma(trivial_module(K, ms.algebra), inv)
     assert ann.dim == a.dim and supp == [] and reduced
 
 
@@ -289,7 +289,9 @@ def oracle_ann(module, ms):
 
 
 def oracle_ann_gamma(module, inv):
-    """The same through the averaging projector onto the invariants."""
+    """The same through the averaging projector onto the invariants, for
+    a module over g (x) A: each averaged element is checked invariant and
+    applied in g (x) A coordinates."""
     ms = inv.parent
     K = ms.tower
     elements = inv.act.elements()
@@ -302,10 +304,9 @@ def oracle_ann_gamma(module, inv):
             for idx, c in coords.items():
                 for k, v in cols[idx].items():
                     avg[k] = avg.get(k, K.zero()) + c * v
-        inv_coords = inv.coords_of({k: v * scale for k, v in avg.items()
-                                    if not v.is_zero})
-        assert inv_coords is not None
-        return {k: v for k, v in enumerate(inv_coords) if not v.is_zero}
+        avg = {k: v * scale for k, v in avg.items() if not v.is_zero}
+        assert inv.coords_of(avg) is not None
+        return avg
 
     return _oracle_rows(module, ms, element)
 
@@ -324,7 +325,7 @@ def test_ann_matches_oracle_on_small_modules(K, q2):
         assert_same_ann(ann_and_support(mod, ms), oracle_ann(mod, ms))
     act = flip_action(K, a, q2, {"type": "diag_conj", "diag": ["1", "1", "-1"]})
     inv = invariants(ms, act)
-    mod = trivial_module(K, inv.algebra)
+    mod = trivial_module(K, ms.algebra)
     assert_same_ann(ann_and_support_gamma(mod, inv),
                     oracle_ann_gamma(mod, inv))
 

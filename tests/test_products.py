@@ -1,16 +1,17 @@
 import pytest
 
+import queeralg.products as products
 from queeralg.assocsuper import density_type_from_maps, make_Q
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
 from queeralg.coeffalg import gamma_from_spec, preset_truncated
 from queeralg.graded import (EVEN, ODD, GradedMap, commutant,
                              homogeneous_entries, odd_schur)
-from queeralg.hwmod import is_irreducible_hw, triangular_of_invariants, \
-    triangular_of_map, top_psi
+from queeralg.hwmod import is_irreducible_hw, triangular_of_map, top_psi
 from queeralg.liesuper import (WeightModule, direct_sum_weight, from_assoc,
                                hom_map, hom_space_weight, is_isomorphic_flat,
                                is_isomorphic_weight)
-from queeralg.mapsuper import ann_and_support, invariants, tensor_lie
+from queeralg.mapsuper import (ann_and_support, ev_gamma_rank, invariants,
+                               tensor_lie)
 from queeralg.products import (Catalog, WeightSchur, adjoint_q_module,
                                assoc_check, classify_enumerate, ev_hat,
                                ev_hat_gamma, ev_module, hat_tensor_weight,
@@ -483,11 +484,17 @@ def test_ev_hat_gamma_irreducible(env):
     q2, cat = env["q2"], env["cat"]
     _, ms4, _, inv = gamma_env(env)
     assign = {0: "adjoint", 1: "adjoint", 2: "trivial", 3: "trivial"}
-    mod, untw, audit = ev_hat_gamma(inv, assign, cat)
-    assert mod.dim == 16
-    tri = triangular_of_invariants(inv)
-    assert is_irreducible_hw(mod, tri)
+    untw, audit = ev_hat_gamma(inv, assign, cat)
+    assert untw.algebra is ms4.algebra and audit["orbit_representatives"] == [0]
     assert is_irreducible_hw(untw, triangular_of_map(ms4))
+    # the restriction argument, checked independently: evaluation at the
+    # orbit representatives maps the invariants onto q (+) q, and the
+    # restriction is irreducible by the density oracle
+    assert ev_gamma_rank(inv, [0, 2]) == 32
+    mod = restrict_to_invariants(untw, inv)
+    assert mod.dim == 16
+    assert density_type_from_maps(mod.mats, mod.space,
+                                  mod.tower).certifies_irreducible
     with pytest.raises(ValueError):
         ev_hat_gamma(inv, {0: "adjoint", 1: "trivial", 2: "trivial",
                            3: "trivial"}, cat)
@@ -503,14 +510,43 @@ def test_classify_untwisted(env):
     assert all(r.reduced for r in rep["rows"])
 
 
-def test_classify_twisted(env):
+def _counted(monkeypatch, name, calls):
+    fn = getattr(products, name)
+
+    def wrapped(*args, **kwargs):
+        calls.setdefault(name, []).append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(products, name, wrapped)
+
+
+def test_classify_twisted(env, monkeypatch):
+    """One surjectivity check per run and one criterion per row, on the
+    untwisted modules: nothing is pulled back onto the invariants."""
     cat = env["cat"]
     _, ms4, _, inv = gamma_env(env)
+    calls: dict = {}
+    for name in ("ev_gamma_rank", "is_irreducible_hw", "pullback"):
+        _counted(monkeypatch, name, calls)
     rep = classify_enumerate(ms4, cat, inv=inv)
     assert rep["twisted"] and len(rep["rows"]) == 4
     dims = sorted(r.dim for r in rep["rows"])
     assert dims[:3] == [1, 16, 16] and dims[3] in (128, 256)
     assert rep["pairwise_distinct"]
+    assert calls["ev_gamma_rank"] == [(inv, [0, 2])]
+    # the other calls certify catalog entries over q itself
+    over = [args[0].algebra for args in calls["is_irreducible_hw"]]
+    assert over.count(ms4.algebra) == 4
+    assert all(a is ms4.algebra or a is env["q2"].algebra for a in over)
+    assert all(algebra is not inv.algebra
+               for _, algebra, _ in calls["pullback"])
+
+
+def test_classify_twisted_refuses_deficient_evaluation(env, monkeypatch):
+    cat = env["cat"]
+    _, ms4, _, inv = gamma_env(env)
+    monkeypatch.setattr(products, "ev_gamma_rank", lambda inv, reps: 31)
+    with pytest.raises(AssertionError, match=r"representatives \[0, 2\]"):
+        classify_enumerate(ms4, cat, inv=inv)
 
 
 def test_classify_trivial_catalog(env):
