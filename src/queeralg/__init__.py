@@ -24,8 +24,8 @@ from .coeffalg import (CoeffAlgebra, GammaAction, IdealRep, algebra_from_spec,
                        preset_base_field, preset_truncated, quotient_algebra,
                        radical, support, zero_ideal)
 from .mapsuper import (InvariantSub, MapSuper, ann_and_support,
-                       ann_and_support_gamma, ev_gamma, ev_gamma_rank,
-                       invariants, tensor_lie)
+                       ann_and_support_gamma, ev_gamma_rank, invariants,
+                       tensor_lie)
 from .cartanmod import (CartanAlgebra, CliffordData, HModule, PsiFunctional,
                         build_H, classify_cartan_module, i_psi)
 from .hwmod import (SimpleQuotient, TruncatedVerma, check_psi0_ideal,

@@ -500,12 +500,15 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
     return report
 
 
-def _matrix_from_json(tower: Tower, rows) -> list:
-    """A matrix given in JSON input: a list of rows, each a list of
-    scalars as scalars.scalar_from_json reads them."""
+def _matrix_from_json(tower: Tower, rows, n: int, what: str) -> list:
+    """An n x n matrix given in JSON input: a list of rows, each a list of
+    scalars as scalars.scalar_from_json reads them; what names it in the
+    shape error."""
     if not isinstance(rows, list) or \
             not all(isinstance(row, list) for row in rows):
         raise ValueError(f"a matrix must be a list of rows, not {rows!r}")
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"{what} must be a {n} x {n} matrix")
     return [[scalar_from_json(tower, x) for x in row] for row in rows]
 
 
@@ -514,8 +517,11 @@ def gamma_from_spec(tower: Tower, spec: dict, a: CoeffAlgebra, qd) -> GammaActio
     an order, an action on the algebra and an action on q; each action is
     an explicit matrix or one of the shortcuts substitute_t / diag_conj /
     trivial."""
+    generators = spec.get("generators", [])
+    if not isinstance(generators, list):
+        raise ValueError("generators must be a list")
     gens = []
-    for gi, g in enumerate(spec.get("generators", [])):
+    for gi, g in enumerate(generators):
         if not isinstance(g, dict):
             raise ValueError(f"generator {gi} must be a JSON object")
         order = g["order"]
@@ -535,10 +541,8 @@ def gamma_from_spec(tower: Tower, spec: dict, a: CoeffAlgebra, qd) -> GammaActio
             else:
                 raise ValueError(f"unknown algebra action type {kind!r}")
         else:
-            rows = _matrix_from_json(tower, on_a)
-            if len(rows) != a.dim or any(len(r) != a.dim for r in rows):
-                raise ValueError(f"generator {gi}: on_algebra must be a "
-                                 f"{a.dim} x {a.dim} matrix")
+            rows = _matrix_from_json(tower, on_a, a.dim,
+                                     f"generator {gi}: on_algebra")
         on_q = g["on_q"]
         if isinstance(on_q, dict):
             kind = on_q.get("type")
@@ -550,7 +554,9 @@ def gamma_from_spec(tower: Tower, spec: dict, a: CoeffAlgebra, qd) -> GammaActio
             else:
                 raise ValueError(f"unknown q action type {kind!r}")
         else:
-            qrows = _matrix_from_json(tower, on_q)
-            qmap = GradedMap(tower, qd.space, qd.space, qrows, parity=EVEN)
+            qmap = GradedMap(tower, qd.space, qd.space,
+                             _matrix_from_json(tower, on_q, qd.space.dim,
+                                               f"generator {gi}: on_q"),
+                             parity=EVEN)
         gens.append((order, rows, qmap))
     return GammaAction(tower, gens)

@@ -4,9 +4,11 @@ computation for modules."""
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .coeffalg import (CoeffAlgebra, GammaAction, IdealRep, gamma_validate,
                        radical, support)
-from .graded import GradedSpace, Span, mat_kernel, mat_rank, zero_rows
+from .graded import GradedSpace, Span, mat_kernel, zero_rows
 from .liesuper import LieSuper, subalgebra
 from .queer import QueerData
 from .scalars import Tower
@@ -113,27 +115,20 @@ def tensor_lie(g, coeff: CoeffAlgebra) -> MapSuper:
 
 
 class InvariantSub:
-    """Fixed points of the diagonal action, with its own Lie structure and
-    the embedding into the ambient map superalgebra."""
+    """Fixed points (g (x) A)^Gamma of the diagonal action.
 
-    def __init__(self, parent: MapSuper, act: GammaAction, algebra: LieSuper,
-                 basis_vectors, report: dict):
+    span is their RREF Span in g (x) A coordinates, the one representation
+    of the subspace; averaged[idx] is (1/|Gamma|) sum_gamma gamma(e_idx)
+    for every basis element e_idx of g (x) A, sparse.  The Lie superalgebra
+    on the invariants is built only when asked for (algebra)."""
+
+    def __init__(self, parent: MapSuper, act: GammaAction, span: Span,
+                 averaged: list, report: dict):
         self.parent = parent
         self.act = act
-        self.algebra = algebra
-        self.basis_vectors = basis_vectors  # dense, in parent coordinates
+        self.span = span
+        self.averaged = averaged
         self.gamma_report = report
-        # the basis is an RREF up to order: vector j is 1 at its pivot
-        # column (its first nonzero entry) and every other vector is 0 there
-        one = parent.tower.one()
-        self._pivots = []
-        for j, vec in enumerate(basis_vectors):
-            p = next((k for k, v in enumerate(vec) if not v.is_zero), 0)
-            col = [b[p] for b in basis_vectors]
-            if col[j] != one or sum(not x.is_zero for x in col) != 1:
-                raise ValueError("invariant basis is not in reduced row "
-                                 "echelon form")
-            self._pivots.append(p)
 
     @property
     def tower(self):
@@ -141,39 +136,31 @@ class InvariantSub:
 
     @property
     def dim(self) -> int:
-        return self.algebra.dim
+        return self.span.dim
 
-    def embed(self, coords: dict) -> dict:
-        out = {}
-        for i, c in coords.items():
-            for k, v in enumerate(self.basis_vectors[i]):
-                if not v.is_zero:
-                    cur = out.get(k)
-                    nxt = c * v if cur is None else cur + c * v
-                    if nxt.is_zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = nxt
-        return out
+    def basis_vectors(self):
+        """Dense RREF basis in g (x) A coordinates, in pivot order."""
+        return self.span.basis_vectors(self.parent.dim)
 
-    def coords_of(self, parent_coords: dict):
-        """Invariant-basis coordinates of an ambient vector, or None when
-        it is not invariant.  Coordinate j is the vector's entry at the
-        pivot column of basis vector j; the sum is then checked exactly."""
-        zero = self.tower.zero()
-        coords = [parent_coords.get(p, zero) for p in self._pivots]
-        target = {k: v for k, v in parent_coords.items() if not v.is_zero}
-        if self.embed({j: c for j, c in enumerate(coords)
-                       if not c.is_zero}) != target:
-            return None
-        return coords
+    @cached_property
+    def algebra(self) -> LieSuper:
+        """The invariants as a Lie superalgebra on basis_vectors().
+        subalgebra() checks bracket closure and orders its basis
+        even-first, which the RREF order already is: g (x) A is g-major,
+        q is even-first and every basis vector is homogeneous, with the
+        parity of its pivot."""
+        ms = self.parent
+        parities = [ms.algebra.space.parity(p) for p in sorted(self.span.rows)]
+        assert parities == sorted(parities), "RREF basis is not even-first"
+        sub, _ = subalgebra(ms.algebra, self.basis_vectors(),
+                            name=f"({ms.algebra.name})^Gamma")
+        return sub
 
 
 def gamma_element_action(ms: MapSuper, arows, qrows) -> dict:
     """Sparse column dict of the diagonal action of one group element on
     g (x) A: column idx -> image coordinate dict."""
     cols = {}
-    tower = ms.tower
     na = ms.coeff.dim
     for (xi, aj), idx in ms.pair_index.items():
         out = {}
@@ -204,39 +191,36 @@ def _averaged(actions, idx: int, scale) -> dict:
     return {k: v * scale for k, v in avg.items()}
 
 
-def invariants(ms: MapSuper, act: GammaAction, qd_for_report=None) -> InvariantSub:
-    """Image of the averaging projector (1/|Gamma|) sum_gamma gamma, as a
-    Lie subalgebra (bracket closure is re-verified by construction)."""
+def invariants(ms: MapSuper, act: GammaAction) -> InvariantSub:
+    """The fixed points of Gamma on g (x) A, as the image of the averaging
+    projector P = (1/|Gamma|) sum_gamma gamma.
+
+    gamma_validate checks that every generator is an even automorphism of
+    q that preserves the bracket and an algebra automorphism of A, so Gamma
+    acts on g (x) A by automorphisms of Lie superalgebras
+    ([x1 (x) f1, x2 (x) f2] = [x1, x2] (x) f1 f2).  Its fixed points are
+    therefore a graded subalgebra, and P, which fixes them and maps
+    everything into them, projects onto them: the averaged basis elements
+    span the invariants, each homogeneous of its element's parity.  Each
+    group element's action is computed once, here."""
     tower = ms.tower
-    if qd_for_report is None:
-        qd_for_report = ms.qd
     if act.is_trivial():
         report = {"valid": True, "free": True, "orbits":
                   [[k] for k in range(len(ms.coeff.maximal_ideals))],
                   "failures": [], "point_permutations":
                   [list(range(len(ms.coeff.maximal_ideals)))]}
         one = tower.one()
-        vecs = [[one if i == j else tower.zero() for i in range(ms.dim)]
-                for j in range(ms.dim)]
-        return InvariantSub(ms, act, ms.algebra, vecs, report)
-    report = gamma_validate(act, ms.coeff, qd_for_report)
-    if not report["valid"]:
-        raise ValueError("group action failed validation: "
-                         + "; ".join(report["failures"]))
-    elements = act.elements()
-    scale = tower.from_int(len(elements)).inv()
-    sp = Span(tower)
-    actions = [gamma_element_action(ms, ar, qr) for ar, qr in elements]
-    for idx in range(ms.dim):
-        avg = _averaged(actions, idx, scale)
-        if avg:
-            sp.add(avg)
-    vecs = sp.basis_vectors(ms.dim)
-    sub, emb = subalgebra(ms.algebra, vecs, name=f"({ms.algebra.name})^Gamma")
-    # subalgebra() reorders basis vectors even-first; read its order off
-    # the embedding columns
-    ordered = [[emb.rows[i][j] for i in range(ms.dim)] for j in range(sub.dim)]
-    return InvariantSub(ms, act, sub, ordered, report)
+        averaged = [{idx: one} for idx in range(ms.dim)]
+    else:
+        report = gamma_validate(act, ms.coeff, ms.qd)
+        if not report["valid"]:
+            raise ValueError("group action failed validation: "
+                             + "; ".join(report["failures"]))
+        elements = act.elements()
+        scale = tower.from_int(len(elements)).inv()
+        actions = [gamma_element_action(ms, ar, qr) for ar, qr in elements]
+        averaged = [_averaged(actions, idx, scale) for idx in range(ms.dim)]
+    return InvariantSub(ms, act, Span(tower, averaged), averaged, report)
 
 
 # ---------------------------------------------------------------------------
@@ -280,33 +264,16 @@ class EvMap:
         return out
 
 
-def ev_gamma(inv: InvariantSub, point_indices):
-    """Restriction of the evaluation map to the invariant subalgebra;
-    requires the chosen points to lie in pairwise distinct orbits."""
-    orbits = inv.gamma_report["orbits"]
-    orbit_of = {}
-    for oi, orb in enumerate(orbits):
-        for p in orb:
-            orbit_of[p] = oi
-    seen = set()
-    for p in point_indices:
-        o = orbit_of[p]
-        if o in seen:
-            raise ValueError("points must lie in pairwise distinct orbits")
-        seen.add(o)
-    emap = EvMap(inv.parent, point_indices)
-    tower = inv.tower
-    rows = zero_rows(tower, len(emap.rows), inv.dim)
-    for j, vec in enumerate(inv.basis_vectors):
-        img = emap.apply({k: v for k, v in enumerate(vec) if not v.is_zero})
-        for i, v in img.items():
-            rows[i][j] = v
-    return emap, rows
-
-
 def ev_gamma_rank(inv: InvariantSub, point_indices) -> int:
-    emap, rows = ev_gamma(inv, point_indices)
-    return mat_rank(rows, inv.dim, inv.tower)
+    """Rank of the evaluation map at the given points restricted to the
+    invariants, which the averaged basis elements span; the points must
+    lie in pairwise distinct orbits."""
+    orbit_of = {p: oi for oi, orb in enumerate(inv.gamma_report["orbits"])
+                for p in orb}
+    if len({orbit_of[p] for p in point_indices}) != len(point_indices):
+        raise ValueError("points must lie in pairwise distinct orbits")
+    emap = EvMap(inv.parent, point_indices)
+    return Span(inv.tower, (emap.apply(v) for v in inv.averaged)).dim
 
 
 # ---------------------------------------------------------------------------
@@ -367,24 +334,10 @@ def ann_and_support(module, ms: MapSuper):
 
 def ann_and_support_gamma(module, inv: InvariantSub):
     """Twisted variant: the largest Gamma-invariant ideal I with
-    (g (x) I)^Gamma V = 0, via the averaged generators, for a module over
-    g (x) A on which the invariants act through the inclusion.  Each
-    averaged element is checked to be invariant and applied in g (x) A
+    (g (x) I)^Gamma V = 0, for a module over g (x) A on which the
+    invariants act through the inclusion: (x (x) a_j)^Gamma is the
+    averaged basis element inv.averaged[x (x) a_j], applied in g (x) A
     coordinates."""
     ms = inv.parent
-    tower = ms.tower
-    one = tower.one()
-    actions = None
-    if not inv.act.is_trivial():
-        elements = inv.act.elements()
-        actions = [gamma_element_action(ms, ar, qr) for ar, qr in elements]
-        scale = tower.from_int(len(elements)).inv()
-
-    def averaged(xi: int, j: int) -> dict:
-        idx = ms.pair_index[(xi, j)]
-        avg = {idx: one} if actions is None else _averaged(actions, idx, scale)
-        if inv.coords_of(avg) is None:
-            raise AssertionError("averaged element left the invariants")
-        return avg
-
-    return _annihilator(module, ms, averaged)
+    return _annihilator(module, ms,
+                        lambda xi, j: inv.averaged[ms.pair_index[(xi, j)]])

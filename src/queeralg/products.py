@@ -627,7 +627,7 @@ def ev_hat_gamma(inv: InvariantSub, assignment: dict, catalog: Catalog):
 def restrict_to_invariants(m: WeightModule, inv: InvariantSub) -> WeightModule:
     """The same carrier viewed as a module over the invariant subalgebra."""
     return pullback(m, inv.algebra,
-                    (enumerate(vec) for vec in inv.basis_vectors))
+                    (enumerate(vec) for vec in inv.basis_vectors()))
 
 
 def pullback(m: WeightModule, algebra, images) -> WeightModule:

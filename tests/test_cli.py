@@ -320,6 +320,29 @@ def test_classify_group_rejects_non_integers(files, tmp_path, capsys,
     _one_line_usage_error(rc, capsys)
 
 
+@pytest.mark.parametrize("payload,line", [
+    pytest.param({"generators": {"order": 2}}, "generators must be a list",
+                 id="generators-object"),
+    pytest.param({"generators": "ab"}, "generators must be a list",
+                 id="generators-string"),
+    pytest.param({"generators": [{"order": 2,
+                                  "on_algebra": {"type": "trivial"},
+                                  "on_q": [["1", "0"], ["0", "1"]]}]},
+                 "generator 0: on_q must be a 16 x 16 matrix",
+                 id="on_q-shape"),
+])
+def test_classify_group_shape_errors_name_the_field(files, tmp_path, capsys,
+                                                    payload, line):
+    bad = tmp_path / "group.json"
+    bad.write_text(json.dumps(payload))
+    rc = main(["classify", "--n", "2", "--algebra", files["two"],
+               "--group", str(bad), "--catalog", "trivial"])
+    assert rc == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.splitlines() == [f"error: {bad}: {line}"]
+
+
 def test_classify_group_accepts_integer_scalars(files, tmp_path, capsys):
     grp = tmp_path / "group.json"
     grp.write_text(json.dumps(_group(scale=-1, diag=(1, 1, -1))))
@@ -340,14 +363,18 @@ def _four_point(r):
     ("classify_twisted4_r2.json", _four_point(2), _group()),
     ("classify_twisted4_r3.json", _four_point(3), _group()),
     ("classify_twisted4_r4.json", _four_point(4), _group()),
+    ("classify_z4_r3.json", _four_point(3),
+     _group(order=4, scale="i")),
     ("classify_two_point.json", {"type": "poly_quotient",
                                  "modulus": ["-1", "0", "1"],
                                  "roots": ["1", "-1"]}, None),
 ])
 def test_classify_report_matches_golden(tmp_path, golden, algebra, group):
     """Structured classify reports, byte for byte: q(2) over
-    K[t]/(t^4 - r^4) under t -> -t with diag_conj (1, 1, -1), and q(2)
-    over two points without a group."""
+    K[t]/(t^4 - r^4) under t -> -t with diag_conj (1, 1, -1), over
+    K[t]/(t^4 - 81) under the order-4 action t -> i t with the same
+    diag_conj (one orbit of four points), and over two points without a
+    group."""
     alg = tmp_path / "algebra.json"
     alg.write_text(json.dumps(algebra))
     args = ["classify", "--n", "2", "--algebra", str(alg),

@@ -1,5 +1,9 @@
+import sys
+
 import pytest
 
+import queeralg.liesuper as liesuper
+import queeralg.mapsuper as mapsuper
 import queeralg.products as products
 from queeralg.assocsuper import density_type_from_maps, make_Q
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
@@ -521,11 +525,11 @@ def _counted(monkeypatch, name, calls):
 
 def test_classify_twisted(env, monkeypatch):
     """One surjectivity check per run and one criterion per row, on the
-    untwisted modules: nothing is pulled back onto the invariants."""
+    untwisted modules."""
     cat = env["cat"]
     _, ms4, _, inv = gamma_env(env)
     calls: dict = {}
-    for name in ("ev_gamma_rank", "is_irreducible_hw", "pullback"):
+    for name in ("ev_gamma_rank", "is_irreducible_hw"):
         _counted(monkeypatch, name, calls)
     rep = classify_enumerate(ms4, cat, inv=inv)
     assert rep["twisted"] and len(rep["rows"]) == 4
@@ -537,8 +541,27 @@ def test_classify_twisted(env, monkeypatch):
     over = [args[0].algebra for args in calls["is_irreducible_hw"]]
     assert over.count(ms4.algebra) == 4
     assert all(a is ms4.algebra or a is env["q2"].algebra for a in over)
-    assert all(algebra is not inv.algebra
-               for _, algebra, _ in calls["pullback"])
+
+
+def test_classify_twisted_never_builds_the_invariant_algebra(env,
+                                                            monkeypatch):
+    """Neither invariants() nor a twisted classify_enumerate solves the
+    bracket table of the invariants: every imported reference to
+    liesuper.subalgebra is replaced by a stub that raises."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("liesuper.subalgebra was called")
+    refs = [mod for name, mod in list(sys.modules.items())
+            if name.split(".")[0] == "queeralg"
+            and getattr(mod, "subalgebra", None) is liesuper.subalgebra]
+    assert {liesuper, mapsuper} <= set(refs)
+    for mod in refs:
+        monkeypatch.setattr(mod, "subalgebra", refuse)
+    _, ms4, _, inv = gamma_env(env)
+    rep = classify_enumerate(ms4, env["cat"], inv=inv)
+    assert rep["twisted"] and len(rep["rows"]) == 4
+    assert "algebra" not in vars(inv)
+    with pytest.raises(AssertionError, match="subalgebra was called"):
+        inv.algebra
 
 
 def test_classify_twisted_refuses_deficient_evaluation(env, monkeypatch):
