@@ -363,18 +363,16 @@ def _four_point(r):
     ("classify_twisted4_r2.json", _four_point(2), _group()),
     ("classify_twisted4_r3.json", _four_point(3), _group()),
     ("classify_twisted4_r4.json", _four_point(4), _group()),
-    ("classify_z4_r3.json", _four_point(3),
-     _group(order=4, scale="i")),
     ("classify_two_point.json", {"type": "poly_quotient",
                                  "modulus": ["-1", "0", "1"],
                                  "roots": ["1", "-1"]}, None),
+    ("classify_z4_r3.json", _four_point(3), _group(order=4, scale="i")),
 ])
 def test_classify_report_matches_golden(tmp_path, golden, algebra, group):
     """Structured classify reports, byte for byte: q(2) over
-    K[t]/(t^4 - r^4) under t -> -t with diag_conj (1, 1, -1), over
-    K[t]/(t^4 - 81) under the order-4 action t -> i t with the same
-    diag_conj (one orbit of four points), and over two points without a
-    group."""
+    K[t]/(t^4 - r^4) under t -> -t with diag_conj (1, 1, -1), over two
+    points without a group, and over K[t]/(t^4 - 81) under the order-4
+    action t -> i t with the same diag_conj (one orbit of four points)."""
     alg = tmp_path / "algebra.json"
     alg.write_text(json.dumps(algebra))
     args = ["classify", "--n", "2", "--algebra", str(alg),

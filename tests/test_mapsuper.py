@@ -211,13 +211,13 @@ def _invariants_of(case):
     with diag_conj (1, 1, -1) on q(2)."""
     K = Tower()
     q2 = build_q(K, 2)
-    a = {"flip": two_point, "twisted4": lambda K: four_point(K, 2),
-         "z4": lambda K: four_point(K, 3)}[case](K)
+    r, order, scale = {"flip": (None, 2, "-1"), "twisted4": (2, 2, "-1"),
+                       "z4": (3, 4, "i")}[case]
+    a = two_point(K) if r is None else four_point(K, r)
     ms = tensor_lie(q2, a)
     act = gamma_from_spec(K, {"generators": [
-        {"order": 4 if case == "z4" else 2,
-         "on_algebra": {"type": "substitute_t",
-                        "scale": "i" if case == "z4" else "-1"},
+        {"order": order,
+         "on_algebra": {"type": "substitute_t", "scale": scale},
          "on_q": {"type": "diag_conj", "diag": ["1", "1", "-1"]}}]}, a, q2)
     return K, ms, invariants(ms, act)
 
@@ -231,9 +231,8 @@ def _apply(cols, vec: dict) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
-def _fixed(ms, inv, vec: dict) -> bool:
-    return all(_apply(gamma_element_action(ms, ar, qr), vec) == vec
-               for ar, qr in inv.act.elements())
+def _actions(ms, inv):
+    return [gamma_element_action(ms, ar, qr) for ar, qr in inv.act.elements()]
 
 
 @pytest.mark.parametrize("case,dim", [("flip", 16), ("twisted4", 32),
@@ -246,8 +245,7 @@ def test_invariant_span_is_a_graded_fixed_subalgebra(case, dim):
     assert inv.dim == dim
     basis = [{k: v for k, v in enumerate(vec) if not v.is_zero}
              for vec in inv.basis_vectors()]
-    actions = [gamma_element_action(ms, ar, qr)
-               for ar, qr in inv.act.elements()]
+    actions = _actions(ms, inv)
     for vec in basis:
         assert len({ms.algebra.space.parity(k) for k in vec}) == 1
         assert all(_apply(cols, vec) == vec for cols in actions)
@@ -261,8 +259,10 @@ def test_coords_of_rejects_non_invariant():
     group element fixes it, and some do not."""
     K, ms, inv = _invariants_of("twisted4")
     one = K.one()
-    inside = [k for k in range(ms.dim) if _fixed(ms, inv, {k: one})]
-    assert len(inside) < ms.dim
+    actions = _actions(ms, inv)
+    inside = [k for k in range(ms.dim)
+              if all(_apply(cols, {k: one}) == {k: one} for cols in actions)]
+    assert 0 < len(inside) < ms.dim
     assert all(inv.span.contains({k: one}) == (k in inside)
                for k in range(ms.dim))
 
