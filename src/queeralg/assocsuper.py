@@ -9,11 +9,14 @@ the span-closure density oracle used to certify irreducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import isqrt
 
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, graded_tensor,
                      homogeneous_entries, mat_kernel, mat_rref, odd_schur,
                      tensor_space, zero_rows)
-from .scalars import QI_ONE, Tower, raw_dot, raw_of
+from .scalars import (QI_ONE, Tower, qi_add, qi_inv, qi_mul, qi_neg, qi_sqrt,
+                      raw_dot, raw_of)
 
 
 class AssocSuper:
@@ -433,7 +436,6 @@ def classify_simple(a: AssocSuper) -> SimpleType:
 def _exact_isqrt(n: int):
     if n < 0:
         return None
-    from math import isqrt
     r = isqrt(n)
     return r if r * r == n else None
 
@@ -486,13 +488,21 @@ def clifford_generators(q: QuadraticPair, pivot_order=None):
     """The irreducible module of the Clifford superalgebra of a
     nondegenerate pair, of dimension 2^ceil(r/2), by its generators.
 
-    Returns (carrier, generator_maps, z_maps): the carrier space, the
-    action of x_1, ..., x_r, and the action of the diagonalized generators
-    z = P x.  The form is diagonalized by congruence; diagonal generators
-    are paired into creation/annihilation operators acting on an
-    exterior-algebra model (one square root adjoined per pair), and for
-    odd r the leftover generator is tensored in through the rank-one
-    Clifford module C^{1|1}.  pivot_order permutes the diagonalization
+    Returns (carrier, generator_maps, model_maps): the carrier space, the
+    action of x_1, ..., x_r, and the action of the model basis y = M x
+    below.  The form is diagonalized by congruence, z = P x, and
+    hyperbolic planes are split off the orthogonal lines z_k (a Witt
+    decomposition; `_witt_split`).  Each plane (u, w) with u^2 = w^2 = 0
+    and B(u, w) = 1 is one mode of an exterior-algebra model: u acts as
+    the creation operator c and w as 2a, where a is the annihilation
+    operator (ca + ac = 1), with entries in the field of the form.  The
+    anisotropic lines left over are paired as before: a pair of lines
+    with squares a, b is one mode, on which they act as c + a*a and
+    (c - a*a)/t with t^2 = -a/b (the only square roots adjoined).  For
+    odd r the last line, of square d, is tensored in through the rank-one
+    Clifford module C^{1|1}, where it acts by [[0, d], [1, 0]].  Then
+    x = M^{-1} y, where the rows of M are the model basis over x (M = P
+    when no plane splits off).  pivot_order permutes the diagonalization
     pivots (used to exhibit uniqueness up to isomorphism).  The Clifford
     relations x_i x_j + x_j x_i = 2 f_ij are checked exactly on the
     carrier (AssertionError otherwise); the algebra itself is never built.
@@ -502,42 +512,134 @@ def clifford_generators(q: QuadraticPair, pivot_order=None):
     if q.radical_dim() != 0:
         raise ValueError("form is degenerate; no irreducible Clifford module")
     p_rows, diag = _congruence_diagonalize(q, pivot_order)
+    planes, lines = _witt_split(tower, list(zip(p_rows, diag)))
 
     k = r // 2
     lam_space, create, annihilate = _exterior_model(tower, k)
+    basis, y_mats = [], []   # the model basis over x and its action
+    for jj, (u, w) in enumerate(planes):
+        basis += [u, w]
+        y_mats += [create[jj], annihilate[jj] * 2]
     # pair (z1, z2) with z1^2 = a, z2^2 = b: with t^2 = -a/b,
     # z1 acts as C + a A and z2 as (C - a A)/t on the pair's mode
-    z_mats = []
-    for jj in range(k):
-        a, b = diag[2 * jj], diag[2 * jj + 1]
+    for jj in range(len(planes), k):
+        (z1, a), (z2, b) = lines[:2]
+        lines = lines[2:]
         t = tower.adjoin_sqrt(-a / b)
         c_op, a_op = create[jj], annihilate[jj]
-        z_mats.append(c_op + a_op * a)
-        z_mats.append((c_op - a_op * a) * t.inv())
+        basis += [z1, z2]
+        y_mats += [c_op + a_op * a, (c_op - a_op * a) * t.inv()]
     if r % 2 == 1:
-        d = diag[r - 1]
+        (z, d), = lines
         c11 = GradedSpace(1, 1)
         x11 = GradedMap(tower, c11, c11,
                         [[tower.zero(), d], [tower.one(), tower.zero()]],
                         parity=ODD)
         id11 = GradedMap.identity(tower, c11)
         idlam = GradedMap.identity(tower, lam_space)
-        z_mats = [graded_tensor(z, id11) for z in z_mats]
-        z_mats.append(graded_tensor(idlam, x11))
-        carrier = z_mats[0].target
+        basis.append(z)
+        y_mats = [graded_tensor(y, id11) for y in y_mats]
+        y_mats.append(graded_tensor(idlam, x11))
+        carrier = y_mats[0].target
     else:
         carrier = lam_space
 
-    # original generators: x = P^{-1} z
-    aug = [list(p_rows[i]) + [tower.one() if jx == i else tower.zero()
-                              for jx in range(r)] for i in range(r)]
+    # original generators: x = M^{-1} y
+    aug = [list(basis[i]) + [tower.one() if jx == i else tower.zero()
+                             for jx in range(r)] for i in range(r)]
     rref, _ = mat_rref(aug, 2 * r, tower)
-    pinv = [row[r:] for row in rref]
+    minv = [row[r:] for row in rref]
     gen_mats = [GradedMap.combination(tower, carrier, carrier,
-                                      zip(pinv[i], z_mats))
+                                      zip(minv[i], y_mats))
                 for i in range(r)]
     _check_clifford_relations(q, gen_mats)
-    return carrier, gen_mats, z_mats
+    return carrier, gen_mats, y_mats
+
+
+# the pairs (c, c^2) of the isotropic-vector search: c runs over the 24
+# nonzero Gaussian integers with |Re|, |Im| <= 2 up to sign (c and -c give
+# the same c^2)
+_SEARCH_C = tuple(((a, b, 1), qi_mul((a, b, 1), (a, b, 1)))
+                  for a in range(3) for b in range(-2, 3) if a > 0 or b > 0)
+
+
+def _find_isotropic(vals):
+    """A small isotropic combination of orthogonal lines z_n with squares
+    vals[n], or None.  Only the values in Q(i) (raw triples) take part.
+
+    Returns (k, [(i, c_i), ...]), for the isotropic vector
+    z_k + sum c_i z_i, with raw coefficients: first a pair,
+    c_i^2 = -vals[k]/vals[i]; else a triple, vals[i] c_i^2 + vals[j] c_j^2
+    + vals[k] = 0, with c_i in _SEARCH_C and c_j solved for.  A bounded
+    search: a miss only means that fewer planes split off.  A candidate
+    c_j^2 = -num/vals[j] is tested for a square root only when its norm,
+    the square of a square root's norm, is a square in Q: exactly when
+    (a^2 + b^2)(a_j^2 + b_j^2) is one, for the numerators a + bi of num
+    and a_j + b_j i of vals[j] (the denominators enter the norm squared)."""
+    qi = [(n, x) for n, x in enumerate(vals) if x.__class__ is tuple]
+    for (i, di), (k, dk) in combinations(qi, 2):
+        c = qi_sqrt(qi_neg(qi_mul(dk, qi_inv(di))))
+        if c is not None:
+            return k, [(i, c)]
+    if len(qi) < 3:
+        return None
+    for k, dk in qi:
+        for i, di in qi:
+            if i == k:
+                continue
+            nums = []
+            for c, c2 in _SEARCH_C:
+                num = qi_add(qi_mul(di, c2), dk)
+                nums.append((c, num, num[0] * num[0] + num[1] * num[1]))
+            for j, dj in qi:
+                if j == i or j == k:
+                    continue
+                norm_j = dj[0] * dj[0] + dj[1] * dj[1]
+                m = qi_neg(qi_inv(dj))
+                for c, num, norm in nums:
+                    if _exact_isqrt(norm * norm_j) is None:
+                        continue
+                    cj = qi_sqrt(qi_mul(num, m))
+                    if cj is not None:
+                        return k, [(i, c), (j, cj)]
+    return None
+
+
+def _witt_split(tower: Tower, lines):
+    """Split hyperbolic planes off an orthogonal list of lines (vector,
+    square), as long as _find_isotropic finds an isotropic vector.
+
+    Returns (planes, lines): planes (u, w) with u^2 = w^2 = 0 and
+    B(u, w) = 1, and the lines left, orthogonal to each other and to the
+    planes, in their order.  For u = z_k + sum c_i z_i isotropic, with
+    z_k of square d_k, w = (z_k - sum c_i z_i)/(2 d_k): w^2 = 0, and
+    B(u, w) = (d_k - sum c_i^2 d_i)/(2 d_k) = 1.  A pair spans its plane.
+    The rest of a triple (c_i, c_j) is the line c_j d_j z_i - c_i d_i z_j,
+    of square -d_i d_j d_k, which takes part in the search that
+    follows."""
+    planes = []
+
+    def comb(terms):
+        return [sum((c * v[n] for c, v in terms), tower.zero())
+                for n in range(len(terms[0][1]))]
+
+    while True:
+        found = _find_isotropic([raw_of(d) for _, d in lines])
+        if found is None:
+            return planes, lines
+        k, coeffs = found
+        zk, dk = lines[k]
+        inv = (dk * 2).inv()
+        terms = [(tower.from_qi(*c), lines[i]) for i, c in coeffs]
+        planes.append((comb([(c, z) for c, (z, _) in terms] + [(1, zk)]),
+                       comb([(-c * inv, z) for c, (z, _) in terms]
+                            + [(inv, zk)])))
+        rest = []
+        if len(terms) == 2:
+            (ci, (zi, di)), (cj, (zj, dj)) = terms
+            rest = [(comb([(cj * dj, zi), (-ci * di, zj)]), -di * dj * dk)]
+        used = {k} | {i for i, _ in coeffs}
+        lines = [ln for n, ln in enumerate(lines) if n not in used] + rest
 
 
 def _check_clifford_relations(q: QuadraticPair, gen_mats):
@@ -565,7 +667,7 @@ def clifford_irrep(q: QuadraticPair, pivot_order=None) -> ModuleAction:
     monomials are built on top of the generator maps (for the module
     checks and the density oracle; HModule needs only the generators).
     """
-    carrier, gen_mats, z_mats = clifford_generators(q, pivot_order)
+    carrier, gen_mats, model_mats = clifford_generators(q, pivot_order)
     tower = q.tower
     masks = sorted(range(1 << q.r), key=lambda m: (bin(m).count("1") % 2, m))
     mats = []
@@ -576,9 +678,9 @@ def clifford_irrep(q: QuadraticPair, pivot_order=None) -> ModuleAction:
         mats.append(cur)
     act = ModuleAction(clifford(q), carrier, mats)
     act.generator_maps = gen_mats
-    # the diagonalized generators span the same generating set but have
-    # single-monomial scalar entries, which keeps the closure cheap
-    act.closure_generator_maps = z_mats
+    # the model basis spans the same generating set but its maps have at
+    # most one nonzero entry per row, which keeps the closure cheap
+    act.closure_generator_maps = model_mats
     return act
 
 

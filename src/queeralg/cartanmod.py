@@ -9,6 +9,7 @@ irreducible module as a Clifford module of dimension 2^ceil(r/2).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .assocsuper import (QuadraticPair, clifford_generators,
                          density_type_from_maps)
@@ -230,7 +231,11 @@ class HModule:
     (psi/2 on the nondegenerate reduction) from
     assocsuper.clifford_generators, which checks the Clifford relations on
     the carrier; the Clifford algebra and its monomial matrices are never
-    built.
+    built.  That model splits hyperbolic planes off the form (a Witt
+    decomposition), so a form that is hyperbolic over the field of psi,
+    up to one leftover line for odd rank, adjoins no square root.  phi,
+    the odd Schur endomorphism of odd rank, is built lazily on first
+    read.
     """
 
     def __init__(self, psi: PsiFunctional, pivot_order=None):
@@ -244,7 +249,6 @@ class HModule:
             self.carrier = GradedSpace(1, 0)
             zero_map = GradedMap.zero(tower, self.carrier, self.carrier)
             self.cartan_mats = [zero_map] * ctx.dim
-            self.phi = None
             return
         data = CliffordData(psi)
         self.data = data
@@ -275,7 +279,6 @@ class HModule:
                     tower, self.carrier, self.carrier,
                     zip(data.reduce_odd(vec), gen_maps)))
         self.cartan_mats = mats
-        self.phi = self._attach_phi() if self.rank % 2 == 1 else None
 
     @property
     def dim(self) -> int:
@@ -286,9 +289,14 @@ class HModule:
         return WeightModule.from_flat(self.ctx.ms.algebra, self.carrier,
                                       self.cartan_mats)
 
-    def _attach_phi(self):
-        """Odd endomorphism supercommuting with the action, normalized to
-        phi^2 = -id (adjoins a square root when needed)."""
+    @cached_property
+    def phi(self):
+        """For odd rank, an odd endomorphism supercommuting with the
+        action, normalized to phi^2 = -id; None for even rank.  Built on
+        first read, so a square root is adjoined for the normalization
+        only when phi is read."""
+        if self.rank % 2 == 0:
+            return None
         tower = self.ctx.tower
         found = odd_schur(homogeneous_entries(self.cartan_mats), self.carrier,
                           tower)

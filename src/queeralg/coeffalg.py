@@ -456,7 +456,8 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
     # orbit structure and freeness on the declared MaxSpec
     n_pts = len(a.maximal_ideals)
     perms = []
-    for ek, (arows, _) in enumerate(act.elements()):
+    ident_a, ident_q = identity_rows(tower, dim_a), identity_rows(tower, g.dim)
+    for ek, (arows, qrows) in enumerate(act.elements()):
         perm = []
         for k, m in enumerate(a.maximal_ideals):
             img_ideal = IdealRep(a, _apply_rows_to_ideal(arows, m))
@@ -471,7 +472,15 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
                     f"element {ek}: image of maximal ideal {k} is undeclared")
             perm.append(target)  # None: neither a fixed point nor in an orbit
         perms.append(perm)
-        if ek > 0 and any(perm[k] == k for k in range(n_pts)):
+        # the identity fixes every point and witnesses nothing.  When an
+        # order relation fails, the declared group does not act, and a
+        # declared order above the true one lists the identity again: it
+        # is no witness either (a group that acts but not faithfully, such
+        # as a trivial action of order 2, stays non-free)
+        if ek == 0 or (not report["relations"] and arows == ident_a
+                       and qrows == ident_q):
+            continue
+        if any(perm[k] == k for k in range(n_pts)):
             fixed = [k for k in range(n_pts) if perm[k] == k]
             report["free"] = False
             report["failures"].append(
@@ -547,8 +556,12 @@ def gamma_from_spec(tower: Tower, spec: dict, a: CoeffAlgebra, qd) -> GammaActio
         if isinstance(on_q, dict):
             kind = on_q.get("type")
             if kind == "diag_conj":
+                diag = on_q["diag"]
+                if not isinstance(diag, list) or len(diag) != qd.n + 1:
+                    raise ValueError(f"generator {gi}: on_q diag must be a "
+                                     f"list of {qd.n + 1} scalars")
                 qmap = qd.conj_automorphism(
-                    [scalar_from_json(tower, x) for x in on_q["diag"]])
+                    [scalar_from_json(tower, x) for x in diag])
             elif kind == "trivial":
                 qmap = GradedMap.identity(tower, qd.space)
             else:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import queeralg.assocsuper as assocsuper
 from queeralg.assocsuper import (ModuleAction, QuadraticPair, assoc_tensor,
@@ -10,7 +10,9 @@ from queeralg.assocsuper import (ModuleAction, QuadraticPair, assoc_tensor,
                                  clifford_generators, density_type, make_M,
                                  make_Q, odd_center, operator_closure_dim,
                                  straighten)
-from queeralg.graded import GradedMap, GradedSpace, Span
+from queeralg.graded import (GradedMap, GradedSpace, Span, graded_tensor,
+                             mat_rref)
+from queeralg.liesuper import LieSuper, WeightModule, is_isomorphic_weight
 from queeralg.scalars import Tower
 
 
@@ -421,3 +423,115 @@ def test_clifford_relation_check_on_given_maps(K):
     bad[1] = GradedMap(K, bad[1].source, bad[1].target, rows)
     with pytest.raises(AssertionError, match=r"\(0,1\)"):
         assocsuper._check_clifford_relations(f, bad)
+
+
+# ---------------------------------------------------------------------------
+# The Witt-decomposition model against the diagonal pairing
+# ---------------------------------------------------------------------------
+
+
+def pairing_model(q):
+    """The oracle: the Clifford generators by the diagonal pairing alone,
+    with no plane split off.  Diagonal generators z = P x are paired in
+    pivot order, one square root t^2 = -a/b per pair (z1 -> C + aA,
+    z2 -> (C - aA)/t), the last one of odd rank acts on C^{1|1} by
+    [[0, d], [1, 0]], and x = P^{-1} z."""
+    tower, r = q.tower, q.r
+    p_rows, diag = assocsuper._congruence_diagonalize(q)
+    k = r // 2
+    lam, create, annihilate = assocsuper._exterior_model(tower, k)
+    z_mats = []
+    for jj in range(k):
+        a, b = diag[2 * jj], diag[2 * jj + 1]
+        t = tower.adjoin_sqrt(-a / b)
+        z_mats += [create[jj] + annihilate[jj] * a,
+                   (create[jj] - annihilate[jj] * a) * t.inv()]
+    carrier = lam
+    if r % 2:
+        c11 = GradedSpace(1, 1)
+        x11 = GradedMap(tower, c11, c11, [[tower.zero(), diag[-1]],
+                                          [tower.one(), tower.zero()]],
+                        parity=1)
+        z_mats = [graded_tensor(z, GradedMap.identity(tower, c11))
+                  for z in z_mats]
+        z_mats.append(graded_tensor(GradedMap.identity(tower, lam), x11))
+        carrier = z_mats[0].target
+    aug = [list(p_rows[i]) + [tower.one() if j == i else tower.zero()
+                              for j in range(r)] for i in range(r)]
+    pinv = [row[r:] for row in mat_rref(aug, 2 * r, tower)[0]]
+    return carrier, [GradedMap.combination(tower, carrier, carrier,
+                                           zip(pinv[i], z_mats))
+                     for i in range(r)]
+
+
+def clifford_lie(q):
+    """The Lie superalgebra of the form: an even c and odd x_1..x_r with
+    [x_i, x_j] = 2 f_ij c; a Clifford module is its module with c -> id."""
+    tower, r = q.tower, q.r
+    bk = [[{} for _ in range(r + 1)] for _ in range(r + 1)]
+    for i in range(r):
+        for j in range(r):
+            if not q.rows[i][j].is_zero:
+                bk[i + 1][j + 1] = {0: q.rows[i][j] * 2}
+    return LieSuper(tower, GradedSpace(1, r), bk, name="heis")
+
+
+def as_lie_module(lie, carrier, gens):
+    ident = GradedMap.identity(lie.tower, carrier)
+    return WeightModule.from_flat(lie, carrier, [ident] + list(gens))
+
+
+_gauss = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def small_forms(draw):
+    """Symmetric r x r matrices (r = 1..5) of Gaussian integers a + bi
+    with |a|, |b| <= 2, as (a, b) pairs; half of them diagonal, which
+    makes anisotropic pairs and triples frequent."""
+    r = draw(st.integers(1, 5))
+    diagonal = draw(st.booleans())
+    rows = [[(0, 0)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            if i == j or not diagonal:
+                rows[i][j] = rows[j][i] = draw(_gauss)
+    return rows
+
+
+def _diag(*vals):
+    return [[(v, 0) if i == j else (0, 0) for j in range(len(vals))]
+            for i, v in enumerate(vals)]
+
+
+@settings(max_examples=40)
+@given(small_forms())
+@example(_diag(1, 2))            # anisotropic pair: -2 is no square in Q(i)
+@example(_diag(1, 1))            # hyperbolic over Q(i): -1 = i^2
+@example(_diag(3, 6, -1, -2))    # a triple, then a pair: hyperbolic
+@example(_diag(1, 2, 3, 5, 7))   # odd rank
+def test_witt_model_matches_diagonal_pairing(rows):
+    K = Tower()
+    q = QuadraticPair(K, [[K.from_qi(a, b) for a, b in row] for row in rows])
+    assume(q.radical_dim() == 0)
+    carrier, gens, _ = clifford_generators(q)
+    assert carrier.dim == 2 ** -(-q.r // 2)
+    assocsuper._check_clifford_relations(q, gens)
+    lie = clifford_lie(q)
+    ok, wit = is_isomorphic_weight(as_lie_module(lie, carrier, gens),
+                                   as_lie_module(lie, *pairing_model(q)))
+    assert ok and wit.rank() == carrier.dim
+
+
+@pytest.mark.parametrize("rows,height", [
+    (_diag(1, 1), 0),
+    ([[(0, 0), (1, 0)], [(1, 0), (0, 0)]], 0),
+    (_diag(3, 6, -1, -2), 0),     # (1, 0, 1, 1) is isotropic
+    (_diag(1, -1, 5), 0),         # a plane and the line <5>
+    (_diag(1, 2), 1),             # anisotropic: the pair takes sqrt(-1/2)
+])
+def test_witt_model_adjoins_roots_only_for_anisotropic_pairs(rows, height):
+    K = Tower()
+    clifford_generators(QuadraticPair(
+        K, [[K.from_qi(a, b) for a, b in row] for row in rows]))
+    assert K.height == height

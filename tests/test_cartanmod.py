@@ -220,6 +220,24 @@ def test_phi_attached_for_odd_rank(K, q2):
     assert h.phi * h.phi == GradedMap.identity(K, h.carrier) * (-1)
 
 
+@pytest.mark.parametrize("n,labels", [(4, (1, 1, 1, 1)), (3, (2, 1, 1)),
+                                      (3, (3, 0, 0))])
+def test_build_H_stays_over_gaussian_rationals(n, labels):
+    """These forms are hyperbolic over Q(i), up to one line for odd rank,
+    so the Witt model adjoins no square root; phi, read later, still
+    squares to -id."""
+    K = Tower()
+    ctx = CartanAlgebra(build_q(K, n), preset_base_field(K))
+    h = build_H(PsiFunctional(ctx, [K.from_int(v) for v in labels]))
+    assert K.height == 0
+    assert h.dim == 2 ** -(-h.rank // 2) == 4
+    h.as_lie_module().check()
+    if h.rank % 2:
+        assert h.phi * h.phi == GradedMap.identity(K, h.carrier) * (-1)
+    else:
+        assert h.phi is None
+
+
 def test_classify_cartan_module_roundtrip(K, q2):
     ctx = ctx_over(K, q2, "two")
     psi = PsiFunctional.evaluation(ctx, 0, [1, 1])

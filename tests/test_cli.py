@@ -330,6 +330,13 @@ def test_classify_group_rejects_non_integers(files, tmp_path, capsys,
                                   "on_q": [["1", "0"], ["0", "1"]]}]},
                  "generator 0: on_q must be a 16 x 16 matrix",
                  id="on_q-shape"),
+    pytest.param({"generators": [{"order": 2,
+                                  "on_algebra": {"type": "substitute_t",
+                                                 "scale": "-1"},
+                                  "on_q": {"type": "diag_conj",
+                                           "diag": "11-1"}}]},
+                 "generator 0: on_q diag must be a list of 3 scalars",
+                 id="diag-string"),
 ])
 def test_classify_group_shape_errors_name_the_field(files, tmp_path, capsys,
                                                     payload, line):

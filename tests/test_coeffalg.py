@@ -183,6 +183,35 @@ def test_gamma_validate_reports_first_unpreserved_bracket(K):
         "freeness violated at maximal ideal 0"]
 
 
+def test_gamma_validate_declared_order_above_true_order(K):
+    # t -> -t has order 2, so order 3 fails the relation; g^2 = id is then
+    # listed as an element but fixes no point in its own right
+    a = preset_truncated(K, [K.from_int(-81), K.zero(), K.zero(), K.zero(),
+                             K.one()],
+                         [(K.from_int(r), 1) for r in (3, -3)]
+                         + [(K.from_qi(0, r), 1) for r in (3, -3)])
+    qd = build_q(K, 2)
+    act = gamma_from_spec(K, {"generators": [
+        {"order": 3, "on_algebra": {"type": "substitute_t", "scale": "-1"},
+         "on_q": {"type": "diag_conj", "diag": ["1", "1", "-1"]}}]}, a, qd)
+    rep = gamma_validate(act, a, qd)
+    assert rep["failures"] == ["generator 0: order relation fails"]
+    assert rep["free"] and not rep["valid"]
+
+
+def test_gamma_validate_trivial_action_is_not_free(K):
+    # a group of order 2 that acts trivially is not free: its non-identity
+    # element fixes every point although it acts as the identity
+    a = two_point(K)
+    qd = build_q(K, 2)
+    act = gamma_from_spec(K, {"generators": [
+        {"order": 2, "on_algebra": {"type": "trivial"},
+         "on_q": {"type": "trivial"}}]}, a, qd)
+    rep = gamma_validate(act, a, qd)
+    assert rep["valid"] and not rep["free"]
+    assert rep["failures"] == ["freeness violated at maximal ideal 0"]
+
+
 def test_algebra_from_spec(K):
     a = algebra_from_spec(K, {"type": "poly_quotient",
                               "modulus": ["-1", "0", "0", "0", "1"],
