@@ -72,8 +72,10 @@ class PsiFunctional:
     @classmethod
     def from_pairs(cls, ctx: CartanAlgebra, pairs):
         """pairs: iterable of (h_label, a_label, scalar), e.g.
-        ("h1", "t", value); scalars may be exact strings like "3/2+i"."""
+        ("h1", "t", value); scalars may be exact strings like "3/2+i".
+        A pair given twice is a ValueError, not a sum."""
         vals = [ctx.tower.zero()] * ctx.n_even
+        seen = set()
         h_labels = {f"h{i + 1}": i for i in range(ctx.n)}
         a_labels = {lbl: j for j, lbl in enumerate(ctx.coeff.space.labels)}
         for entry in pairs:
@@ -85,8 +87,11 @@ class PsiFunctional:
                 raise ValueError(f"unknown Cartan label {h_lbl!r}")
             if a_lbl not in a_labels:
                 raise ValueError(f"unknown coefficient label {a_lbl!r}")
-            idx = ctx.even_pair(h_labels[h_lbl], a_labels[a_lbl])
-            vals[idx] = vals[idx] + scalar_from_json(ctx.tower, v)
+            if (h_lbl, a_lbl) in seen:
+                raise ValueError(f"repeated value for {(h_lbl, a_lbl)!r}")
+            seen.add((h_lbl, a_lbl))
+            vals[ctx.even_pair(h_labels[h_lbl], a_labels[a_lbl])] = \
+                scalar_from_json(ctx.tower, v)
         return cls(ctx, vals)
 
     @classmethod

@@ -546,8 +546,14 @@ def intertwiners(pairs, slots, tower: Tower):
                     v = -v
                 for c, t in by_row.get(k, ()):
                     eq = eqs.setdefault((r, c), {})
-                    eq[t] = eq[t] + v if t in eq else v
-            yield from eqs.values()
+                    x = eq.pop(t, None)
+                    x = v if x is None else x + v
+                    if not x.is_zero:
+                        eq[t] = x
+            # an entry that cancels is dropped, and so is an equation left
+            # empty: an even Cartan generator acts by the same scalar on
+            # both sides, so every equation of its pair vanishes
+            yield from (eq for eq in eqs.values() if eq)
 
     return mat_kernel(equations(), len(slots), tower)
 

@@ -48,24 +48,26 @@ def triangular_of_q(qd: QueerData) -> TriangularSplit:
 # ---------------------------------------------------------------------------
 
 
-def _multisets(positions, weights, i, left, acc, out):
-    """Append to out each acc + (a nondecreasing list of positions[i:])
-    whose weights sum to left.  Module-level, so that no recursive
-    closure ties the caller's module into a reference cycle."""
-    if i == len(positions):
-        if all(x == 0 for x in left):
-            out.append(list(acc))
-        return
-    w = weights[i]
-    cur = list(left)
-    mult = 0
-    while True:
-        _multisets(positions, weights, i + 1, tuple(cur),
-                   acc + [positions[i]] * mult, out)
-        if not all(c >= x for c, x in zip(cur, w)):
-            break
-        cur = [c - x for c, x in zip(cur, w)]
-        mult += 1
+def _pbw_monomials(coords, n_even: int, n: int, depth: int) -> dict:
+    """Every PBW monomial of height <= depth, bucketed by weight beta and
+    sorted in each bucket: even positions nondecreasing, then odd
+    positions strictly increasing.  One walk over an explicit stack, so
+    no recursive closure ties the caller's module into a reference
+    cycle."""
+    heights = [sum(c) for c in coords]
+    out: dict = {}
+    stack = [((), 0, (0,) * n)]
+    while stack:
+        mono, start, beta = stack.pop()
+        out.setdefault(beta, []).append(mono)
+        h = sum(beta)
+        for p in range(start, len(coords)):
+            if h + heights[p] <= depth:
+                stack.append((mono + (p,), p if p < n_even else p + 1,
+                              tuple(b + c for b, c in zip(beta, coords[p]))))
+    for monos in out.values():
+        monos.sort()
+    return out
 
 
 class TruncatedVerma:
@@ -74,10 +76,11 @@ class TruncatedVerma:
 
     Monomials are tuples of lowering-generator positions: even positions
     nondecreasing, then odd positions strictly increasing (positions are
-    indices into the lowering generator list, evens first).  Straightening
-    runs on raw entries (scalars.raw_of): the bracket table and the Cartan
-    matrices of H(psi) are converted once, and blocks are sparse raw
-    columns."""
+    indices into the lowering generator list, evens first).  A monomial
+    is straightened once for all of H(psi) (_straighten), and act_on
+    applies the Cartan operators to w_h last.  Straightening runs on raw
+    entries (scalars.raw_of): the bracket table and the Cartan matrices
+    of H(psi) are converted once, and blocks are sparse raw columns."""
 
     def __init__(self, ms: MapSuper, psi: PsiFunctional, depth: int):
         if ms.qd is None:
@@ -98,7 +101,8 @@ class TruncatedVerma:
             root = ms.gen_root[g]
             neg = tuple(-x for x in root)
             self.low_coords.append(self.qd.roots.decompose_qplus(neg))
-        # height of each lowering position (the window test of act_on)
+        # height of each lowering position (the window test of
+        # _straighten)
         self.low_height = [sum(c) for c in self.low_coords]
         self._shift: dict = {}   # generator -> weight shift of its blocks
         self.cartan_pos = {g: k for k, g in enumerate(ms.cartan_gens)}
@@ -112,17 +116,16 @@ class TruncatedVerma:
                          for h in range(self.h_mod.dim)]
                         for mat in self.h_mod.cartan_mats]
         self._odd = [ms.algebra.space.parity(g) for g in range(ms.dim)]
-        self._act_memo: dict = {}
+        self._straight_memo: dict = {}
         self._ins_memo: dict = {}
         self._betas = self._enumerate_betas()
+        monos = _pbw_monomials(self.low_coords, self.n_even_low, self.qd.n,
+                               depth)
+        hs = range(self.h_mod.dim)
         self.basis = {}
         self.basis_index = {}
         for beta in self._betas:
-            monos = self._monomials_of_weight(beta)
-            vecs = []
-            for mono in monos:
-                for h in range(self.h_mod.dim):
-                    vecs.append((mono, h))
+            vecs = [(m, h) for m in monos.get(beta, ()) for h in hs]
             self.basis[beta] = vecs
             self.basis_index[beta] = {v: k for k, v in enumerate(vecs)}
         self._block_memo: dict = {}
@@ -136,43 +139,6 @@ class TruncatedVerma:
         return [head + (h - sum(head),) for h in range(self.depth + 1)
                 for head in product(range(h + 1), repeat=n - 1)
                 if sum(head) <= h]
-
-    def _monomials_of_weight(self, beta):
-        """All PBW monomials with total lowering weight beta."""
-        n = self.qd.n
-        odd_positions = [p for p in range(len(self.lowering))
-                         if p >= self.n_even_low]
-        even_positions = [p for p in range(self.n_even_low)]
-        monos = []
-        # odd part: increasing subsets of odd positions with weight <= beta
-        subsets = [[]]
-        for p in odd_positions:
-            w = self.low_coords[p]
-            new = []
-            for s in subsets:
-                new.append(s)
-                tot = [sum(self.low_coords[q][k] for q in s) + w[k]
-                       for k in range(n)]
-                if all(t <= b for t, b in zip(tot, beta)):
-                    new.append(s + [p])
-            subsets = new
-        for s in subsets:
-            rem = tuple(b - sum(self.low_coords[q][k] for q in s)
-                        for k, b in enumerate(beta))
-            if any(r < 0 for r in rem):
-                continue
-            for ev in self._even_multisets(even_positions, rem):
-                monos.append(tuple(ev) + tuple(s))
-        monos.sort()
-        return monos
-
-    def _even_multisets(self, positions, target):
-        """Multisets of even lowering positions with the given total weight
-        (as nondecreasing position lists)."""
-        out = []
-        _multisets(positions, [self.low_coords[p] for p in positions], 0,
-                   tuple(target), [], out)
-        return out
 
     def weight_tuple(self, beta):
         """Absolute weight lambda - sum beta_k alpha_k on h_1..h_n."""
@@ -226,13 +192,17 @@ class TruncatedVerma:
         out = self._ins_memo[key] = _sum_terms(terms, self.tower.gens)
         return out
 
-    def act_on(self, gen: int, mono: tuple, h: int) -> dict:
-        """gen * (mono (x) w_h) expanded in the basis, truncated to the
-        window; keys are (mono, h) pairs, values raw entries.  Every term
-        has the height of mono plus the height gen adds, so the whole
-        expansion is empty when that leaves the window."""
-        key = (gen, mono, h)
-        memo = self._act_memo
+    def _straighten(self, gen: int, mono: tuple) -> dict:
+        """gen * mono expanded over PBW monomials times one operator on
+        H(psi), truncated to the window; keys are (mono', c), c None for
+        the identity and k for cartan_gens[k], values raw.  No step
+        depends on the vector of H(psi): a lowering factor acts on the
+        monomial alone, and only a Cartan generator reaching the empty
+        monomial leaves an operator.  Every term has the height of mono
+        plus the height gen adds, so the whole expansion is empty when
+        that leaves the window."""
+        key = (gen, mono)
+        memo = self._straight_memo
         out = memo.get(key)
         if out is not None:
             return out
@@ -242,10 +212,9 @@ class TruncatedVerma:
             out = {}
         elif not mono:
             if gen in self.low_pos:
-                out = {((self.low_pos[gen],), h): QI_ONE}
+                out = {((self.low_pos[gen],), None): QI_ONE}
             elif gen in self.cartan_pos:
-                out = {((), k): v
-                       for k, v in self._cartan[self.cartan_pos[gen]][h]}
+                out = {((), self.cartan_pos[gen]): QI_ONE}
             else:
                 out = {}
         else:
@@ -253,20 +222,36 @@ class TruncatedVerma:
             p = mono[0]
             rest = mono[1:]
             fp = self.lowering[p]
-            # [gen, f_p] (rest (x) w) term
+            # [gen, f_p] rest term
             for g2, c in self._bk[gen][fp]:
-                for bkey, c2 in self.act_on(g2, rest, h).items():
-                    terms.setdefault(bkey, []).append((c, c2))
-            # (-1)^{|gen||f_p|} f_p (gen (rest (x) w)) term
+                for skey, c2 in self._straighten(g2, rest).items():
+                    terms.setdefault(skey, []).append((c, c2))
+            # (-1)^{|gen||f_p|} f_p (gen rest) term
             neg = self._odd[gen] and self._odd[fp]
-            for (m2, h2), c in self.act_on(gen, rest, h).items():
+            for (m2, op), c in self._straighten(gen, rest).items():
                 if neg:
                     c = raw_neg(c)
                 for m3, c3 in self._insert_lowering(p, m2).items():
-                    terms.setdefault((m3, h2), []).append((c, c3))
+                    terms.setdefault((m3, op), []).append((c, c3))
             out = _sum_terms(terms, self.tower.gens)
         memo[key] = out
         return out
+
+    def act_on(self, gen: int, mono: tuple, h: int) -> dict:
+        """gen * (mono (x) w_h) expanded in the basis, truncated to the
+        window; keys are (mono, h) pairs, values raw entries.  It reads
+        _straighten(gen, mono), shared by every h: identity terms keep
+        w_h, and a Cartan term is expanded by that generator's column h
+        on H(psi)."""
+        terms: dict = {}
+        cartan = self._cartan
+        for (m, op), c in self._straighten(gen, mono).items():
+            if op is None:
+                terms.setdefault((m, h), []).append((QI_ONE, c))
+            else:
+                for k, v in cartan[op][h]:
+                    terms.setdefault((m, k), []).append((v, c))
+        return _sum_terms(terms, self.tower.gens)
 
     def _weight_shift(self, gen: int):
         """beta coordinates added by gen: -root over the simple roots."""

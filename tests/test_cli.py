@@ -280,6 +280,17 @@ def test_dims_rejects_non_numbers(tmp_path, capsys, payload):
     _one_line_usage_error(rc, capsys)
 
 
+def test_dims_rejects_repeated_value(tmp_path, capsys):
+    """A pair given twice is a usage error, not the sum of its values."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"values": [["h1", "1", "1"],
+                                          ["h1", "1", "2"]]}))
+    rc = main(["dims", "--n", "2", "--psi", str(bad), "--depth", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"error: {bad}: repeated value for ('h1', '1')\n"
+
+
 def test_classify_rejects_boolean_modulus(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"type": "poly_quotient",

@@ -9,7 +9,7 @@ from queeralg.cli import main
 from queeralg.coeffalg import preset_base_field, preset_truncated, zero_ideal
 from queeralg.graded import (EVEN, Span, mat_kernel, mat_mul, mat_rank,
                              zero_rows)
-from queeralg.hwmod import (SimpleQuotient, check_psi0_ideal,
+from queeralg.hwmod import (SimpleQuotient, _sum_terms, check_psi0_ideal,
                             is_irreducible_hw, simple_quotient, top_psi,
                             triangular_of_map, verma)
 from queeralg.liesuper import (WeightModule, direct_sum_weight,
@@ -18,7 +18,7 @@ from queeralg.mapsuper import tensor_lie
 from queeralg.products import (adjoint_q_module, ev_module,
                                tensor_same_algebra, trivial_q_module)
 from queeralg.queer import build_q
-from queeralg.scalars import Tower, scalar_of
+from queeralg.scalars import QI_ONE, Tower, raw_neg, scalar_of
 
 
 @pytest.fixture(scope="module")
@@ -105,19 +105,71 @@ def test_pbw_dimension_law(setup, which, depth):
         assert d == pbw_count_oracle(lower_weights, beta) * vm.h_mod.dim
 
 
+@pytest.mark.parametrize("which", ["C", "dual", "q3"])
+def test_pbw_basis_matches_brute_force(setup, which):
+    """The basis at every weight is the sorted list of PBW monomials of
+    that weight (evens nondecreasing, then odds strictly increasing),
+    each with every vector of H(psi) in turn."""
+    if which == "q3":
+        K, ms, ctx = _qn_setup(3)
+    else:
+        K = setup["K"]
+        _, ms, ctx = setup[which]
+    psi = PsiFunctional(ctx, [K.from_int(2 + k) for k in range(ctx.n_even)])
+    vm = verma(ms, psi, 4)
+    coords, n_even = vm.low_coords, vm.n_even_low
+    evens, odds = range(n_even), range(n_even, len(coords))
+
+    def weight(mono):
+        return tuple(sum(coords[p][k] for p in mono) for k in range(ctx.n))
+
+    for beta in vm._betas:
+        h = sum(beta)
+        monos = sorted(
+            ev + od
+            for k in range(h + 1) for l in range(h + 1 - k)
+            for ev in itertools.combinations_with_replacement(evens, k)
+            for od in itertools.combinations(odds, l)
+            if weight(ev + od) == beta)
+        assert vm.basis[beta] == [(m, w) for m in monos
+                                  for w in range(vm.h_mod.dim)]
+
+
 def test_verma_relations_within_window(setup):
-    # bracket relations on generator pairs, checked on blocks whose source
-    # and both compositions stay inside the window
-    import random
     K = setup["K"]
     _, ms, ctx = setup["C"]
     psi = PsiFunctional(ctx, [K.one(), K.one()])
-    vm = verma(ms, psi, 3)
+    assert check_verma_relations(verma(ms, psi, 3),
+                                 [(0, 0), (1, 0), (0, 1), (1, 1)], 40)
+
+
+def test_verma_relations_within_window_q3_rank3():
+    """Clifford rank 3: the odd Cartan generators act on H(psi) by
+    nonscalar operators, so the Cartan terms of the straightening are
+    exercised."""
+    K, ms, ctx = _qn_setup(3)
+    vm = verma(ms, PsiFunctional(ctx, [K.from_int(v) for v in (2, 1, 0)]), 3)
+    assert vm.h_mod.rank == 3
+    low = [b for b in vm._betas if sum(b) <= 1]
+    cartan = ms.cartan_gens
+    # every pair (Cartan generator, generator), and random pairs besides
+    assert check_verma_relations(vm, low, 60, [(i, j) for i in cartan
+                                               for j in range(ms.dim)])
+
+
+def check_verma_relations(vm, betas, n_random, pairs=()):
+    """Bracket relations on generator pairs, checked on blocks whose
+    source and both compositions stay inside the window; returns the
+    number of relations checked."""
+    import random
+    K = vm.tower
     rng = random.Random(7)
-    alg = ms.algebra
-    pairs = [(rng.randrange(alg.dim), rng.randrange(alg.dim)) for _ in range(40)]
+    alg = vm.ms.algebra
+    pairs = list(pairs) + [(rng.randrange(alg.dim), rng.randrange(alg.dim))
+                           for _ in range(n_random)]
+    checked = 0
     for i, j in pairs:
-        for beta in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+        for beta in betas:
             bi = dense_block(vm, j, beta)
             if bi is None:
                 continue
@@ -158,6 +210,8 @@ def test_verma_relations_within_window(setup):
                 expect = [[K.zero()] * len(acc[0]) for _ in acc]
             assert all(x == y for ra, rb in zip(acc, expect)
                        for x, y in zip(ra, rb))
+            checked += 1
+    return checked
 
 
 def test_singular_vectors_verma_top(setup):
@@ -606,3 +660,91 @@ def test_conclusive_quotient_matches_oracle(psi_vals, depth, dim):
     sq = assert_same_quotient(verma(ms, psi, depth))
     assert sq.conclusive and sq.module.dim == dim
     assert sq.singular_dims[(0, 0)] == sq.verma.h_mod.dim
+
+
+# ---------------------------------------------------------------------------
+# Reference straightening: the whole recursion run once for each vector w_h
+# of H(psi), Cartan generators applied to w_h where they reach the empty
+# monomial.  Every block of TruncatedVerma must agree with it exactly.
+# ---------------------------------------------------------------------------
+
+
+def per_h_act_on(vm, gen, mono, h, memo):
+    """gen * (mono (x) w_h) in the basis, truncated to the window, with
+    keys (mono, h) and raw values."""
+    key = (gen, mono, h)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if sum(vm.low_height[p] for p in mono) + sum(vm._shift_of(gen)) \
+            > vm.depth:
+        out = {}
+    elif not mono:
+        if gen in vm.low_pos:
+            out = {((vm.low_pos[gen],), h): QI_ONE}
+        elif gen in vm.cartan_pos:
+            out = {((), k): v for k, v in vm._cartan[vm.cartan_pos[gen]][h]}
+        else:
+            out = {}
+    else:
+        terms = {}
+        p, rest = mono[0], mono[1:]
+        fp = vm.lowering[p]
+        # [gen, f_p] (rest (x) w) term
+        for g2, c in vm._bk[gen][fp]:
+            for bkey, c2 in per_h_act_on(vm, g2, rest, h, memo).items():
+                terms.setdefault(bkey, []).append((c, c2))
+        # (-1)^{|gen||f_p|} f_p (gen (rest (x) w)) term
+        neg = vm._odd[gen] and vm._odd[fp]
+        for (m2, h2), c in per_h_act_on(vm, gen, rest, h, memo).items():
+            if neg:
+                c = raw_neg(c)
+            for m3, c3 in vm._insert_lowering(p, m2).items():
+                terms.setdefault((m3, h2), []).append((c, c3))
+        out = _sum_terms(terms, vm.tower.gens)
+    memo[key] = out
+    return out
+
+
+def assert_blocks_match_per_h_oracle(vm):
+    tower = vm.tower
+    memo = {}
+    checked = 0
+    for g in range(vm.ms.dim):
+        for beta in vm._betas:
+            blk = vm.block(g, beta)
+            if blk is None:
+                continue
+            tgt, cols = blk
+            index = vm.basis_index[tgt]
+            for (mono, h), col in zip(vm.basis[beta], cols):
+                want = {index[k]: scalar_of(tower, x) for k, x in
+                        per_h_act_on(vm, g, mono, h, memo).items()}
+                assert {t: scalar_of(tower, x) for t, x in col.items()} \
+                    == want, (g, beta, mono, h)
+            checked += 1
+    assert checked
+
+
+def test_blocks_match_per_h_oracle_dual_numbers_odd_rank():
+    """q(2) over the dual numbers with psi(h1 (x) t) a primitive cube
+    root of unity: Clifford rank 3, dim H(psi) = 4.  The root needs
+    sqrt(-3), so the test has its own tower."""
+    K = Tower()
+    ms = tensor_lie(build_q(K, 2), preset_truncated(
+        K, [K.zero(), K.zero(), K.one()], [(K.zero(), 2)]))
+    ctx = CartanAlgebra(ms.qd, ms.coeff)
+    omega = (K.adjoin_sqrt(K.from_int(-3)) - K.one()) * K.from_qi(1, 0, 2)
+    vm = verma(ms, PsiFunctional(ctx, [K.one(), omega, K.zero(), K.one()]),
+               3)
+    assert vm.h_mod.rank == 3 and vm.h_mod.dim == 4
+    assert_blocks_match_per_h_oracle(vm)
+
+
+@pytest.mark.parametrize("psi_vals", [(2, 1, 1), (0, 0, 0)])
+def test_blocks_match_per_h_oracle_q3(psi_vals):
+    """q(3) at Clifford rank 3, and psi = 0, where H(psi) is trivial."""
+    K, ms, ctx = _qn_setup(3)
+    vm = verma(ms, PsiFunctional(ctx, [K.from_int(v) for v in psi_vals]), 3)
+    assert vm.h_mod.dim == (4 if any(psi_vals) else 1)
+    assert_blocks_match_per_h_oracle(vm)
