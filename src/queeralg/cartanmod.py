@@ -16,7 +16,7 @@ from .assocsuper import (QuadraticPair, clifford_generators,
 from .coeffalg import CoeffAlgebra, IdealRep, quotient_algebra
 from .graded import (GradedMap, GradedSpace, Span, homogeneous_entries,
                      mat_kernel, odd_schur, solve_right, zero_rows)
-from .liesuper import WeightModule, is_isomorphic_weight, subalgebra
+from .liesuper import WeightModule, basis_subalgebra, is_isomorphic_weight
 from .mapsuper import tensor_lie
 from .queer import QueerData
 from .scalars import Scalar, scalar_from_json
@@ -30,11 +30,10 @@ class CartanAlgebra:
         self.qd = qd
         self.coeff = coeff
         self.tower = qd.tower
-        one = self.tower.one()
-        h_sub, _ = subalgebra(qd.algebra,
-                              [{i: one} for i in qd.cartan_indices], name="h")
-        self.h = h_sub
-        self.ms = tensor_lie(h_sub, coeff)
+        # h is spanned by basis vectors of q, so its table is q's,
+        # restricted (with a closure check)
+        self.h = basis_subalgebra(qd.algebra, qd.cartan_indices, name="h")
+        self.ms = tensor_lie(self.h, coeff)
         self.n = qd.n
         self.na = coeff.dim
         self.n_even = self.n * self.na

@@ -22,6 +22,9 @@ from .verify import SUITES, run_suites
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 1
+# largest --n accepted: q(n) has dimension 2(n+1)^2 - 2 and its bracket
+# table that dimension squared entries (q(40) would need 11.3 million)
+MAX_N = 12
 
 
 def _emit(report: dict, text_lines, fmt: str, out_path):
@@ -301,6 +304,10 @@ def main(argv=None) -> int:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     if getattr(args, "n", 1) < 1:
         print(f"error: --n must be at least 1, not {args.n}", file=sys.stderr)
+        return USAGE_EXIT
+    if getattr(args, "n", 1) > MAX_N:
+        print(f"error: --n must be at most {MAX_N}, not {args.n}",
+              file=sys.stderr)
         return USAGE_EXIT
     if getattr(args, "depth", "missing") is None:
         args.depth = args.n * (args.n + 1)

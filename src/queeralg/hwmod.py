@@ -79,8 +79,9 @@ class TruncatedVerma:
     indices into the lowering generator list, evens first).  A monomial
     is straightened once for all of H(psi) (_straighten), and act_on
     applies the Cartan operators to w_h last.  Straightening runs on raw
-    entries (scalars.raw_of): the bracket table and the Cartan matrices
-    of H(psi) are converted once, and blocks are sparse raw columns."""
+    entries (scalars.raw_of): the algebra's raw bracket table
+    (LieSuper.raw_bk) and the Cartan matrices of H(psi), converted once,
+    and blocks are sparse raw columns."""
 
     def __init__(self, ms: MapSuper, psi: PsiFunctional, depth: int):
         if ms.qd is None:
@@ -106,10 +107,10 @@ class TruncatedVerma:
         self.low_height = [sum(c) for c in self.low_coords]
         self._shift: dict = {}   # generator -> weight shift of its blocks
         self.cartan_pos = {g: k for k, g in enumerate(ms.cartan_gens)}
-        # raw forms, converted once: bk[i][j] as (k, raw) pairs, and per
-        # Cartan generator and column h of H(psi) its nonzero (k, raw)
-        self._bk = [[tuple((k, raw_of(c)) for k, c in entry.items())
-                     for entry in row] for row in ms.algebra.bk]
+        # raw forms: bk[i][j] as (k, raw) pairs (q's own raw table when
+        # A is the base field), and per Cartan generator and column h of
+        # H(psi) its nonzero (k, raw), converted once
+        self._bk = ms.algebra.raw_bk
         self._cartan = [[tuple((k, raw_of(mat.rows[k][h]))
                                for k in range(self.h_mod.dim)
                                if not mat.rows[k][h].is_zero)

@@ -5,26 +5,49 @@ with their direct sum, Hom solver and isomorphism test."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .assocsuper import AssocSuper
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span,
                      first_invertible, intertwiners, mat_kernel, mat_rank,
                      solve_columns, zero_rows)
-from .scalars import Tower
+from .scalars import Tower, raw_of
 
 
 class LieSuper:
     """Lie superalgebra on a homogeneous basis; bk[i][j] is the sparse
-    coordinate dict of [e_i, e_j]."""
+    coordinate dict of [e_i, e_j].  No code mutates a table after
+    construction, so algebras may share one (relabeled)."""
 
-    def __init__(self, tower: Tower, space: GradedSpace, bk, name: str = ""):
+    def __init__(self, tower: Tower, space: GradedSpace, bk, name: str = "",
+                 raw_bk=None):
         self.tower = tower
         self.space = space
         self.bk = bk
         self.name = name
+        self._raw_bk = raw_bk
 
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    @property
+    def raw_bk(self):
+        """bk with each entry as a tuple of (k, raw) pairs
+        (scalars.raw_of), in bk's key order; converted on first read
+        unless the builder supplied it."""
+        if self._raw_bk is None:
+            self._raw_bk = [[tuple((k, raw_of(c)) for k, c in entry.items())
+                             for entry in row] for row in self.bk]
+        return self._raw_bk
+
+    def relabeled(self, space: GradedSpace, name: str = "") -> "LieSuper":
+        """The same algebra on a relabeled basis of the same parities,
+        sharing this one's table (and its raw form, if already made)."""
+        if space.parities != self.space.parities:
+            raise ValueError("a relabeling must keep every parity")
+        return LieSuper(self.tower, space, self.bk, name=name,
+                        raw_bk=self._raw_bk)
 
     def bracket(self, u: dict, v: dict) -> dict:
         out: dict = {}
@@ -162,6 +185,33 @@ def subalgebra(g: LieSuper, vectors, name: str = "") -> tuple:
                     [[dense[j][i] for j in range(n)] for i in range(g.dim)],
                     parity=EVEN)
     return sub, emb
+
+
+def basis_subalgebra(g: LieSuper, indices, name: str = "") -> LieSuper:
+    """The subalgebra spanned by the basis vectors e_k, k in indices
+    (listed even-first), read off g's table: [e_a, e_b] keeps g's
+    constants, renumbered by position in indices, in g's key order.
+    Raises ValueError unless the span is closed under bracket."""
+    pos = {k: p for p, k in enumerate(indices)}
+    par = [g.space.parity(k) for k in indices]
+    if len(pos) != len(par) or par != sorted(par):
+        raise ValueError("subalgebra basis indices must be distinct and "
+                         "even-first")
+    bk = []
+    for k in indices:
+        row = g.bk[k]
+        out = []
+        for k2 in indices:
+            entry = {}
+            for t, s in row[k2].items():
+                p = pos.get(t)
+                if p is None:
+                    raise ValueError("basis vectors do not span a subalgebra")
+                entry[p] = s
+            out.append(entry)
+        bk.append(out)
+    space = GradedSpace(par.count(EVEN), par.count(ODD))
+    return LieSuper(g.tower, space, bk, name=name)
 
 
 def direct_sum(g1: LieSuper, g2: LieSuper, name: str = "") -> LieSuper:
@@ -389,23 +439,37 @@ class WeightModule:
 
     def maximal_weights(self):
         """Weights maximal for the partial order mu >= nu iff mu - nu is a
-        nonnegative integer combination of simple roots."""
+        nonnegative integer combination of simple roots.
+
+        Each weight's simple-root coordinates are taken once, relative to
+        the first weight whose difference from it is rational (the
+        reference of its class; weights of different classes are never
+        comparable), and split into an integer part and a fractional
+        part.  Two weights are comparable exactly when they share class
+        and fractional part, and then mu >= nu compares integer parts."""
         if self.qd is None:
             raise ValueError("weight comparison needs the root datum")
-        out = []
+        roots = self.qd.roots
+        refs = []
+        keyed = []   # per weight: (class and fractional part, integer part)
         for w in self.weights:
-            dominated = False
-            for w2 in self.weights:
-                if w2 == w:
-                    continue
-                delta = tuple(a - b for a, b in zip(w2, w))
-                dec = self.qd.roots.decompose_qplus(delta)
-                if dec is not None and any(dec):
-                    dominated = True
+            for c, ref in enumerate(refs):
+                sc = roots.scaled_coords(tuple(a - b for a, b in zip(w, ref)))
+                if sc is not None:
                     break
-            if not dominated:
-                out.append(w)
-        return out
+            else:
+                c, sc = len(refs), ((0,) * len(w), 1)
+                refs.append(w)
+            scaled, scale = sc
+            keyed.append(((c, tuple(Fraction(v % scale, scale)
+                                    for v in scaled)),
+                          tuple(v // scale for v in scaled)))
+        members: dict = {}
+        for key, ints in keyed:
+            members.setdefault(key, []).append(ints)
+        return [w for w, (key, ints) in zip(self.weights, keyed)
+                if not any(o != ints and all(a >= b for a, b in zip(o, ints))
+                           for o in members[key])]
 
     def singular_spaces(self, raising_gens):
         """Per weight, a basis of the joint kernel of the raising

@@ -44,10 +44,9 @@ class MapSuper:
         self.simple_raising_gens = [self.pair_index[(x, j)]
                                     for x in qd.simple_pos_indices
                                     for j in range(na)]
-        self.gen_root = {}
-        for (x, j), idx in self.pair_index.items():
-            w = qd.weight_of({x: self.g.tower.one()})
-            self.gen_root[idx] = w
+        # x (x) a_j has the ad-weight of x under h (x) 1
+        self.gen_root = {idx: qd.basis_root[x]
+                         for (x, _), idx in self.pair_index.items()}
 
     @property
     def tower(self) -> Tower:
@@ -70,7 +69,15 @@ class MapSuper:
 
 def tensor_lie(g, coeff: CoeffAlgebra) -> MapSuper:
     """Structure constants of g (x) A from those of g and A:
-    [x1 (x) f1, x2 (x) f2] = [x1, x2] (x) f1 f2."""
+    [x1 (x) f1, x2 (x) f2] = [x1, x2] (x) f1 f2.
+
+    Only nonzero brackets of g are visited.  Where f1 f2 is a single basis
+    element with coefficient exactly 1, the bracket's entries are copied,
+    not multiplied.  When A is one-dimensional with 1 * 1 = 1 (the base
+    field), g (x) A is g relabeled and shares g's table outright: no code
+    mutates a bracket table after construction.  Every bracket dict keeps
+    the key order of the entry-by-entry product, [x1, x2]'s entries major
+    and f1 f2's minor."""
     qd = None
     if isinstance(g, QueerData):
         qd, g = g, g.algebra
@@ -85,27 +92,40 @@ def tensor_lie(g, coeff: CoeffAlgebra) -> MapSuper:
             labels.append(f"{g.space.labels[xi]}(x){coeff.space.labels[aj]}")
             parities.append(g.space.parity(xi))
     space = GradedSpace.from_parities(parities, tuple(labels))
-    dim = len(labels)
+    name = f"{g.name}(x){coeff.name}"
     one = tower.one()
+    prods = [[tuple(coeff.product({p: one}, {q: one}).items())
+              for q in range(na)] for p in range(na)]
+    if na == 1 and prods[0][0] == ((0, one),):
+        return MapSuper(g, coeff, g.relabeled(space, name), pair_index,
+                        qd=qd)
+    # the terms (t, c) of each a_j a_l, with c None for a coefficient 1
+    terms = [[tuple((at, None if sa == one else sa) for at, sa in fp)
+              for fp in row] for row in prods]
+    dim = len(labels)
     bk = [[{} for _ in range(dim)] for _ in range(dim)]
-    prod_cache = [[coeff.product({p: one}, {q: one}) for q in range(na)]
-                  for p in range(na)]
-    for (xi, aj), r in pair_index.items():
-        for (xk, al), c in pair_index.items():
-            br = g.bk[xi][xk]
+    for xi, grow in enumerate(g.bk):
+        for xk, br in enumerate(grow):
             if not br:
                 continue
-            fprod = prod_cache[aj][al]
-            if not fprod:
-                continue
-            out = {}
-            for xt, s in br.items():
-                for at, sa in fprod.items():
-                    v = s * sa
-                    if not v.is_zero:
-                        out[pair_index[(xt, at)]] = v
-            bk[r][c] = out
-    algebra = LieSuper(tower, space, bk, name=f"{g.name}(x){coeff.name}")
+            for aj in range(na):
+                row = bk[xi * na + aj]
+                for al, fprod in enumerate(terms[aj]):
+                    if not fprod:
+                        continue
+                    if len(fprod) == 1 and fprod[0][1] is None:
+                        at = fprod[0][0]   # a_j a_l = a_t: copy
+                        row[xk * na + al] = {xt * na + at: s
+                                             for xt, s in br.items()}
+                        continue
+                    out = {}
+                    for xt, s in br.items():
+                        for at, sa in fprod:
+                            v = s if sa is None else s * sa
+                            if not v.is_zero:
+                                out[xt * na + at] = v
+                    row[xk * na + al] = out
+    algebra = LieSuper(tower, space, bk, name=name)
     return MapSuper(g, coeff, algebra, pair_index, qd=qd)
 
 

@@ -474,8 +474,7 @@ def adjoint_q_module(qd: QueerData) -> WeightModule:
     """The adjoint representation, graded by roots."""
     tower = qd.tower
     groups: dict = {}
-    for i in range(qd.dim):
-        w = qd.weight_of({i: tower.one()})
+    for i, w in enumerate(qd.basis_root):
         groups.setdefault(w, []).append(i)
     weights = sorted(groups, key=weight_sort_key)
     index = {w: {b: k for k, b in enumerate(groups[w])} for w in weights}
@@ -488,7 +487,7 @@ def adjoint_q_module(qd: QueerData) -> WeightModule:
             targets: dict = {}
             for col, b in enumerate(groups[w]):
                 for t, c in qd.algebra.bk[g][b].items():
-                    wt = qd.weight_of({t: tower.one()})
+                    wt = qd.basis_root[t]
                     tgt = targets.setdefault(
                         wt, zero_rows(tower, len(groups[wt]), len(groups[w])))
                     tgt[index[wt][t]][col] = tgt[index[wt][t]][col] + c

@@ -68,15 +68,16 @@ class RootDatum:
         i, j = pair
         return abs(j - i)
 
-    def decompose_qplus(self, delta):
-        """Write a weight difference as nonnegative-integer coordinates
-        over the simple roots, or return None.
+    def scaled_coords(self, delta):
+        """(N, scale) with N_m / scale the rational coordinate a_m of a
+        weight difference over the simple roots, or None when delta has
+        an entry outside Q.
 
         The coordinates solve delta_m = 2 a_m - a_{m-1} - a_{m+1}
         (a_0 = a_{n+1} = 0), whose matrix is rational and invertible, so
         a delta with an entry outside Q has no rational solution.  The
         system is solved exactly in integers: N_m = (n+1) D a_m, with D
-        the common denominator of delta."""
+        the common denominator of delta, and scale = (n+1) D."""
         n = self.n
         nums, dens = [], []
         for x in delta:
@@ -89,16 +90,24 @@ class RootDatum:
             dens.append(q[2])
         den = lcm(*dens)
         e = [a * (den // d) for a, d in zip(nums, dens)]   # D delta
-        scale = (n + 1) * den
         # a_1 = sum_m (n+1-m)/(n+1) delta_m is row 1 of the inverse Cartan
         # matrix; forward substitution a_{m+1} = 2 a_m - a_{m-1} - delta_m
         # then gives the unique solution, so the last equation holds
         scaled = [0, sum((n + 1 - m) * e[m - 1] for m in range(1, n + 1))]
         for m in range(1, n):
             scaled.append(2 * scaled[m] - scaled[m - 1] - (n + 1) * e[m - 1])
-        if any(v < 0 or v % scale for v in scaled[1:]):
+        return tuple(scaled[1:]), (n + 1) * den
+
+    def decompose_qplus(self, delta):
+        """Write a weight difference as nonnegative-integer coordinates
+        over the simple roots, or return None (scaled_coords)."""
+        sc = self.scaled_coords(delta)
+        if sc is None:
             return None
-        return tuple(v // scale for v in scaled[1:])
+        scaled, scale = sc
+        if any(v < 0 or v % scale for v in scaled):
+            return None
+        return tuple(v // scale for v in scaled)
 
 
 class QueerData:
@@ -137,9 +146,17 @@ class QueerData:
         # (A, B) pairs
         self.mats = [(_dense(tower, n1, m), zero) if p == EVEN
                      else (zero, _dense(tower, n1, m)) for p, m in units]
-        bk = _queer_structure(tower, n, units, self)
-        self.algebra = LieSuper(tower, self.space, bk, name=f"q({n})")
+        bk, raw_bk = _queer_structure(tower, n, units, self.index)
+        self.algebra = LieSuper(tower, self.space, bk, name=f"q({n})",
+                                raw_bk=raw_bk)
         self.roots = RootDatum(self)
+        # the ad-weight of each basis vector, read off where the basis is
+        # built: e[i,j] and e'[i,j] carry eps_i - eps_j, h_k and h'_k carry
+        # 0 (weight_of recomputes it by bracketing with every h_k)
+        zero_w = tuple(tower.zero() for _ in range(n))
+        self.basis_root = [zero_w] * n + \
+            [self.roots.root_tuple(p) for p in offdiag]
+        self.basis_root += self.basis_root
         # triangular parts (indices into the global basis)
         self.h0_indices = [self.index[f"h{i}"] for i in range(1, n + 1)]
         self.h1_indices = [self.index[f"h'{i}"] for i in range(1, n + 1)]
@@ -244,74 +261,102 @@ class QueerData:
         return GradedMap(tower, self.space, self.space, rows, parity=EVEN)
 
 
-def _queer_structure(tower: Tower, n: int, units, qd: QueerData):
-    """bk[i][j]: coordinates of [e_i, e_j], bracketing the basis matrices
-    as sparse integer matrices.  Coordinates come in the order of
-    QueerData.coords_of_pair: off-diagonal entries row by row, then the
-    partial sums of the diagonal on h_1..h_n.  The arithmetic stays in
-    integers; only the traceless projection of an anticommutator divides,
-    by n + 1.  Each distinct (numerator, denominator) becomes one Scalar,
-    shared by every entry that has it (Scalars are never mutated)."""
+def _queer_structure(tower: Tower, n: int, units, index: dict):
+    """(bk, raw_bk): bk[i][j] holds the coordinates of [e_i, e_j], and
+    raw_bk[i][j] the same entries as (k, raw) pairs in the same order
+    (the form of LieSuper.raw_bk).
+
+    The basis matrices are bracketed as sparse integer matrices, and only
+    pairs whose product can be nonzero are visited: x y needs a unit with
+    a row where x has a column, and y x a unit with a column where x has
+    a row.  Each unordered pair is bracketed once: [e_j, e_i] has the
+    entries of [e_i, e_j] in the same order, negated unless both are odd.
+    Coordinates come in the order of QueerData.coords_of_pair:
+    off-diagonal entries row by row, then the partial sums of the
+    diagonal on h_1..h_n.  The arithmetic stays in integers; only the
+    traceless projection of an anticommutator divides, by n + 1.  Each
+    distinct (numerator, denominator) becomes one Scalar and one raw
+    entry, shared by every entry that has it (neither is ever
+    mutated)."""
     n1 = n + 1
-    index = qd.index
+    dim = len(units)
     # coordinate indices by parity of the bracket: "" even, "'" odd
     off = {p: {(i, j): index[f"e{w}[{i + 1},{j + 1}]"]
                for i in range(n1) for j in range(n1) if i != j}
            for p, w in ((EVEN, ""), (ODD, "'"))}
     diag = {p: [index[f"h{w}{k + 1}"] for k in range(n)]
             for p, w in ((EVEN, ""), (ODD, "'"))}
-    # each unit's entries grouped by row: {row: [(column, value)]}
+    # each unit's entries grouped by row: {row: [(column, value)]}, and
+    # the units with an entry in each matrix row and column
     by_row = []
-    for _, x in units:
+    in_row: dict = {}
+    in_col: dict = {}
+    for u, (_, x) in enumerate(units):
         rows: dict = {}
         for (i, j), v in x.items():
             rows.setdefault(i, []).append((j, v))
+            in_row.setdefault(i, set()).add(u)
+            in_col.setdefault(j, set()).add(u)
         by_row.append(rows)
-    scalars: dict = {}
+    values: dict = {}
 
-    def scalar(num, den=1):
-        s = scalars.get((num, den))
-        if s is None:
-            s = scalars[(num, den)] = tower.from_fraction(Fraction(num, den))
-        return s
+    def value(num, den):
+        v = values.get((num, den))
+        if v is None:
+            s = tower.from_fraction(Fraction(num, den))
+            v = values[(num, den)] = (s, raw_of(s))
+        return v
 
-    bk = []
-    for (pi, x), xrows in zip(units, by_row):
-        row = []
-        for (pj, y), yrows in zip(units, by_row):
+    bk = [[{} for _ in range(dim)] for _ in range(dim)]
+    raw_bk = [[()] * dim for _ in range(dim)]
+    for a, ((pi, x), xrows) in enumerate(zip(units, by_row)):
+        partners = set()
+        for (i, k) in x:
+            partners.update(in_row.get(k, ()), in_col.get(i, ()))
+        for b in partners:
+            if b < a:
+                continue
+            pj, y = units[b]
             # x*y + sign*y*x: the anticommutator for two odd units
             sign = 1 if pi == pj == ODD else -1
-            m: dict = {}
-            for (i, k), a in x.items():
-                for j, b in yrows.get(k, ()):
-                    m[(i, j)] = m.get((i, j), 0) + a * b
-            for (i, k), a in y.items():
-                for j, b in xrows.get(k, ()):
-                    m[(i, j)] = m.get((i, j), 0) + sign * a * b
-            coords = {}
-            row.append(coords)
-            if not m:
-                continue
+            m: dict = {}   # off-diagonal entries
+            dg: dict = {}  # diagonal entries
+            for (i, k), c in x.items():
+                for j, d in by_row[b].get(k, ()):
+                    t = dg if i == j else m
+                    t[(i, j)] = t.get((i, j), 0) + c * d
+            for (i, k), c in y.items():
+                for j, d in xrows.get(k, ()):
+                    t = dg if i == j else m
+                    t[(i, j)] = t.get((i, j), 0) + sign * c * d
             offp, diagp = off[pi ^ pj], diag[pi ^ pj]
-            dvals = [m.pop((t, t), 0) for t in range(n1)]
-            for key in sorted(m):
-                if m[key]:
-                    coords[offp[key]] = scalar(m[key])
-            # partial sums of the diagonal; an anticommutator is projected
-            # back into the traceless slice, so its k-th partial sum loses
-            # (k + 1) tr / n1 (a commutator has trace 0)
-            tr = sum(dvals)
-            acc = 0
-            for k in range(n):
-                acc += dvals[k]
-                if tr:
-                    num = n1 * acc - (k + 1) * tr
-                    if num:
-                        coords[diagp[k]] = scalar(num, n1)
-                elif acc:
-                    coords[diagp[k]] = scalar(acc)
-        bk.append(row)
-    return bk
+            entries = [(offp[key], v, 1) for key, v in sorted(m.items()) if v]
+            if dg:
+                # partial sums of the diagonal; an anticommutator is
+                # projected back into the traceless slice, so its k-th
+                # partial sum loses (k + 1) tr / n1 (a commutator has
+                # trace 0)
+                tr = sum(dg.values())
+                acc = 0
+                for k in range(n):
+                    acc += dg.get((k, k), 0)
+                    if tr:
+                        num = n1 * acc - (k + 1) * tr
+                        if num:
+                            entries.append((diagp[k], num, n1))
+                    elif acc:
+                        entries.append((diagp[k], acc, 1))
+            if not entries:
+                continue
+            vals = [(k, value(v, d)) for k, v, d in entries]
+            bk[a][b] = {k: v[0] for k, v in vals}
+            raw_bk[a][b] = tuple((k, v[1]) for k, v in vals)
+            if b != a:
+                if sign < 0:
+                    vals = [(k, value(-v, d)) for k, v, d in entries]
+                bk[b][a] = {k: v[0] for k, v in vals}
+                raw_bk[b][a] = tuple((k, v[1]) for k, v in vals)
+    return bk, raw_bk
 
 
 def build_q(tower: Tower, n: int) -> QueerData:

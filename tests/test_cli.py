@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from queeralg import cli, liesuper
 from queeralg.cli import main
+from queeralg.queer import QueerData
 
 
 @pytest.fixture
@@ -218,6 +220,63 @@ def test_n_below_one_is_usage_error(files, capsys, command, n):
     if command[0] == "dims":
         args += ["--psi", files["psi"]]
     _one_line_usage_error(main(args), capsys)
+
+
+@pytest.mark.parametrize("command", [
+    ["classify"],
+    ["dims", "--depth", "0"],
+    ["decompose", "--factors", "trivial,adjoint"],
+])
+@pytest.mark.parametrize("n", ["13", "40"])
+def test_n_above_limit_is_usage_error(files, capsys, monkeypatch, command, n):
+    """The limit is checked before anything is built."""
+    def refuse(*args):
+        raise AssertionError("build_q ran for an --n above the limit")
+
+    monkeypatch.setattr(cli, "build_q", refuse)
+    args = command[:1] + ["--n", n] + command[1:]
+    if command[0] == "dims":
+        args += ["--psi", files["psi"]]
+    rc = main(args)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: --n must be at most {cli.MAX_N}, not {n}\n"
+
+
+def test_setup_reads_structure_instead_of_rederiving(files, monkeypatch):
+    """dims and classify take h's table, the generator roots and the
+    adjoint's weights from what the basis of q(n) records: no dense
+    subalgebra solve and no bracketing of basis vectors with h."""
+    calls = {"subalgebra": 0, "weight_of": 0}
+    orig_sub = liesuper.subalgebra
+    orig_weight_of = QueerData.weight_of
+
+    def counted_sub(*args, **kw):
+        calls["subalgebra"] += 1
+        return orig_sub(*args, **kw)
+
+    def counted_weight_of(self, coords):
+        calls["weight_of"] += 1
+        return orig_weight_of(self, coords)
+
+    # every module that imported the function by name
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("queeralg") and \
+                getattr(mod, "subalgebra", None) is orig_sub:
+            monkeypatch.setattr(mod, "subalgebra", counted_sub)
+    monkeypatch.setattr(QueerData, "weight_of", counted_weight_of)
+    psi = files["dir"] / "psi3.json"
+    psi.write_text(json.dumps({"values": [["h1", "1", "1"],
+                                          ["h3", "1", "2"]]}))
+    out = files["dir"] / "out.json"
+    assert main(["dims", "--n", "3", "--psi", str(psi), "--depth", "1",
+                 "--out", str(out)]) == 0
+    assert main(["classify", "--n", "2", "--algebra", files["two"],
+                 "--out", str(out)]) == 0
+    assert calls == {"subalgebra": 0, "weight_of": 0}
+    # the wrappers do count: verify's queer suite calls both
+    assert main(["verify", "queer", "--out", str(out)]) == 0
+    assert calls["subalgebra"] > 0 and calls["weight_of"] > 0
 
 
 def _algebra_matrix_group(on_algebra):

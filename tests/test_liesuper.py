@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from queeralg.assocsuper import make_M, make_Q
 from queeralg.coeffalg import preset_truncated
@@ -123,3 +126,79 @@ def test_lie_module_check(K):
     bad = WeightModule.from_flat(qd.algebra, qd.space, [adj[0] * 2] + adj[1:])
     with pytest.raises(AssertionError, match="module relation fails"):
         bad.check()
+
+
+# -- maximal_weights against the pairwise comparison it replaced
+
+def pairwise_maximal_weights(m):
+    """Reference: the pairwise comparison of WeightModule.maximal_weights
+    that integer coordinates replaced."""
+    out = []
+    for w in m.weights:
+        dominated = False
+        for w2 in m.weights:
+            if w2 == w:
+                continue
+            delta = tuple(a - b for a, b in zip(w2, w))
+            dec = m.qd.roots.decompose_qplus(delta)
+            if dec is not None and any(dec):
+                dominated = True
+                break
+        if not dominated:
+            out.append(w)
+    return out
+
+
+MW = Tower()
+SQRT2 = MW.adjoin_sqrt(MW.from_int(2))
+
+
+@pytest.fixture(scope="module")
+def mw_queers():
+    return {n: build_q(MW, n) for n in (2, 3)}
+
+
+def test_maximal_weights_match_pairwise_on_classify_rows():
+    from queeralg.coeffalg import preset_truncated
+    from queeralg.products import Catalog, _assignments, ev_hat
+    K = Tower()
+    q2 = build_q(K, 2)
+    a = preset_truncated(K, [-K.one(), K.zero(), K.one()],
+                         [(K.one(), 1), (-K.one(), 1)])
+    ms = tensor_lie(q2, a)
+    catalog = Catalog(q2)
+    for assign in _assignments([[0], [1]], catalog.names()):
+        module, _ = ev_hat(ms, assign, catalog)
+        assert module.maximal_weights() == pairwise_maximal_weights(module)
+
+
+# entries of a class's base weight: integers, a fraction, Gaussian
+# rationals and an element outside Q(i)
+_BASE_ENTRIES = [MW.from_int(0), MW.from_int(1), MW.from_int(-2),
+                 MW.from_fraction(Fraction(1, 3)), MW.i(), MW.one() + MW.i(),
+                 SQRT2]
+# simple-root multiplicities, some fractional (incomparable shifts)
+_MULTS = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2),
+          Fraction(3, 2), Fraction(-1)]
+
+
+@settings(max_examples=60)
+@given(n=st.sampled_from([2, 3]), data=st.data())
+def test_maximal_weights_match_pairwise_on_random_weights(mw_queers, n,
+                                                          data):
+    qd = mw_queers[n]
+    alphas = [qd.roots.root_tuple((k, k + 1)) for k in range(1, n + 1)]
+    weights = set()
+    for _ in range(data.draw(st.integers(1, 3))):
+        base = data.draw(st.lists(st.sampled_from(_BASE_ENTRIES),
+                                  min_size=n, max_size=n))
+        for _ in range(data.draw(st.integers(1, 6))):
+            mults = data.draw(st.lists(st.sampled_from(_MULTS),
+                                       min_size=n, max_size=n))
+            w = list(base)
+            for c, alpha in zip(mults, alphas):
+                w = [x - MW.from_fraction(c) * y for x, y in zip(w, alpha)]
+            weights.add(tuple(w))
+    m = WeightModule(qd.algebra, MW, weights, {w: () for w in weights}, [],
+                     qd=qd)
+    assert m.maximal_weights() == pairwise_maximal_weights(m)

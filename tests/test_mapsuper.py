@@ -7,13 +7,14 @@ from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
 from queeralg.coeffalg import (IdealRep, gamma_from_spec, preset_base_field,
                                preset_truncated, radical, support)
 from queeralg.graded import GradedMap, GradedSpace, mat_kernel, mat_rank
-from queeralg.liesuper import LieSuper, WeightModule, subalgebra
+from queeralg.liesuper import (LieSuper, WeightModule, basis_subalgebra,
+                               subalgebra)
 from queeralg.mapsuper import (EvMap, ann_and_support,
                                ann_and_support_gamma, ev_gamma_rank,
                                gamma_element_action, invariants, tensor_lie)
 from queeralg.products import Catalog, classify_enumerate
 from queeralg.queer import build_q
-from queeralg.scalars import Tower
+from queeralg.scalars import Tower, raw_of
 
 
 @pytest.fixture
@@ -69,6 +70,118 @@ def test_tensor_jacobi_spot_checks(K, q2):
     triples = [(rng.randrange(32), rng.randrange(32), rng.randrange(32))
                for _ in range(40)]
     ms.algebra.check(triples=triples)
+
+
+# -- the setup shortcuts of tensor_lie, MapSuper.gen_root and CartanAlgebra,
+# each against the computation it replaced
+
+SHORTCUT_K = Tower()
+
+
+@pytest.fixture(scope="module")
+def queers():
+    with pytest.warns(UserWarning, match="not simple"):
+        q1 = build_q(SHORTCUT_K, 1)
+    return {1: q1, **{n: build_q(SHORTCUT_K, n) for n in (2, 3, 4)}}
+
+
+def shortcut_algebra(name):
+    """The coefficient algebras of the shortcut tests.  t^4 - 16 and
+    t^2 (t - 1) give products with coefficients other than 1 (t^4 = 16)
+    and products that are other basis elements (t^3 = t^2); t^2 - t - 2
+    gives products with several terms (t^2 = t + 2)."""
+    K = SHORTCUT_K
+    one, zero, f = K.one(), K.zero(), K.from_int
+    if name == "base":
+        return preset_base_field(K)
+    modulus, roots = {
+        "dual": ([zero, zero, one], [(zero, 2)]),
+        "two_point": ([-one, zero, one], [(one, 1), (-one, 1)]),
+        "t4-16": ([f(-16), zero, zero, zero, one],
+                  [(f(2), 1), (f(-2), 1), (f(2) * K.i(), 1),
+                   (f(-2) * K.i(), 1)]),
+        "t2(t-1)": ([zero, zero, -one, one], [(zero, 2), (one, 1)]),
+        "t2-t-2": ([f(-2), -one, one], [(f(2), 1), (-one, 1)]),
+    }[name]
+    return preset_truncated(K, modulus, roots)
+
+
+SHORTCUT_ALGEBRAS = ["base", "dual", "two_point", "t4-16", "t2(t-1)",
+                     "t2-t-2"]
+
+
+def multiply_every_entry(g, coeff):
+    """Reference for tensor_lie: every entry of every bracket of g times
+    every term of every product of A, on Scalars."""
+    one = g.tower.one()
+    na = coeff.dim
+    dim = g.dim * na
+    bk = [[{} for _ in range(dim)] for _ in range(dim)]
+    for xi in range(g.dim):
+        for aj in range(na):
+            for xk in range(g.dim):
+                for al in range(na):
+                    fprod = coeff.product({aj: one}, {al: one})
+                    out = {}
+                    for xt, s in g.bk[xi][xk].items():
+                        for at, sa in fprod.items():
+                            v = s * sa
+                            if not v.is_zero:
+                                out[xt * na + at] = v
+                    bk[xi * na + aj][xk * na + al] = out
+    return bk
+
+
+def _items(bk):
+    return [[list(d.items()) for d in row] for row in bk]
+
+
+@pytest.mark.parametrize("alg", SHORTCUT_ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tensor_lie_matches_entrywise_product(queers, n, alg):
+    qd, coeff = queers[n], shortcut_algebra(alg)
+    ms = tensor_lie(qd, coeff)
+    assert _items(ms.algebra.bk) == _items(multiply_every_entry(qd.algebra,
+                                                                coeff))
+    if alg == "base":
+        # the base field shares q's table and its raw form
+        assert ms.algebra.bk is qd.algebra.bk
+        assert ms.algebra.raw_bk is qd.algebra.raw_bk
+    assert ms.algebra.raw_bk == [
+        [tuple((k, raw_of(c)) for k, c in d.items()) for d in row]
+        for row in ms.algebra.bk]
+
+
+@pytest.mark.parametrize("alg", SHORTCUT_ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gen_root_matches_weight_of(queers, n, alg):
+    qd = queers[n]
+    ms = tensor_lie(qd, shortcut_algebra(alg))
+    one = SHORTCUT_K.one()
+    assert list(ms.gen_root) == list(range(ms.dim))
+    for (x, _), idx in ms.pair_index.items():
+        assert ms.gen_root[idx] == qd.weight_of({x: one})
+
+
+@pytest.mark.parametrize("alg", SHORTCUT_ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cartan_table_matches_subalgebra_solve(queers, n, alg):
+    qd = queers[n]
+    one = SHORTCUT_K.one()
+    ref, _ = subalgebra(qd.algebra, [{i: one} for i in qd.cartan_indices],
+                        name="h")
+    h = CartanAlgebra(qd, shortcut_algebra(alg)).h
+    assert _items(h.bk) == _items(ref.bk)
+    assert h.space.parities == ref.space.parities
+
+
+def test_basis_subalgebra_rejects_a_span_that_is_not_closed(queers):
+    qd = queers[2]
+    # [e[1,2], e[2,1]] = h1 is outside the span of the two root vectors
+    with pytest.raises(ValueError, match="do not span a subalgebra"):
+        basis_subalgebra(qd.algebra, [qd.index["e[1,2]"], qd.index["e[2,1]"]])
+    with pytest.raises(ValueError, match="even-first"):
+        basis_subalgebra(qd.algebra, qd.h1_indices + qd.h0_indices)
 
 
 def test_invariants_trivial_group(K, q2):

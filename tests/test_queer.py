@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from queeralg.liesuper import is_simple, is_solvable, subalgebra
 from queeralg.queer import build_q, build_q_tilde, cartan_generation_check
-from queeralg.scalars import Tower
+from queeralg.scalars import Tower, raw_of
 
 
 @pytest.fixture
@@ -182,6 +182,16 @@ def test_structure_constants_match_dense_oracle(K, n):
     # same constants, and the same key order (it reaches act_on and reports)
     assert [[list(d.items()) for d in row] for row in qd.algebra.bk] == \
         [[list(d.items()) for d in row] for row in ref]
+
+
+@pytest.mark.filterwarnings("ignore:q\\(1\\) is not simple")
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_raw_table_matches_structure_constants(K, n):
+    """build_q emits the raw table with the Scalar one; it must be the
+    conversion of every entry, in the same key order."""
+    alg = build_q(K, n).algebra
+    assert alg.raw_bk == [[tuple((k, raw_of(c)) for k, c in d.items())
+                           for d in row] for row in alg.bk]
 
 
 def scalar_decompose_qplus(tower, n, delta):
