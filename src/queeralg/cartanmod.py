@@ -15,7 +15,7 @@ from .assocsuper import (QuadraticPair, clifford_generators,
                          density_type_from_maps)
 from .coeffalg import CoeffAlgebra, IdealRep, quotient_algebra
 from .graded import (GradedMap, GradedSpace, Span, homogeneous_entries,
-                     mat_kernel, odd_schur, solve_right, zero_rows)
+                     mat_kernel, odd_schur, solve_columns, zero_rows)
 from .liesuper import WeightModule, basis_subalgebra, is_isomorphic_weight
 from .mapsuper import tensor_lie
 from .queer import QueerData
@@ -167,8 +167,20 @@ def i_psi(psi: PsiFunctional) -> IdealRep:
 
 class CliffordData:
     """The quadratic data extracted from psi: the quotient A/I_psi, the
-    form f_psi(x, y) = psi([x, y]) on the odd part, its radical, the
-    nondegenerate reduction and the distinguished even element z."""
+    form f_psi(x, y) = psi([x, y]) on the odd part h' (x) A/I_psi, its
+    radical and the nondegenerate reduction.
+
+    The odd basis is adapted to the points of A/I_psi: for each kept
+    point x, in declared order, the pairs h'_i (x) v over the RREF basis v
+    of e_x A/I_psi (i major), with e_x the point's idempotent.  Since
+    e_x e_y = 0 for x != y, gram is block diagonal by point, so the
+    Clifford generators pair lines of one point and each square root they
+    adjoin is one point's square class.  With one point the block is the
+    whole quotient in its monomial basis, and no idempotent is computed.
+    odd_basis lists the pairs (i, v) with v a coordinate dict on A/I_psi;
+    gram, reduced_indices and reduced_gram refer to that basis, while
+    radical_vectors and _proj_rows are in monomial coordinates, entry
+    i * dim(A/I_psi) + j for h'_i (x) the j-th basis vector of A/I_psi."""
 
     def __init__(self, psi: PsiFunctional):
         if psi.is_zero():
@@ -176,53 +188,62 @@ class CliffordData:
                              "is trivial")
         ctx = psi.ctx
         tower = ctx.tower
+        one = tower.one()
         self.psi = psi
         self.ideal = i_psi(psi)
-        self.quotient = quotient_algebra(ctx.coeff, self.ideal)
-        nq = self.quotient.dim
-        self.odd_basis = [(i, j) for i in range(ctx.n) for j in range(nq)]
+        quotient = self.quotient = quotient_algebra(ctx.coeff, self.ideal)
+        nq = quotient.dim
+        if len(quotient.points) > 1:
+            blocks = []
+            for e in quotient.idempotents:
+                piece = Span(tower, [quotient.product(e, {j: one})
+                                     for j in range(nq)])
+                blocks.append([{k: x for k, x in enumerate(row)
+                                if not x.is_zero}
+                               for row in piece.basis_vectors(nq)])
+        else:
+            blocks = [[{j: one} for j in range(nq)]]
+        hbr = [[ctx.odd_bracket_even_coords(i1, i2) for i2 in range(ctx.n)]
+               for i1 in range(ctx.n)]
+        self.odd_basis = [(i, v) for block in blocks
+                          for i in range(ctx.n) for v in block]
         n_odd = len(self.odd_basis)
-        # Gram matrix of f_psi on h' (x) A/I
+        # Gram matrix of f_psi, one diagonal block per point
         gram = zero_rows(tower, n_odd, n_odd)
-        for a, (i1, j1) in enumerate(self.odd_basis):
-            for b, (i2, j2) in enumerate(self.odd_basis):
-                hbr = ctx.odd_bracket_even_coords(i1, i2)
-                prod_q = self.quotient.product({j1: tower.one()},
-                                               {j2: tower.one()})
-                prod_a = self.quotient.lift(prod_q)
-                gram[a][b] = psi.eval_even(hbr, prod_a)
+        start = 0
+        for block in blocks:
+            prods = [[quotient.lift(quotient.product(u, v)) for v in block]
+                     for u in block]
+            size = len(block)
+            for a in range(start, start + ctx.n * size):
+                i1, k1 = divmod(a - start, size)
+                for b in range(start, start + ctx.n * size):
+                    i2, k2 = divmod(b - start, size)
+                    gram[a][b] = psi.eval_even(hbr[i1][i2], prods[k1][k2])
+            start += ctx.n * size
         self.gram = gram
         gram_span = Span(tower, gram)
         pivots = sorted(gram_span.rows)
-        self.radical_vectors = gram_span.kernel(n_odd)
         self.reduced_indices = pivots
         self.rank = len(pivots)
         self.reduced_gram = [[gram[p][q] for q in pivots] for p in pivots]
-        # distinguished even element z with psi(z) = 1
-        self.z = None
-        for i in range(ctx.n):
-            for j in range(ctx.na):
-                v = psi.value(i, j)
-                if not v.is_zero:
-                    self.z = {("h", i, j): v.inv()}
-                    break
-            if self.z:
-                break
-        # projection to the reduced odd coordinates, modulo the radical
-        unit_cols = [[tower.one() if t == p else tower.zero()
-                      for t in range(n_odd)] for p in pivots]
-        cols = unit_cols + self.radical_vectors
+
+        def monomial(terms):
+            """sum c * odd_basis[a] over (a, c) in terms, in monomial
+            coordinates."""
+            out = [tower.zero()] * n_odd
+            for a, c in terms:
+                i, v = self.odd_basis[a]
+                for j, x in v.items():
+                    out[i * nq + j] = out[i * nq + j] + c * x
+            return out
+        self.radical_vectors = [monomial(enumerate(k))
+                                for k in gram_span.kernel(n_odd)]
+        # projection to the reduced odd coordinates, modulo the radical:
+        # columns are the pivot basis vectors, then the radical
+        cols = [monomial([(p, one)]) for p in pivots] + self.radical_vectors
         self._proj_rows = [[cols[c][t] for c in range(len(cols))]
                            for t in range(n_odd)]
-
-    def reduce_odd(self, vec):
-        """Coordinates of an odd vector over the reduced basis (its class
-        modulo the radical)."""
-        tower = self.psi.ctx.tower
-        sol = solve_right(self._proj_rows, vec, len(self._proj_rows[0]), tower)
-        if sol is None:
-            raise AssertionError("odd vector outside span of reduction data")
-        return sol[:self.rank]
 
 
 class HModule:
@@ -272,16 +293,24 @@ class HModule:
         for i in range(ctx.n):
             for j in range(ctx.na):
                 mats.append(ident * psi.value(i, j))
+        # reduced coordinates of every odd pair h'_i (x) a_j, modulo the
+        # radical, from one elimination
         nq = data.quotient.dim
+        proj = data._proj_rows
+        rhs = []
         for i in range(ctx.n):
             for j in range(ctx.na):
-                abar = data.quotient.project({j: tower.one()})
-                vec = [tower.zero()] * len(data.odd_basis)
-                for jq, c in abar.items():
+                vec = [tower.zero()] * len(proj)
+                for jq, c in data.quotient.project({j: tower.one()}).items():
                     vec[i * nq + jq] = c
-                mats.append(GradedMap.combination(
-                    tower, self.carrier, self.carrier,
-                    zip(data.reduce_odd(vec), gen_maps)))
+                rhs.append(vec)
+        sols = solve_columns(proj, rhs, len(proj[0]), tower)
+        if sols is None:
+            raise AssertionError("odd vector outside span of reduction data")
+        for sol in sols:
+            mats.append(GradedMap.combination(
+                tower, self.carrier, self.carrier,
+                zip(sol[:data.rank], gen_maps)))
         self.cartan_mats = mats
 
     @property

@@ -170,13 +170,14 @@ def cmd_dims(args) -> int:
     vm = TruncatedVerma(ms, psi, args.depth)
     sq = SimpleQuotient(vm)
     sing = sq.singular_dims
-    betas = sorted(vm.dims_by_weight(), key=lambda b: (sum(b), b))
+    induced = vm.dims_by_weight()
+    betas = sorted(induced, key=lambda b: (sum(b), b))
     rows = []
     for beta in betas:
         if sq.quot_dims.get(beta, 0) == 0 and sum(beta) > 0:
             continue
         rows.append({"weight_coords": list(beta),
-                     "induced_dim": vm.dims_by_weight()[beta],
+                     "induced_dim": induced[beta],
                      "simple_dim": sq.quot_dims.get(beta, 0),
                      "singular_dim": sing[beta]})
     report = {"command": "dims", "n": args.n, "depth": args.depth,

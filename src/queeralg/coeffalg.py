@@ -10,9 +10,11 @@ computation in scope.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .assocsuper import AssocSuper
 from .graded import (EVEN, GradedMap, GradedSpace, Span, identity_rows,
-                     mat_kernel, mat_mul, zero_rows)
+                     mat_kernel, mat_mul, solve_columns, zero_rows)
 from .scalars import Scalar, Tower, scalar_from_json
 
 
@@ -52,6 +54,49 @@ class CoeffAlgebra(AssocSuper):
         for i, c in coords.items():
             acc = acc + chi[i] * c
         return acc
+
+    @cached_property
+    def idempotents(self) -> list:
+        """The primitive idempotents e_x, one per declared point in
+        declared order, as coordinate dicts: e_x e_y = delta_xy e_x, the
+        e_x sum to the unit and ev_y(e_x) = delta_xy, so A is the product
+        of its local pieces e_x A.  With at most one declared point this is
+        [unit], and nothing is solved.
+
+        A solution u of ev_y(u) = delta_xy is idempotent modulo the
+        nilradical N.  If u^2 - u = eps, then u' = 3u^2 - 2u^3 keeps the
+        values at the points and u'^2 - u' = 4 eps^3 - 3 eps^2, so each
+        round squares the power of N that eps lies in; N^dim A = 0, so u is
+        idempotent after at most ceil(log2 dim A) + 1 rounds
+        (AssertionError otherwise)."""
+        if len(self.points) <= 1:
+            return [dict(self.unit)]
+        tower = self.tower
+        n = self.dim
+        zero, one = tower.zero(), tower.one()
+        deltas = [[one if y == x else zero for y in range(len(self.points))]
+                  for x in range(len(self.points))]
+        sols = solve_columns(self.eval_functionals, deltas, n, tower)
+        if sols is None:
+            raise AssertionError("the evaluations at the declared points "
+                                 "are not independent")
+        rounds = (n - 1).bit_length() + 1
+        out = []
+        for sol in sols:
+            u = {k: c for k, c in enumerate(sol) if not c.is_zero}
+            for _ in range(rounds):
+                u2 = self.product(u, u)
+                if u2 == u:
+                    break
+                u3 = self.product(u2, u)
+                u = {k: c for k in sorted(set(u2) | set(u3))
+                     if not (c := u2.get(k, zero) * 3
+                             - u3.get(k, zero) * 2).is_zero}
+            else:
+                raise AssertionError("idempotent lift did not converge in "
+                                     f"{rounds} rounds")
+            out.append(u)
+        return out
 
 
 class IdealRep:
@@ -261,8 +306,10 @@ class QuotientAlgebra(CoeffAlgebra):
         self.free_indices = free
         self.project = project
         # surviving maximal ideals (those containing I)
+        self.kept_points = []
         for k, m in enumerate(source.maximal_ideals):
             if ideal.is_subideal_of(m):
+                self.kept_points.append(k)
                 gen_imgs = [project(v) for v in m.basis]
                 self.maximal_ideals.append(
                     IdealRep.from_generators(self, gen_imgs))
@@ -271,6 +318,17 @@ class QuotientAlgebra(CoeffAlgebra):
                 if source.eval_functionals:
                     chi = source.eval_functionals[k]
                     self.eval_functionals.append([chi[i] for i in free])
+
+    @cached_property
+    def idempotents(self) -> list:
+        """The images of the source's idempotents at the kept points: the
+        idempotent of a dropped point y lies in I (I is not inside m_y, so
+        I contains the whole local piece e_y A), so these still sum to
+        the unit."""
+        if len(self.points) <= 1:
+            return [dict(self.unit)]
+        src = self.source.idempotents
+        return [self.project(src[k]) for k in self.kept_points]
 
     def lift(self, coords: dict) -> dict:
         """Section: representative in the source algebra."""

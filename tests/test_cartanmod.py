@@ -35,6 +35,14 @@ def ctx_over(K, q2, which):
     if which == "two":
         return CartanAlgebra(q2, preset_truncated(
             K, [-K.one(), K.zero(), K.one()], [(K.one(), 1), (-K.one(), 1)]))
+    if which == "four":   # K[t]/(t^4 - 1)
+        return CartanAlgebra(q2, preset_truncated(
+            K, [-K.one(), K.zero(), K.zero(), K.zero(), K.one()],
+            [(K.one(), 1), (-K.one(), 1), (K.i(), 1), (-K.i(), 1)]))
+    if which == "cusp":   # K[t]/(t^2 (t - 1)): a double point and a simple one
+        return CartanAlgebra(q2, preset_truncated(
+            K, [K.zero(), K.zero(), -K.one(), K.one()],
+            [(K.zero(), 2), (K.one(), 1)]))
     raise ValueError(which)
 
 
@@ -265,6 +273,23 @@ def test_classify_cartan_module_roundtrip(K, q2):
     assert got2 == psi
 
 
+def test_classify_cartan_module_over_a_double_point(K, q2):
+    """Over K[t]/(t^2 (t - 1)) a functional with I_psi = 0 has rank 6, so
+    H(psi) has dimension 8; classify recovers psi from the rebuild with
+    reversed pivots, a different basis of the same module."""
+    ctx = ctx_over(K, q2, "cusp")
+    psi = PsiFunctional(ctx, [K.from_int(v) for v in (1, 1, 0, 0, 2, 1)])
+    h = build_H(psi)
+    assert (h.rank, h.dim) == (6, 8)
+    mod = h.as_lie_module()
+    mod.check()
+    assert density_type_from_maps(mod.mats, mod.space, K).kind == "full"
+    rebuilt = build_H(psi, pivot_order=list(range(h.rank))[::-1])
+    got, wit = classify_cartan_module(rebuilt.as_lie_module(), ctx)
+    assert got == psi
+    assert wit.rank() == h.dim
+
+
 def test_non_reduced_support_flagged(K, q2):
     # t-dependent functional over the dual numbers: the annihilator is the
     # zero ideal, whose radical is the maximal ideal, so the support is
@@ -360,3 +385,91 @@ def test_span_add_under_positional_wrapper(monkeypatch):
     d = density_type_from_maps(mod.mats, mod.space, h.ctx.tower)
     assert d.kind == "full" and d.closure_dim == h.dim ** 2
     assert before > 0 and len(calls) > before
+
+
+# ---------------------------------------------------------------------------
+# The odd basis adapted to the points of A/I_psi
+# ---------------------------------------------------------------------------
+
+
+def _point_of(quotient, v):
+    """The point x with e_x v = v, for v in one local piece e_x A/I."""
+    found = [x for x, e in enumerate(quotient.idempotents)
+             if quotient.product(e, v) == v]
+    assert len(found) == 1
+    return found[0]
+
+
+@pytest.mark.parametrize("which,values", [
+    ("two", (1, 2, -1, 1)),
+    ("four", (1, 2, 0, -1, 3, 0, 1, 1)),
+    ("cusp", (1, 1, 0, 0, 2, 1)),
+])
+def test_gram_is_block_diagonal_by_point(K, q2, which, values):
+    """Each odd basis vector lies in one point's piece, the points come in
+    declared order, and f_psi, evaluated here on every pair of them, is
+    zero across points and equals the stored Gram within a point."""
+    ctx = ctx_over(K, q2, which)
+    psi = PsiFunctional(ctx, [K.from_int(v) for v in values])
+    data = CliffordData(psi)
+    quotient = data.quotient
+    assert len(quotient.points) == len(ctx.coeff.points)
+    points = [_point_of(quotient, v) for _, v in data.odd_basis]
+    assert points == sorted(points)
+    assert len(set(points)) == len(quotient.points)
+    for a, (i1, v1) in enumerate(data.odd_basis):
+        for b, (i2, v2) in enumerate(data.odd_basis):
+            f = psi.eval_even(ctx.odd_bracket_even_coords(i1, i2),
+                              quotient.lift(quotient.product(v1, v2)))
+            assert data.gram[a][b] == f
+            if points[a] != points[b]:
+                assert f.is_zero
+    h = build_H(psi)
+    assert h.rank == data.rank
+    h.as_lie_module().check()
+
+
+def test_one_point_quotient_computes_no_idempotent(K, q2, monkeypatch):
+    """A quotient with one point (the base field, the dual numbers, psi
+    supported at one of two points) keeps the monomial odd basis."""
+    from queeralg.coeffalg import CoeffAlgebra, QuotientAlgebra
+
+    def refuse(self):
+        raise AssertionError("idempotents computed")
+    monkeypatch.setattr(CoeffAlgebra, "idempotents", property(refuse))
+    monkeypatch.setattr(QuotientAlgebra, "idempotents", property(refuse))
+    cases = [("C", PsiFunctional(ctx_over(K, q2, "C"), [K.one(), K.zero()])),
+             ("dual", PsiFunctional(ctx_over(K, q2, "dual"),
+                                    [K.one(), K.one(), K.zero(), K.one()])),
+             ("two", PsiFunctional.evaluation(ctx_over(K, q2, "two"), 1,
+                                              [2, -1]))]
+    for which, psi in cases:
+        data = CliffordData(psi)
+        nq = data.quotient.dim
+        assert data.odd_basis == [(i, {j: K.one()}) for i in range(2)
+                                  for j in range(nq)]
+        build_H(psi).as_lie_module().check()
+
+
+def test_two_point_tower_stays_at_height_two():
+    """Work counter: 50 seeded functionals on q(2) (x) K[t]/(t^2 - 1),
+    drawn as in the cartan-corpus benchmark.  With the odd basis split by
+    point, every square root the Clifford generators adjoin is one point's
+    square class, and the rebuild with reversed pivots finds the same
+    classes, so the tower ends at height at most 2 (one root per point).
+    On the monomial basis most of these inputs reached height 3."""
+    heights = []
+    for seed in range(50):
+        rng = random.Random(seed)
+        K = Tower()
+        ctx = ctx_over(K, build_q(K, 2), "two")
+        vals = [(0, 0)]
+        while all(v == (0, 0) for v in vals):
+            vals = [(rng.randint(-3, 3), rng.randint(-1, 1))
+                    for _ in range(ctx.n_even)]
+        psi = PsiFunctional(ctx, [K.from_int(x) + K.i() * y
+                                  for x, y in vals])
+        h = build_H(psi)
+        build_H(psi, pivot_order=list(range(h.rank))[::-1] or None)
+        heights.append(K.height)
+    assert max(heights) <= 2

@@ -101,6 +101,65 @@ def test_quotient_algebra(K):
     q.check()
 
 
+def cusp_point(K):
+    # K[t]/(t^2 (t - 1)): a double point at t = 0 and a simple one at t = 1
+    return preset_truncated(K, [K.zero(), K.zero(), -K.one(), K.one()],
+                            [(K.zero(), 2), (K.one(), 1)])
+
+
+def _assert_split_unit(a, es):
+    """es are orthogonal idempotents summing to the unit, with
+    ev_y(e_x) = delta_xy."""
+    K = a.tower
+    assert len(es) == len(a.points)
+    total = {}
+    for x, ex in enumerate(es):
+        for y, ey in enumerate(es):
+            assert a.product(ex, ey) == (ex if x == y else {})
+            assert a.evaluate(y, ex) == (K.one() if x == y else K.zero())
+        for k, c in ex.items():
+            total[k] = total.get(k, K.zero()) + c
+    assert {k: c for k, c in total.items() if not c.is_zero} == a.unit
+
+
+@pytest.mark.parametrize("make", [two_point, four_point, cusp_point])
+def test_idempotents_split_the_unit(K, make):
+    a = make(K)
+    _assert_split_unit(a, a.idempotents)
+    assert a.idempotents is a.idempotents   # cached
+
+
+def test_idempotent_of_a_double_point_is_lifted(K):
+    # the evaluations alone give u = 1 - t at t = 0, which is not
+    # idempotent modulo t^2; the lift reaches 1 - t^2
+    a = cusp_point(K)
+    assert a.idempotents == [{0: K.one(), 2: -K.one()}, {2: K.one()}]
+
+
+@pytest.mark.parametrize("make", [preset_base_field, dual_numbers])
+def test_one_point_idempotent_is_the_unit_without_a_solve(K, make,
+                                                          monkeypatch):
+    import queeralg.coeffalg as coeffalg
+
+    def refuse(*args):
+        raise AssertionError("solve_columns called")
+    monkeypatch.setattr(coeffalg, "solve_columns", refuse)
+    a = make(K)
+    assert a.idempotents == [a.unit]
+
+
+def test_quotient_keeps_the_idempotents_of_its_points(K):
+    a = cusp_point(K)
+    m0, m1 = a.maximal_ideals
+    # K[t]/(t (t - 1)): both points survive, each simple
+    q = quotient_algebra(a, ideal_product(m0, m1))
+    assert q.kept_points == [0, 1]
+    _assert_split_unit(q, q.idempotents)
+    # K[t]/(t^2), the double point alone: one point, the unit
+    q0 = quotient_algebra(a, ideal_product(m0, m0))
+    assert q0.kept_points == [0] and q0.idempotents == [q0.unit]
+
+
 def test_gamma_validate_flip_two_points(K):
     a = two_point(K)
     qd = build_q(K, 2)
