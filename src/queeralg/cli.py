@@ -260,13 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=7)
         sp.add_argument("--format", choices=("text", "structured"),
                         default="text")
         sp.add_argument("--out", default=None)
 
     pv = sub.add_parser("verify", help="run named verification suites")
     pv.add_argument("suite", choices=tuple(SUITES) + ("all",))
+    pv.add_argument("--seed", type=int, default=7)
     common(pv)
     pv.set_defaults(func=cmd_verify)
 

@@ -175,8 +175,9 @@ def preset_truncated(tower: Tower, modulus, roots) -> CoeffAlgebra:
     """K[t]/(f) for a monic split f with declared roots.
 
     modulus: coefficient list c0..cd (ascending, monic).
-    roots: list of (root, multiplicity); the product of (t - a)^k must
-    reproduce f exactly, and every root must lie in the tower.
+    roots: list of (root, multiplicity), each root given once; the
+    product of (t - a)^k must reproduce f exactly, and every root must
+    lie in the tower.
     """
     f = [tower._coerce(c) for c in modulus]
     d = len(f) - 1
@@ -189,6 +190,11 @@ def preset_truncated(tower: Tower, modulus, roots) -> CoeffAlgebra:
         else:
             root, mult = tower._coerce(entry), 1
         norm_roots.append((root, mult))
+    for k, (root, _) in enumerate(norm_roots):
+        if any(root == r for r, _ in norm_roots[:k]):
+            total = sum(m for r, m in norm_roots if r == root)
+            raise ValueError(f"root {root} is declared twice; give it once "
+                             f"as [\"{root}\", {total}]")
     if sum(m for _, m in norm_roots) != d:
         raise ValueError("root multiplicities must sum to the degree")
     check = [tower.one()]

@@ -170,8 +170,8 @@ def mat_kernel(rows, ncols: int, tower: Tower):
 def solve_columns(rows, rhs_cols, ncols: int, tower: Tower):
     """Solutions x_c of A x_c = b_c for every right-hand side b_c, from one
     elimination of [A | B]; None when some b_c is outside the column
-    space of A.  Each x_c is the solution solve_right finds for b_c alone
-    (pivot coordinates read off the RREF, free coordinates zero)."""
+    space of A.  Each x_c is the solution a one-column call finds for b_c
+    alone (pivot coordinates read off the RREF, free coordinates zero)."""
     if not rhs_cols:
         return []
     aug = [list(r) + list(b) for r, b in zip(rows, zip(*rhs_cols))]
@@ -184,12 +184,6 @@ def solve_columns(rows, rhs_cols, ncols: int, tower: Tower):
         for c, x in enumerate(sols):
             x[p] = row[ncols + c]
     return sols
-
-
-def solve_right(rows, rhs, ncols: int, tower: Tower):
-    """One solution x of A x = b, or None (A given as rows, b a vector)."""
-    sols = solve_columns(rows, [rhs], ncols, tower)
-    return None if sols is None else sols[0]
 
 
 class Span:
@@ -558,16 +552,21 @@ def intertwiners(pairs, slots, tower: Tower):
     return mat_kernel(equations(), len(slots), tower)
 
 
+def nonzero_entries(rows) -> dict:
+    """The nonzero entries {(i, j): Scalar} of dense rows: the operator
+    form of weight-module blocks, Schur blocks, commutant and odd_schur."""
+    return {(i, j): x for i, row in enumerate(rows)
+            for j, x in enumerate(row) if not x.is_zero}
+
+
 def homogeneous_entries(ops):
-    """(nonzero entries {(i, j): Scalar}, parity) of each operator, the
-    operator form of commutant and odd_schur; every op must be
+    """(nonzero_entries, parity) of each operator; every op must be
     parity-homogeneous."""
     out = []
     for op in ops:
         if op.parity is None:
             raise ValueError("commutant requires parity-homogeneous operators")
-        out.append(({(i, j): x for i, row in enumerate(op.rows)
-                     for j, x in enumerate(row) if not x.is_zero}, op.parity))
+        out.append((nonzero_entries(op.rows), op.parity))
     return out
 
 

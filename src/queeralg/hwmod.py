@@ -11,7 +11,7 @@ from itertools import product
 from .assocsuper import density_type_from_maps
 from .cartanmod import CartanAlgebra, PsiFunctional, build_H
 from .coeffalg import IdealRep
-from .graded import EVEN, Span, zero_rows
+from .graded import EVEN, Span
 from .liesuper import WeightModule
 from .mapsuper import MapSuper
 from .queer import QueerData
@@ -456,16 +456,12 @@ class SimpleQuotient:
                 if tgt not in weights:
                     continue  # target is zero in the quotient
                 ntgt = self.nspan[tgt]
-                entries = [(f, j, x)
-                           for j, c in enumerate(self.free_cols[beta])
-                           for f, x in ntgt._reduce_raw(cols[c]).items()]
-                if not entries:
-                    continue
                 pos = {f: t for t, f in enumerate(self.free_cols[tgt])}
-                red = zero_rows(tower, len(pos), len(self.free_cols[beta]))
-                for f, j, x in entries:
-                    red[pos[f]][j] = scalar_of(tower, x)
-                blocks[weights[beta]] = [(weights[tgt], red)]
+                red = {(pos[f], j): scalar_of(tower, x)
+                       for j, c in enumerate(self.free_cols[beta])
+                       for f, x in ntgt._reduce_raw(cols[c]).items()}
+                if red:
+                    blocks[weights[beta]] = [(weights[tgt], red)]
             act.append(blocks)
         return WeightModule(vm.ms.algebra, tower, list(weights.values()),
                             parities, act, qd=vm.qd)
@@ -550,12 +546,9 @@ def top_psi(m: WeightModule, ms: MapSuper, ctx: CartanAlgebra) -> PsiFunctional:
             vals.append(tower.zero())
             continue
         blk = blocks[0]
-        c = blk[0][0]
-        for i in range(d):
-            for j in range(d):
-                expect = c if i == j else tower.zero()
-                if blk[i][j] != expect:
-                    raise ValueError("top block is not a psi eigenspace")
+        c = blk.get((0, 0))
+        if c is None or blk != {(i, i): c for i in range(d)}:
+            raise ValueError("top block is not a psi eigenspace")
         vals.append(c)
     return PsiFunctional(ctx, vals)
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from .assocsuper import AssocSuper
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span,
                      first_invertible, intertwiners, mat_kernel, mat_rank,
-                     solve_columns, zero_rows)
+                     nonzero_entries, solve_columns, zero_rows)
 from .scalars import Tower, raw_of
 
 
@@ -320,8 +320,12 @@ class WeightModule:
 
     weights: sorted list of weight tuples (values on h_1..h_n).
     parities[w]: tuple of parities of the basis vectors of the w block.
-    act[i][w]: list of (target_weight, rows) blocks for algebra basis
-    element i (rows maps the w block into the target block).
+    act[i][w]: list of (target_weight, entries) blocks for algebra basis
+    element i: entries {(row, col): Scalar} holds the nonzero entries of
+    the map from the w block into the target block (row indexes the
+    target block, col the w block), and a block with no nonzero entry
+    is left out.  Dense rows are made only at the edges that need a
+    matrix: the flat view (mats), top_block_maps and hom_map.
     """
 
     def __init__(self, algebra: LieSuper, tower: Tower, weights, parities,
@@ -341,7 +345,8 @@ class WeightModule:
         if len(mats) != algebra.dim:
             raise ValueError("one matrix per Lie basis element required")
         return cls(algebra, algebra.tower, [()], {(): space.parities},
-                   [{(): [((), m.rows)]} for m in mats])
+                   [{(): [((), ent)]} if (ent := nonzero_entries(m.rows))
+                    else {} for m in mats])
 
     @property
     def dim(self) -> int:
@@ -366,9 +371,8 @@ class WeightModule:
         if ent is None:
             ent = self._entries[i] = [
                 (((w2, r), (w, s)), v)
-                for w in self.weights for (w2, rows) in self.blocks_of(i, w)
-                for r, row in enumerate(rows) for s, v in enumerate(row)
-                if not v.is_zero]
+                for w in self.weights for (w2, blk) in self.blocks_of(i, w)
+                for (r, s), v in blk.items()]
         return ent
 
     def op_entries(self, coords: dict) -> dict:
@@ -474,15 +478,16 @@ class WeightModule:
     def singular_spaces(self, raising_gens):
         """Per weight, a basis of the joint kernel of the raising
         generators (as dense vectors in the block)."""
-        tower = self.tower
         out = {}
         for w in self.weights:
-            d = self.block_dim(w)
             rows = []
             for g in raising_gens:
                 for (_, blk) in self.blocks_of(g, w):
-                    rows.extend(blk)
-            out[w] = mat_kernel(rows, d, tower)
+                    by_row: dict = {}
+                    for (r, c), v in blk.items():
+                        by_row.setdefault(r, {})[c] = v
+                    rows.extend(by_row.values())
+            out[w] = mat_kernel(rows, self.block_dim(w), self.tower)
         return out
 
     def generated_by_top(self, top, lowering) -> bool:
@@ -502,11 +507,14 @@ class WeightModule:
         cols = {w: [] for w in self.weights}
         for g in lowering:
             for w in self.weights:
-                for (w2, rows) in self.blocks_of(g, w):
+                for (w2, blk) in self.blocks_of(g, w):
                     if w2 == w:
                         raise AssertionError("a lowering generator maps a "
                                              "weight to itself")
-                    cols[w2].extend(zip(*rows))
+                    by_col: dict = {}
+                    for (r, c), v in blk.items():
+                        by_col.setdefault(c, {})[r] = v
+                    cols[w2].extend(by_col.values())
         for w in self.weights:
             d = self.block_dim(w)
             if w != top and mat_rank(cols[w], d, self.tower) != d:
@@ -524,15 +532,15 @@ class WeightModule:
             rows = zero_rows(tower, d, d)
             for (w2, blk) in self.blocks_of(g, w):
                 if w2 == w:
-                    rows = blk
-            out.append(GradedMap(tower, space, space,
-                                 [list(r) for r in rows]))
+                    for (r, c), v in blk.items():
+                        rows[r][c] = v
+            out.append(GradedMap(tower, space, space, rows))
         return out
 
 
 def direct_sum_weight(m1: WeightModule, m2: WeightModule) -> WeightModule:
-    """Blockwise direct sum of weight modules over the same algebra."""
-    tower = m1.tower
+    """Blockwise direct sum of weight modules over the same algebra: in
+    each block, m2's rows and columns follow m1's."""
     weights = sorted(set(m1.weights) | set(m2.weights), key=weight_sort_key)
     parities = {}
     for w in weights:
@@ -542,24 +550,19 @@ def direct_sum_weight(m1: WeightModule, m2: WeightModule) -> WeightModule:
     for g in range(m1.algebra.dim):
         blocks: dict = {}
         for w in weights:
-            d1, d2 = m1.block_dim(w), m2.block_dim(w)
+            d1 = m1.block_dim(w)
             pieces: dict = {}
             for (wt, blk) in m1.blocks_of(g, w):
-                t1, t2 = m1.block_dim(wt), m2.block_dim(wt)
-                tgt = pieces.setdefault(wt, zero_rows(tower, t1 + t2, d1 + d2))
-                for i in range(t1):
-                    for j in range(d1):
-                        tgt[i][j] = blk[i][j]
+                pieces.setdefault(wt, {}).update(blk)
             for (wt, blk) in m2.blocks_of(g, w):
-                t1, t2 = m1.block_dim(wt), m2.block_dim(wt)
-                tgt = pieces.setdefault(wt, zero_rows(tower, t1 + t2, d1 + d2))
-                for i in range(t2):
-                    for j in range(d2):
-                        tgt[t1 + i][d1 + j] = blk[i][j]
+                t1 = m1.block_dim(wt)
+                pieces.setdefault(wt, {}).update(
+                    ((t1 + r, d1 + c), v) for (r, c), v in blk.items())
             if pieces:
                 blocks[w] = list(pieces.items())
         act.append(blocks)
-    return WeightModule(m1.algebra, tower, weights, parities, act, qd=m1.qd)
+    return WeightModule(m1.algebra, m1.tower, weights, parities, act,
+                        qd=m1.qd)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 from .assocsuper import _raw_products, density_type_from_maps, make_Q
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, identity_rows,
-                     kernel, mat_mul, odd_schur, solve_columns, zero_rows)
+                     kernel, mat_is_zero, mat_mul, nonzero_entries, odd_schur,
+                     solve_columns, zero_rows)
 from .hwmod import is_irreducible_hw, triangular_of_map, triangular_of_q
 from .liesuper import (WeightModule, direct_sum, from_assoc,
                        is_isomorphic_weight, weight_sort_key)
@@ -27,7 +28,8 @@ from .scalars import Tower, raw_dot, raw_of
 class WeightSchur:
     """Schur data for a weight module: the type flag and, for type Q, the
     odd endomorphism normalized to phi^2 = -id, stored blockwise by
-    weight."""
+    weight as the nonzero entries {(row, col): Scalar} of each block (phi
+    preserves weights)."""
 
     is_type_q: bool
     phi_blocks: dict | None
@@ -95,7 +97,7 @@ def _solve_weight_schur(m: WeightModule) -> WeightSchur:
     blocks = {}
     for w in m.weights:
         b, d = idx[(w, 0)], m.block_dim(w)
-        blocks[w] = [row[b:b + d] for row in rows[b:b + d]]
+        blocks[w] = nonzero_entries(row[b:b + d] for row in rows[b:b + d])
     return WeightSchur(True, blocks)
 
 
@@ -103,9 +105,9 @@ def q1_module(tower: Tower) -> WeightModule:
     """C^{1|1} over Lie(Q(1)), of type Q: the identity acts as the
     identity and the odd generator as the parity swap.  Q(1) has no even
     Cartan part of q's kind, so the module has the one weight ()."""
-    one, zero = tower.one(), tower.zero()
-    act = [{(): [((), [[one, zero], [zero, one]])]},
-           {(): [((), [[zero, one], [one, zero]])]}]
+    one = tower.one()
+    act = [{(): [((), {(0, 0): one, (1, 1): one})]},
+           {(): [((), {(0, 1): one, (1, 0): one})]}]
     return WeightModule(from_assoc(make_Q(tower, 1)), tower, [()],
                         {(): (EVEN, ODD)}, act)
 
@@ -156,9 +158,11 @@ def tensor_same_algebra(m1: WeightModule, m2: WeightModule) -> WeightModule:
     act = []
     for g in range(alg.dim):
         odd = alg.space.parity(g)
-        # each factor's blocks of g as (target position, nonzero entries)
-        b1 = [_indexed_blocks(m1.blocks_of(g, w), pos1) for w in ws1]
-        b2 = [_indexed_blocks(m2.blocks_of(g, w), pos2) for w in ws2]
+        # each factor's blocks of g as (target position, entries)
+        b1 = [[(pos1[wt], blk) for wt, blk in m1.blocks_of(g, w)]
+              for w in ws1]
+        b2 = [[(pos2[wt], blk) for wt, blk in m2.blocks_of(g, w)]
+              for w in ws2]
         blocks: dict = {}
         for t, w in enumerate(weights):
             # target weight -> {(row, col): entry}, in order of first meeting
@@ -169,7 +173,7 @@ def tensor_same_algebra(m1: WeightModule, m2: WeightModule) -> WeightModule:
                 for i1t, nz in b1[i1]:
                     tgt = found.setdefault(target[i1t][i2], {})
                     r0 = offset[i1t][i2]
-                    for r, k1, v in nz:
+                    for (r, k1), v in nz.items():
                         for k2 in range(dd):
                             key = (r0 + r * dd + k2, c0 + k1 * dd + k2)
                             cur = tgt.get(key)
@@ -179,34 +183,23 @@ def tensor_same_algebra(m1: WeightModule, m2: WeightModule) -> WeightModule:
                     tgt = found.setdefault(target[i1][i2t], {})
                     r0, dt = offset[i1][i2t], d2[i2t]
                     for k1, p in enumerate(par1[i1]):
-                        for r, k2, v in nz:
+                        for (r, k2), v in nz.items():
                             key = (r0 + k1 * dt + r, c0 + k1 * dd + k2)
                             add = -v if odd and p else v
                             cur = tgt.get(key)
                             tgt[key] = add if cur is None else cur + add
             pieces = []
             for tt, entries in found.items():
-                nonzero = [(key, v) for key, v in entries.items()
-                           if not v.is_zero]
+                nonzero = {key: v for key, v in entries.items()
+                           if not v.is_zero}
                 if nonzero:
-                    rows = zero_rows(tower, len(pair_basis[tt]),
-                                     len(pair_basis[t]))
-                    for (r, c), v in nonzero:
-                        rows[r][c] = v
-                    pieces.append((weights[tt], rows))
+                    pieces.append((weights[tt], nonzero))
             if pieces:
                 blocks[w] = pieces
         act.append(blocks)
     out = WeightModule(alg, tower, weights, parities, act, qd=m1.qd)
     out.pair_data = (m1, m2, pair_basis, target, offset)
     return out
-
-
-def _indexed_blocks(blocks, pos: dict):
-    """(target weight position, [(row, col, entry) nonzero]) per block."""
-    return [(pos[wt], [(r, c, v) for r, row in enumerate(rows)
-                       for c, v in enumerate(row) if not v.is_zero])
-            for wt, rows in blocks]
 
 
 def restrict_weight_module(m: WeightModule, sub_basis: dict) -> WeightModule:
@@ -231,14 +224,16 @@ def restrict_weight_module(m: WeightModule, sub_basis: dict) -> WeightModule:
         for w in weights:
             pieces = []
             for (wt, blk) in m.blocks_of(g, w):
+                # the image of the subspace basis, dense: rows index wt
+                img = zero_rows(tower, m.block_dim(wt), len(emb[w][0]))
+                for (r, c), v in blk.items():
+                    img[r] = [a + v * x for a, x in zip(img[r], emb[w][c])]
                 if wt not in emb:
-                    img = mat_mul(blk, emb[w], tower)
-                    if any(not v.is_zero for row in img for v in row):
+                    if not mat_is_zero(img):
                         raise AssertionError("subspace is not invariant")
                     continue
-                img = mat_mul(blk, emb[w], tower)
-                sol = _solve_columns(emb[wt], img, tower)
-                if any(not v.is_zero for row in sol for v in row):
+                sol = nonzero_entries(_solve_columns(emb[wt], img, tower))
+                if sol:
                     pieces.append((wt, sol))
             if pieces:
                 blocks[w] = pieces
@@ -275,31 +270,21 @@ def _tensor_phi_blocks(full: WeightModule, side: int, phi: dict) -> dict:
     """Blocks of phi (x) 1 (side 0) or 1 (x) phi (side 1) on a tensor
     module built by tensor_same_algebra; the second-factor case carries
     the Koszul sign of the first factor's parity."""
-    m1, m2, pair_basis, _, offset = full.pair_data
-    m = m2 if side else m1
-    blocks = [phi[w] for w in m.weights]
-    par1 = [m1.parities[w] for w in m1.weights]
-    d2 = [m2.block_dim(w) for w in m2.weights]
-    out = {}
-    for t, w in enumerate(full.weights):
-        d = len(pair_basis[t])
-        rows = zero_rows(full.tower, d, d)
-        for col, (i1, k1, i2, k2) in enumerate(pair_basis[t]):
-            base = offset[i1][i2]
+    m1, m2, _, target, offset = full.pair_data
+    out: dict = {w: {} for w in full.weights}
+    for i1, w1 in enumerate(m1.weights):
+        for i2, w2 in enumerate(m2.weights):
+            ent = out[full.weights[target[i1][i2]]]
+            base, dd = offset[i1][i2], m2.block_dim(w2)
             if side == 0:
-                blk = blocks[i1]
-                for r in range(len(blk)):
-                    v = blk[r][k1]
-                    if not v.is_zero:
-                        rows[base + r * d2[i2] + k2][col] = v
+                for (r, k1), v in phi[w1].items():
+                    for k2 in range(dd):
+                        ent[(base + r * dd + k2, base + k1 * dd + k2)] = v
             else:
-                blk = blocks[i2]
-                for r in range(len(blk)):
-                    v = blk[r][k2]
-                    if not v.is_zero:
-                        rows[base + k1 * d2[i2] + r][col] = \
-                            -v if par1[i1][k1] else v
-        out[w] = rows
+                for k1, p in enumerate(m1.parities[w1]):
+                    for (r, k2), v in phi[w2].items():
+                        ent[(base + k1 * dd + r, base + k1 * dd + k2)] = \
+                            -v if p else v
     return out
 
 
@@ -327,33 +312,25 @@ def hat_tensor_weight(m1: WeightModule, m2: WeightModule,
             result = WeightSchur(True, phi)
         info["result_schur"] = result
         return full, info
-    _, _, pair_basis, _, offset = full.pair_data
+    _, _, pair_basis, target, offset = full.pair_data
     i_unit = tower.adjoin_sqrt(tower.from_int(-1))
-    phi1 = [[[x * i_unit for x in row] for row in s1.phi_blocks[w]]
-            for w in m1.weights]
-    phi2 = [s2.phi_blocks[w] for w in m2.weights]
-    par1 = [m1.parities[w] for w in m1.weights]
-    d2 = [m2.block_dim(w) for w in m2.weights]
-    # op(v (x) w) = (-1)^{|phi2||v|} phi1_tilde v (x) phi2 w, blockwise
+    # op(v (x) w) = (-1)^{|phi2||v|} phi1_tilde v (x) phi2 w, on dense
+    # blocks for the eigenspace split
+    ops = [zero_rows(tower, len(b), len(b)) for b in pair_basis]
+    for i1, w1 in enumerate(m1.weights):
+        for i2, w2 in enumerate(m2.weights):
+            op = ops[target[i1][i2]]
+            base, dd = offset[i1][i2], m2.block_dim(w2)
+            for (r1, k1), v1 in s1.phi_blocks[w1].items():
+                v1 = v1 * i_unit
+                if m1.parities[w1][k1]:
+                    v1 = -v1
+                for (r2, k2), v2 in s2.phi_blocks[w2].items():
+                    op[base + r1 * dd + r2][base + k1 * dd + k2] = v1 * v2
     plus_basis: dict = {}
     minus_basis: dict = {}
-    for t, w in enumerate(full.weights):
-        d = len(pair_basis[t])
-        op = zero_rows(tower, d, d)
-        for col, (i1, k1, i2, k2) in enumerate(pair_basis[t]):
-            b1, b2 = phi1[i1], phi2[i2]
-            base, dd = offset[i1][i2], d2[i2]
-            for r1 in range(len(b1)):
-                v1 = b1[r1][k1]
-                if v1.is_zero:
-                    continue
-                for r2 in range(len(b2)):
-                    v2 = b2[r2][k2]
-                    if not v2.is_zero:
-                        row = base + r1 * dd + r2
-                        add = v1 * v2
-                        op[row][col] = op[row][col] + \
-                            (-add if par1[i1][k1] else add)
+    for w, op in zip(full.weights, ops):
+        d = len(op)
         if mat_mul(op, op, tower) != identity_rows(tower, d):
             raise AssertionError("(phi1_hat (x) phi2)^2 != id; "
                                  "normalization broken")
@@ -380,14 +357,11 @@ def _check_product_phi(m: WeightModule, phi: dict):
     ph, neg = {}, {}
     for w, blk in phi.items():
         pars = m.parities[w]
-        for r, row in enumerate(blk):
-            for c, v in enumerate(row):
-                if v.is_zero:
-                    continue
-                if pars[r] == pars[c]:
-                    raise AssertionError("phi of the product is not odd")
-                ph.setdefault((w, r), {})[(w, c)] = raw_of(v)
-                neg.setdefault((w, r), {})[(w, c)] = raw_of(-v)
+        for (r, c), v in blk.items():
+            if pars[r] == pars[c]:
+                raise AssertionError("phi of the product is not odd")
+            ph.setdefault((w, r), {})[(w, c)] = raw_of(v)
+            neg.setdefault((w, r), {})[(w, c)] = raw_of(-v)
     one = tower.one()
     for g in range(m.algebra.dim):
         # x phi - (-1)^|x| phi x
@@ -472,7 +446,6 @@ def trivial_q_module(qd: QueerData) -> WeightModule:
 
 def adjoint_q_module(qd: QueerData) -> WeightModule:
     """The adjoint representation, graded by roots."""
-    tower = qd.tower
     groups: dict = {}
     for i, w in enumerate(qd.basis_root):
         groups.setdefault(w, []).append(i)
@@ -488,13 +461,11 @@ def adjoint_q_module(qd: QueerData) -> WeightModule:
             for col, b in enumerate(groups[w]):
                 for t, c in qd.algebra.bk[g][b].items():
                     wt = qd.basis_root[t]
-                    tgt = targets.setdefault(
-                        wt, zero_rows(tower, len(groups[wt]), len(groups[w])))
-                    tgt[index[wt][t]][col] = tgt[index[wt][t]][col] + c
+                    targets.setdefault(wt, {})[(index[wt][t], col)] = c
             if targets:
                 blocks[w] = list(targets.items())
         act.append(blocks)
-    return WeightModule(qd.algebra, tower, weights, parities, act, qd=qd)
+    return WeightModule(qd.algebra, qd.tower, weights, parities, act, qd=qd)
 
 
 class Catalog:
@@ -640,32 +611,28 @@ def pullback(m: WeightModule, algebra, images) -> WeightModule:
 
 def _combine(m: WeightModule, terms) -> dict:
     """Blocks of sum_k c_k rho(x_k) over (k, c_k) terms, in the act[i]
-    form {w: [(target, rows)]}.  Only nonzero coefficients and entries
-    are multiplied and added; a target block is allocated when the first
-    nonzero entry lands in it, and blocks that cancel to zero are dropped
-    (with one nonzero term nothing can cancel: the tower is a field)."""
-    zero = m.tower.zero()
-    acc: dict = {}   # w -> {target: dense rows}
-    nterms = 0
+    form {w: [(target, entries)]}.  Only nonzero coefficients are
+    multiplied out; entries and blocks that cancel to zero are dropped
+    (a product c_k v is never zero: the tower is a field)."""
+    acc: dict = {}   # w -> {target: {(row, col): entry}}
     for k, c in terms:
         if not c.co:
             continue
-        nterms += 1
         for w, blks in m.act[k].items():
             cur = acc.setdefault(w, {})
-            for (wt, rows) in blks:
-                tgt = cur.get(wt)
-                for r, row in enumerate(rows):
-                    for s, v in enumerate(row):
-                        if v.co:
-                            if tgt is None:
-                                tgt = cur[wt] = [[zero] * len(x) for x in rows]
-                            a = tgt[r][s]
-                            tgt[r][s] = a + c * v if a.co else c * v
+            for (wt, blk) in blks:
+                tgt = cur.setdefault(wt, {})
+                for key, v in blk.items():
+                    x = c * v
+                    if key in tgt:
+                        x = tgt[key] + x
+                    if x.co:
+                        tgt[key] = x
+                    else:
+                        del tgt[key]
     act = {}
     for w, d in acc.items():
-        pieces = [(wt, rows) for wt, rows in d.items()
-                  if nterms == 1 or any(v.co for row in rows for v in row)]
+        pieces = [(wt, ent) for wt, ent in d.items() if ent]
         if pieces:
             act[w] = pieces
     return act

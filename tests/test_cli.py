@@ -479,3 +479,33 @@ def test_decompose_report_matches_golden(tmp_path, n, factors):
     prefix = "decompose_" if n == "2" else f"decompose_n{n}_"
     golden = DATA / f"{prefix}{factors.replace(',', '_')}.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["classify", "dims"])
+def test_repeated_root_is_usage_error(tmp_path, capsys, command):
+    """A root declared twice would make two points with one maximal ideal;
+    it is refused by name, not left to fail a later check."""
+    algebra = {"type": "poly_quotient", "modulus": ["1", "-2", "1"],
+               "roots": ["1", "1"]}
+    bad = tmp_path / "bad.json"
+    if command == "classify":
+        bad.write_text(json.dumps(algebra))
+        args = ["classify", "--n", "2", "--algebra", str(bad)]
+    else:
+        bad.write_text(json.dumps({"algebra": algebra, "values": []}))
+        args = ["dims", "--n", "2", "--psi", str(bad), "--depth", "1"]
+    rc = main(args)
+    assert rc == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.splitlines() == [
+        f'error: {bad}: root 1 is declared twice; give it once as ["1", 2]']
+
+
+@pytest.mark.parametrize("command", ["classify", "dims", "decompose"])
+def test_seed_is_a_verify_option_only(files, capsys, command):
+    args = {"classify": ["classify", "--algebra", files["two"]],
+            "dims": ["dims", "--n", "2", "--psi", files["psi"]],
+            "decompose": ["decompose", "--factors", "qone,qone"]}[command]
+    assert main(args + ["--seed", "3"]) == 2
+    assert capsys.readouterr().out == ""

@@ -8,7 +8,7 @@ from queeralg.cartanmod import CartanAlgebra, PsiFunctional
 from queeralg.cli import main
 from queeralg.coeffalg import preset_base_field, preset_truncated, zero_ideal
 from queeralg.graded import (EVEN, Span, mat_kernel, mat_mul, mat_rank,
-                             zero_rows)
+                             nonzero_entries, zero_rows)
 from queeralg.hwmod import (SimpleQuotient, _sum_terms, check_psi0_ideal,
                             is_irreducible_hw, simple_quotient, top_psi,
                             triangular_of_map, verma)
@@ -327,12 +327,9 @@ def closure_dim(m, start, gens):
     for g in gens:
         ent = {}
         for w in m.weights:
-            for (w2, rows) in m.blocks_of(g, w):
-                for r, row in enumerate(rows):
-                    for s, v in enumerate(row):
-                        if not v.is_zero:
-                            ent.setdefault(idx[(w, s)], []).append(
-                                (idx[(w2, r)], v))
+            for (w2, blk) in m.blocks_of(g, w):
+                for (r, s), v in blk.items():
+                    ent.setdefault(idx[(w, s)], []).append((idx[(w2, r)], v))
         images.append(ent)
     sp = Span(QI)
     frontier = [{idx[(start, k)]: QI.one()} for k in range(m.block_dim(start))]
@@ -356,7 +353,8 @@ def closure_dim(m, start, gens):
 def chain_modules(draw):
     """Weights lam > lam - alpha > lam - 2 alpha with blocks of dimension
     1..3, and one or two lowering generators acting on both steps by
-    small Q(i) blocks (about half the entries zero, so some blocks are)."""
+    small Q(i) blocks (about half the entries zero, so some blocks are,
+    and those are left out)."""
     entry = st.one_of(st.just(QI.zero()),
                       st.builds(QI.from_qi, st.integers(-2, 2),
                                 st.integers(-1, 1)))
@@ -365,10 +363,13 @@ def chain_modules(draw):
     dims = [draw(st.integers(1, 3)) for _ in ws]
     act = []
     for _ in range(draw(st.integers(1, 2))):
-        act.append({ws[k]: [(ws[k + 1],
-                             [[draw(entry) for _ in range(dims[k])]
-                              for _ in range(dims[k + 1])])]
-                    for k in range(2)})
+        blocks = {}
+        for k in range(2):
+            blk = nonzero_entries([[draw(entry) for _ in range(dims[k])]
+                                   for _ in range(dims[k + 1])])
+            if blk:
+                blocks[ws[k]] = [(ws[k + 1], blk)]
+        act.append(blocks)
     parities = {w: (EVEN,) * d for w, d in zip(ws, dims)}
     return WeightModule(None, QI, ws, parities, act), ws[0]
 
@@ -384,7 +385,8 @@ def test_generated_by_top_matches_closure(data):
 
 def test_generated_by_top_rejects_weight_preserving_lowering():
     w = (QI.one(), QI.zero())
-    m = WeightModule(None, QI, [w], {w: (EVEN,)}, [{w: [(w, [[QI.one()]])]}])
+    m = WeightModule(None, QI, [w], {w: (EVEN,)},
+                     [{w: [(w, {(0, 0): QI.one()})]}])
     with pytest.raises(AssertionError):
         m.generated_by_top(w, [0])
 
@@ -565,8 +567,8 @@ class ResidualQuotient:
                 if tgt not in weights:
                     continue
                 sub = [[row[c] for c in self.free_cols[beta]] for row in mat]
-                red = mat_mul(self.residual[tgt], sub, tower)
-                if any(not v.is_zero for row in red for v in row):
+                red = nonzero_entries(mat_mul(self.residual[tgt], sub, tower))
+                if red:
                     blocks[weights[beta]] = [(weights[tgt], red)]
             act.append(blocks)
         return WeightModule(vm.ms.algebra, tower, list(weights.values()),

@@ -9,7 +9,7 @@ from queeralg.assocsuper import density_type_from_maps, make_Q
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
 from queeralg.coeffalg import gamma_from_spec, preset_truncated
 from queeralg.graded import (EVEN, ODD, GradedMap, commutant,
-                             homogeneous_entries, odd_schur)
+                             homogeneous_entries, nonzero_entries, odd_schur)
 from queeralg.hwmod import is_irreducible_hw, triangular_of_map, top_psi
 from queeralg.liesuper import (WeightModule, direct_sum_weight, from_assoc,
                                hom_map, hom_space_weight, is_isomorphic_flat,
@@ -93,21 +93,22 @@ def _flat_schur_reference(m):
     phi, c = found
     rows = (phi * K.adjoin_sqrt(-c.inv())).rows
     idx = m.flat_index()
-    blocks = {w: [[rows[idx[(w, i)]][idx[(w, j)]]
-                   for j in range(m.block_dim(w))]
-                  for i in range(m.block_dim(w))] for w in m.weights}
-    assert sum(not v.is_zero for row in rows for v in row) == \
-        sum(not v.is_zero for b in blocks.values() for row in b for v in row)
+    blocks = {w: nonzero_entries([[rows[idx[(w, i)]][idx[(w, j)]]
+                                   for j in range(m.block_dim(w))]
+                                  for i in range(m.block_dim(w))])
+              for w in m.weights}
+    assert len(nonzero_entries(rows)) == \
+        sum(len(b) for b in blocks.values())
     return WeightSchur(True, blocks)
 
 
 def _scaled_qone(K):
     """C^{1|1} over Q(1) with the odd generator acting by [[0, 2], [1/2, 0]]
     instead of the swap: its first odd supercommutant squares to -4 id."""
-    one, zero, two = K.one(), K.zero(), K.from_int(2)
+    one, two = K.one(), K.from_int(2)
     return WeightModule(from_assoc(make_Q(K, 1)), K, [()], {(): (EVEN, ODD)},
-                        [{(): [((), [[one, zero], [zero, one]])]},
-                         {(): [((), [[zero, two], [two.inv(), zero]])]}])
+                        [{(): [((), {(0, 0): one, (1, 1): one})]},
+                         {(): [((), {(0, 1): two, (1, 0): two.inv()})]}])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -198,15 +199,12 @@ def test_product_type_rule(env):
     qone = q1_module(K)
     s_q = weight_schur_data(qone)
     ad, s_ad = cat.module("adjoint"), cat.weight_schur("adjoint")
-    _, info = _adjoint_qone(env)
+    prod, info = _adjoint_qone(env)
     s = info["result_schur"]
     assert s.is_type_q and not info["split"]
     # phi = 1 (x) phi_hat squares to -id
-    minus = {w: [[-K.one() if i == j else K.zero() for j in range(len(b))]
-                 for i in range(len(b))] for w, b in s.phi_blocks.items()}
-    assert {w: [[sum((b[i][k] * b[k][j] for k in range(len(b))), K.zero())
-                 for j in range(len(b))] for i in range(len(b))]
-            for w, b in s.phi_blocks.items()} == minus
+    phi = _phi_flat(prod, s.phi_blocks)
+    assert phi * phi == GradedMap.identity(K, prod.space) * (-1)
     _, info2 = _hat(qone, qone, s_q, s_q)
     assert info2["split"] and not info2["result_schur"].is_type_q
     _, info3 = _hat(ad, ad, s_ad, s_ad)
@@ -224,13 +222,13 @@ def test_product_phi_check_rejects_corrupted_phi(env):
     _check_product_phi(prod, phi)
     _, _, pair_basis, _, _ = prod.pair_data
     # flip (x) 1 with flip = -1 on the first basis vector of the adjoint
-    twisted = {w: [[-v for v in row] if pair_basis[t][r][:2] == (0, 0)
-                   else list(row) for r, row in enumerate(phi[w])]
+    twisted = {w: {(r, c): -v if pair_basis[t][r][:2] == (0, 0) else v
+                   for (r, c), v in phi[w].items()}
                for t, w in enumerate(prod.weights)}
-    ident = {w: [[K.one() if i == j else K.zero() for j in range(len(b))]
-                 for i in range(len(b))] for w, b in phi.items()}
+    ident = {w: {(i, i): K.one() for i in range(prod.block_dim(w))}
+             for w in phi}
     cases = [
-        ({w: [[v * 2 for v in row] for row in b] for w, b in phi.items()},
+        ({w: {k: v * 2 for k, v in b.items()} for w, b in phi.items()},
          "square to -id"),
         (twisted, "supercommute"),
         (ident, "not odd"),
@@ -245,7 +243,7 @@ def test_split_operator_check_rejects_unnormalized_phi(env):
     (phi1_tilde (x) phi2)^2 = 4 id: the split refuses it."""
     qone = q1_module(env["K"])
     s_q = weight_schur_data(qone)
-    bad = WeightSchur(True, {w: [[v * 2 for v in row] for row in b]
+    bad = WeightSchur(True, {w: {k: v * 2 for k, v in b.items()}
                              for w, b in s_q.phi_blocks.items()})
     with pytest.raises(AssertionError, match="normalization broken"):
         _hat(qone, qone, bad, s_q)
@@ -322,6 +320,86 @@ def test_decompose_reaches_type_q_branches(monkeypatch, capsys):
     assert "splits V(32) (+) V(32)" in capsys.readouterr().out
     assert calls == {"_tensor_phi_blocks": 1, "_check_product_phi": 1,
                      "restrict_weight_module": 2}
+
+
+def assert_entry_blocks(m, phi=None):
+    """The block form: every block of m, and every block of phi, is a
+    nonempty dict of nonzero entries keyed inside the block's
+    dimensions."""
+    def check(blk, nrows, ncols):
+        assert isinstance(blk, dict) and blk
+        for (r, c), v in blk.items():
+            assert 0 <= r < nrows and 0 <= c < ncols and not v.is_zero
+    for acts in m.act:
+        for w, blks in acts.items():
+            for wt, blk in blks:
+                check(blk, m.block_dim(wt), m.block_dim(w))
+    for w, blk in (phi or {}).items():
+        check(blk, m.block_dim(w), m.block_dim(w))
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_classify_builds_entry_blocks_only(tmp_path, monkeypatch, capsys,
+                                           twisted):
+    """classify over two points, and over four points under t -> -t with
+    diag_conj (1, 1, -1), allocates no dense block in products (zero_rows
+    refuses), and every module it certifies (the catalog's adjoint entry
+    and each row) holds the block form."""
+    import json
+    from queeralg.cli import main
+    seen = []
+    real = products.is_irreducible_hw
+
+    def certify(m, tri, why):
+        assert_entry_blocks(m)
+        seen.append(m.dim)
+        return real(m, tri, why)
+
+    def refuse(*args):
+        raise AssertionError("products allocated a dense block")
+    monkeypatch.setattr(products, "is_irreducible_hw", certify)
+    monkeypatch.setattr(products, "zero_rows", refuse)
+    alg = tmp_path / "algebra.json"
+    grp = tmp_path / "group.json"
+    args = ["classify", "--n", "2", "--algebra", str(alg)]
+    if twisted:
+        alg.write_text(json.dumps({
+            "type": "poly_quotient", "modulus": ["-16", "0", "0", "0", "1"],
+            "roots": ["2", "-2", "2*i", "-2*i"]}))
+        grp.write_text(json.dumps({"generators": [{
+            "order": 2, "on_algebra": {"type": "substitute_t", "scale": "-1"},
+            "on_q": {"type": "diag_conj", "diag": ["1", "1", "-1"]}}]}))
+        args += ["--group", str(grp)]
+    else:
+        alg.write_text(json.dumps({"type": "poly_quotient",
+                                   "modulus": ["-1", "0", "1"],
+                                   "roots": ["1", "-1"]}))
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(seen) == [1, 16, 16, 16, 256]
+
+
+def test_products_and_quotient_hold_entry_blocks(env):
+    """The decompose products qone,qone (split: the full product and both
+    halves) and adjoint,qone (with its phi), and the conclusive simple
+    quotient of q(2) at psi = (1, 1)."""
+    from queeralg.coeffalg import preset_base_field
+    from queeralg.hwmod import simple_quotient
+    K, q2 = env["K"], env["q2"]
+    qone = q1_module(K)
+    s_q = weight_schur_data(qone)
+    assert_entry_blocks(qone, s_q.phi_blocks)
+    plus, info = _hat(qone, qone, s_q, s_q)
+    assert info["split"]
+    for m in (info["full"], plus, info["minus"]):
+        assert_entry_blocks(m)
+    prod, info = _adjoint_qone(env)
+    assert_entry_blocks(prod, info["result_schur"].phi_blocks)
+    base = preset_base_field(K)
+    psi = PsiFunctional(CartanAlgebra(q2, base), [K.one(), K.one()])
+    sq = simple_quotient(tensor_lie(q2, base), psi, 6)
+    assert sq.conclusive and sq.module.dim == 16
+    assert_entry_blocks(sq.module)
 
 
 def test_ev_module_and_ann(env):
@@ -599,17 +677,16 @@ def _toy_weight_pair(K):
     g1 = from_assoc(make_Q(K, 1))
     g = direct_sum(g1, from_assoc(make_Q(K, 1)))
     w0 = (K.zero(),)
-    one, zero = K.one(), K.zero()
-    ident = [[one, zero], [zero, one]]
-    swap = [[zero, one], [one, zero]]
-    zmat = [[zero, zero], [zero, zero]]
+    one = K.one()
+    ident = {(0, 0): one, (1, 1): one}
+    swap = {(0, 1): one, (1, 0): one}
 
     def wm(active):
         act = []
         for gidx in range(4):
             if gidx // 2 == active:
-                rows = ident if gidx % 2 == 0 else swap
-                act.append({w0: [(w0, [list(r) for r in rows])]})
+                blk = ident if gidx % 2 == 0 else swap
+                act.append({w0: [(w0, dict(blk))]})
             else:
                 act.append({})
         return WeightModule(g, K, [w0], {w0: (EVEN, ODD)}, act)
@@ -663,28 +740,14 @@ def test_hat_tensor_weight_mixed_factor_phi(env):
                         [{} for _ in range(4)])
     prod, info = hat_tensor_weight(m1, triv, ws1, WeightSchur(False, None))
     rs = info["result_schur"]
-    assert rs.is_type_q
-    phi = rs.phi_blocks[w0]
+    assert rs.is_type_q and prod.weights == [w0]
+    phi = _phi_flat(prod, rs.phi_blocks)
     # square to -id
-    acc = [[sum((phi[i][k] * phi[k][j] for k in range(2)), K.zero())
-            for j in range(2)] for i in range(2)]
-    assert acc[0][0] == -1 and acc[1][1] == -1 and acc[0][1].is_zero
+    assert phi * phi == GradedMap.identity(K, prod.space) * (-1)
     # supercommutation with every generator action on the product
-    pars = prod.parities[w0]
-    for gidx in range(4):
-        blocks = dict()
-        for (wt, blk) in prod.blocks_of(gidx, w0):
-            blocks[wt] = blk
-        rho = blocks.get(w0)
-        if rho is None:
-            continue
-        gpar = prod.algebra.space.parity(gidx)
-        sgn = -1 if gpar else 1
-        for i in range(2):
-            for j in range(2):
-                lhs = sum((phi[i][k] * rho[k][j] for k in range(2)), K.zero())
-                rhs = sum((rho[i][k] * phi[k][j] for k in range(2)), K.zero())
-                assert lhs == rhs * sgn
+    for gidx, rho in enumerate(prod.mats):
+        sgn = -1 if prod.algebra.space.parity(gidx) else 1
+        assert phi * rho == rho * phi * sgn
 
 
 # ---------------------------------------------------------------------------
@@ -737,9 +800,8 @@ def _phi_flat(m, blocks):
     idx = m.flat_index()
     rows = [[K.zero()] * m.dim for _ in range(m.dim)]
     for w, blk in blocks.items():
-        for r, row in enumerate(blk):
-            for c, v in enumerate(row):
-                rows[idx[(w, r)]][idx[(w, c)]] = v
+        for (r, c), v in blk.items():
+            rows[idx[(w, r)]][idx[(w, c)]] = v
     return GradedMap(K, m.space, m.space, rows)
 
 
@@ -763,10 +825,10 @@ def _q_and_m_pair():
     assert sq.conclusive and sq.module.dim == 3
     g = direct_sum(from_assoc(make_Q(K, 1)), q1.algebra)
     w0 = (K.zero(),)
-    one, zero = K.one(), K.zero()
+    one = K.one()
     mq = WeightModule(g, K, [w0], {w0: (EVEN, ODD)},
-                      [{w0: [(w0, [[one, zero], [zero, one]])]},
-                       {w0: [(w0, [[zero, one], [one, zero]])]}]
+                      [{w0: [(w0, {(0, 0): one, (1, 1): one})]},
+                       {w0: [(w0, {(0, 1): one, (1, 0): one})]}]
                       + [{} for _ in range(q1.dim)])
     mm = WeightModule(g, K, sq.module.weights, sq.module.parities,
                       [{}, {}] + sq.module.act)
