@@ -532,8 +532,7 @@ def clifford_generators(q: QuadraticPair, pivot_order=None):
     if r % 2 == 1:
         (z, d), = lines
         c11 = GradedSpace(1, 1)
-        x11 = GradedMap(tower, c11, c11,
-                        [[tower.zero(), d], [tower.one(), tower.zero()]],
+        x11 = GradedMap(tower, c11, c11, {(0, 1): d, (1, 0): tower.one()},
                         parity=ODD)
         id11 = GradedMap.identity(tower, c11)
         idlam = GradedMap.identity(tower, lam_space)
@@ -647,7 +646,7 @@ def _check_clifford_relations(q: QuadraticPair, gen_mats):
     sparse matrices, each entry one raw_dot)."""
     gens = q.tower.gens
     n = gen_mats[0].source.dim if gen_mats else 0
-    xs = [_raw_mat(_sparse_of(m.rows)) for m in gen_mats]
+    xs = [_raw_mat(m.entries) for m in gen_mats]
     for i in range(q.r):
         for j in range(i, q.r):
             if i == j:   # x_i^2 = f_ii
@@ -752,17 +751,16 @@ def _exterior_model(tower: Tower, k: int):
     create, annihilate = [], []
     for j in range(k):
         bit = 1 << j
-        c_rows = zero_rows(tower, space.dim, space.dim)
-        a_rows = zero_rows(tower, space.dim, space.dim)
+        c_ent, a_ent = {}, {}
         for s in subsets:
             below = bin(s & (bit - 1)).count("1")
             sgn = -one if below % 2 else one
             if not s & bit:
-                c_rows[pos[s | bit]][pos[s]] = sgn
+                c_ent[(pos[s | bit], pos[s])] = sgn
             else:
-                a_rows[pos[s ^ bit]][pos[s]] = sgn
-        create.append(GradedMap(tower, space, space, c_rows, parity=ODD))
-        annihilate.append(GradedMap(tower, space, space, a_rows, parity=ODD))
+                a_ent[(pos[s ^ bit], pos[s])] = sgn
+        create.append(GradedMap(tower, space, space, c_ent, parity=ODD))
+        annihilate.append(GradedMap(tower, space, space, a_ent, parity=ODD))
     return space, create, annihilate
 
 
@@ -786,22 +784,12 @@ class DensityType:
         return self.kind in ("full", "qcomm")
 
 
-def _sparse_of(rows):
-    out = {}
-    for i, row in enumerate(rows):
-        r = {j: x for j, x in enumerate(row) if not x.is_zero}
-        if r:
-            out[i] = r
-    return out
-
-
-def _raw_mat(mat) -> dict:
-    """A sparse Scalar matrix {i: {j: Scalar}} with raw entries."""
-    out = {}
-    for i, row in mat.items():
-        r = {j: raw_of(x) for j, x in row.items() if not x.is_zero}
-        if r:
-            out[i] = r
+def _raw_mat(entries) -> dict:
+    """Nonzero entries {(i, j): Scalar} as a raw sparse matrix
+    {i: {j: raw}}."""
+    out: dict = {}
+    for (i, j), x in entries.items():
+        out.setdefault(i, {})[j] = raw_of(x)
     return out
 
 
@@ -834,8 +822,9 @@ def _raw_products(factors, gens) -> dict:
 
 
 def operator_closure_dim(ops, dim: int, tower: Tower):
-    """Dimension of the unital algebra generated by the operators (sparse
-    {i: {j: Scalar}} matrices on K^dim).
+    """Dimension of the unital algebra generated by the operators (entry
+    dicts {(i, j): Scalar} of nonzero entries, as GradedMap.entries, on
+    K^dim).
 
     With S the ops, the algebra is the union of V_0 = span(1, S) and
     V_{k+1} = V_k + V_k*S: a word in S is a shorter word times one letter
@@ -887,16 +876,16 @@ def density_type(act: ModuleAction) -> DensityType:
     # acting operators (each operator is a product of generators)
     gen_maps = getattr(act, "closure_generator_maps", None) or \
         getattr(act, "generator_maps", None) or act.mats
-    ops = [_sparse_of(m.rows) for m in gen_maps]
-    return density_type_from_maps(act.mats, act.space, act.tower, ops)
+    return density_type_from_maps(act.mats, act.space, act.tower, gen_maps)
 
 
 def density_type_from_maps(maps, space: GradedSpace, tower: Tower,
-                           sparse_ops=None) -> DensityType:
+                           closure_maps=None) -> DensityType:
+    """density_type of the operators maps on space; the closure runs on
+    closure_maps, a generating subset of them, when given."""
     n = space.dim
-    if sparse_ops is None:
-        sparse_ops = [_sparse_of(m.rows) for m in maps]
-    d = operator_closure_dim(sparse_ops, n, tower)
+    d = operator_closure_dim([m.entries for m in closure_maps or maps], n,
+                             tower)
     if d == n * n:
         return DensityType("full", d)
     m = space.even_dim

@@ -135,6 +135,14 @@ class PsiFunctional:
         return tuple(self.eval_even({i: self.ctx.tower.one()}, unit)
                      for i in range(self.ctx.n))
 
+    @cached_property
+    def clifford_data(self) -> "CliffordData":
+        """The CliffordData of psi, built on first read: every H(psi),
+        whatever its pivot order, reads this one (pivot_order only enters
+        clifford_generators).  CliffordData keeps no reference to psi, so
+        the two form no cycle and are freed with psi."""
+        return CliffordData(self)
+
     def kills(self, ideal: IdealRep) -> bool:
         """psi(h0 (x) I) == 0."""
         for v in ideal.basis:
@@ -189,7 +197,6 @@ class CliffordData:
         ctx = psi.ctx
         tower = ctx.tower
         one = tower.one()
-        self.psi = psi
         self.ideal = i_psi(psi)
         quotient = self.quotient = quotient_algebra(ctx.coeff, self.ideal)
         nq = quotient.dim
@@ -275,7 +282,7 @@ class HModule:
             zero_map = GradedMap.zero(tower, self.carrier, self.carrier)
             self.cartan_mats = [zero_map] * ctx.dim
             return
-        data = CliffordData(psi)
+        data = psi.clifford_data
         self.data = data
         self.rank = data.rank
         half = tower.from_fraction(Fraction(1, 2))
@@ -356,7 +363,7 @@ def classify_cartan_module(v: WeightModule, ctx: CartanAlgebra):
     vals = []
     for k in range(ctx.n_even):
         m = mats[k]
-        c = m.rows[0][0]
+        c = m.entries.get((0, 0), tower.zero())
         if not (m == ident * c):
             raise ValueError("even Cartan part does not act by scalars")
         vals.append(c)

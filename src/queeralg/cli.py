@@ -118,8 +118,16 @@ def cmd_classify(args) -> int:
     ms = tensor_lie(qd, alg)
     inv = None
     if args.group:
-        inv = invariants(ms, _parse(args.group, gamma_from_spec, tower,
-                                    _load_json(args.group), alg, qd))
+        act = _parse(args.group, gamma_from_spec, tower,
+                     _load_json(args.group), alg, qd)
+        # a free action has orbits of |Gamma| points, so a larger declared
+        # order is refused before the group is enumerated
+        if act.order > len(alg.maximal_ideals):
+            raise ValueError(
+                "freeness violated: every orbit of a free action of a group "
+                f"of order {act.order} has {act.order} points, more than the "
+                f"{len(alg.maximal_ideals)} declared")
+        inv = invariants(ms, act)
     rep = classify_enumerate(ms, catalog, inv=inv)
     rows = []
     for r in rep["rows"]:

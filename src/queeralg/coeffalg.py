@@ -410,7 +410,7 @@ class GammaAction:
             return []
         tower = self.tower
         dim_a = len(self.generators[0][1])
-        dim_q = len(self.generators[0][2].rows)
+        dim_q = self.generators[0][2].target.dim
         out = [(identity_rows(tower, dim_a), identity_rows(tower, dim_q))]
         for order, arows, qmap in self.generators:
             powers_a, powers_q = [identity_rows(tower, dim_a)], \
@@ -631,9 +631,10 @@ def gamma_from_spec(tower: Tower, spec: dict, a: CoeffAlgebra, qd) -> GammaActio
             else:
                 raise ValueError(f"unknown q action type {kind!r}")
         else:
-            qmap = GradedMap(tower, qd.space, qd.space,
-                             _matrix_from_json(tower, on_q, qd.space.dim,
-                                               f"generator {gi}: on_q"),
-                             parity=EVEN)
+            qmap = GradedMap.from_rows(
+                tower, qd.space, qd.space,
+                _matrix_from_json(tower, on_q, qd.space.dim,
+                                  f"generator {gi}: on_q"),
+                parity=EVEN)
         gens.append((order, rows, qmap))
     return GammaAction(tower, gens)

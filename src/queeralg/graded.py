@@ -113,33 +113,6 @@ def mat_mul(a, b, tower: Tower):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, s: Scalar):
-    return [[x * s for x in row] for row in a]
-
-
-def mat_vec(a, v, tower: Tower):
-    out = []
-    for row in a:
-        acc = tower.zero()
-        for x, c in zip(row, v):
-            if not x.is_zero and not c.is_zero:
-                acc = acc + x * c
-        out.append(acc)
-    return out
-
-
-def mat_is_zero(a) -> bool:
-    return all(x.is_zero for row in a for x in row)
-
-
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def _row_span(rows, ncols: int, tower: Tower) -> Span:
     sp = Span(tower)
     for row in rows:
@@ -316,81 +289,104 @@ class Span:
 # ---------------------------------------------------------------------------
 
 
-class GradedMap:
-    """Linear map between graded spaces; matrix columns are images of
-    source basis vectors.  parity is 0, 1 or None (inhomogeneous)."""
+def add_entries(acc: dict, items) -> dict:
+    """Add the (key, value) items into the entry dict acc, in place, and
+    drop every entry whose sum cancels, so acc keeps only nonzero
+    entries; the values must be nonzero.  Returns acc."""
+    for key, v in items:
+        cur = acc.get(key)
+        if cur is not None:
+            v = cur + v
+            if not v.co:
+                del acc[key]
+                continue
+        acc[key] = v
+    return acc
 
-    __slots__ = ("tower", "source", "target", "rows", "parity")
+
+def _by_row(entries) -> dict:
+    """Entries {(i, j): x} as sparse rows {i: {j: x}}."""
+    rows: dict = {}
+    for (i, j), x in entries.items():
+        rows.setdefault(i, {})[j] = x
+    return rows
+
+
+class GradedMap:
+    """Linear map between graded spaces, stored as entries, the dict
+    {(row, col): Scalar} of its nonzero matrix entries: row indexes the
+    target basis and col the source basis, so column col holds the image
+    of source basis vector col.  No zero is stored, so two maps between
+    the same spaces are equal exactly when their entry dicts are, and the
+    zero map has none.  parity is 0, 1 or None (inhomogeneous); it is
+    inferred from the entries, or declared and checked against them.
+
+    from_rows builds a map from a dense matrix (outside input, tests),
+    and rows is a dense view, a fresh list of rows made on each read, for
+    the edges that need a matrix.  Maps are not mutated after
+    construction."""
+
+    __slots__ = ("tower", "source", "target", "entries", "parity")
 
     def __init__(self, tower: Tower, source: GradedSpace, target: GradedSpace,
-                 rows, parity="infer"):
+                 entries: dict, parity="infer"):
         self.tower = tower
         self.source = source
         self.target = target
-        self.rows = rows
-        if len(rows) != target.dim or any(len(r) != source.dim for r in rows):
-            raise ValueError("matrix shape does not match spaces")
+        self.entries = entries
+        sp, tp = source.parities, target.parities
+        seen = {tp[i] ^ sp[j] for i, j in entries}
         if parity == "infer":
-            parity = self._infer_parity()
-        else:
-            self._check_parity(parity)
+            parity = seen.pop() if len(seen) == 1 else \
+                EVEN if not seen else None   # the zero map counts as even
+        elif parity is not None and seen - {parity}:
+            raise ValueError("matrix entries violate declared parity")
         self.parity = parity
-
-    def _infer_parity(self):
-        seen = set()
-        for i, row in enumerate(self.rows):
-            pi = self.target.parity(i)
-            for j, x in enumerate(row):
-                if not x.is_zero:
-                    seen.add((pi + self.source.parity(j)) % 2)
-        if len(seen) == 2:
-            return None
-        if len(seen) == 1:
-            return seen.pop()
-        return EVEN  # zero map counts as even
-
-    def _check_parity(self, parity):
-        if parity is None:
-            return
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                if not x.is_zero and \
-                        (self.target.parity(i) + self.source.parity(j)) % 2 != parity:
-                    raise ValueError("matrix entries violate declared parity")
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def from_rows(cls, tower, source, target, rows, parity="infer"):
+        """The map with the dense matrix rows: target.dim rows of
+        source.dim Scalars each."""
+        if len(rows) != target.dim or any(len(r) != source.dim for r in rows):
+            raise ValueError("matrix shape does not match spaces")
+        return cls(tower, source, target, nonzero_entries(rows), parity)
+
+    @classmethod
     def zero(cls, tower, source, target):
-        return cls(tower, source, target, zero_rows(tower, target.dim, source.dim),
-                   parity=EVEN)
+        return cls(tower, source, target, {}, parity=EVEN)
 
     @classmethod
     def identity(cls, tower, space):
-        return cls(tower, space, space, identity_rows(tower, space.dim), parity=EVEN)
+        one = tower.one()
+        return cls(tower, space, space,
+                   {(k, k): one for k in range(space.dim)}, parity=EVEN)
 
     @classmethod
     def combination(cls, tower, source, target, terms):
-        """sum_k c_k M_k over (c_k, M_k) terms in one pass: only nonzero
-        coefficients and entries are multiplied and added, and the parity
-        (the terms' common parity, EVEN when the sum is zero) is checked
-        once."""
-        rows = zero_rows(tower, target.dim, source.dim)
+        """sum_k c_k M_k over (c_k, M_k) terms in one pass over the nonzero
+        coefficients and entries; the parity is the terms' common parity
+        (EVEN when the sum is zero)."""
+        acc: dict = {}
         parities = set()
         for c, m in terms:
-            if c.is_zero:
-                continue
-            parities.add(m.parity)
-            for ra, row in zip(rows, m.rows):
-                for j, v in enumerate(row):
-                    if not v.is_zero:
-                        a = ra[j]
-                        ra[j] = c * v if a.is_zero else a + c * v
-        if mat_is_zero(rows):
+            if c.co:
+                parities.add(m.parity)
+                add_entries(acc, ((k, c * v) for k, v in m.entries.items()))
+        if not acc:
             parity = EVEN
         else:
             parity = parities.pop() if len(parities) == 1 else None
-        return cls(tower, source, target, rows, parity)
+        return cls(tower, source, target, acc, parity)
+
+    @property
+    def rows(self):
+        """Dense view: target.dim rows of source.dim Scalars."""
+        rows = zero_rows(self.tower, self.target.dim, self.source.dim)
+        for (i, j), x in self.entries.items():
+            rows[i][j] = x
+        return rows
 
     # -- algebra -----------------------------------------------------------
 
@@ -401,12 +397,16 @@ class GradedMap:
             p = None
             if self.parity is not None and other.parity is not None:
                 p = (self.parity + other.parity) % 2
-            return GradedMap(self.tower, other.source, self.target,
-                             mat_mul(self.rows, other.rows, self.tower), p)
+            right = _by_row(other.entries)
+            out = add_entries({}, (((i, j), a * b)
+                                   for (i, k), a in self.entries.items()
+                                   for j, b in right.get(k, {}).items()))
+            return GradedMap(self.tower, other.source, self.target, out, p)
         if isinstance(other, (Scalar, int)):
             s = self.tower._coerce(other)
-            return GradedMap(self.tower, self.source, self.target,
-                             mat_scale(self.rows, s), self.parity)
+            out = {k: v * s for k, v in self.entries.items()} if s.co else {}
+            return GradedMap(self.tower, self.source, self.target, out,
+                             self.parity)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -418,8 +418,8 @@ class GradedMap:
         if not isinstance(other, GradedMap):
             return NotImplemented
         p = self.parity if self.parity == other.parity else None
-        return GradedMap(self.tower, self.source, self.target,
-                         mat_add(self.rows, other.rows), p)
+        out = add_entries(dict(self.entries), other.entries.items())
+        return GradedMap(self.tower, self.source, self.target, out, p)
 
     def __sub__(self, other):
         return self + other * (-1)
@@ -429,17 +429,24 @@ class GradedMap:
 
     def __eq__(self, other):
         return (isinstance(other, GradedMap) and self.source == other.source
-                and self.target == other.target and mat_eq(self.rows, other.rows))
+                and self.target == other.target
+                and self.entries == other.entries)
 
     @property
     def is_zero(self) -> bool:
-        return mat_is_zero(self.rows)
+        return not self.entries
 
     def apply(self, vec):
-        return mat_vec(self.rows, vec, self.tower)
+        """The image of the dense coordinate vector vec, dense."""
+        out = [self.tower.zero()] * self.target.dim
+        for (i, j), x in self.entries.items():
+            if vec[j].co:
+                out[i] = out[i] + x * vec[j]
+        return out
 
     def rank(self) -> int:
-        return mat_rank(self.rows, self.source.dim, self.tower)
+        return mat_rank(_by_row(self.entries).values(), self.source.dim,
+                        self.tower)
 
     def __repr__(self):
         return (f"GradedMap({self.source!r}->{self.target!r}, "
@@ -456,26 +463,20 @@ def kernel(f: GradedMap):
     if f.parity is None:
         raise ValueError("kernel of an inhomogeneous map is not graded")
     src = f.source
-    blocks = {EVEN: [j for j in range(src.dim) if src.parity(j) == EVEN],
-              ODD: [j for j in range(src.dim) if src.parity(j) == ODD]}
-    vecs = {EVEN: [], ODD: []}
-    for par, cols in blocks.items():
-        if not cols:
-            continue
-        sub = [[row[j] for j in cols] for row in f.rows]
-        for kvec in mat_kernel(sub, len(cols), f.tower):
-            full = [f.tower.zero()] * src.dim
-            for c, j in enumerate(cols):
-                full[j] = kvec[c]
-            vecs[par].append(full)
-    basis = vecs[EVEN] + vecs[ODD]
-    ker_space = GradedSpace(len(vecs[EVEN]), len(vecs[ODD]))
-    cols = basis  # embedding columns
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(src.dim)]
-    if not cols:
-        rows = zero_rows(f.tower, src.dim, 0)
-    emb = GradedMap(f.tower, ker_space, src, rows, parity=EVEN)
-    return ker_space, emb
+    rows = list(_by_row(f.entries).values())
+    entries: dict = {}
+    dims = []
+    for par in (EVEN, ODD):
+        cols = [j for j, p in enumerate(src.parities) if p == par]
+        pos = {j: c for c, j in enumerate(cols)}
+        sub = [{pos[j]: x for j, x in row.items() if j in pos} for row in rows]
+        kvecs = mat_kernel(sub, len(cols), f.tower)
+        for k, kvec in enumerate(kvecs, sum(dims)):
+            entries.update(((cols[c], k), x)
+                           for c, x in enumerate(kvec) if x.co)
+        dims.append(len(kvecs))
+    ker_space = GradedSpace(*dims)
+    return ker_space, GradedMap(f.tower, ker_space, src, entries, parity=EVEN)
 
 
 def graded_tensor(f: GradedMap, g: GradedMap):
@@ -483,25 +484,17 @@ def graded_tensor(f: GradedMap, g: GradedMap):
     (f (x) g)(v (x) w) = (-1)^{|g||v|} f(v) (x) g(w)."""
     if f.parity is None or g.parity is None:
         raise ValueError("graded_tensor requires parity-homogeneous maps")
-    tower = f.tower
     src, src_idx = tensor_space(f.source, g.source)
     tgt, tgt_idx = tensor_space(f.target, g.target)
-    rows = zero_rows(tower, tgt.dim, src.dim)
-    for j in range(f.source.dim):
-        sign = -1 if (g.parity and f.source.parity(j)) else 1
-        for l in range(g.source.dim):
-            col = src_idx[(j, l)]
-            for i in range(f.target.dim):
-                a = f.rows[i][j]
-                if a.is_zero:
-                    continue
-                if sign < 0:
-                    a = -a
-                for k in range(g.target.dim):
-                    b = g.rows[k][l]
-                    if not b.is_zero:
-                        rows[tgt_idx[(i, k)]][col] = rows[tgt_idx[(i, k)]][col] + a * b
-    return GradedMap(tower, src, tgt, rows, parity=(f.parity + g.parity) % 2)
+    sp = f.source.parities
+    entries = {}
+    for (i, j), a in f.entries.items():
+        if g.parity and sp[j]:
+            a = -a
+        for (k, l), b in g.entries.items():
+            entries[(tgt_idx[(i, k)], src_idx[(j, l)])] = a * b
+    return GradedMap(f.tower, src, tgt, entries,
+                     parity=(f.parity + g.parity) % 2)
 
 
 def intertwiners(pairs, slots, tower: Tower):
@@ -553,20 +546,20 @@ def intertwiners(pairs, slots, tower: Tower):
 
 
 def nonzero_entries(rows) -> dict:
-    """The nonzero entries {(i, j): Scalar} of dense rows: the operator
-    form of weight-module blocks, Schur blocks, commutant and odd_schur."""
+    """The nonzero entries {(i, j): Scalar} of dense rows: the one
+    operator form, of GradedMap, weight-module blocks and Schur blocks."""
     return {(i, j): x for i, row in enumerate(rows)
             for j, x in enumerate(row) if not x.is_zero}
 
 
 def homogeneous_entries(ops):
-    """(nonzero_entries, parity) of each operator; every op must be
+    """(entries, parity) of each GradedMap; every op must be
     parity-homogeneous."""
     out = []
     for op in ops:
         if op.parity is None:
             raise ValueError("commutant requires parity-homogeneous operators")
-        out.append((nonzero_entries(op.rows), op.parity))
+        out.append((op.entries, op.parity))
     return out
 
 
@@ -589,14 +582,11 @@ def commutant(ops, space: GradedSpace, tower: Tower, parity_filter=(EVEN, ODD)):
 def _supercommutant(entries, space: GradedSpace, tower: Tower, p, slots):
     """The kernel basis of commutant at parity p over the given slots, as
     GradedMaps, one at a time; entries as from homogeneous_entries."""
-    n = space.dim
     pairs = [(e, e, -1 if p and q else 1) for e, q in entries]
     for kvec in intertwiners(pairs, slots, tower):
-        mat = zero_rows(tower, n, n)
-        for (i, j), x in zip(slots, kvec):
-            if not x.is_zero:
-                mat[i][j] = x
-        yield GradedMap(tower, space, space, mat, parity=p)
+        yield GradedMap(tower, space, space,
+                        {ij: x for ij, x in zip(slots, kvec) if x.co},
+                        parity=p)
 
 
 def odd_schur(ops, space: GradedSpace, tower: Tower, slots=None):
@@ -617,8 +607,8 @@ def odd_schur(ops, space: GradedSpace, tower: Tower, slots=None):
     ident = GradedMap.identity(tower, space)
     for phi in _supercommutant(ops, space, tower, ODD, slots):
         sq = phi * phi
-        c = sq.rows[0][0]
-        if not c.is_zero and sq == ident * c:
+        c = sq.entries.get((0, 0))
+        if c is not None and sq == ident * c:
             return phi, c
     return None
 

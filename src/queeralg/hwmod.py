@@ -109,13 +109,14 @@ class TruncatedVerma:
         self.cartan_pos = {g: k for k, g in enumerate(ms.cartan_gens)}
         # raw forms: bk[i][j] as (k, raw) pairs (q's own raw table when
         # A is the base field), and per Cartan generator and column h of
-        # H(psi) its nonzero (k, raw), converted once
+        # H(psi) its nonzero (k, raw) by increasing k, converted once
         self._bk = ms.algebra.raw_bk
-        self._cartan = [[tuple((k, raw_of(mat.rows[k][h]))
-                               for k in range(self.h_mod.dim)
-                               if not mat.rows[k][h].is_zero)
-                         for h in range(self.h_mod.dim)]
-                        for mat in self.h_mod.cartan_mats]
+        self._cartan = []
+        for mat in self.h_mod.cartan_mats:
+            cols = [[] for _ in range(self.h_mod.dim)]
+            for (k, h), x in sorted(mat.entries.items(), key=lambda e: e[0]):
+                cols[h].append((k, raw_of(x)))
+            self._cartan.append([tuple(c) for c in cols])
         self._odd = [ms.algebra.space.parity(g) for g in range(ms.dim)]
         self._straight_memo: dict = {}
         self._ins_memo: dict = {}

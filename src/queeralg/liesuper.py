@@ -8,9 +8,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .assocsuper import AssocSuper
-from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span,
+from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, add_entries,
                      first_invertible, intertwiners, mat_kernel, mat_rank,
-                     nonzero_entries, solve_columns, zero_rows)
+                     solve_columns, zero_rows)
 from .scalars import Tower, raw_of
 
 
@@ -182,8 +182,8 @@ def subalgebra(g: LieSuper, vectors, name: str = "") -> tuple:
            for j in range(n)] for i in range(n)]
     sub = LieSuper(tower, space, bk, name=name)
     emb = GradedMap(tower, space, g.space,
-                    [[dense[j][i] for j in range(n)] for i in range(g.dim)],
-                    parity=EVEN)
+                    {(k, j): s for j, u in enumerate(sparse)
+                     for k, s in u.items()}, parity=EVEN)
     return sub, emb
 
 
@@ -324,8 +324,8 @@ class WeightModule:
     element i: entries {(row, col): Scalar} holds the nonzero entries of
     the map from the w block into the target block (row indexes the
     target block, col the w block), and a block with no nonzero entry
-    is left out.  Dense rows are made only at the edges that need a
-    matrix: the flat view (mats), top_block_maps and hom_map.
+    is left out.  The flat view (mats), top_block_maps and hom_map give
+    GradedMaps, whose entries have the same form.
     """
 
     def __init__(self, algebra: LieSuper, tower: Tower, weights, parities,
@@ -345,8 +345,8 @@ class WeightModule:
         if len(mats) != algebra.dim:
             raise ValueError("one matrix per Lie basis element required")
         return cls(algebra, algebra.tower, [()], {(): space.parities},
-                   [{(): [((), ent)]} if (ent := nonzero_entries(m.rows))
-                    else {} for m in mats])
+                   [{(): [((), m.entries)]} if m.entries else {}
+                    for m in mats])
 
     @property
     def dim(self) -> int:
@@ -381,13 +381,9 @@ class WeightModule:
         of block w (the keys of flat_index)."""
         out: dict = {}
         for i, c in coords.items():
-            for key, v in self._gen_entries(i):
-                cur = out.get(key)
-                nxt = c * v if cur is None else cur + c * v
-                if nxt.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = nxt
+            if c.co:
+                add_entries(out, ((key, c * v)
+                                  for key, v in self._gen_entries(i)))
         return out
 
     # -- flat view -----------------------------------------------------------
@@ -409,19 +405,14 @@ class WeightModule:
 
     @property
     def mats(self):
-        """One dense GradedMap on space per algebra basis element, built
-        from the blocks on each access."""
-        tower = self.tower
+        """One GradedMap on space per algebra basis element, built from the
+        blocks on each access."""
         idx = self.flat_index()
-        n = self.dim
         space = self.space
-        mats = []
-        for i in range(self.algebra.dim):
-            rows = zero_rows(tower, n, n)
-            for (row, col), v in self._gen_entries(i):
-                rows[idx[row]][idx[col]] = v
-            mats.append(GradedMap(tower, space, space, rows))
-        return mats
+        return [GradedMap(self.tower, space, space,
+                          {(idx[row], idx[col]): v
+                           for (row, col), v in self._gen_entries(i)})
+                for i in range(self.algebra.dim)]
 
     def check(self, pairs="all"):
         """rho([x,y]) = rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x) on
@@ -522,20 +513,13 @@ class WeightModule:
         return True
 
     def top_block_maps(self, w, gen_indices):
-        """GradedMap-like dense matrices of the given generators on the w
-        block (only their weight-preserving parts)."""
-        tower = self.tower
-        d = self.block_dim(w)
+        """GradedMaps of the given generators on the w block (only their
+        weight-preserving parts)."""
         space = GradedSpace.from_parities(self.parities[w])
-        out = []
-        for g in gen_indices:
-            rows = zero_rows(tower, d, d)
-            for (w2, blk) in self.blocks_of(g, w):
-                if w2 == w:
-                    for (r, c), v in blk.items():
-                        rows[r][c] = v
-            out.append(GradedMap(tower, space, space, rows))
-        return out
+        return [GradedMap(self.tower, space, space,
+                          next((blk for w2, blk in self.blocks_of(g, w)
+                                if w2 == w), {}))
+                for g in gen_indices]
 
 
 def direct_sum_weight(m1: WeightModule, m2: WeightModule) -> WeightModule:
@@ -605,10 +589,9 @@ def hom_map(vec, slots, m: WeightModule, n: WeightModule) -> GradedMap:
     """The intertwiner with coordinates vec over slots (as returned by
     hom_space_weight), as a map from m.space to n.space."""
     src, tgt = m.flat_index(), n.flat_index()
-    rows = zero_rows(m.tower, n.dim, m.dim)
-    for (w, i, j), x in zip(slots, vec):
-        rows[tgt[(w, i)]][src[(w, j)]] = x
-    return GradedMap(m.tower, m.space, n.space, rows)
+    return GradedMap(m.tower, m.space, n.space,
+                     {(tgt[(w, i)], src[(w, j)]): x
+                      for (w, i, j), x in zip(slots, vec) if x.co})
 
 
 def is_isomorphic_weight(m: WeightModule, n: WeightModule):
@@ -635,13 +618,9 @@ is_isomorphic_flat = is_isomorphic_weight
 
 
 def _weight_hom_invertible(vec, slots, m: WeightModule, n: WeightModule) -> bool:
-    tower = m.tower
-    for w in m.weights:
-        d = m.block_dim(w)
-        rows = zero_rows(tower, n.block_dim(w), d)
-        for k, (w2, i, j) in enumerate(slots):
-            if w2 == w and not vec[k].is_zero:
-                rows[i][j] = vec[k]
-        if mat_rank(rows, d, tower) != d:
-            return False
-    return True
+    rows: dict = {}   # weight -> {row: {col: entry}}
+    for (w, i, j), x in zip(slots, vec):
+        if x.co:
+            rows.setdefault(w, {}).setdefault(i, {})[j] = x
+    return all(mat_rank(rows.get(w, {}).values(), m.block_dim(w), m.tower)
+               == m.block_dim(w) for w in m.weights)

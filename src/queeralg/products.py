@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assocsuper import _raw_products, density_type_from_maps, make_Q
-from .graded import (EVEN, ODD, GradedMap, GradedSpace, identity_rows,
-                     kernel, mat_is_zero, mat_mul, nonzero_entries, odd_schur,
+from .graded import (EVEN, ODD, GradedMap, GradedSpace, add_entries,
+                     identity_rows, kernel, nonzero_entries, odd_schur,
                      solve_columns, zero_rows)
 from .hwmod import is_irreducible_hw, triangular_of_map, triangular_of_q
 from .liesuper import (WeightModule, direct_sum, from_assoc,
@@ -93,11 +93,11 @@ def _solve_weight_schur(m: WeightModule) -> WeightSchur:
     if found is None:
         return WeightSchur(False, None)
     phi, c = found
-    rows = (phi * tower.adjoin_sqrt(-c.inv())).rows
-    blocks = {}
-    for w in m.weights:
-        b, d = idx[(w, 0)], m.block_dim(w)
-        blocks[w] = nonzero_entries(row[b:b + d] for row in rows[b:b + d])
+    at = list(idx)   # flat position -> (weight, position in its block)
+    blocks = {w: {} for w in m.weights}
+    for (r, col), v in (phi * tower.adjoin_sqrt(-c.inv())).entries.items():
+        (w, i), (_, j) = at[r], at[col]   # phi preserves weights
+        blocks[w][(i, j)] = v
     return WeightSchur(True, blocks)
 
 
@@ -171,29 +171,21 @@ def tensor_same_algebra(m1: WeightModule, m2: WeightModule) -> WeightModule:
                 c0, dd = offset[i1][i2], d2[i2]
                 # rho1(g) (x) 1
                 for i1t, nz in b1[i1]:
-                    tgt = found.setdefault(target[i1t][i2], {})
                     r0 = offset[i1t][i2]
-                    for (r, k1), v in nz.items():
-                        for k2 in range(dd):
-                            key = (r0 + r * dd + k2, c0 + k1 * dd + k2)
-                            cur = tgt.get(key)
-                            tgt[key] = v if cur is None else cur + v
+                    add_entries(found.setdefault(target[i1t][i2], {}),
+                                (((r0 + r * dd + k2, c0 + k1 * dd + k2), v)
+                                 for (r, k1), v in nz.items()
+                                 for k2 in range(dd)))
                 # 1 (x) rho2(g), sign by parity of the first factor
                 for i2t, nz in b2[i2]:
-                    tgt = found.setdefault(target[i1][i2t], {})
                     r0, dt = offset[i1][i2t], d2[i2t]
-                    for k1, p in enumerate(par1[i1]):
-                        for (r, k2), v in nz.items():
-                            key = (r0 + k1 * dt + r, c0 + k1 * dd + k2)
-                            add = -v if odd and p else v
-                            cur = tgt.get(key)
-                            tgt[key] = add if cur is None else cur + add
-            pieces = []
-            for tt, entries in found.items():
-                nonzero = {key: v for key, v in entries.items()
-                           if not v.is_zero}
-                if nonzero:
-                    pieces.append((weights[tt], nonzero))
+                    add_entries(found.setdefault(target[i1][i2t], {}),
+                                (((r0 + k1 * dt + r, c0 + k1 * dd + k2),
+                                  -v if odd and p else v)
+                                 for k1, p in enumerate(par1[i1])
+                                 for (r, k2), v in nz.items()))
+            # entries that cancelled are gone; so is a block left empty
+            pieces = [(weights[tt], ent) for tt, ent in found.items() if ent]
             if pieces:
                 blocks[w] = pieces
         act.append(blocks)
@@ -229,7 +221,7 @@ def restrict_weight_module(m: WeightModule, sub_basis: dict) -> WeightModule:
                 for (r, c), v in blk.items():
                     img[r] = [a + v * x for a, x in zip(img[r], emb[w][c])]
                 if wt not in emb:
-                    if not mat_is_zero(img):
+                    if any(x.co for row in img for x in row):
                         raise AssertionError("subspace is not invariant")
                     continue
                 sol = nonzero_entries(_solve_columns(emb[wt], img, tower))
@@ -314,9 +306,9 @@ def hat_tensor_weight(m1: WeightModule, m2: WeightModule,
         return full, info
     _, _, pair_basis, target, offset = full.pair_data
     i_unit = tower.adjoin_sqrt(tower.from_int(-1))
-    # op(v (x) w) = (-1)^{|phi2||v|} phi1_tilde v (x) phi2 w, on dense
-    # blocks for the eigenspace split
-    ops = [zero_rows(tower, len(b), len(b)) for b in pair_basis]
+    # op(v (x) w) = (-1)^{|phi2||v|} phi1_tilde v (x) phi2 w, one even
+    # map per product weight
+    ops = [{} for _ in pair_basis]
     for i1, w1 in enumerate(m1.weights):
         for i2, w2 in enumerate(m2.weights):
             op = ops[target[i1][i2]]
@@ -326,22 +318,24 @@ def hat_tensor_weight(m1: WeightModule, m2: WeightModule,
                 if m1.parities[w1][k1]:
                     v1 = -v1
                 for (r2, k2), v2 in s2.phi_blocks[w2].items():
-                    op[base + r1 * dd + r2][base + k1 * dd + k2] = v1 * v2
+                    op[(base + r1 * dd + r2, base + k1 * dd + k2)] = v1 * v2
     plus_basis: dict = {}
     minus_basis: dict = {}
-    for w, op in zip(full.weights, ops):
-        d = len(op)
-        if mat_mul(op, op, tower) != identity_rows(tower, d):
+    for w, entries in zip(full.weights, ops):
+        space = GradedSpace.from_parities(full.parities[w])
+        op = GradedMap(tower, space, space, entries, parity=EVEN)
+        ident = GradedMap.identity(tower, space)
+        if op * op != ident:
             raise AssertionError("(phi1_hat (x) phi2)^2 != id; "
                                  "normalization broken")
-        # eigenspaces, blockwise and parity-homogeneous
-        space = GradedSpace.from_parities(full.parities[w])
-        for eig, store in ((tower.one(), plus_basis), (-tower.one(), minus_basis)):
-            diff = [[op[i][j] - (eig if i == j else tower.zero())
-                     for j in range(d)] for i in range(d)]
-            _, emb = kernel(GradedMap(tower, space, space, diff, parity=EVEN))
+        # eigenspaces, blockwise and parity-homogeneous, as dense vectors
+        for eig, store in ((ident, plus_basis), (-ident, minus_basis)):
+            _, emb = kernel(op - eig)
             if emb.source.dim:
-                store[w] = [list(col) for col in zip(*emb.rows)]
+                vecs = zero_rows(tower, emb.source.dim, space.dim)
+                for (i, j), x in emb.entries.items():
+                    vecs[j][i] = x
+                store[w] = vecs
     plus = restrict_weight_module(full, plus_basis)
     minus = restrict_weight_module(full, minus_basis)
     info.update({"split": True, "plus": plus, "minus": minus, "full": full,
@@ -621,15 +615,8 @@ def _combine(m: WeightModule, terms) -> dict:
         for w, blks in m.act[k].items():
             cur = acc.setdefault(w, {})
             for (wt, blk) in blks:
-                tgt = cur.setdefault(wt, {})
-                for key, v in blk.items():
-                    x = c * v
-                    if key in tgt:
-                        x = tgt[key] + x
-                    if x.co:
-                        tgt[key] = x
-                    else:
-                        del tgt[key]
+                add_entries(cur.setdefault(wt, {}),
+                            ((key, c * v) for key, v in blk.items()))
     act = {}
     for w, d in acc.items():
         pieces = [(wt, ent) for wt, ent in d.items() if ent]

@@ -15,7 +15,7 @@ import warnings
 from fractions import Fraction
 from math import lcm
 
-from .graded import EVEN, ODD, GradedSpace, GradedMap, Span, zero_rows
+from .graded import EVEN, ODD, GradedSpace, GradedMap, Span
 from .liesuper import LieSuper
 from .scalars import Tower, raw_of
 
@@ -249,7 +249,7 @@ class QueerData:
         d = [tower._coerce(x) for x in diag_entries]
         if len(d) != self.n + 1 or any(x.is_zero for x in d):
             raise ValueError("need n+1 nonzero diagonal entries")
-        rows = zero_rows(tower, self.dim, self.dim)
+        entries = {}
         for k in range(self.dim):
             a, b = self.mats[k]
             ca = [[d[i] * a[i][j] / d[j] for j in range(self.n + 1)]
@@ -257,8 +257,8 @@ class QueerData:
             cb = [[d[i] * b[i][j] / d[j] for j in range(self.n + 1)]
                   for i in range(self.n + 1)]
             for t, c in self.coords_of_pair(ca, cb).items():
-                rows[t][k] = c
-        return GradedMap(tower, self.space, self.space, rows, parity=EVEN)
+                entries[(t, k)] = c
+        return GradedMap(tower, self.space, self.space, entries, parity=EVEN)
 
 
 def _queer_structure(tower: Tower, n: int, units, index: dict):

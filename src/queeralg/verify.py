@@ -61,7 +61,7 @@ def _rand_graded_map(tower, rng, src, tgt, parity):
         for j in range(src.dim):
             if (tgt.parity(i) + src.parity(j)) % 2 == parity:
                 rows[i][j] = tower.from_int(rng.randint(-3, 3))
-    return GradedMap(tower, src, tgt, rows, parity=parity)
+    return GradedMap.from_rows(tower, src, tgt, rows, parity=parity)
 
 
 def _two_point(tower):

@@ -40,7 +40,7 @@ def natural_module(K, alg, m, n=None):
             else:
                 rows[i][m + j] = K.one()
                 rows[m + i][j] = K.one()
-            mats.append(GradedMap(K, space, space, rows))
+            mats.append(GradedMap.from_rows(K, space, space, rows))
         return ModuleAction(alg, space, mats)
     space = GradedSpace(m, n)
     mats = []
@@ -49,7 +49,7 @@ def natural_module(K, alg, m, n=None):
         i, j = (int(t) - 1 for t in lbl[2:-1].split(","))
         rows = [[K.zero()] * (m + n) for _ in range(m + n)]
         rows[i][j] = K.one()
-        mats.append(GradedMap(K, space, space, rows))
+        mats.append(GradedMap.from_rows(K, space, space, rows))
     return ModuleAction(alg, space, mats)
 
 
@@ -246,6 +246,13 @@ def scalar_sparse_mul(a, b):
     return c
 
 
+def entry_dicts(ops):
+    """Nested {i: {j: x}} operators as the entry dicts {(i, j): x} that
+    operator_closure_dim reads."""
+    return [{(i, j): x for i, row in op.items() for j, x in row.items()}
+            for op in ops]
+
+
 def scalar_closure_dim(ops, n, tower):
     """Reference: span-closure with Scalar products."""
     span = Span(tower)
@@ -320,7 +327,8 @@ def operator_sets(draw):
 @given(operator_sets())
 def test_operator_closure_dim_matches_scalar_closure(drawn):
     n, ops = drawn
-    assert operator_closure_dim(ops, n, CL) == scalar_closure_dim(ops, n, CL)
+    assert operator_closure_dim(entry_dicts(ops), n, CL) == \
+        scalar_closure_dim(ops, n, CL)
 
 
 def unit(K, i, j):
@@ -339,7 +347,7 @@ def test_operator_closure_stops_at_full_algebra(K, monkeypatch):
 
     monkeypatch.setattr(Span, "add", counted)
     ops = [unit(K, 0, 1), unit(K, 1, 0)]
-    assert operator_closure_dim(ops, 2, K) == 4
+    assert operator_closure_dim(entry_dicts(ops), 2, K) == 4
     # the identity, E12 and E21, then E12*E12 = 0 (never added) and
     # E12*E21 = E11, which fills End(K^2): E21 is never multiplied
     assert len(adds) == 4
@@ -348,7 +356,8 @@ def test_operator_closure_stops_at_full_algebra(K, monkeypatch):
     # the cyclic shift and one diagonal unit generate End(K^3)
     shift = {0: {1: K.one()}, 1: {2: K.one()}, 2: {0: K.one()}}
     ops3 = [shift, unit(K, 0, 0)]
-    assert operator_closure_dim(ops3, 3, K) == 9 == scalar_closure_dim(ops3, 3, K)
+    assert operator_closure_dim(entry_dicts(ops3), 3, K) == 9 == \
+        scalar_closure_dim(ops3, 3, K)
 
 
 def test_operator_closure_drops_scalar_and_dependent_multipliers(K):
@@ -360,8 +369,9 @@ def test_operator_closure_drops_scalar_and_dependent_multipliers(K):
     comb = {0: {0: K.from_int(3), 1: K.one()}, 1: {0: K.from_int(-1),
                                                   1: K.from_int(3)}}
     ops = [two, e, comb, f]
-    assert operator_closure_dim(ops, 2, K) == 4 == scalar_closure_dim(ops, 2, K)
-    assert operator_closure_dim([two, e], 2, K) == 2 == \
+    assert operator_closure_dim(entry_dicts(ops), 2, K) == 4 == \
+        scalar_closure_dim(ops, 2, K)
+    assert operator_closure_dim(entry_dicts([two, e]), 2, K) == 2 == \
         scalar_closure_dim([two, e], 2, K)
 
 
@@ -369,7 +379,7 @@ def test_operator_closure_odd_rank_cartan_module_is_qcomm():
     """H(psi) of q(3) over the base field with Clifford rank 3: carrier
     C^{2|2}, closure 2 m^2 = 8 < 16, and the density oracle says QComm.
     The even Cartan operators act by the scalars psi(h_k)."""
-    from queeralg.assocsuper import _sparse_of, density_type_from_maps
+    from queeralg.assocsuper import density_type_from_maps
     from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
     from queeralg.coeffalg import preset_base_field
     from queeralg.queer import build_q
@@ -377,8 +387,13 @@ def test_operator_closure_odd_rank_cartan_module_is_qcomm():
     ctx = CartanAlgebra(build_q(K, 3), preset_base_field(K))
     h = build_H(PsiFunctional(ctx, [K.from_int(v) for v in (2, 1, 0)]))
     assert h.rank == 3 and h.dim == 4
-    ops = [_sparse_of(m.rows) for m in h.cartan_mats]
-    assert operator_closure_dim(ops, 4, K) == 8 == scalar_closure_dim(ops, 4, K)
+    ops = [m.entries for m in h.cartan_mats]
+    nested = [{} for _ in ops]
+    for op, mat in zip(ops, nested):
+        for (i, j), x in op.items():
+            mat.setdefault(i, {})[j] = x
+    assert operator_closure_dim(ops, 4, K) == 8 == \
+        scalar_closure_dim(nested, 4, K)
     d = density_type_from_maps(h.cartan_mats, h.carrier, K)
     assert d.kind == "qcomm" and d.closure_dim == 8
 
@@ -420,7 +435,7 @@ def test_clifford_relation_check_on_given_maps(K):
     bad = list(gens)
     rows = [list(r) for r in bad[1].rows]
     rows[0][-1] = rows[0][-1] + 1
-    bad[1] = GradedMap(K, bad[1].source, bad[1].target, rows)
+    bad[1] = GradedMap.from_rows(K, bad[1].source, bad[1].target, rows)
     with pytest.raises(AssertionError, match=r"\(0,1\)"):
         assocsuper._check_clifford_relations(f, bad)
 
@@ -449,9 +464,10 @@ def pairing_model(q):
     carrier = lam
     if r % 2:
         c11 = GradedSpace(1, 1)
-        x11 = GradedMap(tower, c11, c11, [[tower.zero(), diag[-1]],
-                                          [tower.one(), tower.zero()]],
-                        parity=1)
+        x11 = GradedMap.from_rows(tower, c11, c11,
+                                  [[tower.zero(), diag[-1]],
+                                   [tower.one(), tower.zero()]],
+                                  parity=1)
         z_mats = [graded_tensor(z, GradedMap.identity(tower, c11))
                   for z in z_mats]
         z_mats.append(graded_tensor(GradedMap.identity(tower, lam), x11))

@@ -263,10 +263,10 @@ def test_classify_cartan_module_roundtrip(K, q2):
                                         reversed(range(h.dim - ne))]
     pm = [[K.one() if perm[i] == j else K.zero() for j in range(h.dim)]
           for i in range(h.dim)]
-    pmap = GradedMap(K, h.carrier, h.carrier, pm)
-    inv = GradedMap(K, h.carrier, h.carrier,
-                    [[K.one() if perm[j] == i else K.zero()
-                      for j in range(h.dim)] for i in range(h.dim)])
+    pmap = GradedMap.from_rows(K, h.carrier, h.carrier, pm)
+    inv = GradedMap.from_rows(K, h.carrier, h.carrier,
+                              [[K.one() if perm[j] == i else K.zero()
+                                for j in range(h.dim)] for i in range(h.dim)])
     twisted = WeightModule.from_flat(mod.algebra, h.carrier,
                                      [pmap * m * inv for m in mod.mats])
     got2, wit2 = classify_cartan_module(twisted, ctx)
@@ -473,3 +473,58 @@ def test_two_point_tower_stays_at_height_two():
         build_H(psi, pivot_order=list(range(h.rank))[::-1] or None)
         heights.append(K.height)
     assert max(heights) <= 2
+
+
+def test_clifford_data_built_once_per_psi(K, q2, monkeypatch):
+    """A rebuild with other pivots reads the same CliffordData: I_psi,
+    A/I_psi and the Gram are computed once per functional.  The cached
+    data holds no reference back to psi, so psi is freed without the
+    cycle collector."""
+    import gc
+    import weakref
+    import queeralg.cartanmod as cartanmod
+    calls = []
+
+    def counted(psi):
+        calls.append(1)
+        return i_psi(psi)
+
+    monkeypatch.setattr(cartanmod, "i_psi", counted)
+    ctx = ctx_over(K, q2, "two")
+    psi = PsiFunctional(ctx, [K.from_int(v) for v in (1, 2, -1, 3)])
+    h = build_H(psi)
+    h2 = build_H(psi, pivot_order=list(range(h.rank))[::-1])
+    assert len(calls) == 1 and h2.data is h.data
+    assert is_isomorphic_flat(h.as_lie_module(), h2.as_lie_module())[0]
+    gc.disable()
+    try:
+        ref = weakref.ref(psi)
+        del psi, h, h2
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_top_block_and_quotient_fill_no_dense_matrix(monkeypatch):
+    """The work guard of the entry form: H(psi), its module, the truncated
+    Verma module and the simple quotient for q(6) fill no dense zero
+    matrix through graded.zero_rows (which the dense rows view of a
+    GradedMap uses) or assocsuper.zero_rows."""
+    import queeralg.graded as graded
+    from queeralg.hwmod import SimpleQuotient, TruncatedVerma
+    from queeralg.mapsuper import tensor_lie
+    K = Tower()
+    qd = build_q(K, 6)
+    ctx = CartanAlgebra(qd, preset_base_field(K))
+    ms = tensor_lie(qd, ctx.coeff)
+    psi = PsiFunctional.from_pairs(ctx, [["h1", "1", "1"], ["h3", "1", "2"]])
+
+    def refuse(*args):
+        raise AssertionError("a dense zero matrix was filled")
+
+    monkeypatch.setattr(graded, "zero_rows", refuse)
+    monkeypatch.setattr(assocsuper, "zero_rows", refuse)
+    h = build_H(psi)
+    assert h.as_lie_module().dim == h.dim
+    vm = TruncatedVerma(ms, psi, 1)
+    assert SimpleQuotient(vm).quot_dims

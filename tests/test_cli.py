@@ -75,6 +75,32 @@ def test_classify_refuses_non_free_group(files, capsys):
     assert "freeness violated" in err
 
 
+def test_classify_refuses_group_order_above_point_count(files, capsys,
+                                                        monkeypatch):
+    """Every orbit of a free action has |Gamma| points, so an order of 10^6
+    on the four points of K[t]/(t^4 - 16) is refused before the group is
+    enumerated (listing its elements ran for minutes)."""
+    def refuse(ms, act):
+        raise AssertionError("the group was enumerated")
+    monkeypatch.setattr(cli, "invariants", refuse)
+    alg = files["dir"] / "t4_16.json"
+    alg.write_text(json.dumps({"type": "poly_quotient",
+                               "modulus": ["-16", "0", "0", "0", "1"],
+                               "roots": ["2", "-2", "2*i", "-2*i"]}))
+    grp = files["dir"] / "big.json"
+    grp.write_text(json.dumps({"generators": [
+        {"order": 1000000, "on_algebra": {"type": "trivial"},
+         "on_q": {"type": "trivial"}}]}))
+    rc = main(["classify", "--n", "2", "--algebra", str(alg),
+               "--group", str(grp)])
+    assert rc == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.strip().splitlines() == [
+        "error: freeness violated: every orbit of a free action of a group "
+        "of order 1000000 has 1000000 points, more than the 4 declared"]
+
+
 def test_classify_deficient_evaluation_is_one_error_line(files, capsys,
                                                         monkeypatch):
     monkeypatch.setattr("queeralg.products.ev_gamma_rank",

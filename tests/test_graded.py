@@ -22,7 +22,7 @@ def rand_map(K, rng, src, tgt, parity):
         for j in range(src.dim):
             if (tgt.parity(i) + src.parity(j)) % 2 == parity:
                 rows[i][j] = K.from_fraction(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-    return GradedMap(K, src, tgt, rows, parity=parity)
+    return GradedMap.from_rows(K, src, tgt, rows, parity=parity)
 
 
 def test_space_basics():
@@ -35,10 +35,11 @@ def test_space_basics():
 
 def test_parity_inference_and_check(K):
     v = GradedSpace(1, 1)
-    f = GradedMap(K, v, v, [[K.zero(), K.one()], [K.zero(), K.zero()]])
+    f = GradedMap.from_rows(K, v, v, [[K.zero(), K.one()], [K.zero(), K.zero()]])
     assert f.parity == ODD
     with pytest.raises(ValueError):
-        GradedMap(K, v, v, [[K.one(), K.one()], [K.zero(), K.zero()]], parity=EVEN)
+        GradedMap.from_rows(K, v, v, [[K.one(), K.one()], [K.zero(), K.zero()]],
+                            parity=EVEN)
 
 
 def test_kernel_examples(K):
@@ -49,7 +50,7 @@ def test_kernel_examples(K):
     ks, _ = kernel(GradedMap.zero(K, v21, v21))
     assert (ks.even_dim, ks.odd_dim) == (2, 1)
     # parity-odd map on C^{1|1} with matrix [[0,1],[0,0]]: kernel = even line
-    f = GradedMap(K, v11, v11, [[K.zero(), K.one()], [K.zero(), K.zero()]])
+    f = GradedMap.from_rows(K, v11, v11, [[K.zero(), K.one()], [K.zero(), K.zero()]])
     ks, emb = kernel(f)
     assert (ks.even_dim, ks.odd_dim) == (1, 0)
     assert emb.rows[0][0] == K.one() and emb.rows[1][0].is_zero
@@ -105,7 +106,7 @@ def test_commutant_full_matrix_algebra(K):
         for j in range(2):
             rows = [[K.zero()] * 2 for _ in range(2)]
             rows[i][j] = K.one()
-            ops.append(GradedMap(K, v, v, rows))
+            ops.append(GradedMap.from_rows(K, v, v, rows))
     evens = commutant(ops, v, K, parity_filter=EVEN)
     odds = commutant(ops, v, K, parity_filter=ODD)
     assert len(evens) == 1 and len(odds) == 0
@@ -165,9 +166,9 @@ def test_space_from_parities():
 
 def _diag(K, *entries):
     v = GradedSpace(len(entries), 0)
-    return GradedMap(K, v, v, [[x if i == j else K.zero()
-                                for j, x in enumerate(entries)]
-                               for i in range(len(entries))])
+    return GradedMap.from_rows(K, v, v, [[x if i == j else K.zero()
+                                          for j, x in enumerate(entries)]
+                                         for i in range(len(entries))])
 
 
 def test_first_invertible_scan(K):
@@ -463,3 +464,100 @@ def test_combination_matches_repeated_sums(K):
         K, sp, sp, [(K.one(), m), (K.one(), GradedMap.identity(K, sp))])
     assert mixed.parity is None and mixed == m + GradedMap.identity(K, sp)
     assert GradedMap.combination(K, sp, sp, []) == GradedMap.zero(K, sp, sp)
+
+
+# ---------------------------------------------------------------------------
+# The entry form of GradedMap against dense references
+# ---------------------------------------------------------------------------
+
+
+GK = Tower()
+_gauss = st.builds(GK.from_qi, st.integers(-2, 2), st.integers(-2, 2))
+
+
+def _draw_map(draw, src, tgt, parity):
+    """A sparse map of the given parity: each allowed entry is left zero
+    or drawn (a drawn value may be zero too)."""
+    rows = [[draw(_gauss) if (tgt.parity(i) + src.parity(j)) % 2 == parity
+             and draw(st.booleans()) else GK.zero() for j in range(src.dim)]
+            for i in range(tgt.dim)]
+    return GradedMap.from_rows(GK, src, tgt, rows, parity=parity)
+
+
+def _dense_mul(a, b, ncols):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), GK.zero())
+             for j in range(ncols)] for i in range(len(a))]
+
+
+def _dense_tensor(f, g):
+    """Koszul-signed tensor of dense matrices, by its definition."""
+    src, sidx = tensor_space(f.source, g.source)
+    tgt, tidx = tensor_space(f.target, g.target)
+    rows = [[GK.zero()] * src.dim for _ in range(tgt.dim)]
+    fr, gr = f.rows, g.rows
+    for (i, k), r in tidx.items():
+        for (j, l), c in sidx.items():
+            sign = -1 if g.parity and f.source.parity(j) else 1
+            rows[r][c] = fr[i][j] * gr[k][l] * sign
+    return rows
+
+
+def _dense_kernel(f):
+    """The embedding rows of kernel(f) computed on dense blocks: the
+    kernel basis of each parity block of columns, even first."""
+    src = f.source
+    cols_of = [[j for j in range(src.dim) if src.parity(j) == p]
+               for p in (EVEN, ODD)]
+    vecs = []
+    for cols in cols_of:
+        if cols:
+            sub = [[row[j] for j in cols] for row in f.rows]
+            for kvec in mat_kernel(sub, len(cols), GK):
+                full = [GK.zero()] * src.dim
+                for c, j in enumerate(cols):
+                    full[j] = kvec[c]
+                vecs.append(full)
+    return [[v[i] for v in vecs] for i in range(src.dim)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_entry_arithmetic_matches_dense(data):
+    draw = data.draw
+    u, v, w = (GradedSpace(draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+               for _ in range(3))
+    pf, pg = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    f, f2 = _draw_map(draw, u, v, pf), _draw_map(draw, u, v, pf)
+    g = _draw_map(draw, v, w, pg)
+    c, c2 = draw(_gauss), draw(_gauss)
+    fr, f2r = f.rows, f2.rows
+
+    results = []
+
+    def check(m, rows, parity):
+        assert m.rows == rows and m.parity == parity
+        results.append(m)
+
+    check(g * f, _dense_mul(g.rows, fr, u.dim), (pf + pg) % 2)
+    check(f + f2, [[x + y for x, y in zip(a, b)] for a, b in zip(fr, f2r)],
+          pf)
+    check(f - f2, [[x - y for x, y in zip(a, b)] for a, b in zip(fr, f2r)],
+          pf)
+    check(f * c, [[x * c for x in a] for a in fr], pf)
+    check(c * f, [[x * c for x in a] for a in fr], pf)
+    check(-f, [[-x for x in a] for a in fr], pf)
+    cancel = f + (-f)
+    check(cancel, GradedMap.zero(GK, u, v).rows, pf)
+    assert cancel.is_zero and cancel == GradedMap.zero(GK, u, v)
+    comb = GradedMap.combination(GK, u, v, [(c, f), (c2, f2), (-c, f)])
+    check(comb, [[y * c2 for y in b] for b in f2r],
+          EVEN if comb.is_zero else pf)
+    check(graded_tensor(f, g), _dense_tensor(f, g), (pf + pg) % 2)
+    ks, emb = kernel(f)
+    check(emb, _dense_kernel(f), EVEN)
+    assert ks.dim + f.rank() == u.dim and (f * emb).is_zero
+    assert (f == f2) == (fr == f2r)
+    for m in results + [f, f2, g]:
+        assert all(x.co for x in m.entries.values())
+        assert all(0 <= i < m.target.dim and 0 <= j < m.source.dim
+                   for i, j in m.entries)

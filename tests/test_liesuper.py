@@ -120,7 +120,8 @@ def test_direct_sum(K):
 
 def test_lie_module_check(K):
     qd = build_q(K, 2)
-    adj = [GradedMap(K, qd.space, qd.space, qd.algebra.ad_rows(i)) for i in range(16)]
+    adj = [GradedMap.from_rows(K, qd.space, qd.space, qd.algebra.ad_rows(i))
+           for i in range(16)]
     mod = WeightModule.from_flat(qd.algebra, qd.space, adj)
     mod.check()
     bad = WeightModule.from_flat(qd.algebra, qd.space, [adj[0] * 2] + adj[1:])

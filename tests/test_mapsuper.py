@@ -279,7 +279,7 @@ def test_ann_trivial_module(K, q2):
 def adjoint_at_point(K, q2, ms, point):
     """The adjoint of q(2) pulled back through evaluation at a point."""
     one = K.one()
-    ad_mats = [GradedMap(K, q2.space, q2.space, q2.algebra.ad_rows(i))
+    ad_mats = [GradedMap.from_rows(K, q2.space, q2.space, q2.algebra.ad_rows(i))
                for i in range(16)]
     emap = EvMap(ms, [point])
     mats = []

@@ -802,7 +802,7 @@ def _phi_flat(m, blocks):
     for w, blk in blocks.items():
         for (r, c), v in blk.items():
             rows[idx[(w, r)]][idx[(w, c)]] = v
-    return GradedMap(K, m.space, m.space, rows)
+    return GradedMap.from_rows(K, m.space, m.space, rows)
 
 
 def _q_and_m_pair():
