@@ -14,7 +14,7 @@ from math import isqrt
 
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, graded_tensor,
                      homogeneous_entries, mat_kernel, mat_rref, odd_schur,
-                     tensor_space, zero_rows)
+                     tensor_space)
 from .scalars import (QI_ONE, Tower, qi_add, qi_inv, qi_mul, qi_neg, qi_sqrt,
                       raw_dot, raw_of)
 
@@ -54,14 +54,6 @@ class AssocSuper:
                     else:
                         out[k] = t
         return out
-
-    def left_mult_rows(self, u: dict):
-        """Dense matrix of x -> u*x in the basis."""
-        rows = zero_rows(self.tower, self.dim, self.dim)
-        for j in range(self.dim):
-            for k, s in self.product(u, {j: self.tower.one()}).items():
-                rows[k][j] = s
-        return rows
 
     def check(self, triples="all"):
         """Exact unit, parity and associativity sweep; raises on failure.
@@ -355,9 +347,10 @@ def even_center(a: AssocSuper):
     return GradedSpace(len(vecs), 0), vecs
 
 
-def trace_form_radical_dim(a: AssocSuper) -> int:
-    """Dimension of the radical of (x, y) -> tr(L_x L_y); zero exactly
-    when the underlying algebra is semisimple (characteristic zero)."""
+def trace_form_kernel(a: AssocSuper) -> list:
+    """Basis of the radical of the trace form (x, y) -> tr(L_x L_y), as
+    mat_kernel gives it; empty exactly when the underlying algebra is
+    semisimple (characteristic zero).  The Gram rows are sparse."""
     tower = a.tower
     one = tower.one()
     lmats = []
@@ -367,19 +360,20 @@ def trace_form_radical_dim(a: AssocSuper) -> int:
             for k, s in a.product({i: one}, {j: one}).items():
                 sparse.setdefault(k, {})[j] = s
         lmats.append(sparse)
-    gram = zero_rows(tower, a.dim, a.dim)
-    for i in range(a.dim):
-        li = lmats[i]
-        for j in range(a.dim):
-            lj = lmats[j]
+    gram = []
+    for li in lmats:
+        row = {}
+        for j, lj in enumerate(lmats):
             acc = tower.zero()
-            for p, row in li.items():
-                for q, x in row.items():
+            for p, lrow in li.items():
+                for q, x in lrow.items():
                     y = lj.get(q, {}).get(p)
                     if y is not None:
                         acc = acc + x * y
-            gram[i][j] = acc
-    return len(mat_kernel(gram, a.dim, tower))
+            if acc.co:
+                row[j] = acc
+        gram.append(row)
+    return mat_kernel(gram, a.dim, tower)
 
 
 @dataclass(frozen=True)
@@ -409,7 +403,7 @@ def classify_simple(a: AssocSuper) -> SimpleType:
     type Q (nonzero odd center) and type M.  Since M(m|n) and M(n|m) are
     isomorphic superalgebras, type M is reported with m >= n.
     """
-    if trace_form_radical_dim(a) != 0:
+    if trace_form_kernel(a):
         return NOT_SIMPLE
     _, z0 = even_center(a)
     if len(z0) != 1:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .assocsuper import AssocSuper
-from .graded import (EVEN, GradedMap, GradedSpace, Span, identity_rows,
-                     mat_kernel, mat_mul, solve_columns, zero_rows)
+from .assocsuper import AssocSuper, trace_form_kernel
+from .graded import EVEN, GradedMap, GradedSpace, Span, solve_columns
 from .scalars import Scalar, Tower, scalar_from_json
 
 
@@ -349,26 +348,9 @@ def radical(ideal: IdealRep) -> IdealRep:
     """sqrt(I): preimage of the nilradical of A/I, computed exactly as the
     trace-form kernel of the regular representation of A/I."""
     a = ideal.algebra
-    tower = a.tower
     q = QuotientAlgebra(a, ideal)
-    d = q.dim
-    one = tower.one()
-    lmats = [q.left_mult_rows({i: one}) for i in range(d)]
-    gram = zero_rows(tower, d, d)
-    for i in range(d):
-        for j in range(d):
-            acc = tower.zero()
-            for p in range(d):
-                for r in range(d):
-                    x = lmats[i][p][r]
-                    if not x.is_zero:
-                        y = lmats[j][r][p]
-                        if not y.is_zero:
-                            acc = acc + x * y
-            gram[i][j] = acc
-    gens = [dict(v) for v in
-            ({k: x for k, x in enumerate(kv) if not x.is_zero}
-             for kv in mat_kernel(gram, d, tower))]
+    gens = [{k: x for k, x in enumerate(kv) if not x.is_zero}
+            for kv in trace_form_kernel(q)]
     pre = IdealRep(a, ideal.basis + [q.lift(g) for g in gens])
     out = IdealRep.from_generators(a, pre.basis) if pre.basis else zero_ideal(a)
     return out
@@ -386,13 +368,13 @@ def support(ideal: IdealRep):
 
 
 class GammaAction:
-    """Finite abelian group given by generators with explicit matrices:
-    per generator an algebra automorphism of A and an even automorphism
-    of q."""
+    """Finite abelian group given by generators: per generator its order,
+    an algebra automorphism of A and an even automorphism of q, both as
+    even GradedMaps."""
 
     def __init__(self, tower: Tower, generators):
         self.tower = tower
-        # generators: list of (order, alg_rows, q_map)
+        # generators: list of (order, a_map, q_map)
         self.generators = list(generators)
         if any(o < 1 for o, _, _ in self.generators):
             raise ValueError("generator orders must be positive")
@@ -404,24 +386,23 @@ class GammaAction:
             n *= o
         return n
 
-    def elements(self):
-        """All (alg_rows, q_rows) pairs, identity first."""
+    @cached_property
+    def elements(self) -> list:
+        """All (a_map, q_map) pairs, identity first, built once per action:
+        each element e is followed by g e, ..., g^(order - 1) e for the
+        next generator g."""
         if not self.generators:
             return []
-        tower = self.tower
-        dim_a = len(self.generators[0][1])
-        dim_q = self.generators[0][2].target.dim
-        out = [(identity_rows(tower, dim_a), identity_rows(tower, dim_q))]
-        for order, arows, qmap in self.generators:
-            powers_a, powers_q = [identity_rows(tower, dim_a)], \
-                [identity_rows(tower, dim_q)]
-            for _ in range(order - 1):
-                powers_a.append(mat_mul(arows, powers_a[-1], tower))
-                powers_q.append(mat_mul(qmap.rows, powers_q[-1], tower))
+        _, a0, q0 = self.generators[0]
+        out = [(GradedMap.identity(self.tower, a0.source),
+                GradedMap.identity(self.tower, q0.source))]
+        for order, a_map, q_map in self.generators:
             new = []
-            for ea, eq in out:
-                for pa, pq in zip(powers_a, powers_q):
-                    new.append((mat_mul(pa, ea, tower), mat_mul(pq, eq, tower)))
+            for cur in out:
+                new.append(cur)
+                for _ in range(order - 1):
+                    cur = (a_map * cur[0], q_map * cur[1])
+                    new.append(cur)
             out = new
         return out
 
@@ -429,28 +410,13 @@ class GammaAction:
         return self.order == 1
 
 
-def _apply_rows_to_ideal(rows, ideal: IdealRep) -> list:
-    tower = ideal.algebra.tower
-    out = []
-    for v in ideal.basis:
-        w = [tower.zero()] * len(rows)
-        for i in range(len(rows)):
-            acc = tower.zero()
-            for j, x in enumerate(v):
-                if not x.is_zero and not rows[i][j].is_zero:
-                    acc = acc + rows[i][j] * x
-            w[i] = acc
-        out.append(w)
-    return out
-
-
-def _first_unpreserved_pair(rows, op, table):
-    """First (i, j), in row-major order, with op(M e_i, M e_j) !=
-    M table[i][j] for the square matrix M = rows; None if M preserves op.
+def _first_unpreserved_pair(f: GradedMap, op, table):
+    """First (i, j), in row-major order, with op(f e_i, f e_j) !=
+    f table[i][j] for the square map f; None if f preserves op.
     table[i][j] is the coordinate dict of op(e_i, e_j)."""
-    dim = len(rows)
-    cols = [{k: rows[k][i] for k in range(dim) if not rows[k][i].is_zero}
-            for i in range(dim)]
+    dim = f.source.dim
+    by_col = f.columns()
+    cols = [by_col.get(i, {}) for i in range(dim)]
     for i in range(dim):
         for j in range(dim):
             rhs = {}
@@ -475,34 +441,31 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
     report = {"relations": True, "algebra_automorphism": True,
               "lie_automorphism": True, "abelian": True, "free": True,
               "closed_on_maxspec": True, "failures": []}
-    dim_a = a.dim
     g = qd.algebra
+    ident_a = GradedMap.identity(tower, a.space)
+    ident_q = GradedMap.identity(tower, qd.space)
 
-    for gi, (order, arows, qmap) in enumerate(act.generators):
-        pa, pq = arows, qmap.rows
+    for gi, (order, a_map, q_map) in enumerate(act.generators):
+        pa, pq = a_map, q_map
         for _ in range(order - 1):
-            pa = mat_mul(arows, pa, tower)
-            pq = mat_mul(qmap.rows, pq, tower)
-        if pa != identity_rows(tower, dim_a) or \
-                pq != identity_rows(tower, g.dim):
+            pa, pq = a_map * pa, q_map * pq
+        if pa != ident_a or pq != ident_q:
             report["relations"] = False
             report["failures"].append(f"generator {gi}: order relation fails")
         # algebra automorphism: multiplicative and unit-preserving
-        unit_vec = [a.unit.get(i, tower.zero()) for i in range(dim_a)]
-        img_unit = [sum((arows[i][j] * unit_vec[j] for j in range(dim_a)),
-                        tower.zero()) for i in range(dim_a)]
-        if img_unit != unit_vec:
+        unit_vec = [a.unit.get(i, tower.zero()) for i in range(a.dim)]
+        if a_map.apply(unit_vec) != unit_vec:
             report["algebra_automorphism"] = False
             report["failures"].append(f"generator {gi}: unit not fixed")
-        pair = _first_unpreserved_pair(arows, a.product, a.mult)
+        pair = _first_unpreserved_pair(a_map, a.product, a.mult)
         if pair is not None:
             report["algebra_automorphism"] = False
             report["failures"].append(
                 f"generator {gi}: not multiplicative at ({pair[0]},{pair[1]})")
-        if qmap.parity != EVEN:
+        if q_map.parity != EVEN:
             report["lie_automorphism"] = False
             report["failures"].append(f"generator {gi}: q-map is not even")
-        pair = _first_unpreserved_pair(qmap.rows, g.bracket, g.bk)
+        pair = _first_unpreserved_pair(q_map, g.bracket, g.bk)
         if pair is not None:
             report["lie_automorphism"] = False
             report["failures"].append(
@@ -512,19 +475,17 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
         for y in range(x + 1, len(act.generators)):
             _, ax, qx = act.generators[x]
             _, ay, qy = act.generators[y]
-            if mat_mul(ax, ay, tower) != mat_mul(ay, ax, tower) or \
-                    mat_mul(qx.rows, qy.rows, tower) != mat_mul(qy.rows, qx.rows, tower):
+            if ax * ay != ay * ax or qx * qy != qy * qx:
                 report["abelian"] = False
                 report["failures"].append(f"generators {x},{y} do not commute")
 
     # orbit structure and freeness on the declared MaxSpec
     n_pts = len(a.maximal_ideals)
     perms = []
-    ident_a, ident_q = identity_rows(tower, dim_a), identity_rows(tower, g.dim)
-    for ek, (arows, qrows) in enumerate(act.elements()):
+    for ek, (a_map, q_map) in enumerate(act.elements):
         perm = []
         for k, m in enumerate(a.maximal_ideals):
-            img_ideal = IdealRep(a, _apply_rows_to_ideal(arows, m))
+            img_ideal = IdealRep(a, [a_map.apply(v) for v in m.basis])
             target = None
             for k2, m2 in enumerate(a.maximal_ideals):
                 if img_ideal == m2:
@@ -541,8 +502,8 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
         # declared order above the true one lists the identity again: it
         # is no witness either (a group that acts but not faithfully, such
         # as a trivial action of order 2, stays non-free)
-        if ek == 0 or (not report["relations"] and arows == ident_a
-                       and qrows == ident_q):
+        if ek == 0 or (not report["relations"] and a_map == ident_a
+                       and q_map == ident_q):
             continue
         if any(perm[k] == k for k in range(n_pts)):
             fixed = [k for k in range(n_pts) if perm[k] == k]
@@ -606,16 +567,19 @@ def gamma_from_spec(tower: Tower, spec: dict, a: CoeffAlgebra, qd) -> GammaActio
             kind = on_a.get("type")
             if kind == "substitute_t":
                 c = scalar_from_json(tower, on_a["scale"])
-                rows = zero_rows(tower, a.dim, a.dim)
-                for k in range(a.dim):
-                    rows[k][k] = c ** k
+                a_map = GradedMap(tower, a.space, a.space,
+                                  {(k, k): x for k in range(a.dim)
+                                   if (x := c ** k).co}, parity=EVEN)
             elif kind == "trivial":
-                rows = identity_rows(tower, a.dim)
+                a_map = GradedMap.identity(tower, a.space)
             else:
                 raise ValueError(f"unknown algebra action type {kind!r}")
         else:
-            rows = _matrix_from_json(tower, on_a, a.dim,
-                                     f"generator {gi}: on_algebra")
+            a_map = GradedMap.from_rows(
+                tower, a.space, a.space,
+                _matrix_from_json(tower, on_a, a.dim,
+                                  f"generator {gi}: on_algebra"),
+                parity=EVEN)
         on_q = g["on_q"]
         if isinstance(on_q, dict):
             kind = on_q.get("type")
@@ -624,17 +588,17 @@ def gamma_from_spec(tower: Tower, spec: dict, a: CoeffAlgebra, qd) -> GammaActio
                 if not isinstance(diag, list) or len(diag) != qd.n + 1:
                     raise ValueError(f"generator {gi}: on_q diag must be a "
                                      f"list of {qd.n + 1} scalars")
-                qmap = qd.conj_automorphism(
+                q_map = qd.conj_automorphism(
                     [scalar_from_json(tower, x) for x in diag])
             elif kind == "trivial":
-                qmap = GradedMap.identity(tower, qd.space)
+                q_map = GradedMap.identity(tower, qd.space)
             else:
                 raise ValueError(f"unknown q action type {kind!r}")
         else:
-            qmap = GradedMap.from_rows(
+            q_map = GradedMap.from_rows(
                 tower, qd.space, qd.space,
                 _matrix_from_json(tower, on_q, qd.space.dim,
                                   f"generator {gi}: on_q"),
                 parity=EVEN)
-        gens.append((order, rows, qmap))
+        gens.append((order, a_map, q_map))
     return GammaAction(tower, gens)

@@ -90,15 +90,9 @@ def zero_rows(tower: Tower, nrows: int, ncols: int):
     return [[z] * ncols for _ in range(nrows)]
 
 
-def identity_rows(tower: Tower, n: int):
-    rows = zero_rows(tower, n, n)
-    one = tower.one()
-    for k in range(n):
-        rows[k][k] = one
-    return rows
-
-
 def mat_mul(a, b, tower: Tower):
+    """Dense product of two matrices given as rows: the tests' dense
+    reference for the entry form; the package itself does not call it."""
     n, m = len(a), len(b[0]) if b else 0
     out = zero_rows(tower, n, m)
     for i, arow in enumerate(a):
@@ -379,6 +373,14 @@ class GradedMap:
         else:
             parity = parities.pop() if len(parities) == 1 else None
         return cls(tower, source, target, acc, parity)
+
+    def columns(self) -> dict:
+        """Sparse columns {col: {row: Scalar}}: column col is the image of
+        source basis vector col; a zero column has no key."""
+        cols: dict = {}
+        for (i, j), x in self.entries.items():
+            cols.setdefault(j, {})[i] = x
+        return cols
 
     @property
     def rows(self):

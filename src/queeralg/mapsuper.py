@@ -8,7 +8,7 @@ from functools import cached_property
 
 from .coeffalg import (CoeffAlgebra, GammaAction, IdealRep, gamma_validate,
                        radical, support)
-from .graded import GradedSpace, Span, mat_kernel, zero_rows
+from .graded import GradedMap, GradedSpace, Span, add_entries, mat_kernel
 from .liesuper import LieSuper, subalgebra
 from .queer import QueerData
 from .scalars import Tower
@@ -177,23 +177,18 @@ class InvariantSub:
         return sub
 
 
-def gamma_element_action(ms: MapSuper, arows, qrows) -> dict:
+def gamma_element_action(ms: MapSuper, a_map: GradedMap,
+                         q_map: GradedMap) -> dict:
     """Sparse column dict of the diagonal action of one group element on
-    g (x) A: column idx -> image coordinate dict."""
-    cols = {}
-    na = ms.coeff.dim
-    for (xi, aj), idx in ms.pair_index.items():
-        out = {}
-        for xk in range(ms.g.dim):
-            cq = qrows[xk][xi]
-            if cq.is_zero:
-                continue
-            for al in range(na):
-                ca = arows[al][aj]
-                if not ca.is_zero:
-                    out[ms.pair_index[(xk, al)]] = cq * ca
-        cols[idx] = out
-    return cols
+    g (x) A: column idx -> image coordinate dict.  The image of
+    x_i (x) a_j pairs the column i of q_map with the column j of a_map;
+    distinct pairs of entries land on distinct basis elements."""
+    qcols, acols = q_map.columns(), a_map.columns()
+    pair = ms.pair_index
+    return {idx: {pair[(xk, al)]: cq * ca
+                  for xk, cq in qcols.get(xi, {}).items()
+                  for al, ca in acols.get(aj, {}).items()}
+            for (xi, aj), idx in pair.items()}
 
 
 def _averaged(actions, idx: int, scale) -> dict:
@@ -222,9 +217,11 @@ def invariants(ms: MapSuper, act: GammaAction) -> InvariantSub:
     therefore a graded subalgebra, and P, which fixes them and maps
     everything into them, projects onto them: the averaged basis elements
     span the invariants, each homogeneous of its element's parity.  Each
-    group element's action is computed once, here."""
+    group element's action is computed once, here.  Every declared
+    generator is validated, one of order 1 too; only a group with no
+    generators skips the check."""
     tower = ms.tower
-    if act.is_trivial():
+    if not act.generators:
         report = {"valid": True, "free": True, "orbits":
                   [[k] for k in range(len(ms.coeff.maximal_ideals))],
                   "failures": [], "point_permutations":
@@ -236,9 +233,9 @@ def invariants(ms: MapSuper, act: GammaAction) -> InvariantSub:
         if not report["valid"]:
             raise ValueError("group action failed validation: "
                              + "; ".join(report["failures"]))
-        elements = act.elements()
-        scale = tower.from_int(len(elements)).inv()
-        actions = [gamma_element_action(ms, ar, qr) for ar, qr in elements]
+        scale = tower.from_int(len(act.elements)).inv()
+        actions = [gamma_element_action(ms, a_map, q_map)
+                   for a_map, q_map in act.elements]
         averaged = [_averaged(actions, idx, scale) for idx in range(ms.dim)]
     return InvariantSub(ms, act, Span(tower, averaged), averaged, report)
 
@@ -249,38 +246,31 @@ def invariants(ms: MapSuper, act: GammaAction) -> InvariantSub:
 
 
 class EvMap:
-    """Surjection g (x) A -> (+)_i g at pairwise distinct maximal ideals,
-    as an explicit matrix: row t * dim g + x is coordinate x of the copy
-    of g at the t-th point."""
+    """Surjection g (x) A -> (+)_i g at pairwise distinct maximal ideals:
+    target coordinate t * dim g + x is coordinate x of the copy of g at
+    the t-th point, and cols[idx] is the image of basis element idx, a
+    sparse dict on the dim target coordinates."""
 
     def __init__(self, ms: MapSuper, point_indices):
         if len(set(point_indices)) != len(point_indices):
             raise ValueError("maximal ideals must be pairwise distinct")
         self.ms = ms
         self.points = list(point_indices)
-        tower = ms.tower
-        g = ms.g
-        rows = zero_rows(tower, g.dim * len(self.points), ms.dim)
-        for (xi, aj), idx in ms.pair_index.items():
-            for t, p in enumerate(self.points):
-                val = ms.coeff.evaluate(p, {aj: tower.one()})
-                if not val.is_zero:
-                    rows[t * g.dim + xi][idx] = val
-        self.rows = rows
+        one = ms.tower.one()
+        gdim = ms.g.dim
+        self.dim = gdim * len(self.points)
+        values = [[ms.coeff.evaluate(p, {aj: one}) for p in self.points]
+                  for aj in range(ms.coeff.dim)]
+        self.cols = {idx: {t * gdim + xi: v
+                           for t, v in enumerate(values[aj]) if v.co}
+                     for (xi, aj), idx in ms.pair_index.items()}
 
     def apply(self, coords: dict) -> dict:
-        out = {}
-        tower = self.ms.tower
+        out: dict = {}
         for idx, c in coords.items():
-            for i in range(len(self.rows)):
-                v = self.rows[i][idx]
-                if not v.is_zero:
-                    cur = out.get(i)
-                    nxt = c * v if cur is None else cur + c * v
-                    if nxt.is_zero:
-                        out.pop(i, None)
-                    else:
-                        out[i] = nxt
+            if c.co:
+                add_entries(out, ((i, c * v)
+                                  for i, v in self.cols[idx].items()))
         return out
 
 

@@ -7,16 +7,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assocsuper import _raw_products, density_type_from_maps, make_Q
-from .graded import (EVEN, ODD, GradedMap, GradedSpace, add_entries,
-                     identity_rows, kernel, nonzero_entries, odd_schur,
-                     solve_columns, zero_rows)
+from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, add_entries,
+                     kernel, odd_schur)
 from .hwmod import is_irreducible_hw, triangular_of_map, triangular_of_q
 from .liesuper import (WeightModule, direct_sum, from_assoc,
                        is_isomorphic_weight, weight_sort_key)
 from .mapsuper import (InvariantSub, MapSuper, ann_and_support,
                        ann_and_support_gamma, ev_gamma_rank)
 from .queer import QueerData
-from .scalars import Tower, raw_dot, raw_of
+from .scalars import Tower, raw_of, scalar_of
 
 
 # ---------------------------------------------------------------------------
@@ -194,68 +193,73 @@ def tensor_same_algebra(m1: WeightModule, m2: WeightModule) -> WeightModule:
     return out
 
 
-def restrict_weight_module(m: WeightModule, sub_basis: dict) -> WeightModule:
-    """Submodule spanned per weight by the given dense vectors (must be
-    action-invariant; verified by exact solves)."""
+def restrict_weight_module(m: WeightModule, emb: dict) -> WeightModule:
+    """Submodule spanned per weight w by the columns of emb[w], an even
+    injective GradedMap into block w (a kernel embedding), which must be
+    action-invariant.  Each image rho(g) emb[w] landing in block wt is
+    solved as emb[wt] X = image, all images in one target weight by one
+    elimination, and every X is checked exactly (AssertionError when the
+    subspace is not invariant)."""
     tower = m.tower
-    weights = [w for w in m.weights if sub_basis.get(w)]
-    emb = {w: [[sub_basis[w][j][i] for j in range(len(sub_basis[w]))]
-               for i in range(m.block_dim(w))] for w in weights}
-    parities = {}
-    for w in weights:
-        pars = []
-        for vec in sub_basis[w]:
-            ps = {m.parities[w][k] for k, v in enumerate(vec) if not v.is_zero}
-            if len(ps) != 1:
-                raise ValueError("subspace basis vector is not homogeneous")
-            pars.append(ps.pop())
-        parities[w] = tuple(pars)
-    act = []
+    weights = [w for w in m.weights if w in emb]
+    spaces = {w: GradedSpace.from_parities(p) for w, p in m.parities.items()}
+
+    def image(w, wt, blk):
+        return GradedMap(tower, spaces[w], spaces[wt], blk) * emb[w]
+    pieces = []       # (g, w, wt, block), in action order
     for g in range(m.algebra.dim):
-        blocks: dict = {}
         for w in weights:
-            pieces = []
-            for (wt, blk) in m.blocks_of(g, w):
-                # the image of the subspace basis, dense: rows index wt
-                img = zero_rows(tower, m.block_dim(wt), len(emb[w][0]))
-                for (r, c), v in blk.items():
-                    img[r] = [a + v * x for a, x in zip(img[r], emb[w][c])]
-                if wt not in emb:
-                    if any(x.co for row in img for x in row):
-                        raise AssertionError("subspace is not invariant")
-                    continue
-                sol = nonzero_entries(_solve_columns(emb[wt], img, tower))
-                if sol:
-                    pieces.append((wt, sol))
-            if pieces:
-                blocks[w] = pieces
-        act.append(blocks)
-    out = WeightModule(m.algebra, tower, weights, parities, act, qd=m.qd)
-    out.embedding = emb
-    return out
-
-
-def _solve_columns(emb, img, tower):
-    """Solve emb * X = img by one elimination of [emb | img]; raises when
-    a column leaves the span."""
-    ncols_emb = len(emb[0]) if emb else 0
-    ncols = len(img[0]) if img else 0
-    rhs_cols = [[row[c] for row in img] for c in range(ncols)]
-    sols = solve_columns(emb, rhs_cols, ncols_emb, tower)
-    if sols is None:
-        raise AssertionError("operator image leaves the subspace")
-    # verify every row exactly (the solver only guarantees pivot
-    # consistency): row i of emb x is one raw_dot over its nonzeros
-    emb_raw = [[(j, raw_of(x)) for j, x in enumerate(row) if x.co]
-               for row in emb]
-    for sol, rhs in zip(sols, rhs_cols):
-        xs = [raw_of(x) for x in sol]
-        for row, b in zip(emb_raw, rhs):
-            got = raw_dot(((f, xs[j]) for j, f in row if xs[j] is not None),
-                          tower.gens)
-            if got != raw_of(b):
+            for wt, blk in m.blocks_of(g, w):
+                if wt in emb:
+                    pieces.append((g, w, wt, blk))
+                elif not image(w, wt, blk).is_zero:
+                    raise AssertionError("subspace is not invariant")
+    by_target: dict = {}
+    for k, (_, _, wt, _) in enumerate(pieces):
+        by_target.setdefault(wt, []).append(k)
+    sols = [None] * len(pieces)
+    # the images of one target weight at a time: only they are held
+    for wt, ks in by_target.items():
+        images = [image(*pieces[k][1:]) for k in ks]
+        for k, img, x in zip(ks, images, _solve_images(emb[wt], images)):
+            if emb[wt] * x != img:
                 raise AssertionError("operator image leaves the subspace")
-    return [[sol[j] for sol in sols] for j in range(ncols_emb)]
+            sols[k] = x.entries
+    act = [{} for _ in range(m.algebra.dim)]
+    for (g, w, wt, _), x in zip(pieces, sols):
+        if x:
+            act[g].setdefault(w, []).append((wt, x))
+    return WeightModule(m.algebra, tower, weights,
+                        {w: emb[w].source.parities for w in weights}, act,
+                        qd=m.qd)
+
+
+def _solve_images(e: GradedMap, images) -> list:
+    """X_c with e X_c = B_c for every image B_c (maps into e.target), for
+    an injective e, read off the RREF Span.rows of [e | B_0 | B_1 ...]:
+    pivot p < e.source.dim gives row p of every X_c.  An image outside
+    the image of e leaves a pivot further right and a wrong X_c, which
+    the caller's check e X_c == B_c rejects."""
+    tower = e.tower
+    n = e.source.dim
+    aug: dict = {}
+    for (i, j), x in e.entries.items():
+        aug.setdefault(i, {})[j] = x
+    where = []        # augmented column n + k -> (image, column)
+    for c, b in enumerate(images):
+        off = n + len(where)
+        for (i, j), x in b.entries.items():
+            aug.setdefault(i, {})[off + j] = x
+        where.extend((c, j) for j in range(b.source.dim))
+    ents = [{} for _ in images]
+    for p, row in Span(tower, aug.values()).rows.items():
+        if p < n:
+            for col, x in row.items():
+                if col >= n:
+                    c, j = where[col - n]
+                    ents[c][(p, j)] = scalar_of(tower, x)
+    return [GradedMap(tower, b.source, e.source, ent)
+            for b, ent in zip(images, ents)]
 
 
 def _tensor_phi_blocks(full: WeightModule, side: int, phi: dict) -> dict:
@@ -328,14 +332,12 @@ def hat_tensor_weight(m1: WeightModule, m2: WeightModule,
         if op * op != ident:
             raise AssertionError("(phi1_hat (x) phi2)^2 != id; "
                                  "normalization broken")
-        # eigenspaces, blockwise and parity-homogeneous, as dense vectors
+        # eigenspaces, blockwise and parity-homogeneous, by their
+        # kernel embeddings
         for eig, store in ((ident, plus_basis), (-ident, minus_basis)):
             _, emb = kernel(op - eig)
             if emb.source.dim:
-                vecs = zero_rows(tower, emb.source.dim, space.dim)
-                for (i, j), x in emb.entries.items():
-                    vecs[j][i] = x
-                store[w] = vecs
+                store[w] = emb
     plus = restrict_weight_module(full, plus_basis)
     minus = restrict_weight_module(full, minus_basis)
     info.update({"split": True, "plus": plus, "minus": minus, "full": full,
@@ -503,24 +505,21 @@ class Catalog:
         return None
 
 
-def twist_q_module(m: WeightModule, qd: QueerData, sigma_rows) -> WeightModule:
-    """Pullback of a q-module along an automorphism: x acts as sigma^-1(x).
-    Requires sigma to fix the even Cartan part pointwise (true for the
-    diagonal conjugations used here); weights are then unchanged."""
-    tower = m.tower
-    one = tower.one()
-    # sigma^-1 columns = solve sigma X = I
-    n = qd.dim
-    inv_cols = solve_columns(sigma_rows, identity_rows(tower, n), n, tower)
-    if inv_cols is None:
-        raise ValueError("automorphism matrix is singular")
+def twist_q_module(m: WeightModule, qd: QueerData,
+                   tau: GradedMap) -> WeightModule:
+    """Pullback of a q-module along an automorphism tau of q: x acts as
+    tau(x), so the module twisted by sigma is the pullback along
+    sigma^-1.  Requires tau to fix the even Cartan part pointwise (true
+    for the diagonal conjugations used here); weights are then
+    unchanged."""
+    one = m.tower.one()
+    cols = tau.columns()
     for hidx in qd.h0_indices:
-        for i in range(n):
-            expect = one if i == hidx else tower.zero()
-            if inv_cols[hidx][i] != expect:
-                raise ValueError("automorphism moves the even Cartan part; "
-                                 "cannot keep the weight grading")
-    return pullback(m, m.algebra, (enumerate(inv_cols[g]) for g in range(n)))
+        if cols.get(hidx) != {hidx: one}:
+            raise ValueError("automorphism moves the even Cartan part; "
+                             "cannot keep the weight grading")
+    return pullback(m, m.algebra,
+                    (cols.get(g, {}).items() for g in range(qd.dim)))
 
 
 def ev_module(ms: MapSuper, point: int, rho: WeightModule) -> WeightModule:
@@ -670,15 +669,17 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
     report = {"twisted": twisted, "rows": [], "catalog": names}
     if twisted:
         if not inv.gamma_report["free"]:
-            raise ValueError("freeness violated: " + "; ".join(
+            raise ValueError("; ".join(
                 f for f in inv.gamma_report["failures"] if "freeness" in f))
         orbits = inv.gamma_report["orbits"]
         # classes must be stable under the group twist to extend
-        # equivariantly over each orbit (verified, not assumed)
+        # equivariantly over each orbit (verified, not assumed); the
+        # non-identity elements are closed under inverses, so pulling back
+        # along each of them checks every twist
         for name in names:
             mod = catalog.module(name)
-            for _, qrows in inv.act.elements()[1:]:
-                tw = twist_q_module(mod, ms.qd, qrows)
+            for _, q_map in inv.act.elements[1:]:
+                tw = twist_q_module(mod, ms.qd, q_map)
                 ok, _ = is_isomorphic_weight(mod, tw)
                 if not ok:
                     raise ValueError(f"catalog class {name!r} is not stable "

@@ -469,10 +469,11 @@ def suite_products(seed: int) -> Checks:
     inv = invariants(ms4, act)
     ck.add("equivariant evaluation at one orbit point is surjective",
            ev_gamma_rank(inv, [0]) == 16)
-    qrows = act.generators[0][2].rows
+    # the twisted class pulls back along sigma^-1, which is sigma (order 2)
+    sigma = act.generators[0][2]
     here = restrict_to_invariants(ev_module(ms4, 0, cat.module("adjoint")), inv)
     there = restrict_to_invariants(
-        ev_module(ms4, 1, twist_q_module(cat.module("adjoint"), qd, qrows)),
+        ev_module(ms4, 1, twist_q_module(cat.module("adjoint"), qd, sigma)),
         inv)
     iso, _ = is_isomorphic_weight(here, there)
     ck.add("evaluation class is invariant along the group orbit", iso)

@@ -1,7 +1,13 @@
 """Loads the suite's hypothesis profile, and collects acceptance-criterion
 outcomes to print one pass/fail line per criterion after the test run."""
 
+import importlib
+import pkgutil
+
+import pytest
 from hypothesis import settings
+
+import queeralg
 
 # Exact arithmetic has no meaningful per-example deadline on a loaded host,
 # and a failure should print the blob that reproduces it.  Tests that set
@@ -10,6 +16,22 @@ settings.register_profile("queeralg", deadline=None, print_blob=True)
 settings.load_profile("queeralg")
 
 _acceptance_results = {}
+
+
+@pytest.fixture
+def refuse_zero_rows(monkeypatch):
+    """The work guard of the entry form: every queeralg module that binds
+    graded.zero_rows gets a version that raises, so no dense zero matrix
+    is filled."""
+    def refuse(*args):
+        raise AssertionError("a dense zero matrix was filled")
+    patched = []
+    for info in pkgutil.iter_modules(queeralg.__path__):
+        mod = importlib.import_module(f"queeralg.{info.name}")
+        if "zero_rows" in vars(mod):
+            monkeypatch.setattr(mod, "zero_rows", refuse)
+            patched.append(info.name)
+    assert "graded" in patched
 
 
 def pytest_runtest_logreport(report):

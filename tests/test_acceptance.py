@@ -301,10 +301,10 @@ def test_criterion_7_evaluation_section_suite():
     assert ev_gamma_rank(inv, [0]) == 16
     assert ev_gamma_rank(inv, [0, 2]) == 32
     from queeralg.products import twist_q_module
-    qrows = act.generators[0][2].rows
+    sigma = act.generators[0][2]   # of order 2: the twist pulls back along it
     here = restrict_to_invariants(ev_module(ms4, 0, cat.module("adjoint")), inv)
     there = restrict_to_invariants(
-        ev_module(ms4, 1, twist_q_module(cat.module("adjoint"), qd, qrows)),
+        ev_module(ms4, 1, twist_q_module(cat.module("adjoint"), qd, sigma)),
         inv)
     iso, _ = is_isomorphic_weight(here, there)
     assert iso

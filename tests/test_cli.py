@@ -36,6 +36,15 @@ def files(tmp_path):
             "grp": str(grp), "psi": str(psi), "dir": tmp_path}
 
 
+def _t4_16(files):
+    """The algebra file of K[t]/(t^4 - 16): four points, +-2 and +-2i."""
+    alg = files["dir"] / "t4_16.json"
+    alg.write_text(json.dumps({"type": "poly_quotient",
+                               "modulus": ["-16", "0", "0", "0", "1"],
+                               "roots": ["2", "-2", "2*i", "-2*i"]}))
+    return str(alg)
+
+
 def test_verify_unknown_suite_usage_error(capsys):
     assert main(["verify", "bogus"]) == 2
 
@@ -83,15 +92,11 @@ def test_classify_refuses_group_order_above_point_count(files, capsys,
     def refuse(ms, act):
         raise AssertionError("the group was enumerated")
     monkeypatch.setattr(cli, "invariants", refuse)
-    alg = files["dir"] / "t4_16.json"
-    alg.write_text(json.dumps({"type": "poly_quotient",
-                               "modulus": ["-16", "0", "0", "0", "1"],
-                               "roots": ["2", "-2", "2*i", "-2*i"]}))
     grp = files["dir"] / "big.json"
     grp.write_text(json.dumps({"generators": [
         {"order": 1000000, "on_algebra": {"type": "trivial"},
          "on_q": {"type": "trivial"}}]}))
-    rc = main(["classify", "--n", "2", "--algebra", str(alg),
+    rc = main(["classify", "--n", "2", "--algebra", _t4_16(files),
                "--group", str(grp)])
     assert rc == 1
     cap = capsys.readouterr()
@@ -99,6 +104,42 @@ def test_classify_refuses_group_order_above_point_count(files, capsys,
     assert cap.err.strip().splitlines() == [
         "error: freeness violated: every orbit of a free action of a group "
         "of order 1000000 has 1000000 points, more than the 4 declared"]
+
+
+def test_classify_validates_order_one_generator(files, capsys):
+    """A generator declared of order 1 that is not the identity fails its
+    order relation: only a group with no generators skips validation
+    (it was taken as the trivial group and classified untwisted)."""
+    grp = files["dir"] / "order1.json"
+    grp.write_text(json.dumps({"generators": [
+        {"order": 1, "on_algebra": {"type": "substitute_t", "scale": "-1"},
+         "on_q": {"type": "diag_conj", "diag": ["1", "1", "-1"]}}]}))
+    rc = main(["classify", "--n", "2", "--algebra", _t4_16(files),
+               "--group", str(grp)])
+    assert rc == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.splitlines() == [
+        "error: group action failed validation: generator 0: order "
+        "relation fails"]
+
+
+def test_classify_freeness_error_has_one_prefix(files, capsys):
+    """Z/2 x Z/2 on four points with a trivial second generator is not
+    free: the identity-acting element fixes every point."""
+    grp = files["dir"] / "klein.json"
+    grp.write_text(json.dumps({"generators": [
+        {"order": 2, "on_algebra": {"type": "substitute_t", "scale": "-1"},
+         "on_q": {"type": "diag_conj", "diag": ["1", "1", "-1"]}},
+        {"order": 2, "on_algebra": {"type": "trivial"},
+         "on_q": {"type": "trivial"}}]}))
+    rc = main(["classify", "--n", "2", "--algebra", _t4_16(files),
+               "--group", str(grp)])
+    assert rc == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.splitlines() == [
+        "error: freeness violated at maximal ideal 0"]
 
 
 def test_classify_deficient_evaluation_is_one_error_line(files, capsys,

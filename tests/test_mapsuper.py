@@ -6,7 +6,8 @@ import queeralg.products as products
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
 from queeralg.coeffalg import (IdealRep, gamma_from_spec, preset_base_field,
                                preset_truncated, radical, support)
-from queeralg.graded import GradedMap, GradedSpace, mat_kernel, mat_rank
+from queeralg.graded import (GradedMap, GradedSpace, mat_kernel, mat_mul,
+                             mat_rank)
 from queeralg.liesuper import (LieSuper, WeightModule, basis_subalgebra,
                                subalgebra)
 from queeralg.mapsuper import (EvMap, ann_and_support,
@@ -230,9 +231,9 @@ def test_ev_two_points(K, q2):
     a = two_point(K)
     ms = tensor_lie(q2, a)
     emap = EvMap(ms, [0, 1])
-    assert mat_rank(emap.rows, ms.dim, K) == len(emap.rows) == 32
+    assert mat_rank(emap.cols.values(), emap.dim, K) == emap.dim == 32
     single = EvMap(ms, [0])
-    assert mat_rank(single.rows, ms.dim, K) == 16
+    assert mat_rank(single.cols.values(), single.dim, K) == 16
     with pytest.raises(ValueError):
         EvMap(ms, [0, 0])
 
@@ -345,7 +346,46 @@ def _apply(cols, vec: dict) -> dict:
 
 
 def _actions(ms, inv):
-    return [gamma_element_action(ms, ar, qr) for ar, qr in inv.act.elements()]
+    return [gamma_element_action(ms, a_map, q_map)
+            for a_map, q_map in inv.act.elements]
+
+
+def _dense_element_action(ms, arows, qrows) -> dict:
+    """The dense Kronecker formula of the diagonal action on g (x) A: the
+    image of x_i (x) a_j is sum over (k, l) of q[k][i] a[l][j]
+    x_k (x) a_l, read entry by entry off dense matrices."""
+    cols = {}
+    for (xi, aj), idx in ms.pair_index.items():
+        out = {}
+        for xk in range(ms.g.dim):
+            cq = qrows[xk][xi]
+            if cq.is_zero:
+                continue
+            for al in range(ms.coeff.dim):
+                ca = arows[al][aj]
+                if not ca.is_zero:
+                    out[ms.pair_index[(xk, al)]] = cq * ca
+        cols[idx] = out
+    return cols
+
+
+@pytest.mark.parametrize("case", ["flip", "twisted4", "z4"])
+def test_gamma_element_action_matches_dense_kronecker(case):
+    """Every group element is the matching power of the generator, as dense
+    matrix products, and its action paired from entries equals the dense
+    Kronecker formula."""
+    K, ms, inv = _invariants_of(case)
+    (order, a_gen, q_gen), = inv.act.generators
+    assert len(inv.act.elements) == order
+    apow, qpow = GradedMap.identity(K, a_gen.source).rows, \
+        GradedMap.identity(K, q_gen.source).rows
+    for a_map, q_map in inv.act.elements:
+        assert (a_map.rows, q_map.rows) == (apow, qpow)
+        assert a_map.parity == q_map.parity == 0
+        assert gamma_element_action(ms, a_map, q_map) == \
+            _dense_element_action(ms, apow, qpow)
+        apow = mat_mul(a_gen.rows, apow, K)
+        qpow = mat_mul(q_gen.rows, qpow, K)
 
 
 @pytest.mark.parametrize("case,dim", [("flip", 16), ("twisted4", 32),
@@ -416,8 +456,9 @@ def oracle_ann_gamma(module, inv):
     applied in g (x) A coordinates."""
     ms = inv.parent
     K = ms.tower
-    elements = inv.act.elements()
-    actions = [gamma_element_action(ms, ar, qr) for ar, qr in elements]
+    elements = inv.act.elements
+    actions = [gamma_element_action(ms, a_map, q_map)
+               for a_map, q_map in elements]
     scale = K.from_int(len(elements)).inv()
 
     def element(coords):

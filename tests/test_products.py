@@ -8,12 +8,12 @@ import queeralg.products as products
 from queeralg.assocsuper import density_type_from_maps, make_Q
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
 from queeralg.coeffalg import gamma_from_spec, preset_truncated
-from queeralg.graded import (EVEN, ODD, GradedMap, commutant,
+from queeralg.graded import (EVEN, ODD, GradedMap, GradedSpace, commutant,
                              homogeneous_entries, nonzero_entries, odd_schur)
 from queeralg.hwmod import is_irreducible_hw, triangular_of_map, top_psi
-from queeralg.liesuper import (WeightModule, direct_sum_weight, from_assoc,
-                               hom_map, hom_space_weight, is_isomorphic_flat,
-                               is_isomorphic_weight)
+from queeralg.liesuper import (LieSuper, WeightModule, direct_sum_weight,
+                               from_assoc, hom_map, hom_space_weight,
+                               is_isomorphic_flat, is_isomorphic_weight)
 from queeralg.mapsuper import (ann_and_support, ev_gamma_rank, invariants,
                                tensor_lie)
 from queeralg.products import (Catalog, WeightSchur, adjoint_q_module,
@@ -301,6 +301,39 @@ def test_outer_factors_weights_and_pullbacks(env):
                                  for w2 in ad.weights}
 
 
+@pytest.mark.parametrize("r,order,scale", [(2, 2, "-1"), (3, 4, "i")])
+def test_twisted_classify_builds_group_elements_once(tmp_path, monkeypatch,
+                                                     capsys, r, order, scale):
+    """A whole twisted classify (validation, invariants and the twist
+    check of every catalog class) builds the group elements once: the
+    GradedMap products made inside GammaAction.elements are those of one
+    build of a cyclic group, an a-map and a q-map product per step."""
+    import json
+    from queeralg.cli import main
+    made = []
+    real = GradedMap.__mul__
+
+    def counted(self, other):
+        if sys._getframe(1).f_code.co_name == "elements":
+            made.append(order)
+        return real(self, other)
+    monkeypatch.setattr(GradedMap, "__mul__", counted)
+    alg, grp = tmp_path / "algebra.json", tmp_path / "group.json"
+    alg.write_text(json.dumps({
+        "type": "poly_quotient",
+        "modulus": [str(-r ** 4), "0", "0", "0", "1"],
+        "roots": [str(r), str(-r), f"{r}*i", f"-{r}*i"]}))
+    grp.write_text(json.dumps({"generators": [{
+        "order": order,
+        "on_algebra": {"type": "substitute_t", "scale": scale},
+        "on_q": {"type": "diag_conj", "diag": ["1", "1", "-1"]}}]}))
+    assert main(["classify", "--n", "2", "--algebra", str(alg),
+                 "--group", str(grp)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("classification over q(2), twisted\n")
+    assert len(made) == 2 * (order - 1)
+
+
 def test_decompose_reaches_type_q_branches(monkeypatch, capsys):
     """adjoint,qone,qone: the first step takes phi from the qone factor
     and checks it, the second splits and restricts to both halves."""
@@ -340,11 +373,13 @@ def assert_entry_blocks(m, phi=None):
 
 @pytest.mark.parametrize("twisted", [False, True])
 def test_classify_builds_entry_blocks_only(tmp_path, monkeypatch, capsys,
-                                           twisted):
+                                           refuse_zero_rows, twisted):
     """classify over two points, and over four points under t -> -t with
-    diag_conj (1, 1, -1), allocates no dense block in products (zero_rows
-    refuses), and every module it certifies (the catalog's adjoint entry
-    and each row) holds the block form."""
+    diag_conj (1, 1, -1), fills no dense zero matrix in any module (every
+    binding of zero_rows refuses: group validation, invariants,
+    evaluation rank, twist check and annihilator radicals included), and
+    every module it certifies (the catalog's adjoint entry and each row)
+    holds the block form."""
     import json
     from queeralg.cli import main
     seen = []
@@ -354,11 +389,7 @@ def test_classify_builds_entry_blocks_only(tmp_path, monkeypatch, capsys,
         assert_entry_blocks(m)
         seen.append(m.dim)
         return real(m, tri, why)
-
-    def refuse(*args):
-        raise AssertionError("products allocated a dense block")
     monkeypatch.setattr(products, "is_irreducible_hw", certify)
-    monkeypatch.setattr(products, "zero_rows", refuse)
     alg = tmp_path / "algebra.json"
     grp = tmp_path / "group.json"
     args = ["classify", "--n", "2", "--algebra", str(alg)]
@@ -541,11 +572,44 @@ def gamma_env(env):
 def test_twist_fixes_catalog_classes(env):
     K, q2, cat = env["K"], env["q2"], env["cat"]
     _, _, act, _ = gamma_env(env)
-    qrows = act.generators[0][2].rows
+    sigma = act.generators[0][2]
     ad = cat.module("adjoint")
-    tw = twist_q_module(ad, q2, qrows)
+    tw = twist_q_module(ad, q2, sigma)
     ok, _ = is_isomorphic_weight(ad, tw)
     assert ok
+
+
+def _blocks(m):
+    """m's blocks per generator and source weight, keyed by target."""
+    return [{w: dict(pieces) for w, pieces in acts.items()} for acts in m.act]
+
+
+@pytest.mark.parametrize("diag", [("1", "1", "-1"), ("1", "1", "i")])
+def test_twist_by_sigma_then_sigma_cubed_gives_back_blocks(env, diag):
+    """On the Z/4 action t -> i t, the twist by sigma lets x act as
+    rho(sigma(x)), and the twist by sigma^3 moves the blocks back exactly:
+    x acts as rho(sigma(sigma^3(x))) = rho(x).  With diag (1, 1, i),
+    sigma has order 4 on q as well, so sigma^3 is not sigma."""
+    K, q2, cat = env["K"], env["q2"], env["cat"]
+    A4 = preset_truncated(
+        K, [-K.one(), K.zero(), K.zero(), K.zero(), K.one()],
+        [(K.one(), 1), (-K.one(), 1), (K.i(), 1), (-K.i(), 1)])
+    act = gamma_from_spec(K, {"generators": [
+        {"order": 4, "on_algebra": {"type": "substitute_t", "scale": "i"},
+         "on_q": {"type": "diag_conj", "diag": list(diag)}}]}, A4, q2)
+    _, sigma, _, sigma3 = (q_map for _, q_map in act.elements)
+    assert (sigma3 == sigma) == (diag[2] == "-1")
+    ad = cat.module("adjoint")
+    once = twist_q_module(ad, q2, sigma)
+    # sigma scales each basis element x_g by c_g, so x_g acts as c_g rho(x_g)
+    assert all(i == j for i, j in sigma.entries)
+    for g, (got, blks) in enumerate(zip(_blocks(once), _blocks(ad))):
+        c = sigma.entries[(g, g)]
+        assert got == {w: {wt: {k: c * v for k, v in ent.items()}
+                           for wt, ent in pieces.items()}
+                       for w, pieces in blks.items()}
+    assert _blocks(once) != _blocks(ad)
+    assert _blocks(twist_q_module(once, q2, sigma3)) == _blocks(ad)
 
 
 def test_evaluation_invariance_under_group(env):
@@ -553,11 +617,11 @@ def test_evaluation_invariance_under_group(env):
     # of ev at the translated point with the twisted class
     K, q2, cat = env["K"], env["q2"], env["cat"]
     A4, ms4, act, inv = gamma_env(env)
-    qrows = act.generators[0][2].rows
+    sigma = act.generators[0][2]   # of order 2, so sigma^-1 = sigma
     ad = cat.module("adjoint")
     m_here = restrict_to_invariants(ev_module(ms4, 0, ad), inv)
     m_there = restrict_to_invariants(
-        ev_module(ms4, 1, twist_q_module(ad, q2, qrows)), inv)
+        ev_module(ms4, 1, twist_q_module(ad, q2, sigma)), inv)
     ok, _ = is_isomorphic_weight(m_here, m_there)
     assert ok
 
@@ -887,20 +951,33 @@ def test_combine_matches_dense_sums_and_drops_cancelled_blocks():
     assert all(rows for blks in act[0].values() for _, rows in blks)
 
 
-def test_solve_columns_check_is_exact_on_every_row(monkeypatch):
-    """The exact check after the solver reads every row of emb x, at tower
-    height 1 as well: a solution that is wrong in the last row only is
-    rejected."""
-    import queeralg.products as products
+def test_restrict_check_is_exact_on_every_row(monkeypatch):
+    """restrict_weight_module checks emb X == image exactly on every row,
+    at tower height 1 as well: a solution that is wrong in the last row
+    only is rejected."""
     K = Tower()
     s = K.adjoin_sqrt(K.from_int(3))
     one, zero = K.one(), K.zero()
-    emb = [[one, zero], [zero, s], [s, one]]
-    x = [K.from_int(2), s + one]
-    img = [[sum((e * v for e, v in zip(row, x)), zero)] for row in emb]
-    assert products._solve_columns(emb, img, K) == [[x[0]], [x[1]]]
-    img[2][0] = img[2][0] + one
-    monkeypatch.setattr(products, "solve_columns",
-                        lambda rows, rhs, n, tower: [list(x)])
+    sp2, sp3 = GradedSpace(2, 0), GradedSpace(3, 0)
+    emb = GradedMap.from_rows(K, sp2, sp3,
+                              [[one, zero], [zero, s], [s, one]])
+    x = GradedMap.from_rows(K, sp2, sp2,
+                            [[K.from_int(2), zero], [s + one, zero]])
+    left = GradedMap.from_rows(K, sp3, sp2,
+                               [[one, zero, zero], [zero, s.inv(), zero]])
+    assert left * emb == GradedMap.identity(K, sp2)
+    rho = emb * x * left          # so rho emb = emb x
+    alg = LieSuper(K, GradedSpace(1, 0), [[{}]])
+
+    def restrict(op):
+        m = WeightModule.from_flat(alg, sp3, [op])
+        return products.restrict_weight_module(m, {(): emb})
+    assert restrict(rho).act == [{(): [((), x.entries)]}]
+    # the image of the first embedded vector gains 1 in the last row only
+    bad = rho + GradedMap(K, sp3, sp3, {(2, 0): one})
+    assert (bad * emb - emb * x).entries == {(2, 0): one}
     with pytest.raises(AssertionError, match="leaves the subspace"):
-        products._solve_columns(emb, img, K)
+        restrict(bad)
+    monkeypatch.setattr(products, "_solve_images", lambda e, images: [x])
+    with pytest.raises(AssertionError, match="leaves the subspace"):
+        restrict(bad)
