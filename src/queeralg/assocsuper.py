@@ -13,7 +13,7 @@ from itertools import combinations
 from math import isqrt
 
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, graded_tensor,
-                     homogeneous_entries, mat_kernel, mat_rref, odd_schur,
+                     homogeneous_entries, mat_kernel, odd_schur, solve_columns,
                      tensor_space)
 from .scalars import (QI_ONE, Tower, qi_add, qi_inv, qi_mul, qi_neg, qi_sqrt,
                       raw_dot, raw_of)
@@ -215,7 +215,8 @@ class QuadraticPair:
     def radical_dim(self) -> int:
         if self.r == 0:
             return 0
-        return len(mat_kernel(self.rows, self.r, self.tower))
+        return len(mat_kernel([{j: x for j, x in enumerate(row) if x.co}
+                               for row in self.rows], self.r, self.tower))
 
 
 def _cliff_mul_gen(mask: int, g: int, f_rows, tower: Tower) -> dict:
@@ -299,7 +300,7 @@ def clifford(q: QuadraticPair) -> AssocSuper:
 
 
 def _ungraded_center_vectors(a: AssocSuper, parity: int):
-    """Coordinate vectors spanning Z(|A|) intersected with the given parity
+    """Coordinate dicts spanning Z(|A|) intersected with the given parity
     (strict commutation with every basis element; commuting with a
     generating set suffices when the algebra advertises one)."""
     tower = a.tower
@@ -324,20 +325,14 @@ def _ungraded_center_vectors(a: AssocSuper, parity: int):
                 else:
                     diff[out] = nxt
             per_col.append(diff)
-        outs = sorted({o for d in per_col for o in d})
-        for o in outs:
-            rows.append([d.get(o, tower.zero()) for d in per_col])
-    vecs = []
-    for kv in mat_kernel(rows, len(cols), tower):
-        vec = [tower.zero()] * a.dim
-        for c, i in enumerate(cols):
-            vec[i] = kv[c]
-        vecs.append(vec)
-    return vecs
+        for o in sorted({o for d in per_col for o in d}):
+            rows.append({c: d[o] for c, d in enumerate(per_col) if o in d})
+    return [{cols[c]: x for c, x in kv.items()}
+            for kv in mat_kernel(rows, len(cols), tower)]
 
 
 def odd_center(a: AssocSuper):
-    """Basis of Z(|A|)_odd as (GradedSpace, coordinate vectors)."""
+    """Basis of Z(|A|)_odd as (GradedSpace, coordinate dicts)."""
     vecs = _ungraded_center_vectors(a, ODD)
     return GradedSpace(0, len(vecs)), vecs
 
@@ -537,14 +532,14 @@ def clifford_generators(q: QuadraticPair, pivot_order=None):
     else:
         carrier = lam_space
 
-    # original generators: x = M^{-1} y
-    aug = [list(basis[i]) + [tower.one() if jx == i else tower.zero()
-                             for jx in range(r)] for i in range(r)]
-    rref, _ = mat_rref(aug, 2 * r, tower)
-    minv = [row[r:] for row in rref]
+    # original generators: x = M^{-1} y; row i of M^{-1} solves
+    # M^T v = e_i
+    one = tower.one()
+    mt = [{i: v[j] for i, v in enumerate(basis) if v[j].co} for j in range(r)]
+    minv = solve_columns(mt, [{i: one} for i in range(r)], r, tower)
     gen_mats = [GradedMap.combination(tower, carrier, carrier,
-                                      zip(minv[i], y_mats))
-                for i in range(r)]
+                                      ((c, y_mats[j]) for j, c in row.items()))
+                for row in minv]
     _check_clifford_relations(q, gen_mats)
     return carrier, gen_mats, y_mats
 

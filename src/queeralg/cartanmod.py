@@ -14,8 +14,8 @@ from functools import cached_property
 from .assocsuper import (QuadraticPair, clifford_generators,
                          density_type_from_maps)
 from .coeffalg import CoeffAlgebra, IdealRep, quotient_algebra
-from .graded import (GradedMap, GradedSpace, Span, homogeneous_entries,
-                     mat_kernel, odd_schur, solve_columns, zero_rows)
+from .graded import (GradedMap, GradedSpace, Span, add_entries,
+                     homogeneous_entries, mat_kernel, odd_schur, solve_columns)
 from .liesuper import WeightModule, basis_subalgebra, is_isomorphic_weight
 from .mapsuper import tensor_lie
 from .queer import QueerData
@@ -145,8 +145,7 @@ class PsiFunctional:
 
     def kills(self, ideal: IdealRep) -> bool:
         """psi(h0 (x) I) == 0."""
-        for v in ideal.basis:
-            a_coords = {j: s for j, s in enumerate(v) if not s.is_zero}
+        for a_coords in ideal.vectors:
             for i in range(self.ctx.n):
                 if not self.eval_even({i: self.ctx.tower.one()}, a_coords).is_zero:
                     return False
@@ -163,10 +162,12 @@ def i_psi(psi: PsiFunctional) -> IdealRep:
     rows = []
     for i in range(ctx.n):
         for b in range(na):
-            row = []
+            row = {}
             for j in range(na):
-                prod = ctx.coeff.product({b: one}, {j: one})
-                row.append(psi.eval_even({i: one}, prod))
+                x = psi.eval_even({i: one}, ctx.coeff.product({b: one},
+                                                              {j: one}))
+                if x.co:
+                    row[j] = x
             rows.append(row)
     ideal = IdealRep(ctx.coeff, mat_kernel(rows, na, tower))
     ideal.verify()
@@ -186,9 +187,11 @@ class CliffordData:
     adjoin is one point's square class.  With one point the block is the
     whole quotient in its monomial basis, and no idempotent is computed.
     odd_basis lists the pairs (i, v) with v a coordinate dict on A/I_psi;
-    gram, reduced_indices and reduced_gram refer to that basis, while
-    radical_vectors and _proj_rows are in monomial coordinates, entry
-    i * dim(A/I_psi) + j for h'_i (x) the j-th basis vector of A/I_psi."""
+    gram (one coordinate dict per row), reduced_indices and reduced_gram
+    (dense: the form of a QuadraticPair) refer to that basis, while the
+    coordinate dicts radical_vectors and _proj_rows are in monomial
+    coordinates, entry i * dim(A/I_psi) + j for h'_i (x) the j-th basis
+    vector of A/I_psi."""
 
     def __init__(self, psi: PsiFunctional):
         if psi.is_zero():
@@ -201,13 +204,9 @@ class CliffordData:
         quotient = self.quotient = quotient_algebra(ctx.coeff, self.ideal)
         nq = quotient.dim
         if len(quotient.points) > 1:
-            blocks = []
-            for e in quotient.idempotents:
-                piece = Span(tower, [quotient.product(e, {j: one})
-                                     for j in range(nq)])
-                blocks.append([{k: x for k, x in enumerate(row)
-                                if not x.is_zero}
-                               for row in piece.basis_vectors(nq)])
+            blocks = [Span(tower, [quotient.product(e, {j: one})
+                                   for j in range(nq)]).basis_vectors()
+                      for e in quotient.idempotents]
         else:
             blocks = [[{j: one} for j in range(nq)]]
         hbr = [[ctx.odd_bracket_even_coords(i1, i2) for i2 in range(ctx.n)]
@@ -216,41 +215,48 @@ class CliffordData:
                           for i in range(ctx.n) for v in block]
         n_odd = len(self.odd_basis)
         # Gram matrix of f_psi, one diagonal block per point
-        gram = zero_rows(tower, n_odd, n_odd)
+        gram = []
         start = 0
         for block in blocks:
             prods = [[quotient.lift(quotient.product(u, v)) for v in block]
                      for u in block]
             size = len(block)
-            for a in range(start, start + ctx.n * size):
-                i1, k1 = divmod(a - start, size)
-                for b in range(start, start + ctx.n * size):
-                    i2, k2 = divmod(b - start, size)
-                    gram[a][b] = psi.eval_even(hbr[i1][i2], prods[k1][k2])
+            for a in range(ctx.n * size):
+                i1, k1 = divmod(a, size)
+                row = {}
+                for b in range(ctx.n * size):
+                    i2, k2 = divmod(b, size)
+                    x = psi.eval_even(hbr[i1][i2], prods[k1][k2])
+                    if x.co:
+                        row[start + b] = x
+                gram.append(row)
             start += ctx.n * size
         self.gram = gram
         gram_span = Span(tower, gram)
         pivots = sorted(gram_span.rows)
         self.reduced_indices = pivots
         self.rank = len(pivots)
-        self.reduced_gram = [[gram[p][q] for q in pivots] for p in pivots]
+        zero = tower.zero()
+        self.reduced_gram = [[gram[p].get(q, zero) for q in pivots]
+                             for p in pivots]
 
         def monomial(terms):
             """sum c * odd_basis[a] over (a, c) in terms, in monomial
             coordinates."""
-            out = [tower.zero()] * n_odd
+            out: dict = {}
             for a, c in terms:
                 i, v = self.odd_basis[a]
-                for j, x in v.items():
-                    out[i * nq + j] = out[i * nq + j] + c * x
+                add_entries(out, ((i * nq + j, c * x) for j, x in v.items()))
             return out
-        self.radical_vectors = [monomial(enumerate(k))
+        self.radical_vectors = [monomial(k.items())
                                 for k in gram_span.kernel(n_odd)]
         # projection to the reduced odd coordinates, modulo the radical:
         # columns are the pivot basis vectors, then the radical
         cols = [monomial([(p, one)]) for p in pivots] + self.radical_vectors
-        self._proj_rows = [[cols[c][t] for c in range(len(cols))]
-                           for t in range(n_odd)]
+        self._proj_rows = [{} for _ in range(n_odd)]
+        for c, col in enumerate(cols):
+            for t, x in col.items():
+                self._proj_rows[t][c] = x
 
 
 class HModule:
@@ -304,20 +310,17 @@ class HModule:
         # radical, from one elimination
         nq = data.quotient.dim
         proj = data._proj_rows
-        rhs = []
-        for i in range(ctx.n):
-            for j in range(ctx.na):
-                vec = [tower.zero()] * len(proj)
-                for jq, c in data.quotient.project({j: tower.one()}).items():
-                    vec[i * nq + jq] = c
-                rhs.append(vec)
-        sols = solve_columns(proj, rhs, len(proj[0]), tower)
+        images = [data.quotient.project({j: tower.one()})
+                  for j in range(ctx.na)]
+        sols = solve_columns(proj, [{i * nq + jq: c for jq, c in img.items()}
+                                    for i in range(ctx.n) for img in images],
+                             len(proj), tower)
         if sols is None:
             raise AssertionError("odd vector outside span of reduction data")
         for sol in sols:
             mats.append(GradedMap.combination(
                 tower, self.carrier, self.carrier,
-                zip(sol[:data.rank], gen_maps)))
+                ((c, gen_maps[k]) for k, c in sol.items() if k < data.rank)))
         self.cartan_mats = mats
 
     @property

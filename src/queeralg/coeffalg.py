@@ -43,7 +43,7 @@ class CoeffAlgebra(AssocSuper):
                         self.product({j: one}, {i: one}):
                     raise AssertionError("algebra is not commutative")
         for k, ideal in enumerate(self.maximal_ideals):
-            if len(ideal.basis) != self.dim - 1:
+            if ideal.dim != self.dim - 1:
                 raise AssertionError(f"declared maximal ideal {k} has codim != 1")
 
     def evaluate(self, k: int, coords: dict) -> Scalar:
@@ -73,16 +73,16 @@ class CoeffAlgebra(AssocSuper):
         tower = self.tower
         n = self.dim
         zero, one = tower.zero(), tower.one()
-        deltas = [[one if y == x else zero for y in range(len(self.points))]
-                  for x in range(len(self.points))]
-        sols = solve_columns(self.eval_functionals, deltas, n, tower)
+        sols = solve_columns([{k: c for k, c in enumerate(chi) if c.co}
+                              for chi in self.eval_functionals],
+                             [{x: one} for x in range(len(self.points))],
+                             n, tower)
         if sols is None:
             raise AssertionError("the evaluations at the declared points "
                                  "are not independent")
         rounds = (n - 1).bit_length() + 1
         out = []
-        for sol in sols:
-            u = {k: c for k, c in enumerate(sol) if not c.is_zero}
+        for u in sols:
             for _ in range(rounds):
                 u2 = self.product(u, u)
                 if u2 == u:
@@ -99,35 +99,37 @@ class CoeffAlgebra(AssocSuper):
 
 
 class IdealRep:
-    """Ideal of a CoeffAlgebra spanned by the given vectors (dense lists
-    or sparse dicts), kept as the RREF basis of their span."""
+    """Ideal of a CoeffAlgebra spanned by the given coordinate dicts, kept
+    as vectors, the RREF basis of their span.  basis is a dense view of
+    the same rows, made on each read, for the reports."""
 
     def __init__(self, algebra: CoeffAlgebra, vectors):
         self.algebra = algebra
         self._span = Span(algebra.tower, vectors)
-        self.basis = self._span.basis_vectors(algebra.dim)
+        self.vectors = self._span.basis_vectors()
 
     @classmethod
     def from_generators(cls, algebra: CoeffAlgebra, gens):
         """Smallest ideal containing the generators: span of A * gens."""
         one = algebra.tower.one()
-        vectors = []
-        for g in gens:
-            gd = g if isinstance(g, dict) else \
-                {k: v for k, v in enumerate(g) if not v.is_zero}
-            vectors.extend(algebra.product({i: one}, gd)
-                           for i in range(algebra.dim))
-        return cls(algebra, vectors)
+        return cls(algebra, [algebra.product({i: one}, g) for g in gens
+                             for i in range(algebra.dim)])
+
+    @property
+    def basis(self) -> list:
+        zero = self.algebra.tower.zero()
+        return [[v.get(k, zero) for k in range(self.algebra.dim)]
+                for v in self.vectors]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.vectors)
 
     def contains(self, vec) -> bool:
         return self._span.contains(vec)
 
     def is_subideal_of(self, other: IdealRep) -> bool:
-        return all(other.contains(v) for v in self.basis)
+        return all(other.contains(v) for v in self.vectors)
 
     def __eq__(self, other):
         return (isinstance(other, IdealRep) and self.dim == other.dim
@@ -140,10 +142,9 @@ class IdealRep:
 
     def verify(self):
         one = self.algebra.tower.one()
-        for v in self.basis:
-            vd = {k: x for k, x in enumerate(v) if not x.is_zero}
+        for v in self.vectors:
             for i in range(self.algebra.dim):
-                if not self.contains(self.algebra.product({i: one}, vd)):
+                if not self.contains(self.algebra.product({i: one}, v)):
                     raise AssertionError("subspace is not an ideal")
 
     def __repr__(self):
@@ -270,13 +271,8 @@ def algebra_from_spec(tower: Tower, spec: dict) -> CoeffAlgebra:
 
 def ideal_product(i1: IdealRep, i2: IdealRep) -> IdealRep:
     a = i1.algebra
-    products = []
-    for u in i1.basis:
-        ud = {k: v for k, v in enumerate(u) if not v.is_zero}
-        for w in i2.basis:
-            wd = {k: v for k, v in enumerate(w) if not v.is_zero}
-            products.append(a.product(ud, wd))
-    return IdealRep(a, products)
+    return IdealRep(a, [a.product(u, w) for u in i1.vectors
+                        for w in i2.vectors])
 
 
 class QuotientAlgebra(CoeffAlgebra):
@@ -315,7 +311,7 @@ class QuotientAlgebra(CoeffAlgebra):
         for k, m in enumerate(source.maximal_ideals):
             if ideal.is_subideal_of(m):
                 self.kept_points.append(k)
-                gen_imgs = [project(v) for v in m.basis]
+                gen_imgs = [project(v) for v in m.vectors]
                 self.maximal_ideals.append(
                     IdealRep.from_generators(self, gen_imgs))
                 if source.points:
@@ -349,11 +345,9 @@ def radical(ideal: IdealRep) -> IdealRep:
     trace-form kernel of the regular representation of A/I."""
     a = ideal.algebra
     q = QuotientAlgebra(a, ideal)
-    gens = [{k: x for k, x in enumerate(kv) if not x.is_zero}
-            for kv in trace_form_kernel(q)]
-    pre = IdealRep(a, ideal.basis + [q.lift(g) for g in gens])
-    out = IdealRep.from_generators(a, pre.basis) if pre.basis else zero_ideal(a)
-    return out
+    pre = IdealRep(a, ideal.vectors + [q.lift(g) for g in trace_form_kernel(q)])
+    return IdealRep.from_generators(a, pre.vectors) if pre.vectors \
+        else zero_ideal(a)
 
 
 def support(ideal: IdealRep):
@@ -453,8 +447,7 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
             report["relations"] = False
             report["failures"].append(f"generator {gi}: order relation fails")
         # algebra automorphism: multiplicative and unit-preserving
-        unit_vec = [a.unit.get(i, tower.zero()) for i in range(a.dim)]
-        if a_map.apply(unit_vec) != unit_vec:
+        if a_map.apply(a.unit) != a.unit:
             report["algebra_automorphism"] = False
             report["failures"].append(f"generator {gi}: unit not fixed")
         pair = _first_unpreserved_pair(a_map, a.product, a.mult)
@@ -485,7 +478,7 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
     for ek, (a_map, q_map) in enumerate(act.elements):
         perm = []
         for k, m in enumerate(a.maximal_ideals):
-            img_ideal = IdealRep(a, [a_map.apply(v) for v in m.basis])
+            img_ideal = IdealRep(a, [a_map.apply(v) for v in m.vectors])
             target = None
             for k2, m2 in enumerate(a.maximal_ideals):
                 if img_ideal == m2:

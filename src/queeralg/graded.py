@@ -81,7 +81,8 @@ def tensor_space(v: GradedSpace, w: GradedSpace):
 
 
 # ---------------------------------------------------------------------------
-# Dense exact matrices (lists of rows of Scalars)
+# Exact elimination: every vector is a coordinate dict {index: Scalar} of
+# its nonzero entries
 # ---------------------------------------------------------------------------
 
 
@@ -90,79 +91,77 @@ def zero_rows(tower: Tower, nrows: int, ncols: int):
     return [[z] * ncols for _ in range(nrows)]
 
 
-def mat_mul(a, b, tower: Tower):
-    """Dense product of two matrices given as rows: the tests' dense
-    reference for the entry form; the package itself does not call it."""
-    n, m = len(a), len(b[0]) if b else 0
-    out = zero_rows(tower, n, m)
-    for i, arow in enumerate(a):
-        orow = out[i]
-        for k, av in enumerate(arow):
-            if av.is_zero:
-                continue
-            brow = b[k]
-            for j, bv in enumerate(brow):
-                if not bv.is_zero:
-                    orow[j] = orow[j] + av * bv
-    return out
-
-
-def _row_span(rows, ncols: int, tower: Tower) -> Span:
+def mat_rref(rows, ncols: int, tower: Tower):
+    """(basis, pivots): the reduced row echelon form of the list of rows,
+    the basis rows in increasing pivot order; zero rows are dropped.
+    Reading stops once the rank is ncols (every further row lies in the
+    span)."""
     sp = Span(tower)
     for row in rows:
         if sp.dim == ncols:
-            break  # every further row lies in the span
+            break
         sp.add(row)
-    return sp
-
-
-def mat_rref(rows, ncols: int, tower: Tower):
-    """Reduced row echelon form of the rows (dense lists or sparse dicts).
-    Returns (rref_rows, pivot_cols) with dense rows; zero rows are
-    dropped."""
-    sp = _row_span(rows, ncols, tower)
-    return sp.basis_vectors(ncols), sorted(sp.rows)
-
-
-def mat_rank(rows, ncols: int, tower: Tower) -> int:
-    return _row_span(rows, ncols, tower).dim
+    return sp.basis_vectors(), sorted(sp.rows)
 
 
 def mat_kernel(rows, ncols: int, tower: Tower):
-    """Basis (list of coordinate vectors) of {x : A x = 0}; the identity
-    basis when A has no rows."""
-    return _row_span(rows, ncols, tower).kernel(ncols)
+    """Basis of {x : A x = 0} for the list of rows of A, read off its
+    RREF: one vector per free column f, e_f minus the column f of the
+    RREF.  The identity basis when A has no rows."""
+    rref, pivots = mat_rref(rows, ncols, tower)
+    return _free_kernel(dict(zip(pivots, rref)), ncols, tower.one(),
+                        Scalar.__neg__)
+
+
+def _free_kernel(rows: dict, n: int, one, neg):
+    """The kernel basis of the RREF rows {pivot: row}: for each free
+    column f, e_f minus the column f, with one and neg in the rows' entry
+    form."""
+    out = []
+    for f in range(n):
+        if f not in rows:
+            vec = {f: one}
+            for p, row in rows.items():
+                x = row.get(f)
+                if x is not None:
+                    vec[p] = neg(x)
+            out.append(vec)
+    return out
 
 
 def solve_columns(rows, rhs_cols, ncols: int, tower: Tower):
-    """Solutions x_c of A x_c = b_c for every right-hand side b_c, from one
-    elimination of [A | B]; None when some b_c is outside the column
-    space of A.  Each x_c is the solution a one-column call finds for b_c
-    alone (pivot coordinates read off the RREF, free coordinates zero)."""
+    """Solutions x_c of A x_c = b_c for every right-hand side b_c (a
+    coordinate dict over the rows of A), from one elimination of [A | B]
+    through mat_rref; None when some b_c is outside the column space of
+    A.  Each x_c is the solution a one-column call finds for b_c alone
+    (pivot coordinates read off the RREF, free coordinates zero)."""
     if not rhs_cols:
         return []
-    aug = [list(r) + list(b) for r, b in zip(rows, zip(*rhs_cols))]
+    aug = [dict(r) for r in rows]
+    for c, b in enumerate(rhs_cols):
+        for i, x in b.items():
+            aug[i][ncols + c] = x
     rref, pivots = mat_rref(aug, ncols + len(rhs_cols), tower)
     if pivots and pivots[-1] >= ncols:
         return None  # inconsistent
-    zero = tower.zero()
-    sols = [[zero] * ncols for _ in rhs_cols]
+    sols = [{} for _ in rhs_cols]
     for row, p in zip(rref, pivots):
-        for c, x in enumerate(sols):
-            x[p] = row[ncols + c]
+        for k, x in row.items():
+            if k >= ncols:
+                sols[k - ncols][p] = x
     return sols
 
 
 class Span:
     """Subspace of K^n in reduced row echelon form: the package's one
-    exact elimination engine (mat_rref, mat_kernel and the solvers are
-    thin layers over it).
+    exact elimination engine (mat_rref, and mat_kernel and solve_columns
+    through it, are thin layers over it).
 
-    Vectors may be dense lists or index-keyed dicts, of Scalars or of raw
-    entries (a value that is not a Scalar is taken as its raw form, None
-    as zero).  Rows are stored sparsely, keyed by pivot column, and keep
-    one invariant: every row has a 1 in its pivot column and a 0 in every
-    other pivot column.  reduce() therefore clears every pivot column of a
+    Vectors are index-keyed dicts, of Scalars or of raw entries (a value
+    that is not a Scalar is taken as its raw form, None as zero).  Rows
+    are stored sparsely, keyed by pivot column, and keep one invariant:
+    every row has a 1 in its pivot column and a 0 in every other pivot
+    column.  reduce() therefore clears every pivot column of a
     vector in one pass, and add() back-substitutes each new row into the
     stored ones.  The basis is the RREF of the subspace, so it does not
     depend on the order in which vectors were added.
@@ -184,9 +183,8 @@ class Span:
         return len(self.rows)
 
     def _reduce_raw(self, vec) -> dict:
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
         v = {}
-        for k, x in items:
+        for k, x in vec.items():
             r = raw_of(x) if x.__class__ is Scalar else x
             if r is not None:
                 v[k] = r
@@ -242,40 +240,21 @@ class Span:
         return not self._reduce_raw(vec)
 
     def _kernel_raw(self, n: int):
-        """The kernel basis of kernel(), as sparse dicts of raw entries."""
-        for f in range(n):
-            if f not in self.rows:
-                vec = {f: QI_ONE}
-                for p, row in self.rows.items():
-                    x = row.get(f)
-                    if x is not None:
-                        vec[p] = raw_neg(x)
-                yield vec
+        """The kernel basis of kernel(), with raw entries."""
+        return _free_kernel(self.rows, n, QI_ONE, raw_neg)
 
     def kernel(self, n: int):
         """Basis of {x in K^n : r . x = 0 for every r in the span}, one
         vector per free column f: e_f minus the column f of the RREF."""
         tower = self.tower
-        zero = tower.zero()
-        basis = []
-        for sparse in self._kernel_raw(n):
-            vec = [zero] * n
-            for k, x in sparse.items():
-                vec[k] = scalar_of(tower, x)
-            basis.append(vec)
-        return basis
+        return [{k: scalar_of(tower, x) for k, x in vec.items()}
+                for vec in self._kernel_raw(n)]
 
-    def basis_vectors(self, n: int):
-        """Dense basis rows, in increasing pivot order (the RREF)."""
+    def basis_vectors(self):
+        """The basis rows, in increasing pivot order (the RREF)."""
         tower = self.tower
-        zero = tower.zero()
-        out = []
-        for p in sorted(self.rows):
-            row = [zero] * n
-            for k, x in self.rows[p].items():
-                row[k] = scalar_of(tower, x)
-            out.append(row)
-        return out
+        return [{k: scalar_of(tower, x) for k, x in self.rows[p].items()}
+                for p in sorted(self.rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +296,8 @@ class GradedMap:
 
     from_rows builds a map from a dense matrix (outside input, tests),
     and rows is a dense view, a fresh list of rows made on each read, for
-    the edges that need a matrix.  Maps are not mutated after
-    construction."""
+    readers outside the package and tests; nothing inside it reads one.
+    Maps are not mutated after construction."""
 
     __slots__ = ("tower", "source", "target", "entries", "parity")
 
@@ -438,17 +417,15 @@ class GradedMap:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def apply(self, vec):
-        """The image of the dense coordinate vector vec, dense."""
-        out = [self.tower.zero()] * self.target.dim
-        for (i, j), x in self.entries.items():
-            if vec[j].co:
-                out[i] = out[i] + x * vec[j]
-        return out
+    def apply(self, vec: dict) -> dict:
+        """The image of the coordinate dict vec."""
+        return add_entries({}, ((i, x * vec[j])
+                                for (i, j), x in self.entries.items()
+                                if j in vec))
 
     def rank(self) -> int:
-        return mat_rank(_by_row(self.entries).values(), self.source.dim,
-                        self.tower)
+        return len(mat_rref(list(_by_row(self.entries).values()),
+                            self.source.dim, self.tower)[1])
 
     def __repr__(self):
         return (f"GradedMap({self.source!r}->{self.target!r}, "
@@ -474,8 +451,7 @@ def kernel(f: GradedMap):
         sub = [{pos[j]: x for j, x in row.items() if j in pos} for row in rows]
         kvecs = mat_kernel(sub, len(cols), f.tower)
         for k, kvec in enumerate(kvecs, sum(dims)):
-            entries.update(((cols[c], k), x)
-                           for c, x in enumerate(kvec) if x.co)
+            entries.update(((cols[c], k), x) for c, x in kvec.items())
         dims.append(len(kvecs))
     ker_space = GradedSpace(*dims)
     return ker_space, GradedMap(f.tower, ker_space, src, entries, parity=EVEN)
@@ -515,6 +491,7 @@ def intertwiners(pairs, slots, tower: Tower):
     elimination stops reading once the rows have full rank (then T = 0).
     The kernel is read off the RREF of the rows, so it depends only on
     their span and the slot order."""
+    n = len(slots)
     by_row: dict = {}
     by_col: dict = {}
     for k, (r, c) in enumerate(slots):
@@ -544,7 +521,12 @@ def intertwiners(pairs, slots, tower: Tower):
             # both sides, so every equation of its pair vanishes
             yield from (eq for eq in eqs.values() if eq)
 
-    return mat_kernel(equations(), len(slots), tower)
+    sp = Span(tower)
+    for eq in equations():
+        sp.add(eq)
+        if sp.dim == n:
+            break
+    return sp.kernel(n)
 
 
 def nonzero_entries(rows) -> dict:
@@ -587,8 +569,7 @@ def _supercommutant(entries, space: GradedSpace, tower: Tower, p, slots):
     pairs = [(e, e, -1 if p and q else 1) for e, q in entries]
     for kvec in intertwiners(pairs, slots, tower):
         yield GradedMap(tower, space, space,
-                        {ij: x for ij, x in zip(slots, kvec) if x.co},
-                        parity=p)
+                        {slots[k]: x for k, x in kvec.items()}, parity=p)
 
 
 def odd_schur(ops, space: GradedSpace, tower: Tower, slots=None):

@@ -560,8 +560,7 @@ def check_psi0_ideal(m: WeightModule, psi: PsiFunctional, ideal: IdealRep,
     kills_psi = psi.kills(ideal)
     tower = m.tower
     acts_zero = True
-    for v in ideal.basis:
-        a_coords = {j: s for j, s in enumerate(v) if not s.is_zero}
+    for a_coords in ideal.vectors:
         for xi in range(ms.g.dim):
             coords = ms.embed_g({xi: tower.one()}, a_coords)
             if m.op_entries(coords):

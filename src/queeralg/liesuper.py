@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from .assocsuper import AssocSuper
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, add_entries,
-                     first_invertible, intertwiners, mat_kernel, mat_rank,
-                     solve_columns, zero_rows)
+                     first_invertible, intertwiners, mat_kernel, mat_rref,
+                     solve_columns)
 from .scalars import Tower, raw_of
 
 
@@ -65,14 +65,6 @@ class LieSuper:
                     else:
                         out[k] = t
         return out
-
-    def ad_rows(self, i: int):
-        """Dense matrix of ad e_i."""
-        rows = zero_rows(self.tower, self.dim, self.dim)
-        for j in range(self.dim):
-            for k, s in self.bk[i][j].items():
-                rows[k][j] = s
-        return rows
 
     def is_abelian(self) -> bool:
         return all(not self.bk[i][j] for i in range(self.dim)
@@ -140,49 +132,37 @@ def from_assoc(a: AssocSuper) -> LieSuper:
 
 def subalgebra(g: LieSuper, vectors, name: str = "") -> tuple:
     """Lie superalgebra on the span of the given homogeneous coordinate
-    vectors (must be closed under bracket).  Returns (sub, embedding)
+    dicts (must be closed under bracket).  Returns (sub, embedding)
     where embedding maps sub coordinates to g coordinates."""
     tower = g.tower
-    dense = []
-    for v in vectors:
-        if isinstance(v, dict):
-            w = [tower.zero()] * g.dim
-            for k, s in v.items():
-                w[k] = s
-            dense.append(w)
-        else:
-            dense.append(list(v))
+    vecs = list(vectors)
     par = []
-    for v in dense:
-        ps = {g.space.parity(k) for k, s in enumerate(v) if not s.is_zero}
+    for v in vecs:
+        ps = {g.space.parity(k) for k in v}
         if len(ps) > 1:
             raise ValueError("subalgebra basis vector is not homogeneous")
         par.append(ps.pop() if ps else EVEN)
-    order = sorted(range(len(dense)), key=lambda t: par[t])
-    dense = [dense[t] for t in order]
+    order = sorted(range(len(vecs)), key=lambda t: par[t])
+    vecs = [vecs[t] for t in order]
     par = [par[t] for t in order]
     space = GradedSpace(par.count(EVEN), par.count(ODD))
-    n = len(dense)
-    if Span(tower, dense).dim < n:
+    n = len(vecs)
+    if Span(tower, vecs).dim < n:
         raise ValueError("subalgebra basis vectors are dependent")
-    # coordinates of every bracket [u_i, u_j], from one elimination
-    cols = [[dense[j][i] for j in range(n)] for i in range(g.dim)]
-    sparse = [{k: s for k, s in enumerate(v) if not s.is_zero} for v in dense]
-    brackets = []
-    for ui in sparse:
-        for uj in sparse:
-            vec = [tower.zero()] * g.dim
-            for k, s in g.bracket(ui, uj).items():
-                vec[k] = s
-            brackets.append(vec)
-    sols = solve_columns(cols, brackets, n, tower)
-    if sols is None:
+    # coordinates of every bracket [u_i, u_j], from one elimination over
+    # the rows of the matrix whose columns are the u_j
+    rows = [{} for _ in range(g.dim)]
+    for j, u in enumerate(vecs):
+        for k, s in u.items():
+            rows[k][j] = s
+    bk = solve_columns(rows, [g.bracket(ui, uj) for ui in vecs for uj in vecs],
+                       n, tower)
+    if bk is None:
         raise ValueError("vectors do not span a subalgebra")
-    bk = [[{k: s for k, s in enumerate(sols[i * n + j]) if not s.is_zero}
-           for j in range(n)] for i in range(n)]
-    sub = LieSuper(tower, space, bk, name=name)
+    sub = LieSuper(tower, space, [bk[i * n:(i + 1) * n] for i in range(n)],
+                   name=name)
     emb = GradedMap(tower, space, g.space,
-                    {(k, j): s for j, u in enumerate(sparse)
+                    {(k, j): s for j, u in enumerate(vecs)
                      for k, s in u.items()}, parity=EVEN)
     return sub, emb
 
@@ -240,22 +220,19 @@ def direct_sum(g1: LieSuper, g2: LieSuper, name: str = "") -> LieSuper:
 
 
 def derived_series(g: LieSuper):
-    """Subspaces g = g^(0) >= g^(1) >= ... until stable, as dense bases."""
+    """Subspaces g = g^(0) >= g^(1) >= ... until stable, as RREF bases of
+    coordinate dicts."""
     tower = g.tower
     one = tower.one()
-    current = [[one if i == j else tower.zero() for i in range(g.dim)]
-               for j in range(g.dim)]
-    series = [current]
+    series = [[{i: one} for i in range(g.dim)]]
     while True:
         sp = Span(tower)
-        cur_dicts = [{k: s for k, s in enumerate(v) if not s.is_zero}
-                     for v in series[-1]]
-        for a in cur_dicts:
-            for b in cur_dicts:
+        for a in series[-1]:
+            for b in series[-1]:
                 br = g.bracket(a, b)
                 if br:
                     sp.add(br)
-        nxt = sp.basis_vectors(g.dim)
+        nxt = sp.basis_vectors()
         series.append(nxt)
         if len(nxt) == len(series[-2]) or not nxt:
             break
@@ -267,18 +244,12 @@ def is_solvable(g: LieSuper) -> bool:
 
 
 def ideal_closure(g: LieSuper, seeds):
-    """Dense basis of the smallest graded ideal containing the seed
-    vectors (closure under ad of every basis element).  Idempotent and
-    monotone in the seed."""
-    tower = g.tower
-    one = tower.one()
-    sp = Span(tower)
-    frontier = []
-    for v in seeds:
-        d = v if isinstance(v, dict) else \
-            {k: s for k, s in enumerate(v) if not s.is_zero}
-        if sp.add(d):
-            frontier.append(d)
+    """RREF basis, as coordinate dicts, of the smallest graded ideal
+    containing the seed dicts (closure under ad of every basis element).
+    Idempotent and monotone in the seed."""
+    one = g.tower.one()
+    sp = Span(g.tower)
+    frontier = [v for v in seeds if sp.add(v)]
     while frontier:
         nxt = []
         for v in frontier:
@@ -287,7 +258,7 @@ def ideal_closure(g: LieSuper, seeds):
                 if br and sp.add(br):
                     nxt.append(br)
         frontier = nxt
-    return sp.basis_vectors(g.dim)
+    return sp.basis_vectors()
 
 
 def is_simple(g: LieSuper) -> bool:
@@ -468,7 +439,7 @@ class WeightModule:
 
     def singular_spaces(self, raising_gens):
         """Per weight, a basis of the joint kernel of the raising
-        generators (as dense vectors in the block)."""
+        generators (as coordinate dicts on the block)."""
         out = {}
         for w in self.weights:
             rows = []
@@ -508,7 +479,7 @@ class WeightModule:
                     cols[w2].extend(by_col.values())
         for w in self.weights:
             d = self.block_dim(w)
-            if w != top and mat_rank(cols[w], d, self.tower) != d:
+            if w != top and len(mat_rref(cols[w], d, self.tower)[1]) != d:
                 return False
         return True
 
@@ -586,12 +557,14 @@ def hom_space_weight(m: WeightModule, n: WeightModule):
 
 
 def hom_map(vec, slots, m: WeightModule, n: WeightModule) -> GradedMap:
-    """The intertwiner with coordinates vec over slots (as returned by
-    hom_space_weight), as a map from m.space to n.space."""
+    """The intertwiner with the coordinate dict vec over slots (as
+    returned by hom_space_weight), as a map from m.space to n.space."""
     src, tgt = m.flat_index(), n.flat_index()
-    return GradedMap(m.tower, m.space, n.space,
-                     {(tgt[(w, i)], src[(w, j)]): x
-                      for (w, i, j), x in zip(slots, vec) if x.co})
+    entries = {}
+    for k, x in vec.items():
+        w, i, j = slots[k]
+        entries[(tgt[(w, i)], src[(w, j)])] = x
+    return GradedMap(m.tower, m.space, n.space, entries)
 
 
 def is_isomorphic_weight(m: WeightModule, n: WeightModule):
@@ -606,7 +579,7 @@ def is_isomorphic_weight(m: WeightModule, n: WeightModule):
     kerns, slots = hom_space_weight(m, n)
     vec = first_invertible(
         kerns, lambda v: _weight_hom_invertible(v, slots, m, n),
-        lambda u, v: [a + b for a, b in zip(u, v)])
+        lambda u, v: add_entries(dict(u), v.items()))
     if vec is None:
         return False, None
     return True, hom_map(vec, slots, m, n)
@@ -619,8 +592,9 @@ is_isomorphic_flat = is_isomorphic_weight
 
 def _weight_hom_invertible(vec, slots, m: WeightModule, n: WeightModule) -> bool:
     rows: dict = {}   # weight -> {row: {col: entry}}
-    for (w, i, j), x in zip(slots, vec):
-        if x.co:
-            rows.setdefault(w, {}).setdefault(i, {})[j] = x
-    return all(mat_rank(rows.get(w, {}).values(), m.block_dim(w), m.tower)
-               == m.block_dim(w) for w in m.weights)
+    for k, x in vec.items():
+        w, i, j = slots[k]
+        rows.setdefault(w, {}).setdefault(i, {})[j] = x
+    return all(len(mat_rref(list(rows.get(w, {}).values()), m.block_dim(w),
+                            m.tower)[1]) == m.block_dim(w)
+               for w in m.weights)

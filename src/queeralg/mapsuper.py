@@ -159,8 +159,8 @@ class InvariantSub:
         return self.span.dim
 
     def basis_vectors(self):
-        """Dense RREF basis in g (x) A coordinates, in pivot order."""
-        return self.span.basis_vectors(self.parent.dim)
+        """The RREF basis in g (x) A coordinates, in pivot order."""
+        return self.span.basis_vectors()
 
     @cached_property
     def algebra(self) -> LieSuper:
@@ -317,14 +317,18 @@ def _annihilator(module, ms: MapSuper, element):
     if cons.dim == na:
         ann = IdealRep(coeff, [])
     else:
-        constraints = cons.basis_vectors(na)
+        constraints = cons.basis_vectors()
         rows = []
         for b in range(na):
             lb = [coeff.product({b: one}, {j: one}) for j in range(na)]
             for c in constraints:
-                rows.append([sum((c[i] * v for i, v in lb[j].items()
-                                  if not c[i].is_zero), tower.zero())
-                             for j in range(na)])
+                row = {}
+                for j in range(na):
+                    x = sum((c[i] * v for i, v in lb[j].items() if i in c),
+                            tower.zero())
+                    if x.co:
+                        row[j] = x
+                rows.append(row)
         ann = IdealRep(coeff, mat_kernel(rows, na, tower))
     ann.verify()
     supp = support(ann)

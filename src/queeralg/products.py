@@ -7,15 +7,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assocsuper import _raw_products, density_type_from_maps, make_Q
-from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, add_entries,
-                     kernel, odd_schur)
+from .graded import (EVEN, ODD, GradedMap, GradedSpace, add_entries, kernel,
+                     odd_schur, solve_columns)
 from .hwmod import is_irreducible_hw, triangular_of_map, triangular_of_q
 from .liesuper import (WeightModule, direct_sum, from_assoc,
                        is_isomorphic_weight, weight_sort_key)
 from .mapsuper import (InvariantSub, MapSuper, ann_and_support,
                        ann_and_support_gamma, ev_gamma_rank)
 from .queer import QueerData
-from .scalars import Tower, raw_of, scalar_of
+from .scalars import Tower, raw_of
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +197,9 @@ def restrict_weight_module(m: WeightModule, emb: dict) -> WeightModule:
     """Submodule spanned per weight w by the columns of emb[w], an even
     injective GradedMap into block w (a kernel embedding), which must be
     action-invariant.  Each image rho(g) emb[w] landing in block wt is
-    solved as emb[wt] X = image, all images in one target weight by one
-    elimination, and every X is checked exactly (AssertionError when the
-    subspace is not invariant)."""
+    solved as emb[wt] X = image, every column of all images in one target
+    weight by one solve_columns, and every X is checked exactly
+    (AssertionError when the subspace is not invariant)."""
     tower = m.tower
     weights = [w for w in m.weights if w in emb]
     spaces = {w: GradedSpace.from_parities(p) for w, p in m.parities.items()}
@@ -220,9 +220,23 @@ def restrict_weight_module(m: WeightModule, emb: dict) -> WeightModule:
     sols = [None] * len(pieces)
     # the images of one target weight at a time: only they are held
     for wt, ks in by_target.items():
+        e = emb[wt]
+        rows = [{} for _ in range(e.target.dim)]
+        for (i, j), x in e.entries.items():
+            rows[i][j] = x
         images = [image(*pieces[k][1:]) for k in ks]
-        for k, img, x in zip(ks, images, _solve_images(emb[wt], images)):
-            if emb[wt] * x != img:
+        cols = [img.columns() for img in images]
+        xs = solve_columns(rows, [c.get(j, {}) for img, c in zip(images, cols)
+                                  for j in range(img.source.dim)],
+                           e.source.dim, tower)
+        if xs is None:
+            raise AssertionError("operator image leaves the subspace")
+        xs = iter(xs)
+        for k, img in zip(ks, images):
+            x = GradedMap(tower, img.source, e.source,
+                          {(p, j): v for j in range(img.source.dim)
+                           for p, v in next(xs).items()})
+            if e * x != img:
                 raise AssertionError("operator image leaves the subspace")
             sols[k] = x.entries
     act = [{} for _ in range(m.algebra.dim)]
@@ -232,34 +246,6 @@ def restrict_weight_module(m: WeightModule, emb: dict) -> WeightModule:
     return WeightModule(m.algebra, tower, weights,
                         {w: emb[w].source.parities for w in weights}, act,
                         qd=m.qd)
-
-
-def _solve_images(e: GradedMap, images) -> list:
-    """X_c with e X_c = B_c for every image B_c (maps into e.target), for
-    an injective e, read off the RREF Span.rows of [e | B_0 | B_1 ...]:
-    pivot p < e.source.dim gives row p of every X_c.  An image outside
-    the image of e leaves a pivot further right and a wrong X_c, which
-    the caller's check e X_c == B_c rejects."""
-    tower = e.tower
-    n = e.source.dim
-    aug: dict = {}
-    for (i, j), x in e.entries.items():
-        aug.setdefault(i, {})[j] = x
-    where = []        # augmented column n + k -> (image, column)
-    for c, b in enumerate(images):
-        off = n + len(where)
-        for (i, j), x in b.entries.items():
-            aug.setdefault(i, {})[off + j] = x
-        where.extend((c, j) for j in range(b.source.dim))
-    ents = [{} for _ in images]
-    for p, row in Span(tower, aug.values()).rows.items():
-        if p < n:
-            for col, x in row.items():
-                if col >= n:
-                    c, j = where[col - n]
-                    ents[c][(p, j)] = scalar_of(tower, x)
-    return [GradedMap(tower, b.source, e.source, ent)
-            for b, ent in zip(images, ents)]
 
 
 def _tensor_phi_blocks(full: WeightModule, side: int, phi: dict) -> dict:
@@ -590,7 +576,7 @@ def ev_hat_gamma(inv: InvariantSub, assignment: dict, catalog: Catalog):
 def restrict_to_invariants(m: WeightModule, inv: InvariantSub) -> WeightModule:
     """The same carrier viewed as a module over the invariant subalgebra."""
     return pullback(m, inv.algebra,
-                    (enumerate(vec) for vec in inv.basis_vectors()))
+                    (vec.items() for vec in inv.basis_vectors()))
 
 
 def pullback(m: WeightModule, algebra, images) -> WeightModule:

@@ -257,8 +257,7 @@ def cartan_random_corpus(label_maker, rng, count: int, ck: Checks,
         iso, _ = is_isomorphic_weight(mod, h2.as_lie_module())
         ok_iso &= iso
         ideal = i_psi(psi)
-        for v in ideal.basis:
-            coords = {j: s for j, s in enumerate(v) if not s.is_zero}
+        for coords in ideal.vectors:
             for i in range(ctx.n):
                 acc = GradedMap.zero(tower, h.carrier, h.carrier)
                 for j, ca in coords.items():
@@ -399,12 +398,15 @@ def suite_hw(seed: int) -> Checks:
     one = tower.one()
     all_rows = []
     mats, space = ad0.mats, ad0.space
-    for v in a2.maximal_ideals[1].basis:
-        coords = {j: s for j, s in enumerate(v) if not s.is_zero}
+    for coords in a2.maximal_ideals[1].vectors:
         for xi in range(qd.dim):
             terms = ms2.embed_g({xi: one}, coords).items()
-            all_rows.extend(GradedMap.combination(
-                tower, space, space, ((c, mats[k]) for k, c in terms)).rows)
+            op = GradedMap.combination(tower, space, space,
+                                       ((c, mats[k]) for k, c in terms))
+            rows: dict = {}
+            for (i, j), x in op.entries.items():
+                rows.setdefault(i, {})[j] = x
+            all_rows.extend(rows.values())
     kern = mat_kernel(all_rows, ad0.dim, tower)
     ck.add("nonannihilating ideal kills no nonzero vector", kern == [])
     ann, supp, reduced = ann_and_support(ad0, ms2)

@@ -10,6 +10,7 @@ from queeralg.assocsuper import (ModuleAction, QuadraticPair, assoc_tensor,
                                  clifford_generators, density_type, make_M,
                                  make_Q, odd_center, operator_closure_dim,
                                  straighten)
+from dense_ref import sparse
 from queeralg.graded import (GradedMap, GradedSpace, Span, graded_tensor,
                              mat_rref)
 from queeralg.liesuper import LieSuper, WeightModule, is_isomorphic_weight
@@ -472,9 +473,10 @@ def pairing_model(q):
                   for z in z_mats]
         z_mats.append(graded_tensor(GradedMap.identity(tower, lam), x11))
         carrier = z_mats[0].target
-    aug = [list(p_rows[i]) + [tower.one() if j == i else tower.zero()
-                              for j in range(r)] for i in range(r)]
-    pinv = [row[r:] for row in mat_rref(aug, 2 * r, tower)[0]]
+    aug = [sparse(list(p_rows[i]) + [tower.one() if j == i else tower.zero()
+                                     for j in range(r)]) for i in range(r)]
+    pinv = [[row.get(r + j, tower.zero()) for j in range(r)]
+            for row in mat_rref(aug, 2 * r, tower)[0]]
     return carrier, [GradedMap.combination(tower, carrier, carrier,
                                            zip(pinv[i], z_mats))
                      for i in range(r)]

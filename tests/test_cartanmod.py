@@ -91,7 +91,8 @@ def test_adjoint_gram_rank(K, q2):
     oracle = _adjoint_gram_oracle()
     for i in range(2):
         for j in range(2):
-            assert data.gram[i][j] == K.from_fraction(oracle[i][j])
+            assert data.gram[i].get(j, K.zero()) == \
+                K.from_fraction(oracle[i][j])
     assert data.rank == 2
     assert build_H(psi).dim == 2
 
@@ -421,9 +422,13 @@ def test_gram_is_block_diagonal_by_point(K, q2, which, values):
         for b, (i2, v2) in enumerate(data.odd_basis):
             f = psi.eval_even(ctx.odd_bracket_even_coords(i1, i2),
                               quotient.lift(quotient.product(v1, v2)))
-            assert data.gram[a][b] == f
+            assert data.gram[a].get(b, K.zero()) == f
             if points[a] != points[b]:
                 assert f.is_zero
+    # sparse rows: one per basis vector, no zero stored
+    assert len(data.gram) == len(data.odd_basis)
+    assert all(x.co and b < len(data.odd_basis)
+               for row in data.gram for b, x in row.items())
     h = build_H(psi)
     assert h.rank == data.rank
     h.as_lie_module().check()
@@ -505,26 +510,26 @@ def test_clifford_data_built_once_per_psi(K, q2, monkeypatch):
         gc.enable()
 
 
-def test_top_block_and_quotient_fill_no_dense_matrix(monkeypatch):
+def test_top_block_and_quotient_fill_no_dense_matrix(refuse_zero_rows):
     """The work guard of the entry form: H(psi), its module, the truncated
-    Verma module and the simple quotient for q(6) fill no dense zero
-    matrix through graded.zero_rows (which the dense rows view of a
-    GradedMap uses), and assocsuper binds no zero_rows."""
-    import queeralg.graded as graded
+    Verma module and the simple quotient fill no dense zero matrix in any
+    queeralg module (every binding of zero_rows refuses; only graded binds
+    it, behind the dense rows view of a GradedMap).  Two cases: q(6) with
+    psi(h1) = 1, psi(h3) = 2 over the base field, and q(2) over two
+    points with psi active at both, so that A/I_psi keeps both points and
+    the Gram of CliffordData has one block per point."""
     from queeralg.hwmod import SimpleQuotient, TruncatedVerma
     from queeralg.mapsuper import tensor_lie
     K = Tower()
     qd = build_q(K, 6)
     ctx = CartanAlgebra(qd, preset_base_field(K))
-    ms = tensor_lie(qd, ctx.coeff)
-    psi = PsiFunctional.from_pairs(ctx, [["h1", "1", "1"], ["h3", "1", "2"]])
-
-    def refuse(*args):
-        raise AssertionError("a dense zero matrix was filled")
-
-    monkeypatch.setattr(graded, "zero_rows", refuse)
-    assert "zero_rows" not in vars(assocsuper)
-    h = build_H(psi)
-    assert h.as_lie_module().dim == h.dim
-    vm = TruncatedVerma(ms, psi, 1)
-    assert SimpleQuotient(vm).quot_dims
+    q6 = PsiFunctional.from_pairs(ctx, [["h1", "1", "1"], ["h3", "1", "2"]])
+    ctx2 = ctx_over(K, build_q(K, 2), "two")
+    two = PsiFunctional.evaluation(ctx2, 0, [1, 1]) + \
+        PsiFunctional.evaluation(ctx2, 1, [2, 1])
+    assert len(two.clifford_data.quotient.points) == 2
+    for psi in (q6, two):
+        h = build_H(psi)
+        assert h.as_lie_module().dim == h.dim
+        vm = TruncatedVerma(tensor_lie(psi.ctx.qd, psi.ctx.coeff), psi, 1)
+        assert SimpleQuotient(vm).quot_dims

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_ref import sparse
 from queeralg.coeffalg import (IdealRep, algebra_from_spec, gamma_from_spec,
                                gamma_validate, ideal_product,
                                preset_base_field, preset_truncated,
@@ -294,7 +295,7 @@ GEN_PAIRS = [
 @pytest.mark.parametrize("g1,g2", GEN_PAIRS)
 def test_ideal_key_independent_of_generator_order(K, g1, g2):
     a = four_point(K)
-    gens = [[parse_scalar(K, x) for x in g] for g in (g1, g2)]
+    gens = [sparse([parse_scalar(K, x) for x in g]) for g in (g1, g2)]
     fwd = IdealRep.from_generators(a, gens)
     rev = IdealRep.from_generators(a, gens[::-1])
     assert fwd == rev
@@ -311,6 +312,7 @@ _gens = st.lists(st.lists(_coeff, min_size=4, max_size=4),
 @settings(max_examples=40, deadline=None)
 @given(_gens, _gens, st.randoms(use_true_random=False))
 def test_ideal_key_equality_is_ideal_equality(gens1, gens2, rnd):
+    gens1, gens2 = [sparse(g) for g in gens1], [sparse(g) for g in gens2]
     i1 = IdealRep.from_generators(_FOUR, gens1)
     shuffled = list(gens1)
     rnd.shuffle(shuffled)

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_ref import dense, sparse
 from queeralg.graded import (EVEN, ODD, GradedMap, GradedSpace, Span, commutant,
                              first_invertible, graded_tensor, intertwiners,
-                             kernel, mat_kernel, mat_rank, mat_rref,
-                             solve_columns, tensor_space)
+                             kernel, mat_kernel, mat_rref, solve_columns,
+                             tensor_space)
 from queeralg.scalars import Tower
 
 
@@ -150,7 +151,7 @@ def test_intertwiners_between_spaces(K):
     slots = [((0,), "s"), ((1,), "s")]
     b = {((0,), (1,)): one}
     basis = intertwiners([({}, b, 1)], slots, K)
-    assert basis == [[one, K.zero()]]
+    assert basis == [{0: one}]
 
 
 def test_space_from_parities():
@@ -195,22 +196,24 @@ def test_first_invertible_scan(K):
 
 def test_span_incremental(K):
     sp = Span(K)
-    assert sp.add([K.one(), K.zero(), K.one()])
-    assert sp.add([K.zero(), K.one(), K.one()])
-    assert not sp.add([K.one(), K.one(), K.from_int(2)])
+    assert sp.add(sparse([K.one(), K.zero(), K.one()]))
+    assert sp.add(sparse([K.zero(), K.one(), K.one()]))
+    assert not sp.add(sparse([K.one(), K.one(), K.from_int(2)]))
     assert sp.dim == 2
     assert sp.contains({0: K.from_int(3), 1: K.from_int(3), 2: K.from_int(6)})
-    assert not sp.contains([K.one(), K.zero(), K.zero()])
+    assert not sp.contains({0: K.one()})
 
 
 def test_solve_and_kernel(K):
-    rows = [[K.from_int(1), K.from_int(2)], [K.from_int(2), K.from_int(4)]]
-    assert mat_rank(rows, 2, K) == 1
+    rows = [{0: K.from_int(1), 1: K.from_int(2)},
+            {0: K.from_int(2), 1: K.from_int(4)}]
+    assert len(mat_rref(rows, 2, K)[1]) == 1
     ker = mat_kernel(rows, 2, K)
     assert len(ker) == 1
-    [x] = solve_columns(rows, [[K.from_int(3), K.from_int(6)]], 2, K)
+    [x] = solve_columns(rows, [{0: K.from_int(3), 1: K.from_int(6)}], 2, K)
+    x = dense(x, 2, K)
     assert x[0] + 2 * x[1] == 3
-    assert solve_columns(rows, [[K.one(), K.one()]], 2, K) is None
+    assert solve_columns(rows, [{0: K.one(), 1: K.one()}], 2, K) is None
 
 
 def test_tensor_space_ordering():
@@ -242,11 +245,11 @@ def test_span_residual_has_no_pivot_column(K):
 
 
 def test_span_basis_independent_of_order(K):
-    one, zero = K.one(), K.zero()
-    u, v = [one, one, zero], [zero, one, one]
-    assert Span(K, [u, v]).basis_vectors(3) == Span(K, [v, u]).basis_vectors(3)
-    assert Span(K, [u, v]).basis_vectors(3) == \
-        [[one, zero, -one], [zero, one, one]]
+    one = K.one()
+    u, v = {0: one, 1: one}, {1: one, 2: one}
+    assert Span(K, [u, v]).basis_vectors() == Span(K, [v, u]).basis_vectors()
+    assert Span(K, [u, v]).basis_vectors() == \
+        [{0: one, 2: -one}, {1: one, 2: one}]
 
 
 def qi_entries():
@@ -286,8 +289,8 @@ def test_span_basis_is_insertion_order_free(data, rnd):
     n, vecs = data
     shuffled = list(vecs)
     rnd.shuffle(shuffled)
-    assert Span(QI, vecs).basis_vectors(n) == \
-        Span(QI, shuffled).basis_vectors(n)
+    assert Span(QI, map(sparse, vecs)).basis_vectors() == \
+        Span(QI, map(sparse, shuffled)).basis_vectors()
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,30 +298,32 @@ def test_span_basis_is_insertion_order_free(data, rnd):
 def test_span_residual_avoids_pivots(data, draw):
     n, vecs = data
     w = draw.draw(qi_vectors(n))
-    sp = Span(QI, vecs)
-    res = sp.reduce(w)
+    sp = Span(QI, map(sparse, vecs))
+    res = sp.reduce(sparse(w))
     assert not set(res) & set(sp.rows)
     # w - residual lies in the span, and the residual is zero exactly on it
     diff = [x - res.get(k, QI.zero()) for k, x in enumerate(w)]
-    assert sp.contains(diff)
-    assert (not res) == sp.contains(w)
-    assert is_rref(sp.basis_vectors(n), sorted(sp.rows), n)
+    assert sp.contains(sparse(diff))
+    assert (not res) == sp.contains(sparse(w))
+    assert is_rref([dense(r, n, QI) for r in sp.basis_vectors()],
+                   sorted(sp.rows), n)
 
 
 @settings(max_examples=60, deadline=None)
 @given(vector_lists())
 def test_mat_rref_is_reduced(data):
     n, rows = data
-    rref, pivots = mat_rref(rows, n, QI)
-    assert is_rref(rref, pivots, n)
-    assert len(rref) == mat_rank(rows, n, QI)
+    sparse_rows = [sparse(r) for r in rows]
+    rref, pivots = mat_rref(sparse_rows, n, QI)
+    assert is_rref([dense(r, n, QI) for r in rref], pivots, n)
+    assert len(rref) == Span(QI, sparse_rows).dim
     sp = Span(QI, rref)
-    assert all(sp.contains(r) for r in rows)
-    assert all(Span(QI, rows).contains(r) for r in rref)
-    for x in mat_kernel(rows, n, QI):
-        assert all(sum((a * b for a, b in zip(r, x)), QI.zero()).is_zero
+    assert all(sp.contains(r) for r in sparse_rows)
+    assert all(Span(QI, sparse_rows).contains(r) for r in rref)
+    for x in mat_kernel(sparse_rows, n, QI):
+        assert all(sum((r[k] * v for k, v in x.items()), QI.zero()).is_zero
                    for r in rows)
-    assert len(mat_kernel(rows, n, QI)) == n - len(rref)
+    assert len(mat_kernel(sparse_rows, n, QI)) == n - len(rref)
 
 
 @settings(max_examples=40, deadline=None)
@@ -327,6 +332,7 @@ def test_solve_columns_matches_one_column_solves(data, draw):
     ncols, rows = data
     nrows = len(rows)
     rhs_cols = draw.draw(st.lists(qi_vectors(nrows), min_size=1, max_size=3))
+    rows, rhs_cols = [sparse(r) for r in rows], [sparse(b) for b in rhs_cols]
     one_by_one = [solve_columns(rows, [b], ncols, QI) for b in rhs_cols]
     together = solve_columns(rows, rhs_cols, ncols, QI)
     if any(x is None for x in one_by_one):
@@ -413,6 +419,20 @@ class ScalarSpan:
             basis.append(vec)
         return basis
 
+    @classmethod
+    def solve_columns(cls, tower, rows, rhs_cols, ncols):
+        """The dense multi-right-hand-side solve, on [A | B]: None when
+        some b_c is outside the column space of A."""
+        ref = cls(tower, [list(r) + [b[i] for b in rhs_cols]
+                          for i, r in enumerate(rows)])
+        if any(p >= ncols for p in ref.rows):
+            return None
+        sols = [[tower.zero()] * ncols for _ in rhs_cols]
+        for p, row in ref.rows.items():
+            for c, x in enumerate(sols):
+                x[p] = row.get(ncols + c, tower.zero())
+        return sols
+
 
 EXT = Tower()
 S2 = EXT.adjoin_sqrt(EXT.from_int(2))   # height 1: Q(i)(sqrt 2)
@@ -435,14 +455,33 @@ def test_span_matches_scalar_oracle(data):
     n, vecs, w = data
     sp, ref = Span(EXT), ScalarSpan(EXT)
     for v in vecs:
-        assert sp.add(v) == ref.add(v)
-    assert sp.basis_vectors(n) == ref.basis_vectors(n)
-    assert sp.kernel(n) == ref.kernel(n)
+        assert sp.add(sparse(v)) == ref.add(v)
+    basis, kern = sp.basis_vectors(), sp.kernel(n)
+    assert [dense(v, n, EXT) for v in basis] == ref.basis_vectors(n)
+    assert [dense(v, n, EXT) for v in kern] == ref.kernel(n)
     # residuals agree entry by entry, in the same order
-    assert list(sp.reduce(w).items()) == list(ref.reduce(w).items())
+    assert list(sp.reduce(sparse(w)).items()) == list(ref.reduce(w).items())
     assert list(sp.reduce(dict(enumerate(w))).items()) == \
         list(ref.reduce(w).items())
-    assert sp.contains(w) == (not ref.reduce(w))
+    assert sp.contains(sparse(w)) == (not ref.reduce(w))
+    # solve_columns on the rows as A: b = A w and the first column of A
+    # always have a solution, a unit vector over the rows may not
+    rows = [sparse(v) for v in vecs]
+    zero = EXT.zero()
+    consistent = [[sum((a * x for a, x in zip(v, w)), zero) for v in vecs],
+                  [v[0] for v in vecs]]
+    unit = [[EXT.one()] + [zero] * (len(vecs) - 1)] if vecs else []
+    sols = []
+    for rhs in (consistent, unit):
+        got = solve_columns(rows, [sparse(b) for b in rhs], n, EXT)
+        want = ScalarSpan.solve_columns(EXT, vecs, rhs, n)
+        assert (got is None) == (want is None)
+        assert got is not None or rhs is unit
+        if got is not None:
+            assert [dense(x, n, EXT) for x in got] == want
+            sols += got
+    # no returned vector stores a zero
+    assert all(not x.is_zero for v in basis + kern + sols for x in v.values())
 
 
 def test_combination_matches_repeated_sums(K):
@@ -511,11 +550,11 @@ def _dense_kernel(f):
     vecs = []
     for cols in cols_of:
         if cols:
-            sub = [[row[j] for j in cols] for row in f.rows]
+            sub = [sparse([row[j] for j in cols]) for row in f.rows]
             for kvec in mat_kernel(sub, len(cols), GK):
                 full = [GK.zero()] * src.dim
                 for c, j in enumerate(cols):
-                    full[j] = kvec[c]
+                    full[j] = kvec.get(c, GK.zero())
                 vecs.append(full)
     return [[v[i] for v in vecs] for i in range(src.dim)]
 

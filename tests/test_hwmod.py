@@ -7,8 +7,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional
 from queeralg.cli import main
 from queeralg.coeffalg import preset_base_field, preset_truncated, zero_ideal
-from queeralg.graded import (EVEN, Span, mat_kernel, mat_mul, mat_rank,
-                             nonzero_entries, zero_rows)
+from dense_ref import mat_mul, rank, sparse
+from queeralg.graded import (EVEN, Span, mat_kernel, nonzero_entries,
+                             zero_rows)
 from queeralg.hwmod import (SimpleQuotient, _sum_terms, check_psi0_ideal,
                             is_irreducible_hw, simple_quotient, top_psi,
                             triangular_of_map, verma)
@@ -489,7 +490,7 @@ def oracle_singular_dims(vm):
             blk = dense_block(vm, g, beta)
             if blk is not None:
                 rows.extend(blk[1])
-        out[beta] = d - mat_rank(rows, d, vm.tower)
+        out[beta] = d - rank(rows, d, vm.tower)
     return out
 
 
@@ -515,7 +516,7 @@ class ResidualQuotient:
                     if rmat is None:
                         continue  # target quotient is zero: no constraint
                     rows.extend(mat_mul(rmat, mat, tower))
-                nsub[beta] = mat_kernel(rows, d, tower)
+                nsub[beta] = mat_kernel([sparse(r) for r in rows], d, tower)
             sp = Span(tower, nsub[beta])
             free = [c for c in range(d) if c not in sp.rows]
             quot_dims[beta] = len(free)

@@ -16,6 +16,7 @@ only when a change of basis is intended.
 import json
 from pathlib import Path
 
+from dense_ref import dense
 from queeralg import graded
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
 from queeralg.coeffalg import preset_base_field, preset_truncated
@@ -58,7 +59,7 @@ def golden():
                      ("trivial^3", "trivial^3")):
         kern, slots = hom_space_weight(mods[src], mods[tgt])
         out[f"hom_space_weight {src} -> {tgt}"] = {
-            "kernel": [_vec(v) for v in kern],
+            "kernel": [_vec(dense(v, len(slots), K)) for v in kern],
             "slots": [[_vec(w), i, j] for w, i, j in slots]}
         kern, slots = hom_space_weight(flat[src], flat[tgt])
         out[f"module_hom_basis {src} -> {tgt}"] = [

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_ref import ad_map
 from queeralg.assocsuper import make_M, make_Q
 from queeralg.coeffalg import preset_truncated
 from queeralg.graded import GradedMap, GradedSpace
@@ -120,8 +121,7 @@ def test_direct_sum(K):
 
 def test_lie_module_check(K):
     qd = build_q(K, 2)
-    adj = [GradedMap.from_rows(K, qd.space, qd.space, qd.algebra.ad_rows(i))
-           for i in range(16)]
+    adj = [ad_map(qd.algebra, i) for i in range(16)]
     mod = WeightModule.from_flat(qd.algebra, qd.space, adj)
     mod.check()
     bad = WeightModule.from_flat(qd.algebra, qd.space, [adj[0] * 2] + adj[1:])

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_ref import dense
 from queeralg.liesuper import is_simple, is_solvable, subalgebra
 from queeralg.queer import build_q, build_q_tilde, cartan_generation_check
 from queeralg.scalars import Tower, raw_of
@@ -127,8 +128,8 @@ def test_conj_automorphism(K, q2):
     # bracket preservation on all basis pairs
     import itertools
     for i, j in itertools.product(range(q2.dim), repeat=2):
-        lhs = sigma.apply([q2.algebra.bracket({i: one}, {j: one}).get(t, K.zero())
-                           for t in range(q2.dim)])
+        lhs = dense(sigma.apply(q2.algebra.bracket({i: one}, {j: one})),
+                    q2.dim, K)
         vi = [sigma.rows[t][i] for t in range(q2.dim)]
         vj = [sigma.rows[t][j] for t in range(q2.dim)]
         rhs_d = q2.algebra.bracket({t: v for t, v in enumerate(vi) if not v.is_zero},
