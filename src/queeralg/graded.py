@@ -8,7 +8,7 @@ vectors come before odd ones; within a parity, construction order.
 
 from __future__ import annotations
 
-from .scalars import (QI_ONE, Scalar, Tower, raw_inv, raw_mul, raw_neg, raw_of,
+from .scalars import (Scalar, Tower, raw_inv, raw_mul, raw_neg, raw_of,
                       raw_submul, scalar_of)
 
 EVEN, ODD = 0, 1
@@ -96,37 +96,16 @@ def mat_rref(rows, ncols: int, tower: Tower):
     the basis rows in increasing pivot order; zero rows are dropped.
     Reading stops once the rank is ncols (every further row lies in the
     span)."""
-    sp = Span(tower)
-    for row in rows:
-        if sp.dim == ncols:
-            break
-        sp.add(row)
+    sp = Span(tower, rows, ncols)
     return sp.basis_vectors(), sorted(sp.rows)
 
 
 def mat_kernel(rows, ncols: int, tower: Tower):
-    """Basis of {x : A x = 0} for the list of rows of A, read off its
-    RREF: one vector per free column f, e_f minus the column f of the
-    RREF.  The identity basis when A has no rows."""
-    rref, pivots = mat_rref(rows, ncols, tower)
-    return _free_kernel(dict(zip(pivots, rref)), ncols, tower.one(),
-                        Scalar.__neg__)
-
-
-def _free_kernel(rows: dict, n: int, one, neg):
-    """The kernel basis of the RREF rows {pivot: row}: for each free
-    column f, e_f minus the column f, with one and neg in the rows' entry
-    form."""
-    out = []
-    for f in range(n):
-        if f not in rows:
-            vec = {f: one}
-            for p, row in rows.items():
-                x = row.get(f)
-                if x is not None:
-                    vec[p] = neg(x)
-            out.append(vec)
-    return out
+    """Basis of {x : A x = 0} for the rows of A, any iterable: the kernel
+    of their Span, read until the rank is ncols, so a lazy iterable never
+    builds the rows past full rank.  The identity basis when A has no
+    rows."""
+    return Span(tower, rows, ncols).kernel(ncols)
 
 
 def solve_columns(rows, rhs_cols, ncols: int, tower: Tower):
@@ -154,8 +133,9 @@ def solve_columns(rows, rhs_cols, ncols: int, tower: Tower):
 
 class Span:
     """Subspace of K^n in reduced row echelon form: the package's one
-    exact elimination engine (mat_rref, and mat_kernel and solve_columns
-    through it, are thin layers over it).
+    exact elimination engine, with its one kernel routine (kernel).
+    mat_rref, mat_kernel and solve_columns (through mat_rref) each read
+    their result off one Span of the given rows.
 
     Vectors are index-keyed dicts, of Scalars or of raw entries (a value
     that is not a Scalar is taken as its raw form, None as zero).  Rows
@@ -171,11 +151,18 @@ class Span:
     at the edges, in reduce()'s result, kernel() and basis_vectors().
     """
 
-    def __init__(self, tower: Tower, vectors=()):
+    def __init__(self, tower: Tower, vectors=(), n=None):
         self.tower = tower
         # pivot column -> {column: raw entry}
         self.rows: dict[int, dict] = {}
+        self.extend(vectors, n)
+
+    def extend(self, vectors, n=None):
+        """Add the vectors in order; reading stops once the dimension is
+        n (every further vector lies in the span)."""
         for v in vectors:
+            if len(self.rows) == n:
+                return
             self.add(v)
 
     @property
@@ -239,16 +226,20 @@ class Span:
     def contains(self, vec) -> bool:
         return not self._reduce_raw(vec)
 
-    def _kernel_raw(self, n: int):
-        """The kernel basis of kernel(), with raw entries."""
-        return _free_kernel(self.rows, n, QI_ONE, raw_neg)
-
     def kernel(self, n: int):
         """Basis of {x in K^n : r . x = 0 for every r in the span}, one
         vector per free column f: e_f minus the column f of the RREF."""
         tower = self.tower
-        return [{k: scalar_of(tower, x) for k, x in vec.items()}
-                for vec in self._kernel_raw(n)]
+        one, out = tower.one(), []
+        for f in range(n):
+            if f not in self.rows:
+                vec = {f: one}
+                for p, row in self.rows.items():
+                    x = row.get(f)
+                    if x is not None:
+                        vec[p] = scalar_of(tower, raw_neg(x))
+                out.append(vec)
+        return out
 
     def basis_vectors(self):
         """The basis rows, in increasing pivot order (the RREF)."""
@@ -521,12 +512,7 @@ def intertwiners(pairs, slots, tower: Tower):
             # both sides, so every equation of its pair vanishes
             yield from (eq for eq in eqs.values() if eq)
 
-    sp = Span(tower)
-    for eq in equations():
-        sp.add(eq)
-        if sp.dim == n:
-            break
-    return sp.kernel(n)
+    return mat_kernel(equations(), n, tower)
 
 
 def nonzero_entries(rows) -> dict:

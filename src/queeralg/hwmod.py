@@ -333,7 +333,7 @@ def verma(ms: MapSuper, psi: PsiFunctional, depth: int) -> TruncatedVerma:
 class SimpleQuotient:
     """Truncation of the simple highest-weight module V(psi).
 
-    The maximal submodule N is built one weight at a time, in order of
+    The maximal submodule N is found one weight at a time, in order of
     height: a vector v of weight beta lies in N_beta exactly when every
     raising generator maps it into N at its target weight tgt.  It is
     enough to ask this of the simple raising generators e_{alpha_k} (x) a_j
@@ -342,40 +342,49 @@ class SimpleQuotient:
     x with x v in N is a subalgebra ([x, y] v = x (y v) -+ y (x v)).  The
     same argument with N = 0 gives the singular spaces.
 
-    Each N_beta is kept as its RREF Span, with pivot columns P and free
-    columns F (the free columns index a basis of the quotient).  One Span
-    per weight then gives both N_beta and the singular dimension, by two
-    exact identities, over the simple raising blocks B.
+    N_beta itself is never stored.  Each weight keeps the projection
+    R_beta, s = dim V(psi)_beta rows: for every vector v, R_beta v is the
+    residual of v modulo N_beta in RREF(N_beta), keyed by the free
+    columns F_beta of RREF(N_beta), which index a basis of the quotient.
+    One Span per weight, with its columns reversed (c -> d - 1 - c, d the
+    PBW dimension), gives R_beta and the singular dimension by two exact
+    identities over the simple raising blocks B.
 
-    1. Let R_tgt send e_c to its residual modulo N_tgt, keyed by F.
-       Reducing the column B e_c of a raising block modulo N_tgt gives
-       exactly the column c of R_tgt B.  So the reduced columns,
-       regrouped into rows, span the rows of R_tgt B, and N_beta is the
-       kernel of all of them.  A target whose quotient is 0 adds no rows.
+    1. The projected block columns R_tgt B e_c, regrouped into rows,
+       are the rows M of every R_tgt B, and N_beta = ker M.  A column c
+       is free in RREF(ker M) exactly when column c of M is not in the
+       span of the later columns, that is, exactly when c is a pivot of
+       M's RREF with pivots taken from the right: the reversed Span.  Its
+       rows, read back in the original columns, are R_beta: they span
+       M's rows, so ker R_beta = N_beta, and R_beta is the identity on
+       F_beta, so R_beta v is that residual.  A target whose quotient is
+       0 adds no rows.
     2. Row operations give B_F - C B_P = R_tgt B, where B_F and B_P are
-       the rows of B at F and at P and C holds the RREF entries at F.  So
-       ker B = ker [R_tgt B ; B_P]: once N_beta is read off, adding the
-       rows of every simple raising block at the pivot columns of its
-       target leaves the joint kernel of the raising generators, and
-       singular_dims[beta] = d - span.dim.  For a target whose quotient
-       is 0 that is every row.
+       the rows of B at F_tgt and at the other columns P_tgt, and C holds
+       the entries of RREF(N_tgt) at F_tgt.  So ker B = ker [R_tgt B ;
+       B_P]: once R_beta is read off, adding the rows of every simple
+       raising block at P_tgt leaves the joint kernel of the raising
+       generators, and singular_dims[beta] = d - span.dim.  For a target
+       whose quotient is 0 that is every row.
 
     At beta = 0 no raising block lands in the window: N_0 = 0 (the top
-    block generates V(psi)) and the singular dimension is d.  Blocks stay
-    sparse raw columns throughout; Scalars are made only in _assemble.
+    block generates V(psi)), R_0 is the identity and the singular
+    dimension is d.  R_beta is stored by column, each column the list of
+    its (free column, raw entry) pairs, and applied by _project to the
+    sparse raw columns of the blocks; Scalars are made only in _assemble.
 
     conclusive is True when the quotient vanishes on a band of n
     consecutive heights inside the window (n = maximal root height), in
     which case the module is complete and module is a WeightModule over
-    the full map superalgebra, its blocks read off the same reductions
-    for every generator."""
+    the full map superalgebra, its blocks the projections of every
+    generator's block columns."""
 
     def __init__(self, vm: TruncatedVerma):
         self.verma = vm
-        tower = vm.tower
         n = vm.qd.n
+        gens = vm.tower.gens
         betas = sorted(vm._betas, key=lambda b: (sum(b), b))
-        nspan: dict = {}   # beta -> RREF Span of N_beta
+        proj: dict = {}   # beta -> R_beta by column
         quot_dims: dict = {}
         free_cols: dict = {}
         singular_dims: dict = {}
@@ -384,33 +393,37 @@ class SimpleQuotient:
             blocks = [blk for blk in (vm.block(g, beta)
                                       for g in vm.ms.simple_raising_gens)
                       if blk is not None]
-            sp = Span(tower)
+            sp = Span(vm.tower)   # columns reversed: c -> d - 1 - c
             rows = []   # identity 1: the rows of every R_tgt B
             for tgt, cols in blocks:
                 if quot_dims[tgt]:
-                    ntgt = nspan[tgt]
                     by_free: dict = {}
                     for c, col in enumerate(cols):
-                        for f, x in ntgt._reduce_raw(col).items():
-                            by_free.setdefault(f, {})[c] = x
+                        for f, x in _project(proj[tgt], col, gens).items():
+                            by_free.setdefault(f, {})[d - 1 - c] = x
                     rows.extend(by_free.values())
             _add_rows(sp, rows, d)
-            nspan[beta] = Span(tower, sp._kernel_raw(d) if any(beta) else ())
+            # R_beta's rows by pivot, over the reversed columns
+            rrows = {d - 1 - p: row for p, row in sp.rows.items()} \
+                if any(beta) else {c: {d - 1 - c: QI_ONE} for c in range(d)}
+            proj[beta] = [[] for _ in range(d)]
+            for f, row in rrows.items():
+                for c, x in row.items():
+                    proj[beta][d - 1 - c].append((f, x))
+            free_cols[beta] = sorted(rrows)
+            quot_dims[beta] = len(rrows)
             rows = []   # identity 2: the rows of every B at P_tgt
             for tgt, cols in blocks:
-                pivots = nspan[tgt].rows
+                free = set(free_cols[tgt])
                 by_pivot: dict = {}
                 for c, col in enumerate(cols):
                     for t, x in col.items():
-                        if t in pivots:
-                            by_pivot.setdefault(t, {})[c] = x
+                        if t not in free:
+                            by_pivot.setdefault(t, {})[d - 1 - c] = x
                 rows.extend(by_pivot.values())
             _add_rows(sp, rows, d)
             singular_dims[beta] = d - sp.dim
-            free_cols[beta] = [c for c in range(d)
-                               if c not in nspan[beta].rows]
-            quot_dims[beta] = len(free_cols[beta])
-        self.nspan = nspan
+        self.proj = proj
         self.quot_dims = quot_dims
         self.free_cols = free_cols
         self.singular_dims = singular_dims
@@ -430,7 +443,7 @@ class SimpleQuotient:
 
     def _assemble(self) -> WeightModule:
         """The quotient's blocks: block columns at the free columns of the
-        source, reduced modulo N at the target."""
+        source, projected by R at the target."""
         vm = self.verma
         tower = vm.tower
         betas = [b for b in vm._betas
@@ -456,11 +469,11 @@ class SimpleQuotient:
                 tgt, cols = blk
                 if tgt not in weights:
                     continue  # target is zero in the quotient
-                ntgt = self.nspan[tgt]
                 pos = {f: t for t, f in enumerate(self.free_cols[tgt])}
                 red = {(pos[f], j): scalar_of(tower, x)
                        for j, c in enumerate(self.free_cols[beta])
-                       for f, x in ntgt._reduce_raw(cols[c]).items()}
+                       for f, x in _project(self.proj[tgt], cols[c],
+                                            tower.gens).items()}
                 if red:
                     blocks[weights[beta]] = [(weights[tgt], red)]
             act.append(blocks)
@@ -468,16 +481,24 @@ class SimpleQuotient:
                             parities, act, qd=vm.qd)
 
 
+def _project(proj: list, col: dict, gens) -> dict:
+    """R col for R stored by column (proj[t] lists the (free column, raw)
+    entries of column t) and col a sparse raw column: the residual of col
+    modulo N at col's weight, keyed by free column."""
+    terms: dict = {}
+    for t, x in col.items():
+        for f, r in proj[t]:
+            terms.setdefault(f, []).append((r, x))
+    return _sum_terms(terms, gens)
+
+
 def _add_rows(sp: Span, rows: list, d: int):
     """Add rows in decreasing order of their first column.  A new pivot
     then mostly lies left of the stored ones, where every stored row is
     zero, so the back-substitution of Span.add rarely has work: on the
-    dims-q3 pool this cuts the entry updates by a third."""
+    dims-q3 pool (seed 11) it cuts the entry updates by more than half."""
     rows.sort(key=min, reverse=True)
-    for row in rows:
-        if sp.dim == d:
-            return  # every further row lies in the span
-        sp.add(row)
+    sp.extend(rows, d)
 
 
 def simple_quotient(ms: MapSuper, psi: PsiFunctional, depth=None) -> SimpleQuotient:

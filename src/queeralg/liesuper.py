@@ -8,9 +8,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .assocsuper import AssocSuper
-from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, add_entries,
-                     first_invertible, intertwiners, mat_kernel, mat_rref,
-                     solve_columns)
+from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, _by_row,
+                     add_entries, first_invertible, intertwiners, mat_kernel,
+                     mat_rref, solve_columns)
 from .scalars import Tower, raw_of
 
 
@@ -226,13 +226,8 @@ def derived_series(g: LieSuper):
     one = tower.one()
     series = [[{i: one} for i in range(g.dim)]]
     while True:
-        sp = Span(tower)
-        for a in series[-1]:
-            for b in series[-1]:
-                br = g.bracket(a, b)
-                if br:
-                    sp.add(br)
-        nxt = sp.basis_vectors()
+        nxt = Span(tower, (g.bracket(a, b) for a in series[-1]
+                           for b in series[-1])).basis_vectors()
         series.append(nxt)
         if len(nxt) == len(series[-2]) or not nxt:
             break
@@ -439,16 +434,13 @@ class WeightModule:
 
     def singular_spaces(self, raising_gens):
         """Per weight, a basis of the joint kernel of the raising
-        generators (as coordinate dicts on the block)."""
+        generators (as coordinate dicts on the block).  The rows are made
+        one block at a time, as the elimination reads them."""
         out = {}
         for w in self.weights:
-            rows = []
-            for g in raising_gens:
-                for (_, blk) in self.blocks_of(g, w):
-                    by_row: dict = {}
-                    for (r, c), v in blk.items():
-                        by_row.setdefault(r, {})[c] = v
-                    rows.extend(by_row.values())
+            rows = (row for g in raising_gens
+                    for _, blk in self.blocks_of(g, w)
+                    for row in _by_row(blk).values())
             out[w] = mat_kernel(rows, self.block_dim(w), self.tower)
         return out
 

@@ -318,18 +318,19 @@ def _annihilator(module, ms: MapSuper, element):
         ann = IdealRep(coeff, [])
     else:
         constraints = cons.basis_vectors()
-        rows = []
-        for b in range(na):
-            lb = [coeff.product({b: one}, {j: one}) for j in range(na)]
-            for c in constraints:
-                row = {}
-                for j in range(na):
-                    x = sum((c[i] * v for i, v in lb[j].items() if i in c),
-                            tower.zero())
-                    if x.co:
-                        row[j] = x
-                rows.append(row)
-        ann = IdealRep(coeff, mat_kernel(rows, na, tower))
+
+        def rows():   # made one at a time, as the elimination reads them
+            for b in range(na):
+                lb = [coeff.product({b: one}, {j: one}) for j in range(na)]
+                for c in constraints:
+                    row = {}
+                    for j in range(na):
+                        x = sum((c[i] * v for i, v in lb[j].items()
+                                 if i in c), tower.zero())
+                        if x.co:
+                            row[j] = x
+                    yield row
+        ann = IdealRep(coeff, mat_kernel(rows(), na, tower))
     ann.verify()
     supp = support(ann)
     reduced = radical(ann) == ann

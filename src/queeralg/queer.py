@@ -503,10 +503,5 @@ def _diag_mat(tower: Tower, diag):
 
 def _cartan_span_dim(qd: QueerData) -> int:
     one = qd.tower.one()
-    sp = Span(qd.tower)
-    for a in qd.h1_indices:
-        for b in qd.h1_indices:
-            br = qd.algebra.bracket({a: one}, {b: one})
-            if br:
-                sp.add(br)
-    return sp.dim
+    return Span(qd.tower, (qd.algebra.bracket({a: one}, {b: one})
+                           for a in qd.h1_indices for b in qd.h1_indices)).dim

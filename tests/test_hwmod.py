@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional
+from queeralg import hwmod
 from queeralg.cli import main
 from queeralg.coeffalg import preset_base_field, preset_truncated, zero_ideal
 from dense_ref import mat_mul, rank, sparse
@@ -578,8 +579,16 @@ class ResidualQuotient:
 
 def assert_same_quotient(vm):
     new, ref = SimpleQuotient(vm), ResidualQuotient(vm)
-    assert {b: sp.rows for b, sp in new.nspan.items()} == \
-        {b: Span(vm.tower, vecs).rows for b, vecs in ref.nsub.items()}
+    # R_beta e_c, column c of the stored projection, is the oracle's
+    # residual of e_c for every column c of every weight; as N_beta =
+    # ker R_beta this pins N_beta down as fully as its RREF rows would
+    for beta, rrows in ref.residual.items():
+        for c in range(len(vm.basis[beta])):
+            want = {} if rrows is None else \
+                {f: row[c] for f, row in zip(ref.free_cols[beta], rrows)
+                 if not row[c].is_zero}
+            assert {f: scalar_of(vm.tower, x)
+                    for f, x in new.proj[beta][c]} == want
     assert new.quot_dims == ref.quot_dims
     assert new.free_cols == ref.free_cols
     assert new.singular_dims == ref.singular_dims
@@ -589,6 +598,30 @@ def assert_same_quotient(vm):
         assert a.weights == b.weights and a.parities == b.parities
         assert a.act == b.act
     return new
+
+
+def test_simple_quotient_builds_one_span_per_weight(monkeypatch):
+    """The work guard of the projection form: one Span per weight of the
+    window, and no kernel is read off any of them (hwmod's binding of
+    Span counts both)."""
+    built, kernels = [], []
+
+    class CountingSpan(Span):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    for name in [k for k in vars(Span) if "kernel" in k]:
+        def counted(self, *args, _f=getattr(Span, name)):
+            kernels.append(args)
+            return _f(self, *args)
+        setattr(CountingSpan, name, counted)
+    monkeypatch.setattr(hwmod, "Span", CountingSpan)
+    K, ms, ctx = _qn_setup(2)
+    vm = verma(ms, PsiFunctional(ctx, [K.one(), K.one()]), 6)
+    sq = SimpleQuotient(vm)
+    assert sq.conclusive and sq.module.dim == 16
+    assert kernels == [] and len(built) == len(vm._betas)
 
 
 def _qn_setup(n):
