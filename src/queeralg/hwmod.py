@@ -37,10 +37,14 @@ def triangular_of_map(ms: MapSuper) -> TriangularSplit:
     return TriangularSplit(ms.raising_gens, ms.cartan_gens, ms.lowering_gens)
 
 
-def triangular_of_q(qd: QueerData) -> TriangularSplit:
-    """The triangular pieces of q itself, for modules over qd.algebra."""
-    return TriangularSplit(qd.npos_indices, qd.cartan_indices,
-                           qd.nneg_indices)
+def triangular_of_q(qd: QueerData, copies: int = 1) -> TriangularSplit:
+    """The triangular pieces of q itself, for modules over qd.algebra, or
+    of the sum of copies copies of q laid out as MapSuper.point_sum."""
+    def on_copies(idx):
+        return [t * qd.dim + i for t in range(copies) for i in idx]
+    return TriangularSplit(on_copies(qd.npos_indices),
+                           on_copies(qd.cartan_indices),
+                           on_copies(qd.nneg_indices))
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,17 @@ class WeightModule:
                                   for key, v in self._gen_entries(i)))
         return out
 
+    def relation_rows(self, gens) -> list:
+        """RREF rows r with sum_c w_c rho(gens[c]) = 0 exactly when r . w
+        = 0 for every r: the row space of the entries of the operators of
+        the basis elements gens, one row per matrix position, read until
+        it has rank len(gens) (the operators are then independent)."""
+        by_key: dict = {}
+        for c, g in enumerate(gens):
+            for key, v in self._gen_entries(g):
+                by_key.setdefault(key, {})[c] = v
+        return Span(self.tower, by_key.values(), len(gens)).basis_vectors()
+
     # -- flat view -----------------------------------------------------------
 
     def flat_index(self):

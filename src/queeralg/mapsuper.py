@@ -9,7 +9,7 @@ from functools import cached_property
 from .coeffalg import (CoeffAlgebra, GammaAction, IdealRep, gamma_validate,
                        radical, support)
 from .graded import GradedMap, GradedSpace, Span, add_entries, mat_kernel
-from .liesuper import LieSuper, subalgebra
+from .liesuper import LieSuper, direct_sum, subalgebra
 from .queer import QueerData
 from .scalars import Tower
 
@@ -26,6 +26,7 @@ class MapSuper:
         self.algebra = algebra
         self.pair_index = pair_index
         self.qd = qd
+        self._point_sums: dict = {}
         if qd is not None:
             self._index_triangular(qd)
 
@@ -55,6 +56,17 @@ class MapSuper:
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    def point_sum(self, k: int) -> LieSuper:
+        """(+)_{x in S} g for |S| = k >= 1, on the target coordinates of
+        EvMap: copy t spans t * dim g to (t + 1) * dim g - 1.  It is g
+        itself for k = 1, and it is built once per k."""
+        out = self._point_sums.get(k)
+        if out is None:
+            out = self.g if k == 1 else direct_sum(self.point_sum(k - 1),
+                                                   self.g)
+            self._point_sums[k] = out
+        return out
 
     def embed_g(self, x_coords: dict, a_coords: dict) -> dict:
         """Coordinates of x (x) a for x in g-coordinates, a in A-coordinates."""
@@ -274,16 +286,25 @@ class EvMap:
         return out
 
 
+def ev_rank(ms: MapSuper, point_indices, vectors=None) -> int:
+    """Rank of evaluation at the given points on the span of vectors, in
+    g (x) A coordinates (on all of g (x) A when vectors is None).  It maps
+    them onto (+) g exactly when the rank is len(point_indices) * dim g,
+    and reading stops there."""
+    emap = EvMap(ms, point_indices)
+    images = emap.cols.values() if vectors is None \
+        else map(emap.apply, vectors)
+    return Span(ms.tower, images, emap.dim).dim
+
+
 def ev_gamma_rank(inv: InvariantSub, point_indices) -> int:
-    """Rank of the evaluation map at the given points restricted to the
-    invariants, which the averaged basis elements span; the points must
-    lie in pairwise distinct orbits."""
+    """ev_rank on the invariants, which the averaged basis elements span;
+    the points must lie in pairwise distinct orbits."""
     orbit_of = {p: oi for oi, orb in enumerate(inv.gamma_report["orbits"])
                 for p in orb}
     if len({orbit_of[p] for p in point_indices}) != len(point_indices):
         raise ValueError("points must lie in pairwise distinct orbits")
-    emap = EvMap(inv.parent, point_indices)
-    return Span(inv.tower, (emap.apply(v) for v in inv.averaged)).dim
+    return ev_rank(inv.parent, point_indices, inv.averaged)
 
 
 # ---------------------------------------------------------------------------
@@ -291,28 +312,42 @@ def ev_gamma_rank(inv: InvariantSub, point_indices) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _annihilator(module, ms: MapSuper, element):
-    """(Ann_A(V), Supp(V), reduced?) of a module over a subalgebra of
-    g (x) A that contains element(x, j) for every basis x of g and a_j of
-    A, given in the module's coordinates.
+def ann_and_support(module, ms: MapSuper, images=None):
+    """(Ann_A(V), Supp(V), reduced?) for a WeightModule V on which basis
+    element idx of g (x) A acts as images[idx], a coordinate dict over
+    the module's algebra, or as itself when images is None (V is then a
+    module over g (x) A).
 
-    J = {a : rho(element(x, a)) = 0 for every x} is one kernel over dim A
-    columns, fed one operator entry at a time and stopped as soon as its
-    constraints have full rank (then J = 0).  Ann is the largest ideal
-    inside J, {a : b a in J for every basis b}: the kernel of the rows
-    c L_b, for c a constraint row of J and L_b multiplication by b."""
+    Ann is the largest ideal I with (g (x) I) V = 0.  J = {a : x (x) a
+    acts as 0 for every x} is one kernel over dim A columns.  For each x
+    its constraint rows come from the relation rows of the operators that
+    the x (x) a_j act through, and it stops as soon as the constraints
+    have full rank (then J = 0).  Ann is the largest ideal inside J,
+    {a : b a in J for every basis b}: the kernel of the rows c L_b, for c
+    a constraint row of J and L_b multiplication by b."""
     tower = ms.tower
     coeff = ms.coeff
     na = coeff.dim
     one = tower.one()
+    if images is None:
+        images = [{idx: one} for idx in range(ms.dim)]
+    zero = tower.zero()
     cons = Span(tower)
     for xi in range(ms.g.dim):
         if cons.dim == na:
             break
-        mats = [module.op_entries(element(xi, j)) for j in range(na)]
-        for key in dict.fromkeys(k for mset in mats for k in mset):
-            if cons.add({j: mset[key] for j, mset in enumerate(mats)
-                         if key in mset}) and cons.dim == na:
+        imgs = [images[ms.pair_index[(xi, j)]] for j in range(na)]
+        ks = list(dict.fromkeys(k for v in imgs for k in v))
+        # x (x) a acts as sum_k w_k rho(e_k) with w = sum_j a_j imgs[j],
+        # which is 0 iff w is orthogonal to every relation row
+        for r in module.relation_rows(ks):
+            row = {}
+            for j, v in enumerate(imgs):
+                x = sum((rc * v[ks[c]] for c, rc in r.items() if ks[c] in v),
+                        zero)
+                if x.co:
+                    row[j] = x
+            if cons.add(row) and cons.dim == na:
                 break
     if cons.dim == na:
         ann = IdealRep(coeff, [])
@@ -337,22 +372,9 @@ def _annihilator(module, ms: MapSuper, element):
     return ann, supp, reduced
 
 
-def ann_and_support(module, ms: MapSuper):
-    """(Ann_A(V), Supp(V), reduced?) for a module over g (x) A.
-
-    Ann is the largest ideal with (g (x) I) V = 0; the module must expose
-    op_entries(coords) returning the sparse entries of the operator."""
-    one = ms.tower.one()
-    return _annihilator(module, ms,
-                        lambda xi, j: {ms.pair_index[(xi, j)]: one})
-
-
 def ann_and_support_gamma(module, inv: InvariantSub):
     """Twisted variant: the largest Gamma-invariant ideal I with
-    (g (x) I)^Gamma V = 0, for a module over g (x) A on which the
-    invariants act through the inclusion: (x (x) a_j)^Gamma is the
-    averaged basis element inv.averaged[x (x) a_j], applied in g (x) A
-    coordinates."""
-    ms = inv.parent
-    return _annihilator(module, ms,
-                        lambda xi, j: inv.averaged[ms.pair_index[(xi, j)]])
+    (g (x) I)^Gamma V = 0, for a module over g (x) A on which
+    (x (x) a_j)^Gamma, the averaged basis element, acts through the
+    inclusion."""
+    return ann_and_support(module, inv.parent, inv.averaged)

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 from .assocsuper import _raw_products, density_type_from_maps, make_Q
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, add_entries, kernel,
                      odd_schur, solve_columns)
-from .hwmod import is_irreducible_hw, triangular_of_map, triangular_of_q
+from .hwmod import is_irreducible_hw, triangular_of_q
 from .liesuper import (WeightModule, direct_sum, from_assoc,
                        is_isomorphic_weight, weight_sort_key)
-from .mapsuper import (InvariantSub, MapSuper, ann_and_support,
-                       ann_and_support_gamma, ev_gamma_rank)
+from .mapsuper import (EvMap, InvariantSub, MapSuper, ann_and_support,
+                       ev_gamma_rank, ev_rank)
 from .queer import QueerData
 from .scalars import Tower, raw_of
 
@@ -369,17 +369,26 @@ def outer_factors(m1: WeightModule, m2: WeightModule,
     that the diagonal product carries true weights.  The phi blocks of
     the Schur data move with them."""
     g = direct_sum(m1.algebra, m2.algebra)
-    n1, n2 = m1.algebra.dim, m2.algebra.dim
-    one, zero = m1.tower.one(), m1.tower.zero()
+    zero = m1.tower.zero()
     z1 = tuple(zero for _ in m1.weights[0])
     z2 = tuple(zero for _ in m2.weights[0])
-    p1, t1 = _relabelled(
-        pullback(m1, g, [[(k, one)] for k in range(n1)] + [[]] * n2),
-        s1, lambda w: w + z2)
-    p2, t2 = _relabelled(
-        pullback(m2, g, [[]] * n1 + [[(k, one)] for k in range(n2)]),
-        s2, lambda w: z1 + w)
+    p1, t1 = _relabelled(_on_copy(m1, g, 0), s1, lambda w: w + z2)
+    p2, t2 = _relabelled(_on_copy(m2, g, m1.algebra.dim), s2,
+                         lambda w: z1 + w)
     return p1, p2, t1, t2
+
+
+def _on_copy(m: WeightModule, algebra, offset: int) -> WeightModule:
+    """m pulled back along the projection of a direct sum algebra onto
+    the copy of m.algebra whose basis starts at offset: that copy acts by
+    m's own blocks, with no scalar, and every other summand by zero.  m
+    itself when algebra is m.algebra."""
+    if algebra is m.algebra:
+        return m
+    act = [{} for _ in range(algebra.dim)]
+    act[offset:offset + m.algebra.dim] = m.act
+    return WeightModule(algebra, m.tower, list(m.weights), dict(m.parities),
+                        act, qd=m.qd)
 
 
 def _relabelled(m: WeightModule, s: WeightSchur, f):
@@ -508,18 +517,29 @@ def twist_q_module(m: WeightModule, qd: QueerData,
                     (cols.get(g, {}).items() for g in range(qd.dim)))
 
 
+def ev_pullback(ms: MapSuper, points, m: WeightModule) -> WeightModule:
+    """m, a module over ms.point_sum(len(points)) (over q for at most one
+    point), as a module over q (x) A: the pullback along EvMap(ms,
+    points)."""
+    cols = EvMap(ms, points).cols
+    return pullback(m, ms.algebra,
+                    (cols[idx].items() for idx in range(ms.dim)))
+
+
 def ev_module(ms: MapSuper, point: int, rho: WeightModule) -> WeightModule:
     """Pullback of a q-module along evaluation at a declared maximal ideal."""
-    tower = ms.tower
-    values = [ms.coeff.evaluate(point, {j: tower.one()})
-              for j in range(ms.coeff.dim)]
-    return pullback(rho, ms.algebra,
-                    ([(x, c)] for x in range(ms.g.dim) for c in values))
+    return ev_pullback(ms, [point], rho)
 
 
 def ev_hat(ms: MapSuper, assignment: dict, catalog: Catalog):
     """The irreducible product of evaluation modules for a finitely
-    supported assignment {point index: catalog name}.
+    supported assignment {point index: catalog name}, over
+    (+)_{x in S} q = ms.point_sum(|S|), where S = audit["points"] lists
+    the points of nontrivial class in increasing order.  The class at the
+    t-th point of S acts on copy t, pulled back along the projection onto
+    it, so for one point the row is the catalog module itself, and with
+    no point it is the trivial q-module.  ev_pullback(ms, S, module) is
+    the module over q (x) A.
 
     Returns (module, audit) where audit records per-factor Schur types
     and each split decision."""
@@ -527,13 +547,14 @@ def ev_hat(ms: MapSuper, assignment: dict, catalog: Catalog):
     audit = {"points": points, "factors": [], "splits": []}
     if not points:
         audit["schur_result_q"] = False
-        return ev_module(ms, 0, trivial_q_module(ms.qd)), audit
+        return trivial_q_module(ms.qd), audit
+    alg = ms.point_sum(len(points))
     cur = None
     cur_schur = None
-    for p in points:
+    for t, p in enumerate(points):
         name = assignment[p]
         rho = catalog.module(name)
-        factor = ev_module(ms, p, rho)
+        factor = _on_copy(rho, alg, t * rho.algebra.dim)
         s = catalog.weight_schur(name)
         audit["factors"].append({"point": p, "class": name,
                                  "schur_q": s.is_type_q, "dim": rho.dim})
@@ -550,14 +571,15 @@ def ev_hat(ms: MapSuper, assignment: dict, catalog: Catalog):
 
 
 def ev_hat_gamma(inv: InvariantSub, assignment: dict, catalog: Catalog):
-    """Equivariant version: (module, audit) for the untwisted module over
-    q (x) A built at one point per orbit (the smallest declared index).
-    The invariants act on it through the inclusion, by the same operators
-    as q (x) A once evaluation at those points maps them onto (+) q, which
-    classify_enumerate checks.  The assignment must be constant on orbits
-    as catalog names; classify_enumerate verifies beforehand that
-    the group twist fixes every catalog class, which makes such
-    assignments exactly the equivariant ones."""
+    """Equivariant version: (module, audit) for the ev_hat row built at
+    one point per orbit (the smallest declared index), over
+    (+)_{x in S} q with S = audit["points"].  The invariants act on its
+    pullback ev_pullback(inv.parent, S, module) through the inclusion, by
+    the same operators as (+)_S q once evaluation at those points maps
+    them onto (+)_S q, which classify_enumerate checks.  The assignment
+    must be constant on orbits as catalog names; classify_enumerate
+    verifies beforehand that the group twist fixes every catalog class,
+    which makes such assignments exactly the equivariant ones."""
     ms = inv.parent
     orbits = inv.gamma_report["orbits"]
     chosen: dict = {}
@@ -568,9 +590,9 @@ def ev_hat_gamma(inv: InvariantSub, assignment: dict, catalog: Catalog):
         name = names.pop()
         if name != "trivial":
             chosen[min(orbit)] = name
-    untwisted, audit = ev_hat(ms, chosen, catalog)
+    row, audit = ev_hat(ms, chosen, catalog)
     audit["orbit_representatives"] = sorted(chosen)
-    return untwisted, audit
+    return row, audit
 
 
 def restrict_to_invariants(m: WeightModule, inv: InvariantSub) -> WeightModule:
@@ -633,22 +655,26 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
                        inv: InvariantSub | None = None) -> dict:
     """Build every (equivariant) finitely supported assignment over the
     catalog, certify each module irreducible by the highest-weight
-    criterion over q (x) A, and assert pairwise non-isomorphism.  Aborts
-    with a counterexample on any failed assertion.
+    criterion, and assert pairwise non-isomorphism.  Aborts with a
+    counterexample on any failed assertion.
 
-    In the twisted case the rows are modules over the invariants
-    (q (x) A)^Gamma, built as modules over q (x) A at the orbit
-    representatives reps (the smallest index of each orbit, as in
-    ev_hat_gamma), and certified once per run by the argument of the
-    paper.  Each such module factors through evaluation ev at reps, and
-    the run first checks, exactly, that ev maps the invariants onto
-    (+)_reps q (AssertionError naming reps otherwise).  Then the
-    invariants act on every row by exactly the same set of operators as
-    q (x) A does, so (1) the submodules over both algebras are the same
-    and the untwisted criterion certifies the restriction irreducible;
-    (2) the Hom spaces are the same, so the non-isomorphism sweep may
-    compare the untwisted modules; (3) the averaged operators that
-    ann_and_support_gamma applies are the same."""
+    Each row is built by ev_hat over (+)_{x in S} q, S its points of
+    nontrivial class, and stands for its pullback along evaluation ev at
+    S: a module over q (x) A or, twisted, over the invariants
+    (q (x) A)^Gamma, with S among the orbit representatives reps (the
+    smallest index of each orbit, as in ev_hat_gamma; untwisted, every
+    declared point).  The run first checks, exactly and once, that ev
+    maps q (x) A, or the invariants, onto (+)_reps q (AssertionError
+    naming reps otherwise), hence onto (+)_S q for every S inside reps.
+    So both algebras act on a row by the same set of operators, and
+    (1) the submodules are the same: the criterion over the triangular
+    split of (+)_S q (of q when |S| <= 1) certifies the pullback
+    irreducible; (2) the Hom spaces are the same, and rows with equal
+    keys have one annihilator, hence one support, one S and one algebra,
+    so the non-isomorphism sweep compares the rows themselves; (3) the
+    annihilator is read off the ev images of the basis of q (x) A, or of
+    the averaged elements that span the invariants, mapped once per run
+    and cut down to S for each row."""
     points = list(range(len(ms.coeff.maximal_ideals)))
     names = catalog.names()
     twisted = inv is not None and not inv.act.is_trivial()
@@ -671,23 +697,28 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
                     raise ValueError(f"catalog class {name!r} is not stable "
                                      "under the group twist")
         reps = [min(orbit) for orbit in orbits]
-        if ev_gamma_rank(inv, reps) != len(reps) * ms.g.dim:
-            raise AssertionError("evaluation of the invariants at the orbit "
-                                 f"representatives {reps} is not onto")
-        assignments = _assignments(orbits, names)
+        rank = ev_gamma_rank(inv, reps)
+        what = "of the invariants at the orbit representatives"
     else:
-        assignments = _assignments([[p] for p in points], names)
-    tri = triangular_of_map(ms)
+        orbits, reps = [[p] for p in points], points
+        rank, what = ev_rank(ms, reps), "at the points"
+    if rank != len(reps) * ms.g.dim:
+        raise AssertionError(f"evaluation {what} {reps} is not onto")
+    emap = EvMap(ms, reps)
+    images = [emap.apply(v) for v in inv.averaged] if twisted \
+        else [emap.cols[idx] for idx in range(ms.dim)]
     built = []
-    for assign in assignments:
+    for assign in _assignments(orbits, names):
         if twisted:
             module, audit = ev_hat_gamma(inv, assign, catalog)
-            ann, supp, reduced = ann_and_support_gamma(module, inv)
         else:
             module, audit = ev_hat(ms, assign, catalog)
-            ann, supp, reduced = ann_and_support(module, ms)
+        on_s = audit["points"]
+        ann, supp, reduced = ann_and_support(
+            module, ms, _cut_to(images, reps, on_s, ms.g.dim))
         why = {}
-        if not is_irreducible_hw(module, tri, why):
+        if not is_irreducible_hw(module, triangular_of_q(
+                ms.qd, max(len(on_s), 1)), why):
             raise AssertionError(f"module for {assign} failed the "
                                  f"irreducibility criterion ({why['reason']})")
         top = module.maximal_weights()[0]
@@ -717,6 +748,15 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
                     "modules")
     report["pairwise_distinct"] = True
     return report
+
+
+def _cut_to(images, reps, points, n: int) -> list:
+    """Vectors over (+)_reps g cut down to (+)_points g, for points
+    inside reps and g of dimension n: copy t moves to copy s where
+    points[s] = reps[t], and the other copies are dropped."""
+    move = {reps.index(p): s for s, p in enumerate(points)}
+    return [{move[i // n] * n + i % n: c for i, c in v.items()
+             if i // n in move} for v in images]
 
 
 def _assignments(groups, names):

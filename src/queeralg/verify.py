@@ -24,8 +24,8 @@ from .liesuper import (direct_sum_weight, hom_space_weight,
 from .mapsuper import (ann_and_support, ev_gamma_rank, invariants,
                        tensor_lie)
 from .products import (Catalog, assoc_check, classify_enumerate, ev_hat,
-                       ev_module, hat_tensor_weight, outer_factors,
-                       q1_module, restrict_to_invariants,
+                       ev_module, ev_pullback, hat_tensor_weight,
+                       outer_factors, q1_module, restrict_to_invariants,
                        tensor_same_algebra, trivial_q_module, twist_q_module,
                        weight_schur_data)
 from .queer import build_q, build_q_tilde, cartan_generation_check
@@ -453,8 +453,8 @@ def suite_products(seed: int) -> Checks:
         ck.add("disjoint-support tensor dichotomy (irreducible branch)",
                is_irreducible_hw(full, tri2), f"dim {full.dim}")
 
-    mod, _ = ev_hat(ms2, {0: "adjoint", 1: "adjoint"}, cat)
-    got = top_psi(mod, ms2, ctx2)
+    row, audit = ev_hat(ms2, {0: "adjoint", 1: "adjoint"}, cat)
+    got = top_psi(ev_pullback(ms2, audit["points"], row), ms2, ctx2)
     expect = PsiFunctional.evaluation(ctx2, 0, [1, 1]) + \
         PsiFunctional.evaluation(ctx2, 1, [1, 1])
     ck.add("top character of the two-point product is the sum", got == expect)

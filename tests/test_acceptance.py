@@ -23,8 +23,8 @@ from queeralg.liesuper import (WeightModule, direct_sum_weight,
 from queeralg.mapsuper import (ann_and_support, ev_gamma_rank, invariants,
                                tensor_lie)
 from queeralg.products import (Catalog, assoc_check, classify_enumerate,
-                               ev_hat, ev_module, hat_tensor_weight,
-                               outer_factors, q1_module,
+                               ev_hat, ev_module, ev_pullback,
+                               hat_tensor_weight, outer_factors, q1_module,
                                restrict_to_invariants, tensor_same_algebra,
                                trivial_q_module, weight_schur_data)
 from queeralg.queer import build_q, cartan_generation_check
@@ -221,14 +221,15 @@ def test_criterion_6_quasifinite_equivalences():
     sq_ad = simple_quotient(ms1, PsiFunctional(ctx1, [K.one(), K.one()]))
     modules.append((sq0.module, ms1, ctx1))
     modules.append((sq_ad.module, ms1, ctx1))
-    # evaluation products over the two-point algebra
+    # evaluation products over the two-point algebra, each pulled back from
+    # the sum of copies of q at its points to q (x) A
     a2 = _two_point(K)
     ms2 = tensor_lie(qd, a2)
     ctx2 = CartanAlgebra(qd, a2)
     for assign in ({0: "adjoint"}, {1: "adjoint"},
                    {0: "adjoint", 1: "adjoint"}):
-        mod, _ = ev_hat(ms2, assign, cat)
-        modules.append((mod, ms2, ctx2))
+        row, audit = ev_hat(ms2, assign, cat)
+        modules.append((ev_pullback(ms2, audit["points"], row), ms2, ctx2))
     # evaluation products over the four-point algebra
     a4 = _four_point(K)
     ms4 = tensor_lie(qd, a4)
@@ -236,8 +237,8 @@ def test_criterion_6_quasifinite_equivalences():
     for assign in ({0: "adjoint"}, {1: "adjoint"}, {2: "adjoint"},
                    {0: "adjoint", 1: "adjoint"},
                    {0: "adjoint", 2: "adjoint"}):
-        mod, _ = ev_hat(ms4, assign, cat)
-        modules.append((mod, ms4, ctx4))
+        row, audit = ev_hat(ms4, assign, cat)
+        modules.append((ev_pullback(ms4, audit["points"], row), ms4, ctx4))
     assert len(modules) == 10
 
     for mod, ms, ctx in modules:
@@ -270,8 +271,8 @@ def test_criterion_7_evaluation_section_suite():
             full = tensor_same_algebra(adx, ady)
             assert is_irreducible_hw(full, tri)
         # top-character additivity
-        mod, _ = ev_hat(ms, {pts[0]: "adjoint", pts[1]: "adjoint"}, cat)
-        got = top_psi(mod, ms, ctx)
+        row, audit = ev_hat(ms, {pts[0]: "adjoint", pts[1]: "adjoint"}, cat)
+        got = top_psi(ev_pullback(ms, audit["points"], row), ms, ctx)
         expect = PsiFunctional.evaluation(ctx, pts[0], [1, 1]) + \
             PsiFunctional.evaluation(ctx, pts[1], [1, 1])
         assert got == expect

@@ -156,6 +156,17 @@ def test_classify_deficient_evaluation_is_one_error_line(files, capsys,
         "[0, 2] is not onto"]
 
 
+def test_classify_untwisted_deficient_evaluation_is_one_error_line(
+        files, capsys, monkeypatch):
+    monkeypatch.setattr("queeralg.products.ev_rank", lambda ms, points: 0)
+    rc = main(["classify", "--n", "2", "--algebra", files["two"]])
+    assert rc == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.strip().splitlines() == [
+        "error: evaluation at the points [0, 1] is not onto"]
+
+
 def test_classify_unknown_catalog_entry(files, capsys):
     rc = main(["classify", "--algebra", files["two"],
                "--catalog", "trivial,mystery"])

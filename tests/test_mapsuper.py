@@ -13,7 +13,7 @@ from queeralg.liesuper import (LieSuper, WeightModule, basis_subalgebra,
 from queeralg.mapsuper import (EvMap, ann_and_support,
                                ann_and_support_gamma, ev_gamma_rank,
                                gamma_element_action, invariants, tensor_lie)
-from queeralg.products import Catalog, classify_enumerate
+from queeralg.products import Catalog, classify_enumerate, ev_hat, ev_pullback
 from queeralg.queer import build_q
 from queeralg.scalars import Tower, raw_of
 
@@ -521,26 +521,32 @@ def test_ann_is_the_largest_ideal_inside_J(K):
 def test_classify_annihilators_match_oracle(monkeypatch, r):
     """Every row of twisted classify at r = 2, 3, 4 (q(2) over
     K[t]/(t^4 - r^4), t -> -t with diag_conj (1, 1, -1)) and of the
-    untwisted two-point classify gets the oracle's annihilator."""
+    untwisted two-point classify gets the oracle's annihilator of its
+    pullback to g (x) A."""
     K = Tower()
     q2 = build_q(K, 2)
     a = two_point(K) if r is None else four_point(K, r)
     ms = tensor_lie(q2, a)
     inv = None if r is None else invariants(ms, flip_action(
         K, a, q2, {"type": "diag_conj", "diag": ["1", "1", "-1"]}))
-    calls = []
+    calls, points = [], []
 
-    def checked(fn, oracle):
-        def wrapped(module, where):
-            got = fn(module, where)
-            assert_same_ann(got, oracle(module, where))
-            calls.append(got[0].dim)
-            return got
-        return wrapped
+    def recorded(*args):
+        row, audit = ev_hat(*args)
+        points.append(audit["points"])
+        return row, audit
 
-    monkeypatch.setattr(products, "ann_and_support",
-                        checked(ann_and_support, oracle_ann))
-    monkeypatch.setattr(products, "ann_and_support_gamma",
-                        checked(ann_and_support_gamma, oracle_ann_gamma))
+    def checked(module, where, images):
+        got = ann_and_support(module, where, images)
+        # the row is over the copies of q at its points: the oracle reads
+        # its pullback along evaluation there, a module over g (x) A
+        pulled = ev_pullback(ms, points[-1], module)
+        assert_same_ann(got, oracle_ann(pulled, ms) if inv is None
+                        else oracle_ann_gamma(pulled, inv))
+        calls.append(got[0].dim)
+        return got
+
+    monkeypatch.setattr(products, "ev_hat", recorded)
+    monkeypatch.setattr(products, "ann_and_support", checked)
     rep = classify_enumerate(ms, Catalog(q2), inv=inv)
     assert len(calls) == len(rep["rows"]) == 4

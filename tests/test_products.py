@@ -10,17 +10,18 @@ from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
 from queeralg.coeffalg import gamma_from_spec, preset_truncated
 from queeralg.graded import (EVEN, ODD, GradedMap, GradedSpace, commutant,
                              homogeneous_entries, nonzero_entries, odd_schur)
-from queeralg.hwmod import is_irreducible_hw, triangular_of_map, top_psi
+from queeralg.hwmod import (is_irreducible_hw, top_psi, triangular_of_map,
+                            triangular_of_q)
 from queeralg.liesuper import (LieSuper, WeightModule, direct_sum_weight,
                                from_assoc, hom_map, hom_space_weight,
                                is_isomorphic_flat, is_isomorphic_weight)
-from queeralg.mapsuper import (ann_and_support, ev_gamma_rank, invariants,
-                               tensor_lie)
+from queeralg.mapsuper import (ann_and_support, ev_gamma_rank, ev_rank,
+                               invariants, tensor_lie)
 from queeralg.products import (Catalog, WeightSchur, adjoint_q_module,
                                assoc_check, classify_enumerate, ev_hat,
-                               ev_hat_gamma, ev_module, hat_tensor_weight,
-                               outer_factors, q1_module,
-                               restrict_to_invariants,
+                               ev_hat_gamma, ev_module, ev_pullback,
+                               hat_tensor_weight, outer_factors, pullback,
+                               q1_module, restrict_to_invariants,
                                tensor_same_algebra, twist_q_module,
                                weight_schur_data)
 from queeralg.queer import build_q
@@ -472,8 +473,8 @@ def test_prop_irred_tensor_dichotomy(env):
 def test_top_character_additivity(env):
     K, q2, A, ms, cat = env["K"], env["q2"], env["A"], env["ms"], env["cat"]
     ctx = CartanAlgebra(q2, A)
-    mod, _ = ev_hat(ms, {0: "adjoint", 1: "adjoint"}, cat)
-    psi = top_psi(mod, ms, ctx)
+    row, audit = ev_hat(ms, {0: "adjoint", 1: "adjoint"}, cat)
+    psi = top_psi(ev_pullback(ms, audit["points"], row), ms, ctx)
     expect = PsiFunctional.evaluation(ctx, 0, [1, 1]) + \
         PsiFunctional.evaluation(ctx, 1, [1, 1])
     assert psi == expect
@@ -630,8 +631,12 @@ def test_ev_hat_gamma_irreducible(env):
     q2, cat = env["q2"], env["cat"]
     _, ms4, _, inv = gamma_env(env)
     assign = {0: "adjoint", 1: "adjoint", 2: "trivial", 3: "trivial"}
-    untw, audit = ev_hat_gamma(inv, assign, cat)
-    assert untw.algebra is ms4.algebra and audit["orbit_representatives"] == [0]
+    row, audit = ev_hat_gamma(inv, assign, cat)
+    # one point: the row is the catalog class itself, over q
+    assert row is cat.module("adjoint")
+    assert audit["orbit_representatives"] == audit["points"] == [0]
+    untw = ev_pullback(ms4, [0], row)
+    assert untw.algebra is ms4.algebra
     assert is_irreducible_hw(untw, triangular_of_map(ms4))
     # the restriction argument, checked independently: evaluation at the
     # orbit representatives maps the invariants onto q (+) q, and the
@@ -666,23 +671,43 @@ def _counted(monkeypatch, name, calls):
 
 
 def test_classify_twisted(env, monkeypatch):
-    """One surjectivity check per run and one criterion per row, on the
-    untwisted modules."""
-    cat = env["cat"]
+    """One surjectivity check per run, and one criterion per row, right
+    after the row is built, over the triangular split of that row's sum
+    of copies of q (q itself for at most one point)."""
+    cat, q2 = env["cat"], env["q2"]
     _, ms4, _, inv = gamma_env(env)
     calls: dict = {}
-    for name in ("ev_gamma_rank", "is_irreducible_hw"):
-        _counted(monkeypatch, name, calls)
+    _counted(monkeypatch, "ev_gamma_rank", calls)
+    events = []
+    for name in ("ev_hat", "is_irreducible_hw"):
+        fn = getattr(products, name)
+
+        def wrapped(*args, _fn=fn, _name=name):
+            out = _fn(*args)
+            events.append((_name, args, out))
+            return out
+        monkeypatch.setattr(products, name, wrapped)
     rep = classify_enumerate(ms4, cat, inv=inv)
     assert rep["twisted"] and len(rep["rows"]) == 4
     dims = sorted(r.dim for r in rep["rows"])
     assert dims[:3] == [1, 16, 16] and dims[3] in (128, 256)
     assert rep["pairwise_distinct"]
     assert calls["ev_gamma_rank"] == [(inv, [0, 2])]
+    rows = [k for k, e in enumerate(events) if e[0] == "ev_hat"]
+    assert len(rows) == 4
+    for k in rows:
+        row, audit = events[k][2]
+        name, (module, tri, *_), verdict = events[k + 1]
+        copies = max(len(audit["points"]), 1)
+        want = triangular_of_q(q2, copies)
+        assert name == "is_irreducible_hw" and module is row and verdict
+        assert row.algebra is ms4.point_sum(copies)
+        assert (tri.raising, tri.cartan, tri.lowering) == \
+            (want.raising, want.cartan, want.lowering)
     # the other calls certify catalog entries over q itself
-    over = [args[0].algebra for args in calls["is_irreducible_hw"]]
-    assert over.count(ms4.algebra) == 4
-    assert all(a is ms4.algebra or a is env["q2"].algebra for a in over)
+    others = [e[1][0].algebra for k, e in enumerate(events)
+              if e[0] == "is_irreducible_hw" and k - 1 not in rows]
+    assert all(a is q2.algebra for a in others)
 
 
 def test_classify_twisted_never_builds_the_invariant_algebra(env,
@@ -712,6 +737,92 @@ def test_classify_twisted_refuses_deficient_evaluation(env, monkeypatch):
     monkeypatch.setattr(products, "ev_gamma_rank", lambda inv, reps: 31)
     with pytest.raises(AssertionError, match=r"representatives \[0, 2\]"):
         classify_enumerate(ms4, cat, inv=inv)
+
+
+def test_classify_untwisted_refuses_deficient_evaluation(env, monkeypatch):
+    monkeypatch.setattr(products, "ev_rank", lambda ms, points: 15)
+    with pytest.raises(AssertionError, match=r"points \[0, 1\] is not onto"):
+        classify_enumerate(env["ms"], env["cat"])
+
+
+def test_ev_rank_is_onto_at_every_declared_point(env):
+    ms, q2 = env["ms"], env["q2"]
+    assert ev_rank(ms, [0, 1]) == 2 * q2.dim
+    assert ev_rank(ms, [1]) == q2.dim
+    assert ev_rank(ms, []) == 0
+
+
+def _parent_row(ms, assignment, cat):
+    """The reference construction over q (x) A: each class pulled back
+    along evaluation at its point (written out, so that the reference
+    does not go through EvMap), the factors multiplied by
+    hat_tensor_weight over q (x) A."""
+    def pulled_back(p, rho):
+        values = [ms.coeff.evaluate(p, {j: ms.tower.one()})
+                  for j in range(ms.coeff.dim)]
+        return pullback(rho, ms.algebra, ([(x, c)] for x in range(ms.g.dim)
+                                          for c in values))
+
+    points = sorted(p for p, name in assignment.items() if name != "trivial")
+    if not points:
+        return pulled_back(0, cat.module("trivial"))
+    cur = cur_s = None
+    for p in points:
+        factor = pulled_back(p, cat.module(assignment[p]))
+        s = cat.weight_schur(assignment[p])
+        if cur is None:
+            cur, cur_s = factor, s
+            continue
+        cur, info = hat_tensor_weight(cur, factor, cur_s, s)
+        cur_s = info["result_schur"]
+    return cur
+
+
+def _assert_same_module(got, want):
+    assert got.algebra is want.algebra
+    assert got.weights == want.weights and got.parities == want.parities
+    assert _blocks(got) == _blocks(want)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_classify_rows_pull_back_to_the_q_tensor_a_modules(env, twisted):
+    """Every row of untwisted two-point and twisted four-point classify,
+    pulled back along evaluation at its points, is block for block the
+    module that the reference construction builds over q (x) A."""
+    cat = env["cat"]
+    if twisted:
+        _, ms, _, inv = gamma_env(env)
+        groups = inv.gamma_report["orbits"]
+    else:
+        ms, inv, groups = env["ms"], None, [[0], [1]]
+    seen = 0
+    for assign in products._assignments(groups, cat.names()):
+        row, audit = ev_hat_gamma(inv, assign, cat) if twisted \
+            else ev_hat(ms, assign, cat)
+        points = audit["points"]
+        assert row.algebra is ms.point_sum(max(len(points), 1))
+        want = _parent_row(ms, {p: assign[p] for p in points}, cat)
+        _assert_same_module(ev_pullback(ms, points, row), want)
+        seen += 1
+    assert seen == 4
+
+
+def test_classify_builds_nothing_over_q_tensor_a(env, monkeypatch):
+    """Work guard: classify pulls no class back to q (x) A (ev_module) and
+    multiplies no modules over q (x) A (tensor_same_algebra), untwisted
+    or twisted."""
+    def refuse(*args):
+        raise AssertionError("ev_module was called")
+    monkeypatch.setattr(products, "ev_module", refuse)
+    _, ms4, _, inv = gamma_env(env)
+    tensor = products.tensor_same_algebra
+    for ms, where in ((env["ms"], None), (ms4, inv)):
+        def guarded(m1, m2, _ms=ms):
+            assert m1.algebra is not _ms.algebra, "product over q (x) A"
+            return tensor(m1, m2)
+        monkeypatch.setattr(products, "tensor_same_algebra", guarded)
+        rep = classify_enumerate(ms, env["cat"], inv=where)
+        assert len(rep["rows"]) == 4
 
 
 def test_classify_trivial_catalog(env):
