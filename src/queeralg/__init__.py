@@ -23,18 +23,15 @@ from .coeffalg import (CoeffAlgebra, GammaAction, IdealRep, algebra_from_spec,
                        gamma_from_spec, gamma_validate, ideal_product,
                        preset_base_field, preset_truncated, quotient_algebra,
                        radical, support, zero_ideal)
-from .mapsuper import (InvariantSub, MapSuper, ann_and_support,
-                       ann_and_support_gamma, ev_gamma_rank, ev_rank,
+from .mapsuper import (InvariantSub, MapSuper, ann_and_support, ev_rank,
                        invariants, tensor_lie)
 from .cartanmod import (CartanAlgebra, CliffordData, HModule, PsiFunctional,
                         build_H, classify_cartan_module, i_psi)
 from .hwmod import (SimpleQuotient, TruncatedVerma, check_psi0_ideal,
-                    is_irreducible_hw, simple_quotient, top_psi,
-                    triangular_of_map, verma)
+                    is_irreducible_hw, simple_quotient, top_psi, verma)
 from .products import (Catalog, WeightSchur, assoc_check, classify_enumerate,
-                       ev_hat, ev_hat_gamma, ev_module, ev_pullback,
-                       hat_tensor_weight,
-                       outer_factors, pullback, q1_module, tensor_same_algebra,
+                       ev_hat, ev_pullback, hat_tensor_weight, outer_factors,
+                       pullback, q1_module, tensor_same_algebra,
                        trivial_q_module, adjoint_q_module, weight_schur_data)
 
 __version__ = "0.1.0"

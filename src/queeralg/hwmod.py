@@ -14,37 +14,7 @@ from .coeffalg import IdealRep
 from .graded import EVEN, Span
 from .liesuper import WeightModule
 from .mapsuper import MapSuper
-from .queer import QueerData
 from .scalars import QI_ONE, raw_dot, raw_mul, raw_neg, raw_of, scalar_of
-
-
-# ---------------------------------------------------------------------------
-# Triangular generator data
-# ---------------------------------------------------------------------------
-
-
-class TriangularSplit:
-    """Raising / Cartan / lowering generator indices for an algebra acting
-    on weight modules."""
-
-    def __init__(self, raising, cartan, lowering):
-        self.raising = list(raising)
-        self.cartan = list(cartan)
-        self.lowering = list(lowering)
-
-
-def triangular_of_map(ms: MapSuper) -> TriangularSplit:
-    return TriangularSplit(ms.raising_gens, ms.cartan_gens, ms.lowering_gens)
-
-
-def triangular_of_q(qd: QueerData, copies: int = 1) -> TriangularSplit:
-    """The triangular pieces of q itself, for modules over qd.algebra, or
-    of the sum of copies copies of q laid out as MapSuper.point_sum."""
-    def on_copies(idx):
-        return [t * qd.dim + i for t in range(copies) for i in idx]
-    return TriangularSplit(on_copies(qd.npos_indices),
-                           on_copies(qd.cartan_indices),
-                           on_copies(qd.nneg_indices))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +67,8 @@ class TruncatedVerma:
         self.tower = ms.tower
         self.h_mod = build_H(psi)
         self.lam = psi.restriction_to_q()
-        self.lowering = list(ms.lowering_gens)
+        _, cartan, lowering = ms.algebra.triangular
+        self.lowering = list(lowering)
         self.low_pos = {g: p for p, g in enumerate(self.lowering)}
         self.n_even_low = sum(1 for g in self.lowering
                               if ms.algebra.space.parity(g) == EVEN)
@@ -110,7 +81,7 @@ class TruncatedVerma:
         # _straighten)
         self.low_height = [sum(c) for c in self.low_coords]
         self._shift: dict = {}   # generator -> weight shift of its blocks
-        self.cartan_pos = {g: k for k, g in enumerate(ms.cartan_gens)}
+        self.cartan_pos = {g: k for k, g in enumerate(cartan)}
         # raw forms: bk[i][j] as (k, raw) pairs (q's own raw table when
         # A is the base field), and per Cartan generator and column h of
         # H(psi) its nonzero (k, raw) by increasing k, converted once
@@ -201,12 +172,12 @@ class TruncatedVerma:
     def _straighten(self, gen: int, mono: tuple) -> dict:
         """gen * mono expanded over PBW monomials times one operator on
         H(psi), truncated to the window; keys are (mono', c), c None for
-        the identity and k for cartan_gens[k], values raw.  No step
-        depends on the vector of H(psi): a lowering factor acts on the
-        monomial alone, and only a Cartan generator reaching the empty
-        monomial leaves an operator.  Every term has the height of mono
-        plus the height gen adds, so the whole expansion is empty when
-        that leaves the window."""
+        the identity and k for the k-th Cartan generator of the split,
+        values raw.  No step depends on the vector of H(psi): a lowering
+        factor acts on the monomial alone, and only a Cartan generator
+        reaching the empty monomial leaves an operator.  Every term has
+        the height of mono plus the height gen adds, so the whole
+        expansion is empty when that leaves the window."""
         key = (gen, mono)
         memo = self._straight_memo
         out = memo.get(key)
@@ -517,13 +488,18 @@ def simple_quotient(ms: MapSuper, psi: PsiFunctional, depth=None) -> SimpleQuoti
 # ---------------------------------------------------------------------------
 
 
-def is_irreducible_hw(m: WeightModule, tri: TriangularSplit,
-                      details: dict | None = None) -> bool:
-    """Four conditions, each exact: singular vectors only at the top
-    weight; the whole top block singular; the top block irreducible over
-    the Cartan part (density oracle); the top block generates the module,
-    checked by one rank per weight (generated_by_top).  details["reason"]
-    names the clause that failed, or is "irreducible"."""
+def is_irreducible_hw(m: WeightModule, details: dict | None = None) -> bool:
+    """Four conditions, each exact, over the triangular split of
+    m.algebra (ValueError when it has none): singular vectors only at the
+    top weight; the whole top block singular; the top block irreducible
+    over the Cartan part (density oracle); the top block generates the
+    module, checked by one rank per weight (generated_by_top).
+    details["reason"] names the clause that failed, or is
+    "irreducible"."""
+    if m.algebra.triangular is None:
+        raise ValueError(f"{m.algebra.name or 'the algebra'} has no "
+                         "triangular split")
+    raising, cartan, lowering = m.algebra.triangular
     info = details if details is not None else {}
     if m.dim == 0:
         info["reason"] = "zero module"
@@ -533,7 +509,7 @@ def is_irreducible_hw(m: WeightModule, tri: TriangularSplit,
         info["reason"] = "several maximal weights"
         return False
     lam = maxw[0]
-    sing = m.singular_spaces(tri.raising)
+    sing = m.singular_spaces(raising)
     for w in m.weights:
         if w == lam:
             if len(sing[w]) != m.block_dim(w):
@@ -542,13 +518,13 @@ def is_irreducible_hw(m: WeightModule, tri: TriangularSplit,
         elif sing[w]:
             info["reason"] = "singular vectors below the top"
             return False
-    top_maps = m.top_block_maps(lam, tri.cartan)
+    top_maps = m.top_block_maps(lam, cartan)
     d = density_type_from_maps(top_maps, top_maps[0].source, m.tower) \
         if top_maps else None
     if d is None or not d.certifies_irreducible:
         info["reason"] = "top block reducible over the Cartan part"
         return False
-    if not m.generated_by_top(lam, tri.lowering):
+    if not m.generated_by_top(lam, lowering):
         info["reason"] = "top block does not generate"
         return False
     info["reason"] = "irreducible"

@@ -17,15 +17,21 @@ from .scalars import Tower, raw_of
 class LieSuper:
     """Lie superalgebra on a homogeneous basis; bk[i][j] is the sparse
     coordinate dict of [e_i, e_j].  No code mutates a table after
-    construction, so algebras may share one (relabeled)."""
+    construction, so algebras may share one (relabeled).
+
+    triangular is the (raising, cartan, lowering) triple of basis index
+    lists that the highest-weight criterion reads, or None for an algebra
+    with no such split: q(n) sets it, and q (x) A, a relabeling and a
+    direct sum carry it over."""
 
     def __init__(self, tower: Tower, space: GradedSpace, bk, name: str = "",
-                 raw_bk=None):
+                 raw_bk=None, triangular=None):
         self.tower = tower
         self.space = space
         self.bk = bk
         self.name = name
         self._raw_bk = raw_bk
+        self.triangular = triangular
 
     @property
     def dim(self) -> int:
@@ -43,11 +49,12 @@ class LieSuper:
 
     def relabeled(self, space: GradedSpace, name: str = "") -> "LieSuper":
         """The same algebra on a relabeled basis of the same parities,
-        sharing this one's table (and its raw form, if already made)."""
+        sharing this one's table (and its raw form, if already made) and
+        keeping its triangular split."""
         if space.parities != self.space.parities:
             raise ValueError("a relabeling must keep every parity")
         return LieSuper(self.tower, space, self.bk, name=name,
-                        raw_bk=self._raw_bk)
+                        raw_bk=self._raw_bk, triangular=self.triangular)
 
     def bracket(self, u: dict, v: dict) -> dict:
         out: dict = {}
@@ -196,7 +203,9 @@ def basis_subalgebra(g: LieSuper, indices, name: str = "") -> LieSuper:
 
 def direct_sum(g1: LieSuper, g2: LieSuper, name: str = "") -> LieSuper:
     """External direct sum; basis of g1 first, then g2 (each keeps its own
-    even-before-odd order, so the global order is blockwise)."""
+    even-before-odd order, so the global order is blockwise).  Each piece
+    of the triangular split is g1's followed by g2's, offset by dim g1;
+    the sum has none unless both summands have one."""
     tower = g1.tower
     n1, n2 = g1.dim, g2.dim
     labels = tuple(f"l.{x}" for x in g1.space.labels) + \
@@ -210,8 +219,12 @@ def direct_sum(g1: LieSuper, g2: LieSuper, name: str = "") -> LieSuper:
     for i in range(n2):
         for j in range(n2):
             bk[n1 + i][n1 + j] = {n1 + k: s for k, s in g2.bk[i][j].items()}
+    tri = None
+    if g1.triangular is not None and g2.triangular is not None:
+        tri = tuple(p1 + [n1 + k for k in p2]
+                    for p1, p2 in zip(g1.triangular, g2.triangular))
     return LieSuper(tower, space, bk,
-                    name=name or f"{g1.name}(+){g2.name}")
+                    name=name or f"{g1.name}(+){g2.name}", triangular=tri)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +369,22 @@ class WeightModule:
         """RREF rows r with sum_c w_c rho(gens[c]) = 0 exactly when r . w
         = 0 for every r: the row space of the entries of the operators of
         the basis elements gens, one row per matrix position, read until
-        it has rank len(gens) (the operators are then independent)."""
-        by_key: dict = {}
-        for c, g in enumerate(gens):
-            for key, v in self._gen_entries(g):
-                by_key.setdefault(key, {})[c] = v
-        return Span(self.tower, by_key.values(), len(gens)).basis_vectors()
+        it has rank len(gens) (the operators are then independent).
+
+        A matrix position lies in the blocks of one source weight, so the
+        rows are made one source weight at a time: a position's row is
+        complete once every generator's blocks from that weight are read,
+        and no weight past full rank is read.  The RREF does not depend
+        on the order of the rows."""
+        def rows():
+            for w in self.weights:
+                by_key: dict = {}
+                for c, g in enumerate(gens):
+                    for w2, blk in self.blocks_of(g, w):
+                        for (r, s), v in blk.items():
+                            by_key.setdefault((w2, r, s), {})[c] = v
+                yield from by_key.values()
+        return Span(self.tower, rows(), len(gens)).basis_vectors()
 
     # -- flat view -----------------------------------------------------------
 

@@ -17,7 +17,9 @@ from .scalars import Tower
 class MapSuper:
     """g (x) A with basis x_i (x) a_j, ordered g-major (so the global
     even-before-odd convention is inherited from g).  When g is a queer
-    algebra the triangular structure is carried over generator index sets."""
+    algebra its root data are carried over: the even Cartan generators
+    h0_gens, the simple raising generators and each generator's root (the
+    triangular split is algebra.triangular)."""
 
     def __init__(self, g: LieSuper, coeff: CoeffAlgebra, algebra: LieSuper,
                  pair_index, qd: QueerData | None = None):
@@ -34,13 +36,6 @@ class MapSuper:
         na = self.coeff.dim
         self.h0_gens = [self.pair_index[(x, j)] for x in qd.h0_indices
                         for j in range(na)]
-        self.h1_gens = [self.pair_index[(x, j)] for x in qd.h1_indices
-                        for j in range(na)]
-        self.cartan_gens = self.h0_gens + self.h1_gens
-        self.raising_gens = [self.pair_index[(x, j)] for x in qd.npos_indices
-                             for j in range(na)]
-        self.lowering_gens = [self.pair_index[(x, j)] for x in qd.nneg_indices
-                              for j in range(na)]
         # (simple root vector) (x) a_j: they generate npos (x) A, A unital
         self.simple_raising_gens = [self.pair_index[(x, j)]
                                     for x in qd.simple_pos_indices
@@ -89,7 +84,8 @@ def tensor_lie(g, coeff: CoeffAlgebra) -> MapSuper:
     field), g (x) A is g relabeled and shares g's table outright: no code
     mutates a bracket table after construction.  Every bracket dict keeps
     the key order of the entry-by-entry product, [x1, x2]'s entries major
-    and f1 f2's minor."""
+    and f1 f2's minor.  Each piece of g's triangular split becomes the
+    x (x) a_j for its x, g-major."""
     qd = None
     if isinstance(g, QueerData):
         qd, g = g, g.algebra
@@ -137,7 +133,10 @@ def tensor_lie(g, coeff: CoeffAlgebra) -> MapSuper:
                             if not v.is_zero:
                                 out[xt * na + at] = v
                     row[xk * na + al] = out
-    algebra = LieSuper(tower, space, bk, name=name)
+    tri = None if g.triangular is None else \
+        tuple([pair_index[(x, j)] for x in part for j in range(na)]
+              for part in g.triangular)
+    algebra = LieSuper(tower, space, bk, name=name, triangular=tri)
     return MapSuper(g, coeff, algebra, pair_index, qd=qd)
 
 
@@ -297,16 +296,6 @@ def ev_rank(ms: MapSuper, point_indices, vectors=None) -> int:
     return Span(ms.tower, images, emap.dim).dim
 
 
-def ev_gamma_rank(inv: InvariantSub, point_indices) -> int:
-    """ev_rank on the invariants, which the averaged basis elements span;
-    the points must lie in pairwise distinct orbits."""
-    orbit_of = {p: oi for oi, orb in enumerate(inv.gamma_report["orbits"])
-                for p in orb}
-    if len({orbit_of[p] for p in point_indices}) != len(point_indices):
-        raise ValueError("points must lie in pairwise distinct orbits")
-    return ev_rank(inv.parent, point_indices, inv.averaged)
-
-
 # ---------------------------------------------------------------------------
 # Annihilators and supports
 # ---------------------------------------------------------------------------
@@ -371,10 +360,3 @@ def ann_and_support(module, ms: MapSuper, images=None):
     reduced = radical(ann) == ann
     return ann, supp, reduced
 
-
-def ann_and_support_gamma(module, inv: InvariantSub):
-    """Twisted variant: the largest Gamma-invariant ideal I with
-    (g (x) I)^Gamma V = 0, for a module over g (x) A on which
-    (x (x) a_j)^Gamma, the averaged basis element, acts through the
-    inclusion."""
-    return ann_and_support(module, inv.parent, inv.averaged)

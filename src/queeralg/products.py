@@ -9,11 +9,12 @@ from dataclasses import dataclass
 from .assocsuper import _raw_products, density_type_from_maps, make_Q
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, add_entries, kernel,
                      odd_schur, solve_columns)
-from .hwmod import is_irreducible_hw, triangular_of_q
+from .coeffalg import GammaAction
+from .hwmod import is_irreducible_hw
 from .liesuper import (WeightModule, direct_sum, from_assoc,
                        is_isomorphic_weight, weight_sort_key)
 from .mapsuper import (EvMap, InvariantSub, MapSuper, ann_and_support,
-                       ev_gamma_rank, ev_rank)
+                       ev_rank, invariants)
 from .queer import QueerData
 from .scalars import Tower, raw_of
 
@@ -44,7 +45,7 @@ def weight_schur_data(m: WeightModule) -> WeightSchur:
 def _certify_irreducible(m: WeightModule, subject: str):
     """Raise ValueError "<subject> is not irreducible: <clause>" unless m
     is certified irreducible: a module over q itself by the
-    highest-weight criterion (is_irreducible_hw over the triangular pieces
+    highest-weight criterion (is_irreducible_hw over the triangular split
     of q), any other module by the density oracle on its flat view.
 
     The criterion is sufficient.  Let N != 0 be a graded submodule of the
@@ -58,7 +59,7 @@ def _certify_irreducible(m: WeightModule, subject: str):
     is refused."""
     if m.qd is not None and m.algebra is m.qd.algebra:
         why: dict = {}
-        if not is_irreducible_hw(m, triangular_of_q(m.qd), why):
+        if not is_irreducible_hw(m, why):
             raise ValueError(f"{subject} is not irreducible: "
                              f"{why['reason']}")
         return
@@ -526,11 +527,6 @@ def ev_pullback(ms: MapSuper, points, m: WeightModule) -> WeightModule:
                     (cols[idx].items() for idx in range(ms.dim)))
 
 
-def ev_module(ms: MapSuper, point: int, rho: WeightModule) -> WeightModule:
-    """Pullback of a q-module along evaluation at a declared maximal ideal."""
-    return ev_pullback(ms, [point], rho)
-
-
 def ev_hat(ms: MapSuper, assignment: dict, catalog: Catalog):
     """The irreducible product of evaluation modules for a finitely
     supported assignment {point index: catalog name}, over
@@ -568,31 +564,6 @@ def ev_hat(ms: MapSuper, assignment: dict, catalog: Catalog):
         cur_schur = info["result_schur"]
     audit["schur_result_q"] = cur_schur.is_type_q if cur_schur else False
     return cur, audit
-
-
-def ev_hat_gamma(inv: InvariantSub, assignment: dict, catalog: Catalog):
-    """Equivariant version: (module, audit) for the ev_hat row built at
-    one point per orbit (the smallest declared index), over
-    (+)_{x in S} q with S = audit["points"].  The invariants act on its
-    pullback ev_pullback(inv.parent, S, module) through the inclusion, by
-    the same operators as (+)_S q once evaluation at those points maps
-    them onto (+)_S q, which classify_enumerate checks.  The assignment
-    must be constant on orbits as catalog names; classify_enumerate
-    verifies beforehand that the group twist fixes every catalog class,
-    which makes such assignments exactly the equivariant ones."""
-    ms = inv.parent
-    orbits = inv.gamma_report["orbits"]
-    chosen: dict = {}
-    for orbit in orbits:
-        names = {assignment.get(p, "trivial") for p in orbit}
-        if len(names) != 1:
-            raise ValueError("assignment is not constant on an orbit")
-        name = names.pop()
-        if name != "trivial":
-            chosen[min(orbit)] = name
-    row, audit = ev_hat(ms, chosen, catalog)
-    audit["orbit_representatives"] = sorted(chosen)
-    return row, audit
 
 
 def restrict_to_invariants(m: WeightModule, inv: InvariantSub) -> WeightModule:
@@ -653,72 +624,68 @@ class ClassificationRow:
 
 def classify_enumerate(ms: MapSuper, catalog: Catalog,
                        inv: InvariantSub | None = None) -> dict:
-    """Build every (equivariant) finitely supported assignment over the
+    """Build every equivariant finitely supported assignment over the
     catalog, certify each module irreducible by the highest-weight
     criterion, and assert pairwise non-isomorphism.  Aborts with a
     counterexample on any failed assertion.
 
-    Each row is built by ev_hat over (+)_{x in S} q, S its points of
-    nontrivial class, and stands for its pullback along evaluation ev at
-    S: a module over q (x) A or, twisted, over the invariants
-    (q (x) A)^Gamma, with S among the orbit representatives reps (the
-    smallest index of each orbit, as in ev_hat_gamma; untwisted, every
-    declared point).  The run first checks, exactly and once, that ev
-    maps q (x) A, or the invariants, onto (+)_reps q (AssertionError
-    naming reps otherwise), hence onto (+)_S q for every S inside reps.
-    So both algebras act on a row by the same set of operators, and
-    (1) the submodules are the same: the criterion over the triangular
-    split of (+)_S q (of q when |S| <= 1) certifies the pullback
-    irreducible; (2) the Hom spaces are the same, and rows with equal
-    keys have one annihilator, hence one support, one S and one algebra,
-    so the non-isomorphism sweep compares the rows themselves; (3) the
-    annihilator is read off the ev images of the basis of q (x) A, or of
-    the averaged elements that span the invariants, mapped once per run
-    and cut down to S for each row."""
-    points = list(range(len(ms.coeff.maximal_ideals)))
+    inv holds the invariants (q (x) A)^Gamma of a free action; without
+    it the run is the run under the trivial group, whose orbits are the
+    single points and whose averaged elements are the basis of q (x) A.
+    Every catalog class must be stable under the group twist to extend
+    equivariantly over an orbit (verified, not assumed), which makes the
+    assignments constant on orbits exactly the equivariant ones.
+
+    Each row is built by ev_hat over (+)_{x in S} q from the classes at
+    the orbit representatives reps (the smallest index of each orbit), S
+    its points of nontrivial class, and stands for its pullback along
+    evaluation ev at S, a module over the invariants.  The run first
+    checks, exactly and once, that ev maps the invariants onto
+    (+)_reps q (AssertionError naming reps otherwise), hence onto
+    (+)_S q for every S inside reps.  So both algebras act on a row by
+    the same set of operators, and (1) the submodules are the same: the
+    criterion over the triangular split of the row's algebra, (+)_S q (q
+    itself when |S| <= 1), certifies the pullback irreducible; (2) the
+    Hom spaces are the same, and rows with equal keys have one
+    annihilator, hence one support, one S and one algebra, so the
+    non-isomorphism sweep compares the rows themselves; (3) the
+    annihilator is read off the ev images of the averaged elements that
+    span the invariants, mapped once per run and cut down to S for each
+    row."""
     names = catalog.names()
-    twisted = inv is not None and not inv.act.is_trivial()
+    if inv is None:
+        inv = invariants(ms, GammaAction(ms.tower, []))
+    twisted = not inv.act.is_trivial()
     report = {"twisted": twisted, "rows": [], "catalog": names}
-    if twisted:
-        if not inv.gamma_report["free"]:
-            raise ValueError("; ".join(
-                f for f in inv.gamma_report["failures"] if "freeness" in f))
-        orbits = inv.gamma_report["orbits"]
-        # classes must be stable under the group twist to extend
-        # equivariantly over each orbit (verified, not assumed); the
-        # non-identity elements are closed under inverses, so pulling back
-        # along each of them checks every twist
-        for name in names:
-            mod = catalog.module(name)
-            for _, q_map in inv.act.elements[1:]:
-                tw = twist_q_module(mod, ms.qd, q_map)
-                ok, _ = is_isomorphic_weight(mod, tw)
-                if not ok:
-                    raise ValueError(f"catalog class {name!r} is not stable "
-                                     "under the group twist")
-        reps = [min(orbit) for orbit in orbits]
-        rank = ev_gamma_rank(inv, reps)
-        what = "of the invariants at the orbit representatives"
-    else:
-        orbits, reps = [[p] for p in points], points
-        rank, what = ev_rank(ms, reps), "at the points"
-    if rank != len(reps) * ms.g.dim:
+    if not inv.gamma_report["free"]:
+        raise ValueError("; ".join(
+            f for f in inv.gamma_report["failures"] if "freeness" in f))
+    orbits = inv.gamma_report["orbits"]
+    # the non-identity elements are closed under inverses, so pulling
+    # back along each of them checks every twist
+    for name in names:
+        mod = catalog.module(name)
+        for _, q_map in inv.act.elements[1:]:
+            ok, _ = is_isomorphic_weight(mod, twist_q_module(mod, ms.qd,
+                                                             q_map))
+            if not ok:
+                raise ValueError(f"catalog class {name!r} is not stable "
+                                 "under the group twist")
+    reps = [min(orbit) for orbit in orbits]
+    if ev_rank(ms, reps, inv.averaged) != len(reps) * ms.g.dim:
+        what = "of the invariants at the orbit representatives" if twisted \
+            else "at the points"
         raise AssertionError(f"evaluation {what} {reps} is not onto")
     emap = EvMap(ms, reps)
-    images = [emap.apply(v) for v in inv.averaged] if twisted \
-        else [emap.cols[idx] for idx in range(ms.dim)]
+    images = [emap.apply(v) for v in inv.averaged]
     built = []
     for assign in _assignments(orbits, names):
-        if twisted:
-            module, audit = ev_hat_gamma(inv, assign, catalog)
-        else:
-            module, audit = ev_hat(ms, assign, catalog)
+        module, audit = ev_hat(ms, {p: assign[p] for p in reps}, catalog)
         on_s = audit["points"]
         ann, supp, reduced = ann_and_support(
             module, ms, _cut_to(images, reps, on_s, ms.g.dim))
         why = {}
-        if not is_irreducible_hw(module, triangular_of_q(
-                ms.qd, max(len(on_s), 1)), why):
+        if not is_irreducible_hw(module, why):
             raise AssertionError(f"module for {assign} failed the "
                                  f"irreducibility criterion ({why['reason']})")
         top = module.maximal_weights()[0]

@@ -146,17 +146,6 @@ class QueerData:
         # (A, B) pairs
         self.mats = [(_dense(tower, n1, m), zero) if p == EVEN
                      else (zero, _dense(tower, n1, m)) for p, m in units]
-        bk, raw_bk = _queer_structure(tower, n, units, self.index)
-        self.algebra = LieSuper(tower, self.space, bk, name=f"q({n})",
-                                raw_bk=raw_bk)
-        self.roots = RootDatum(self)
-        # the ad-weight of each basis vector, read off where the basis is
-        # built: e[i,j] and e'[i,j] carry eps_i - eps_j, h_k and h'_k carry
-        # 0 (weight_of recomputes it by bracketing with every h_k)
-        zero_w = tuple(tower.zero() for _ in range(n))
-        self.basis_root = [zero_w] * n + \
-            [self.roots.root_tuple(p) for p in offdiag]
-        self.basis_root += self.basis_root
         # triangular parts (indices into the global basis)
         self.h0_indices = [self.index[f"h{i}"] for i in range(1, n + 1)]
         self.h1_indices = [self.index[f"h'{i}"] for i in range(1, n + 1)]
@@ -165,6 +154,20 @@ class QueerData:
             [self.index[f"e'[{i},{j}]"] for i, j in offdiag if i < j]
         self.nneg_indices = [self.index[f"e[{i},{j}]"] for i, j in offdiag if i > j] + \
             [self.index[f"e'[{i},{j}]"] for i, j in offdiag if i > j]
+        bk, raw_bk = _queer_structure(tower, n, units, self.index)
+        self.algebra = LieSuper(tower, self.space, bk, name=f"q({n})",
+                                raw_bk=raw_bk,
+                                triangular=(self.npos_indices,
+                                            self.cartan_indices,
+                                            self.nneg_indices))
+        self.roots = RootDatum(self)
+        # the ad-weight of each basis vector, read off where the basis is
+        # built: e[i,j] and e'[i,j] carry eps_i - eps_j, h_k and h'_k carry
+        # 0 (weight_of recomputes it by bracketing with every h_k)
+        zero_w = tuple(tower.zero() for _ in range(n))
+        self.basis_root = [zero_w] * n + \
+            [self.roots.root_tuple(p) for p in offdiag]
+        self.basis_root += self.basis_root
         # the simple root vectors e_{alpha_k} and their odd twins, which
         # generate npos as a Lie superalgebra
         self.simple_pos_indices = \

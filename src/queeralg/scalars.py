@@ -552,6 +552,9 @@ class Scalar:
         return self.co[0][1] == 0
 
     def as_fraction(self) -> Fraction:
+        """The value as a Fraction; ValueError unless it is rational.
+        Public API: the Fraction-based test oracles read exact values
+        through it."""
         if not self.co:
             return Fraction(0)
         if not self.is_rational:
@@ -686,13 +689,6 @@ class Scalar:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-    def to_json(self):
-        """Exact serialization: flat string for Q(i) values, else a
-        mask-indexed coefficient list."""
-        if not self.co or set(self.co) == {0}:
-            return qi_str(self.co.get(0, QI_ZERO))
-        return [[m, qi_str(q)] for m, q in sorted(self.co.items())]
 
 
 # ---------------------------------------------------------------------------

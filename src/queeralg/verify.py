@@ -17,14 +17,13 @@ from .coeffalg import (gamma_from_spec, preset_base_field, preset_truncated,
 from .graded import GradedMap, GradedSpace, commutant, kernel, \
     graded_tensor, mat_kernel
 from .hwmod import (check_psi0_ideal, is_irreducible_hw, simple_quotient,
-                    top_psi, triangular_of_map, verma)
+                    top_psi, verma)
 from .liesuper import (direct_sum_weight, hom_space_weight,
                        is_isomorphic_weight, is_simple, is_solvable,
                        subalgebra)
-from .mapsuper import (ann_and_support, ev_gamma_rank, invariants,
-                       tensor_lie)
+from .mapsuper import ann_and_support, ev_rank, invariants, tensor_lie
 from .products import (Catalog, assoc_check, classify_enumerate, ev_hat,
-                       ev_module, ev_pullback, hat_tensor_weight,
+                       ev_pullback, hat_tensor_weight,
                        outer_factors, q1_module, restrict_to_invariants,
                        tensor_same_algebra, trivial_q_module, twist_q_module,
                        weight_schur_data)
@@ -361,7 +360,7 @@ def suite_hw(seed: int) -> Checks:
 
     psi_ad = PsiFunctional(ctx1, [tower.one(), tower.one()])
     sq = simple_quotient(ms1, psi_ad)
-    ad_ms = ev_module(ms1, 0, Catalog(qd).module("adjoint"))
+    ad_ms = ev_pullback(ms1, [0], Catalog(qd).module("adjoint"))
     iso, _ = is_isomorphic_weight(sq.module, ad_ms) if sq.conclusive \
         else (False, None)
     ck.add("adjoint weight recovers the 16-dim adjoint representation",
@@ -371,20 +370,20 @@ def suite_hw(seed: int) -> Checks:
 
     a2 = _two_point(tower)
     ms2 = tensor_lie(qd, a2)
-    tri = triangular_of_map(ms2)
     cat = Catalog(qd)
     corpus = []
-    ad0 = ev_module(ms2, 0, cat.module("adjoint"))
-    triv = ev_module(ms2, 0, trivial_q_module(qd))
+    ad0 = ev_pullback(ms2, [0], cat.module("adjoint"))
+    triv = ev_pullback(ms2, [0], trivial_q_module(qd))
     corpus.append(("trivial", triv, True))
     corpus.append(("adjoint@p0", ad0, True))
-    corpus.append(("adjoint@p1", ev_module(ms2, 1, cat.module("adjoint")), True))
+    corpus.append(("adjoint@p1",
+                   ev_pullback(ms2, [1], cat.module("adjoint")), True))
     corpus.append(("adjoint (+) trivial", direct_sum_weight(ad0, triv), False))
     corpus.append(("adjoint (+) adjoint", direct_sum_weight(ad0, ad0), False))
     ok = True
     details = []
     for name, mod, expect in corpus:
-        crit = is_irreducible_hw(mod, tri)
+        crit = is_irreducible_hw(mod)
         d = density_type_from_maps(mod.mats, mod.space, tower)
         agree = crit == d.certifies_irreducible == expect
         ok &= agree
@@ -432,26 +431,25 @@ def suite_products(seed: int) -> Checks:
     cat = Catalog(qd)
     a2 = _two_point(tower)
     ms2 = tensor_lie(qd, a2)
-    tri2 = triangular_of_map(ms2)
     ctx2 = CartanAlgebra(qd, a2)
 
     m = q1_module(tower)
     ck.add("triple product associativity for rank-one queer factors",
            assoc_check(m, m, m))
 
-    ad0 = ev_module(ms2, 0, cat.module("adjoint"))
-    ad1 = ev_module(ms2, 1, cat.module("adjoint"))
+    ad0 = ev_pullback(ms2, [0], cat.module("adjoint"))
+    ad1 = ev_pullback(ms2, [1], cat.module("adjoint"))
     s = cat.weight_schur("adjoint")
     full = tensor_same_algebra(ad0, ad1)
     if s.is_type_q:
         plus, info = hat_tensor_weight(ad0, ad1, s, s)
         iso, _ = is_isomorphic_weight(plus, info["minus"])
         ck.add("disjoint-support tensor dichotomy (split branch)",
-               info["split"] and iso and is_irreducible_hw(plus, tri2),
+               info["split"] and iso and is_irreducible_hw(plus),
                f"dims {plus.dim}+{info['minus'].dim}")
     else:
         ck.add("disjoint-support tensor dichotomy (irreducible branch)",
-               is_irreducible_hw(full, tri2), f"dim {full.dim}")
+               is_irreducible_hw(full), f"dim {full.dim}")
 
     row, audit = ev_hat(ms2, {0: "adjoint", 1: "adjoint"}, cat)
     got = top_psi(ev_pullback(ms2, audit["points"], row), ms2, ctx2)
@@ -470,13 +468,13 @@ def suite_products(seed: int) -> Checks:
          "on_q": {"type": "diag_conj", "diag": ["1", "1", "-1"]}}]}, a4, qd)
     inv = invariants(ms4, act)
     ck.add("equivariant evaluation at one orbit point is surjective",
-           ev_gamma_rank(inv, [0]) == 16)
+           ev_rank(ms4, [0], inv.averaged) == 16)
     # the twisted class pulls back along sigma^-1, which is sigma (order 2)
     sigma = act.generators[0][2]
-    here = restrict_to_invariants(ev_module(ms4, 0, cat.module("adjoint")), inv)
+    ad = cat.module("adjoint")
+    here = restrict_to_invariants(ev_pullback(ms4, [0], ad), inv)
     there = restrict_to_invariants(
-        ev_module(ms4, 1, twist_q_module(cat.module("adjoint"), qd, sigma)),
-        inv)
+        ev_pullback(ms4, [1], twist_q_module(ad, qd, sigma)), inv)
     iso, _ = is_isomorphic_weight(here, there)
     ck.add("evaluation class is invariant along the group orbit", iso)
 

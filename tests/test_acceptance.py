@@ -15,15 +15,14 @@ from queeralg.cli import main as cli_main
 from queeralg.coeffalg import gamma_from_spec, preset_base_field, zero_ideal
 from queeralg.graded import EVEN
 from queeralg.hwmod import (check_psi0_ideal, is_irreducible_hw,
-                            simple_quotient, top_psi, triangular_of_map,
-                            verma)
+                            simple_quotient, top_psi, verma)
 from queeralg.liesuper import (WeightModule, direct_sum_weight,
                                hom_space_weight, is_isomorphic_weight,
                                is_simple)
-from queeralg.mapsuper import (ann_and_support, ev_gamma_rank, invariants,
+from queeralg.mapsuper import (ann_and_support, ev_rank, invariants,
                                tensor_lie)
 from queeralg.products import (Catalog, assoc_check, classify_enumerate,
-                               ev_hat, ev_module, ev_pullback,
+                               ev_hat, ev_pullback,
                                hat_tensor_weight, outer_factors, q1_module,
                                restrict_to_invariants, tensor_same_algebra,
                                trivial_q_module, weight_schur_data)
@@ -160,16 +159,15 @@ def test_criterion_5_highest_weight_suite():
     sq = simple_quotient(ms1, psi_ad)
     assert sq.conclusive and sq.module.dim == 16
     ok, _ = is_isomorphic_weight(sq.module,
-                                 ev_module(ms1, 0, cat.module("adjoint")))
+                                 ev_pullback(ms1, [0], cat.module("adjoint")))
     assert ok
 
     # criterion vs density oracle on every corpus module of dim <= 64
     a2 = _two_point(K)
     ms2 = tensor_lie(qd, a2)
-    tri = triangular_of_map(ms2)
-    ad0 = ev_module(ms2, 0, cat.module("adjoint"))
-    ad1 = ev_module(ms2, 1, cat.module("adjoint"))
-    triv = ev_module(ms2, 0, trivial_q_module(qd))
+    ad0 = ev_pullback(ms2, [0], cat.module("adjoint"))
+    ad1 = ev_pullback(ms2, [1], cat.module("adjoint"))
+    triv = ev_pullback(ms2, [0], trivial_q_module(qd))
     corpus = [
         ("trivial", triv),
         ("trivial (+) trivial", direct_sum_weight(triv, triv)),
@@ -181,7 +179,7 @@ def test_criterion_5_highest_weight_suite():
     disagreements = []
     for name, mod in corpus:
         assert mod.dim <= 64
-        crit = is_irreducible_hw(mod, tri)
+        crit = is_irreducible_hw(mod)
         d = density_type_from_maps(mod.mats, mod.space, K)
         if crit != d.certifies_irreducible:
             disagreements.append(name)
@@ -242,7 +240,7 @@ def test_criterion_6_quasifinite_equivalences():
     assert len(modules) == 10
 
     for mod, ms, ctx in modules:
-        assert is_irreducible_hw(mod, triangular_of_map(ms))
+        assert is_irreducible_hw(mod)
         consistent, ideal_equiv, supp, reduced = _vpsi_conditions(mod, ms, ctx)
         assert consistent and ideal_equiv and reduced
     budget.check()
@@ -258,18 +256,17 @@ def test_criterion_7_evaluation_section_suite():
     for algebra, pts in ((_two_point(K), (0, 1)), (_four_point(K), (0, 2))):
         ms = tensor_lie(qd, algebra)
         ctx = CartanAlgebra(qd, algebra)
-        tri = triangular_of_map(ms)
-        adx = ev_module(ms, pts[0], cat.module("adjoint"))
-        ady = ev_module(ms, pts[1], cat.module("adjoint"))
+        adx = ev_pullback(ms, [pts[0]], cat.module("adjoint"))
+        ady = ev_pullback(ms, [pts[1]], cat.module("adjoint"))
         # dichotomy for disjoint supports
         if s_ad.is_type_q:
             plus, info = hat_tensor_weight(adx, ady, s_ad, s_ad)
             assert info["split"]
             iso, _ = is_isomorphic_weight(plus, info["minus"])
-            assert iso and is_irreducible_hw(plus, tri)
+            assert iso and is_irreducible_hw(plus)
         else:
             full = tensor_same_algebra(adx, ady)
-            assert is_irreducible_hw(full, tri)
+            assert is_irreducible_hw(full)
         # top-character additivity
         row, audit = ev_hat(ms, {pts[0]: "adjoint", pts[1]: "adjoint"}, cat)
         got = top_psi(ev_pullback(ms, audit["points"], row), ms, ctx)
@@ -277,7 +274,7 @@ def test_criterion_7_evaluation_section_suite():
             PsiFunctional.evaluation(ctx, pts[1], [1, 1])
         assert got == expect
         # pairwise non-isomorphism of single-point evaluations
-        singles = [ev_module(ms, p, cat.module("adjoint"))
+        singles = [ev_pullback(ms, [p], cat.module("adjoint"))
                    for p in range(len(algebra.maximal_ideals))]
         for i in range(len(singles)):
             for j in range(i + 1, len(singles)):
@@ -299,14 +296,14 @@ def test_criterion_7_evaluation_section_suite():
         {"order": 2, "on_algebra": {"type": "substitute_t", "scale": "-1"},
          "on_q": {"type": "diag_conj", "diag": ["1", "1", "-1"]}}]}, a4, qd)
     inv = invariants(ms4, act)
-    assert ev_gamma_rank(inv, [0]) == 16
-    assert ev_gamma_rank(inv, [0, 2]) == 32
+    assert ev_rank(ms4, [0], inv.averaged) == 16
+    assert ev_rank(ms4, [0, 2], inv.averaged) == 32
     from queeralg.products import twist_q_module
     sigma = act.generators[0][2]   # of order 2: the twist pulls back along it
-    here = restrict_to_invariants(ev_module(ms4, 0, cat.module("adjoint")), inv)
+    ad = cat.module("adjoint")
+    here = restrict_to_invariants(ev_pullback(ms4, [0], ad), inv)
     there = restrict_to_invariants(
-        ev_module(ms4, 1, twist_q_module(cat.module("adjoint"), qd, sigma)),
-        inv)
+        ev_pullback(ms4, [1], twist_q_module(ad, qd, sigma)), inv)
     iso, _ = is_isomorphic_weight(here, there)
     assert iso
     budget.check()

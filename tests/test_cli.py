@@ -76,6 +76,29 @@ def test_classify_untwisted(files, capsys):
     assert rep["pairwise_distinct"]
 
 
+@pytest.mark.parametrize("algebra,catalog", [("two", "trivial,adjoint"),
+                                             ("four", "trivial")])
+def test_classify_identity_group_is_the_untwisted_run(files, algebra,
+                                                       catalog):
+    """An untwisted run is the run under the trivial group: one order-1
+    identity generator gives the report of the run without --group, byte
+    for byte.  The four-point run keeps to the trivial class (with the
+    adjoint, its rows reach dimension 65,536)."""
+    grp = files["dir"] / "identity.json"
+    grp.write_text(json.dumps({"generators": [
+        {"order": 1, "on_algebra": {"type": "trivial"},
+         "on_q": {"type": "trivial"}}]}))
+    outs = []
+    for extra in ([], ["--group", str(grp)]):
+        out = files["dir"] / f"cls{len(outs)}.json"
+        assert main(["classify", "--n", "2", "--algebra", files[algebra],
+                     "--catalog", catalog, *extra,
+                     "--format", "structured", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["twisted"] is False
+
+
 def test_classify_refuses_non_free_group(files, capsys):
     rc = main(["classify", "--n", "2", "--algebra", files["dual"],
                "--group", files["grp"]])
@@ -144,8 +167,8 @@ def test_classify_freeness_error_has_one_prefix(files, capsys):
 
 def test_classify_deficient_evaluation_is_one_error_line(files, capsys,
                                                         monkeypatch):
-    monkeypatch.setattr("queeralg.products.ev_gamma_rank",
-                        lambda inv, reps: 0)
+    monkeypatch.setattr("queeralg.products.ev_rank",
+                        lambda ms, points, vectors=None: 0)
     rc = main(["classify", "--n", "2", "--algebra", files["four"],
                "--group", files["grp"]])
     assert rc == 1
@@ -158,7 +181,8 @@ def test_classify_deficient_evaluation_is_one_error_line(files, capsys,
 
 def test_classify_untwisted_deficient_evaluation_is_one_error_line(
         files, capsys, monkeypatch):
-    monkeypatch.setattr("queeralg.products.ev_rank", lambda ms, points: 0)
+    monkeypatch.setattr("queeralg.products.ev_rank",
+                        lambda ms, points, vectors=None: 0)
     rc = main(["classify", "--n", "2", "--algebra", files["two"]])
     assert rc == 1
     cap = capsys.readouterr()

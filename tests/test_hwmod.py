@@ -13,11 +13,11 @@ from queeralg.graded import (EVEN, Span, mat_kernel, nonzero_entries,
                              zero_rows)
 from queeralg.hwmod import (SimpleQuotient, _sum_terms, check_psi0_ideal,
                             is_irreducible_hw, simple_quotient, top_psi,
-                            triangular_of_map, verma)
+                            verma)
 from queeralg.liesuper import (WeightModule, direct_sum_weight,
                                is_isomorphic_weight)
 from queeralg.mapsuper import tensor_lie
-from queeralg.products import (adjoint_q_module, ev_module,
+from queeralg.products import (adjoint_q_module, ev_pullback,
                                tensor_same_algebra, trivial_q_module)
 from queeralg.queer import build_q
 from queeralg.scalars import QI_ONE, Tower, raw_neg, scalar_of
@@ -153,7 +153,7 @@ def test_verma_relations_within_window_q3_rank3():
     vm = verma(ms, PsiFunctional(ctx, [K.from_int(v) for v in (2, 1, 0)]), 3)
     assert vm.h_mod.rank == 3
     low = [b for b in vm._betas if sum(b) <= 1]
-    cartan = ms.cartan_gens
+    cartan = ms.algebra.triangular[1]
     # every pair (Cartan generator, generator), and random pairs besides
     assert check_verma_relations(vm, low, 60, [(i, j) for i in cartan
                                                for j in range(ms.dim)])
@@ -230,8 +230,8 @@ def test_singular_vectors_adjoint_module(setup):
     q2 = setup["q2"]
     _, ms, _ = setup["C"]
     ad = adjoint_q_module(q2)
-    adA = ev_module(ms, 0, ad)
-    sing = adA.singular_spaces(ms.raising_gens)
+    adA = ev_pullback(ms, [0], ad)
+    sing = adA.singular_spaces(ms.algebra.triangular[0])
     top = q2.roots.root_tuple((1, 3))
     for w, vecs in sing.items():
         if w == top:
@@ -252,7 +252,7 @@ def test_adjoint_recovered_from_verma(setup):
     # exact representation: sweep all bracket relations
     mod.check()
     # isomorphic to the adjoint representation pulled back along ev
-    adA = ev_module(ms, 0, adjoint_q_module(q2))
+    adA = ev_pullback(ms, [0], adjoint_q_module(q2))
     ok, _ = is_isomorphic_weight(mod, adA)
     assert ok
 
@@ -276,16 +276,15 @@ def test_is_irreducible_hw(setup):
     K = setup["K"]
     q2 = setup["q2"]
     _, ms, _ = setup["two"]
-    tri = triangular_of_map(ms)
-    ad0 = ev_module(ms, 0, adjoint_q_module(q2))
-    assert is_irreducible_hw(ad0, tri)
+    ad0 = ev_pullback(ms, [0], adjoint_q_module(q2))
+    assert is_irreducible_hw(ad0)
     two = direct_sum_weight(ad0, ad0)
-    assert not is_irreducible_hw(two, tri)
+    assert not is_irreducible_hw(two)
     # tensor with NON-disjoint support (same point twice) is reducible
     same = tensor_same_algebra(ad0, ad0)
-    assert not is_irreducible_hw(same, tri)
-    triv = ev_module(ms, 0, trivial_q_module(q2))
-    assert is_irreducible_hw(triv, tri)
+    assert not is_irreducible_hw(same)
+    triv = ev_pullback(ms, [0], trivial_q_module(q2))
+    assert is_irreducible_hw(triv)
 
 
 @pytest.mark.parametrize("into_lowest_only", [False, True])
@@ -299,12 +298,11 @@ def test_generation_clause_fails_without_lowering(setup, into_lowest_only):
     vectors.)"""
     q2 = setup["q2"]
     _, ms, _ = setup["two"]
-    tri = triangular_of_map(ms)
-    ad0 = ev_module(ms, 0, adjoint_q_module(q2))
+    ad0 = ev_pullback(ms, [0], adjoint_q_module(q2))
     top = ad0.maximal_weights()[0]
     bottom = tuple(-x for x in top)
     assert bottom in ad0.weights
-    low = set(tri.lowering)
+    low = set(ms.algebra.triangular[2])
 
     def keep(g, w2):
         return g not in low or (into_lowest_only and w2 != bottom)
@@ -314,7 +312,7 @@ def test_generation_clause_fails_without_lowering(setup, into_lowest_only):
     cut = WeightModule(ad0.algebra, ad0.tower, ad0.weights, ad0.parities,
                        act, qd=ad0.qd)
     why = {}
-    assert not is_irreducible_hw(cut, tri, why)
+    assert not is_irreducible_hw(cut, why)
     assert why["reason"] == "top block does not generate"
 
 
@@ -397,7 +395,7 @@ def test_top_psi_reads_functional(setup):
     K = setup["K"]
     q2 = setup["q2"]
     _, ms, ctx = setup["two"]
-    ad0 = ev_module(ms, 0, adjoint_q_module(q2))
+    ad0 = ev_pullback(ms, [0], adjoint_q_module(q2))
     psi = top_psi(ad0, ms, ctx)
     assert psi == PsiFunctional.evaluation(ctx, 0, [1, 1])
 
@@ -406,7 +404,7 @@ def test_check_psi0_ideal(setup):
     K = setup["K"]
     q2 = setup["q2"]
     A, ms, ctx = setup["two"]
-    ad0 = ev_module(ms, 0, adjoint_q_module(q2))
+    ad0 = ev_pullback(ms, [0], adjoint_q_module(q2))
     psi = PsiFunctional.evaluation(ctx, 0, [1, 1])
     # psi killed by (t-1), and q (x) (t-1) kills the module
     r = check_psi0_ideal(ad0, psi, A.maximal_ideals[0], ms)
@@ -487,7 +485,7 @@ def oracle_singular_dims(vm):
     for beta in vm._betas:
         d = len(vm.basis[beta])
         rows = []
-        for g in vm.ms.raising_gens:
+        for g in vm.ms.algebra.triangular[0]:
             blk = dense_block(vm, g, beta)
             if blk is not None:
                 rows.extend(blk[1])
@@ -508,7 +506,7 @@ class ResidualQuotient:
                 nsub[beta] = []
             else:
                 rows = []
-                for g in vm.ms.raising_gens:
+                for g in vm.ms.algebra.triangular[0]:
                     blk = dense_block(vm, g, beta)
                     if blk is None:
                         continue

@@ -10,8 +10,7 @@ from dense_ref import ad_map, mat_mul, rank, sparse
 from queeralg.graded import GradedMap, GradedSpace, mat_kernel
 from queeralg.liesuper import (LieSuper, WeightModule, basis_subalgebra,
                                subalgebra)
-from queeralg.mapsuper import (EvMap, ann_and_support,
-                               ann_and_support_gamma, ev_gamma_rank,
+from queeralg.mapsuper import (EvMap, ann_and_support, ev_rank,
                                gamma_element_action, invariants, tensor_lie)
 from queeralg.products import Catalog, classify_enumerate, ev_hat, ev_pullback
 from queeralg.queer import build_q
@@ -258,9 +257,7 @@ def test_ev_gamma_surjectivity(K, q2):
     ms = tensor_lie(q2, a)
     act = flip_action(K, a, q2, {"type": "diag_conj", "diag": ["1", "1", "-1"]})
     inv = invariants(ms, act)
-    assert ev_gamma_rank(inv, [0]) == 16
-    with pytest.raises(ValueError):
-        ev_gamma_rank(inv, [0, 1])  # same orbit
+    assert ev_rank(ms, [0], inv.averaged) == 16
 
 
 def trivial_module(K, algebra):
@@ -306,7 +303,8 @@ def test_ann_gamma(K, q2):
     ms = tensor_lie(q2, a)
     act = flip_action(K, a, q2, {"type": "diag_conj", "diag": ["1", "1", "-1"]})
     inv = invariants(ms, act)
-    ann, supp, reduced = ann_and_support_gamma(trivial_module(K, ms.algebra), inv)
+    ann, supp, reduced = ann_and_support(trivial_module(K, ms.algebra), ms,
+                                         inv.averaged)
     assert ann.dim == a.dim and supp == [] and reduced
 
 
@@ -486,7 +484,7 @@ def test_ann_matches_oracle_on_small_modules(K, q2):
     act = flip_action(K, a, q2, {"type": "diag_conj", "diag": ["1", "1", "-1"]})
     inv = invariants(ms, act)
     mod = trivial_module(K, ms.algebra)
-    assert_same_ann(ann_and_support_gamma(mod, inv),
+    assert_same_ann(ann_and_support(mod, ms, inv.averaged),
                     oracle_ann_gamma(mod, inv))
 
 

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -8,19 +9,17 @@ import queeralg.products as products
 from queeralg.assocsuper import density_type_from_maps, make_Q
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
 from queeralg.coeffalg import gamma_from_spec, preset_truncated
-from queeralg.graded import (EVEN, ODD, GradedMap, GradedSpace, commutant,
-                             homogeneous_entries, nonzero_entries, odd_schur)
-from queeralg.hwmod import (is_irreducible_hw, top_psi, triangular_of_map,
-                            triangular_of_q)
+from queeralg.graded import (EVEN, ODD, GradedMap, GradedSpace, Span,
+                             commutant, homogeneous_entries, nonzero_entries,
+                             odd_schur)
+from queeralg.hwmod import is_irreducible_hw, top_psi
 from queeralg.liesuper import (LieSuper, WeightModule, direct_sum_weight,
                                from_assoc, hom_map, hom_space_weight,
                                is_isomorphic_flat, is_isomorphic_weight)
-from queeralg.mapsuper import (ann_and_support, ev_gamma_rank, ev_rank,
-                               invariants, tensor_lie)
+from queeralg.mapsuper import ann_and_support, ev_rank, invariants, tensor_lie
 from queeralg.products import (Catalog, WeightSchur, adjoint_q_module,
                                assoc_check, classify_enumerate, ev_hat,
-                               ev_hat_gamma, ev_module, ev_pullback,
-                               hat_tensor_weight, outer_factors, pullback,
+                               ev_pullback, hat_tensor_weight, outer_factors, pullback,
                                q1_module, restrict_to_invariants,
                                tensor_same_algebra, twist_q_module,
                                weight_schur_data)
@@ -173,13 +172,12 @@ def test_catalog_schur_refuses_reducible_entry(env):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_catalog_criterion_agrees_with_flat_oracle(env, q3, n):
-    from queeralg.hwmod import triangular_of_q
     qd = env["q2"] if n == 2 else q3
     cat = Catalog(qd)
     ad, triv = cat.module("adjoint"), cat.module("trivial")
     for m in (triv, ad, direct_sum_weight(ad, triv)):
         oracle = density_type_from_maps(m.mats, m.space, qd.tower)
-        assert is_irreducible_hw(m, triangular_of_q(qd)) == \
+        assert is_irreducible_hw(m) == \
             oracle.certifies_irreducible
 
 
@@ -386,10 +384,10 @@ def test_classify_builds_entry_blocks_only(tmp_path, monkeypatch, capsys,
     seen = []
     real = products.is_irreducible_hw
 
-    def certify(m, tri, why):
+    def certify(m, why):
         assert_entry_blocks(m)
         seen.append(m.dim)
-        return real(m, tri, why)
+        return real(m, why)
     monkeypatch.setattr(products, "is_irreducible_hw", certify)
     alg = tmp_path / "algebra.json"
     grp = tmp_path / "group.json"
@@ -436,7 +434,7 @@ def test_products_and_quotient_hold_entry_blocks(env):
 
 def test_ev_module_and_ann(env):
     K, q2, ms, cat = env["K"], env["q2"], env["ms"], env["cat"]
-    ad0 = ev_module(ms, 0, cat.module("adjoint"))
+    ad0 = ev_pullback(ms, [0], cat.module("adjoint"))
     ann, supp, reduced = ann_and_support(ad0, ms)
     assert supp == [0] and reduced
     ad0.check()
@@ -454,9 +452,8 @@ def test_prop_irred_tensor_dichotomy(env):
     # with type-M adjoints the first branch is realized and exactness of
     # the dichotomy is the assertion that the module is irreducible
     K, ms, cat = env["K"], env["ms"], env["cat"]
-    tri = triangular_of_map(ms)
-    ad0 = ev_module(ms, 0, cat.module("adjoint"))
-    ad1 = ev_module(ms, 1, cat.module("adjoint"))
+    ad0 = ev_pullback(ms, [0], cat.module("adjoint"))
+    ad1 = ev_pullback(ms, [1], cat.module("adjoint"))
     full = tensor_same_algebra(ad0, ad1)
     ws = cat.weight_schur("adjoint")
     if ws.is_type_q:
@@ -465,9 +462,9 @@ def test_prop_irred_tensor_dichotomy(env):
         assert info["split"]
         assert plus.dim * 2 == full.dim
         ok, _ = is_isomorphic_weight(plus, info["minus"])
-        assert ok and is_irreducible_hw(plus, tri)
+        assert ok and is_irreducible_hw(plus)
     else:
-        assert is_irreducible_hw(full, tri)
+        assert is_irreducible_hw(full)
 
 
 def test_top_character_additivity(env):
@@ -482,8 +479,8 @@ def test_top_character_additivity(env):
 
 def test_hom_separates_points(env):
     ms, cat = env["ms"], env["cat"]
-    ad0 = ev_module(ms, 0, cat.module("adjoint"))
-    ad1 = ev_module(ms, 1, cat.module("adjoint"))
+    ad0 = ev_pullback(ms, [0], cat.module("adjoint"))
+    ad1 = ev_pullback(ms, [1], cat.module("adjoint"))
     kerns, slots = hom_space_weight(ad0, ad1)
     assert kerns == []
     ok, _ = is_isomorphic_weight(ad0, ad1)
@@ -551,7 +548,7 @@ def test_hom_basis_is_homogeneous(env):
 
 def test_hom_direct_sum_dimension(env):
     ms, cat = env["ms"], env["cat"]
-    ad0 = ev_module(ms, 0, cat.module("adjoint"))
+    ad0 = ev_pullback(ms, [0], cat.module("adjoint"))
     two = direct_sum_weight(ad0, ad0)
     kerns, _ = hom_space_weight(ad0, two)
     assert len(kerns) == 2
@@ -620,35 +617,36 @@ def test_evaluation_invariance_under_group(env):
     A4, ms4, act, inv = gamma_env(env)
     sigma = act.generators[0][2]   # of order 2, so sigma^-1 = sigma
     ad = cat.module("adjoint")
-    m_here = restrict_to_invariants(ev_module(ms4, 0, ad), inv)
+    m_here = restrict_to_invariants(ev_pullback(ms4, [0], ad), inv)
     m_there = restrict_to_invariants(
-        ev_module(ms4, 1, twist_q_module(ad, q2, sigma)), inv)
+        ev_pullback(ms4, [1], twist_q_module(ad, q2, sigma)), inv)
     ok, _ = is_isomorphic_weight(m_here, m_there)
     assert ok
 
 
 def test_ev_hat_gamma_irreducible(env):
+    """The equivariant row: ev_hat at the orbit representatives of an
+    assignment constant on orbits, as classify builds it."""
     q2, cat = env["q2"], env["cat"]
     _, ms4, _, inv = gamma_env(env)
     assign = {0: "adjoint", 1: "adjoint", 2: "trivial", 3: "trivial"}
-    row, audit = ev_hat_gamma(inv, assign, cat)
+    reps = [min(orbit) for orbit in inv.gamma_report["orbits"]]
+    assert reps == [0, 2]
+    row, audit = ev_hat(ms4, {p: assign[p] for p in reps}, cat)
     # one point: the row is the catalog class itself, over q
     assert row is cat.module("adjoint")
-    assert audit["orbit_representatives"] == audit["points"] == [0]
+    assert audit["points"] == [0]
     untw = ev_pullback(ms4, [0], row)
     assert untw.algebra is ms4.algebra
-    assert is_irreducible_hw(untw, triangular_of_map(ms4))
+    assert is_irreducible_hw(untw)
     # the restriction argument, checked independently: evaluation at the
     # orbit representatives maps the invariants onto q (+) q, and the
     # restriction is irreducible by the density oracle
-    assert ev_gamma_rank(inv, [0, 2]) == 32
+    assert ev_rank(ms4, reps, inv.averaged) == 32
     mod = restrict_to_invariants(untw, inv)
     assert mod.dim == 16
     assert density_type_from_maps(mod.mats, mod.space,
                                   mod.tower).certifies_irreducible
-    with pytest.raises(ValueError):
-        ev_hat_gamma(inv, {0: "adjoint", 1: "trivial", 2: "trivial",
-                           3: "trivial"}, cat)
 
 
 def test_classify_untwisted(env):
@@ -672,12 +670,12 @@ def _counted(monkeypatch, name, calls):
 
 def test_classify_twisted(env, monkeypatch):
     """One surjectivity check per run, and one criterion per row, right
-    after the row is built, over the triangular split of that row's sum
-    of copies of q (q itself for at most one point)."""
+    after the row is built, on a row over that row's sum of copies of q
+    (q itself for at most one point), whose split the criterion reads."""
     cat, q2 = env["cat"], env["q2"]
     _, ms4, _, inv = gamma_env(env)
     calls: dict = {}
-    _counted(monkeypatch, "ev_gamma_rank", calls)
+    _counted(monkeypatch, "ev_rank", calls)
     events = []
     for name in ("ev_hat", "is_irreducible_hw"):
         fn = getattr(products, name)
@@ -692,22 +690,75 @@ def test_classify_twisted(env, monkeypatch):
     dims = sorted(r.dim for r in rep["rows"])
     assert dims[:3] == [1, 16, 16] and dims[3] in (128, 256)
     assert rep["pairwise_distinct"]
-    assert calls["ev_gamma_rank"] == [(inv, [0, 2])]
+    assert calls["ev_rank"] == [(ms4, [0, 2], inv.averaged)]
     rows = [k for k, e in enumerate(events) if e[0] == "ev_hat"]
     assert len(rows) == 4
     for k in rows:
         row, audit = events[k][2]
-        name, (module, tri, *_), verdict = events[k + 1]
+        name, (module, *_), verdict = events[k + 1]
         copies = max(len(audit["points"]), 1)
-        want = triangular_of_q(q2, copies)
         assert name == "is_irreducible_hw" and module is row and verdict
         assert row.algebra is ms4.point_sum(copies)
-        assert (tri.raising, tri.cartan, tri.lowering) == \
-            (want.raising, want.cartan, want.lowering)
     # the other calls certify catalog entries over q itself
     others = [e[1][0].algebra for k, e in enumerate(events)
               if e[0] == "is_irreducible_hw" and k - 1 not in rows]
     assert all(a is q2.algebra for a in others)
+
+
+def test_criterion_refuses_an_algebra_without_a_split(env):
+    """The criterion reads the split from the module's algebra, so a
+    module over an algebra with none is refused, not judged."""
+    _, ms4, _, inv = gamma_env(env)
+    ad0 = ev_pullback(ms4, [0], env["cat"].module("adjoint"))
+    for m in (q1_module(env["K"]), restrict_to_invariants(ad0, inv)):
+        assert m.algebra.triangular is None
+        with pytest.raises(ValueError, match="no triangular split"):
+            is_irreducible_hw(m)
+
+
+def test_point_sum_carries_the_split_of_each_copy(env):
+    q2, ms = env["q2"], env["ms"]
+    raising, cartan, lowering = q2.algebra.triangular
+    assert (raising, cartan, lowering) == \
+        (q2.npos_indices, q2.cartan_indices, q2.nneg_indices)
+    assert ms.point_sum(1).triangular is q2.algebra.triangular
+    assert ms.point_sum(2).triangular == tuple(
+        part + [q2.dim + i for i in part]
+        for part in (raising, cartan, lowering))
+    # q (x) A: each x (x) a_j of a piece, g-major
+    na = ms.coeff.dim
+    assert ms.algebra.triangular == tuple(
+        [x * na + j for x in part for j in range(na)]
+        for part in (raising, cartan, lowering))
+
+
+def _eager_relation_rows(m, gens):
+    """The reference construction: every entry of every operator
+    transposed into rows keyed by matrix position, then one Span."""
+    by_key: dict = {}
+    for c, g in enumerate(gens):
+        for key, v in m._gen_entries(g):
+            by_key.setdefault(key, {})[c] = v
+    return Span(m.tower, by_key.values(), len(gens)).basis_vectors()
+
+
+def test_relation_rows_match_the_eager_construction(env):
+    """relation_rows reads one source weight at a time and stops at full
+    rank; its RREF rows equal the eager construction's on catalog modules
+    and two-point ev_hat rows, over random generator lists (repeats and
+    classes acting by zero give relations)."""
+    ms, cat = env["ms"], env["cat"]
+    modules = [cat.module("trivial"), cat.module("adjoint")]
+    for assign in ({0: "adjoint", 1: "trivial"}, {0: "adjoint", 1: "adjoint"}):
+        row, _ = ev_hat(ms, assign, cat)
+        modules.append(row)
+    rng = random.Random(5)
+    for m in modules:
+        dim = m.algebra.dim
+        for size in (1, 2, 3, 5, 8, 16):
+            for _ in range(4):
+                gens = rng.choices(range(dim), k=size)
+                assert m.relation_rows(gens) == _eager_relation_rows(m, gens)
 
 
 def test_classify_twisted_never_builds_the_invariant_algebra(env,
@@ -734,13 +785,15 @@ def test_classify_twisted_never_builds_the_invariant_algebra(env,
 def test_classify_twisted_refuses_deficient_evaluation(env, monkeypatch):
     cat = env["cat"]
     _, ms4, _, inv = gamma_env(env)
-    monkeypatch.setattr(products, "ev_gamma_rank", lambda inv, reps: 31)
+    monkeypatch.setattr(products, "ev_rank",
+                        lambda ms, points, vectors=None: 31)
     with pytest.raises(AssertionError, match=r"representatives \[0, 2\]"):
         classify_enumerate(ms4, cat, inv=inv)
 
 
 def test_classify_untwisted_refuses_deficient_evaluation(env, monkeypatch):
-    monkeypatch.setattr(products, "ev_rank", lambda ms, points: 15)
+    monkeypatch.setattr(products, "ev_rank",
+                        lambda ms, points, vectors=None: 15)
     with pytest.raises(AssertionError, match=r"points \[0, 1\] is not onto"):
         classify_enumerate(env["ms"], env["cat"])
 
@@ -795,10 +848,10 @@ def test_classify_rows_pull_back_to_the_q_tensor_a_modules(env, twisted):
         groups = inv.gamma_report["orbits"]
     else:
         ms, inv, groups = env["ms"], None, [[0], [1]]
+    reps = [min(group) for group in groups]
     seen = 0
     for assign in products._assignments(groups, cat.names()):
-        row, audit = ev_hat_gamma(inv, assign, cat) if twisted \
-            else ev_hat(ms, assign, cat)
+        row, audit = ev_hat(ms, {p: assign[p] for p in reps}, cat)
         points = audit["points"]
         assert row.algebra is ms.point_sum(max(len(points), 1))
         want = _parent_row(ms, {p: assign[p] for p in points}, cat)
@@ -808,12 +861,12 @@ def test_classify_rows_pull_back_to_the_q_tensor_a_modules(env, twisted):
 
 
 def test_classify_builds_nothing_over_q_tensor_a(env, monkeypatch):
-    """Work guard: classify pulls no class back to q (x) A (ev_module) and
-    multiplies no modules over q (x) A (tensor_same_algebra), untwisted
-    or twisted."""
+    """Work guard: classify pulls no class back to q (x) A (ev_pullback)
+    and multiplies no modules over q (x) A (tensor_same_algebra),
+    untwisted or twisted."""
     def refuse(*args):
-        raise AssertionError("ev_module was called")
-    monkeypatch.setattr(products, "ev_module", refuse)
+        raise AssertionError("ev_pullback was called")
+    monkeypatch.setattr(products, "ev_pullback", refuse)
     _, ms4, _, inv = gamma_env(env)
     tensor = products.tensor_same_algebra
     for ms, where in ((env["ms"], None), (ms4, inv)):
