@@ -10,10 +10,9 @@ All arithmetic is exact, over a tower of quadratic extensions of Q(i).
 from .scalars import Scalar, Tower, parse_scalar
 from .graded import EVEN, ODD, GradedMap, GradedSpace, commutant, \
     graded_tensor, kernel
-from .assocsuper import (AssocSuper, ModuleAction, QuadraticPair, SimpleType,
-                         assoc_tensor, classify_simple, clifford,
-                         clifford_irrep, density_type, make_M, make_Q,
-                         odd_center)
+from .assocsuper import (AssocSuper, QuadraticPair, SimpleType, assoc_tensor,
+                         classify_simple, clifford, clifford_generators,
+                         density_type_from_maps, make_M, make_Q, odd_center)
 from .liesuper import (LieSuper, WeightModule, derived_series, direct_sum,
                        direct_sum_weight, from_assoc, hom_map,
                        hom_space_weight, ideal_closure, is_isomorphic_weight,

@@ -307,17 +307,14 @@ def _ungraded_center_vectors(a: AssocSuper, parity: int):
     cols = [i for i in range(a.dim) if a.space.parity(i) == parity]
     if not cols:
         return []
-    one = tower.one()
     gen_set = getattr(a, "generator_indices", None)
     probes = list(gen_set) if gen_set else list(range(a.dim))
     rows = []
     for k in probes:
-        ek = {k: one}
         per_col = []
         for i in cols:
-            ei = {i: one}
-            diff = a.product(ei, ek)
-            for out, s in a.product(ek, ei).items():
+            diff = dict(a.mult[i][k])
+            for out, s in a.mult[k][i].items():
                 cur = diff.get(out)
                 nxt = -s if cur is None else cur - s
                 if nxt.is_zero:
@@ -347,12 +344,11 @@ def trace_form_kernel(a: AssocSuper) -> list:
     mat_kernel gives it; empty exactly when the underlying algebra is
     semisimple (characteristic zero).  The Gram rows are sparse."""
     tower = a.tower
-    one = tower.one()
     lmats = []
     for i in range(a.dim):
         sparse = {}
         for j in range(a.dim):
-            for k, s in a.product({i: one}, {j: one}).items():
+            for k, s in a.mult[i][j].items():
                 sparse.setdefault(k, {})[j] = s
         lmats.append(sparse)
     gram = []
@@ -430,56 +426,16 @@ def _exact_isqrt(n: int):
 
 
 # ---------------------------------------------------------------------------
-# Modules over associative superalgebras
+# The irreducible Clifford module
 # ---------------------------------------------------------------------------
-
-
-class ModuleAction:
-    """Module over an AssocSuper: one GradedMap per algebra basis element."""
-
-    def __init__(self, algebra: AssocSuper, space: GradedSpace, mats):
-        self.algebra = algebra
-        self.space = space
-        self.mats = mats
-        if len(mats) != algebra.dim:
-            raise ValueError("one matrix per algebra basis element required")
-
-    @property
-    def tower(self):
-        return self.algebra.tower
-
-    def act(self, coords: dict) -> GradedMap:
-        out = GradedMap.zero(self.tower, self.space, self.space)
-        for i, c in coords.items():
-            out = out + self.mats[i] * c
-        return out
-
-    def check(self):
-        """Homomorphism property on all basis pairs, unit acts as id,
-        parities match; raises on failure."""
-        alg = self.algebra
-        if not (self.act(alg.unit) == GradedMap.identity(self.tower, self.space)):
-            raise AssertionError("unit does not act as identity")
-        for i in range(alg.dim):
-            if self.mats[i].parity not in (alg.space.parity(i),):
-                if not self.mats[i].is_zero:
-                    raise AssertionError(f"action of basis element {i} has wrong parity")
-        one = self.tower.one()
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                lhs = self.mats[i] * self.mats[j]
-                rhs = self.act(alg.product({i: one}, {j: one}))
-                if not (lhs - rhs).is_zero:
-                    raise AssertionError(f"action not multiplicative at ({i},{j})")
 
 
 def clifford_generators(q: QuadraticPair, pivot_order=None):
     """The irreducible module of the Clifford superalgebra of a
     nondegenerate pair, of dimension 2^ceil(r/2), by its generators.
 
-    Returns (carrier, generator_maps, model_maps): the carrier space, the
-    action of x_1, ..., x_r, and the action of the model basis y = M x
-    below.  The form is diagonalized by congruence, z = P x, and
+    Returns (carrier, generator_maps): the carrier space and the action
+    of x_1, ..., x_r.  The form is diagonalized by congruence, z = P x, and
     hyperbolic planes are split off the orthogonal lines z_k (a Witt
     decomposition; `_witt_split`).  Each plane (u, w) with u^2 = w^2 = 0
     and B(u, w) = 1 is one mode of an exterior-algebra model: u acts as
@@ -541,7 +497,7 @@ def clifford_generators(q: QuadraticPair, pivot_order=None):
                                       ((c, y_mats[j]) for j, c in row.items()))
                 for row in minv]
     _check_clifford_relations(q, gen_mats)
-    return carrier, gen_mats, y_mats
+    return carrier, gen_mats
 
 
 # the pairs (c, c^2) of the isotropic-vector search: c runs over the 24
@@ -647,29 +603,6 @@ def _check_clifford_relations(q: QuadraticPair, gen_mats):
             if anti != ({p: {p: f} for p in range(n)} if f else {}):
                 raise AssertionError("Clifford relation fails at "
                                      f"generators ({i},{j})")
-
-
-def clifford_irrep(q: QuadraticPair, pivot_order=None) -> ModuleAction:
-    """The irreducible Clifford module of clifford_generators as a
-    ModuleAction: the Clifford superalgebra and the matrices of all 2^r
-    monomials are built on top of the generator maps (for the module
-    checks and the density oracle; HModule needs only the generators).
-    """
-    carrier, gen_mats, model_mats = clifford_generators(q, pivot_order)
-    tower = q.tower
-    masks = sorted(range(1 << q.r), key=lambda m: (bin(m).count("1") % 2, m))
-    mats = []
-    for m in masks:
-        cur = GradedMap.identity(tower, carrier)
-        for g in _mask_bits(m):
-            cur = cur * gen_mats[g]
-        mats.append(cur)
-    act = ModuleAction(clifford(q), carrier, mats)
-    act.generator_maps = gen_mats
-    # the model basis spans the same generating set but its maps have at
-    # most one nonzero entry per row, which keeps the closure cheap
-    act.closure_generator_maps = model_mats
-    return act
 
 
 def _congruence_diagonalize(q: QuadraticPair, pivot_order=None):
@@ -853,28 +786,20 @@ def operator_closure_dim(ops, dim: int, tower: Tower):
     return span.dim
 
 
-def density_type(act: ModuleAction) -> DensityType:
-    """Span-closure irreducibility oracle.
+def density_type_from_maps(maps, space: GradedSpace,
+                           tower: Tower) -> DensityType:
+    """Span-closure irreducibility oracle for the operators maps on space.
 
     Full: the operators generate all of End(V).  QComm: the carrier is
     C^{m|m}, the closure has dimension 2 m^2 and the odd supercommutant
     contains phi with phi^2 a nonzero scalar.  Both certify
-    irreducibility over any extension field; otherwise Smaller(d).
+    irreducibility over any extension field; otherwise Smaller(d).  Both
+    the closure and the supercommutant depend only on the algebra the
+    operators generate, so a generating set, such as the Clifford
+    generators, stands for every operator it generates.
     """
-    # a generating subset yields the same closure as the full list of
-    # acting operators (each operator is a product of generators)
-    gen_maps = getattr(act, "closure_generator_maps", None) or \
-        getattr(act, "generator_maps", None) or act.mats
-    return density_type_from_maps(act.mats, act.space, act.tower, gen_maps)
-
-
-def density_type_from_maps(maps, space: GradedSpace, tower: Tower,
-                           closure_maps=None) -> DensityType:
-    """density_type of the operators maps on space; the closure runs on
-    closure_maps, a generating subset of them, when given."""
     n = space.dim
-    d = operator_closure_dim([m.entries for m in closure_maps or maps], n,
-                             tower)
+    d = operator_closure_dim([m.entries for m in maps], n, tower)
     if d == n * n:
         return DensityType("full", d)
     m = space.even_dim

@@ -164,8 +164,7 @@ def i_psi(psi: PsiFunctional) -> IdealRep:
         for b in range(na):
             row = {}
             for j in range(na):
-                x = psi.eval_even({i: one}, ctx.coeff.product({b: one},
-                                                              {j: one}))
+                x = psi.eval_even({i: one}, ctx.coeff.mult[b][j])
                 if x.co:
                     row[j] = x
             rows.append(row)
@@ -295,7 +294,7 @@ class HModule:
         pair = QuadraticPair(tower, [[half * x for x in row]
                                      for row in data.reduced_gram])
         if data.rank > 0:
-            self.carrier, gen_maps, _ = clifford_generators(
+            self.carrier, gen_maps = clifford_generators(
                 pair, pivot_order=pivot_order)
         else:
             self.carrier = GradedSpace(1, 0)

@@ -119,13 +119,12 @@ def from_assoc(a: AssocSuper) -> LieSuper:
     [x, y] = x y - (-1)^{|x||y|} y x."""
     tower = a.tower
     dim = a.dim
-    one = tower.one()
     bk = [[{} for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
-            out = dict(a.product({i: one}, {j: one}))
+            out = dict(a.mult[i][j])
             sgn = -1 if (a.space.parity(i) and a.space.parity(j)) else 1
-            for k, s in a.product({j: one}, {i: one}).items():
+            for k, s in a.mult[j][i].items():
                 cur = out.get(k)
                 term = -s if sgn > 0 else s
                 nxt = term if cur is None else cur + term

@@ -102,8 +102,8 @@ def tensor_lie(g, coeff: CoeffAlgebra) -> MapSuper:
     space = GradedSpace.from_parities(parities, tuple(labels))
     name = f"{g.name}(x){coeff.name}"
     one = tower.one()
-    prods = [[tuple(coeff.product({p: one}, {q: one}).items())
-              for q in range(na)] for p in range(na)]
+    prods = [[tuple(coeff.mult[p][q].items()) for q in range(na)]
+             for p in range(na)]
     if na == 1 and prods[0][0] == ((0, one),):
         return MapSuper(g, coeff, g.relabeled(space, name), pair_index,
                         qd=qd)
@@ -148,18 +148,21 @@ def tensor_lie(g, coeff: CoeffAlgebra) -> MapSuper:
 class InvariantSub:
     """Fixed points (g (x) A)^Gamma of the diagonal action.
 
-    span is their RREF Span in g (x) A coordinates, the one representation
-    of the subspace; averaged[idx] is (1/|Gamma|) sum_gamma gamma(e_idx)
-    for every basis element e_idx of g (x) A, sparse.  The Lie superalgebra
-    on the invariants is built only when asked for (algebra)."""
+    averaged[idx] is (1/|Gamma|) sum_gamma gamma(e_idx) for every basis
+    element e_idx of g (x) A, sparse; they span the invariants.  span,
+    their RREF Span in g (x) A coordinates, and the Lie superalgebra on
+    the invariants (algebra) are built only when read."""
 
-    def __init__(self, parent: MapSuper, act: GammaAction, span: Span,
-                 averaged: list, report: dict):
+    def __init__(self, parent: MapSuper, act: GammaAction, averaged: list,
+                 report: dict):
         self.parent = parent
         self.act = act
-        self.span = span
         self.averaged = averaged
         self.gamma_report = report
+
+    @cached_property
+    def span(self) -> Span:
+        return Span(self.tower, self.averaged)
 
     @property
     def tower(self):
@@ -235,8 +238,7 @@ def invariants(ms: MapSuper, act: GammaAction) -> InvariantSub:
     if not act.generators:
         report = {"valid": True, "free": True, "orbits":
                   [[k] for k in range(len(ms.coeff.maximal_ideals))],
-                  "failures": [], "point_permutations":
-                  [list(range(len(ms.coeff.maximal_ideals)))]}
+                  "failures": []}
         one = tower.one()
         averaged = [{idx: one} for idx in range(ms.dim)]
     else:
@@ -248,7 +250,7 @@ def invariants(ms: MapSuper, act: GammaAction) -> InvariantSub:
         actions = [gamma_element_action(ms, a_map, q_map)
                    for a_map, q_map in act.elements]
         averaged = [_averaged(actions, idx, scale) for idx in range(ms.dim)]
-    return InvariantSub(ms, act, Span(tower, averaged), averaged, report)
+    return InvariantSub(ms, act, averaged, report)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +347,7 @@ def ann_and_support(module, ms: MapSuper, images=None):
 
         def rows():   # made one at a time, as the elimination reads them
             for b in range(na):
-                lb = [coeff.product({b: one}, {j: one}) for j in range(na)]
+                lb = coeff.mult[b]
                 for c in constraints:
                     row = {}
                     for j in range(na):

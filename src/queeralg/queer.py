@@ -123,23 +123,10 @@ class QueerData:
         self.tower = tower
         self.n = n
         n1 = n + 1
-        labels = []
-        units = []  # (parity, sparse integer matrix) of each basis vector
-        for i in range(1, n + 1):
-            labels.append(f"h{i}")
-            units.append((EVEN, _sparse_h(i - 1)))
+        labels, units = _queer_units(n)
         offdiag = [(i, j) for i in range(1, n1 + 1) for j in range(1, n1 + 1)
                    if i != j]
-        for i, j in offdiag:
-            labels.append(f"e[{i},{j}]")
-            units.append((EVEN, {(i - 1, j - 1): 1}))
-        n_even = len(labels)
-        for i in range(1, n + 1):
-            labels.append(f"h'{i}")
-            units.append((ODD, _sparse_h(i - 1)))
-        for i, j in offdiag:
-            labels.append(f"e'[{i},{j}]")
-            units.append((ODD, {(i - 1, j - 1): 1}))
+        n_even = sum(1 for p, _ in units if p == EVEN)
         self.space = GradedSpace(n_even, len(labels) - n_even, tuple(labels))
         self.index = {lbl: k for k, lbl in enumerate(labels)}
         zero = _mat(tower, n1)
@@ -264,7 +251,27 @@ class QueerData:
         return GradedMap(tower, self.space, self.space, entries, parity=EVEN)
 
 
-def _queer_structure(tower: Tower, n: int, units, index: dict):
+def _queer_units(n: int):
+    """(labels, units) of the basis of q(n): h_k, e[i,j], then h'_k,
+    e'[i,j]; units[k] is (parity, sparse integer matrix) of basis vector
+    k, the matrix of its block (diagonal for even, antidiagonal for
+    odd)."""
+    n1 = n + 1
+    offdiag = [(i, j) for i in range(1, n1 + 1) for j in range(1, n1 + 1)
+               if i != j]
+    labels, units = [], []
+    for parity, w in ((EVEN, ""), (ODD, "'")):
+        for i in range(1, n + 1):
+            labels.append(f"h{w}{i}")
+            units.append((parity, _sparse_h(i - 1)))
+        for i, j in offdiag:
+            labels.append(f"e{w}[{i},{j}]")
+            units.append((parity, {(i - 1, j - 1): 1}))
+    return labels, units
+
+
+def _queer_structure(tower: Tower, n: int, units, index: dict,
+                     center=None):
     """(bk, raw_bk): bk[i][j] holds the coordinates of [e_i, e_j], and
     raw_bk[i][j] the same entries as (k, raw) pairs in the same order
     (the form of LieSuper.raw_bk).
@@ -277,7 +284,10 @@ def _queer_structure(tower: Tower, n: int, units, index: dict):
     Coordinates come in the order of QueerData.coords_of_pair:
     off-diagonal entries row by row, then the partial sums of the
     diagonal on h_1..h_n.  The arithmetic stays in integers; only the
-    traceless projection of an anticommutator divides, by n + 1.  Each
+    traceless projection of an anticommutator divides, by n + 1.  When
+    center is the index of the identity unit (q~(n)), the trace part
+    tr/(n+1) that the projection removes is kept on it, after the other
+    entries; otherwise it is dropped (q(n) is the quotient).  Each
     distinct (numerator, denominator) becomes one Scalar and one raw
     entry, shared by every entry that has it (neither is ever
     mutated)."""
@@ -349,6 +359,8 @@ def _queer_structure(tower: Tower, n: int, units, index: dict):
                             entries.append((diagp[k], num, n1))
                     elif acc:
                         entries.append((diagp[k], acc, 1))
+                if tr and center is not None:
+                    entries.append((center, tr, n1))
             if not entries:
                 continue
             vals = [(k, value(v, d)) for k, v, d in entries]
@@ -369,98 +381,17 @@ def build_q(tower: Tower, n: int) -> QueerData:
 
 def build_q_tilde(tower: Tower, n: int) -> LieSuper:
     """The pre-quotient algebra: pairs (A, B) with tr B = 0, including the
-    identity pair as an explicit basis vector spanning the center."""
-    n1 = n + 1
-    zero = _mat(tower, n1)
-    labels = ["I"]
-    mats = [([[tower.one() if i == j else tower.zero() for j in range(n1)]
-              for i in range(n1)], zero)]
-    for i in range(1, n + 1):
-        labels.append(f"h{i}")
-        mats.append((_dense(tower, n1, _sparse_h(i - 1)), zero))
-    for i in range(1, n1 + 1):
-        for j in range(1, n1 + 1):
-            if i != j:
-                labels.append(f"e[{i},{j}]")
-                mats.append((_dense(tower, n1, {(i - 1, j - 1): 1}), zero))
-    n_even = len(labels)
-    for i in range(1, n + 1):
-        labels.append(f"h'{i}")
-        mats.append((zero, _dense(tower, n1, _sparse_h(i - 1))))
-    for i in range(1, n1 + 1):
-        for j in range(1, n1 + 1):
-            if i != j:
-                labels.append(f"e'[{i},{j}]")
-                mats.append((zero, _dense(tower, n1, {(i - 1, j - 1): 1})))
+    identity pair as an explicit basis vector I spanning the center.  Its
+    table is q(n)'s with the trace part of each anticommutator kept on I
+    (_queer_structure with center=0)."""
+    labels, units = _queer_units(n)
+    labels = ["I"] + labels
+    units = [(EVEN, {(i, i): 1 for i in range(n + 1)})] + units
+    n_even = sum(1 for p, _ in units if p == EVEN)
     space = GradedSpace(n_even, len(labels) - n_even, tuple(labels))
-
     index = {lbl: k for k, lbl in enumerate(labels)}
-
-    def coords(a_mat, b_mat) -> dict:
-        out = {}
-        # even part: trace component on I, traceless rest on h's and e's
-        tr = tower.zero()
-        for t in range(n1):
-            tr = tr + a_mat[t][t]
-        shift = tr / tower.from_int(n1)
-        if not shift.is_zero:
-            out[0] = shift
-        acc = tower.zero()
-        for m in range(n):
-            acc = acc + a_mat[m][m] - shift
-            if not acc.is_zero:
-                out[1 + m] = acc
-        accb = tower.zero()
-        for m in range(n):
-            accb = accb + b_mat[m][m]
-            if not accb.is_zero:
-                out[n_even + m] = accb
-        for i in range(n1):
-            for j in range(n1):
-                if i != j:
-                    if not a_mat[i][j].is_zero:
-                        out[index[f"e[{i + 1},{j + 1}]"]] = a_mat[i][j]
-                    if not b_mat[i][j].is_zero:
-                        out[index[f"e'[{i + 1},{j + 1}]"]] = b_mat[i][j]
-        return out
-
-    def matmul(x, y):
-        out = _mat(tower, n1)
-        for i in range(n1):
-            for k in range(n1):
-                if x[i][k].is_zero:
-                    continue
-                for j in range(n1):
-                    if not y[k][j].is_zero:
-                        out[i][j] = out[i][j] + x[i][k] * y[k][j]
-        return out
-
-    dim = len(mats)
-    bk = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        ai, bi = mats[i]
-        pi = space.parity(i)
-        for j in range(dim):
-            aj, bj = mats[j]
-            pj = space.parity(j)
-            if pi == EVEN and pj == EVEN:
-                c = [[x - y for x, y in zip(r1, r2)]
-                     for r1, r2 in zip(matmul(ai, aj), matmul(aj, ai))]
-                d = _mat(tower, n1)
-            elif pi == EVEN and pj == ODD:
-                c = _mat(tower, n1)
-                d = [[x - y for x, y in zip(r1, r2)]
-                     for r1, r2 in zip(matmul(ai, bj), matmul(bj, ai))]
-            elif pi == ODD and pj == EVEN:
-                c = _mat(tower, n1)
-                d = [[x - y for x, y in zip(r1, r2)]
-                     for r1, r2 in zip(matmul(bi, aj), matmul(aj, bi))]
-            else:
-                c = [[x + y for x, y in zip(r1, r2)]
-                     for r1, r2 in zip(matmul(bi, bj), matmul(bj, bi))]
-                d = _mat(tower, n1)
-            bk[i][j] = coords(c, d)
-    return LieSuper(tower, space, bk, name=f"q~({n})")
+    bk, raw_bk = _queer_structure(tower, n, units, index, center=0)
+    return LieSuper(tower, space, bk, name=f"q~({n})", raw_bk=raw_bk)
 
 
 def cartan_generation_check(qd: QueerData) -> bool:

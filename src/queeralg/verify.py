@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 from .assocsuper import (QuadraticPair, assoc_tensor, classify_simple,
-                         clifford, clifford_irrep, density_type,
+                         clifford, clifford_generators,
                          density_type_from_maps, make_M, make_Q)
 from .cartanmod import (CartanAlgebra, PsiFunctional, build_H,
                         classify_cartan_module, i_psi)
@@ -155,9 +155,9 @@ def suite_superalg(seed: int) -> Checks:
         ok &= alg.dim == 2 ** r
         tt = classify_simple(alg)
         ok &= (tt.kind == "Q") == (r % 2 == 1)
-        act = clifford_irrep(q)
-        ok &= act.space.dim == 2 ** -(-r // 2)
-        d = density_type(act)
+        carrier, gens = clifford_generators(q)
+        ok &= carrier.dim == 2 ** -(-r // 2)
+        d = density_type_from_maps(gens, carrier, kk)
         ok &= d.kind == ("qcomm" if r % 2 else "full")
         detail.append(f"r={r}:{tt!r}/{d!r}")
     ck.add("Clifford dims, classification and density for unit forms",

@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 from queeralg.assocsuper import (QuadraticPair, assoc_tensor, classify_simple,
-                                 clifford, clifford_irrep, density_type,
+                                 clifford, clifford_generators,
                                  density_type_from_maps, make_Q)
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional
 from queeralg.cli import main as cli_main
@@ -90,9 +90,9 @@ def test_criterion_3_clifford_suite():
             assert alg.dim == 2 ** r
             t = classify_simple(alg)
             assert (t.kind == "Q") == (r % 2 == 1)
-            act = clifford_irrep(q)
-            assert act.space.dim == 2 ** -(-r // 2)
-            d = density_type(act)
+            carrier, gens = clifford_generators(q)
+            assert carrier.dim == 2 ** -(-r // 2)
+            d = density_type_from_maps(gens, carrier, K)
             assert d.kind == ("qcomm" if r % 2 else "full")
         # a degenerate form of each size is not graded simple: duplicate
         # the last generator's row and column

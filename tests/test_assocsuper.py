@@ -5,11 +5,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import queeralg.assocsuper as assocsuper
-from queeralg.assocsuper import (ModuleAction, QuadraticPair, assoc_tensor,
-                                 classify_simple, clifford, clifford_irrep,
-                                 clifford_generators, density_type, make_M,
-                                 make_Q, odd_center, operator_closure_dim,
-                                 straighten)
+from queeralg.assocsuper import (QuadraticPair, assoc_tensor, classify_simple,
+                                 clifford, clifford_generators,
+                                 density_type_from_maps, make_M, make_Q,
+                                 odd_center, operator_closure_dim, straighten)
 from dense_ref import sparse
 from queeralg.graded import (GradedMap, GradedSpace, Span, graded_tensor,
                              mat_rref)
@@ -27,7 +26,8 @@ def form(K, rows):
 
 
 def natural_module(K, alg, m, n=None):
-    """Column action of M(m|n) or Q(m) on C^{m|n} / C^{m|m}."""
+    """Column action of M(m|n) or Q(m) on C^{m|n} / C^{m|m}: (space, one
+    map per algebra basis element)."""
     if n is None:  # Q(m)
         space = GradedSpace(m, m)
         mats = []
@@ -42,7 +42,7 @@ def natural_module(K, alg, m, n=None):
                 rows[i][m + j] = K.one()
                 rows[m + i][j] = K.one()
             mats.append(GradedMap.from_rows(K, space, space, rows))
-        return ModuleAction(alg, space, mats)
+        return space, mats
     space = GradedSpace(m, n)
     mats = []
     for k in range(alg.dim):
@@ -51,7 +51,7 @@ def natural_module(K, alg, m, n=None):
         rows = [[K.zero()] * (m + n) for _ in range(m + n)]
         rows[i][j] = K.one()
         mats.append(GradedMap.from_rows(K, space, space, rows))
-    return ModuleAction(alg, space, mats)
+    return space, mats
 
 
 def test_make_M_dims(K):
@@ -145,51 +145,89 @@ def test_qm_tensor_q1_is_type_M(K):
         assert classify_simple(a).kind == "M"
 
 
+def check_clifford_module(q, carrier, gens):
+    """The monomials x_S of the generator maps multiply by the table of
+    clifford(q): x_S x_T is the combination clifford(q).mult[S][T] of
+    the monomial maps, the unit acts as the identity, and each monomial
+    map has its basis element's parity (or is zero)."""
+    tower = q.tower
+    alg = clifford(q)
+    masks = sorted(range(1 << q.r), key=lambda m: (bin(m).count("1") % 2, m))
+    mats = []
+    for m in masks:
+        cur = GradedMap.identity(tower, carrier)
+        for g in range(q.r):
+            if m >> g & 1:
+                cur = cur * gens[g]
+        mats.append(cur)
+
+    def act(coords):
+        return GradedMap.combination(tower, carrier, carrier,
+                                     ((c, mats[k]) for k, c in coords.items()))
+
+    assert act(alg.unit) == GradedMap.identity(tower, carrier)
+    for i, mi in enumerate(mats):
+        assert mi.is_zero or mi.parity == alg.space.parity(i)
+        for j, mj in enumerate(mats):
+            assert (mi * mj - act(alg.mult[i][j])).is_zero, (i, j)
+
+
 def test_clifford_irrep_small(K):
-    act = clifford_irrep(form(K, [[1]]))
-    assert act.space.dim == 2
-    act.check()
-    x = act.generator_maps[0]
+    f1 = form(K, [[1]])
+    carrier, gens = clifford_generators(f1)
+    assert carrier.dim == 2
+    check_clifford_module(f1, carrier, gens)
+    x = gens[0]
     assert x.rows[0][1] == K.one() and x.rows[1][0] == K.one()
-    act2 = clifford_irrep(form(K, [[1, 0], [0, 1]]))
-    assert act2.space.dim == 2
-    act2.check()
-    act4 = clifford_irrep(form(K, [[1, 0, 0, 0], [0, 1, 0, 0],
-                                   [0, 0, 1, 0], [0, 0, 0, 1]]))
-    assert act4.space.dim == 4
-    act4.check()
+    f2 = form(K, [[1, 0], [0, 1]])
+    carrier2, gens2 = clifford_generators(f2)
+    assert carrier2.dim == 2
+    check_clifford_module(f2, carrier2, gens2)
+    f4 = form(K, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    carrier4, gens4 = clifford_generators(f4)
+    assert carrier4.dim == 4
+    check_clifford_module(f4, carrier4, gens4)
 
 
 def test_clifford_irrep_degenerate_rejected(K):
     with pytest.raises(ValueError):
-        clifford_irrep(form(K, [[1, 1], [1, 1]]))
+        clifford_generators(form(K, [[1, 1], [1, 1]]))
 
 
 def test_clifford_irrep_nondiagonal_form(K):
     f = form(K, [[0, 1], [1, 0]])
-    act = clifford_irrep(f)
-    act.check()
-    assert act.space.dim == 2
+    carrier, gens = clifford_generators(f)
+    check_clifford_module(f, carrier, gens)
+    assert carrier.dim == 2
+
+
+def test_clifford_module_check_catches_a_wrong_table(K):
+    """check_clifford_module compares against the algebra's table: a
+    generator map scaled by 2 fails it."""
+    f = form(K, [[1, 0], [0, 1]])
+    carrier, gens = clifford_generators(f)
+    with pytest.raises(AssertionError):
+        check_clifford_module(f, carrier, [gens[0] * 2, gens[1]])
 
 
 def test_density_type_examples(K):
     m11 = make_M(K, 1, 1)
-    d = density_type(natural_module(K, m11, 1, 1))
+    space, mats = natural_module(K, m11, 1, 1)
+    d = density_type_from_maps(mats, space, K)
     assert d.kind == "full"
     q1 = make_Q(K, 1)
-    d = density_type(natural_module(K, q1, 1))
+    space, mats = natural_module(K, q1, 1)
+    d = density_type_from_maps(mats, space, K)
     assert d.kind == "qcomm" and d.closure_dim == 2
 
 
 def test_density_tensor_action_reducible(K):
     # Q(1)+Q(1) acting on C^{1|1} (x) C^{1|1} through x(x)1 and 1(x)y
     q1 = make_Q(K, 1)
-    nat = natural_module(K, q1, 1)
-    idm = GradedMap.identity(K, nat.space)
-    from queeralg.graded import graded_tensor
-    ops = [graded_tensor(m, idm) for m in nat.mats] + \
-        [graded_tensor(idm, m) for m in nat.mats]
-    from queeralg.assocsuper import density_type_from_maps
+    space, mats = natural_module(K, q1, 1)
+    idm = GradedMap.identity(K, space)
+    ops = [graded_tensor(m, idm) for m in mats] + \
+        [graded_tensor(idm, m) for m in mats]
     d = density_type_from_maps(ops, ops[0].source, K)
     assert d.kind == "smaller" and d.closure_dim == 4
 
@@ -198,8 +236,8 @@ def test_density_on_clifford_irreps(K):
     for r, expect in [(1, "qcomm"), (2, "full"), (3, "qcomm"), (4, "full")]:
         kk = Tower()
         rows = [[kk.from_int(1 if i == j else 0) for j in range(r)] for i in range(r)]
-        act = clifford_irrep(QuadraticPair(kk, rows))
-        assert density_type(act).kind == expect
+        carrier, gens = clifford_generators(QuadraticPair(kk, rows))
+        assert density_type_from_maps(gens, carrier, kk).kind == expect
 
 
 def test_classify_clifford_random_forms(K):
@@ -409,13 +447,8 @@ def test_clifford_generators_need_no_clifford_algebra(K, monkeypatch):
         raise AssertionError("clifford() called")
     f = form(K, [[1, 2, 0], [2, 3, 1], [0, 1, 1]])
     monkeypatch.setattr(assocsuper, "clifford", refuse)
-    carrier, gens, z_maps = clifford_generators(f)
-    assert carrier.dim == 4 and len(gens) == len(z_maps) == 3
-    monkeypatch.undo()
-    act = clifford_irrep(f)
-    assert [m.rows for m in gens] == [m.rows for m in act.generator_maps]
-    assert [m.rows for m in z_maps] == \
-        [m.rows for m in act.closure_generator_maps]
+    carrier, gens = clifford_generators(f)
+    assert carrier.dim == 4 and len(gens) == 3
 
 
 def test_clifford_relation_check_catches_corrupt_generator(K, monkeypatch):
@@ -431,7 +464,7 @@ def test_clifford_relation_check_catches_corrupt_generator(K, monkeypatch):
 
 def test_clifford_relation_check_on_given_maps(K):
     f = form(K, [[1, 1], [1, 3]])
-    _, gens, _ = clifford_generators(f)
+    _, gens = clifford_generators(f)
     assocsuper._check_clifford_relations(f, gens)
     bad = list(gens)
     rows = [list(r) for r in bad[1].rows]
@@ -532,7 +565,7 @@ def test_witt_model_matches_diagonal_pairing(rows):
     K = Tower()
     q = QuadraticPair(K, [[K.from_qi(a, b) for a, b in row] for row in rows])
     assume(q.radical_dim() == 0)
-    carrier, gens, _ = clifford_generators(q)
+    carrier, gens = clifford_generators(q)
     assert carrier.dim == 2 ** -(-q.r // 2)
     assocsuper._check_clifford_relations(q, gens)
     lie = clifford_lie(q)

@@ -195,6 +195,33 @@ def test_raw_table_matches_structure_constants(K, n):
                            for d in row] for row in alg.bk]
 
 
+@pytest.mark.filterwarnings("ignore:q\\(1\\) is not simple")
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_q_tilde_is_a_central_extension_of_q(K, n):
+    """q~(n) satisfies the axioms, I is central, and each bracket minus
+    its I coordinate is q(n)'s bracket under the label map; the I
+    coordinate of [h'_1, h'_1] = 2 diag(1, 1, 0, ...) is its trace over
+    n + 1."""
+    qt = build_q_tilde(K, n)
+    qt.check()
+    qd = build_q(K, n)
+    labels = qt.space.labels
+    assert labels[0] == "I" and qt.space.parity(0) == 0
+    to_q = {k: qd.index[lbl] for k, lbl in enumerate(labels) if k}
+    assert sorted(to_q.values()) == list(range(qd.dim))
+    one = K.one()
+    for i in range(qt.dim):
+        assert not qt.bracket({0: one}, {i: one})
+        assert not qt.bracket({i: one}, {0: one})
+    for i in range(1, qt.dim):
+        for j in range(1, qt.dim):
+            br = qt.bk[i][j]
+            assert {to_q[k]: c for k, c in br.items() if k} == \
+                qd.algebra.bk[to_q[i]][to_q[j]]
+    h1 = qt.space.labels.index("h'1")
+    assert qt.bk[h1][h1][0] == K.from_fraction(Fraction(4, n + 1))
+
+
 def scalar_decompose_qplus(tower, n, delta):
     """Reference: the tridiagonal solve on exact Scalars that
     RootDatum.decompose_qplus replaced."""
