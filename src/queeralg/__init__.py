@@ -18,16 +18,16 @@ from .liesuper import (LieSuper, WeightModule, derived_series, direct_sum,
                        hom_space_weight, ideal_closure, is_isomorphic_weight,
                        is_simple, is_solvable, subalgebra)
 from .queer import QueerData, build_q, build_q_tilde, cartan_generation_check
-from .coeffalg import (CoeffAlgebra, GammaAction, IdealRep, algebra_from_spec,
-                       gamma_from_spec, gamma_validate, ideal_product,
-                       preset_base_field, preset_truncated, quotient_algebra,
+from .coeffalg import (CoeffAlgebra, GammaAction, IdealRep, QuotientAlgebra,
+                       algebra_from_spec, gamma_from_spec, gamma_validate,
+                       ideal_product, preset_base_field, preset_truncated,
                        radical, support, zero_ideal)
 from .mapsuper import (InvariantSub, MapSuper, ann_and_support, ev_rank,
                        invariants, tensor_lie)
 from .cartanmod import (CartanAlgebra, CliffordData, HModule, PsiFunctional,
                         build_H, classify_cartan_module, i_psi)
 from .hwmod import (SimpleQuotient, TruncatedVerma, check_psi0_ideal,
-                    is_irreducible_hw, simple_quotient, top_psi, verma)
+                    is_irreducible_hw, simple_quotient, top_psi)
 from .products import (Catalog, WeightSchur, assoc_check, classify_enumerate,
                        ev_hat, ev_pullback, hat_tensor_weight, outer_factors,
                        pullback, q1_module, tensor_same_algebra,

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
 
-from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, graded_tensor,
-                     homogeneous_entries, mat_kernel, odd_schur, solve_columns,
-                     tensor_space)
+from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, _table_product,
+                     add_entries, graded_tensor, homogeneous_entries,
+                     mat_kernel, odd_schur, solve_columns, tensor_space)
 from .scalars import (QI_ONE, Tower, qi_add, qi_inv, qi_mul, qi_neg, qi_sqrt,
                       raw_dot, raw_of)
 
@@ -39,21 +39,7 @@ class AssocSuper:
         return self.space.dim
 
     def product(self, u: dict, v: dict) -> dict:
-        out: dict = {}
-        for i, a in u.items():
-            row = self.mult[i]
-            for j, b in v.items():
-                c = a * b
-                if c.is_zero:
-                    continue
-                for k, s in row[j].items():
-                    t = out.get(k)
-                    t = c * s if t is None else t + c * s
-                    if t.is_zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = t
-        return out
+        return _table_product(self.mult, u, v)
 
     def check(self, triples="all"):
         """Exact unit, parity and associativity sweep; raises on failure.
@@ -228,41 +214,21 @@ def _cliff_mul_gen(mask: int, g: int, f_rows, tower: Tower) -> dict:
     if h == g:
         c = f_rows[g][g]
         return {rest: c} if not c.is_zero else {}
-    out: dict = {}
-    for m2, c in _cliff_mul_gen(rest, g, f_rows, tower).items():
-        m3 = m2 | (1 << h)
-        cur = out.get(m3)
-        nxt = -c if cur is None else cur - c
-        if nxt.is_zero:
-            out.pop(m3, None)
-        else:
-            out[m3] = nxt
+    terms = [(m2 | (1 << h), -c)
+             for m2, c in _cliff_mul_gen(rest, g, f_rows, tower).items()]
     c2 = 2 * f_rows[h][g]
-    if not c2.is_zero:
-        cur = out.get(rest)
-        nxt = c2 if cur is None else cur + c2
-        if nxt.is_zero:
-            out.pop(rest, None)
-        else:
-            out[rest] = nxt
-    return out
+    if c2.co:
+        terms.append((rest, c2))
+    return add_entries({}, terms)
 
 
 def straighten(word, f_rows, tower: Tower) -> dict:
     """Expand an arbitrary generator word into the sorted monomial basis."""
     terms = {0: tower.one()}
     for g in word:
-        nxt: dict = {}
-        for mask, c in terms.items():
-            for m2, c2 in _cliff_mul_gen(mask, g, f_rows, tower).items():
-                s = c * c2
-                cur = nxt.get(m2)
-                s = s if cur is None else cur + s
-                if s.is_zero:
-                    nxt.pop(m2, None)
-                else:
-                    nxt[m2] = s
-        terms = nxt
+        terms = add_entries({}, (
+            (m2, c * c2) for mask, c in terms.items()
+            for m2, c2 in _cliff_mul_gen(mask, g, f_rows, tower).items()))
     return terms
 
 
@@ -313,15 +279,8 @@ def _ungraded_center_vectors(a: AssocSuper, parity: int):
     for k in probes:
         per_col = []
         for i in cols:
-            diff = dict(a.mult[i][k])
-            for out, s in a.mult[k][i].items():
-                cur = diff.get(out)
-                nxt = -s if cur is None else cur - s
-                if nxt.is_zero:
-                    diff.pop(out, None)
-                else:
-                    diff[out] = nxt
-            per_col.append(diff)
+            per_col.append(add_entries(dict(a.mult[i][k]), (
+                (out, -s) for out, s in a.mult[k][i].items())))
         for o in sorted({o for d in per_col for o in d}):
             rows.append({c: d[o] for c, d in enumerate(per_col) if o in d})
     return [{cols[c]: x for c, x in kv.items()}

@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .assocsuper import (QuadraticPair, clifford_generators,
                          density_type_from_maps)
-from .coeffalg import CoeffAlgebra, IdealRep, quotient_algebra
+from .coeffalg import CoeffAlgebra, IdealRep, QuotientAlgebra
 from .graded import (GradedMap, GradedSpace, Span, add_entries,
                      homogeneous_entries, mat_kernel, odd_schur, solve_columns)
 from .liesuper import WeightModule, basis_subalgebra, is_isomorphic_weight
@@ -186,11 +186,12 @@ class CliffordData:
     adjoin is one point's square class.  With one point the block is the
     whole quotient in its monomial basis, and no idempotent is computed.
     odd_basis lists the pairs (i, v) with v a coordinate dict on A/I_psi;
-    gram (one coordinate dict per row), reduced_indices and reduced_gram
-    (dense: the form of a QuadraticPair) refer to that basis, while the
-    coordinate dicts radical_vectors and _proj_rows are in monomial
-    coordinates, entry i * dim(A/I_psi) + j for h'_i (x) the j-th basis
-    vector of A/I_psi."""
+    gram (one coordinate dict per row) and reduced_gram (dense: the form
+    of a QuadraticPair, on gram's pivot rows) refer to that basis, while
+    the rows _proj_rows, the projection to the reduced coordinates modulo
+    the radical of f_psi, are in monomial coordinates, entry
+    i * dim(A/I_psi) + j for h'_i (x) the j-th basis vector of
+    A/I_psi."""
 
     def __init__(self, psi: PsiFunctional):
         if psi.is_zero():
@@ -200,7 +201,7 @@ class CliffordData:
         tower = ctx.tower
         one = tower.one()
         self.ideal = i_psi(psi)
-        quotient = self.quotient = quotient_algebra(ctx.coeff, self.ideal)
+        quotient = self.quotient = QuotientAlgebra(ctx.coeff, self.ideal)
         nq = quotient.dim
         if len(quotient.points) > 1:
             blocks = [Span(tower, [quotient.product(e, {j: one})
@@ -233,7 +234,6 @@ class CliffordData:
         self.gram = gram
         gram_span = Span(tower, gram)
         pivots = sorted(gram_span.rows)
-        self.reduced_indices = pivots
         self.rank = len(pivots)
         zero = tower.zero()
         self.reduced_gram = [[gram[p].get(q, zero) for q in pivots]
@@ -247,11 +247,10 @@ class CliffordData:
                 i, v = self.odd_basis[a]
                 add_entries(out, ((i * nq + j, c * x) for j, x in v.items()))
             return out
-        self.radical_vectors = [monomial(k.items())
-                                for k in gram_span.kernel(n_odd)]
+        radical = [monomial(k.items()) for k in gram_span.kernel(n_odd)]
         # projection to the reduced odd coordinates, modulo the radical:
         # columns are the pivot basis vectors, then the radical
-        cols = [monomial([(p, one)]) for p in pivots] + self.radical_vectors
+        cols = [monomial([(p, one)]) for p in pivots] + radical
         self._proj_rows = [{} for _ in range(n_odd)]
         for c, col in enumerate(cols):
             for t, x in col.items():

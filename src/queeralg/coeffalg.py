@@ -13,7 +13,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .assocsuper import AssocSuper, trace_form_kernel
-from .graded import EVEN, GradedMap, GradedSpace, Span, solve_columns
+from .graded import (EVEN, GradedMap, GradedSpace, Span, add_entries,
+                     solve_columns)
 from .scalars import Scalar, Tower, scalar_from_json
 
 
@@ -329,10 +330,6 @@ class QuotientAlgebra(CoeffAlgebra):
         return {self.free_indices[k]: v for k, v in coords.items()}
 
 
-def quotient_algebra(a: CoeffAlgebra, ideal: IdealRep) -> QuotientAlgebra:
-    return QuotientAlgebra(a, ideal)
-
-
 def radical(ideal: IdealRep) -> IdealRep:
     """sqrt(I): preimage of the nilradical of A/I, computed exactly as the
     trace-form kernel of the regular representation of A/I."""
@@ -406,15 +403,8 @@ def _first_unpreserved_pair(f: GradedMap, op, table):
     cols = [by_col.get(i, {}) for i in range(dim)]
     for i in range(dim):
         for j in range(dim):
-            rhs = {}
-            for k, c in table[i][j].items():
-                for t, x in cols[k].items():
-                    cur = rhs.get(t)
-                    nxt = x * c if cur is None else cur + x * c
-                    if nxt.is_zero:
-                        rhs.pop(t, None)
-                    else:
-                        rhs[t] = nxt
+            rhs = add_entries({}, ((t, x * c) for k, c in table[i][j].items()
+                                   for t, x in cols[k].items()))
             if op(cols[i], cols[j]) != rhs:
                 return i, j
     return None

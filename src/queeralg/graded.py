@@ -268,6 +268,20 @@ def add_entries(acc: dict, items) -> dict:
     return acc
 
 
+def _table_product(table, u: dict, v: dict) -> dict:
+    """sum_{i,j} u_i v_j table[i][j] over a structure table (table[i][j]
+    the coordinate dict of the product of basis elements i and j), with
+    the entries that cancel dropped."""
+    out: dict = {}
+    for i, a in u.items():
+        row = table[i]
+        for j, b in v.items():
+            c = a * b
+            if c.co:
+                add_entries(out, [(k, c * s) for k, s in row[j].items()])
+    return out
+
+
 def _by_row(entries) -> dict:
     """Entries {(i, j): x} as sparse rows {i: {j: x}}."""
     rows: dict = {}

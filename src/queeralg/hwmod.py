@@ -296,10 +296,6 @@ def _sum_terms(terms: dict, gens) -> dict:
     return out
 
 
-def verma(ms: MapSuper, psi: PsiFunctional, depth: int) -> TruncatedVerma:
-    return TruncatedVerma(ms, psi, depth)
-
-
 # ---------------------------------------------------------------------------
 # Maximal submodule and simple quotient
 # ---------------------------------------------------------------------------
@@ -406,7 +402,6 @@ class SimpleQuotient:
         max_h = vm.depth
         heights = {h: sum(quot_dims[b] for b in betas if sum(b) == h)
                    for h in range(max_h + 1)}
-        self.height_dims = heights
         band_at = None
         for h0 in range(1, max_h - n + 2):
             if all(heights.get(h0 + t, None) == 0 for t in range(n)):

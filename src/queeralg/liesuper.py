@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from .assocsuper import AssocSuper
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, _by_row,
-                     add_entries, first_invertible, intertwiners, mat_kernel,
-                     mat_rref, solve_columns)
+                     _table_product, add_entries, first_invertible,
+                     intertwiners, mat_kernel, mat_rref, solve_columns)
 from .scalars import Tower, raw_of
 
 
@@ -57,21 +57,7 @@ class LieSuper:
                         raw_bk=self._raw_bk, triangular=self.triangular)
 
     def bracket(self, u: dict, v: dict) -> dict:
-        out: dict = {}
-        for i, a in u.items():
-            row = self.bk[i]
-            for j, b in v.items():
-                c = a * b
-                if c.is_zero:
-                    continue
-                for k, s in row[j].items():
-                    t = out.get(k)
-                    t = c * s if t is None else t + c * s
-                    if t.is_zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = t
-        return out
+        return _table_product(self.bk, u, v)
 
     def is_abelian(self) -> bool:
         return all(not self.bk[i][j] for i in range(self.dim)
@@ -98,15 +84,9 @@ class LieSuper:
             ei, ej, ek = {i: one}, {j: one}, {k: one}
             lhs = self.bracket(ei, self.bracket(ej, ek))
             rhs = self.bracket(self.bracket(ei, ej), ek)
-            sgn = -1 if (par(i) and par(j)) else 1
-            for t, s in self.bracket(ej, self.bracket(ei, ek)).items():
-                cur = rhs.get(t)
-                term = s if sgn > 0 else -s
-                nxt = term if cur is None else cur + term
-                if nxt.is_zero:
-                    rhs.pop(t, None)
-                else:
-                    rhs[t] = nxt
+            swap = self.bracket(ej, self.bracket(ei, ek)).items()
+            add_entries(rhs, ((t, -s) for t, s in swap)
+                        if par(i) and par(j) else swap)
             if lhs != rhs:
                 raise AssertionError(f"Jacobi identity fails at ({i},{j},{k})")
 
@@ -122,17 +102,10 @@ def from_assoc(a: AssocSuper) -> LieSuper:
     bk = [[{} for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
-            out = dict(a.mult[i][j])
-            sgn = -1 if (a.space.parity(i) and a.space.parity(j)) else 1
-            for k, s in a.mult[j][i].items():
-                cur = out.get(k)
-                term = -s if sgn > 0 else s
-                nxt = term if cur is None else cur + term
-                if nxt.is_zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = nxt
-            bk[i][j] = out
+            swap = a.mult[j][i].items()
+            bk[i][j] = add_entries(dict(a.mult[i][j]), swap
+                                   if a.space.parity(i) and a.space.parity(j)
+                                   else ((k, -s) for k, s in swap))
     return LieSuper(tower, a.space, bk, name=f"Lie({a.name})")
 
 

@@ -208,15 +208,7 @@ def gamma_element_action(ms: MapSuper, a_map: GradedMap,
 def _averaged(actions, idx: int, scale) -> dict:
     """(1/|Gamma|) sum_gamma gamma(e_idx), sparse, given each element's
     action as a gamma_element_action column dict and scale = 1/|Gamma|."""
-    avg = {}
-    for cols in actions:
-        for k, v in cols[idx].items():
-            cur = avg.get(k)
-            nxt = v if cur is None else cur + v
-            if nxt.is_zero:
-                avg.pop(k, None)
-            else:
-                avg[k] = nxt
+    avg = add_entries({}, (kv for cols in actions for kv in cols[idx].items()))
     return {k: v * scale for k, v in avg.items()}
 
 

@@ -20,19 +20,8 @@ from .liesuper import LieSuper
 from .scalars import Tower, raw_of
 
 
-def _mat(tower: Tower, n1: int):
-    return [[tower.zero()] * n1 for _ in range(n1)]
-
-
 def _sparse_h(i: int) -> dict:
     return {(i, i): 1, (i + 1, i + 1): -1}
-
-
-def _dense(tower: Tower, n1: int, m: dict):
-    out = _mat(tower, n1)
-    for (i, j), v in m.items():
-        out[i][j] = tower.from_int(v)
-    return out
 
 
 class RootDatum:
@@ -63,10 +52,6 @@ class RootDatum:
 
     def root_tuple(self, pair):
         return self._tuples[pair]
-
-    def height(self, pair) -> int:
-        i, j = pair
-        return abs(j - i)
 
     def scaled_coords(self, delta):
         """(N, scale) with N_m / scale the rational coordinate a_m of a
@@ -111,8 +96,9 @@ class RootDatum:
 
 
 class QueerData:
-    """q(n) with labeled basis, matrix realizations, root datum and
-    triangular parts."""
+    """q(n) with labeled basis, root datum and triangular parts.  units[k]
+    is (parity, sparse integer matrix) of basis vector k, the matrix of
+    its block (_queer_units)."""
 
     def __init__(self, tower: Tower, n: int):
         if n < 1:
@@ -124,15 +110,12 @@ class QueerData:
         self.n = n
         n1 = n + 1
         labels, units = _queer_units(n)
+        self.units = units
         offdiag = [(i, j) for i in range(1, n1 + 1) for j in range(1, n1 + 1)
                    if i != j]
         n_even = sum(1 for p, _ in units if p == EVEN)
         self.space = GradedSpace(n_even, len(labels) - n_even, tuple(labels))
         self.index = {lbl: k for k, lbl in enumerate(labels)}
-        zero = _mat(tower, n1)
-        # (A, B) pairs
-        self.mats = [(_dense(tower, n1, m), zero) if p == EVEN
-                     else (zero, _dense(tower, n1, m)) for p, m in units]
         # triangular parts (indices into the global basis)
         self.h0_indices = [self.index[f"h{i}"] for i in range(1, n + 1)]
         self.h1_indices = [self.index[f"h'{i}"] for i in range(1, n + 1)]
@@ -179,22 +162,6 @@ class QueerData:
             raise ValueError("diagonal is not traceless")
         return out
 
-    def coords_of_pair(self, a_mat, b_mat) -> dict:
-        """Coordinates of a traceless pair (A, B) in the global basis."""
-        out = {}
-        n1 = self.n + 1
-        for which, m in (("", a_mat), ("'", b_mat)):
-            if m is None:
-                continue
-            for i in range(n1):
-                for j in range(n1):
-                    if i != j and not m[i][j].is_zero:
-                        out[self.index[f"e{which}[{i + 1},{j + 1}]"]] = m[i][j]
-            for k, c in enumerate(self.diag_coords([m[i][i] for i in range(n1)])):
-                if not c.is_zero:
-                    out[self.index[f"h{which}{k + 1}"]] = c
-        return out
-
     # -- roots --------------------------------------------------------------
 
     def root_space(self, alpha):
@@ -234,20 +201,19 @@ class QueerData:
 
     def conj_automorphism(self, diag_entries) -> GradedMap:
         """Automorphism (A, B) -> (D A D^-1, D B D^-1) for an invertible
-        diagonal D, as a parity-even map on q(n)."""
+        diagonal D, as a parity-even map on q(n).  Conjugation scales
+        matrix entry (i, j) by d_i / d_j, and every unit is one
+        off-diagonal entry or diagonal, so the map is diagonal: basis
+        vector k goes to d_i / d_j times itself, (i, j) the first entry
+        of its unit (1 on the h_k and h'_k)."""
         tower = self.tower
         d = [tower._coerce(x) for x in diag_entries]
         if len(d) != self.n + 1 or any(x.is_zero for x in d):
             raise ValueError("need n+1 nonzero diagonal entries")
         entries = {}
-        for k in range(self.dim):
-            a, b = self.mats[k]
-            ca = [[d[i] * a[i][j] / d[j] for j in range(self.n + 1)]
-                  for i in range(self.n + 1)]
-            cb = [[d[i] * b[i][j] / d[j] for j in range(self.n + 1)]
-                  for i in range(self.n + 1)]
-            for t, c in self.coords_of_pair(ca, cb).items():
-                entries[(t, k)] = c
+        for k, (_, m) in enumerate(self.units):
+            i, j = next(iter(m))
+            entries[(k, k)] = d[i] / d[j]
         return GradedMap(tower, self.space, self.space, entries, parity=EVEN)
 
 
@@ -281,16 +247,15 @@ def _queer_structure(tower: Tower, n: int, units, index: dict,
     a row where x has a column, and y x a unit with a column where x has
     a row.  Each unordered pair is bracketed once: [e_j, e_i] has the
     entries of [e_i, e_j] in the same order, negated unless both are odd.
-    Coordinates come in the order of QueerData.coords_of_pair:
-    off-diagonal entries row by row, then the partial sums of the
-    diagonal on h_1..h_n.  The arithmetic stays in integers; only the
-    traceless projection of an anticommutator divides, by n + 1.  When
-    center is the index of the identity unit (q~(n)), the trace part
-    tr/(n+1) that the projection removes is kept on it, after the other
-    entries; otherwise it is dropped (q(n) is the quotient).  Each
-    distinct (numerator, denominator) becomes one Scalar and one raw
-    entry, shared by every entry that has it (neither is ever
-    mutated)."""
+    Coordinates come in this order: off-diagonal entries row by row, then
+    the partial sums of the diagonal on h_1..h_n (QueerData.diag_coords).
+    The arithmetic stays in integers; only the traceless projection of an
+    anticommutator divides, by n + 1.  When center is the index of the
+    identity unit (q~(n)), the trace part tr/(n+1) that the projection
+    removes is kept on it, after the other entries; otherwise it is
+    dropped (q(n) is the quotient).  Each distinct (numerator,
+    denominator) becomes one Scalar and one raw entry, shared by every
+    entry that has it (neither is ever mutated)."""
     n1 = n + 1
     dim = len(units)
     # coordinate indices by parity of the bracket: "" even, "'" odd
@@ -403,6 +368,13 @@ def cartan_generation_check(qd: QueerData) -> bool:
     if qd.n < 2:
         return _cartan_span_dim(qd) == qd.n
     half = tower.from_fraction(Fraction(1, 2))
+
+    def diag(indices, entries):
+        # coordinates of a traceless diagonal over the basis vectors
+        # indices (those of h_1..h_n, or of h'_1..h'_n)
+        return {indices[m]: c for m, c in enumerate(qd.diag_coords(entries))
+                if c.co}
+
     for i in range(1, n1 + 1):
         for j in range(1, n1 + 1):
             if i == j:
@@ -417,22 +389,12 @@ def cartan_generation_check(qd: QueerData) -> bool:
                 v_diag[i - 1] = tower.one()
                 v_diag[j - 1] = tower.one()
                 v_diag[k - 1] = tower.from_int(-2)
-                u = qd.coords_of_pair(None, _diag_mat(tower, u_diag))
-                v = qd.coords_of_pair(None, _diag_mat(tower, v_diag))
+                u = diag(qd.h1_indices, u_diag)
+                v = diag(qd.h1_indices, v_diag)
                 lhs = {t: half * c for t, c in qd.algebra.bracket(u, v).items()}
-                rhs = qd.coords_of_pair(_diag_mat(tower, u_diag), None)
-                lhs = {t: c for t, c in lhs.items() if not c.is_zero}
-                if lhs != rhs:
+                if lhs != diag(qd.h0_indices, u_diag):
                     return False
     return _cartan_span_dim(qd) == qd.n
-
-
-def _diag_mat(tower: Tower, diag):
-    n1 = len(diag)
-    m = _mat(tower, n1)
-    for i in range(n1):
-        m[i][i] = diag[i]
-    return m
 
 
 def _cartan_span_dim(qd: QueerData) -> int:

@@ -16,8 +16,8 @@ from .coeffalg import (gamma_from_spec, preset_base_field, preset_truncated,
                        zero_ideal)
 from .graded import GradedMap, GradedSpace, commutant, kernel, \
     graded_tensor, mat_kernel
-from .hwmod import (check_psi0_ideal, is_irreducible_hw, simple_quotient,
-                    top_psi, verma)
+from .hwmod import (TruncatedVerma, check_psi0_ideal, is_irreducible_hw,
+                    simple_quotient, top_psi)
 from .liesuper import (direct_sum_weight, hom_space_weight,
                        is_isomorphic_weight, is_simple, is_solvable,
                        subalgebra)
@@ -352,7 +352,7 @@ def suite_hw(seed: int) -> Checks:
     ctx1 = CartanAlgebra(qd, a1)
 
     psi = PsiFunctional(ctx1, [tower.from_int(5), tower.from_int(3)])
-    vm = verma(ms1, psi, 3)
+    vm = TruncatedVerma(ms1, psi, 3)
     lows = [vm.low_coords[p] for p in range(len(vm.lowering))]
     ok = all(d == _pbw_count(lows, beta) * vm.h_mod.dim
              for beta, d in vm.dims_by_weight().items())

@@ -14,8 +14,8 @@ from queeralg.cartanmod import CartanAlgebra, PsiFunctional
 from queeralg.cli import main as cli_main
 from queeralg.coeffalg import gamma_from_spec, preset_base_field, zero_ideal
 from queeralg.graded import EVEN
-from queeralg.hwmod import (check_psi0_ideal, is_irreducible_hw,
-                            simple_quotient, top_psi, verma)
+from queeralg.hwmod import (TruncatedVerma, check_psi0_ideal,
+                            is_irreducible_hw, simple_quotient, top_psi)
 from queeralg.liesuper import (WeightModule, direct_sum_weight,
                                hom_space_weight, is_isomorphic_weight,
                                is_simple)
@@ -148,7 +148,7 @@ def test_criterion_5_highest_weight_suite():
     for ms, ctx in ((ms1, ctx1), (ms2d, ctx2d)):
         psi = PsiFunctional(ctx, [K.from_int(2 + k)
                                   for k in range(ctx.n_even)])
-        vm = verma(ms, psi, 4)
+        vm = TruncatedVerma(ms, psi, 4)
         lows = [vm.low_coords[p] for p in range(len(vm.lowering))]
         for beta, d in vm.dims_by_weight().items():
             assert d == _pbw_count(lows, beta) * vm.h_mod.dim

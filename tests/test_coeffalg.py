@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_ref import sparse
-from queeralg.coeffalg import (IdealRep, algebra_from_spec, gamma_from_spec,
-                               gamma_validate, ideal_product,
-                               preset_base_field, preset_truncated,
-                               quotient_algebra, radical, support, zero_ideal)
+from queeralg.coeffalg import (IdealRep, QuotientAlgebra, algebra_from_spec,
+                               gamma_from_spec, gamma_validate, ideal_product,
+                               preset_base_field, preset_truncated, radical,
+                               support, zero_ideal)
 from queeralg.queer import build_q
 from queeralg.scalars import Tower, parse_scalar
 
@@ -97,7 +97,7 @@ def test_support_counts(K):
 
 def test_quotient_algebra(K):
     a = two_point(K)
-    q = quotient_algebra(a, a.maximal_ideals[0])
+    q = QuotientAlgebra(a, a.maximal_ideals[0])
     assert q.dim == 1
     q.check()
 
@@ -153,11 +153,11 @@ def test_quotient_keeps_the_idempotents_of_its_points(K):
     a = cusp_point(K)
     m0, m1 = a.maximal_ideals
     # K[t]/(t (t - 1)): both points survive, each simple
-    q = quotient_algebra(a, ideal_product(m0, m1))
+    q = QuotientAlgebra(a, ideal_product(m0, m1))
     assert q.kept_points == [0, 1]
     _assert_split_unit(q, q.idempotents)
     # K[t]/(t^2), the double point alone: one point, the unit
-    q0 = quotient_algebra(a, ideal_product(m0, m0))
+    q0 = QuotientAlgebra(a, ideal_product(m0, m0))
     assert q0.kept_points == [0] and q0.idempotents == [q0.unit]
 
 

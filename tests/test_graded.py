@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_ref import dense, sparse
-from queeralg.graded import (EVEN, ODD, GradedMap, GradedSpace, Span, commutant,
-                             first_invertible, graded_tensor, intertwiners,
-                             kernel, mat_kernel, mat_rref, solve_columns,
-                             tensor_space)
+from queeralg.assocsuper import make_Q
+from queeralg.graded import (EVEN, ODD, GradedMap, GradedSpace, Span,
+                             _table_product, commutant, first_invertible,
+                             graded_tensor, intertwiners, kernel, mat_kernel,
+                             mat_rref, solve_columns, tensor_space)
+from queeralg.queer import build_q
 from queeralg.scalars import Tower
 
 
@@ -600,3 +602,50 @@ def test_entry_arithmetic_matches_dense(data):
         assert all(x.co for x in m.entries.values())
         assert all(0 <= i < m.target.dim and 0 <= j < m.source.dim
                    for i, j in m.entries)
+
+
+# structure tables over GK: q(2)'s bracket and Q(2)'s product
+_TABLES = {"q(2) bk": build_q(GK, 2).algebra.bk,
+           "Q(2) mult": make_Q(GK, 2).mult}
+_unit_sign = st.sampled_from([GK.one(), -GK.one()])
+
+
+def _draw_sparse(draw, dim):
+    """A coordinate dict on at most four basis vectors with entries +-1,
+    so that products often land on one basis vector with opposite signs
+    and cancel."""
+    keys = draw(st.lists(st.integers(0, dim - 1), max_size=4, unique=True))
+    return {k: draw(_unit_sign) for k in keys}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_table_product_matches_dense_and_stores_no_zero(data):
+    """GradedMap equality and is_zero read a coordinate dict's keys, so
+    the table product must drop every entry that cancels."""
+    table = _TABLES[data.draw(st.sampled_from(sorted(_TABLES)))]
+    dim = len(table)
+    u, v = _draw_sparse(data.draw, dim), _draw_sparse(data.draw, dim)
+    total = [GK.zero()] * dim
+    for i, a in u.items():
+        for j, b in v.items():
+            for k, s in table[i][j].items():
+                total[k] = total[k] + a * b * s
+    got = _table_product(table, u, v)
+    assert got == {k: x for k, x in enumerate(total) if x.co}
+    assert all(x.co for x in got.values())
+
+
+def test_table_product_drops_cancelled_entries():
+    one = GK.one()
+    q2 = build_q(GK, 2)
+    h1, h2, e12 = (q2.index[x] for x in ("h1", "h2", "e[1,2]"))
+    # [h1, e12] = 2 e12 and [h2, e12] = -e12
+    assert _table_product(_TABLES["q(2) bk"], {h1: one, h2: 2 * one},
+                          {e12: one}) == {}
+    idx = make_Q(GK, 2).space.labels.index
+    d11, d12, a11, a12 = (idx(x) for x in ("D[1,1]", "D[1,2]", "A[1,1]",
+                                           "A[1,2]"))
+    # D11 D12 = A11 A12 = D12 and D11 A12 = A11 D12 = A12
+    assert _table_product(_TABLES["Q(2) mult"], {d11: one, a11: one},
+                          {d12: one, a12: -one}) == {}

@@ -11,9 +11,9 @@ from queeralg.coeffalg import preset_base_field, preset_truncated, zero_ideal
 from dense_ref import mat_mul, rank, sparse
 from queeralg.graded import (EVEN, Span, mat_kernel, nonzero_entries,
                              zero_rows)
-from queeralg.hwmod import (SimpleQuotient, _sum_terms, check_psi0_ideal,
-                            is_irreducible_hw, simple_quotient, top_psi,
-                            verma)
+from queeralg.hwmod import (SimpleQuotient, TruncatedVerma, _sum_terms,
+                            check_psi0_ideal, is_irreducible_hw,
+                            simple_quotient, top_psi)
 from queeralg.liesuper import (WeightModule, direct_sum_weight,
                                is_isomorphic_weight)
 from queeralg.mapsuper import tensor_lie
@@ -70,7 +70,7 @@ def test_depth_zero_is_H(setup):
     K = setup["K"]
     _, ms, ctx = setup["C"]
     psi = PsiFunctional(ctx, [K.from_int(5), K.from_int(3)])
-    vm = verma(ms, psi, 0)
+    vm = TruncatedVerma(ms, psi, 0)
     dims = vm.dims_by_weight()
     assert dims == {(0, 0): vm.h_mod.dim}
 
@@ -79,7 +79,7 @@ def test_depth_one_dims_base_field(setup):
     K = setup["K"]
     _, ms, ctx = setup["C"]
     psi = PsiFunctional(ctx, [K.from_int(5), K.from_int(3)])
-    vm = verma(ms, psi, 1)
+    vm = TruncatedVerma(ms, psi, 1)
     dims = vm.dims_by_weight()
     # one even + one odd lowering generator per simple root
     assert dims[(1, 0)] == 2 * vm.h_mod.dim
@@ -90,7 +90,7 @@ def test_depth_one_dims_dual_numbers(setup):
     K = setup["K"]
     _, ms, ctx = setup["dual"]
     psi = PsiFunctional(ctx, [K.from_int(5), K.from_int(3), K.one(), K.zero()])
-    vm = verma(ms, psi, 1)
+    vm = TruncatedVerma(ms, psi, 1)
     dims = vm.dims_by_weight()
     assert dims[(1, 0)] == 4 * vm.h_mod.dim
     assert dims[(0, 1)] == 4 * vm.h_mod.dim
@@ -101,7 +101,7 @@ def test_pbw_dimension_law(setup, which, depth):
     K = setup["K"]
     _, ms, ctx = setup[which]
     psi = PsiFunctional(ctx, [K.from_int(2 + k) for k in range(ctx.n_even)])
-    vm = verma(ms, psi, depth)
+    vm = TruncatedVerma(ms, psi, depth)
     lower_weights = [vm.low_coords[p] for p in range(len(vm.lowering))]
     for beta, d in vm.dims_by_weight().items():
         assert d == pbw_count_oracle(lower_weights, beta) * vm.h_mod.dim
@@ -118,7 +118,7 @@ def test_pbw_basis_matches_brute_force(setup, which):
         K = setup["K"]
         _, ms, ctx = setup[which]
     psi = PsiFunctional(ctx, [K.from_int(2 + k) for k in range(ctx.n_even)])
-    vm = verma(ms, psi, 4)
+    vm = TruncatedVerma(ms, psi, 4)
     coords, n_even = vm.low_coords, vm.n_even_low
     evens, odds = range(n_even), range(n_even, len(coords))
 
@@ -141,7 +141,7 @@ def test_verma_relations_within_window(setup):
     K = setup["K"]
     _, ms, ctx = setup["C"]
     psi = PsiFunctional(ctx, [K.one(), K.one()])
-    assert check_verma_relations(verma(ms, psi, 3),
+    assert check_verma_relations(TruncatedVerma(ms, psi, 3),
                                  [(0, 0), (1, 0), (0, 1), (1, 1)], 40)
 
 
@@ -150,7 +150,8 @@ def test_verma_relations_within_window_q3_rank3():
     nonscalar operators, so the Cartan terms of the straightening are
     exercised."""
     K, ms, ctx = _qn_setup(3)
-    vm = verma(ms, PsiFunctional(ctx, [K.from_int(v) for v in (2, 1, 0)]), 3)
+    vm = TruncatedVerma(
+        ms, PsiFunctional(ctx, [K.from_int(v) for v in (2, 1, 0)]), 3)
     assert vm.h_mod.rank == 3
     low = [b for b in vm._betas if sum(b) <= 1]
     cartan = ms.algebra.triangular[1]
@@ -220,7 +221,7 @@ def test_singular_vectors_verma_top(setup):
     K = setup["K"]
     _, ms, ctx = setup["C"]
     psi = PsiFunctional(ctx, [K.from_int(5), K.from_int(3)])
-    vm = verma(ms, psi, 0)
+    vm = TruncatedVerma(ms, psi, 0)
     assert oracle_singular_dims(vm)[(0, 0)] == vm.h_mod.dim
     assert SimpleQuotient(vm).singular_dims[(0, 0)] == vm.h_mod.dim
 
@@ -616,7 +617,7 @@ def test_simple_quotient_builds_one_span_per_weight(monkeypatch):
         setattr(CountingSpan, name, counted)
     monkeypatch.setattr(hwmod, "Span", CountingSpan)
     K, ms, ctx = _qn_setup(2)
-    vm = verma(ms, PsiFunctional(ctx, [K.one(), K.one()]), 6)
+    vm = TruncatedVerma(ms, PsiFunctional(ctx, [K.one(), K.one()]), 6)
     sq = SimpleQuotient(vm)
     assert sq.conclusive and sq.module.dim == 16
     assert kernels == [] and len(built) == len(vm._betas)
@@ -637,7 +638,7 @@ def _qn_setup(n):
 def test_simple_quotient_matches_residual_oracle_q2(psi_vals, depth):
     K, ms, ctx = _qn_setup(2)
     psi = PsiFunctional(ctx, [K.from_int(v) for v in psi_vals])
-    assert_same_quotient(verma(ms, psi, depth))
+    assert_same_quotient(TruncatedVerma(ms, psi, depth))
 
 
 @settings(max_examples=10, deadline=None)
@@ -647,7 +648,7 @@ def test_simple_quotient_matches_residual_oracle_q2(psi_vals, depth):
 def test_simple_quotient_matches_residual_oracle_q3(psi_vals, depth):
     K, ms, ctx = _qn_setup(3)
     psi = PsiFunctional(ctx, [K.from_int(v) for v in psi_vals])
-    vm = verma(ms, psi, depth)
+    vm = TruncatedVerma(ms, psi, depth)
     assume(vm.h_mod.dim == 4)   # Clifford rank 3
     assert_same_quotient(vm)
 
@@ -668,7 +669,7 @@ def test_simple_quotient_matches_residual_oracle_over_algebras(
     K = setup["K"]
     _, ms, ctx = setup[alg]
     psi = PsiFunctional(ctx, [K.from_int(v) for v in psi_vals])
-    assert_same_quotient(verma(ms, psi, depth))
+    assert_same_quotient(TruncatedVerma(ms, psi, depth))
 
 
 def test_conclusive_quotient_over_dual_numbers_matches_oracle(setup):
@@ -678,7 +679,7 @@ def test_conclusive_quotient_over_dual_numbers_matches_oracle(setup):
     K = setup["K"]
     _, ms, ctx = setup["dual"]
     psi = PsiFunctional(ctx, [K.from_int(v) for v in (1, 0, 1, 0)])
-    sq = assert_same_quotient(verma(ms, psi, 6))
+    sq = assert_same_quotient(TruncatedVerma(ms, psi, 6))
     assert sq.conclusive and sq.module.dim == 16
 
 
@@ -691,7 +692,7 @@ def test_conclusive_quotient_matches_oracle(psi_vals, depth, dim):
     and have the known dimension."""
     K, ms, ctx = _qn_setup(2)
     psi = PsiFunctional(ctx, [K.from_int(v) for v in psi_vals])
-    sq = assert_same_quotient(verma(ms, psi, depth))
+    sq = assert_same_quotient(TruncatedVerma(ms, psi, depth))
     assert sq.conclusive and sq.module.dim == dim
     assert sq.singular_dims[(0, 0)] == sq.verma.h_mod.dim
 
@@ -769,8 +770,8 @@ def test_blocks_match_per_h_oracle_dual_numbers_odd_rank():
         K, [K.zero(), K.zero(), K.one()], [(K.zero(), 2)]))
     ctx = CartanAlgebra(ms.qd, ms.coeff)
     omega = (K.adjoin_sqrt(K.from_int(-3)) - K.one()) * K.from_qi(1, 0, 2)
-    vm = verma(ms, PsiFunctional(ctx, [K.one(), omega, K.zero(), K.one()]),
-               3)
+    vm = TruncatedVerma(
+        ms, PsiFunctional(ctx, [K.one(), omega, K.zero(), K.one()]), 3)
     assert vm.h_mod.rank == 3 and vm.h_mod.dim == 4
     assert_blocks_match_per_h_oracle(vm)
 
@@ -779,6 +780,7 @@ def test_blocks_match_per_h_oracle_dual_numbers_odd_rank():
 def test_blocks_match_per_h_oracle_q3(psi_vals):
     """q(3) at Clifford rank 3, and psi = 0, where H(psi) is trivial."""
     K, ms, ctx = _qn_setup(3)
-    vm = verma(ms, PsiFunctional(ctx, [K.from_int(v) for v in psi_vals]), 3)
+    vm = TruncatedVerma(
+        ms, PsiFunctional(ctx, [K.from_int(v) for v in psi_vals]), 3)
     assert vm.h_mod.dim == (4 if any(psi_vals) else 1)
     assert_blocks_match_per_h_oracle(vm)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_ref import dense
+from queeralg.graded import EVEN
 from queeralg.liesuper import is_simple, is_solvable, subalgebra
 from queeralg.queer import build_q, build_q_tilde, cartan_generation_check
 from queeralg.scalars import Tower, raw_of
@@ -121,6 +122,27 @@ def test_cartan_generation_n1(K):
     assert not cartan_generation_check(q1)
 
 
+@pytest.mark.parametrize("n, diag", [
+    (2, [(2, 0, 1), (0, 1, 1), (-3, 0, 1)]),
+    (3, [(1, 0, 1), (2, 0, 1), (1, 0, 3), (0, 1, 1)])])
+def test_conj_automorphism_matches_dense_conjugation(K, n, diag):
+    """The diagonal map equals the coordinates of D x D^-1, conjugated
+    densely from each basis label, for D with distinct non-unit entries
+    (Gaussian entries given as (a, b, d) for (a + b i) / d)."""
+    qd = build_q(K, n)
+    d = [K.from_qi(*x) for x in diag]
+    sigma = qd.conj_automorphism(d)
+    assert sigma.parity == EVEN
+    want = {}
+    for k, label in enumerate(qd.space.labels):
+        parity, x = dense_unit(qd, label)
+        conj = [[d[i] * x[i][j] / d[j] for j in range(n + 1)]
+                for i in range(n + 1)]
+        want.update({(t, k): c
+                     for t, c in dense_coords(qd, conj, parity).items()})
+    assert sigma.entries == want
+
+
 def test_conj_automorphism(K, q2):
     sigma = q2.conj_automorphism([1, 1, -1])
     assert sigma * sigma == sigma * sigma * sigma * sigma  # sigma^2 = id on a sample
@@ -138,10 +160,44 @@ def test_conj_automorphism(K, q2):
         assert lhs == rhs
 
 
+def dense_unit(qd, label):
+    """(parity, dense Scalar matrix) of the basis vector with this label,
+    read off the label alone: h_k (or h'_k) is E_kk - E_{k+1,k+1}, and
+    e[i,j] (or e'[i,j]) is E_ij."""
+    tower, n1 = qd.tower, qd.n + 1
+    m = [[tower.zero()] * n1 for _ in range(n1)]
+    parity = 1 if "'" in label else 0
+    if label.startswith("h"):
+        k = int(label.strip("h'")) - 1
+        m[k][k], m[k + 1][k + 1] = tower.one(), -tower.one()
+    else:
+        i, j = (int(t) - 1 for t in label[label.index("[") + 1:-1].split(","))
+        m[i][j] = tower.one()
+    return parity, m
+
+
+def dense_coords(qd, m, parity):
+    """Coordinates of a traceless matrix in the block of the given parity,
+    keyed through the basis labels: off-diagonal entries row by row, then
+    the partial sums of the diagonal on h_1..h_n."""
+    n1, w = qd.n + 1, "'" if parity else ""
+    out = {qd.index[f"e{w}[{i + 1},{j + 1}]"]: m[i][j]
+           for i in range(n1) for j in range(n1)
+           if i != j and not m[i][j].is_zero}
+    acc = qd.tower.zero()
+    for k in range(qd.n):
+        acc = acc + m[k][k]
+        if not acc.is_zero:
+            out[qd.index[f"h{w}{k + 1}"]] = acc
+    assert (acc + m[qd.n][qd.n]).is_zero, "not traceless"
+    return out
+
+
 def dense_structure(qd):
-    """bk of q(n) by bracketing the dense Scalar matrices of qd.mats and
-    reading coordinates with coords_of_pair: the reference for the sparse
-    rational bracket build_q uses."""
+    """bk of q(n) by bracketing dense Scalar matrices built from the basis
+    labels (dense_unit) and reading their coordinates back
+    (dense_coords): the reference for the sparse rational bracket
+    build_q uses."""
     tower, n1 = qd.tower, qd.n + 1
 
     def mul(x, y):
@@ -155,22 +211,19 @@ def dense_structure(qd):
     def comb(x, y, sign):
         return [[a + sign * b for a, b in zip(r1, r2)] for r1, r2 in zip(x, y)]
 
+    units = [dense_unit(qd, label) for label in qd.space.labels]
     bk = []
-    for i, (ai, bi) in enumerate(qd.mats):
+    for pi, x in units:
         row = []
-        for j, (aj, bj) in enumerate(qd.mats):
-            pi, pj = qd.space.parity(i), qd.space.parity(j)
-            x, y = (ai if pi == 0 else bi), (aj if pj == 0 else bj)
+        for pj, y in units:
             if pi == pj == 1:
                 s = comb(mul(x, y), mul(y, x), 1)
                 shift = sum((s[t][t] for t in range(n1)), tower.zero()) / n1
                 for t in range(n1):
                     s[t][t] = s[t][t] - shift
-                row.append(qd.coords_of_pair(s, None))
-            elif pi == pj:
-                row.append(qd.coords_of_pair(comb(mul(x, y), mul(y, x), -1), None))
             else:
-                row.append(qd.coords_of_pair(None, comb(mul(x, y), mul(y, x), -1)))
+                s = comb(mul(x, y), mul(y, x), -1)
+            row.append(dense_coords(qd, s, pi ^ pj))
         bk.append(row)
     return bk
 
