@@ -272,14 +272,9 @@ def _table_product(table, u: dict, v: dict) -> dict:
     """sum_{i,j} u_i v_j table[i][j] over a structure table (table[i][j]
     the coordinate dict of the product of basis elements i and j), with
     the entries that cancel dropped."""
-    out: dict = {}
-    for i, a in u.items():
-        row = table[i]
-        for j, b in v.items():
-            c = a * b
-            if c.co:
-                add_entries(out, [(k, c * s) for k, s in row[j].items()])
-    return out
+    pairs = ((table[i][j], a * b) for i, a in u.items() for j, b in v.items())
+    return add_entries({}, ((k, c * s) for row, c in pairs if c.co
+                            for k, s in row.items()))
 
 
 def _by_row(entries) -> dict:

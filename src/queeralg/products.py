@@ -8,13 +8,12 @@ from dataclasses import dataclass
 
 from .assocsuper import _raw_products, density_type_from_maps, make_Q
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, add_entries, kernel,
-                     odd_schur, solve_columns)
-from .coeffalg import GammaAction
+                     mat_kernel, odd_schur, solve_columns)
+from .coeffalg import GammaAction, IdealRep
 from .hwmod import is_irreducible_hw
 from .liesuper import (WeightModule, direct_sum, from_assoc,
                        is_isomorphic_weight, weight_sort_key)
-from .mapsuper import (EvMap, InvariantSub, MapSuper, ann_and_support,
-                       ev_rank, invariants)
+from .mapsuper import EvMap, InvariantSub, MapSuper, ev_rank, invariants
 from .queer import QueerData
 from .scalars import Tower, raw_of
 
@@ -489,17 +488,6 @@ class Catalog:
             e["schur"] = _solve_weight_schur(e["module"])
         return e["schur"]
 
-    def match_class(self, module: WeightModule):
-        """Name of the catalog entry isomorphic to the module, or None."""
-        for name in self.names():
-            cand = self.entries[name]["module"]
-            if cand.dim != module.dim:
-                continue
-            ok, _ = is_isomorphic_weight(cand, module)
-            if ok:
-                return name
-        return None
-
 
 def twist_q_module(m: WeightModule, qd: QueerData,
                    tau: GradedMap) -> WeightModule:
@@ -530,40 +518,28 @@ def ev_pullback(ms: MapSuper, points, m: WeightModule) -> WeightModule:
 def ev_hat(ms: MapSuper, assignment: dict, catalog: Catalog):
     """The irreducible product of evaluation modules for a finitely
     supported assignment {point index: catalog name}, over
-    (+)_{x in S} q = ms.point_sum(|S|), where S = audit["points"] lists
-    the points of nontrivial class in increasing order.  The class at the
-    t-th point of S acts on copy t, pulled back along the projection onto
-    it, so for one point the row is the catalog module itself, and with
-    no point it is the trivial q-module.  ev_pullback(ms, S, module) is
-    the module over q (x) A.
-
-    Returns (module, audit) where audit records per-factor Schur types
-    and each split decision."""
+    (+)_{x in S} q = ms.point_sum(|S|), where S lists the points of
+    nontrivial class in increasing order.  The class at the t-th point of
+    S acts on copy t, pulled back along the projection onto it, so for one
+    point the row is the catalog module itself, and with no point it is
+    the trivial q-module.  ev_pullback(ms, S, module) is the module over
+    q (x) A.  Returns (module, S)."""
     points = sorted(k for k, name in assignment.items() if name != "trivial")
-    audit = {"points": points, "factors": [], "splits": []}
     if not points:
-        audit["schur_result_q"] = False
-        return trivial_q_module(ms.qd), audit
+        return trivial_q_module(ms.qd), points
     alg = ms.point_sum(len(points))
-    cur = None
-    cur_schur = None
+    cur = cur_schur = None
     for t, p in enumerate(points):
         name = assignment[p]
         rho = catalog.module(name)
         factor = _on_copy(rho, alg, t * rho.algebra.dim)
         s = catalog.weight_schur(name)
-        audit["factors"].append({"point": p, "class": name,
-                                 "schur_q": s.is_type_q, "dim": rho.dim})
         if cur is None:
             cur, cur_schur = factor, s
             continue
-        nxt, info = hat_tensor_weight(cur, factor, cur_schur, s)
-        audit["splits"].append({"split": info["split"],
-                                "dims": (cur.dim, factor.dim, nxt.dim)})
-        cur = nxt
+        cur, info = hat_tensor_weight(cur, factor, cur_schur, s)
         cur_schur = info["result_schur"]
-    audit["schur_result_q"] = cur_schur.is_type_q if cur_schur else False
-    return cur, audit
+    return cur, points
 
 
 def restrict_to_invariants(m: WeightModule, inv: InvariantSub) -> WeightModule:
@@ -615,7 +591,6 @@ class ClassificationRow:
     graded_dims: tuple
     irreducible: bool
     schur_types: list
-    ann_key: tuple
     ann_basis: list
     support: list
     reduced: bool
@@ -624,34 +599,20 @@ class ClassificationRow:
 
 def classify_enumerate(ms: MapSuper, catalog: Catalog,
                        inv: InvariantSub | None = None) -> dict:
-    """Build every equivariant finitely supported assignment over the
-    catalog, certify each module irreducible by the highest-weight
-    criterion, and assert pairwise non-isomorphism.  Aborts with a
-    counterexample on any failed assertion.
+    """Every equivariant finitely supported assignment over the catalog,
+    each row read off the data of its classes.  inv holds the invariants
+    of a free action; without it the group is trivial.
 
-    inv holds the invariants (q (x) A)^Gamma of a free action; without
-    it the run is the run under the trivial group, whose orbits are the
-    single points and whose averaged elements are the basis of q (x) A.
-    Every catalog class must be stable under the group twist to extend
-    equivariantly over an orbit (verified, not assumed), which makes the
-    assignments constant on orbits exactly the equivariant ones.
-
-    Each row is built by ev_hat over (+)_{x in S} q from the classes at
-    the orbit representatives reps (the smallest index of each orbit), S
-    its points of nontrivial class, and stands for its pullback along
-    evaluation ev at S, a module over the invariants.  The run first
-    checks, exactly and once, that ev maps the invariants onto
-    (+)_reps q (AssertionError naming reps otherwise), hence onto
-    (+)_S q for every S inside reps.  So both algebras act on a row by
-    the same set of operators, and (1) the submodules are the same: the
-    criterion over the triangular split of the row's algebra, (+)_S q (q
-    itself when |S| <= 1), certifies the pullback irreducible; (2) the
-    Hom spaces are the same, and rows with equal keys have one
-    annihilator, hence one support, one S and one algebra, so the
-    non-isomorphism sweep compares the rows themselves; (3) the
-    annihilator is read off the ev images of the averaged elements that
-    span the invariants, mapped once per run and cut down to S for each
-    row."""
+    Certificate, checked exactly once per run: every class is stable
+    under the group twist, so the equivariant assignments are those
+    constant on orbits; evaluation at the orbit representatives reps maps
+    the invariants onto (+)_reps q; each entry is certified irreducible
+    (Catalog.weight_schur); and the classes are pairwise non-isomorphic
+    (AssertionError naming both entries otherwise).  The theorem then
+    makes each row, the (x)^-product over (+)_S q of the classes at S,
+    the reps of nontrivial class, an irreducible module, distinct rows
+    non-isomorphic, and its annihilator the kernel of evaluation at its
+    support."""
     names = catalog.names()
     if inv is None:
         inv = invariants(ms, GammaAction(ms.tower, []))
@@ -676,54 +637,52 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
         what = "of the invariants at the orbit representatives" if twisted \
             else "at the points"
         raise AssertionError(f"evaluation {what} {reps} is not onto")
-    emap = EvMap(ms, reps)
-    images = [emap.apply(v) for v in inv.averaged]
-    built = []
+    # per class: graded dims, Schur type (certified first), top weight
+    classes = {}
+    for name in names:
+        mod, is_q = catalog.module(name), catalog.weight_schur(name).is_type_q
+        classes[name] = (mod.graded_dims(), is_q, mod.maximal_weights()[0])
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            if classes[a][0] == classes[b][0] and is_isomorphic_weight(
+                    catalog.module(a), catalog.module(b))[0]:
+                raise AssertionError(f"catalog entries {a!r} and {b!r} are "
+                                     "isomorphic")
+    tower, coeff = ms.tower, ms.coeff
+    zero_w = tuple(tower.zero() for _ in range(ms.qd.n))
     for assign in _assignments(orbits, names):
-        module, audit = ev_hat(ms, {p: assign[p] for p in reps}, catalog)
-        on_s = audit["points"]
-        ann, supp, reduced = ann_and_support(
-            module, ms, _cut_to(images, reps, on_s, ms.g.dim))
-        why = {}
-        if not is_irreducible_hw(module, why):
-            raise AssertionError(f"module for {assign} failed the "
-                                 f"irreducibility criterion ({why['reason']})")
-        top = module.maximal_weights()[0]
-        ne, no = module.graded_dims()
-        row = ClassificationRow(
-            assignment=dict(assign), dim=module.dim, graded_dims=(ne, no),
-            irreducible=True,
-            schur_types=[f["schur_q"] for f in audit["factors"]],
-            ann_key=ann.key(),
+        factors = [classes[assign[p]] for p in sorted(reps)
+                   if assign[p] != "trivial"]
+        ne, no = _hat_graded_dims((dims, is_q) for dims, is_q, _ in factors)
+        top = zero_w
+        for _, _, w in factors:
+            top = tuple(a + b for a, b in zip(top, w))
+        supp = sorted(p for p, c in assign.items() if c != "trivial")
+        ann = IdealRep(coeff, mat_kernel(
+            ({k: c for k, c in enumerate(coeff.eval_functionals[p]) if c.co}
+             for p in supp), coeff.dim, tower))
+        report["rows"].append(ClassificationRow(
+            assignment=dict(assign), dim=ne + no, graded_dims=(ne, no),
+            irreducible=True, schur_types=[f[1] for f in factors],
             ann_basis=[[str(x) for x in v] for v in ann.basis],
-            support=supp, reduced=reduced,
-            top_weight=tuple(str(x) for x in top))
-        report["rows"].append(row)
-        built.append((assign, module, row))
-    # pairwise non-isomorphism
-    for i in range(len(built)):
-        for j in range(i + 1, len(built)):
-            ai, mi, ri = built[i]
-            aj, mj, rj = built[j]
-            if (ri.dim, ri.ann_key, ri.graded_dims) != \
-                    (rj.dim, rj.ann_key, rj.graded_dims):
-                continue  # separated by invariants
-            ok, _ = is_isomorphic_weight(mi, mj)
-            if ok:
-                raise AssertionError(
-                    f"distinct assignments {ai} and {aj} gave isomorphic "
-                    "modules")
+            support=supp, reduced=True,
+            top_weight=tuple(str(x) for x in top)))
     report["pairwise_distinct"] = True
     return report
 
 
-def _cut_to(images, reps, points, n: int) -> list:
-    """Vectors over (+)_reps g cut down to (+)_points g, for points
-    inside reps and g of dimension n: copy t moves to copy s where
-    points[s] = reps[t], and the other copies are dropped."""
-    move = {reps.index(p): s for s, p in enumerate(points)}
-    return [{move[i // n] * n + i % n: c for i, c in v.items()
-             if i // n in move} for v in images]
+def _hat_graded_dims(factors) -> tuple:
+    """Graded dimensions of the (x)^-product of modules given as (graded
+    dims, type Q?) in product order: the parity convolution, halved at
+    every second type-Q factor, as hat_tensor_weight splits each such
+    pair and leaves a type-M product."""
+    ne, no, pending_q = 1, 0, False
+    for (e, o), is_q in factors:
+        ne, no = ne * e + no * o, ne * o + no * e
+        if is_q and pending_q:
+            ne, no = ne // 2, no // 2
+        pending_q ^= is_q
+    return ne, no
 
 
 def _assignments(groups, names):

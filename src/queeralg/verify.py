@@ -451,8 +451,8 @@ def suite_products(seed: int) -> Checks:
         ck.add("disjoint-support tensor dichotomy (irreducible branch)",
                is_irreducible_hw(full), f"dim {full.dim}")
 
-    row, audit = ev_hat(ms2, {0: "adjoint", 1: "adjoint"}, cat)
-    got = top_psi(ev_pullback(ms2, audit["points"], row), ms2, ctx2)
+    row, points = ev_hat(ms2, {0: "adjoint", 1: "adjoint"}, cat)
+    got = top_psi(ev_pullback(ms2, points, row), ms2, ctx2)
     expect = PsiFunctional.evaluation(ctx2, 0, [1, 1]) + \
         PsiFunctional.evaluation(ctx2, 1, [1, 1])
     ck.add("top character of the two-point product is the sum", got == expect)

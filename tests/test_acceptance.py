@@ -226,8 +226,8 @@ def test_criterion_6_quasifinite_equivalences():
     ctx2 = CartanAlgebra(qd, a2)
     for assign in ({0: "adjoint"}, {1: "adjoint"},
                    {0: "adjoint", 1: "adjoint"}):
-        row, audit = ev_hat(ms2, assign, cat)
-        modules.append((ev_pullback(ms2, audit["points"], row), ms2, ctx2))
+        row, points = ev_hat(ms2, assign, cat)
+        modules.append((ev_pullback(ms2, points, row), ms2, ctx2))
     # evaluation products over the four-point algebra
     a4 = _four_point(K)
     ms4 = tensor_lie(qd, a4)
@@ -235,8 +235,8 @@ def test_criterion_6_quasifinite_equivalences():
     for assign in ({0: "adjoint"}, {1: "adjoint"}, {2: "adjoint"},
                    {0: "adjoint", 1: "adjoint"},
                    {0: "adjoint", 2: "adjoint"}):
-        row, audit = ev_hat(ms4, assign, cat)
-        modules.append((ev_pullback(ms4, audit["points"], row), ms4, ctx4))
+        row, points = ev_hat(ms4, assign, cat)
+        modules.append((ev_pullback(ms4, points, row), ms4, ctx4))
     assert len(modules) == 10
 
     for mod, ms, ctx in modules:
@@ -268,8 +268,8 @@ def test_criterion_7_evaluation_section_suite():
             full = tensor_same_algebra(adx, ady)
             assert is_irreducible_hw(full)
         # top-character additivity
-        row, audit = ev_hat(ms, {pts[0]: "adjoint", pts[1]: "adjoint"}, cat)
-        got = top_psi(ev_pullback(ms, audit["points"], row), ms, ctx)
+        row, points = ev_hat(ms, {pts[0]: "adjoint", pts[1]: "adjoint"}, cat)
+        got = top_psi(ev_pullback(ms, points, row), ms, ctx)
         expect = PsiFunctional.evaluation(ctx, pts[0], [1, 1]) + \
             PsiFunctional.evaluation(ctx, pts[1], [1, 1])
         assert got == expect

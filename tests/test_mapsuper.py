@@ -2,17 +2,17 @@ import random
 
 import pytest
 
-import queeralg.products as products
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
 from queeralg.coeffalg import (IdealRep, gamma_from_spec, preset_base_field,
                                preset_truncated, radical, support)
+from classify_ref import reference_rows
 from dense_ref import ad_map, mat_mul, rank, sparse
 from queeralg.graded import GradedMap, GradedSpace, mat_kernel
 from queeralg.liesuper import (LieSuper, WeightModule, basis_subalgebra,
                                subalgebra)
 from queeralg.mapsuper import (EvMap, ann_and_support, ev_rank,
                                gamma_element_action, invariants, tensor_lie)
-from queeralg.products import Catalog, classify_enumerate, ev_hat, ev_pullback
+from queeralg.products import Catalog, classify_enumerate, ev_pullback
 from queeralg.queer import build_q
 from queeralg.scalars import Tower, raw_of
 
@@ -516,35 +516,28 @@ def test_ann_is_the_largest_ideal_inside_J(K):
 
 
 @pytest.mark.parametrize("r", [None, 2, 3, 4])
-def test_classify_annihilators_match_oracle(monkeypatch, r):
+def test_classify_annihilators_match_oracle(r):
     """Every row of twisted classify at r = 2, 3, 4 (q(2) over
     K[t]/(t^4 - r^4), t -> -t with diag_conj (1, 1, -1)) and of the
-    untwisted two-point classify gets the oracle's annihilator of its
-    pullback to g (x) A."""
+    untwisted two-point classify: the reference construction's
+    annihilator of the built row is the oracle's annihilator of its
+    pullback to g (x) A, and classify's row reads the same annihilator,
+    support and reducedness."""
     K = Tower()
     q2 = build_q(K, 2)
     a = two_point(K) if r is None else four_point(K, r)
     ms = tensor_lie(q2, a)
     inv = None if r is None else invariants(ms, flip_action(
         K, a, q2, {"type": "diag_conj", "diag": ["1", "1", "-1"]}))
-    calls, points = [], []
-
-    def recorded(*args):
-        row, audit = ev_hat(*args)
-        points.append(audit["points"])
-        return row, audit
-
-    def checked(module, where, images):
-        got = ann_and_support(module, where, images)
+    cat = Catalog(q2)
+    rows = classify_enumerate(ms, cat, inv=inv)["rows"]
+    ref = reference_rows(ms, cat, inv)
+    assert len(rows) == len(ref) == 4
+    for row, (_, module, points, got) in zip(rows, ref):
         # the row is over the copies of q at its points: the oracle reads
         # its pullback along evaluation there, a module over g (x) A
-        pulled = ev_pullback(ms, points[-1], module)
+        pulled = ev_pullback(ms, points, module)
         assert_same_ann(got, oracle_ann(pulled, ms) if inv is None
                         else oracle_ann_gamma(pulled, inv))
-        calls.append(got[0].dim)
-        return got
-
-    monkeypatch.setattr(products, "ev_hat", recorded)
-    monkeypatch.setattr(products, "ann_and_support", checked)
-    rep = classify_enumerate(ms, Catalog(q2), inv=inv)
-    assert len(calls) == len(rep["rows"]) == 4
+        assert row.ann_basis == [[str(x) for x in v] for v in got[0].basis]
+        assert (row.support, row.reduced) == got[1:]

@@ -8,7 +8,8 @@ import queeralg.mapsuper as mapsuper
 import queeralg.products as products
 from queeralg.assocsuper import density_type_from_maps, make_Q
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
-from queeralg.coeffalg import gamma_from_spec, preset_truncated
+from queeralg.coeffalg import (algebra_from_spec, gamma_from_spec,
+                               preset_truncated)
 from queeralg.graded import (EVEN, ODD, GradedMap, GradedSpace, Span,
                              commutant, homogeneous_entries, nonzero_entries,
                              odd_schur)
@@ -25,6 +26,8 @@ from queeralg.products import (Catalog, WeightSchur, adjoint_q_module,
                                weight_schur_data)
 from queeralg.queer import build_q
 from queeralg.scalars import Tower
+
+from classify_ref import reference_rows
 
 
 @pytest.fixture(scope="module")
@@ -376,9 +379,9 @@ def test_classify_builds_entry_blocks_only(tmp_path, monkeypatch, capsys,
     """classify over two points, and over four points under t -> -t with
     diag_conj (1, 1, -1), fills no dense zero matrix in any module (every
     binding of zero_rows refuses: group validation, invariants,
-    evaluation rank, twist check and annihilator radicals included), and
-    every module it certifies (the catalog's adjoint entry and each row)
-    holds the block form."""
+    evaluation rank, twist check and catalog checks included), and every
+    module it certifies, the catalog's trivial and adjoint entries and no
+    row, holds the block form."""
     import json
     from queeralg.cli import main
     seen = []
@@ -406,7 +409,7 @@ def test_classify_builds_entry_blocks_only(tmp_path, monkeypatch, capsys,
                                    "roots": ["1", "-1"]}))
     assert main(args) == 0
     assert capsys.readouterr().err == ""
-    assert sorted(seen) == [1, 16, 16, 16, 256]
+    assert sorted(seen) == [1, 16]
 
 
 def test_products_and_quotient_hold_entry_blocks(env):
@@ -442,9 +445,9 @@ def test_ev_module_and_ann(env):
 
 def test_ev_hat_trivial_everywhere(env):
     ms, cat = env["ms"], env["cat"]
-    mod, audit = ev_hat(ms, {}, cat)
+    mod, points = ev_hat(ms, {}, cat)
     assert mod.dim == 1
-    assert not audit["points"]
+    assert not points
 
 
 def test_prop_irred_tensor_dichotomy(env):
@@ -470,8 +473,8 @@ def test_prop_irred_tensor_dichotomy(env):
 def test_top_character_additivity(env):
     K, q2, A, ms, cat = env["K"], env["q2"], env["A"], env["ms"], env["cat"]
     ctx = CartanAlgebra(q2, A)
-    row, audit = ev_hat(ms, {0: "adjoint", 1: "adjoint"}, cat)
-    psi = top_psi(ev_pullback(ms, audit["points"], row), ms, ctx)
+    row, points = ev_hat(ms, {0: "adjoint", 1: "adjoint"}, cat)
+    psi = top_psi(ev_pullback(ms, points, row), ms, ctx)
     expect = PsiFunctional.evaluation(ctx, 0, [1, 1]) + \
         PsiFunctional.evaluation(ctx, 1, [1, 1])
     assert psi == expect
@@ -626,16 +629,16 @@ def test_evaluation_invariance_under_group(env):
 
 def test_ev_hat_gamma_irreducible(env):
     """The equivariant row: ev_hat at the orbit representatives of an
-    assignment constant on orbits, as classify builds it."""
+    assignment constant on orbits, as the classify reference builds it."""
     q2, cat = env["q2"], env["cat"]
     _, ms4, _, inv = gamma_env(env)
     assign = {0: "adjoint", 1: "adjoint", 2: "trivial", 3: "trivial"}
     reps = [min(orbit) for orbit in inv.gamma_report["orbits"]]
     assert reps == [0, 2]
-    row, audit = ev_hat(ms4, {p: assign[p] for p in reps}, cat)
+    row, points = ev_hat(ms4, {p: assign[p] for p in reps}, cat)
     # one point: the row is the catalog class itself, over q
     assert row is cat.module("adjoint")
-    assert audit["points"] == [0]
+    assert points == [0]
     untw = ev_pullback(ms4, [0], row)
     assert untw.algebra is ms4.algebra
     assert is_irreducible_hw(untw)
@@ -669,40 +672,24 @@ def _counted(monkeypatch, name, calls):
 
 
 def test_classify_twisted(env, monkeypatch):
-    """One surjectivity check per run, and one criterion per row, right
-    after the row is built, on a row over that row's sum of copies of q
-    (q itself for at most one point), whose split the criterion reads."""
-    cat, q2 = env["cat"], env["q2"]
+    """One surjectivity check per run, and the criterion once per catalog
+    entry, each over q itself: no row is built or certified."""
+    q2 = env["q2"]
+    cat = Catalog(q2)
     _, ms4, _, inv = gamma_env(env)
     calls: dict = {}
-    _counted(monkeypatch, "ev_rank", calls)
-    events = []
-    for name in ("ev_hat", "is_irreducible_hw"):
-        fn = getattr(products, name)
-
-        def wrapped(*args, _fn=fn, _name=name):
-            out = _fn(*args)
-            events.append((_name, args, out))
-            return out
-        monkeypatch.setattr(products, name, wrapped)
+    for name in ("ev_rank", "is_irreducible_hw"):
+        _counted(monkeypatch, name, calls)
     rep = classify_enumerate(ms4, cat, inv=inv)
     assert rep["twisted"] and len(rep["rows"]) == 4
     dims = sorted(r.dim for r in rep["rows"])
     assert dims[:3] == [1, 16, 16] and dims[3] in (128, 256)
     assert rep["pairwise_distinct"]
     assert calls["ev_rank"] == [(ms4, [0, 2], inv.averaged)]
-    rows = [k for k, e in enumerate(events) if e[0] == "ev_hat"]
-    assert len(rows) == 4
-    for k in rows:
-        row, audit = events[k][2]
-        name, (module, *_), verdict = events[k + 1]
-        copies = max(len(audit["points"]), 1)
-        assert name == "is_irreducible_hw" and module is row and verdict
-        assert row.algebra is ms4.point_sum(copies)
-    # the other calls certify catalog entries over q itself
-    others = [e[1][0].algebra for k, e in enumerate(events)
-              if e[0] == "is_irreducible_hw" and k - 1 not in rows]
-    assert all(a is q2.algebra for a in others)
+    certified = [args[0] for args in calls["is_irreducible_hw"]]
+    assert sorted(map(id, certified)) == \
+        sorted(id(cat.module(name)) for name in cat.names())
+    assert all(m.algebra is q2.algebra for m in certified)
 
 
 def test_criterion_refuses_an_algebra_without_a_split(env):
@@ -839,9 +826,10 @@ def _assert_same_module(got, want):
 
 @pytest.mark.parametrize("twisted", [False, True])
 def test_classify_rows_pull_back_to_the_q_tensor_a_modules(env, twisted):
-    """Every row of untwisted two-point and twisted four-point classify,
-    pulled back along evaluation at its points, is block for block the
-    module that the reference construction builds over q (x) A."""
+    """Every row ev_hat builds at the orbit representatives for untwisted
+    two-point and twisted four-point classify (the classify reference's
+    rows), pulled back along evaluation at its points, is block for block
+    the module that the reference construction builds over q (x) A."""
     cat = env["cat"]
     if twisted:
         _, ms, _, inv = gamma_env(env)
@@ -851,8 +839,7 @@ def test_classify_rows_pull_back_to_the_q_tensor_a_modules(env, twisted):
     reps = [min(group) for group in groups]
     seen = 0
     for assign in products._assignments(groups, cat.names()):
-        row, audit = ev_hat(ms, {p: assign[p] for p in reps}, cat)
-        points = audit["points"]
+        row, points = ev_hat(ms, {p: assign[p] for p in reps}, cat)
         assert row.algebra is ms.point_sum(max(len(points), 1))
         want = _parent_row(ms, {p: assign[p] for p in points}, cat)
         _assert_same_module(ev_pullback(ms, points, row), want)
@@ -861,21 +848,28 @@ def test_classify_rows_pull_back_to_the_q_tensor_a_modules(env, twisted):
 
 
 def test_classify_builds_nothing_over_q_tensor_a(env, monkeypatch):
-    """Work guard: classify pulls no class back to q (x) A (ev_pullback)
-    and multiplies no modules over q (x) A (tensor_same_algebra),
-    untwisted or twisted."""
-    def refuse(*args):
-        raise AssertionError("ev_pullback was called")
-    monkeypatch.setattr(products, "ev_pullback", refuse)
+    """Work guard: classify builds no module, untwisted or twisted.  It
+    calls none of ev_pullback, ev_hat, hat_tensor_weight,
+    tensor_same_algebra or ann_and_support, and tests isomorphism only in
+    the twist check (once per class and non-identity element) and
+    between catalog entries of equal graded dimensions (none here)."""
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+        return call
+    for name in ("ev_pullback", "ev_hat", "hat_tensor_weight",
+                 "tensor_same_algebra"):
+        monkeypatch.setattr(products, name, refuse(name))
+    monkeypatch.setattr(mapsuper, "ann_and_support", refuse("ann_and_support"))
+    assert not hasattr(products, "ann_and_support")
+    calls: dict = {}
+    _counted(monkeypatch, "is_isomorphic_weight", calls)
     _, ms4, _, inv = gamma_env(env)
-    tensor = products.tensor_same_algebra
-    for ms, where in ((env["ms"], None), (ms4, inv)):
-        def guarded(m1, m2, _ms=ms):
-            assert m1.algebra is not _ms.algebra, "product over q (x) A"
-            return tensor(m1, m2)
-        monkeypatch.setattr(products, "tensor_same_algebra", guarded)
-        rep = classify_enumerate(ms, env["cat"], inv=where)
+    for ms, where, twists in ((env["ms"], None, 0), (ms4, inv, 2)):
+        calls.clear()
+        rep = classify_enumerate(ms, Catalog(env["q2"]), inv=where)
         assert len(rep["rows"]) == 4
+        assert len(calls.get("is_isomorphic_weight", [])) == twists
 
 
 def test_classify_trivial_catalog(env):
@@ -884,6 +878,93 @@ def test_classify_trivial_catalog(env):
     cat.entries.pop("adjoint")
     rep = classify_enumerate(ms, cat)
     assert len(rep["rows"]) == 1 and rep["rows"][0].dim == 1
+
+
+def _four_point_spec(r):
+    return {"type": "poly_quotient",
+            "modulus": [str(-r ** 4), "0", "0", "0", "1"],
+            "roots": [str(r), str(-r), f"{r}*i", f"-{r}*i"]}
+
+
+def _group_spec(diag, order=2, scale="-1"):
+    return {"generators": [{
+        "order": order, "on_algebra": {"type": "substitute_t", "scale": scale},
+        "on_q": {"type": "diag_conj", "diag": list(diag)}}]}
+
+
+# (n, algebra, group): the inputs of the classify goldens, the
+# non-reduced K[t]/(t^2 (t - 1)), and twisted q(3) over four points
+CLASSIFY_INPUTS = {
+    "twisted4_r2": (2, _four_point_spec(2), _group_spec(("1", "1", "-1"))),
+    "twisted4_r3": (2, _four_point_spec(3), _group_spec(("1", "1", "-1"))),
+    "twisted4_r4": (2, _four_point_spec(4), _group_spec(("1", "1", "-1"))),
+    "two_point": (2, {"type": "poly_quotient", "modulus": ["-1", "0", "1"],
+                      "roots": ["1", "-1"]}, None),
+    "z4_r3": (2, _four_point_spec(3),
+              _group_spec(("1", "1", "-1"), order=4, scale="i")),
+    "cusp": (2, {"type": "poly_quotient", "modulus": ["0", "0", "-1", "1"],
+                 "roots": [["0", 2], "1"]}, None),
+    "twisted_q3": (3, _four_point_spec(2),
+                   _group_spec(("1", "1", "1", "-1"))),
+}
+
+
+@pytest.mark.parametrize("which", sorted(CLASSIFY_INPUTS))
+def test_classify_rows_match_the_reference(which):
+    """Every row classify reads off per-class data equals, field by
+    field, the row of the reference construction: ev_hat at the orbit
+    representatives, the criterion, ann_and_support on the evaluated
+    invariants and the pairwise Hom sweep."""
+    n, algebra, group = CLASSIFY_INPUTS[which]
+    K = Tower()
+    qd = build_q(K, n)
+    a = algebra_from_spec(K, algebra)
+    ms = tensor_lie(qd, a)
+    inv = None if group is None else \
+        invariants(ms, gamma_from_spec(K, group, a, qd))
+    cat = Catalog(qd)
+    got = classify_enumerate(ms, cat, inv=inv)["rows"]
+    want = reference_rows(ms, cat, inv)
+    assert [vars(r) for r in got] == [vars(r) for r, *_ in want]
+
+
+@pytest.mark.parametrize("factors", ["qone,qone", "qone,qone,qone",
+                                     "adjoint,qone,qone"])
+def test_hat_graded_dims_matches_the_built_products(factors):
+    """The rule classify reads graded dimensions by, the parity
+    convolution halved at every second type-Q factor, against the product
+    that decompose builds over the direct sum."""
+    from queeralg.cli import _decompose_factor
+    K = Tower()
+    cat = Catalog(build_q(K, 2))
+    built = [_decompose_factor(K, cat, name) for name in factors.split(",")]
+    cur, cur_s = built[0]
+    for m, s in built[1:]:
+        cur, info = hat_tensor_weight(*outer_factors(cur, m, cur_s, s))
+        cur_s = info["result_schur"]
+    assert products._hat_graded_dims(
+        (m.graded_dims(), s.is_type_q) for m, s in built) == cur.graded_dims()
+
+
+def test_classify_untwisted_four_point_q4():
+    """Untwisted four-point q(4) completes with 16 rows; the largest, the
+    product of four adjoints, has dimension 48^4 and is never built."""
+    K = Tower()
+    q4 = build_q(K, 4)
+    ms = tensor_lie(q4, algebra_from_spec(K, _four_point_spec(2)))
+    rep = classify_enumerate(ms, Catalog(q4))
+    dims = sorted(r.dim for r in rep["rows"])
+    assert len(dims) == 16 and dims[-1] == 48 ** 4 == 5_308_416
+
+
+def test_classify_refuses_isomorphic_catalog_entries(env):
+    """A catalog that holds the adjoint twice, under two names, is
+    refused with both names."""
+    cat = Catalog(env["q2"])
+    cat.add("adjoint2", adjoint_q_module(env["q2"]))
+    with pytest.raises(AssertionError, match="catalog entries 'adjoint' and "
+                                             "'adjoint2' are isomorphic"):
+        classify_enumerate(env["ms"], cat)
 
 
 def test_h_psi_rebuilt_isomorphic(env):
