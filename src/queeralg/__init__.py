@@ -29,7 +29,7 @@ from .cartanmod import (CartanAlgebra, CliffordData, HModule, PsiFunctional,
 from .hwmod import (SimpleQuotient, TruncatedVerma, check_psi0_ideal,
                     is_irreducible_hw, simple_quotient, top_psi)
 from .products import (Catalog, WeightSchur, assoc_check, classify_enumerate,
-                       ev_hat, ev_pullback, hat_tensor_weight, outer_factors,
+                       ev_pullback, hat_tensor_weight, outer_factors,
                        pullback, q1_module, tensor_same_algebra,
                        trivial_q_module, adjoint_q_module, weight_schur_data)
 

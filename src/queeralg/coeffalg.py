@@ -134,11 +134,6 @@ class IdealRep:
         return (isinstance(other, IdealRep) and self.dim == other.dim
                 and self.is_subideal_of(other))
 
-    def key(self):
-        """Canonical hashable form (the RREF rows): equal ideals have equal
-        keys whatever generators built them."""
-        return tuple(tuple(x.sort_key() for x in row) for row in self.basis)
-
     def verify(self):
         one = self.algebra.tower.one()
         for v in self.vectors:
@@ -246,6 +241,9 @@ def algebra_from_spec(tower: Tower, spec: dict) -> CoeffAlgebra:
     kind = spec.get("type")
     if kind != "poly_quotient":
         raise ValueError(f"unknown algebra preset type {kind!r}")
+    for key in ("modulus", "roots"):
+        if not isinstance(spec[key], list):
+            raise ValueError(f"{key} must be a JSON list, not {spec[key]!r}")
     modulus = [scalar_from_json(tower, c) for c in spec["modulus"]]
     roots = []
     for entry in spec["roots"]:

@@ -21,8 +21,8 @@ class LieSuper:
 
     triangular is the (raising, cartan, lowering) triple of basis index
     lists that the highest-weight criterion reads, or None for an algebra
-    with no such split: q(n) sets it, and q (x) A, a relabeling and a
-    direct sum carry it over."""
+    with no such split: q(n) sets it, and q (x) A and a relabeling carry
+    it over."""
 
     def __init__(self, tower: Tower, space: GradedSpace, bk, name: str = "",
                  raw_bk=None, triangular=None):
@@ -175,9 +175,8 @@ def basis_subalgebra(g: LieSuper, indices, name: str = "") -> LieSuper:
 
 def direct_sum(g1: LieSuper, g2: LieSuper, name: str = "") -> LieSuper:
     """External direct sum; basis of g1 first, then g2 (each keeps its own
-    even-before-odd order, so the global order is blockwise).  Each piece
-    of the triangular split is g1's followed by g2's, offset by dim g1;
-    the sum has none unless both summands have one."""
+    even-before-odd order, so the global order is blockwise).  It has no
+    triangular split."""
     tower = g1.tower
     n1, n2 = g1.dim, g2.dim
     labels = tuple(f"l.{x}" for x in g1.space.labels) + \
@@ -191,12 +190,7 @@ def direct_sum(g1: LieSuper, g2: LieSuper, name: str = "") -> LieSuper:
     for i in range(n2):
         for j in range(n2):
             bk[n1 + i][n1 + j] = {n1 + k: s for k, s in g2.bk[i][j].items()}
-    tri = None
-    if g1.triangular is not None and g2.triangular is not None:
-        tri = tuple(p1 + [n1 + k for k in p2]
-                    for p1, p2 in zip(g1.triangular, g2.triangular))
-    return LieSuper(tower, space, bk,
-                    name=name or f"{g1.name}(+){g2.name}", triangular=tri)
+    return LieSuper(tower, space, bk, name=name or f"{g1.name}(+){g2.name}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from functools import cached_property
 from .coeffalg import (CoeffAlgebra, GammaAction, IdealRep, gamma_validate,
                        radical, support)
 from .graded import GradedMap, GradedSpace, Span, add_entries, mat_kernel
-from .liesuper import LieSuper, direct_sum, subalgebra
+from .liesuper import LieSuper, subalgebra
 from .queer import QueerData
 from .scalars import Tower
 
@@ -28,7 +28,6 @@ class MapSuper:
         self.algebra = algebra
         self.pair_index = pair_index
         self.qd = qd
-        self._point_sums: dict = {}
         if qd is not None:
             self._index_triangular(qd)
 
@@ -51,17 +50,6 @@ class MapSuper:
     @property
     def dim(self) -> int:
         return self.algebra.dim
-
-    def point_sum(self, k: int) -> LieSuper:
-        """(+)_{x in S} g for |S| = k >= 1, on the target coordinates of
-        EvMap: copy t spans t * dim g to (t + 1) * dim g - 1.  It is g
-        itself for k = 1, and it is built once per k."""
-        out = self._point_sums.get(k)
-        if out is None:
-            out = self.g if k == 1 else direct_sum(self.point_sum(k - 1),
-                                                   self.g)
-            self._point_sums[k] = out
-        return out
 
     def embed_g(self, x_coords: dict, a_coords: dict) -> dict:
         """Coordinates of x (x) a for x in g-coordinates, a in A-coordinates."""

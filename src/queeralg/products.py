@@ -369,26 +369,17 @@ def outer_factors(m1: WeightModule, m2: WeightModule,
     that the diagonal product carries true weights.  The phi blocks of
     the Schur data move with them."""
     g = direct_sum(m1.algebra, m2.algebra)
-    zero = m1.tower.zero()
+    zero, one = m1.tower.zero(), m1.tower.one()
     z1 = tuple(zero for _ in m1.weights[0])
     z2 = tuple(zero for _ in m2.weights[0])
-    p1, t1 = _relabelled(_on_copy(m1, g, 0), s1, lambda w: w + z2)
-    p2, t2 = _relabelled(_on_copy(m2, g, m1.algebra.dim), s2,
+    # the projections: each basis element of one summand acts as itself
+    n1, n2 = m1.algebra.dim, m2.algebra.dim
+    own = [[(k, one)] for k in range(max(n1, n2))]
+    p1, t1 = _relabelled(pullback(m1, g, own[:n1] + [()] * n2), s1,
+                         lambda w: w + z2)
+    p2, t2 = _relabelled(pullback(m2, g, [()] * n1 + own[:n2]), s2,
                          lambda w: z1 + w)
     return p1, p2, t1, t2
-
-
-def _on_copy(m: WeightModule, algebra, offset: int) -> WeightModule:
-    """m pulled back along the projection of a direct sum algebra onto
-    the copy of m.algebra whose basis starts at offset: that copy acts by
-    m's own blocks, with no scalar, and every other summand by zero.  m
-    itself when algebra is m.algebra."""
-    if algebra is m.algebra:
-        return m
-    act = [{} for _ in range(algebra.dim)]
-    act[offset:offset + m.algebra.dim] = m.act
-    return WeightModule(algebra, m.tower, list(m.weights), dict(m.parities),
-                        act, qd=m.qd)
 
 
 def _relabelled(m: WeightModule, s: WeightSchur, f):
@@ -506,40 +497,12 @@ def twist_q_module(m: WeightModule, qd: QueerData,
                     (cols.get(g, {}).items() for g in range(qd.dim)))
 
 
-def ev_pullback(ms: MapSuper, points, m: WeightModule) -> WeightModule:
-    """m, a module over ms.point_sum(len(points)) (over q for at most one
-    point), as a module over q (x) A: the pullback along EvMap(ms,
-    points)."""
-    cols = EvMap(ms, points).cols
+def ev_pullback(ms: MapSuper, p: int, m: WeightModule) -> WeightModule:
+    """The evaluation module of a q-module m at point p: m as a module
+    over q (x) A, pulled back along evaluation at p, EvMap(ms, [p])."""
+    cols = EvMap(ms, [p]).cols
     return pullback(m, ms.algebra,
                     (cols[idx].items() for idx in range(ms.dim)))
-
-
-def ev_hat(ms: MapSuper, assignment: dict, catalog: Catalog):
-    """The irreducible product of evaluation modules for a finitely
-    supported assignment {point index: catalog name}, over
-    (+)_{x in S} q = ms.point_sum(|S|), where S lists the points of
-    nontrivial class in increasing order.  The class at the t-th point of
-    S acts on copy t, pulled back along the projection onto it, so for one
-    point the row is the catalog module itself, and with no point it is
-    the trivial q-module.  ev_pullback(ms, S, module) is the module over
-    q (x) A.  Returns (module, S)."""
-    points = sorted(k for k, name in assignment.items() if name != "trivial")
-    if not points:
-        return trivial_q_module(ms.qd), points
-    alg = ms.point_sum(len(points))
-    cur = cur_schur = None
-    for t, p in enumerate(points):
-        name = assignment[p]
-        rho = catalog.module(name)
-        factor = _on_copy(rho, alg, t * rho.algebra.dim)
-        s = catalog.weight_schur(name)
-        if cur is None:
-            cur, cur_schur = factor, s
-            continue
-        cur, info = hat_tensor_weight(cur, factor, cur_schur, s)
-        cur_schur = info["result_schur"]
-    return cur, points
 
 
 def restrict_to_invariants(m: WeightModule, inv: InvariantSub) -> WeightModule:

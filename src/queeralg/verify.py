@@ -22,11 +22,10 @@ from .liesuper import (direct_sum_weight, hom_space_weight,
                        is_isomorphic_weight, is_simple, is_solvable,
                        subalgebra)
 from .mapsuper import ann_and_support, ev_rank, invariants, tensor_lie
-from .products import (Catalog, assoc_check, classify_enumerate, ev_hat,
+from .products import (Catalog, assoc_check, classify_enumerate,
                        ev_pullback, hat_tensor_weight,
                        outer_factors, q1_module, restrict_to_invariants,
-                       tensor_same_algebra, trivial_q_module, twist_q_module,
-                       weight_schur_data)
+                       trivial_q_module, twist_q_module, weight_schur_data)
 from .queer import build_q, build_q_tilde, cartan_generation_check
 from .scalars import Tower
 
@@ -360,7 +359,7 @@ def suite_hw(seed: int) -> Checks:
 
     psi_ad = PsiFunctional(ctx1, [tower.one(), tower.one()])
     sq = simple_quotient(ms1, psi_ad)
-    ad_ms = ev_pullback(ms1, [0], Catalog(qd).module("adjoint"))
+    ad_ms = ev_pullback(ms1, 0, Catalog(qd).module("adjoint"))
     iso, _ = is_isomorphic_weight(sq.module, ad_ms) if sq.conclusive \
         else (False, None)
     ck.add("adjoint weight recovers the 16-dim adjoint representation",
@@ -372,12 +371,12 @@ def suite_hw(seed: int) -> Checks:
     ms2 = tensor_lie(qd, a2)
     cat = Catalog(qd)
     corpus = []
-    ad0 = ev_pullback(ms2, [0], cat.module("adjoint"))
-    triv = ev_pullback(ms2, [0], trivial_q_module(qd))
+    ad0 = ev_pullback(ms2, 0, cat.module("adjoint"))
+    triv = ev_pullback(ms2, 0, trivial_q_module(qd))
     corpus.append(("trivial", triv, True))
     corpus.append(("adjoint@p0", ad0, True))
     corpus.append(("adjoint@p1",
-                   ev_pullback(ms2, [1], cat.module("adjoint")), True))
+                   ev_pullback(ms2, 1, cat.module("adjoint")), True))
     corpus.append(("adjoint (+) trivial", direct_sum_weight(ad0, triv), False))
     corpus.append(("adjoint (+) adjoint", direct_sum_weight(ad0, ad0), False))
     ok = True
@@ -437,22 +436,20 @@ def suite_products(seed: int) -> Checks:
     ck.add("triple product associativity for rank-one queer factors",
            assoc_check(m, m, m))
 
-    ad0 = ev_pullback(ms2, [0], cat.module("adjoint"))
-    ad1 = ev_pullback(ms2, [1], cat.module("adjoint"))
+    ad0 = ev_pullback(ms2, 0, cat.module("adjoint"))
+    ad1 = ev_pullback(ms2, 1, cat.module("adjoint"))
     s = cat.weight_schur("adjoint")
-    full = tensor_same_algebra(ad0, ad1)
+    prod, info = hat_tensor_weight(ad0, ad1, s, s)
     if s.is_type_q:
-        plus, info = hat_tensor_weight(ad0, ad1, s, s)
-        iso, _ = is_isomorphic_weight(plus, info["minus"])
+        iso, _ = is_isomorphic_weight(prod, info["minus"])
         ck.add("disjoint-support tensor dichotomy (split branch)",
-               info["split"] and iso and is_irreducible_hw(plus),
-               f"dims {plus.dim}+{info['minus'].dim}")
+               info["split"] and iso and is_irreducible_hw(prod),
+               f"dims {prod.dim}+{info['minus'].dim}")
     else:
         ck.add("disjoint-support tensor dichotomy (irreducible branch)",
-               is_irreducible_hw(full), f"dim {full.dim}")
+               is_irreducible_hw(prod), f"dim {prod.dim}")
 
-    row, points = ev_hat(ms2, {0: "adjoint", 1: "adjoint"}, cat)
-    got = top_psi(ev_pullback(ms2, points, row), ms2, ctx2)
+    got = top_psi(prod, ms2, ctx2)
     expect = PsiFunctional.evaluation(ctx2, 0, [1, 1]) + \
         PsiFunctional.evaluation(ctx2, 1, [1, 1])
     ck.add("top character of the two-point product is the sum", got == expect)
@@ -472,9 +469,9 @@ def suite_products(seed: int) -> Checks:
     # the twisted class pulls back along sigma^-1, which is sigma (order 2)
     sigma = act.generators[0][2]
     ad = cat.module("adjoint")
-    here = restrict_to_invariants(ev_pullback(ms4, [0], ad), inv)
+    here = restrict_to_invariants(ev_pullback(ms4, 0, ad), inv)
     there = restrict_to_invariants(
-        ev_pullback(ms4, [1], twist_q_module(ad, qd, sigma)), inv)
+        ev_pullback(ms4, 1, twist_q_module(ad, qd, sigma)), inv)
     iso, _ = is_isomorphic_weight(here, there)
     ck.add("evaluation class is invariant along the group orbit", iso)
 

@@ -22,9 +22,8 @@ from queeralg.liesuper import (WeightModule, direct_sum_weight,
 from queeralg.mapsuper import (ann_and_support, ev_rank, invariants,
                                tensor_lie)
 from queeralg.products import (Catalog, assoc_check, classify_enumerate,
-                               ev_hat, ev_pullback,
-                               hat_tensor_weight, outer_factors, q1_module,
-                               restrict_to_invariants, tensor_same_algebra,
+                               ev_pullback, hat_tensor_weight, outer_factors,
+                               q1_module, restrict_to_invariants,
                                trivial_q_module, weight_schur_data)
 from queeralg.queer import build_q, cartan_generation_check
 from queeralg.scalars import Tower
@@ -159,15 +158,15 @@ def test_criterion_5_highest_weight_suite():
     sq = simple_quotient(ms1, psi_ad)
     assert sq.conclusive and sq.module.dim == 16
     ok, _ = is_isomorphic_weight(sq.module,
-                                 ev_pullback(ms1, [0], cat.module("adjoint")))
+                                 ev_pullback(ms1, 0, cat.module("adjoint")))
     assert ok
 
     # criterion vs density oracle on every corpus module of dim <= 64
     a2 = _two_point(K)
     ms2 = tensor_lie(qd, a2)
-    ad0 = ev_pullback(ms2, [0], cat.module("adjoint"))
-    ad1 = ev_pullback(ms2, [1], cat.module("adjoint"))
-    triv = ev_pullback(ms2, [0], trivial_q_module(qd))
+    ad0 = ev_pullback(ms2, 0, cat.module("adjoint"))
+    ad1 = ev_pullback(ms2, 1, cat.module("adjoint"))
+    triv = ev_pullback(ms2, 0, trivial_q_module(qd))
     corpus = [
         ("trivial", triv),
         ("trivial (+) trivial", direct_sum_weight(triv, triv)),
@@ -219,24 +218,19 @@ def test_criterion_6_quasifinite_equivalences():
     sq_ad = simple_quotient(ms1, PsiFunctional(ctx1, [K.one(), K.one()]))
     modules.append((sq0.module, ms1, ctx1))
     modules.append((sq_ad.module, ms1, ctx1))
-    # evaluation products over the two-point algebra, each pulled back from
-    # the sum of copies of q at its points to q (x) A
-    a2 = _two_point(K)
-    ms2 = tensor_lie(qd, a2)
-    ctx2 = CartanAlgebra(qd, a2)
-    for assign in ({0: "adjoint"}, {1: "adjoint"},
-                   {0: "adjoint", 1: "adjoint"}):
-        row, points = ev_hat(ms2, assign, cat)
-        modules.append((ev_pullback(ms2, points, row), ms2, ctx2))
-    # evaluation products over the four-point algebra
-    a4 = _four_point(K)
-    ms4 = tensor_lie(qd, a4)
-    ctx4 = CartanAlgebra(qd, a4)
-    for assign in ({0: "adjoint"}, {1: "adjoint"}, {2: "adjoint"},
-                   {0: "adjoint", 1: "adjoint"},
-                   {0: "adjoint", 2: "adjoint"}):
-        row, points = ev_hat(ms4, assign, cat)
-        modules.append((ev_pullback(ms4, points, row), ms4, ctx4))
+    # products of the adjoint's evaluation modules over q (x) A, over the
+    # two-point and the four-point algebra
+    s_ad = cat.weight_schur("adjoint")
+    for algebra, point_sets in ((_two_point(K), ((0,), (1,), (0, 1))),
+                                (_four_point(K), ((0,), (1,), (2,), (0, 1),
+                                                  (0, 2)))):
+        ms = tensor_lie(qd, algebra)
+        ctx = CartanAlgebra(qd, algebra)
+        for points in point_sets:
+            evs = [ev_pullback(ms, p, cat.module("adjoint")) for p in points]
+            mod = evs[0] if len(evs) == 1 else \
+                hat_tensor_weight(*evs, s_ad, s_ad)[0]
+            modules.append((mod, ms, ctx))
     assert len(modules) == 10
 
     for mod, ms, ctx in modules:
@@ -256,25 +250,23 @@ def test_criterion_7_evaluation_section_suite():
     for algebra, pts in ((_two_point(K), (0, 1)), (_four_point(K), (0, 2))):
         ms = tensor_lie(qd, algebra)
         ctx = CartanAlgebra(qd, algebra)
-        adx = ev_pullback(ms, [pts[0]], cat.module("adjoint"))
-        ady = ev_pullback(ms, [pts[1]], cat.module("adjoint"))
+        adx = ev_pullback(ms, pts[0], cat.module("adjoint"))
+        ady = ev_pullback(ms, pts[1], cat.module("adjoint"))
         # dichotomy for disjoint supports
+        prod, info = hat_tensor_weight(adx, ady, s_ad, s_ad)
         if s_ad.is_type_q:
-            plus, info = hat_tensor_weight(adx, ady, s_ad, s_ad)
             assert info["split"]
-            iso, _ = is_isomorphic_weight(plus, info["minus"])
-            assert iso and is_irreducible_hw(plus)
+            iso, _ = is_isomorphic_weight(prod, info["minus"])
+            assert iso and is_irreducible_hw(prod)
         else:
-            full = tensor_same_algebra(adx, ady)
-            assert is_irreducible_hw(full)
+            assert not info["split"] and is_irreducible_hw(prod)
         # top-character additivity
-        row, points = ev_hat(ms, {pts[0]: "adjoint", pts[1]: "adjoint"}, cat)
-        got = top_psi(ev_pullback(ms, points, row), ms, ctx)
+        got = top_psi(prod, ms, ctx)
         expect = PsiFunctional.evaluation(ctx, pts[0], [1, 1]) + \
             PsiFunctional.evaluation(ctx, pts[1], [1, 1])
         assert got == expect
         # pairwise non-isomorphism of single-point evaluations
-        singles = [ev_pullback(ms, [p], cat.module("adjoint"))
+        singles = [ev_pullback(ms, p, cat.module("adjoint"))
                    for p in range(len(algebra.maximal_ideals))]
         for i in range(len(singles)):
             for j in range(i + 1, len(singles)):
@@ -301,9 +293,9 @@ def test_criterion_7_evaluation_section_suite():
     from queeralg.products import twist_q_module
     sigma = act.generators[0][2]   # of order 2: the twist pulls back along it
     ad = cat.module("adjoint")
-    here = restrict_to_invariants(ev_pullback(ms4, [0], ad), inv)
+    here = restrict_to_invariants(ev_pullback(ms4, 0, ad), inv)
     there = restrict_to_invariants(
-        ev_pullback(ms4, [1], twist_q_module(ad, qd, sigma)), inv)
+        ev_pullback(ms4, 1, twist_q_module(ad, qd, sigma)), inv)
     iso, _ = is_isomorphic_weight(here, there)
     assert iso
     budget.check()

@@ -460,6 +460,28 @@ def test_classify_rejects_boolean_modulus(tmp_path, capsys):
     _one_line_usage_error(rc, capsys)
 
 
+@pytest.mark.parametrize("field,value,shown", [("modulus", "ab", "'ab'"),
+                                               ("roots", 5, "5")])
+@pytest.mark.parametrize("command", ["dims", "classify"])
+def test_algebra_lists_must_be_json_lists(tmp_path, capsys, command, field,
+                                          value, shown):
+    """A modulus or a root list that is not a JSON list is one usage
+    error naming it: a string is not read character by character, and a
+    number is not iterated."""
+    algebra = {"type": "poly_quotient", "modulus": ["-1", "0", "1"],
+               "roots": ["1", "-1"], field: value}
+    bad = tmp_path / "bad.json"
+    if command == "dims":
+        bad.write_text(json.dumps({"algebra": algebra, "values": []}))
+        args = ["dims", "--n", "2", "--psi", str(bad), "--depth", "1"]
+    else:
+        bad.write_text(json.dumps(algebra))
+        args = ["classify", "--n", "2", "--algebra", str(bad)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == \
+        f"error: {bad}: {field} must be a JSON list, not {shown}\n"
+
+
 def _group(order=2, scale="-1", diag=("1", "1", "-1"), on_algebra=None):
     return {"generators": [{
         "order": order,

@@ -282,7 +282,7 @@ def test_algebra_from_spec(K):
 
 
 # ---------------------------------------------------------------------------
-# Canonical ideal keys
+# Canonical ideal bases
 # ---------------------------------------------------------------------------
 
 GEN_PAIRS = [
@@ -299,7 +299,7 @@ def test_ideal_key_independent_of_generator_order(K, g1, g2):
     fwd = IdealRep.from_generators(a, gens)
     rev = IdealRep.from_generators(a, gens[::-1])
     assert fwd == rev
-    assert fwd.key() == rev.key()
+    assert fwd.basis == rev.basis
 
 
 _QI = Tower()
@@ -316,9 +316,9 @@ def test_ideal_key_equality_is_ideal_equality(gens1, gens2, rnd):
     i1 = IdealRep.from_generators(_FOUR, gens1)
     shuffled = list(gens1)
     rnd.shuffle(shuffled)
-    assert IdealRep.from_generators(_FOUR, shuffled).key() == i1.key()
+    assert IdealRep.from_generators(_FOUR, shuffled).basis == i1.basis
     i2 = IdealRep.from_generators(_FOUR, gens2)
-    assert (i1.key() == i2.key()) == (i1 == i2)
+    assert (i1.basis == i2.basis) == (i1 == i2)
     # the ideal generated by both lists does not depend on which comes first
-    assert IdealRep.from_generators(_FOUR, gens1 + gens2).key() == \
-        IdealRep.from_generators(_FOUR, gens2 + gens1).key()
+    assert IdealRep.from_generators(_FOUR, gens1 + gens2).basis == \
+        IdealRep.from_generators(_FOUR, gens2 + gens1).basis

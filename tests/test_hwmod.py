@@ -8,6 +8,7 @@ from queeralg.cartanmod import CartanAlgebra, PsiFunctional
 from queeralg import hwmod
 from queeralg.cli import main
 from queeralg.coeffalg import preset_base_field, preset_truncated, zero_ideal
+from classify_ref import row_module
 from dense_ref import mat_mul, rank, sparse
 from queeralg.graded import (EVEN, Span, mat_kernel, nonzero_entries,
                              zero_rows)
@@ -231,7 +232,7 @@ def test_singular_vectors_adjoint_module(setup):
     q2 = setup["q2"]
     _, ms, _ = setup["C"]
     ad = adjoint_q_module(q2)
-    adA = ev_pullback(ms, [0], ad)
+    adA = ev_pullback(ms, 0, ad)
     sing = adA.singular_spaces(ms.algebra.triangular[0])
     top = q2.roots.root_tuple((1, 3))
     for w, vecs in sing.items():
@@ -253,7 +254,7 @@ def test_adjoint_recovered_from_verma(setup):
     # exact representation: sweep all bracket relations
     mod.check()
     # isomorphic to the adjoint representation pulled back along ev
-    adA = ev_pullback(ms, [0], adjoint_q_module(q2))
+    adA = ev_pullback(ms, 0, adjoint_q_module(q2))
     ok, _ = is_isomorphic_weight(mod, adA)
     assert ok
 
@@ -277,14 +278,14 @@ def test_is_irreducible_hw(setup):
     K = setup["K"]
     q2 = setup["q2"]
     _, ms, _ = setup["two"]
-    ad0 = ev_pullback(ms, [0], adjoint_q_module(q2))
+    ad0 = ev_pullback(ms, 0, adjoint_q_module(q2))
     assert is_irreducible_hw(ad0)
     two = direct_sum_weight(ad0, ad0)
     assert not is_irreducible_hw(two)
     # tensor with NON-disjoint support (same point twice) is reducible
     same = tensor_same_algebra(ad0, ad0)
     assert not is_irreducible_hw(same)
-    triv = ev_pullback(ms, [0], trivial_q_module(q2))
+    triv = ev_pullback(ms, 0, trivial_q_module(q2))
     assert is_irreducible_hw(triv)
 
 
@@ -299,7 +300,7 @@ def test_generation_clause_fails_without_lowering(setup, into_lowest_only):
     vectors.)"""
     q2 = setup["q2"]
     _, ms, _ = setup["two"]
-    ad0 = ev_pullback(ms, [0], adjoint_q_module(q2))
+    ad0 = ev_pullback(ms, 0, adjoint_q_module(q2))
     top = ad0.maximal_weights()[0]
     bottom = tuple(-x for x in top)
     assert bottom in ad0.weights
@@ -396,7 +397,7 @@ def test_top_psi_reads_functional(setup):
     K = setup["K"]
     q2 = setup["q2"]
     _, ms, ctx = setup["two"]
-    ad0 = ev_pullback(ms, [0], adjoint_q_module(q2))
+    ad0 = ev_pullback(ms, 0, adjoint_q_module(q2))
     psi = top_psi(ad0, ms, ctx)
     assert psi == PsiFunctional.evaluation(ctx, 0, [1, 1])
 
@@ -405,7 +406,7 @@ def test_check_psi0_ideal(setup):
     K = setup["K"]
     q2 = setup["q2"]
     A, ms, ctx = setup["two"]
-    ad0 = ev_pullback(ms, [0], adjoint_q_module(q2))
+    ad0 = ev_pullback(ms, 0, adjoint_q_module(q2))
     psi = PsiFunctional.evaluation(ctx, 0, [1, 1])
     # psi killed by (t-1), and q (x) (t-1) kills the module
     r = check_psi0_ideal(ad0, psi, A.maximal_ideals[0], ms)
@@ -425,9 +426,9 @@ def test_truncated_vpsi_matches_ev_dims(setup):
     K = setup["K"]
     q2 = setup["q2"]
     A, ms, ctx = setup["two"]
-    from queeralg.products import Catalog, ev_hat
+    from queeralg.products import Catalog
     cat = Catalog(q2)
-    mod, _ = ev_hat(ms, {0: "adjoint", 1: "adjoint"}, cat)
+    mod, _ = row_module(ms, {0: "adjoint", 1: "adjoint"}, cat)
     psi = PsiFunctional.evaluation(ctx, 0, [1, 1]) + \
         PsiFunctional.evaluation(ctx, 1, [1, 1])
     sq = simple_quotient(ms, psi, depth=2)

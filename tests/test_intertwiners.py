@@ -48,7 +48,7 @@ def golden():
     cat = Catalog(q2)
     ad, triv = cat.module("adjoint"), cat.module("trivial")
     mods = {"adjoint": ad, "adjoint+adjoint": direct_sum_weight(ad, ad),
-            "ev0": ev_pullback(ms, [0], ad), "ev1": ev_pullback(ms, [1], ad),
+            "ev0": ev_pullback(ms, 0, ad), "ev1": ev_pullback(ms, 1, ad),
             "trivial^3": direct_sum_weight(direct_sum_weight(triv, triv),
                                            triv)}
     flat = {name: WeightModule.from_flat(m.algebra, m.space, m.mats)

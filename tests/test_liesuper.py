@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from classify_ref import row_module
 from dense_ref import ad_map
 from queeralg.assocsuper import make_M, make_Q
 from queeralg.coeffalg import preset_truncated
@@ -161,7 +162,7 @@ def mw_queers():
 
 def test_maximal_weights_match_pairwise_on_classify_rows():
     from queeralg.coeffalg import preset_truncated
-    from queeralg.products import Catalog, _assignments, ev_hat
+    from queeralg.products import Catalog, _assignments
     K = Tower()
     q2 = build_q(K, 2)
     a = preset_truncated(K, [-K.one(), K.zero(), K.one()],
@@ -169,7 +170,7 @@ def test_maximal_weights_match_pairwise_on_classify_rows():
     ms = tensor_lie(q2, a)
     catalog = Catalog(q2)
     for assign in _assignments([[0], [1]], catalog.names()):
-        module, _ = ev_hat(ms, assign, catalog)
+        module, _ = row_module(ms, assign, catalog)
         assert module.maximal_weights() == pairwise_maximal_weights(module)
 
 

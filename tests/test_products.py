@@ -2,6 +2,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import queeralg.liesuper as liesuper
 import queeralg.mapsuper as mapsuper
@@ -19,15 +20,14 @@ from queeralg.liesuper import (LieSuper, WeightModule, direct_sum_weight,
                                is_isomorphic_flat, is_isomorphic_weight)
 from queeralg.mapsuper import ann_and_support, ev_rank, invariants, tensor_lie
 from queeralg.products import (Catalog, WeightSchur, adjoint_q_module,
-                               assoc_check, classify_enumerate, ev_hat,
-                               ev_pullback, hat_tensor_weight, outer_factors, pullback,
-                               q1_module, restrict_to_invariants,
-                               tensor_same_algebra, twist_q_module,
-                               weight_schur_data)
+                               assoc_check, classify_enumerate, ev_pullback,
+                               hat_tensor_weight, outer_factors, q1_module,
+                               restrict_to_invariants, tensor_same_algebra,
+                               twist_q_module, weight_schur_data)
 from queeralg.queer import build_q
 from queeralg.scalars import Tower
 
-from classify_ref import reference_rows
+from classify_ref import ev_module, reference_rows, row_module
 
 
 @pytest.fixture(scope="module")
@@ -437,7 +437,7 @@ def test_products_and_quotient_hold_entry_blocks(env):
 
 def test_ev_module_and_ann(env):
     K, q2, ms, cat = env["K"], env["q2"], env["ms"], env["cat"]
-    ad0 = ev_pullback(ms, [0], cat.module("adjoint"))
+    ad0 = ev_pullback(ms, 0, cat.module("adjoint"))
     ann, supp, reduced = ann_and_support(ad0, ms)
     assert supp == [0] and reduced
     ad0.check()
@@ -445,8 +445,8 @@ def test_ev_module_and_ann(env):
 
 def test_ev_hat_trivial_everywhere(env):
     ms, cat = env["ms"], env["cat"]
-    mod, points = ev_hat(ms, {}, cat)
-    assert mod.dim == 1
+    mod, points = row_module(ms, {}, cat)
+    assert mod.dim == 1 and mod.algebra is ms.algebra
     assert not points
 
 
@@ -455,8 +455,8 @@ def test_prop_irred_tensor_dichotomy(env):
     # with type-M adjoints the first branch is realized and exactness of
     # the dichotomy is the assertion that the module is irreducible
     K, ms, cat = env["K"], env["ms"], env["cat"]
-    ad0 = ev_pullback(ms, [0], cat.module("adjoint"))
-    ad1 = ev_pullback(ms, [1], cat.module("adjoint"))
+    ad0 = ev_pullback(ms, 0, cat.module("adjoint"))
+    ad1 = ev_pullback(ms, 1, cat.module("adjoint"))
     full = tensor_same_algebra(ad0, ad1)
     ws = cat.weight_schur("adjoint")
     if ws.is_type_q:
@@ -473,8 +473,8 @@ def test_prop_irred_tensor_dichotomy(env):
 def test_top_character_additivity(env):
     K, q2, A, ms, cat = env["K"], env["q2"], env["A"], env["ms"], env["cat"]
     ctx = CartanAlgebra(q2, A)
-    row, points = ev_hat(ms, {0: "adjoint", 1: "adjoint"}, cat)
-    psi = top_psi(ev_pullback(ms, points, row), ms, ctx)
+    row, _ = row_module(ms, {0: "adjoint", 1: "adjoint"}, cat)
+    psi = top_psi(row, ms, ctx)
     expect = PsiFunctional.evaluation(ctx, 0, [1, 1]) + \
         PsiFunctional.evaluation(ctx, 1, [1, 1])
     assert psi == expect
@@ -482,8 +482,8 @@ def test_top_character_additivity(env):
 
 def test_hom_separates_points(env):
     ms, cat = env["ms"], env["cat"]
-    ad0 = ev_pullback(ms, [0], cat.module("adjoint"))
-    ad1 = ev_pullback(ms, [1], cat.module("adjoint"))
+    ad0 = ev_pullback(ms, 0, cat.module("adjoint"))
+    ad1 = ev_pullback(ms, 1, cat.module("adjoint"))
     kerns, slots = hom_space_weight(ad0, ad1)
     assert kerns == []
     ok, _ = is_isomorphic_weight(ad0, ad1)
@@ -551,7 +551,7 @@ def test_hom_basis_is_homogeneous(env):
 
 def test_hom_direct_sum_dimension(env):
     ms, cat = env["ms"], env["cat"]
-    ad0 = ev_pullback(ms, [0], cat.module("adjoint"))
+    ad0 = ev_pullback(ms, 0, cat.module("adjoint"))
     two = direct_sum_weight(ad0, ad0)
     kerns, _ = hom_space_weight(ad0, two)
     assert len(kerns) == 2
@@ -620,27 +620,26 @@ def test_evaluation_invariance_under_group(env):
     A4, ms4, act, inv = gamma_env(env)
     sigma = act.generators[0][2]   # of order 2, so sigma^-1 = sigma
     ad = cat.module("adjoint")
-    m_here = restrict_to_invariants(ev_pullback(ms4, [0], ad), inv)
+    m_here = restrict_to_invariants(ev_pullback(ms4, 0, ad), inv)
     m_there = restrict_to_invariants(
-        ev_pullback(ms4, [1], twist_q_module(ad, q2, sigma)), inv)
+        ev_pullback(ms4, 1, twist_q_module(ad, q2, sigma)), inv)
     ok, _ = is_isomorphic_weight(m_here, m_there)
     assert ok
 
 
 def test_ev_hat_gamma_irreducible(env):
-    """The equivariant row: ev_hat at the orbit representatives of an
-    assignment constant on orbits, as the classify reference builds it."""
+    """The equivariant row: the product at the orbit representatives of
+    an assignment constant on orbits, as the classify reference builds
+    it over q (x) A."""
     q2, cat = env["q2"], env["cat"]
     _, ms4, _, inv = gamma_env(env)
     assign = {0: "adjoint", 1: "adjoint", 2: "trivial", 3: "trivial"}
     reps = [min(orbit) for orbit in inv.gamma_report["orbits"]]
     assert reps == [0, 2]
-    row, points = ev_hat(ms4, {p: assign[p] for p in reps}, cat)
-    # one point: the row is the catalog class itself, over q
-    assert row is cat.module("adjoint")
+    untw, points = row_module(ms4, {p: assign[p] for p in reps}, cat)
+    # one point: the row is the evaluation module of the catalog class
     assert points == [0]
-    untw = ev_pullback(ms4, [0], row)
-    assert untw.algebra is ms4.algebra
+    _assert_same_module(untw, ev_pullback(ms4, 0, cat.module("adjoint")))
     assert is_irreducible_hw(untw)
     # the restriction argument, checked independently: evaluation at the
     # orbit representatives maps the invariants onto q (+) q, and the
@@ -696,7 +695,7 @@ def test_criterion_refuses_an_algebra_without_a_split(env):
     """The criterion reads the split from the module's algebra, so a
     module over an algebra with none is refused, not judged."""
     _, ms4, _, inv = gamma_env(env)
-    ad0 = ev_pullback(ms4, [0], env["cat"].module("adjoint"))
+    ad0 = ev_pullback(ms4, 0, env["cat"].module("adjoint"))
     for m in (q1_module(env["K"]), restrict_to_invariants(ad0, inv)):
         assert m.algebra.triangular is None
         with pytest.raises(ValueError, match="no triangular split"):
@@ -704,14 +703,13 @@ def test_criterion_refuses_an_algebra_without_a_split(env):
 
 
 def test_point_sum_carries_the_split_of_each_copy(env):
+    """q and q (x) A carry a triangular split; a direct sum of algebras
+    carries none."""
     q2, ms = env["q2"], env["ms"]
     raising, cartan, lowering = q2.algebra.triangular
     assert (raising, cartan, lowering) == \
         (q2.npos_indices, q2.cartan_indices, q2.nneg_indices)
-    assert ms.point_sum(1).triangular is q2.algebra.triangular
-    assert ms.point_sum(2).triangular == tuple(
-        part + [q2.dim + i for i in part]
-        for part in (raising, cartan, lowering))
+    assert liesuper.direct_sum(q2.algebra, q2.algebra).triangular is None
     # q (x) A: each x (x) a_j of a piece, g-major
     na = ms.coeff.dim
     assert ms.algebra.triangular == tuple(
@@ -732,12 +730,12 @@ def _eager_relation_rows(m, gens):
 def test_relation_rows_match_the_eager_construction(env):
     """relation_rows reads one source weight at a time and stops at full
     rank; its RREF rows equal the eager construction's on catalog modules
-    and two-point ev_hat rows, over random generator lists (repeats and
-    classes acting by zero give relations)."""
+    and two-point rows over q (x) A, over random generator lists (repeats
+    and classes acting by zero give relations)."""
     ms, cat = env["ms"], env["cat"]
     modules = [cat.module("trivial"), cat.module("adjoint")]
     for assign in ({0: "adjoint", 1: "trivial"}, {0: "adjoint", 1: "adjoint"}):
-        row, _ = ev_hat(ms, assign, cat)
+        row, _ = row_module(ms, assign, cat)
         modules.append(row)
     rng = random.Random(5)
     for m in modules:
@@ -792,73 +790,36 @@ def test_ev_rank_is_onto_at_every_declared_point(env):
     assert ev_rank(ms, []) == 0
 
 
-def _parent_row(ms, assignment, cat):
-    """The reference construction over q (x) A: each class pulled back
-    along evaluation at its point (written out, so that the reference
-    does not go through EvMap), the factors multiplied by
-    hat_tensor_weight over q (x) A."""
-    def pulled_back(p, rho):
-        values = [ms.coeff.evaluate(p, {j: ms.tower.one()})
-                  for j in range(ms.coeff.dim)]
-        return pullback(rho, ms.algebra, ([(x, c)] for x in range(ms.g.dim)
-                                          for c in values))
-
-    points = sorted(p for p, name in assignment.items() if name != "trivial")
-    if not points:
-        return pulled_back(0, cat.module("trivial"))
-    cur = cur_s = None
-    for p in points:
-        factor = pulled_back(p, cat.module(assignment[p]))
-        s = cat.weight_schur(assignment[p])
-        if cur is None:
-            cur, cur_s = factor, s
-            continue
-        cur, info = hat_tensor_weight(cur, factor, cur_s, s)
-        cur_s = info["result_schur"]
-    return cur
-
-
 def _assert_same_module(got, want):
     assert got.algebra is want.algebra
     assert got.weights == want.weights and got.parities == want.parities
     assert _blocks(got) == _blocks(want)
 
 
-@pytest.mark.parametrize("twisted", [False, True])
-def test_classify_rows_pull_back_to_the_q_tensor_a_modules(env, twisted):
-    """Every row ev_hat builds at the orbit representatives for untwisted
-    two-point and twisted four-point classify (the classify reference's
-    rows), pulled back along evaluation at its points, is block for block
-    the module that the reference construction builds over q (x) A."""
+def test_ev_pullback_is_the_written_out_pullback(env):
+    """ev_pullback, through EvMap, gives block for block the module of the
+    reference's pullback along evaluation, for every catalog class at
+    every point of the four-point algebra."""
     cat = env["cat"]
-    if twisted:
-        _, ms, _, inv = gamma_env(env)
-        groups = inv.gamma_report["orbits"]
-    else:
-        ms, inv, groups = env["ms"], None, [[0], [1]]
-    reps = [min(group) for group in groups]
-    seen = 0
-    for assign in products._assignments(groups, cat.names()):
-        row, points = ev_hat(ms, {p: assign[p] for p in reps}, cat)
-        assert row.algebra is ms.point_sum(max(len(points), 1))
-        want = _parent_row(ms, {p: assign[p] for p in points}, cat)
-        _assert_same_module(ev_pullback(ms, points, row), want)
-        seen += 1
-    assert seen == 4
+    _, ms4, _, _ = gamma_env(env)
+    for p in range(4):
+        for name in cat.names():
+            rho = cat.module(name)
+            _assert_same_module(ev_pullback(ms4, p, rho),
+                                ev_module(ms4, p, rho))
 
 
 def test_classify_builds_nothing_over_q_tensor_a(env, monkeypatch):
     """Work guard: classify builds no module, untwisted or twisted.  It
-    calls none of ev_pullback, ev_hat, hat_tensor_weight,
-    tensor_same_algebra or ann_and_support, and tests isomorphism only in
+    calls none of ev_pullback, hat_tensor_weight, tensor_same_algebra or
+    ann_and_support, and tests isomorphism only in
     the twist check (once per class and non-identity element) and
     between catalog entries of equal graded dimensions (none here)."""
     def refuse(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} was called")
         return call
-    for name in ("ev_pullback", "ev_hat", "hat_tensor_weight",
-                 "tensor_same_algebra"):
+    for name in ("ev_pullback", "hat_tensor_weight", "tensor_same_algebra"):
         monkeypatch.setattr(products, name, refuse(name))
     monkeypatch.setattr(mapsuper, "ann_and_support", refuse("ann_and_support"))
     assert not hasattr(products, "ann_and_support")
@@ -912,9 +873,10 @@ CLASSIFY_INPUTS = {
 @pytest.mark.parametrize("which", sorted(CLASSIFY_INPUTS))
 def test_classify_rows_match_the_reference(which):
     """Every row classify reads off per-class data equals, field by
-    field, the row of the reference construction: ev_hat at the orbit
-    representatives, the criterion, ann_and_support on the evaluated
-    invariants and the pairwise Hom sweep."""
+    field, the row of the reference construction: the product over
+    q (x) A at the orbit representatives, the criterion,
+    ann_and_support on the averaged elements and the pairwise Hom
+    sweep."""
     n, algebra, group = CLASSIFY_INPUTS[which]
     K = Tower()
     qd = build_q(K, n)
@@ -944,6 +906,30 @@ def test_hat_graded_dims_matches_the_built_products(factors):
         cur_s = info["result_schur"]
     assert products._hat_graded_dims(
         (m.graded_dims(), s.is_type_q) for m, s in built) == cur.graded_dims()
+
+
+_TYPE_M = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(
+    lambda d: sum(d) > 0).map(lambda d: (d, False))
+_TYPE_Q = st.integers(1, 6).map(lambda d: ((d, d), True))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(_TYPE_M, _TYPE_Q), max_size=6),
+       st.randoms(use_true_random=False))
+def test_hat_graded_dims_total_and_factor_order(factors, rnd):
+    """For random factors, type-Q ones of equal even and odd dimension:
+    the (x)^-product has dimension prod dim / 2^floor(q/2) for q type-Q
+    factors, and its graded dimensions do not depend on the order of
+    the factors."""
+    ne, no = products._hat_graded_dims(factors)
+    total = 1
+    for (e, o), _ in factors:
+        total *= e + o
+    q = sum(is_q for _, is_q in factors)
+    assert (ne + no) * 2 ** (q // 2) == total
+    shuffled = list(factors)
+    rnd.shuffle(shuffled)
+    assert products._hat_graded_dims(shuffled) == (ne, no)
 
 
 def test_classify_untwisted_four_point_q4():
