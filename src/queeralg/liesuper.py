@@ -22,16 +22,30 @@ class LieSuper:
     triangular is the (raising, cartan, lowering) triple of basis index
     lists that the highest-weight criterion reads, or None for an algebra
     with no such split: q(n) sets it, and q (x) A and a relabeling carry
-    it over."""
+    it over.
+
+    generators are basis indices, ascending, that generate the algebra as
+    a Lie superalgebra: the whole basis unless the builder knows a smaller
+    set (q(n) gives its simple root vectors), kept by a relabeling.  An
+    identity that is linear in x and whose solution set is a Lie
+    sub-superalgebra holds on all of the algebra once it holds on the
+    generators.  By super-Jacobi this is so, for modules rho, rho' and an
+    even linear f, for {x : T rho(x) = rho'(x) T},
+    {x : phi rho(x) = (-1)^|x| rho(x) phi} and
+    {x : f[x, y] = [f x, f y] for every y}; hom_space_weight,
+    products._solve_weight_schur and coeffalg.gamma_validate check their
+    identity on the generators only."""
 
     def __init__(self, tower: Tower, space: GradedSpace, bk, name: str = "",
-                 raw_bk=None, triangular=None):
+                 raw_bk=None, triangular=None, generators=None):
         self.tower = tower
         self.space = space
         self.bk = bk
         self.name = name
         self._raw_bk = raw_bk
         self.triangular = triangular
+        self.generators = range(space.dim) if generators is None \
+            else generators
 
     @property
     def dim(self) -> int:
@@ -50,11 +64,12 @@ class LieSuper:
     def relabeled(self, space: GradedSpace, name: str = "") -> "LieSuper":
         """The same algebra on a relabeled basis of the same parities,
         sharing this one's table (and its raw form, if already made) and
-        keeping its triangular split."""
+        keeping its triangular split and generators."""
         if space.parities != self.space.parities:
             raise ValueError("a relabeling must keep every parity")
         return LieSuper(self.tower, space, self.bk, name=name,
-                        raw_bk=self._raw_bk, triangular=self.triangular)
+                        raw_bk=self._raw_bk, triangular=self.triangular,
+                        generators=self.generators)
 
     def bracket(self, u: dict, v: dict) -> dict:
         return _table_product(self.bk, u, v)
@@ -531,11 +546,15 @@ def _check_comparable(m: WeightModule, n: WeightModule):
 
 def hom_space_weight(m: WeightModule, n: WeightModule):
     """Strict intertwiners T: M -> N, i.e. linear maps with
-    T rho_M(x) = rho_N(x) T for every basis element x (no Koszul sign; odd
-    homomorphisms are allowed and satisfy the same equation).
-    Intertwiners commute with the even Cartan action, hence preserve
-    weights; unknowns are blockwise, T_w of shape (dim N_w) x (dim M_w)
-    over the shared weights.  Returns (kernel basis over slots, slots)."""
+    T rho_M(x) = rho_N(x) T for every generator x of the algebra (no
+    Koszul sign; odd homomorphisms are allowed and satisfy the same
+    equation).  The x with T rho_M(x) = rho_N(x) T form a Lie
+    sub-superalgebra (T rho_M([x, y]) = rho_N([x, y]) T by expanding the
+    bracket), so T intertwines every element once it intertwines the
+    generators (LieSuper.generators).  Intertwiners commute with the even
+    Cartan action, hence preserve weights; unknowns are blockwise, T_w of
+    shape (dim N_w) x (dim M_w) over the shared weights.  Returns (kernel
+    basis over slots, slots)."""
     _check_comparable(m, n)
     tower = m.tower
     n_weights = set(n.weights)
@@ -543,7 +562,7 @@ def hom_space_weight(m: WeightModule, n: WeightModule):
              for i in range(n.block_dim(w)) for j in range(m.block_dim(w))]
     one = tower.one()
     pairs = ((m.op_entries({g: one}), n.op_entries({g: one}), 1)
-             for g in range(m.algebra.dim))
+             for g in m.algebra.generators)
     return intertwiners(pairs, [((w, i), (w, j)) for w, i, j in slots],
                         tower), slots
 

@@ -16,16 +16,20 @@ from .scalars import Tower
 
 class MapSuper:
     """g (x) A with basis x_i (x) a_j, ordered g-major (so the global
-    even-before-odd convention is inherited from g).  When g is a queer
-    algebra its root data are carried over: the even Cartan generators
-    h0_gens, the simple raising generators and each generator's root (the
-    triangular split is algebra.triangular)."""
+    even-before-odd convention is inherited from g): pair_index[(i, j)]
+    is the index of x_i (x) a_j.  When g is a queer algebra its root data
+    are carried over: the even Cartan generators h0_gens, the simple
+    raising generators and each generator's root (the triangular split is
+    algebra.triangular).
 
-    def __init__(self, g: LieSuper, coeff: CoeffAlgebra, algebra: LieSuper,
-                 pair_index, qd: QueerData | None = None):
+    The bracket table of g (x) A (algebra) is built on first read:
+    classify reads only the basis, the root data and A, and never builds
+    it."""
+
+    def __init__(self, g: LieSuper, coeff: CoeffAlgebra, pair_index,
+                 qd: QueerData | None = None):
         self.g = g
         self.coeff = coeff
-        self.algebra = algebra
         self.pair_index = pair_index
         self.qd = qd
         if qd is not None:
@@ -49,7 +53,66 @@ class MapSuper:
 
     @property
     def dim(self) -> int:
-        return self.algebra.dim
+        return len(self.pair_index)
+
+    @cached_property
+    def algebra(self) -> LieSuper:
+        """Structure constants of g (x) A from those of g and A:
+        [x1 (x) f1, x2 (x) f2] = [x1, x2] (x) f1 f2.
+
+        Only nonzero brackets of g are visited.  Where f1 f2 is a single
+        basis element with coefficient exactly 1, the bracket's entries
+        are copied, not multiplied.  When A is one-dimensional with
+        1 * 1 = 1 (the base field), g (x) A is g relabeled and shares g's
+        table and generators outright: no code mutates a bracket table
+        after construction.  Otherwise its generators are the whole
+        basis.  Every bracket dict keeps the key order of the
+        entry-by-entry product, [x1, x2]'s entries major and f1 f2's
+        minor.  Each piece of g's triangular split becomes the x (x) a_j
+        for its x, g-major."""
+        g, coeff = self.g, self.coeff
+        tower = g.tower
+        na = coeff.dim
+        space = GradedSpace.from_parities(
+            [g.space.parity(xi) for xi, _ in self.pair_index],
+            tuple(f"{g.space.labels[xi]}(x){coeff.space.labels[aj]}"
+                  for xi, aj in self.pair_index))
+        name = f"{g.name}(x){coeff.name}"
+        one = tower.one()
+        prods = [[tuple(coeff.mult[p][q].items()) for q in range(na)]
+                 for p in range(na)]
+        if na == 1 and prods[0][0] == ((0, one),):
+            return g.relabeled(space, name)
+        # the terms (t, c) of each a_j a_l, with c None for a coefficient 1
+        terms = [[tuple((at, None if sa == one else sa) for at, sa in fp)
+                  for fp in row] for row in prods]
+        dim = self.dim
+        bk = [[{} for _ in range(dim)] for _ in range(dim)]
+        for xi, grow in enumerate(g.bk):
+            for xk, br in enumerate(grow):
+                if not br:
+                    continue
+                for aj in range(na):
+                    row = bk[xi * na + aj]
+                    for al, fprod in enumerate(terms[aj]):
+                        if not fprod:
+                            continue
+                        if len(fprod) == 1 and fprod[0][1] is None:
+                            at = fprod[0][0]   # a_j a_l = a_t: copy
+                            row[xk * na + al] = {xt * na + at: s
+                                                 for xt, s in br.items()}
+                            continue
+                        out = {}
+                        for xt, s in br.items():
+                            for at, sa in fprod:
+                                v = s if sa is None else s * sa
+                                if not v.is_zero:
+                                    out[xt * na + at] = v
+                        row[xk * na + al] = out
+        tri = None if g.triangular is None else \
+            tuple([self.pair_index[(x, j)] for x in part for j in range(na)]
+                  for part in g.triangular)
+        return LieSuper(tower, space, bk, name=name, triangular=tri)
 
     def embed_g(self, x_coords: dict, a_coords: dict) -> dict:
         """Coordinates of x (x) a for x in g-coordinates, a in A-coordinates."""
@@ -63,69 +126,16 @@ class MapSuper:
 
 
 def tensor_lie(g, coeff: CoeffAlgebra) -> MapSuper:
-    """Structure constants of g (x) A from those of g and A:
-    [x1 (x) f1, x2 (x) f2] = [x1, x2] (x) f1 f2.
-
-    Only nonzero brackets of g are visited.  Where f1 f2 is a single basis
-    element with coefficient exactly 1, the bracket's entries are copied,
-    not multiplied.  When A is one-dimensional with 1 * 1 = 1 (the base
-    field), g (x) A is g relabeled and shares g's table outright: no code
-    mutates a bracket table after construction.  Every bracket dict keeps
-    the key order of the entry-by-entry product, [x1, x2]'s entries major
-    and f1 f2's minor.  Each piece of g's triangular split becomes the
-    x (x) a_j for its x, g-major."""
+    """g (x) A for a Lie superalgebra g or a QueerData (whose root data
+    the result carries), with basis x_i (x) a_j, g-major.  Its bracket
+    table, MapSuper.algebra, is built on first read."""
     qd = None
     if isinstance(g, QueerData):
         qd, g = g, g.algebra
-    tower = g.tower
     na = coeff.dim
-    pair_index = {}
-    labels = []
-    parities = []
-    for xi in range(g.dim):
-        for aj in range(na):
-            pair_index[(xi, aj)] = len(labels)
-            labels.append(f"{g.space.labels[xi]}(x){coeff.space.labels[aj]}")
-            parities.append(g.space.parity(xi))
-    space = GradedSpace.from_parities(parities, tuple(labels))
-    name = f"{g.name}(x){coeff.name}"
-    one = tower.one()
-    prods = [[tuple(coeff.mult[p][q].items()) for q in range(na)]
-             for p in range(na)]
-    if na == 1 and prods[0][0] == ((0, one),):
-        return MapSuper(g, coeff, g.relabeled(space, name), pair_index,
-                        qd=qd)
-    # the terms (t, c) of each a_j a_l, with c None for a coefficient 1
-    terms = [[tuple((at, None if sa == one else sa) for at, sa in fp)
-              for fp in row] for row in prods]
-    dim = len(labels)
-    bk = [[{} for _ in range(dim)] for _ in range(dim)]
-    for xi, grow in enumerate(g.bk):
-        for xk, br in enumerate(grow):
-            if not br:
-                continue
-            for aj in range(na):
-                row = bk[xi * na + aj]
-                for al, fprod in enumerate(terms[aj]):
-                    if not fprod:
-                        continue
-                    if len(fprod) == 1 and fprod[0][1] is None:
-                        at = fprod[0][0]   # a_j a_l = a_t: copy
-                        row[xk * na + al] = {xt * na + at: s
-                                             for xt, s in br.items()}
-                        continue
-                    out = {}
-                    for xt, s in br.items():
-                        for at, sa in fprod:
-                            v = s if sa is None else s * sa
-                            if not v.is_zero:
-                                out[xt * na + at] = v
-                    row[xk * na + al] = out
-    tri = None if g.triangular is None else \
-        tuple([pair_index[(x, j)] for x in part for j in range(na)]
-              for part in g.triangular)
-    algebra = LieSuper(tower, space, bk, name=name, triangular=tri)
-    return MapSuper(g, coeff, algebra, pair_index, qd=qd)
+    pair_index = {(xi, aj): xi * na + aj
+                  for xi in range(g.dim) for aj in range(na)}
+    return MapSuper(g, coeff, pair_index, qd=qd)
 
 
 # ---------------------------------------------------------------------------

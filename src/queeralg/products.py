@@ -72,9 +72,13 @@ def _solve_weight_schur(m: WeightModule) -> WeightSchur:
     """WeightSchur of an irreducible weight module, from its odd
     supercommutant solved on the weight blocks.
 
-    phi supercommutes with the even Cartan generators, which act on block
-    w by the scalars w (as in hom_space_weight, the grading is taken to
-    be that of m's algebra), so phi preserves weights.  The unknowns are
+    The equations are those of the algebra's generators only: the x with
+    phi rho(x) = (-1)^|x| rho(x) phi form a Lie sub-superalgebra (expand
+    rho([x, y]) and move phi past each factor), so phi supercommutes with
+    every element once it does with the generators (LieSuper.generators).
+    In particular phi commutes with the even Cartan part, which acts on
+    block w by the scalars w (as in hom_space_weight, the grading is taken
+    to be that of m's algebra), so phi preserves weights.  The unknowns are
     therefore the slots of opposite parity inside each block, in
     flat-index order, and odd_schur returns the phi of the solve over all
     of End(V).  phi is normalized to phi^2 = -id (adjoining sqrt(-1/c)
@@ -84,7 +88,7 @@ def _solve_weight_schur(m: WeightModule) -> WeightSchur:
     one = tower.one()
     ops = [({(idx[row], idx[col]): v
              for (row, col), v in m.op_entries({g: one}).items()},
-            m.algebra.space.parity(g)) for g in range(m.algebra.dim)]
+            m.algebra.space.parity(g)) for g in m.algebra.generators]
     slots = [(idx[(w, i)], idx[(w, j)]) for w in m.weights
              for i, p in enumerate(m.parities[w])
              for j, q in enumerate(m.parities[w]) if p != q]

@@ -124,12 +124,20 @@ class QueerData:
             [self.index[f"e'[{i},{j}]"] for i, j in offdiag if i < j]
         self.nneg_indices = [self.index[f"e[{i},{j}]"] for i, j in offdiag if i > j] + \
             [self.index[f"e'[{i},{j}]"] for i, j in offdiag if i > j]
+        # the simple root vectors e_{+-alpha_k} and e'_{+-alpha_k} generate
+        # q(n) (Cheng-Wang, ch. 1-2): [e[k,k+1], e[k+1,k]] and
+        # [e[k,k+1], e'[k+1,k]] give h_k and h'_k, and the even and odd
+        # root vectors follow by bracketing along the simple roots
+        generators = sorted(self.index[f"e{w}[{i},{j}]"] for w in ("", "'")
+                            for k in range(1, n + 1)
+                            for i, j in ((k, k + 1), (k + 1, k)))
         bk, raw_bk = _queer_structure(tower, n, units, self.index)
         self.algebra = LieSuper(tower, self.space, bk, name=f"q({n})",
                                 raw_bk=raw_bk,
                                 triangular=(self.npos_indices,
                                             self.cartan_indices,
-                                            self.nneg_indices))
+                                            self.nneg_indices),
+                                generators=generators)
         self.roots = RootDatum(self)
         # the ad-weight of each basis vector, read off where the basis is
         # built: e[i,j] and e'[i,j] carry eps_i - eps_j, h_k and h'_k carry

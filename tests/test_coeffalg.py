@@ -1,11 +1,17 @@
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_ref import sparse
-from queeralg.coeffalg import (IdealRep, QuotientAlgebra, algebra_from_spec,
-                               gamma_from_spec, gamma_validate, ideal_product,
+from queeralg.coeffalg import (CoeffAlgebra, GammaAction, IdealRep,
+                               QuotientAlgebra, _check_truncated,
+                               algebra_from_spec, gamma_from_spec,
+                               gamma_validate, ideal_product,
                                preset_base_field, preset_truncated, radical,
                                support, zero_ideal)
+from queeralg.graded import EVEN, GradedMap, add_entries
+from queeralg.liesuper import LieSuper
 from queeralg.queer import build_q
 from queeralg.scalars import Tower, parse_scalar
 
@@ -270,6 +276,122 @@ def test_gamma_validate_trivial_action_is_not_free(K):
     rep = gamma_validate(act, a, qd)
     assert rep["valid"] and not rep["free"]
     assert rep["failures"] == ["freeness violated at maximal ideal 0"]
+
+
+# ---------------------------------------------------------------------------
+# Identities checked on generators
+# ---------------------------------------------------------------------------
+
+_GK = Tower()
+_GQ2 = build_q(_GK, 2)
+_GA = two_point(_GK)
+_scalar = st.sampled_from(["1", "-1", "2", "1/2", "i", "-i"]).map(
+    lambda x: parse_scalar(_GK, x))
+
+
+def _on_full_basis(qd):
+    """qd with an algebra that generates from the whole basis (the
+    LieSuper default): the reference for the generator rows."""
+    full = copy.copy(qd)
+    g = qd.algebra
+    full.algebra = LieSuper(g.tower, g.space, g.bk, name=g.name,
+                            triangular=g.triangular)
+    return full
+
+
+def _first_bracket_failure(f, g, rows):
+    """First (i, j), i in rows and j any basis index, with
+    f [e_i, e_j] != [f e_i, f e_j], written out with GradedMap.apply."""
+    one = g.tower.one()
+    for i in rows:
+        for j in range(g.dim):
+            lhs = f.apply(g.bracket({i: one}, {j: one}))
+            if lhs != g.bracket(f.apply({i: one}), f.apply({j: one})):
+                return i, j
+    return None
+
+
+def _diagonal(values):
+    return GradedMap(_GK, _GQ2.space, _GQ2.space, dict(
+        ((k, k), x) for k, x in enumerate(values)), parity=EVEN)
+
+
+def _shear(i, off, c):
+    # the identity plus c E_ij, j != i in i's parity block (0-7 even,
+    # 8-15 odd)
+    j = i - i % 8 + (i % 8 + off) % 8
+    ident = GradedMap.identity(_GK, _GQ2.space)
+    return GradedMap(_GK, _GQ2.space, _GQ2.space,
+                     {**ident.entries, (i, j): c}, parity=EVEN)
+
+
+_q_maps = st.one_of(
+    st.lists(_scalar, min_size=3, max_size=3).map(_GQ2.conj_automorphism),
+    st.lists(_scalar, min_size=16, max_size=16).map(_diagonal),
+    st.builds(_shear, st.integers(0, 15), st.integers(1, 7), _scalar))
+
+
+@settings(max_examples=60)
+@given(_q_maps, st.sampled_from([1, 2, 4]))
+def test_gamma_validate_on_generators_matches_the_full_basis(q_map, order):
+    """gamma_validate checks f [x, y] = [f x, f y] on the rows x of the
+    generators of q(2) only.  On random diagonal conjugations (valid),
+    random diagonal maps and shears (mostly not automorphisms), its
+    report equals that over every row, except that the bracket failure
+    names the first failing pair over the generator rows; such a pair
+    exists exactly when one exists over all rows."""
+    g = _GQ2.algebra
+    act = GammaAction(_GK, [(order, GradedMap.identity(_GK, _GA.space),
+                             q_map)])
+    got = gamma_validate(act, _GA, _GQ2)
+    want = gamma_validate(act, _GA, _on_full_basis(_GQ2))
+    assert {k: v for k, v in got.items() if k != "failures"} == \
+        {k: v for k, v in want.items() if k != "failures"}
+    for rep, rows in ((got, g.generators), (want, range(g.dim))):
+        pair = _first_bracket_failure(q_map, g, rows)
+        expect = [] if pair is None else \
+            [f"generator 0: bracket not preserved at ({pair[0]},{pair[1]})"]
+        assert [f for f in rep["failures"] if "bracket" in f] == expect
+    assert [f for f in got["failures"] if "bracket" not in f] == \
+        [f for f in want["failures"] if "bracket" not in f]
+
+
+def _with_table(a, mult):
+    return CoeffAlgebra(a.tower, a.space, mult, a.unit,
+                        maximal_ideals=a.maximal_ideals)
+
+
+@pytest.mark.parametrize("i, j", [(i, j) for i in range(4)
+                                  for j in range(4)])
+def test_truncated_check_refuses_every_corrupted_product(K, i, j):
+    """preset_truncated sweeps associativity over the triples (t, j, k)
+    only.  A table of K[t]/(t^4 - 1) with any one product changed (t^3
+    added) is refused by it, as by the full sweep."""
+    a = four_point(K)
+    _check_truncated(a)
+    mult = [[dict(e) for e in row] for row in a.mult]
+    mult[i][j] = add_entries(mult[i][j], [(3, K.one())])
+    bad = _with_table(a, mult)
+    with pytest.raises(AssertionError):
+        bad.check()
+    with pytest.raises(AssertionError):
+        _check_truncated(bad)
+
+
+def test_truncated_check_needs_t_powers(K):
+    """The shortcut needs t * t^(k-1) = t^k.  K[t]/(t^4 - 1) on the
+    basis 1, t, t^3, t^2 is associative (the full sweep passes), but
+    t * t is not basis element 2, so the check refuses it."""
+    a = four_point(K)
+    p = [0, 1, 3, 2]
+    mult = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(4):
+            mult[p[i]][p[j]] = {p[k]: v for k, v in a.mult[i][j].items()}
+    perm = _with_table(a, mult)
+    perm.check()
+    with pytest.raises(AssertionError, match=r"t \* t\^1 is not t\^2"):
+        _check_truncated(perm)
 
 
 def test_algebra_from_spec(K):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from classify_ref import row_module
 from dense_ref import ad_map
 from queeralg.assocsuper import make_M, make_Q
-from queeralg.coeffalg import preset_truncated
+from queeralg.coeffalg import preset_base_field, preset_truncated
 from queeralg.graded import GradedMap, GradedSpace
 from queeralg.liesuper import (LieSuper, WeightModule, derived_series,
                                direct_sum, from_assoc, ideal_closure,
@@ -120,6 +120,26 @@ def test_direct_sum(K):
     assert not g.bracket({0: one}, {2: one})  # summands commute
 
 
+def test_generators_default_to_the_whole_basis(K):
+    """Only q(n) names a smaller generating set; a relabeling keeps it, and
+    every other builder generates from the whole basis."""
+    from queeralg.queer import build_q_tilde
+    qd = build_q(K, 2)
+    assert len(qd.algebra.generators) == 8
+    relabeled = qd.algebra.relabeled(qd.space, "copy")
+    assert relabeled.generators == qd.algebra.generators
+    assert tensor_lie(qd, preset_base_field(K)).algebra.generators == \
+        qd.algebra.generators
+    one = K.one()
+    two_point = preset_truncated(K, [-one, K.zero(), one],
+                                 [(one, 1), (-one, 1)])
+    sub, _ = subalgebra(qd.algebra, [{i: one} for i in qd.cartan_indices])
+    for g in (build_q_tilde(K, 2), from_assoc(make_Q(K, 1)), sub,
+              direct_sum(qd.algebra, qd.algebra),
+              tensor_lie(qd, two_point).algebra):
+        assert list(g.generators) == list(range(g.dim)), g.name
+
+
 def test_lie_module_check(K):
     qd = build_q(K, 2)
     adj = [ad_map(qd.algebra, i) for i in range(16)]
@@ -161,7 +181,7 @@ def mw_queers():
 
 
 def test_maximal_weights_match_pairwise_on_classify_rows():
-    from queeralg.coeffalg import preset_truncated
+    from queeralg.coeffalg import preset_base_field, preset_truncated
     from queeralg.products import Catalog, _assignments
     K = Tower()
     q2 = build_q(K, 2)

@@ -152,6 +152,36 @@ def test_tensor_lie_matches_entrywise_product(queers, n, alg):
         for row in ms.algebra.bk]
 
 
+@pytest.mark.parametrize("alg", ["base", "t4-16"])
+def test_bracket_table_is_built_on_first_read(queers, alg):
+    """tensor_lie builds no bracket table; the first read of
+    MapSuper.algebra builds the eager construction's table, entry by
+    entry and in key order, once.  Over the base field it is q's table
+    relabeled, with q's generators; otherwise every basis element is a
+    generator and the triangular split is carried over g-major."""
+    qd, coeff = queers[2], shortcut_algebra(alg)
+    ms = tensor_lie(qd, coeff)
+    assert "algebra" not in vars(ms)
+    assert ms.dim == len(ms.pair_index) == qd.dim * coeff.dim
+    table = ms.algebra
+    assert vars(ms)["algebra"] is table and ms.algebra is table
+    assert _items(table.bk) == _items(multiply_every_entry(qd.algebra,
+                                                           coeff))
+    assert table.dim == ms.dim
+    assert table.space.labels == tuple(
+        f"{qd.space.labels[x]}(x){coeff.space.labels[a]}"
+        for x, a in ms.pair_index)
+    na = coeff.dim
+    assert table.triangular == tuple(
+        [x * na + j for x in part for j in range(na)]
+        for part in qd.algebra.triangular)
+    if alg == "base":
+        assert table.bk is qd.algebra.bk
+        assert table.generators == qd.algebra.generators
+    else:
+        assert list(table.generators) == list(range(ms.dim))
+
+
 @pytest.mark.parametrize("alg", SHORTCUT_ALGEBRAS)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gen_root_matches_weight_of(queers, n, alg):

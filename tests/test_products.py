@@ -539,6 +539,93 @@ def test_flat_against_weight_module_is_refused(env):
     assert ok and wit.rank() == ad.dim
 
 
+def _on_full_basis(m):
+    """m over a copy of its algebra that generates from the whole basis
+    (the LieSuper default): the reference for every identity solved on
+    the generators alone."""
+    g = m.algebra
+    full = LieSuper(g.tower, g.space, g.bk, name=g.name,
+                    triangular=g.triangular)
+    assert list(full.generators) == list(range(g.dim))
+    return WeightModule(full, m.tower, m.weights, m.parities, m.act,
+                        qd=m.qd)
+
+
+def _parity_shift(m):
+    """Pi m: the same operators with every parity flipped, again a
+    module (the relation never reads the grading of the carrier)."""
+    return WeightModule(m.algebra, m.tower, m.weights,
+                        {w: tuple(1 - p for p in ps)
+                         for w, ps in m.parities.items()}, m.act, qd=m.qd)
+
+
+def _generator_corpus(qd):
+    """Modules over q(n): the catalog entries, their diag_conj twists of
+    order 2 and 4, adjoint (+) trivial, and adjoint (+) Pi adjoint, whose
+    odd supercommutant is not zero."""
+    K = qd.tower
+    cat = Catalog(qd)
+    ad, triv = cat.module("adjoint"), cat.module("trivial")
+    mods = {"trivial": triv, "adjoint": ad}
+    for order, last in ((2, -K.one()), (4, K.i())):
+        sigma = qd.conj_automorphism([K.one()] * qd.n + [last])
+        for name in ("trivial", "adjoint"):
+            mods[f"{name}^{order}"] = twist_q_module(mods[name], qd, sigma)
+    mods["adjoint+trivial"] = direct_sum_weight(ad, triv)
+    mods["adjoint+Pi adjoint"] = direct_sum_weight(ad, _parity_shift(ad))
+    return mods
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hom_on_generators_matches_the_full_basis(env, q3, n):
+    """hom_space_weight solves T rho(x) = rho'(x) T for the 4n simple root
+    vectors of q(n) only; over every pair of the corpus the kernel, the
+    slots and the isomorphism verdict and witness equal those of the
+    solve over every basis element."""
+    qd = env["q2"] if n == 2 else q3
+    assert len(qd.algebra.generators) == 4 * n
+    mods = _generator_corpus(qd)
+    full = {name: _on_full_basis(m) for name, m in mods.items()}
+    verdicts = set()
+    for a in mods:
+        for b in mods:
+            got = hom_space_weight(mods[a], mods[b])
+            assert got == hom_space_weight(full[a], full[b]), (a, b)
+            if a.startswith("adjoint+") and b.startswith("adjoint+"):
+                continue   # Hom of dimension 4 and more: no exact scan
+            ok, wit = is_isomorphic_weight(mods[a], mods[b])
+            ok_full, wit_full = is_isomorphic_weight(full[a], full[b])
+            assert (ok, wit) == (ok_full, wit_full), (a, b)
+            verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_schur_on_generators_matches_the_full_basis(env, q3, n):
+    """_solve_weight_schur supercommutes phi with the generators only; on
+    every module of the corpus it gives the phi blocks of the solve over
+    every basis element.  The corpus over q(n) is all type M, so it also
+    holds adjoint (x) C^{1|1}, of type Q, over q(n) (+) Q(1) generated by
+    q(n)'s generators and both basis elements of Q(1)."""
+    from queeralg.products import _solve_weight_schur
+    qd = env["q2"] if n == 2 else q3
+    mods = _generator_corpus(qd)
+    cat, qone = Catalog(qd), q1_module(qd.tower)
+    prod, _ = _hat(cat.module("adjoint"), qone, cat.weight_schur("adjoint"),
+                   weight_schur_data(qone))
+    g = prod.algebra
+    gens = list(qd.algebra.generators) + [qd.dim, qd.dim + 1]
+    on_gens = LieSuper(g.tower, g.space, g.bk, name=g.name, generators=gens)
+    mods["adjoint (x) qone"] = WeightModule(on_gens, prod.tower, prod.weights,
+                                           prod.parities, prod.act)
+    types = []
+    for name, m in mods.items():
+        got = _solve_weight_schur(m)
+        assert got == _solve_weight_schur(_on_full_basis(m)), name
+        types.append(got.is_type_q)
+    assert types == [False] * (len(mods) - 1) + [True]
+
+
 def test_hom_basis_is_homogeneous(env):
     # the Hom equations never mix slot parities, so every RREF kernel
     # vector is homogeneous (what makes the isomorphism scan exact between
@@ -809,12 +896,18 @@ def test_ev_pullback_is_the_written_out_pullback(env):
                                 ev_module(ms4, p, rho))
 
 
-def test_classify_builds_nothing_over_q_tensor_a(env, monkeypatch):
-    """Work guard: classify builds no module, untwisted or twisted.  It
-    calls none of ev_pullback, hat_tensor_weight, tensor_same_algebra or
-    ann_and_support, and tests isomorphism only in
-    the twist check (once per class and non-identity element) and
-    between catalog entries of equal graded dimensions (none here)."""
+def test_classify_builds_nothing_over_q_tensor_a(env, monkeypatch, tmp_path,
+                                                capsys):
+    """Work guard: classify builds no module and no bracket table of
+    q (x) A, untwisted or twisted, through the library and through
+    cli.main.  It calls none of ev_pullback, hat_tensor_weight,
+    tensor_same_algebra or ann_and_support, leaves MapSuper.algebra
+    unbuilt, and tests isomorphism only in the twist check (once per
+    class and non-identity element) and between catalog entries of equal
+    graded dimensions (none here)."""
+    import json
+    from queeralg import cli
+
     def refuse(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} was called")
@@ -826,11 +919,30 @@ def test_classify_builds_nothing_over_q_tensor_a(env, monkeypatch):
     calls: dict = {}
     _counted(monkeypatch, "is_isomorphic_weight", calls)
     _, ms4, _, inv = gamma_env(env)
-    for ms, where, twists in ((env["ms"], None, 0), (ms4, inv, 2)):
+    ms2 = tensor_lie(env["q2"], env["A"])
+    for ms, where, twists in ((ms2, None, 0), (ms4, inv, 2)):
         calls.clear()
         rep = classify_enumerate(ms, Catalog(env["q2"]), inv=where)
         assert len(rep["rows"]) == 4
         assert len(calls.get("is_isomorphic_weight", [])) == twists
+        assert "algebra" not in vars(ms)
+    made = []
+
+    def recorded(*args):
+        made.append(tensor_lie(*args))
+        return made[-1]
+    monkeypatch.setattr(cli, "tensor_lie", recorded)
+    for which in ("two_point", "twisted4_r2"):
+        _, algebra, group = CLASSIFY_INPUTS[which]
+        argv = ["classify", "--n", "2", "--algebra", str(tmp_path / "a.json")]
+        (tmp_path / "a.json").write_text(json.dumps(algebra))
+        if group is not None:
+            (tmp_path / "g.json").write_text(json.dumps(group))
+            argv += ["--group", str(tmp_path / "g.json")]
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().out.count("classification over q(2)") == 2
+    assert len(made) == 2
+    assert all("algebra" not in vars(ms) for ms in made)
 
 
 def test_classify_trivial_catalog(env):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_ref import dense
-from queeralg.graded import EVEN
+from queeralg.graded import EVEN, Span
 from queeralg.liesuper import is_simple, is_solvable, subalgebra
 from queeralg.queer import build_q, build_q_tilde, cartan_generation_check
 from queeralg.scalars import Tower, raw_of
@@ -108,6 +108,29 @@ def test_triangular_parts(K, q2):
     borel, _ = subalgebra(q2.algebra, [{i: one} for i in q2.borel_indices])
     assert borel.dim == 10
     assert q2.dim == len(q2.nneg_indices) + len(q2.cartan_indices) + len(q2.npos_indices)
+
+
+@pytest.mark.filterwarnings("ignore:q\\(1\\) is not simple")
+@pytest.mark.parametrize("n, dim", [(1, 6), (2, 16), (3, 30), (4, 48)])
+def test_simple_root_vectors_generate_q(K, n, dim):
+    """Soundness of LieSuper.generators for q(n): the left-normed brackets
+    [x_1, [x_2, ..., x_k]] of the 4n simple root vectors e_{+-alpha_k},
+    e'_{+-alpha_k} span all of q(n) (exact Span).  Every identity checked
+    on the generators alone rests on this."""
+    qd = build_q(K, n)
+    g = qd.algebra
+    one = K.one()
+    assert [qd.space.labels[i] for i in g.generators] == \
+        [f"e{w}[{i},{j}]" for w in ("", "'") for k in range(1, n + 1)
+         for i, j in ((k, k + 1), (k + 1, k))]
+    assert list(g.generators) == sorted(g.generators)
+    gens = [{i: one} for i in g.generators]
+    span = Span(K)
+    frontier = [v for v in gens if span.add(v)]
+    while frontier:
+        frontier = [br for x in gens for v in frontier
+                    if (br := g.bracket(x, v)) and span.add(br)]
+    assert span.dim == g.dim == dim
 
 
 def test_cartan_generation(K, q2):

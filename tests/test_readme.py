@@ -25,7 +25,8 @@ PROSE = {"m.algebra"}
 def package():
     """The package's modules by short name, its classes by name, and a
     built instance of each class whose README attributes are set on
-    instances (QueerData.units, MapSuper.gen_root, ...)."""
+    instances (QueerData.units, MapSuper.gen_root, LieSuper.generators,
+    ...)."""
     modules = {info.name: importlib.import_module(f"queeralg.{info.name}")
                for info in pkgutil.iter_modules(queeralg.__path__)}
     classes = {name: obj for mod in modules.values()
@@ -33,7 +34,7 @@ def package():
                if inspect.isclass(obj) and obj.__module__ == mod.__name__}
     K = Tower()
     qd = build_q(K, 2)
-    instances = {"QueerData": qd,
+    instances = {"QueerData": qd, "LieSuper": qd.algebra,
                  "MapSuper": tensor_lie(qd, preset_base_field(K))}
     return modules, classes, instances
 
