@@ -337,8 +337,11 @@ def hat_tensor_weight(m1: WeightModule, m2: WeightModule,
 
 def _check_product_phi(m: WeightModule, phi: dict):
     """The type rule's phi on a product, checked exactly: it must be odd,
-    supercommute with every generator of m and square to -id (each
-    entry one raw_dot); AssertionError otherwise."""
+    supercommute with every generator of m's algebra
+    (LieSuper.generators) and square to -id (each entry one raw_dot);
+    AssertionError otherwise.  The x with phi rho(x) = (-1)^|x| rho(x) phi
+    form a Lie sub-superalgebra (see _solve_weight_schur), so phi then
+    supercommutes with every element."""
     tower = m.tower
     ph, neg = {}, {}
     for w, blk in phi.items():
@@ -349,7 +352,7 @@ def _check_product_phi(m: WeightModule, phi: dict):
             ph.setdefault((w, r), {})[(w, c)] = raw_of(v)
             neg.setdefault((w, r), {})[(w, c)] = raw_of(-v)
     one = tower.one()
-    for g in range(m.algebra.dim):
+    for g in m.algebra.generators:
         # x phi - (-1)^|x| phi x
         xs: dict = {}
         for (row, col), v in m.op_entries({g: one}).items():
@@ -456,7 +459,7 @@ def adjoint_q_module(qd: QueerData) -> WeightModule:
 
 class Catalog:
     """Finite user-extensible catalog of irreducible q-modules (weight
-    modules over q with cached Schur data)."""
+    modules over q itself with cached Schur data)."""
 
     def __init__(self, qd: QueerData):
         self.qd = qd
@@ -465,6 +468,13 @@ class Catalog:
         self.add("adjoint", adjoint_q_module(qd))
 
     def add(self, name: str, module: WeightModule):
+        """Add an entry; ValueError unless it is a module over q itself,
+        the modules whose top weight is a complete invariant (an
+        evaluation module over q (x) A shares its top weight with
+        non-isomorphic ones)."""
+        if module.qd is not self.qd or module.algebra is not self.qd.algebra:
+            raise ValueError(f"catalog entry {name!r} is not a module over "
+                             f"q({self.qd.n}) itself")
         self.entries[name] = {"module": module, "schur": None}
 
     def names(self):
@@ -484,6 +494,19 @@ class Catalog:
         return e["schur"]
 
 
+def _h0_fixed_columns(qd: QueerData, tau: GradedMap) -> dict:
+    """The columns of an automorphism tau of q, once tau is checked to fix
+    the even Cartan part h0 pointwise (ValueError otherwise).  Such a tau
+    commutes with ad h for every h in h0, so it maps each root space of q
+    to itself and keeps the Borel subalgebra."""
+    one = qd.tower.one()
+    cols = tau.columns()
+    if any(cols.get(h) != {h: one} for h in qd.h0_indices):
+        raise ValueError("automorphism moves the even Cartan part; "
+                         "cannot keep the weight grading")
+    return cols
+
+
 def twist_q_module(m: WeightModule, qd: QueerData,
                    tau: GradedMap) -> WeightModule:
     """Pullback of a q-module along an automorphism tau of q: x acts as
@@ -491,12 +514,7 @@ def twist_q_module(m: WeightModule, qd: QueerData,
     sigma^-1.  Requires tau to fix the even Cartan part pointwise (true
     for the diagonal conjugations used here); weights are then
     unchanged."""
-    one = m.tower.one()
-    cols = tau.columns()
-    for hidx in qd.h0_indices:
-        if cols.get(hidx) != {hidx: one}:
-            raise ValueError("automorphism moves the even Cartan part; "
-                             "cannot keep the weight grading")
+    cols = _h0_fixed_columns(qd, tau)
     return pullback(m, m.algebra,
                     (cols.get(g, {}).items() for g in range(qd.dim)))
 
@@ -570,14 +588,26 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
     each row read off the data of its classes.  inv holds the invariants
     of a free action; without it the group is trivial.
 
-    Certificate, checked exactly once per run: every class is stable
-    under the group twist, so the equivariant assignments are those
-    constant on orbits; evaluation at the orbit representatives reps maps
-    the invariants onto (+)_reps q; each entry is certified irreducible
-    (Catalog.weight_schur); and the classes are pairwise non-isomorphic
-    (AssertionError naming both entries otherwise).  The theorem then
-    makes each row, the (x)^-product over (+)_S q of the classes at S,
-    the reps of nontrivial class, an irreducible module, distinct rows
+    Certificate, checked exactly once per run: each generator of the
+    group fixes the even Cartan part h0 of q pointwise (ValueError
+    otherwise); evaluation at the orbit representatives reps maps the
+    invariants onto (+)_reps q; each entry, a module over q itself
+    (Catalog.add), is certified irreducible (Catalog.weight_schur); and
+    the entries' top weights are pairwise distinct (AssertionError naming
+    both entries otherwise).
+
+    The argument is the highest-weight theorem for q(n): an irreducible
+    finite-dimensional q-module is fixed up to isomorphism by its top
+    weight (its top block is the irreducible Clifford module of that
+    weight, unique up to parity shift, and isomorphisms may be odd, so
+    V and Pi V are isomorphic).  So the top weights, certified with the
+    entries, decide isomorphism of classes.  An element fixing h0
+    pointwise maps each root space to itself and keeps the Borel
+    subalgebra, so every twist of a class is irreducible with the same
+    top weight, hence isomorphic to the class, and the equivariant
+    assignments are those constant on orbits.  The theorem then makes
+    each row, the (x)^-product over (+)_S q of the classes at S, the reps
+    of nontrivial class, an irreducible module, distinct rows
     non-isomorphic, and its annihilator the kernel of evaluation at its
     support."""
     names = catalog.names()
@@ -589,16 +619,9 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
         raise ValueError("; ".join(
             f for f in inv.gamma_report["failures"] if "freeness" in f))
     orbits = inv.gamma_report["orbits"]
-    # the non-identity elements are closed under inverses, so pulling
-    # back along each of them checks every twist
-    for name in names:
-        mod = catalog.module(name)
-        for _, q_map in inv.act.elements[1:]:
-            ok, _ = is_isomorphic_weight(mod, twist_q_module(mod, ms.qd,
-                                                             q_map))
-            if not ok:
-                raise ValueError(f"catalog class {name!r} is not stable "
-                                 "under the group twist")
+    # the generators fix h0 pointwise, hence so does every element
+    for _, _, q_map in inv.act.generators:
+        _h0_fixed_columns(ms.qd, q_map)
     reps = [min(orbit) for orbit in orbits]
     if ev_rank(ms, reps, inv.averaged) != len(reps) * ms.g.dim:
         what = "of the invariants at the orbit representatives" if twisted \
@@ -611,8 +634,7 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
         classes[name] = (mod.graded_dims(), is_q, mod.maximal_weights()[0])
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            if classes[a][0] == classes[b][0] and is_isomorphic_weight(
-                    catalog.module(a), catalog.module(b))[0]:
+            if classes[a][2] == classes[b][2]:
                 raise AssertionError(f"catalog entries {a!r} and {b!r} are "
                                      "isomorphic")
     tower, coeff = ms.tower, ms.coeff

@@ -9,6 +9,7 @@ import pytest
 from queeralg import cli, liesuper
 from queeralg.cli import main
 from queeralg.queer import QueerData
+from queeralg.scalars import Tower
 
 
 @pytest.fixture
@@ -163,6 +164,38 @@ def test_classify_freeness_error_has_one_prefix(files, capsys):
     assert cap.out == ""
     assert cap.err.splitlines() == [
         "error: freeness violated at maximal ideal 0"]
+
+
+def test_classify_refuses_a_group_that_moves_h0(files, capsys):
+    """Conjugation by the transposition (1 2) is an automorphism of q(2)
+    of order 2, given as an explicit on_q matrix: e[i,j] -> e[pi i,pi j],
+    h1 -> -h1, h2 -> h1 + h2, and the same for the primed elements.  It
+    passes validation but moves h0, so the weight grading, on which the
+    twist of a class keeps its top weight, is lost: one error line."""
+    qd = QueerData(Tower(), 2)
+    pi = {1: 2, 2: 1, 3: 3}
+    rows = [[0] * qd.dim for _ in range(qd.dim)]   # rows[image][source]
+    for w in ("", "'"):
+        for i in range(1, 4):
+            for j in range(1, 4):
+                if i != j:
+                    rows[qd.index[f"e{w}[{pi[i]},{pi[j]}]"]][
+                        qd.index[f"e{w}[{i},{j}]"]] = 1
+        h1, h2 = qd.index[f"h{w}1"], qd.index[f"h{w}2"]
+        rows[h1][h1] = -1
+        rows[h1][h2] = rows[h2][h2] = 1
+    grp = files["dir"] / "swap.json"
+    grp.write_text(json.dumps({"generators": [
+        {"order": 2, "on_algebra": {"type": "substitute_t", "scale": "-1"},
+         "on_q": rows}]}))
+    rc = main(["classify", "--n", "2", "--algebra", _t4_16(files),
+               "--group", str(grp)])
+    assert rc == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.splitlines() == [
+        "error: automorphism moves the even Cartan part; cannot keep the "
+        "weight grading"]
 
 
 def test_classify_deficient_evaluation_is_one_error_line(files, capsys,

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -10,7 +11,7 @@ import queeralg.products as products
 from queeralg.assocsuper import density_type_from_maps, make_Q
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
 from queeralg.coeffalg import (algebra_from_spec, gamma_from_spec,
-                               preset_truncated)
+                               preset_base_field, preset_truncated)
 from queeralg.graded import (EVEN, ODD, GradedMap, GradedSpace, Span,
                              commutant, homogeneous_entries, nonzero_entries,
                              odd_schur)
@@ -600,6 +601,27 @@ def test_hom_on_generators_matches_the_full_basis(env, q3, n):
     assert verdicts == {True, False}
 
 
+def _type_q_product_on_generators(qd, q_first=False):
+    """adjoint (x) C^{1|1} over q(n) (+) Q(1), or C^{1|1} (x) adjoint over
+    Q(1) (+) q(n) when q_first, of type Q, over a copy of its algebra
+    generated by q(n)'s generators and both basis elements of Q(1); with
+    the phi blocks of the type rule and the product as built."""
+    cat, qone = Catalog(qd), q1_module(qd.tower)
+    factors = [(cat.module("adjoint"), cat.weight_schur("adjoint")),
+               (qone, weight_schur_data(qone))]
+    if q_first:
+        factors.reverse()
+    (m1, s1), (m2, s2) = factors
+    prod, info = _hat(m1, m2, s1, s2)
+    g = prod.algebra
+    q_at, one_at = (2, 0) if q_first else (0, qd.dim)   # summand offsets
+    gens = sorted([q_at + k for k in qd.algebra.generators]
+                  + [one_at, one_at + 1])
+    on_gens = LieSuper(g.tower, g.space, g.bk, name=g.name, generators=gens)
+    return (WeightModule(on_gens, prod.tower, prod.weights, prod.parities,
+                         prod.act), info["result_schur"].phi_blocks, prod)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_schur_on_generators_matches_the_full_basis(env, q3, n):
     """_solve_weight_schur supercommutes phi with the generators only; on
@@ -610,20 +632,47 @@ def test_schur_on_generators_matches_the_full_basis(env, q3, n):
     from queeralg.products import _solve_weight_schur
     qd = env["q2"] if n == 2 else q3
     mods = _generator_corpus(qd)
-    cat, qone = Catalog(qd), q1_module(qd.tower)
-    prod, _ = _hat(cat.module("adjoint"), qone, cat.weight_schur("adjoint"),
-                   weight_schur_data(qone))
-    g = prod.algebra
-    gens = list(qd.algebra.generators) + [qd.dim, qd.dim + 1]
-    on_gens = LieSuper(g.tower, g.space, g.bk, name=g.name, generators=gens)
-    mods["adjoint (x) qone"] = WeightModule(on_gens, prod.tower, prod.weights,
-                                           prod.parities, prod.act)
+    mods["adjoint (x) qone"], _, _ = _type_q_product_on_generators(qd)
     types = []
     for name, m in mods.items():
         got = _solve_weight_schur(m)
         assert got == _solve_weight_schur(_on_full_basis(m)), name
         types.append(got.is_type_q)
     assert types == [False] * (len(mods) - 1) + [True]
+
+
+@pytest.mark.parametrize("q_first", [False, True])
+def test_product_phi_check_on_generators_matches_the_full_basis(env,
+                                                                 q_first):
+    """_check_product_phi supercommutes phi with the generators only.  On
+    the one-type-Q products adjoint (x) C^{1|1} and C^{1|1} (x) adjoint it
+    accepts the type rule's phi, and it still raises, with the message of
+    the sweep over every basis element, on phi with any one entry
+    negated, and on phi composed with the sign flip of any one basis
+    vector of the adjoint factor (which keeps phi^2 = -id)."""
+    from queeralg.products import _check_product_phi
+    m, phi, prod = _type_q_product_on_generators(env["q2"], q_first)
+    full = _on_full_basis(m)
+    assert len(m.algebra.generators) == 10 < full.algebra.dim == 18
+    _check_product_phi(m, phi)
+    _check_product_phi(full, phi)
+    _, _, pair_basis, _, _ = prod.pair_data
+    # the (weight position, index) of the adjoint factor in each row
+    ad_of = {(w, r): pair_basis[t][r][2:] if q_first else pair_basis[t][r][:2]
+             for t, w in enumerate(m.weights) for r in range(m.block_dim(w))}
+    corrupted = [{**phi, w: {**blk, key: -v}}
+                 for w, blk in phi.items() for key, v in blk.items()]
+    corrupted += [{w: {(r, c): -v if ad_of[w, r] == vec else v
+                       for (r, c), v in blk.items()}
+                   for w, blk in phi.items()} for vec in sorted(
+                       set(ad_of.values()))]
+    assert len(corrupted) == 32 + 16
+    for bad in corrupted:
+        with pytest.raises(AssertionError) as want:
+            _check_product_phi(full, bad)
+        with pytest.raises(AssertionError,
+                           match=f"^{re.escape(str(want.value))}$"):
+            _check_product_phi(m, bad)
 
 
 def test_hom_basis_is_homogeneous(env):
@@ -902,9 +951,9 @@ def test_classify_builds_nothing_over_q_tensor_a(env, monkeypatch, tmp_path,
     q (x) A, untwisted or twisted, through the library and through
     cli.main.  It calls none of ev_pullback, hat_tensor_weight,
     tensor_same_algebra or ann_and_support, leaves MapSuper.algebra
-    unbuilt, and tests isomorphism only in the twist check (once per
-    class and non-identity element) and between catalog entries of equal
-    graded dimensions (none here)."""
+    unbuilt, and solves no Hom space: classes are keyed by their
+    certified top weights, so no is_isomorphic_weight, hom_space_weight,
+    twist_q_module or pullback runs."""
     import json
     from queeralg import cli
 
@@ -912,19 +961,21 @@ def test_classify_builds_nothing_over_q_tensor_a(env, monkeypatch, tmp_path,
         def call(*args, **kwargs):
             raise AssertionError(f"{name} was called")
         return call
-    for name in ("ev_pullback", "hat_tensor_weight", "tensor_same_algebra"):
+    for name in ("ev_pullback", "hat_tensor_weight", "tensor_same_algebra",
+                 "twist_q_module", "pullback"):
         monkeypatch.setattr(products, name, refuse(name))
     monkeypatch.setattr(mapsuper, "ann_and_support", refuse("ann_and_support"))
+    monkeypatch.setattr(liesuper, "hom_space_weight",
+                        refuse("hom_space_weight"))
     assert not hasattr(products, "ann_and_support")
+    assert not hasattr(products, "hom_space_weight")
     calls: dict = {}
     _counted(monkeypatch, "is_isomorphic_weight", calls)
     _, ms4, _, inv = gamma_env(env)
     ms2 = tensor_lie(env["q2"], env["A"])
-    for ms, where, twists in ((ms2, None, 0), (ms4, inv, 2)):
-        calls.clear()
+    for ms, where in ((ms2, None), (ms4, inv)):
         rep = classify_enumerate(ms, Catalog(env["q2"]), inv=where)
         assert len(rep["rows"]) == 4
-        assert len(calls.get("is_isomorphic_weight", [])) == twists
         assert "algebra" not in vars(ms)
     made = []
 
@@ -943,6 +994,7 @@ def test_classify_builds_nothing_over_q_tensor_a(env, monkeypatch, tmp_path,
     assert capsys.readouterr().out.count("classification over q(2)") == 2
     assert len(made) == 2
     assert all("algebra" not in vars(ms) for ms in made)
+    assert calls == {}
 
 
 def test_classify_trivial_catalog(env):
@@ -1063,6 +1115,89 @@ def test_classify_refuses_isomorphic_catalog_entries(env):
     with pytest.raises(AssertionError, match="catalog entries 'adjoint' and "
                                              "'adjoint2' are isomorphic"):
         classify_enumerate(env["ms"], cat)
+
+
+def test_classify_refuses_a_parity_shifted_catalog_entry(env):
+    """Isomorphisms may be odd, so Pi trivial (the same action, parities
+    flipped) is isomorphic to trivial although their graded dimensions,
+    (0|1) and (1|0), differ: the catalog of both is refused."""
+    cat = Catalog(env["q2"])
+    cat.entries.pop("adjoint")
+    cat.add("Pi trivial", _parity_shift(cat.module("trivial")))
+    assert cat.names() == ["Pi trivial", "trivial"]
+    assert is_isomorphic_weight(cat.module("Pi trivial"),
+                                cat.module("trivial"))[0]
+    with pytest.raises(AssertionError, match="^catalog entries 'Pi trivial' "
+                                             "and 'trivial' are isomorphic$"):
+        classify_enumerate(env["ms"], cat)
+
+
+def _q_map(qd, on_q):
+    """The q map that gamma_from_spec reads from an on_q spec (a shortcut
+    or an explicit matrix); the order is read only by gamma_validate."""
+    spec = {"generators": [{"order": 1, "on_algebra": {"type": "trivial"},
+                            "on_q": on_q}]}
+    return gamma_from_spec(qd.tower, spec, preset_base_field(qd.tower),
+                           qd).generators[0][2]
+
+
+def _top_weight_corpus(qd):
+    """{name: (module, name of its source)} over q(n): the catalog entries
+    and their parity shifts, each its own source, and the twist of each
+    by diag_conj with last entry -1, i and 3, once with the diag_conj
+    shortcut and once with the same diagonal as an explicit on_q
+    matrix."""
+    cat = Catalog(qd)
+    base = {}
+    for name in cat.names():
+        base[name] = cat.module(name)
+        base[f"Pi {name}"] = _parity_shift(cat.module(name))
+    mods = {name: (m, name) for name, m in base.items()}
+    for last in ("-1", "i", "3"):
+        sigma = _q_map(qd, {"type": "diag_conj",
+                            "diag": ["1"] * qd.n + [last]})
+        explicit = _q_map(qd, [[str(x) for x in row] for row in sigma.rows])
+        assert explicit == sigma
+        for how, tau in (("diag_conj", sigma), ("matrix", explicit)):
+            for name, m in base.items():
+                mods[f"{name} ^ {how} {last}"] = \
+                    (twist_q_module(m, qd, tau), name)
+    return mods
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_top_weight_is_the_isomorphism_verdict(env, q3, n):
+    """The highest-weight theorem that classify keys catalog classes by:
+    on every pair of certified q(n)-modules of the corpus, equal top
+    weights is the verdict of is_isomorphic_weight, and every twist by
+    an automorphism fixing h0 is isomorphic to its source."""
+    from queeralg.products import _certify_irreducible
+    qd = env["q2"] if n == 2 else q3
+    mods = _top_weight_corpus(qd)
+    assert len(mods) == 4 + 4 * 3 * 2
+    top = {}
+    for name, (m, _) in mods.items():
+        _certify_irreducible(m, name)
+        top[name] = m.maximal_weights()[0]
+    names = list(mods)
+    iso = {}
+    for i, a in enumerate(names):
+        for b in names[i:]:
+            iso[a, b], _ = is_isomorphic_weight(mods[a][0], mods[b][0])
+            assert iso[a, b] == (top[a] == top[b]), (a, b)
+    assert set(iso.values()) == {True, False}
+    assert all(iso[source, name] for name, (_, source) in mods.items())
+
+
+def test_catalog_refuses_a_module_over_q_tensor_a(env):
+    """The top weight is a complete invariant only for modules over q
+    itself: an evaluation module over q (x) A is refused."""
+    cat = Catalog(env["q2"])
+    with pytest.raises(ValueError) as exc:
+        cat.add("ev", ev_pullback(env["ms"], 0, cat.module("adjoint")))
+    assert str(exc.value) == "catalog entry 'ev' is not a module over q(2) " \
+        "itself"
+    assert cat.names() == ["adjoint", "trivial"]
 
 
 def test_h_psi_rebuilt_isomorphic(env):

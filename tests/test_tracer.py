@@ -38,9 +38,9 @@ def _traced(args, tmp_path):
 
 
 def test_traced_classify_report_is_unchanged(tmp_path):
-    """q(2) over K[t]/(t^4 - 16) under t -> -t, catalog trivial: the
-    traced report is byte-identical and the eliminations pass through
-    the counted mat_rref."""
+    """q(2) over K[t]/(t^4 - 16) under t -> -t, catalog trivial and
+    adjoint: the traced report is byte-identical and the eliminations
+    (the adjoint's certificate) pass through the counted mat_rref."""
     alg, grp = tmp_path / "algebra.json", tmp_path / "group.json"
     alg.write_text(json.dumps({
         "type": "poly_quotient", "modulus": ["-16", "0", "0", "0", "1"],
@@ -49,8 +49,8 @@ def test_traced_classify_report_is_unchanged(tmp_path):
         "order": 2, "on_algebra": {"type": "substitute_t", "scale": "-1"},
         "on_q": {"type": "trivial"}}]}))
     tr = _traced(["classify", "--n", "2", "--algebra", str(alg), "--group",
-                  str(grp), "--catalog", "trivial", "--format", "structured",
-                  "--out"], tmp_path)
+                  str(grp), "--catalog", "trivial,adjoint", "--format",
+                  "structured", "--out"], tmp_path)
     assert tr.counters["mat_rref.cells"] > 0
     assert tr.counters["span.add"] > 0
     assert "products.classify_enumerate" in tr.self_times()
