@@ -12,7 +12,7 @@ import warnings
 
 from .cartanmod import CartanAlgebra, PsiFunctional
 from .coeffalg import algebra_from_spec, gamma_from_spec, preset_base_field
-from .hwmod import TruncatedVerma, SimpleQuotient
+from .hwmod import simple_quotient
 from .mapsuper import invariants, tensor_lie
 from .products import (Catalog, classify_enumerate, hat_tensor_weight,
                        outer_factors, q1_module, weight_schur_data)
@@ -162,7 +162,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    if args.depth < 0:
+    if args.depth is not None and args.depth < 0:
         print(f"error: --depth must be nonnegative, not {args.depth}",
               file=sys.stderr)
         return USAGE_EXIT
@@ -175,25 +175,22 @@ def cmd_dims(args) -> int:
     psi = _parse(args.psi, PsiFunctional.from_pairs, ctx,
                  spec.get("values", []))
     ms = tensor_lie(qd, alg)
-    vm = TruncatedVerma(ms, psi, args.depth)
-    sq = SimpleQuotient(vm)
-    sing = sq.singular_dims
-    induced = vm.dims_by_weight()
-    betas = sorted(induced, key=lambda b: (sum(b), b))
+    sq = simple_quotient(ms, psi, args.depth)
+    vm = sq.verma
     rows = []
-    for beta in betas:
-        if sq.quot_dims.get(beta, 0) == 0 and sum(beta) > 0:
+    for beta, d in vm.dims_by_weight().items():
+        if sq.quot_dims[beta] == 0 and sum(beta) > 0:
             continue
         rows.append({"weight_coords": list(beta),
-                     "induced_dim": induced[beta],
-                     "simple_dim": sq.quot_dims.get(beta, 0),
-                     "singular_dim": sing[beta]})
-    report = {"command": "dims", "n": args.n, "depth": args.depth,
+                     "induced_dim": d,
+                     "simple_dim": sq.quot_dims[beta],
+                     "singular_dim": sq.singular_dims[beta]})
+    report = {"command": "dims", "n": args.n, "depth": vm.depth,
               "conclusive": sq.conclusive,
               "highest_weight_dim": vm.h_mod.dim,
               "total_simple_dim": sum(r["simple_dim"] for r in rows),
               "rows": rows}
-    lines = [f"weight table for q({args.n}), depth {args.depth} "
+    lines = [f"weight table for q({args.n}), depth {vm.depth} "
              f"(conclusive: {sq.conclusive})",
              f"{'weight':>12s} {'induced':>8s} {'simple':>7s} {'singular':>9s}"]
     for r in rows:
@@ -318,8 +315,6 @@ def main(argv=None) -> int:
         print(f"error: --n must be at most {MAX_N}, not {args.n}",
               file=sys.stderr)
         return USAGE_EXIT
-    if getattr(args, "depth", "missing") is None:
-        args.depth = args.n * (args.n + 1)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _warning_line

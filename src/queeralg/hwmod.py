@@ -6,8 +6,6 @@ criterion."""
 
 from __future__ import annotations
 
-from itertools import product
-
 from .assocsuper import density_type_from_maps
 from .cartanmod import CartanAlgebra, PsiFunctional, build_H
 from .coeffalg import IdealRep
@@ -47,6 +45,9 @@ def _pbw_monomials(coords, n_even: int, n: int, depth: int) -> dict:
 class TruncatedVerma:
     """Weight components of the induced module for psi down to a given
     height, with PBW monomial basis and straightening-based actions.
+    basis is the window: its keys are the weights of the PBW monomials of
+    height <= depth, by height and then lexicographically, and block is
+    the one place that tests a weight against it.
 
     Monomials are tuples of lowering-generator positions: even positions
     nondecreasing, then odd positions strictly increasing (positions are
@@ -72,16 +73,11 @@ class TruncatedVerma:
         self.low_pos = {g: p for p, g in enumerate(self.lowering)}
         self.n_even_low = sum(1 for g in self.lowering
                               if ms.algebra.space.parity(g) == EVEN)
-        self.low_coords = []
-        for g in self.lowering:
-            root = ms.gen_root[g]
-            neg = tuple(-x for x in root)
-            self.low_coords.append(self.qd.roots.decompose_qplus(neg))
-        # height of each lowering position (the window test of
-        # _straighten)
-        self.low_height = [sum(c) for c in self.low_coords]
-        self._shift: dict = {}   # generator -> weight shift of its blocks
         self.cartan_pos = {g: k for k, g in enumerate(cartan)}
+        # beta coordinates each generator adds, and the lowering
+        # generators' own
+        self.shift = [self._weight_shift(g) for g in range(ms.dim)]
+        self.low_coords = [self.shift[g] for g in self.lowering]
         # raw forms: bk[i][j] as (k, raw) pairs (q's own raw table when
         # A is the base field), and per Cartan generator and column h of
         # H(psi) its nonzero (k, raw) by increasing k, converted once
@@ -95,27 +91,17 @@ class TruncatedVerma:
         self._odd = [ms.algebra.space.parity(g) for g in range(ms.dim)]
         self._straight_memo: dict = {}
         self._ins_memo: dict = {}
-        self._betas = self._enumerate_betas()
         monos = _pbw_monomials(self.low_coords, self.n_even_low, self.qd.n,
                                depth)
         hs = range(self.h_mod.dim)
         self.basis = {}
         self.basis_index = {}
-        for beta in self._betas:
-            vecs = [(m, h) for m in monos.get(beta, ()) for h in hs]
+        for beta in sorted(monos, key=lambda b: (sum(b), b)):
+            vecs = [(m, h) for m in monos[beta] for h in hs]
             self.basis[beta] = vecs
             self.basis_index[beta] = {v: k for k, v in enumerate(vecs)}
-        self._block_memo: dict = {}
 
     # -- combinatorics ---------------------------------------------------
-
-    def _enumerate_betas(self):
-        """Every beta in N^n of height <= depth, by height, then in
-        lexicographic order."""
-        n = self.qd.n
-        return [head + (h - sum(head),) for h in range(self.depth + 1)
-                for head in product(range(h + 1), repeat=n - 1)
-                if sum(head) <= h]
 
     def weight_tuple(self, beta):
         """Absolute weight lambda - sum beta_k alpha_k on h_1..h_n."""
@@ -132,15 +118,8 @@ class TruncatedVerma:
 
     # -- straightening ------------------------------------------------------
 
-    def _shift_of(self, gen: int):
-        shift = self._shift.get(gen)
-        if shift is None:
-            shift = self._shift[gen] = self._weight_shift(gen)
-        return shift
-
     def _insert_lowering(self, p: int, mono: tuple) -> dict:
-        """f_p * (monomial) expanded over PBW monomials, raw (weight may
-        exceed the window; act_on filters by height first)."""
+        """f_p * (monomial) expanded over PBW monomials, raw."""
         q = mono[0] if mono else None
         if q is None or p < q or (p == q and p < self.n_even_low):
             return {(p,) + mono: QI_ONE}
@@ -171,23 +150,19 @@ class TruncatedVerma:
 
     def _straighten(self, gen: int, mono: tuple) -> dict:
         """gen * mono expanded over PBW monomials times one operator on
-        H(psi), truncated to the window; keys are (mono', c), c None for
-        the identity and k for the k-th Cartan generator of the split,
-        values raw.  No step depends on the vector of H(psi): a lowering
-        factor acts on the monomial alone, and only a Cartan generator
-        reaching the empty monomial leaves an operator.  Every term has
-        the height of mono plus the height gen adds, so the whole
-        expansion is empty when that leaves the window."""
+        H(psi); keys are (mono', c), c None for the identity and k for the
+        k-th Cartan generator of the split, values raw.  No step depends
+        on the vector of H(psi): a lowering factor acts on the monomial
+        alone, and only a Cartan generator reaching the empty monomial
+        leaves an operator.  Every recursive call has the weight of
+        gen * mono or a lower one, so a call for a target in the window
+        stays in it."""
         key = (gen, mono)
         memo = self._straight_memo
         out = memo.get(key)
         if out is not None:
             return out
-        low_height = self.low_height
-        if sum(low_height[p] for p in mono) + sum(self._shift_of(gen)) \
-                > self.depth:
-            out = {}
-        elif not mono:
+        if not mono:
             if gen in self.low_pos:
                 out = {((self.low_pos[gen],), None): QI_ONE}
             elif gen in self.cartan_pos:
@@ -215,8 +190,8 @@ class TruncatedVerma:
         return out
 
     def act_on(self, gen: int, mono: tuple, h: int) -> dict:
-        """gen * (mono (x) w_h) expanded in the basis, truncated to the
-        window; keys are (mono, h) pairs, values raw entries.  It reads
+        """gen * (mono (x) w_h) expanded over PBW monomials times vectors
+        of H(psi); keys are (mono, h) pairs, values raw entries.  It reads
         _straighten(gen, mono), shared by every h: identity terms keep
         w_h, and a Cartan term is expanded by that generator's column h
         on H(psi)."""
@@ -243,20 +218,14 @@ class TruncatedVerma:
     def block(self, gen: int, beta):
         """Matrix of gen from the beta component to its target component,
         as (target_beta, columns): columns[c] is the image of source basis
-        vector c as a sparse dict {target index: raw entry}.  None when the
-        target leaves the window or the source is empty."""
-        key = (gen, beta)
-        if key in self._block_memo:
-            return self._block_memo[key]
+        vector c as a sparse dict {target index: raw entry}.  None when
+        the source or the target is not in the window.  Blocks are built
+        on request and not kept."""
         src = self.basis.get(beta)
-        if not src:
-            self._block_memo[key] = None
+        target = tuple(b + d for b, d in zip(beta, self.shift[gen]))
+        tgt_index = self.basis_index.get(target)
+        if src is None or tgt_index is None:
             return None
-        target = tuple(b + d for b, d in zip(beta, self._shift_of(gen)))
-        if any(t < 0 for t in target) or sum(target) > self.depth:
-            self._block_memo[key] = None
-            return None
-        tgt_index = self.basis_index[target]
         cols = []
         for mono, h in src:
             col = {}
@@ -267,12 +236,10 @@ class TruncatedVerma:
                                          "its weight component")
                 col[t] = c
             cols.append(col)
-        result = (target, cols)
-        self._block_memo[key] = result
-        return result
+        return target, cols
 
     def dims_by_weight(self):
-        return {beta: len(self.basis[beta]) for beta in self._betas}
+        return {beta: len(vecs) for beta, vecs in self.basis.items()}
 
 
 _HALF = (1, 0, 2)
@@ -354,13 +321,12 @@ class SimpleQuotient:
         self.verma = vm
         n = vm.qd.n
         gens = vm.tower.gens
-        betas = sorted(vm._betas, key=lambda b: (sum(b), b))
         proj: dict = {}   # beta -> R_beta by column
         quot_dims: dict = {}
         free_cols: dict = {}
         singular_dims: dict = {}
-        for beta in betas:
-            d = len(vm.basis[beta])
+        for beta, vecs in vm.basis.items():
+            d = len(vecs)
             blocks = [blk for blk in (vm.block(g, beta)
                                       for g in vm.ms.simple_raising_gens)
                       if blk is not None]
@@ -400,7 +366,7 @@ class SimpleQuotient:
         self.singular_dims = singular_dims
         # vanishing band detection
         max_h = vm.depth
-        heights = {h: sum(quot_dims[b] for b in betas if sum(b) == h)
+        heights = {h: sum(quot_dims[b] for b in vm.basis if sum(b) == h)
                    for h in range(max_h + 1)}
         band_at = None
         for h0 in range(1, max_h - n + 2):
@@ -416,9 +382,9 @@ class SimpleQuotient:
         source, projected by R at the target."""
         vm = self.verma
         tower = vm.tower
-        betas = [b for b in vm._betas
+        betas = [b for b in vm.basis
                  if self.quot_dims.get(b, 0) > 0 and sum(b) < self.band_start]
-        for b in vm._betas:
+        for b in vm.basis:
             if self.quot_dims.get(b, 0) > 0 and sum(b) >= self.band_start:
                 raise AssertionError("nonzero quotient component beyond the "
                                      "vanishing band")

@@ -288,7 +288,7 @@ def hat_tensor_weight(m1: WeightModule, m2: WeightModule,
     AssertionError otherwise."""
     tower = m1.tower
     full = tensor_same_algebra(m1, m2)
-    info = {"split": False, "schur_types": (s1.is_type_q, s2.is_type_q)}
+    info = {"split": False}
     if not (s1.is_type_q and s2.is_type_q):
         result = WeightSchur(False, None)
         if s1.is_type_q or s2.is_type_q:
@@ -330,7 +330,7 @@ def hat_tensor_weight(m1: WeightModule, m2: WeightModule,
                 store[w] = emb
     plus = restrict_weight_module(full, plus_basis)
     minus = restrict_weight_module(full, minus_basis)
-    info.update({"split": True, "plus": plus, "minus": minus, "full": full,
+    info.update({"split": True, "plus": plus, "minus": minus,
                  "result_schur": WeightSchur(False, None)})
     return plus, info
 

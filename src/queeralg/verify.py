@@ -221,23 +221,29 @@ def cartan_random_corpus(label_maker, rng, count: int, ck: Checks,
                          label: str):
     """Shared body of the functional-corpus checks: each draw runs in its
     own computation context (fresh tower), since every build adjoins its
-    own square roots.  Distinct functionals are pairwise non-isomorphic
-    because a strict intertwiner between modules with different central
-    characters is forced to zero; distinctness of the drawn values is
-    asserted on their exact serializations."""
+    own square roots.  After the seeded draws, and outside the rng
+    stream, comes one fixed functional, evaluation of (1, 1) at the first
+    point (skipped when already drawn): over the dual numbers and two
+    points its I_psi is nonzero, so the killed-ideal check has an ideal
+    to test whatever the draws.  Distinct functionals are pairwise
+    non-isomorphic because a strict intertwiner between modules with
+    different central characters is forced to zero; distinctness of the
+    drawn values is asserted on their exact serializations."""
     seen_values = []
     ok_psi = ok_dim = ok_iso = ok_irr = ok_killed = ok_bound = True
     draws = []
     while len(draws) < count:
         draws.append([(rng.randint(-3, 3), rng.randint(-1, 1))
                       for _ in range(64)])
-    for draw in draws:
+    for draw in draws + [None]:
         tower = Tower()
         qd, a = label_maker(tower)
         ctx = CartanAlgebra(qd, a)
-        vals = [tower.from_int(x) + tower.i() * y
-                for (x, y) in draw[:ctx.n_even]]
-        psi = PsiFunctional(ctx, vals)
+        if draw is None:   # the fixed functional
+            psi = PsiFunctional.evaluation(ctx, 0, [1, 1])
+        else:
+            psi = PsiFunctional(ctx, [tower.from_int(x) + tower.i() * y
+                                      for (x, y) in draw[:ctx.n_even]])
         key = tuple(str(v) for v in psi.values)
         if psi.is_zero() or key in seen_values:
             continue

@@ -132,6 +132,35 @@ def test_criterion_4_cartan_bijection_corpus():
     budget.check()
 
 
+def test_cartan_corpora_meet_a_nonzero_killed_ideal(monkeypatch):
+    """verify's killed-ideal check has an ideal to test in each corpus
+    over a non-field algebra at seed 7: some functional of the corpus
+    has I_psi != 0."""
+    from queeralg import verify
+    nonzero, label = {}, [None]
+    corpus, i_psi = verify.cartan_random_corpus, verify.i_psi
+
+    def spy_corpus(maker, rng, count, ck, name):
+        label[0] = name
+        nonzero[name] = False
+        try:
+            return corpus(maker, rng, count, ck, name)
+        finally:
+            label[0] = None
+
+    def spy_i_psi(psi):
+        ideal = i_psi(psi)
+        if label[0] is not None:
+            nonzero[label[0]] |= bool(ideal.vectors)
+        return ideal
+
+    monkeypatch.setattr(verify, "cartan_random_corpus", spy_corpus)
+    monkeypatch.setattr(verify, "i_psi", spy_i_psi)
+    assert verify.suite_cartan(7).all_passed
+    assert nonzero == {"base field": False, "dual numbers": True,
+                       "two points": True}
+
+
 def test_criterion_5_highest_weight_suite():
     budget = Budget(300.0)
     K = Tower()

@@ -126,7 +126,7 @@ def test_pbw_basis_matches_brute_force(setup, which):
     def weight(mono):
         return tuple(sum(coords[p][k] for p in mono) for k in range(ctx.n))
 
-    for beta in vm._betas:
+    for beta in vm.basis:
         h = sum(beta)
         monos = sorted(
             ev + od
@@ -154,7 +154,7 @@ def test_verma_relations_within_window_q3_rank3():
     vm = TruncatedVerma(
         ms, PsiFunctional(ctx, [K.from_int(v) for v in (2, 1, 0)]), 3)
     assert vm.h_mod.rank == 3
-    low = [b for b in vm._betas if sum(b) <= 1]
+    low = [b for b in vm.basis if sum(b) <= 1]
     cartan = ms.algebra.triangular[1]
     # every pair (Cartan generator, generator), and random pairs besides
     assert check_verma_relations(vm, low, 60, [(i, j) for i in cartan
@@ -484,7 +484,7 @@ def dense_block(vm, g, beta):
 
 def oracle_singular_dims(vm):
     out = {}
-    for beta in vm._betas:
+    for beta in vm.basis:
         d = len(vm.basis[beta])
         rows = []
         for g in vm.ms.algebra.triangular[0]:
@@ -500,7 +500,7 @@ class ResidualQuotient:
         self.verma = vm
         tower = vm.tower
         n = vm.qd.n
-        betas = sorted(vm._betas, key=lambda b: (sum(b), b))
+        betas = sorted(vm.basis, key=lambda b: (sum(b), b))
         nsub, residual, quot_dims, free_cols = {}, {}, {}, {}
         for beta in betas:
             d = len(vm.basis[beta])
@@ -550,7 +550,7 @@ class ResidualQuotient:
     def _assemble(self):
         vm = self.verma
         tower = vm.tower
-        betas = [b for b in vm._betas
+        betas = [b for b in vm.basis
                  if self.quot_dims.get(b, 0) > 0 and sum(b) < self.band_start]
         weights, parities = {}, {}
         for beta in betas:
@@ -621,7 +621,30 @@ def test_simple_quotient_builds_one_span_per_weight(monkeypatch):
     vm = TruncatedVerma(ms, PsiFunctional(ctx, [K.one(), K.one()]), 6)
     sq = SimpleQuotient(vm)
     assert sq.conclusive and sq.module.dim == 16
-    assert kernels == [] and len(built) == len(vm._betas)
+    assert kernels == [] and len(built) == len(vm.basis)
+
+
+def test_verma_keeps_no_blocks_after_the_quotient():
+    """Memory guard: what a TruncatedVerma still holds once its
+    SimpleQuotient is built and dropped (tracemalloc after gc.collect).
+    For q(3) psi = (2, 1, 0) at depth 5 that is 2.7 MB, the PBW basis and
+    the straightening memos; it was 5.8 MB while every block was kept for
+    the life of the module."""
+    import gc
+    import tracemalloc
+    K, ms, ctx = _qn_setup(3)
+    psi = PsiFunctional(ctx, [K.from_int(v) for v in (2, 1, 0)])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        vm = TruncatedVerma(ms, psi, 5)
+        SimpleQuotient(vm)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 4.25e6, held
 
 
 def _qn_setup(n):
@@ -712,7 +735,7 @@ def per_h_act_on(vm, gen, mono, h, memo):
     out = memo.get(key)
     if out is not None:
         return out
-    if sum(vm.low_height[p] for p in mono) + sum(vm._shift_of(gen)) \
+    if sum(sum(vm.low_coords[p]) for p in mono) + sum(vm.shift[gen]) \
             > vm.depth:
         out = {}
     elif not mono:
@@ -747,7 +770,7 @@ def assert_blocks_match_per_h_oracle(vm):
     memo = {}
     checked = 0
     for g in range(vm.ms.dim):
-        for beta in vm._betas:
+        for beta in vm.basis:
             blk = vm.block(g, beta)
             if blk is None:
                 continue

@@ -423,9 +423,10 @@ def test_products_and_quotient_hold_entry_blocks(env):
     qone = q1_module(K)
     s_q = weight_schur_data(qone)
     assert_entry_blocks(qone, s_q.phi_blocks)
-    plus, info = _hat(qone, qone, s_q, s_q)
+    factors = outer_factors(qone, qone, s_q, s_q)
+    plus, info = hat_tensor_weight(*factors)
     assert info["split"]
-    for m in (info["full"], plus, info["minus"]):
+    for m in (tensor_same_algebra(*factors[:2]), plus, info["minus"]):
         assert_entry_blocks(m)
     prod, info = _adjoint_qone(env)
     assert_entry_blocks(prod, info["result_schur"].phi_blocks)
