@@ -355,20 +355,13 @@ def classify_cartan_module(v: WeightModule, ctx: CartanAlgebra):
     """Read psi off an irreducible h (x) A module and produce an explicit
     isomorphism witness onto build_H(psi): an invertible map T from
     v.space to the model's carrier with T rho_v(x) = rho_H(x) T."""
-    tower = ctx.tower
-    mats, space = v.mats, v.space
-    d = density_type_from_maps(mats, space, tower)
+    d = density_type_from_maps(v.mats, v.space, ctx.tower)
     if not d.certifies_irreducible:
         raise ValueError(f"module is not irreducible (oracle: {d!r})")
-    ident = GradedMap.identity(tower, space)
-    vals = []
-    for k in range(ctx.n_even):
-        m = mats[k]
-        c = m.entries.get((0, 0), tower.zero())
-        if not (m == ident * c):
-            raise ValueError("even Cartan part does not act by scalars")
-        vals.append(c)
-    psi = PsiFunctional(ctx, vals)
+    vals = v.scalars_on((), range(ctx.n_even))
+    if vals is None:
+        raise ValueError("even Cartan part does not act by scalars")
+    psi = PsiFunctional(ctx, list(vals.values()))
     h = build_H(psi)
     ok, witness = is_isomorphic_weight(v, h.as_lie_module())
     if not ok:

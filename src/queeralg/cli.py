@@ -140,7 +140,7 @@ def cmd_classify(args) -> int:
             "support": r.support,
             "annihilator_basis": r.ann_basis,
             "reduced_support": r.reduced,
-            "top_weight": list(r.top_weight or ()),
+            "top_weight": list(r.top_weight),
         })
     report = {"command": "classify", "n": args.n,
               "twisted": rep["twisted"], "catalog": rep["catalog"],

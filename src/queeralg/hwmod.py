@@ -6,7 +6,6 @@ criterion."""
 
 from __future__ import annotations
 
-from .assocsuper import density_type_from_maps
 from .cartanmod import CartanAlgebra, PsiFunctional, build_H
 from .coeffalg import IdealRep
 from .graded import EVEN, Span
@@ -453,10 +452,10 @@ def is_irreducible_hw(m: WeightModule, details: dict | None = None) -> bool:
     """Four conditions, each exact, over the triangular split of
     m.algebra (ValueError when it has none): singular vectors only at the
     top weight; the whole top block singular; the top block irreducible
-    over the Cartan part (density oracle); the top block generates the
-    module, checked by one rank per weight (generated_by_top).
-    details["reason"] names the clause that failed, or is
-    "irreducible"."""
+    over the Cartan part, by its Clifford rank details["clifford_rank"];
+    the top block generates the module, checked by one rank per weight
+    (generated_by_top).  details["reason"] names the clause that failed,
+    or is "irreducible"."""
     if m.algebra.triangular is None:
         raise ValueError(f"{m.algebra.name or 'the algebra'} has no "
                          "triangular split")
@@ -479,10 +478,20 @@ def is_irreducible_hw(m: WeightModule, details: dict | None = None) -> bool:
         elif sing[w]:
             info["reason"] = "singular vectors below the top"
             return False
-    top_maps = m.top_block_maps(lam, cartan)
-    d = density_type_from_maps(top_maps, top_maps[0].source, m.tower) \
-        if top_maps else None
-    if d is None or not d.certifies_irreducible:
+    # The even Cartan generators are central in the Cartan part, so on a
+    # simple top block H they act by scalars psi, and the odd ones c_a make
+    # H a Cl(f)-module, f_ab = psi([c_a, c_b]) of rank r.  rad(f) acts
+    # nilpotently, so H is simple exactly when it has the dimension of the
+    # simple Cl(f / rad f)-module, 2^ceil(r/2) (of type Q for odd r).
+    parity = m.algebra.space.parity
+    psi = m.scalars_on(lam, [g for g in cartan if parity(g) == EVEN])
+    if psi is not None:
+        odd = [g for g in cartan if parity(g) != EVEN]
+        bk, zero = m.algebra.bk, m.tower.zero()
+        form = ({b: sum((c * psi[k] for k, c in bk[a][y].items()), zero)
+                 for b, y in enumerate(odd)} for a in odd)
+        r = info["clifford_rank"] = Span(m.tower, form, len(odd)).dim
+    if psi is None or m.block_dim(lam) != 2 ** ((r + 1) // 2):
         info["reason"] = "top block reducible over the Cartan part"
         return False
     if not m.generated_by_top(lam, lowering):
@@ -499,21 +508,10 @@ def top_psi(m: WeightModule, ms: MapSuper, ctx: CartanAlgebra) -> PsiFunctional:
     lam = m.maximal_weights()
     if len(lam) != 1:
         raise ValueError("no unique top weight")
-    lam = lam[0]
-    d = m.block_dim(lam)
-    tower = m.tower
-    vals = []
-    for g in ms.h0_gens:
-        blocks = [blk for (w2, blk) in m.blocks_of(g, lam) if w2 == lam]
-        if not blocks:
-            vals.append(tower.zero())
-            continue
-        blk = blocks[0]
-        c = blk.get((0, 0))
-        if c is None or blk != {(i, i): c for i in range(d)}:
-            raise ValueError("top block is not a psi eigenspace")
-        vals.append(c)
-    return PsiFunctional(ctx, vals)
+    vals = m.scalars_on(lam[0], ms.h0_gens)
+    if vals is None:
+        raise ValueError("top block is not a psi eigenspace")
+    return PsiFunctional(ctx, list(vals.values()))
 
 
 def check_psi0_ideal(m: WeightModule, psi: PsiFunctional, ideal: IdealRep,

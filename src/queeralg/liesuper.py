@@ -20,9 +20,9 @@ class LieSuper:
     construction, so algebras may share one (relabeled).
 
     triangular is the (raising, cartan, lowering) triple of basis index
-    lists that the highest-weight criterion reads, or None for an algebra
-    with no such split: q(n) sets it, and q (x) A and a relabeling carry
-    it over.
+    lists that the highest-weight criterion reads (a module over an
+    algebra with None, no such split, is certified by the flat density
+    oracle instead): q(n) sets it, q (x) A and a relabeling carry it over.
 
     generators are basis indices, ascending, that generate the algebra as
     a Lie superalgebra: the whole basis unless the builder knows a smaller
@@ -284,8 +284,8 @@ class WeightModule:
     element i: entries {(row, col): Scalar} holds the nonzero entries of
     the map from the w block into the target block (row indexes the
     target block, col the w block), and a block with no nonzero entry
-    is left out.  The flat view (mats), top_block_maps and hom_map give
-    GradedMaps, whose entries have the same form.
+    is left out.  The flat view (mats) and hom_map give GradedMaps,
+    whose entries have the same form.
     """
 
     def __init__(self, algebra: LieSuper, tower: Tower, weights, parities,
@@ -459,6 +459,16 @@ class WeightModule:
             out[w] = mat_kernel(rows, self.block_dim(w), self.tower)
         return out
 
+    def scalars_on(self, w, gens):
+        """{g: c} if each of gens acts on block w by a scalar c, else None."""
+        out = {}
+        for g in gens:
+            blk = next((b for w2, b in self.blocks_of(g, w) if w2 == w), {})
+            c = out[g] = blk.get((0, 0), self.tower.zero())
+            if blk and blk != {(i, i): c for i in range(self.block_dim(w))}:
+                return None
+        return out
+
     def generated_by_top(self, top, lowering) -> bool:
         """True when every weight block below the top is spanned by the
         images of the blocks above it under the lowering generators.
@@ -471,33 +481,22 @@ class WeightModule:
         f(N_w') over lowering f and weights w' strictly above w, and
         induction down from lambda gives N = M exactly when every such
         rank is full.  Cartan generators stay out of the rank: h0 acts on
-        each block by a scalar and would make every rank full.
-        """
-        cols = {w: [] for w in self.weights}
+        each block by a scalar and would make every rank full.  A weight's
+        columns are made when its rank is read; a short rank ends it."""
+        into = {w: [] for w in self.weights}
         for g in lowering:
             for w in self.weights:
                 for (w2, blk) in self.blocks_of(g, w):
                     if w2 == w:
                         raise AssertionError("a lowering generator maps a "
                                              "weight to itself")
-                    by_col: dict = {}
-                    for (r, c), v in blk.items():
-                        by_col.setdefault(c, {})[r] = v
-                    cols[w2].extend(by_col.values())
-        for w in self.weights:
+                    into[w2].append(blk)
+        def full_rank(w):
             d = self.block_dim(w)
-            if w != top and len(mat_rref(cols[w], d, self.tower)[1]) != d:
-                return False
-        return True
-
-    def top_block_maps(self, w, gen_indices):
-        """GradedMaps of the given generators on the w block (only their
-        weight-preserving parts)."""
-        space = GradedSpace.from_parities(self.parities[w])
-        return [GradedMap(self.tower, space, space,
-                          next((blk for w2, blk in self.blocks_of(g, w)
-                                if w2 == w), {}))
-                for g in gen_indices]
+            cols = [col for blk in into[w] for col in _by_row(
+                {(c, r): v for (r, c), v in blk.items()}).values()]
+            return len(mat_rref(cols, d, self.tower)[1]) == d
+        return all(w == top or full_rank(w) for w in self.weights)
 
 
 def direct_sum_weight(m1: WeightModule, m2: WeightModule) -> WeightModule:

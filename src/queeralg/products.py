@@ -34,38 +34,47 @@ class WeightSchur:
     phi_blocks: dict | None
 
 
-def weight_schur_data(m: WeightModule) -> WeightSchur:
-    """WeightSchur of a weight module certified irreducible first
-    (ValueError otherwise, see _certify_irreducible)."""
-    _certify_irreducible(m, "module")
-    return _solve_weight_schur(m)
+def weight_schur_data(m: WeightModule, subject="module") -> WeightSchur:
+    """WeightSchur of a module certified irreducible first (ValueError
+    naming subject, see _certify_irreducible); phi solved only for type Q."""
+    if not _certify_irreducible(m, subject)[1]:
+        return WeightSchur(False, None)
+    s = _solve_weight_schur(m)
+    if not s.is_type_q:
+        raise AssertionError("no odd supercommutant on a type-Q module")
+    return s
 
 
-def _certify_irreducible(m: WeightModule, subject: str):
-    """Raise ValueError "<subject> is not irreducible: <clause>" unless m
-    is certified irreducible: a module over q itself by the
-    highest-weight criterion (is_irreducible_hw over the triangular split
-    of q), any other module by the density oracle on its flat view.
+def _certify_irreducible(m: WeightModule, subject: str) -> tuple:
+    """(top weight, type Q?) of m certified irreducible, else ValueError
+    "<subject> is not irreducible: <clause>".  A weight module over an
+    algebra with a split (q, q (x) A) by the highest-weight criterion, type Q
+    when the top block's Clifford rank is odd; otherwise (Q(1), products
+    over direct sums) by the flat oracle, top weight None, type Q for QComm.
 
     The criterion is sufficient.  Let N != 0 be a graded submodule of the
     finite-dimensional module M; it is the sum of its weight spaces, since
     h0 acts diagonally.  The vectors of a maximal weight of N are killed
     by the raising generators, so they are singular; clause 1 puts that
     weight at the top lambda, so N meets M_lambda in a nonzero Cartan
-    submodule.  Clause 3 (the density oracle on the small top block) gives
+    submodule.  Clause 3 (the Clifford rank of the small top block) gives
     M_lambda inside N, and clause 4 (generated_by_top) gives N = M.  It is
     also necessary for finite-dimensional irreducibles, so no valid module
-    is refused."""
-    if m.qd is not None and m.algebra is m.qd.algebra:
+    is refused.  M has the type of M_lambda: restriction embeds End(M) in
+    End(M_lambda) (endomorphisms keep weights, and M_lambda generates),
+    and an odd phi of M_lambda passes to the induced module and its simple
+    quotient M."""
+    if m.qd is not None and m.algebra.triangular is not None:
         why: dict = {}
         if not is_irreducible_hw(m, why):
             raise ValueError(f"{subject} is not irreducible: "
                              f"{why['reason']}")
-        return
+        return why["top_weight"], why["clifford_rank"] % 2 == 1
     d = density_type_from_maps(m.mats, m.space, m.tower)
     if not d.certifies_irreducible:
         raise ValueError(f"{subject} is not irreducible: density oracle "
                          f"gives {d!r}")
+    return None, d.kind == "qcomm"
 
 
 def _solve_weight_schur(m: WeightModule) -> WeightSchur:
@@ -471,10 +480,15 @@ class Catalog:
         """Add an entry; ValueError unless it is a module over q itself,
         the modules whose top weight is a complete invariant (an
         evaluation module over q (x) A shares its top weight with
-        non-isomorphic ones)."""
-        if module.qd is not self.qd or module.algebra is not self.qd.algebra:
+        non-isomorphic ones).  One over a relabeling of q sharing its
+        table (q (x) K, where simple_quotient builds) is re-pointed at q."""
+        qd = self.qd
+        if module.qd is not qd or module.algebra.bk is not qd.algebra.bk:
             raise ValueError(f"catalog entry {name!r} is not a module over "
-                             f"q({self.qd.n}) itself")
+                             f"q({qd.n}) itself")
+        if module.algebra is not qd.algebra:
+            module = WeightModule(qd.algebra, module.tower, module.weights,
+                                  module.parities, module.act, qd=qd)
         self.entries[name] = {"module": module, "schur": None}
 
     def names(self):
@@ -484,13 +498,11 @@ class Catalog:
         return self.entries[name]["module"]
 
     def weight_schur(self, name: str) -> WeightSchur:
-        """Schur data of an entry, certified irreducible first (by the
-        highest-weight criterion for an entry over q) and cached.  Raises
-        ValueError naming the entry and the failing clause."""
+        """Schur data of an entry, typed by its certificate, cached."""
         e = self.entries[name]
         if e["schur"] is None:
-            _certify_irreducible(e["module"], f"catalog entry {name!r}")
-            e["schur"] = _solve_weight_schur(e["module"])
+            e["schur"] = weight_schur_data(e["module"],
+                                           f"catalog entry {name!r}")
         return e["schur"]
 
 
@@ -579,7 +591,7 @@ class ClassificationRow:
     ann_basis: list
     support: list
     reduced: bool
-    top_weight: tuple | None = None
+    top_weight: tuple
 
 
 def classify_enumerate(ms: MapSuper, catalog: Catalog,
@@ -592,7 +604,7 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
     group fixes the even Cartan part h0 of q pointwise (ValueError
     otherwise); evaluation at the orbit representatives reps maps the
     invariants onto (+)_reps q; each entry, a module over q itself
-    (Catalog.add), is certified irreducible (Catalog.weight_schur); and
+    (Catalog.add), is certified irreducible (_certify_irreducible); and
     the entries' top weights are pairwise distinct (AssertionError naming
     both entries otherwise).
 
@@ -627,14 +639,12 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
         what = "of the invariants at the orbit representatives" if twisted \
             else "at the points"
         raise AssertionError(f"evaluation {what} {reps} is not onto")
-    # per class: graded dims, Schur type (certified first), top weight
-    classes = {}
-    for name in names:
-        mod, is_q = catalog.module(name), catalog.weight_schur(name).is_type_q
-        classes[name] = (mod.graded_dims(), is_q, mod.maximal_weights()[0])
+    # per class: graded dims, then top weight and type by its certificate
+    classes = {n: (catalog.module(n).graded_dims(), *_certify_irreducible(
+        catalog.module(n), f"catalog entry {n!r}")) for n in names}
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            if classes[a][2] == classes[b][2]:
+            if classes[a][1] == classes[b][1]:
                 raise AssertionError(f"catalog entries {a!r} and {b!r} are "
                                      "isomorphic")
     tower, coeff = ms.tower, ms.coeff
@@ -642,9 +652,9 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
     for assign in _assignments(orbits, names):
         factors = [classes[assign[p]] for p in sorted(reps)
                    if assign[p] != "trivial"]
-        ne, no = _hat_graded_dims((dims, is_q) for dims, is_q, _ in factors)
+        ne, no = _hat_graded_dims((dims, is_q) for dims, _, is_q in factors)
         top = zero_w
-        for _, _, w in factors:
+        for _, w, _ in factors:
             top = tuple(a + b for a, b in zip(top, w))
         supp = sorted(p for p, c in assign.items() if c != "trivial")
         ann = IdealRep(coeff, mat_kernel(
@@ -652,7 +662,7 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
              for p in supp), coeff.dim, tower))
         report["rows"].append(ClassificationRow(
             assignment=dict(assign), dim=ne + no, graded_dims=(ne, no),
-            irreducible=True, schur_types=[f[1] for f in factors],
+            irreducible=True, schur_types=[f[2] for f in factors],
             ann_basis=[[str(x) for x in v] for v in ann.basis],
             support=supp, reduced=True,
             top_weight=tuple(str(x) for x in top)))

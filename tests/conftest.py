@@ -34,6 +34,28 @@ def refuse_zero_rows(monkeypatch):
     assert "graded" in patched
 
 
+@pytest.fixture
+def refuse_oracles(monkeypatch):
+    """The work guard of the certificates: every binding of the
+    span-closure density oracle (density_type_from_maps and
+    operator_closure_dim) and of the odd-supercommutant solve
+    (graded.odd_schur), in the package and each of its modules, gets a
+    version that raises."""
+    names = ("density_type_from_maps", "operator_closure_dim", "odd_schur")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a density oracle or odd Schur solve ran")
+    patched = set()
+    for mod in [queeralg] + [importlib.import_module(f"queeralg.{info.name}")
+                             for info in pkgutil.iter_modules(
+                                 queeralg.__path__)]:
+        for name in names:
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, refuse)
+                patched.add(name)
+    assert patched == set(names)
+
+
 def pytest_runtest_logreport(report):
     if report.when != "call":
         return

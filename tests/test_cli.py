@@ -593,7 +593,7 @@ def _four_point(r):
             "roots": [str(r), str(-r), f"{r}*i", f"-{r}*i"]}
 
 
-@pytest.mark.parametrize("golden,algebra,group", [
+CLASSIFY_GOLDENS = [
     ("classify_twisted4_r2.json", _four_point(2), _group()),
     ("classify_twisted4_r3.json", _four_point(3), _group()),
     ("classify_twisted4_r4.json", _four_point(4), _group()),
@@ -601,12 +601,28 @@ def _four_point(r):
                                  "modulus": ["-1", "0", "1"],
                                  "roots": ["1", "-1"]}, None),
     ("classify_z4_r3.json", _four_point(3), _group(order=4, scale="i")),
-])
+]
+
+
+@pytest.mark.parametrize("golden,algebra,group", CLASSIFY_GOLDENS)
 def test_classify_report_matches_golden(tmp_path, golden, algebra, group):
     """Structured classify reports, byte for byte: q(2) over
     K[t]/(t^4 - r^4) under t -> -t with diag_conj (1, 1, -1), over two
     points without a group, and over K[t]/(t^4 - 81) under the order-4
     action t -> i t with the same diag_conj (one orbit of four points)."""
+    _assert_classify_golden(tmp_path, golden, algebra, group)
+
+
+@pytest.mark.parametrize("golden,algebra,group", CLASSIFY_GOLDENS)
+def test_classify_golden_makes_no_oracle_call(tmp_path, golden, algebra,
+                                              group, refuse_oracles):
+    """Each class's top weight and type come off its certificate, so with
+    every binding of the density oracle and of the odd Schur solve
+    refusing, classify still writes every golden report."""
+    _assert_classify_golden(tmp_path, golden, algebra, group)
+
+
+def _assert_classify_golden(tmp_path, golden, algebra, group):
     alg = tmp_path / "algebra.json"
     alg.write_text(json.dumps(algebra))
     args = ["classify", "--n", "2", "--algebra", str(alg),

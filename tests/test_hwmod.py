@@ -4,10 +4,12 @@ import json
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from queeralg.cartanmod import CartanAlgebra, PsiFunctional
+from queeralg.assocsuper import density_type_from_maps
+from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
 from queeralg import hwmod
 from queeralg.cli import main
 from queeralg.coeffalg import preset_base_field, preset_truncated, zero_ideal
+from cartan_blocks import cartan_block_module, top_block
 from classify_ref import row_module
 from dense_ref import mat_mul, rank, sparse
 from queeralg.graded import (EVEN, Span, mat_kernel, nonzero_entries,
@@ -18,8 +20,9 @@ from queeralg.hwmod import (SimpleQuotient, TruncatedVerma, _sum_terms,
 from queeralg.liesuper import (WeightModule, direct_sum_weight,
                                is_isomorphic_weight)
 from queeralg.mapsuper import tensor_lie
-from queeralg.products import (adjoint_q_module, ev_pullback,
-                               tensor_same_algebra, trivial_q_module)
+from queeralg.products import (Catalog, adjoint_q_module, ev_pullback,
+                               hat_tensor_weight, tensor_same_algebra,
+                               trivial_q_module, weight_schur_data)
 from queeralg.queer import build_q
 from queeralg.scalars import QI_ONE, Tower, raw_neg, scalar_of
 
@@ -393,6 +396,39 @@ def test_generated_by_top_rejects_weight_preserving_lowering():
         m.generated_by_top(w, [0])
 
 
+def test_generated_by_top_reads_only_the_weights_it_tests(setup):
+    """A weight's lowering-image columns are made only when its rank is
+    read: on adjoint@p0 with the lowering blocks into one middle weight
+    removed, the test fails there, and the entries of no lowering block
+    into a later weight are read."""
+    q2 = setup["q2"]
+    _, ms, _ = setup["two"]
+    ad0 = ev_pullback(ms, 0, adjoint_q_module(q2))
+    top = ad0.maximal_weights()[0]
+    below = [w for w in ad0.weights if w != top]
+    cut = below[len(below) // 2]
+    read = []
+
+    class Entries(dict):
+        def items(self):
+            read.append(self.target)
+            return super().items()
+
+    def wrap(w2, blk):
+        out = Entries(blk)
+        out.target = w2
+        return w2, out
+    low = set(ms.algebra.triangular[2])
+    act = [{w: [wrap(w2, blk) for w2, blk in blocks if w2 != cut]
+            for w, blocks in ad0.act[g].items()} if g in low else ad0.act[g]
+           for g in range(ms.dim)]
+    m = WeightModule(ad0.algebra, ad0.tower, ad0.weights, ad0.parities, act,
+                     qd=ad0.qd)
+    assert not m.generated_by_top(top, ms.algebra.triangular[2])
+    tested = below[:below.index(cut)]
+    assert read and set(read) == set(tested)
+
+
 def test_top_psi_reads_functional(setup):
     K = setup["K"]
     q2 = setup["q2"]
@@ -400,6 +436,122 @@ def test_top_psi_reads_functional(setup):
     ad0 = ev_pullback(ms, 0, adjoint_q_module(q2))
     psi = top_psi(ad0, ms, ctx)
     assert psi == PsiFunctional.evaluation(ctx, 0, [1, 1])
+
+
+def _criterion_corpus(setup):
+    """The corpus on which verify checks the criterion against the density
+    oracle: evaluation modules over two points, and two sums, with the
+    verdict each should get."""
+    q2 = setup["q2"]
+    _, ms, _ = setup["two"]
+    ad0 = ev_pullback(ms, 0, adjoint_q_module(q2))
+    triv = ev_pullback(ms, 0, trivial_q_module(q2))
+    return {"trivial": (triv, True), "adjoint@p0": (ad0, True),
+            "adjoint@p1": (ev_pullback(ms, 1, adjoint_q_module(q2)), True),
+            "adjoint (+) trivial": (direct_sum_weight(ad0, triv), False),
+            "adjoint (+) adjoint": (direct_sum_weight(ad0, ad0), False)}
+
+
+def test_criterion_makes_no_oracle_call(setup, refuse_oracles):
+    """Clause 3 reads the Clifford rank, so with every binding of the
+    density oracle and of the odd Schur solve refusing, the criterion
+    still gives every verdict of the corpus."""
+    for name, (m, expect) in _criterion_corpus(setup).items():
+        assert is_irreducible_hw(m) == expect, name
+
+
+def _rank_rule_corpus(setup):
+    """name -> (module, its ms and ctx, or None): modules whose top block
+    the rank rule is checked on.  The ms and ctx of a module whose
+    functional top_psi reads back."""
+    K, q2 = setup["K"], setup["q2"]
+    _, ms_c, ctx_c = setup["C"]
+    _, ms2, ctx2 = setup["two"]
+    q3 = build_q(K, 3)
+    base3 = preset_base_field(K)
+    ms3, ctx3 = tensor_lie(q3, base3), CartanAlgebra(q3, base3)
+    out = {}
+    for n in (2, 3, 4):
+        cat = Catalog(q2 if n == 2 else q3 if n == 3 else build_q(K, n))
+        for name in cat.names():
+            out[f"q({n}) {name}"] = (cat.module(name), None)
+    ad = adjoint_q_module(q2)
+    out["adjoint (+) trivial"] = (direct_sum_weight(ad, trivial_q_module(q2)),
+                                  None)
+    for vals, depth in (((1, 1), 6), ((1, 2), 8), ((2, 1), 8)):
+        sq = simple_quotient(ms_c, PsiFunctional(
+            ctx_c, [K.from_int(v) for v in vals]), depth)
+        out[f"V{vals}"] = (sq.module, (ms_c, ctx_c))
+    sq = simple_quotient(ms3, PsiFunctional(
+        ctx3, [K.one(), K.zero(), K.one()]), 9)
+    out["V(1, 0, 1)"] = (sq.module, (ms3, ctx3))
+    ad0, ad1 = (ev_pullback(ms2, p, ad) for p in (0, 1))
+    s = weight_schur_data(ad)
+    out["adjoint@p0"] = (ad0, (ms2, ctx2))
+    out["adjoint@p0 (x) adjoint@p1"] = (hat_tensor_weight(ad0, ad1, s, s)[0],
+                                        (ms2, ctx2))
+    out["adjoint@p0 (+) adjoint@p0"] = (direct_sum_weight(ad0, ad0), None)
+    return out
+
+
+def _rank_rule(m):
+    """(verdict, Clifford rank) of the rank rule on m's one block."""
+    why = {}
+    return is_irreducible_hw(m, why), why.get("clifford_rank")
+
+
+def _oracle(m):
+    return density_type_from_maps(m.mats, m.space, m.tower)
+
+
+def test_rank_rule_matches_the_density_oracle_on_top_blocks(setup):
+    """On the top block of every module of the corpus, the rank rule's
+    verdict is the density oracle's, and an odd rank is its QComm.  Each
+    simple quotient and evaluation product is irreducible with the rank
+    of the CliffordData of the functional top_psi reads.  The reducible
+    top block of adjoint@p0 (+) adjoint@p0 has dimension 4 at rank 2."""
+    for name, (m, read_back) in _rank_rule_corpus(setup).items():
+        top = top_block(m)
+        (verdict, r), oracle = _rank_rule(top), _oracle(top)
+        assert verdict == oracle.certifies_irreducible, name
+        assert not verdict or (r % 2 == 1) == (oracle.kind == "qcomm"), name
+        if read_back is not None:
+            why = {}
+            assert is_irreducible_hw(m, why), name
+            assert why["clifford_rank"] == \
+                top_psi(m, *read_back).clifford_data.rank == r, name
+    m, _ = _rank_rule_corpus(setup)["adjoint@p0 (+) adjoint@p0"]
+    assert top_block(m).dim == 4 and _rank_rule(top_block(m)) == (False, 2)
+
+
+@pytest.mark.parametrize("n,which,values", [
+    (2, "C", (1, 0)), (2, "dual", (1, 1, 0, 1)), (2, "two", (1, 2, 0, 1)),
+    (3, "C", (-1, -1, -1)), (3, "C", (-1, -1, 0)), (3, "C", (2, -1, 1)),
+    (3, "dual", (-1, -1, -1, -1, -1, 1)),
+    (3, "dual", (-1, -1, -1, -1, -1, 0))])
+def test_rank_rule_on_cartan_modules(setup, n, which, values):
+    """H(psi) over h (x) A (Clifford ranks 2 to 6), alone and doubled: the
+    rank rule certifies H(psi) at the rank of its CliffordData, with dimension 2^ceil(r/2) and
+    type Q (a phi from the solve) exactly at odd r, as the density oracle
+    does; H (+) H, of the same rank, is refused, and so is H(psi) (+)
+    H(psi') for psi' != psi, whose even part acts by no scalar."""
+    K = setup["K"]
+    qd = setup["q2"] if n == 2 else build_q(K, 3)
+    ctx = CartanAlgebra(qd, setup[which][0])
+    psi = PsiFunctional(ctx, [K.from_int(v) for v in values])
+    other = PsiFunctional(ctx, [K.from_int(v + 1) for v in values])
+    h, r = build_H(psi), psi.clifford_data.rank
+    m = cartan_block_module(h, qd)
+    assert h.dim == 2 ** ((r + 1) // 2)
+    assert _rank_rule(m) == (True, r)
+    assert _oracle(m).kind == ("qcomm" if r % 2 else "full")
+    assert weight_schur_data(m).is_type_q == (r % 2 == 1)
+    twice = direct_sum_weight(m, m)
+    pair = direct_sum_weight(m, cartan_block_module(build_H(other), qd))
+    assert _rank_rule(twice) == (False, r)
+    assert _rank_rule(pair) == (False, None)
+    assert not _oracle(twice).certifies_irreducible
+    assert not _oracle(pair).certifies_irreducible
 
 
 def test_check_psi0_ideal(setup):

@@ -28,6 +28,7 @@ from queeralg.products import (Catalog, WeightSchur, adjoint_q_module,
 from queeralg.queer import build_q
 from queeralg.scalars import Tower
 
+from cartan_blocks import cartan_block_module
 from classify_ref import ev_module, reference_rows, row_module
 
 
@@ -148,21 +149,39 @@ def test_weight_schur_phi_matches_flat_solve(env, q3, n):
     assert phi * phi == GradedMap.identity(K, phi.source) * (-1)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_catalog_schur_needs_no_flat_oracle(env, q3, n, monkeypatch):
-    """Catalog entries are certified by the highest-weight criterion: with
-    the flat density oracle of products disabled, weight_schur still
-    works and gives the flat solve's data."""
-    qd = env["q2"] if n == 2 else q3
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_catalog_schur_needs_no_flat_oracle(env, q3, n, refuse_oracles):
+    """Catalog entries are certified by the highest-weight criterion and
+    typed by the Clifford rank of their top block: with every binding of
+    the density oracle and of the odd Schur solve refusing (clause 3 of
+    the criterion included), weight_schur still works on the type-M
+    entries of q(2) to q(4), and gives the flat solve's data (the test's
+    own odd_schur)."""
+    qd = {2: env["q2"], 3: q3}.get(n) or build_q(Tower(), n)
     cat = Catalog(qd)
-    with monkeypatch.context() as mp:
-        def refuse(*args, **kwargs):
-            raise AssertionError("flat density oracle called")
-        mp.setattr("queeralg.products.density_type_from_maps", refuse)
-        got = {name: cat.weight_schur(name)
-               for name in ("trivial", "adjoint")}
-    for name, s in got.items():
-        assert s == _flat_schur_reference(cat.module(name))
+    for name in ("trivial", "adjoint"):
+        s = cat.weight_schur(name)
+        assert s == WeightSchur(False, None) == \
+            _flat_schur_reference(cat.module(name))
+
+
+def test_a_type_q_solve_that_finds_no_phi_is_an_error(monkeypatch):
+    """phi is solved only for type Q, and the certificate stands: when the
+    solve finds none, weight_schur_data raises instead of typing the
+    module M.  C^{1|1} over Q(1) is type Q by the flat oracle (whose own
+    odd_schur still runs), H(psi) of q(3) at Clifford rank 3 by its rank
+    under the criterion."""
+    K = Tower()
+    qd = build_q(K, 3)
+    ctx = CartanAlgebra(qd, preset_base_field(K))
+    psi = PsiFunctional(ctx, [-K.one(), -K.one(), K.zero()])
+    assert psi.clifford_data.rank == 3
+    mods = [q1_module(K), cartan_block_module(build_H(psi), qd)]
+    assert all(weight_schur_data(m).is_type_q for m in mods)
+    monkeypatch.setattr(products, "odd_schur", lambda *args, **kw: None)
+    for m in mods:
+        with pytest.raises(AssertionError, match="no odd supercommutant"):
+            weight_schur_data(m)
 
 
 def test_catalog_schur_refuses_reducible_entry(env):
@@ -1116,6 +1135,38 @@ def test_classify_refuses_isomorphic_catalog_entries(env):
     with pytest.raises(AssertionError, match="catalog entries 'adjoint' and "
                                              "'adjoint2' are isomorphic"):
         classify_enumerate(env["ms"], cat)
+
+
+def test_catalog_takes_a_simple_quotient_over_q_tensor_the_base_field(env):
+    """simple_quotient builds V(psi) over tensor_lie(q, K), a relabeling
+    of q that shares its table.  Catalog.add takes it, re-pointed at q:
+    a base-field classify over {trivial, adjoint, hw12} (V(1, 2), of
+    dimension 48) gives the reference rows field by field, and V(1, 1),
+    the adjoint's class, is refused next to the adjoint as isomorphic."""
+    from queeralg.hwmod import simple_quotient
+    K, q2 = env["K"], env["q2"]
+    base = preset_base_field(K)
+    ms, ctx = tensor_lie(q2, base), CartanAlgebra(q2, base)
+
+    def quotient(values, depth):
+        sq = simple_quotient(ms, PsiFunctional(ctx, values), depth)
+        assert sq.conclusive
+        return sq.module
+    hw12 = quotient([K.one(), K.from_int(2)], 8)
+    assert hw12.dim == 48 and hw12.algebra is not q2.algebra
+    assert hw12.algebra.bk is q2.algebra.bk
+    cat = Catalog(q2)
+    cat.add("hw12", hw12)
+    assert cat.module("hw12").algebra is q2.algebra
+    assert cat.module("hw12").act is hw12.act
+    got = classify_enumerate(ms, cat)["rows"]
+    want = reference_rows(ms, cat)
+    assert [vars(r) for r in got] == [vars(r) for r, *_ in want]
+    assert sorted(r.dim for r in got) == [1, 16, 48]
+    cat.add("hw11", quotient([K.one(), K.one()], 6))
+    with pytest.raises(AssertionError, match="^catalog entries 'adjoint' "
+                                             "and 'hw11' are isomorphic$"):
+        classify_enumerate(ms, cat)
 
 
 def test_classify_refuses_a_parity_shifted_catalog_entry(env):
