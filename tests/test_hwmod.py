@@ -510,7 +510,8 @@ def test_rank_rule_matches_the_density_oracle_on_top_blocks(setup):
     simple quotient and evaluation product is irreducible with the rank
     of the CliffordData of the functional top_psi reads.  The reducible
     top block of adjoint@p0 (+) adjoint@p0 has dimension 4 at rank 2."""
-    for name, (m, read_back) in _rank_rule_corpus(setup).items():
+    corpus = _rank_rule_corpus(setup)
+    for name, (m, read_back) in corpus.items():
         top = top_block(m)
         (verdict, r), oracle = _rank_rule(top), _oracle(top)
         assert verdict == oracle.certifies_irreducible, name
@@ -520,7 +521,7 @@ def test_rank_rule_matches_the_density_oracle_on_top_blocks(setup):
             assert is_irreducible_hw(m, why), name
             assert why["clifford_rank"] == \
                 top_psi(m, *read_back).clifford_data.rank == r, name
-    m, _ = _rank_rule_corpus(setup)["adjoint@p0 (+) adjoint@p0"]
+    m, _ = corpus["adjoint@p0 (+) adjoint@p0"]
     assert top_block(m).dim == 4 and _rank_rule(top_block(m)) == (False, 2)
 
 
@@ -531,10 +532,11 @@ def test_rank_rule_matches_the_density_oracle_on_top_blocks(setup):
     (3, "dual", (-1, -1, -1, -1, -1, 0))])
 def test_rank_rule_on_cartan_modules(setup, n, which, values):
     """H(psi) over h (x) A (Clifford ranks 2 to 6), alone and doubled: the
-    rank rule certifies H(psi) at the rank of its CliffordData, with dimension 2^ceil(r/2) and
-    type Q (a phi from the solve) exactly at odd r, as the density oracle
-    does; H (+) H, of the same rank, is refused, and so is H(psi) (+)
-    H(psi') for psi' != psi, whose even part acts by no scalar."""
+    rank rule certifies H(psi), of dimension 2^ceil(r/2), at the rank r
+    of its CliffordData, and types it Q (a phi from the solve) exactly at
+    odd r, as the density oracle does; H (+) H, of the same rank, is
+    refused, and so is H(psi) (+) H(psi') for psi' != psi, whose even
+    part acts by no scalar."""
     K = setup["K"]
     qd = setup["q2"] if n == 2 else build_q(K, 3)
     ctx = CartanAlgebra(qd, setup[which][0])
