@@ -702,6 +702,83 @@ def _raw_products(factors, gens) -> dict:
     return out
 
 
+def _mod_p_product(a, b, p: int) -> dict:
+    """A*B of sparse matrices {i: {j: residue}} over F_p, nonzero entries
+    only."""
+    out = {}
+    for i, arow in a.items():
+        acc: dict = {}
+        for k, av in arow.items():
+            brow = b.get(k)
+            if brow:
+                for j, bv in brow.items():
+                    acc[j] = acc.get(j, 0) + av * bv
+        row = {j: x % p for j, x in acc.items() if x % p}
+        if row:
+            out[i] = row
+    return out
+
+
+def _word_closure(mats, n: int, span: Span, one, product) -> int:
+    """The closure of operator_closure_dim on sparse matrices {i: {j: x}}
+    in the entry form of span (raw entries over the tower, residues over
+    F_p), one being the unit entry and product the matrix product of that
+    form; span.dim at the end."""
+    full = n * n
+
+    def flat(mat):
+        return {i * n + j: v for i, row in mat.items() for j, v in row.items()}
+
+    span.add(flat({i: {i: one} for i in range(n)}))
+    # 1*g = g is already in V_0, so the identity needs no multiplying
+    frontier = [m for m in mats if span.add(flat(m))]
+    # an op that adds nothing lies in span(1, the ops kept before it)
+    mults = frontier
+    while frontier and span.dim < full:
+        new_frontier = []
+        for e in frontier:
+            for g in mults:
+                prod = product(e, g)
+                if prod and span.add(flat(prod)):
+                    if span.dim == full:
+                        return full
+                    new_frontier.append(prod)
+        frontier = new_frontier
+    return span.dim
+
+
+def _closure_dim_mod_p(ops, n: int, tower: Tower):
+    """The closure of operator_closure_dim run on the operators reduced
+    modulo a prime (Tower.mod_p), a lower bound on the exact dimension
+    (scalars.ModP); None when the tower or an entry has no reduction.
+    Every vector of the F_p span is the reduction of a word in the
+    operators, whose entries are p-integral like theirs, so as many words
+    are independent over the tower."""
+    red = tower.mod_p()
+    if red is None:
+        return None
+    mats = []
+    for op in ops:
+        mat: dict = {}
+        for (i, j), x in op.items():
+            r = red.scalar(x)
+            if r is None:
+                return None
+            if r:
+                mat.setdefault(i, {})[j] = r
+        mats.append(mat)
+    p = red.p
+    return _word_closure(mats, n, Span(tower, p=p), 1,
+                         lambda e, g: _mod_p_product(e, g, p))
+
+
+def _closure_dim_exact(ops, n: int, tower: Tower) -> int:
+    """The closure of operator_closure_dim over the tower, on raw entries."""
+    gens = tower.gens
+    return _word_closure(map(_raw_mat, ops), n, Span(tower), QI_ONE,
+                         lambda e, g: _raw_products(((e, g),), gens))
+
+
 def operator_closure_dim(ops, dim: int, tower: Tower):
     """Dimension of the unital algebra generated by the operators (entry
     dicts {(i, j): Scalar} of nonzero entries, as GradedMap.entries, on
@@ -716,33 +793,15 @@ def operator_closure_dim(ops, dim: int, tower: Tower):
     in the span; such multipliers, for example operators that act by
     scalars, are dropped first.  The span lies in
     End(K^dim), so it is complete once it has dimension dim^2, and the
-    loop stops there.  The operators are converted to raw entries once,
-    and the products and the span run on those."""
-    n = dim
-    full = n * n
-    gens = tower.gens
-    span = Span(tower)
+    loop stops there.
 
-    def flat(mat):
-        return {i * n + j: v for i, row in mat.items() for j, v in row.items()}
-
-    ident = flat({i: {i: QI_ONE} for i in range(n)})
-    span.add(ident)
-    # 1*g = g is already in V_0, so the identity needs no multiplying
-    frontier = [m for m in map(_raw_mat, ops) if span.add(flat(m))]
-    # an op that adds nothing lies in span(1, the ops kept before it)
-    mults = frontier
-    while frontier and span.dim < full:
-        new_frontier = []
-        for e in frontier:
-            for g in mults:
-                prod = _raw_products(((e, g),), gens)
-                if prod and span.add(flat(prod)):
-                    if span.dim == full:
-                        return full
-                    new_frontier.append(prod)
-        frontier = new_frontier
-    return span.dim
+    The closure runs over F_p first (_closure_dim_mod_p): its dimension
+    is a lower bound, so dim^2 there proves dim^2.  Otherwise it runs
+    exactly, with the operators converted to raw entries once and the
+    products and the span run on those."""
+    if _closure_dim_mod_p(ops, dim, tower) == dim * dim:
+        return dim * dim
+    return _closure_dim_exact(ops, dim, tower)
 
 
 def density_type_from_maps(maps, space: GradedSpace,
@@ -756,14 +815,33 @@ def density_type_from_maps(maps, space: GradedSpace,
     the closure and the supercommutant depend only on the algebra the
     operators generate, so a generating set, such as the Clifford
     generators, stands for every operator it generates.
+
+    The closure runs over F_p first, which bounds its dimension from
+    below (_closure_dim_mod_p).  n^2 there is Full.  2 m^2 there, with
+    the exact phi that odd_schur solves for, is QComm: the operators that
+    supercommute with an odd phi with phi^2 = c != 0 form an algebra of
+    dimension 2 m^2 (where c is a square, phi/sqrt(c) swaps the halves of
+    C^{m|m}, and they are the even block matrices diag(A, A) and the odd
+    ones with off-diagonal blocks B and -B), which holds the closure, so
+    its dimension is exactly 2 m^2.  Only the other cases run the exact
+    closure; every verdict and closure_dim is the exact one.
     """
-    n = space.dim
-    d = operator_closure_dim([m.entries for m in maps], n, tower)
+    n, m = space.dim, space.even_dim
+    ops = [mp.entries for mp in maps]
+    d = _closure_dim_mod_p(ops, n, tower)
     if d == n * n:
         return DensityType("full", d)
-    m = space.even_dim
-    if space.odd_dim == m and d == 2 * m * m:
-        if all(mp.parity is not None for mp in maps) and odd_schur(
-                homogeneous_entries(maps), space, tower) is not None:
+    q_dim = None
+    if space.odd_dim == m and all(mp.parity is not None for mp in maps):
+        q_dim = 2 * m * m
+    if q_dim is not None and d == q_dim:
+        if odd_schur(homogeneous_entries(maps), space, tower) is not None:
             return DensityType("qcomm", d)
+        q_dim = None   # no phi: QComm at no closure dimension
+    d = _closure_dim_exact(ops, n, tower)
+    if d == n * n:
+        return DensityType("full", d)
+    if d == q_dim and odd_schur(homogeneous_entries(maps), space,
+                                tower) is not None:
+        return DensityType("qcomm", d)
     return DensityType("smaller", d)

@@ -149,11 +149,16 @@ class Span:
     The stored entries are raw (see scalars.raw_of): bare (a, b, d)
     triples in Q(i), coefficient dicts above it.  Scalars are built only
     at the edges, in reduce()'s result, kernel() and basis_vectors().
+
+    With a prime p the span lies in F_p^n instead: vectors are dicts of
+    nonzero residues mod p, and only add() and dim apply.  The density
+    oracle runs its closure over F_p this way (scalars.ModP).
     """
 
-    def __init__(self, tower: Tower, vectors=(), n=None):
+    def __init__(self, tower: Tower, vectors=(), n=None, p=None):
         self.tower = tower
-        # pivot column -> {column: raw entry}
+        self.p = p
+        # pivot column -> {column: raw entry, or residue mod p}
         self.rows: dict[int, dict] = {}
         self.extend(vectors, n)
 
@@ -201,6 +206,8 @@ class Span:
 
     def add(self, vec) -> bool:
         """Insert vec; True if the dimension grew."""
+        if self.p is not None:
+            return self._add_mod_p(vec)
         v = self._reduce_raw(vec)
         if not v:
             return False
@@ -221,6 +228,38 @@ class Span:
                     else:
                         other[k] = nxt
         self.rows[p] = row
+        return True
+
+    def _add_mod_p(self, vec) -> bool:
+        """add() over F_p: the same reduction and back-substitution on
+        residues."""
+        p, rows = self.p, self.rows
+        v = dict(vec)
+        for c in [k for k in v if k in rows]:
+            f = v.pop(c)
+            for k, x in rows[c].items():
+                if k != c:
+                    y = (v.get(k, 0) - f * x) % p
+                    if y:
+                        v[k] = y
+                    else:
+                        v.pop(k, None)
+        if not v:
+            return False
+        c = min(v)
+        inv = pow(v[c], -1, p)
+        row = {k: x * inv % p for k, x in v.items()}
+        for other in rows.values():
+            f = other.pop(c, None)
+            if f is not None:
+                for k, x in row.items():
+                    if k != c:
+                        y = (other.get(k, 0) - f * x) % p
+                        if y:
+                            other[k] = y
+                        else:
+                            other.pop(k, None)
+        rows[c] = row
         return True
 
     def contains(self, vec) -> bool:

@@ -37,7 +37,12 @@ class WeightSchur:
 def weight_schur_data(m: WeightModule, subject="module") -> WeightSchur:
     """WeightSchur of a module certified irreducible first (ValueError
     naming subject, see _certify_irreducible); phi solved only for type Q."""
-    if not _certify_irreducible(m, subject)[1]:
+    return _typed_weight_schur(m, _certify_irreducible(m, subject)[1])
+
+
+def _typed_weight_schur(m: WeightModule, is_type_q: bool) -> WeightSchur:
+    """WeightSchur of a module certified irreducible of the given type."""
+    if not is_type_q:
         return WeightSchur(False, None)
     s = _solve_weight_schur(m)
     if not s.is_type_q:
@@ -468,7 +473,7 @@ def adjoint_q_module(qd: QueerData) -> WeightModule:
 
 class Catalog:
     """Finite user-extensible catalog of irreducible q-modules (weight
-    modules over q itself with cached Schur data)."""
+    modules over q itself with cached certificates and Schur data)."""
 
     def __init__(self, qd: QueerData):
         self.qd = qd
@@ -489,7 +494,7 @@ class Catalog:
         if module.algebra is not qd.algebra:
             module = WeightModule(qd.algebra, module.tower, module.weights,
                                   module.parities, module.act, qd=qd)
-        self.entries[name] = {"module": module, "schur": None}
+        self.entries[name] = {"module": module, "cert": None, "schur": None}
 
     def names(self):
         return sorted(self.entries)
@@ -497,12 +502,21 @@ class Catalog:
     def module(self, name: str) -> WeightModule:
         return self.entries[name]["module"]
 
+    def certificate(self, name: str) -> tuple:
+        """(top weight, type Q?) of an entry certified irreducible
+        (_certify_irreducible), cached."""
+        e = self.entries[name]
+        if e["cert"] is None:
+            e["cert"] = _certify_irreducible(e["module"],
+                                             f"catalog entry {name!r}")
+        return e["cert"]
+
     def weight_schur(self, name: str) -> WeightSchur:
         """Schur data of an entry, typed by its certificate, cached."""
         e = self.entries[name]
         if e["schur"] is None:
-            e["schur"] = weight_schur_data(e["module"],
-                                           f"catalog entry {name!r}")
+            e["schur"] = _typed_weight_schur(e["module"],
+                                             self.certificate(name)[1])
         return e["schur"]
 
 
@@ -604,7 +618,7 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
     group fixes the even Cartan part h0 of q pointwise (ValueError
     otherwise); evaluation at the orbit representatives reps maps the
     invariants onto (+)_reps q; each entry, a module over q itself
-    (Catalog.add), is certified irreducible (_certify_irreducible); and
+    (Catalog.add), is certified irreducible (Catalog.certificate); and
     the entries' top weights are pairwise distinct (AssertionError naming
     both entries otherwise).
 
@@ -640,8 +654,8 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
             else "at the points"
         raise AssertionError(f"evaluation {what} {reps} is not onto")
     # per class: graded dims, then top weight and type by its certificate
-    classes = {n: (catalog.module(n).graded_dims(), *_certify_irreducible(
-        catalog.module(n), f"catalog entry {n!r}")) for n in names}
+    classes = {n: (catalog.module(n).graded_dims(), *catalog.certificate(n))
+               for n in names}
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             if classes[a][1] == classes[b][1]:

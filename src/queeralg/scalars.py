@@ -136,13 +136,15 @@ class Tower:
     single-writer contract applies to adjoin_sqrt.
     """
 
-    __slots__ = ("gens", "_roots")
+    __slots__ = ("gens", "_roots", "_mod_p")
 
     def __init__(self):
         self.gens: list[Scalar] = []
         # cache of known square roots (successes only: append-only towers
         # never invalidate a found root, while a cached failure would be)
         self._roots: dict = {}
+        # the reduction of mod_p: a ModP, or False once no listed prime fits
+        self._mod_p = None
 
     @property
     def height(self) -> int:
@@ -217,6 +219,30 @@ class Tower:
         r = self.gen(j)
         self._roots[tuple(sorted(d.co.items()))] = r
         return r
+
+    def mod_p(self) -> ModP | None:
+        """The reduction of the tower modulo the first listed prime at which
+        every radicand reduces to a nonzero square (see ModP); None when no
+        prime of MOD_P_PRIMES fits.  Cached for the current height: a
+        higher tower extends the cached reduction when its prime still
+        fits, and otherwise moves on to the next prime of the list."""
+        red = self._mod_p
+        if red is False or (red is not None and red.height == len(self.gens)):
+            return red or None
+        start = 0
+        if red is not None:
+            ext = red.extended(self.gens)
+            if ext is not None:
+                self._mod_p = ext
+                return ext
+            start = MOD_P_PRIMES.index(red.p) + 1
+        for p in MOD_P_PRIMES[start:]:
+            red = ModP(p, _sqrt_mod(p - 1, p), (), [1]).extended(self.gens)
+            if red is not None:
+                self._mod_p = red
+                return red
+        self._mod_p = False
+        return None
 
     def _coerce(self, x) -> Scalar:
         if isinstance(x, Scalar):
@@ -522,6 +548,108 @@ def raw_submul(cur, f, x, gens):
         elif c is not None:
             del out[m]
     return _co_raw(out)
+
+
+# -- reduction modulo a prime -------------------------------------------------
+#
+# Primes p = 1 (mod 8) below 2^30: -1 and 2 are squares mod p, and residues
+# and their products stay small machine-size integers.
+
+MOD_P_PRIMES = (
+    1073741689, 1073741561, 1073741441, 1073741329, 1073740793, 1073740697,
+    1073740649, 1073740609, 1073740537, 1073740529, 1073740489, 1073740249,
+    1073740201, 1073740177, 1073740049, 1073739937, 1073739881, 1073739817,
+    1073739721, 1073739649, 1073739617, 1073739577, 1073739473, 1073739449,
+    1073739361, 1073739353, 1073739313, 1073739169, 1073739089, 1073739041,
+    1073738977, 1073738929)
+
+
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """The smaller square root of a modulo the odd prime p (Tonelli-Shanks),
+    or None unless a is a nonzero square mod p."""
+    a %= p
+    if a == 0 or pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
+
+
+class ModP:
+    """A reduction of the tower modulo the prime p: i maps to iota and s_j
+    to sigma_j, with iota^2 = -1 and sigma_j^2 = red(d_j) != 0 mod p.
+
+    It is defined on the p-integral scalars, those whose Q(i) coefficients
+    have denominators prime to p.  They form a subring holding every d_j,
+    and on it the map is a ring homomorphism onto F_p: it is the map of
+    polynomials in i, s_1, ..., s_k with p-integral coefficients, and it
+    kills each relation s_j^2 - d_j.  So p-integral vectors are at least
+    as independent over the tower as their reductions are over F_p (a
+    minor that is nonzero mod p reduces from a nonzero minor): reduction
+    proves rank lower bounds, never upper ones."""
+
+    __slots__ = ("p", "iota", "sigmas", "mono")
+
+    def __init__(self, p: int, iota: int, sigmas: tuple, mono: list):
+        self.p = p
+        self.iota = iota
+        self.sigmas = sigmas
+        self.mono = mono   # mask -> residue of prod_{j in mask} s_j
+
+    @property
+    def height(self) -> int:
+        return len(self.sigmas)
+
+    def extended(self, gens) -> ModP | None:
+        """This reduction extended over every radicand of gens past its
+        height; None when one of them reduces to zero or to a non-square
+        (or is not p-integral)."""
+        red = self
+        for d in gens[self.height:]:
+            r = red.raw(raw_of(d))
+            sigma = None if r is None else _sqrt_mod(r, self.p)
+            if sigma is None:
+                return None
+            red = ModP(self.p, self.iota, red.sigmas + (sigma,),
+                       red.mono + [x * sigma % self.p for x in red.mono])
+        return red
+
+    def _qi(self, q) -> int | None:
+        a, b, d = q
+        p = self.p
+        if d == 1:
+            return (a + b * self.iota) % p
+        if d % p == 0:
+            return None
+        return (a + b * self.iota) * pow(d, -1, p) % p
+
+    def raw(self, x) -> int | None:
+        """Residue of a nonzero raw entry; None when x is not p-integral."""
+        if x.__class__ is tuple:
+            return self._qi(x)
+        total = 0
+        mono = self.mono
+        for m, q in x.items():
+            r = self._qi(q)
+            if r is None:
+                return None
+            total += r * mono[m]
+        return total % self.p
+
+    def scalar(self, x: Scalar) -> int | None:
+        """Residue of a scalar; None when it is not p-integral."""
+        return self.raw(x.co) if x.co else 0
 
 
 class Scalar:

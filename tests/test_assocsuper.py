@@ -438,6 +438,155 @@ def test_operator_closure_odd_rank_cartan_module_is_qcomm():
 
 
 # ---------------------------------------------------------------------------
+# The oracle's certificates over F_p against the exact closure
+# ---------------------------------------------------------------------------
+
+TWO_POINTS = {"type": "poly_quotient", "modulus": ["-1", "0", "1"],
+              "roots": ["1", "-1"]}
+# psi on q(2) (x) K[t]/(t^2 - 1) of Clifford rank 4, by the tower height
+# that H(psi) needs: none, one root (63/256), two roots (100/111, 4/3)
+RANK4_BY_HEIGHT = {0: (-2, -2, -2, 2), 1: (-2, -2, -2, 0),
+                   2: (-2, -2, -2, -1)}
+
+
+def cartan_H(K, values, n=2, spec=TWO_POINTS):
+    """H(psi) of q(n) (x) A on the tower K."""
+    from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
+    from queeralg.coeffalg import algebra_from_spec
+    from queeralg.queer import build_q
+    ctx = CartanAlgebra(build_q(K, n), algebra_from_spec(K, spec))
+    return build_H(PsiFunctional(ctx, [K.from_int(v) for v in values]))
+
+
+def block_sum(K, h1, h2):
+    """(carrier, maps) of H1 (+) H2: each Cartan generator acts on both."""
+    n1 = h1.dim
+    space = GradedSpace.from_parities(h1.carrier.parities
+                                      + h2.carrier.parities)
+    maps = []
+    for a, b in zip(h1.cartan_mats, h2.cartan_mats):
+        entries = dict(a.entries)
+        entries.update({(i + n1, j + n1): x
+                        for (i, j), x in b.entries.items()})
+        maps.append(GradedMap(K, space, space, entries, parity=a.parity))
+    return space, maps
+
+
+def exact_verdict(maps, space, K):
+    """Reference: the oracle's verdict read off the Scalar closure."""
+    from queeralg.graded import homogeneous_entries, odd_schur
+    n, m = space.dim, space.even_dim
+    nested = [{} for _ in maps]
+    for mp, mat in zip(maps, nested):
+        for (i, j), x in mp.entries.items():
+            mat.setdefault(i, {})[j] = x
+    d = scalar_closure_dim(nested, n, K)
+    if d == n * n:
+        return "full", d
+    if space.odd_dim == m and d == 2 * m * m and odd_schur(
+            homogeneous_entries(maps), space, K) is not None:
+        return "qcomm", d
+    return "smaller", d
+
+
+def spied_verdict(maps, space, K, monkeypatch):
+    """(kind, closure_dim) of the oracle and the number of exact closures
+    it ran."""
+    runs = []
+    exact = assocsuper._closure_dim_exact
+
+    def spy(*args):
+        runs.append(1)
+        return exact(*args)
+    monkeypatch.setattr(assocsuper, "_closure_dim_exact", spy)
+    d = density_type_from_maps(maps, space, K)
+    monkeypatch.undo()
+    return (d.kind, d.closure_dim), len(runs)
+
+
+@pytest.mark.parametrize("height", [0, 1, 2])
+def test_full_certificate_over_F_p_needs_no_exact_closure(height,
+                                                          monkeypatch):
+    K = Tower()
+    h = cartan_H(K, RANK4_BY_HEIGHT[height])
+    assert K.height == height and h.rank == 4 and K.mod_p() is not None
+    got, exact_runs = spied_verdict(h.cartan_mats, h.carrier, K, monkeypatch)
+    assert got == exact_verdict(h.cartan_mats, h.carrier, K) == ("full", 16)
+    assert exact_runs == 0
+    ops = [mp.entries for mp in h.cartan_mats]
+    assert assocsuper._closure_dim_exact(ops, 4, K) == \
+        operator_closure_dim(ops, 4, K) == 16
+
+
+def test_qcomm_certificate_over_F_p_needs_no_exact_closure(monkeypatch):
+    """Rank 3 over the base field (carrier C^{2|2}, closure 8), and rank 1
+    above Q(i) (q(2) with psi = (2, -1 + sqrt(-3)), carrier C^{1|1})."""
+    from queeralg.coeffalg import preset_base_field
+    from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
+    from queeralg.queer import build_q
+    K = Tower()
+    h3 = cartan_H(K, (2, 1, 0), n=3, spec={
+        "type": "poly_quotient", "modulus": ["0", "1"], "roots": ["0"]})
+    K1 = Tower()
+    s = K1.adjoin_sqrt(K1.from_int(-3))
+    h1 = build_H(PsiFunctional(
+        CartanAlgebra(build_q(K1, 2), preset_base_field(K1)),
+        [K1.from_int(2), K1.from_int(-1) + s]))
+    for tower, h, dim in ((K, h3, 8), (K1, h1, 2)):
+        assert h.rank % 2 == 1 and tower.mod_p() is not None
+        got, exact_runs = spied_verdict(h.cartan_mats, h.carrier, tower,
+                                        monkeypatch)
+        assert got == exact_verdict(h.cartan_mats, h.carrier, tower) == \
+            ("qcomm", dim)
+        assert exact_runs == 0
+    assert K1.height == 1
+
+
+@pytest.mark.parametrize("height", [1, 2])
+def test_smaller_verdicts_run_the_exact_closure(height, monkeypatch):
+    """H(psi) (+) H(psi): End(H) once, 16 on C^{4|4}.  H(psi) (+) H(psi')
+    for a psi' of height 0: closure 32 = 2 m^2 on C^{4|4}, so the oracle
+    asks for phi, finds none (the sum of two type-M modules has no odd
+    supercommutant) and closes exactly."""
+    K = Tower()
+    h = cartan_H(K, RANK4_BY_HEIGHT[height])
+    h_other = cartan_H(K, RANK4_BY_HEIGHT[0])
+    assert K.height == height and K.mod_p() is not None
+    for other, dim in ((h, 16), (h_other, 32)):
+        space, maps = block_sum(K, h, other)
+        got, exact_runs = spied_verdict(maps, space, K, monkeypatch)
+        assert got == exact_verdict(maps, space, K) == ("smaller", dim)
+        assert exact_runs == 1
+        ops = [mp.entries for mp in maps]
+        assert operator_closure_dim(ops, 8, K) == dim
+        assert assocsuper._closure_dim_mod_p(ops, 8, K) <= dim
+
+
+def test_oracle_without_a_reduction_closes_exactly(monkeypatch):
+    """An operator entry whose denominator the prime divides, and a tower
+    with no prime of the list: no F_p closure, and the exact one gives the
+    verdict."""
+    import queeralg.scalars as scalars
+    K = Tower()
+    h = cartan_H(K, RANK4_BY_HEIGHT[1])
+    ops = [mp.entries for mp in h.cartan_mats]
+    assert assocsuper._closure_dim_mod_p(ops, 4, K) == 16
+    # one operator times 1/p: the algebra is the same, the entries are not
+    # p-integral
+    scaled = [dict(ops[0])] + ops[1:]
+    k = next(iter(scaled[0]))
+    scaled[0][k] = scaled[0][k] * K.from_fraction(Fraction(1, K.mod_p().p))
+    assert assocsuper._closure_dim_mod_p(scaled, 4, K) is None
+    assert operator_closure_dim(scaled, 4, K) == 16
+    monkeypatch.setattr(scalars, "MOD_P_PRIMES", ())
+    K2 = Tower()
+    h2 = cartan_H(K2, RANK4_BY_HEIGHT[1])
+    assert K2.mod_p() is None
+    d = density_type_from_maps(h2.cartan_mats, h2.carrier, K2)
+    assert (d.kind, d.closure_dim) == ("full", 16)
+
+
+# ---------------------------------------------------------------------------
 # The generator-only Clifford module
 # ---------------------------------------------------------------------------
 

@@ -826,6 +826,25 @@ def _counted(monkeypatch, name, calls):
     monkeypatch.setattr(products, name, wrapped)
 
 
+def test_catalog_certifies_each_entry_once(monkeypatch):
+    """classify_enumerate and Catalog.weight_schur read one cached
+    certificate per entry: an untwisted q(3) classify, then the Schur data
+    of every entry, run the criterion once per entry."""
+    K = Tower()
+    q3 = build_q(K, 3)
+    ms = tensor_lie(q3, preset_base_field(K))
+    cat = Catalog(q3)
+    calls: dict = {}
+    _counted(monkeypatch, "is_irreducible_hw", calls)
+    rep = classify_enumerate(ms, cat)
+    assert len(rep["rows"]) == 2
+    assert [cat.weight_schur(name).is_type_q for name in cat.names()] == \
+        [False, False]
+    assert len(calls["is_irreducible_hw"]) == 2
+    assert sorted(map(id, (args[0] for args in calls["is_irreducible_hw"]))) \
+        == sorted(id(cat.module(name)) for name in cat.names())
+
+
 def test_classify_twisted(env, monkeypatch):
     """One surjectivity check per run, and the criterion once per catalog
     entry, each over q itself: no row is built or certified."""

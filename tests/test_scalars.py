@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from queeralg.scalars import (Tower, _co_add, _co_mul, _co_neg, parse_scalar,
-                              raw_inv, raw_mul, raw_of, raw_submul, scalar_of)
+from queeralg.scalars import (MOD_P_PRIMES, ModP, Tower, _co_add, _co_mul,
+                              _co_neg, _sqrt_mod, parse_scalar, raw_inv,
+                              raw_mul, raw_of, raw_submul, scalar_of)
 
 
 @pytest.fixture
@@ -284,3 +285,136 @@ def test_one_pass_raw_submul_each_height():
             got = raw_submul(cur, raw_of(f), raw_of(x), gens)
             assert got == old_raw_submul(cur, raw_of(f), raw_of(x), gens)
     assert raw_submul(raw_of(s2 * s2), raw_of(s2), raw_of(s2), gens) is None
+
+
+# ---------------------------------------------------------------------------
+# The reduction of the tower modulo a prime
+# ---------------------------------------------------------------------------
+
+RED = [Tower() for _ in range(4)]
+for _t in RED[1:]:
+    _t.adjoin_sqrt(_t.from_int(3))                         # in Q
+for _t in RED[2:]:
+    _t.adjoin_sqrt(_t.one() + _t.gen(0))                   # 1 + s1, above Q(i)
+RED[3].adjoin_sqrt(RED[3].from_qi(2, 1) + RED[3].gen(0) * RED[3].gen(1))
+assert [t.height for t in RED] == [0, 1, 2, 3]
+
+
+def assert_reduces_i_and_roots(t):
+    red = t.mod_p()
+    p = red.p
+    assert p in MOD_P_PRIMES and p % 8 == 1 and red.height == t.height
+    assert red.scalar(t.i()) ** 2 % p == p - 1
+    for j, d in enumerate(t.gens):
+        assert red.scalar(d) != 0
+        assert red.scalar(t.gen(j)) ** 2 % p == red.scalar(d)
+
+
+@st.composite
+def red_scalars(draw, t):
+    co = {}
+    for m in draw(st.sets(st.integers(0, (1 << t.height) - 1), max_size=4)):
+        q = t.from_qi(draw(st.integers(-4, 4)), draw(st.integers(-3, 3)),
+                      draw(st.sampled_from([1, 2, 3, 6])))
+        if not q.is_zero:
+            co[m] = q.co[0]
+    return t.scalar(co)
+
+
+@st.composite
+def red_operands(draw):
+    t = RED[draw(st.integers(0, 3))]
+    return t, draw(red_scalars(t)), draw(red_scalars(t))
+
+
+@pytest.mark.parametrize("height", [0, 1, 2, 3])
+def test_reduction_sends_i_and_each_root_to_roots(height):
+    assert_reduces_i_and_roots(RED[height])
+
+
+@settings(max_examples=200)
+@given(red_operands())
+def test_reduction_is_a_ring_map(drawn):
+    t, x, y = drawn
+    red = t.mod_p()
+    p, r = red.p, red.scalar
+    assert r(x + y) == (r(x) + r(y)) % p
+    assert r(x - y) == (r(x) - r(y)) % p
+    assert r(x * y) == r(x) * r(y) % p
+    if not x.is_zero:
+        inv = r(x.inv())
+        assume(inv is not None)   # the norm of x may carry p
+        assert r(x) * inv % p == 1
+
+
+def test_reduction_refuses_a_denominator_divisible_by_p():
+    t = RED[2]
+    red = t.mod_p()
+    p = red.p
+    assert red.scalar(t.from_fraction(Fraction(1, p))) is None
+    assert red.scalar(t.one() + t.gen(1) * t.from_qi(1, 1, 2 * p)) is None
+    assert red.raw(raw_of(t.from_qi(1, 1, 3 * p))) is None
+    assert red.scalar(t.from_fraction(Fraction(p, 2))) == 0
+    assert red.scalar(t.zero()) == 0
+    # a radicand with p in its denominator has no reduction at p
+    t2 = Tower()
+    p0 = t2.mod_p().p
+    t2.adjoin_sqrt(t2.from_fraction(Fraction(3, p0)))
+    assert t2.mod_p().p != p0
+    assert_reduces_i_and_roots(t2)
+
+
+def test_cached_reduction_extends_or_moves_on():
+    t = Tower()
+    first = t.mod_p()
+    assert t.mod_p() is first and first.p == MOD_P_PRIMES[0]
+    # a radicand that is a square mod p: the reduction extends
+    p0 = first.p
+    squares = [q for q in (3, 5, 7, 11, 13) if pow(q, (p0 - 1) // 2, p0) == 1]
+    q_res = squares[0]
+    t.adjoin_sqrt(t.from_int(q_res))
+    second = t.mod_p()
+    assert (second.p, second.iota, second.height) == (p0, first.iota, 1)
+    # a non-square mod p: it moves on to a later prime
+    q_non = next(q for q in (3, 5, 7, 11, 13) if q not in squares)
+    t.adjoin_sqrt(t.from_int(q_non))
+    third = t.mod_p()
+    assert MOD_P_PRIMES.index(third.p) > 0 and third.height == 2
+    assert_reduces_i_and_roots(t)
+    # a radicand that is already a square adds no root and keeps the cache
+    t.adjoin_sqrt(t.from_int(4 * q_res))
+    assert t.height == 2 and t.mod_p() is third
+
+
+def fresh_reduction(t):
+    """Reference: the first listed prime that fits every radicand of t,
+    searched from scratch, as (p, sigmas); None when none fits."""
+    for p in MOD_P_PRIMES:
+        red = ModP(p, _sqrt_mod(p - 1, p), (), [1]).extended(t.gens)
+        if red is not None:
+            return red.p, red.sigmas
+    return None
+
+
+@settings(max_examples=30)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-2, 2),
+                          st.booleans()), min_size=1, max_size=3))
+def test_cached_reduction_after_adjoin_sqrt(steps):
+    """After each adjoin_sqrt the cached reduction is the one a search from
+    scratch finds, and it sends i and the roots to roots."""
+    t = Tower()
+    for a, b, above in steps:
+        d = t.from_qi(a, b)
+        if above and t.height:
+            d = d + t.gen(t.height - 1)    # a radicand above Q(i)
+        if d.is_zero:
+            continue
+        t.mod_p()                           # cached at the old height
+        t.adjoin_sqrt(d)
+        red = t.mod_p()
+        assert (None if red is None else (red.p, red.sigmas)) == \
+            fresh_reduction(t)
+        if red is not None:
+            assert_reduces_i_and_roots(t)
+            x = t.one() + t.gen(t.height - 1) if t.height else t.i()
+            assert red.scalar(x * x) == red.scalar(x) ** 2 % red.p
