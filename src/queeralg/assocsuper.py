@@ -413,9 +413,10 @@ def clifford_generators(q: QuadraticPair, pivot_order=None):
     """
     tower = q.tower
     r = q.r
-    if q.radical_dim() != 0:
-        raise ValueError("form is degenerate; no irreducible Clifford module")
+    # P f P^T = diag(d), P invertible: f is degenerate iff some d_k is 0
     p_rows, diag = _congruence_diagonalize(q, pivot_order)
+    if any(d.is_zero for d in diag):
+        raise ValueError("form is degenerate; no irreducible Clifford module")
     planes, lines = _witt_split(tower, list(zip(p_rows, diag)))
 
     k = r // 2

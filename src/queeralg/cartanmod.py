@@ -82,9 +82,9 @@ class PsiFunctional:
                 raise ValueError("each value must be an [h_label, a_label, "
                                  f"scalar] triple, not {entry!r}")
             h_lbl, a_lbl, v = entry
-            if h_lbl not in h_labels:
+            if not isinstance(h_lbl, str) or h_lbl not in h_labels:
                 raise ValueError(f"unknown Cartan label {h_lbl!r}")
-            if a_lbl not in a_labels:
+            if not isinstance(a_lbl, str) or a_lbl not in a_labels:
                 raise ValueError(f"unknown coefficient label {a_lbl!r}")
             if (h_lbl, a_lbl) in seen:
                 raise ValueError(f"repeated value for {(h_lbl, a_lbl)!r}")
@@ -203,7 +203,7 @@ class CliffordData:
         self.ideal = i_psi(psi)
         quotient = self.quotient = QuotientAlgebra(ctx.coeff, self.ideal)
         nq = quotient.dim
-        if len(quotient.points) > 1:
+        if len(quotient.eval_functionals) > 1:
             blocks = [Span(tower, [quotient.product(e, {j: one})
                                    for j in range(nq)]).basis_vectors()
                       for e in quotient.idempotents]

@@ -122,11 +122,11 @@ def cmd_classify(args) -> int:
                      _load_json(args.group), alg, qd)
         # a free action has orbits of |Gamma| points, so a larger declared
         # order is refused before the group is enumerated
-        if act.order > len(alg.maximal_ideals):
+        if act.order > len(alg.eval_functionals):
             raise ValueError(
                 "freeness violated: every orbit of a free action of a group "
                 f"of order {act.order} has {act.order} points, more than the "
-                f"{len(alg.maximal_ideals)} declared")
+                f"{len(alg.eval_functionals)} declared")
         inv = invariants(ms, act)
     rep = classify_enumerate(ms, catalog, inv=inv)
     rows = []

@@ -2,51 +2,59 @@
 maximal spectra, ideal arithmetic (product, radical, support), and
 finite abelian group actions.
 
-Maximal ideals are declared by the presets rather than solved for:
-locating the maximal ideals of an arbitrary algebra needs root finding
-outside the scalar tower, while split polynomial quotients cover every
-computation in scope.
+Points are declared by the presets, each as its evaluation functional
+chi: A -> K, rather than solved for: locating the maximal ideals of an
+arbitrary algebra needs root finding outside the scalar tower, while
+split polynomial quotients cover every computation in scope.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .assocsuper import AssocSuper, trace_form_kernel
+from .assocsuper import AssocSuper
 from .graded import (EVEN, GradedMap, GradedSpace, Span, add_entries,
-                     solve_columns)
+                     mat_kernel, solve_columns)
 from .scalars import Scalar, Tower, scalar_from_json
 
 
 class CoeffAlgebra(AssocSuper):
     """Commutative unital algebra (purely even) with declared MaxSpec.
 
-    points[k] = (root, multiplicity) for the k-th maximal ideal when the
-    algebra is a polynomial quotient; eval_functionals[k] maps a
-    coordinate vector to its value in A/m_k = K.
-    """
+    eval_functionals[k], the values on the basis of a unital homomorphism
+    chi_k: A -> K, is the k-th point, and ker chi_k its maximal ideal.
+    The declared points are all of MaxSpec A: preset_truncated guarantees
+    it, as its roots with their multiplicities factor f, and any other
+    preset has to check it.  points[k] = (root, multiplicity) for a
+    polynomial quotient."""
 
-    def __init__(self, tower, space, mult, unit, maximal_ideals=None,
-                 points=None, eval_functionals=None, name="",
-                 presentation=""):
+    def __init__(self, tower, space, mult, unit, points=None,
+                 eval_functionals=None, name="", presentation=""):
         super().__init__(tower, space, mult, unit, name=name)
-        self.maximal_ideals = maximal_ideals or []
         self.points = points or []
         self.eval_functionals = eval_functionals or []
         self.presentation = presentation
 
     def check(self, triples="all"):
+        """AssocSuper.check, commutativity, and each chi_k 1 on the unit
+        and multiplicative on basis pairs: ker chi_k is maximal."""
         super().check(triples)
         for i in range(self.dim):
             for j in range(self.dim):
                 if self.mult[i][j] != self.mult[j][i]:
                     raise AssertionError("algebra is not commutative")
-        for k, ideal in enumerate(self.maximal_ideals):
-            if ideal.dim != self.dim - 1:
-                raise AssertionError(f"declared maximal ideal {k} has codim != 1")
+        one = self.tower.one()
+        for k, chi in enumerate(self.eval_functionals):
+            if self.evaluate(k, self.unit) != one:
+                raise AssertionError(f"declared point {k} is not unital")
+            for i in range(self.dim):
+                for j in range(i, self.dim):
+                    if self.evaluate(k, self.mult[i][j]) != chi[i] * chi[j]:
+                        raise AssertionError(f"declared point {k} is not "
+                                             f"multiplicative at ({i},{j})")
 
     def evaluate(self, k: int, coords: dict) -> Scalar:
-        """Image of a in A/m_k under the declared identification with K."""
+        """chi_k(a), the value of a at the k-th declared point."""
         chi = self.eval_functionals[k]
         acc = self.tower.zero()
         for i, c in coords.items():
@@ -67,15 +75,15 @@ class CoeffAlgebra(AssocSuper):
         round squares the power of N that eps lies in; N^dim A = 0, so u is
         idempotent after at most ceil(log2 dim A) + 1 rounds
         (AssertionError otherwise)."""
-        if len(self.points) <= 1:
+        chis = self.eval_functionals
+        if len(chis) <= 1:
             return [dict(self.unit)]
         tower = self.tower
         n = self.dim
         zero, one = tower.zero(), tower.one()
         sols = solve_columns([{k: c for k, c in enumerate(chi) if c.co}
-                              for chi in self.eval_functionals],
-                             [{x: one} for x in range(len(self.points))],
-                             n, tower)
+                              for chi in chis],
+                             [{x: one} for x in range(len(chis))], n, tower)
         if sols is None:
             raise AssertionError("the evaluations at the declared points "
                                  "are not independent")
@@ -95,6 +103,19 @@ class CoeffAlgebra(AssocSuper):
                                      f"{rounds} rounds")
             out.append(u)
         return out
+
+    def vanishing_ideal(self, points) -> IdealRep:
+        """The common kernel of the chi_k of the given points (all of A
+        for none): the one place where an ideal is built from points."""
+        return IdealRep(self, mat_kernel(
+            ({i: c for i, c in enumerate(self.eval_functionals[k]) if c.co}
+             for k in points), self.dim, self.tower))
+
+    @cached_property
+    def maximal_ideals(self) -> list:
+        """ker chi_k for each declared point, in declared order."""
+        return [self.vanishing_ideal([k])
+                for k in range(len(self.eval_functionals))]
 
 
 class IdealRep:
@@ -171,7 +192,7 @@ def preset_truncated(tower: Tower, modulus, roots) -> CoeffAlgebra:
     modulus: coefficient list c0..cd (ascending, monic).
     roots: list of (root, multiplicity), each root given once; the
     product of (t - a)^k must reproduce f exactly, and every root must
-    lie in the tower.
+    lie in the tower.  The k-th point is evaluation at the k-th root.
     """
     f = [tower._coerce(c) for c in modulus]
     d = len(f) - 1
@@ -215,16 +236,10 @@ def preset_truncated(tower: Tower, modulus, roots) -> CoeffAlgebra:
     labels = tuple("1" if k == 0 else f"t^{k}" if k > 1 else "t" for k in range(d))
     space = GradedSpace(d, 0, labels)
     alg = CoeffAlgebra(tower, space, mult, {0: tower.one()},
+                       points=norm_roots,
+                       eval_functionals=[[root ** k for k in range(d)]
+                                         for root, _ in norm_roots],
                        name=f"K[t]/(deg {d})", presentation="poly_quotient")
-    for root, multn in norm_roots:
-        gen = {0: -root, 1: tower.one()} if d > 1 else {0: zero}
-        if d == 1:
-            ideal = IdealRep(alg, [])
-        else:
-            ideal = IdealRep.from_generators(alg, [gen])
-        alg.maximal_ideals.append(ideal)
-        alg.points.append((root, multn))
-        alg.eval_functionals.append([root ** k for k in range(d)])
     _check_truncated(alg)
     return alg
 
@@ -308,26 +323,20 @@ class QuotientAlgebra(CoeffAlgebra):
         mult = [[project(source.mult[a][b]) for b in free] for a in free]
         unit = project(source.unit)
         labels = tuple(source.space.labels[i] for i in free)
+        # the points where I vanishes, each chi_k read on the free columns
+        kept = support(ideal)
         super().__init__(tower, GradedSpace(d, 0, labels), mult, unit,
+                         points=[source.points[k] for k in kept]
+                         if source.points else None,
+                         eval_functionals=[[source.eval_functionals[k][i]
+                                            for i in free] for k in kept],
                          name=f"{source.name}/I",
                          presentation="quotient")
         self.source = source
         self.ideal = ideal
         self.free_indices = free
         self.project = project
-        # surviving maximal ideals (those containing I)
-        self.kept_points = []
-        for k, m in enumerate(source.maximal_ideals):
-            if ideal.is_subideal_of(m):
-                self.kept_points.append(k)
-                gen_imgs = [project(v) for v in m.vectors]
-                self.maximal_ideals.append(
-                    IdealRep.from_generators(self, gen_imgs))
-                if source.points:
-                    self.points.append(source.points[k])
-                if source.eval_functionals:
-                    chi = source.eval_functionals[k]
-                    self.eval_functionals.append([chi[i] for i in free])
+        self.kept_points = kept
 
     @cached_property
     def idempotents(self) -> list:
@@ -335,7 +344,7 @@ class QuotientAlgebra(CoeffAlgebra):
         idempotent of a dropped point y lies in I (I is not inside m_y, so
         I contains the whole local piece e_y A), so these still sum to
         the unit."""
-        if len(self.points) <= 1:
+        if len(self.eval_functionals) <= 1:
             return [dict(self.unit)]
         src = self.source.idempotents
         return [self.project(src[k]) for k in self.kept_points]
@@ -346,19 +355,17 @@ class QuotientAlgebra(CoeffAlgebra):
 
 
 def radical(ideal: IdealRep) -> IdealRep:
-    """sqrt(I): preimage of the nilradical of A/I, computed exactly as the
-    trace-form kernel of the regular representation of A/I."""
-    a = ideal.algebra
-    q = QuotientAlgebra(a, ideal)
-    pre = IdealRep(a, ideal.vectors + [q.lift(g) for g in trace_form_kernel(q)])
-    return IdealRep.from_generators(a, pre.vectors) if pre.vectors \
-        else zero_ideal(a)
+    """sqrt(I), the preimage of the nilradical of A/I.  A/I is Artinian,
+    so that is the intersection of its maximal ideals, each ker chi_k for
+    a declared point k of the support: the vanishing ideal there."""
+    return ideal.algebra.vanishing_ideal(support(ideal))
 
 
 def support(ideal: IdealRep):
-    """Indices of declared maximal ideals containing the ideal."""
-    return [k for k, m in enumerate(ideal.algebra.maximal_ideals)
-            if ideal.is_subideal_of(m)]
+    """The declared points where every vector of the ideal is 0."""
+    a = ideal.algebra
+    return [k for k in range(len(a.eval_functionals))
+            if all(a.evaluate(k, v).is_zero for v in ideal.vectors)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +434,12 @@ def _first_unpreserved_pair(f: GradedMap, op, table, rows):
     return None
 
 
+def _nonzero_multiple(f, chi) -> bool:
+    """Whether the row f is c chi for some c != 0 (chi is nonzero)."""
+    p = next(i for i, x in enumerate(chi) if x.co)
+    return f[p].co and all(y * chi[p] == x * f[p] for x, y in zip(chi, f))
+
+
 def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
     """Exact validation report: generator relations, automorphism laws,
     abelianness, freeness on the declared MaxSpec, and the orbits of the
@@ -481,18 +494,19 @@ def gamma_validate(act: GammaAction, a: CoeffAlgebra, qd) -> dict:
                 report["abelian"] = False
                 report["failures"].append(f"generators {x},{y} do not commute")
 
-    # orbit structure and freeness on the declared MaxSpec
-    n_pts = len(a.maximal_ideals)
+    # orbits and freeness on the declared MaxSpec: a sends point k to k2
+    # when ker chi_k = ker (chi_k2 o a), that is a(m_k) = m_k2 (a invertible)
+    chis = a.eval_functionals
+    n_pts = len(chis)
     perms = []
     for ek, (a_map, q_map) in enumerate(act.elements):
+        cols = a_map.columns()
+        pulled = [[a.evaluate(k2, cols.get(j, {})) for j in range(a.dim)]
+                  for k2 in range(n_pts)]
         perm = []
-        for k, m in enumerate(a.maximal_ideals):
-            img_ideal = IdealRep(a, [a_map.apply(v) for v in m.vectors])
-            target = None
-            for k2, m2 in enumerate(a.maximal_ideals):
-                if img_ideal == m2:
-                    target = k2
-                    break
+        for k, chi in enumerate(chis):
+            target = next((k2 for k2, f in enumerate(pulled)
+                           if _nonzero_multiple(f, chi)), None)
             if target is None:
                 report["closed_on_maxspec"] = False
                 report["failures"].append(

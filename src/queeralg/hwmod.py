@@ -53,9 +53,9 @@ class TruncatedVerma:
     indices into the lowering generator list, evens first).  A monomial
     is straightened once for all of H(psi) (_straighten), and act_on
     applies the Cartan operators to w_h last.  Straightening runs on raw
-    entries (scalars.raw_of): the algebra's raw bracket table
-    (LieSuper.raw_bk) and the Cartan matrices of H(psi), converted once,
-    and blocks are sparse raw columns."""
+    entries (scalars.raw_of): the algebra's bracket table and the Cartan
+    matrices of H(psi), each converted once, here, and blocks are sparse
+    raw columns."""
 
     def __init__(self, ms: MapSuper, psi: PsiFunctional, depth: int):
         if ms.qd is None:
@@ -77,10 +77,11 @@ class TruncatedVerma:
         # generators' own
         self.shift = [self._weight_shift(g) for g in range(ms.dim)]
         self.low_coords = [self.shift[g] for g in self.lowering]
-        # raw forms: bk[i][j] as (k, raw) pairs (q's own raw table when
-        # A is the base field), and per Cartan generator and column h of
-        # H(psi) its nonzero (k, raw) by increasing k, converted once
-        self._bk = ms.algebra.raw_bk
+        # raw forms: bk[i][j] as a tuple of (k, raw) pairs in bk's key
+        # order, which reaches act_on, and per Cartan generator and column
+        # h of H(psi) its nonzero (k, raw) by increasing k
+        self._bk = [[tuple((k, raw_of(c)) for k, c in entry.items())
+                     for entry in row] for row in ms.algebra.bk]
         self._cartan = []
         for mat in self.h_mod.cartan_mats:
             cols = [[] for _ in range(self.h_mod.dim)]

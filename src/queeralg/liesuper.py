@@ -11,7 +11,7 @@ from .assocsuper import AssocSuper
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, Span, _by_row,
                      _table_product, add_entries, first_invertible,
                      intertwiners, mat_kernel, mat_rref, solve_columns)
-from .scalars import Tower, raw_of
+from .scalars import Tower
 
 
 class LieSuper:
@@ -37,12 +37,11 @@ class LieSuper:
     identity on the generators only."""
 
     def __init__(self, tower: Tower, space: GradedSpace, bk, name: str = "",
-                 raw_bk=None, triangular=None, generators=None):
+                 triangular=None, generators=None):
         self.tower = tower
         self.space = space
         self.bk = bk
         self.name = name
-        self._raw_bk = raw_bk
         self.triangular = triangular
         self.generators = range(space.dim) if generators is None \
             else generators
@@ -51,24 +50,14 @@ class LieSuper:
     def dim(self) -> int:
         return self.space.dim
 
-    @property
-    def raw_bk(self):
-        """bk with each entry as a tuple of (k, raw) pairs
-        (scalars.raw_of), in bk's key order; converted on first read
-        unless the builder supplied it."""
-        if self._raw_bk is None:
-            self._raw_bk = [[tuple((k, raw_of(c)) for k, c in entry.items())
-                             for entry in row] for row in self.bk]
-        return self._raw_bk
-
     def relabeled(self, space: GradedSpace, name: str = "") -> "LieSuper":
         """The same algebra on a relabeled basis of the same parities,
-        sharing this one's table (and its raw form, if already made) and
-        keeping its triangular split and generators."""
+        sharing this one's table and keeping its triangular split and
+        generators."""
         if space.parities != self.space.parities:
             raise ValueError("a relabeling must keep every parity")
         return LieSuper(self.tower, space, self.bk, name=name,
-                        raw_bk=self._raw_bk, triangular=self.triangular,
+                        triangular=self.triangular,
                         generators=self.generators)
 
     def bracket(self, u: dict, v: dict) -> dict:

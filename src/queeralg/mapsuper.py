@@ -227,7 +227,7 @@ def invariants(ms: MapSuper, act: GammaAction) -> InvariantSub:
     tower = ms.tower
     if not act.generators:
         report = {"valid": True, "free": True, "orbits":
-                  [[k] for k in range(len(ms.coeff.maximal_ideals))],
+                  [[k] for k in range(len(ms.coeff.eval_functionals))],
                   "failures": []}
         one = tower.one()
         averaged = [{idx: one} for idx in range(ms.dim)]

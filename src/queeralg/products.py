@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 from .assocsuper import _raw_products, density_type_from_maps, make_Q
 from .graded import (EVEN, ODD, GradedMap, GradedSpace, add_entries, kernel,
-                     mat_kernel, odd_schur, solve_columns)
-from .coeffalg import GammaAction, IdealRep
+                     odd_schur, solve_columns)
+from .coeffalg import GammaAction
 from .hwmod import is_irreducible_hw
 from .liesuper import (WeightModule, direct_sum, from_assoc,
                        is_isomorphic_weight, weight_sort_key)
@@ -671,9 +671,7 @@ def classify_enumerate(ms: MapSuper, catalog: Catalog,
         for _, w, _ in factors:
             top = tuple(a + b for a, b in zip(top, w))
         supp = sorted(p for p, c in assign.items() if c != "trivial")
-        ann = IdealRep(coeff, mat_kernel(
-            ({k: c for k, c in enumerate(coeff.eval_functionals[p]) if c.co}
-             for p in supp), coeff.dim, tower))
+        ann = coeff.vanishing_ideal(supp)
         report["rows"].append(ClassificationRow(
             assignment=dict(assign), dim=ne + no, graded_dims=(ne, no),
             irreducible=True, schur_types=[f[2] for f in factors],

@@ -131,9 +131,8 @@ class QueerData:
         generators = sorted(self.index[f"e{w}[{i},{j}]"] for w in ("", "'")
                             for k in range(1, n + 1)
                             for i, j in ((k, k + 1), (k + 1, k)))
-        bk, raw_bk = _queer_structure(tower, n, units, self.index)
+        bk = _queer_structure(tower, n, units, self.index)
         self.algebra = LieSuper(tower, self.space, bk, name=f"q({n})",
-                                raw_bk=raw_bk,
                                 triangular=(self.npos_indices,
                                             self.cartan_indices,
                                             self.nneg_indices),
@@ -246,9 +245,7 @@ def _queer_units(n: int):
 
 def _queer_structure(tower: Tower, n: int, units, index: dict,
                      center=None):
-    """(bk, raw_bk): bk[i][j] holds the coordinates of [e_i, e_j], and
-    raw_bk[i][j] the same entries as (k, raw) pairs in the same order
-    (the form of LieSuper.raw_bk).
+    """The bracket table: bk[i][j] holds the coordinates of [e_i, e_j].
 
     The basis matrices are bracketed as sparse integer matrices, and only
     pairs whose product can be nonzero are visited: x y needs a unit with
@@ -262,8 +259,8 @@ def _queer_structure(tower: Tower, n: int, units, index: dict,
     identity unit (q~(n)), the trace part tr/(n+1) that the projection
     removes is kept on it, after the other entries; otherwise it is
     dropped (q(n) is the quotient).  Each distinct (numerator,
-    denominator) becomes one Scalar and one raw entry, shared by every
-    entry that has it (neither is ever mutated)."""
+    denominator) becomes one Scalar, shared by every entry that has it
+    (none is ever mutated)."""
     n1 = n + 1
     dim = len(units)
     # coordinate indices by parity of the bracket: "" even, "'" odd
@@ -289,12 +286,10 @@ def _queer_structure(tower: Tower, n: int, units, index: dict,
     def value(num, den):
         v = values.get((num, den))
         if v is None:
-            s = tower.from_fraction(Fraction(num, den))
-            v = values[(num, den)] = (s, raw_of(s))
+            v = values[(num, den)] = tower.from_fraction(Fraction(num, den))
         return v
 
     bk = [[{} for _ in range(dim)] for _ in range(dim)]
-    raw_bk = [[()] * dim for _ in range(dim)]
     for a, ((pi, x), xrows) in enumerate(zip(units, by_row)):
         partners = set()
         for (i, k) in x:
@@ -337,14 +332,12 @@ def _queer_structure(tower: Tower, n: int, units, index: dict,
             if not entries:
                 continue
             vals = [(k, value(v, d)) for k, v, d in entries]
-            bk[a][b] = {k: v[0] for k, v in vals}
-            raw_bk[a][b] = tuple((k, v[1]) for k, v in vals)
+            bk[a][b] = dict(vals)
             if b != a:
                 if sign < 0:
                     vals = [(k, value(-v, d)) for k, v, d in entries]
-                bk[b][a] = {k: v[0] for k, v in vals}
-                raw_bk[b][a] = tuple((k, v[1]) for k, v in vals)
-    return bk, raw_bk
+                bk[b][a] = dict(vals)
+    return bk
 
 
 def build_q(tower: Tower, n: int) -> QueerData:
@@ -363,8 +356,8 @@ def build_q_tilde(tower: Tower, n: int) -> LieSuper:
     n_even = sum(1 for p, _ in units if p == EVEN)
     space = GradedSpace(n_even, len(labels) - n_even, tuple(labels))
     index = {lbl: k for k, lbl in enumerate(labels)}
-    bk, raw_bk = _queer_structure(tower, n, units, index, center=0)
-    return LieSuper(tower, space, bk, name=f"q~({n})", raw_bk=raw_bk)
+    bk = _queer_structure(tower, n, units, index, center=0)
+    return LieSuper(tower, space, bk, name=f"q~({n})")
 
 
 def cartan_generation_check(qd: QueerData) -> bool:

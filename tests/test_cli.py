@@ -8,6 +8,7 @@ import pytest
 
 from queeralg import cli, liesuper
 from queeralg.cli import main
+from queeralg.coeffalg import CoeffAlgebra
 from queeralg.queer import QueerData
 from queeralg.scalars import Tower
 
@@ -485,6 +486,20 @@ def test_dims_rejects_repeated_value(tmp_path, capsys):
         f"error: {bad}: repeated value for ('h1', '1')\n"
 
 
+@pytest.mark.parametrize("entry,message", [
+    (["h1", ["1"], "1"], "unknown coefficient label ['1']"),
+    ([["h1"], "1", "1"], "unknown Cartan label ['h1']"),
+])
+def test_dims_names_an_unhashable_label(tmp_path, capsys, entry, message):
+    """A label that is a JSON list is named like any unknown label, not
+    reported as a Python type error."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"values": [entry]}))
+    rc = main(["dims", "--n", "2", "--psi", str(bad), "--depth", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 def test_classify_rejects_boolean_modulus(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"type": "poly_quotient",
@@ -619,6 +634,19 @@ def test_classify_golden_makes_no_oracle_call(tmp_path, golden, algebra,
     """Each class's top weight and type come off its certificate, so with
     every binding of the density oracle and of the odd Schur solve
     refusing, classify still writes every golden report."""
+    _assert_classify_golden(tmp_path, golden, algebra, group)
+
+
+@pytest.mark.parametrize("golden,algebra,group",
+                         [c for c in CLASSIFY_GOLDENS if c[2] is not None])
+def test_twisted_classify_reads_no_maximal_ideal(tmp_path, monkeypatch,
+                                                 golden, algebra, group):
+    """Work guard: points are read off their evaluation functionals, so a
+    twisted four-point classify writes its golden report without reading
+    CoeffAlgebra.maximal_ideals."""
+    def refuse(self):
+        raise AssertionError("maximal_ideals read")
+    monkeypatch.setattr(CoeffAlgebra, "maximal_ideals", property(refuse))
     _assert_classify_golden(tmp_path, golden, algebra, group)
 
 

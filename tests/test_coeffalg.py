@@ -10,6 +10,7 @@ from queeralg.coeffalg import (CoeffAlgebra, GammaAction, IdealRep,
                                gamma_validate, ideal_product,
                                preset_base_field, preset_truncated, radical,
                                support, zero_ideal)
+from queeralg.assocsuper import trace_form_kernel
 from queeralg.graded import EVEN, GradedMap, add_entries
 from queeralg.liesuper import LieSuper
 from queeralg.queer import build_q
@@ -356,9 +357,9 @@ def test_gamma_validate_on_generators_matches_the_full_basis(q_map, order):
         [f for f in want["failures"] if "bracket" not in f]
 
 
-def _with_table(a, mult):
+def _with_table(a, mult, functionals=None):
     return CoeffAlgebra(a.tower, a.space, mult, a.unit,
-                        maximal_ideals=a.maximal_ideals)
+                        eval_functionals=functionals or a.eval_functionals)
 
 
 @pytest.mark.parametrize("i, j", [(i, j) for i in range(4)
@@ -378,6 +379,19 @@ def test_truncated_check_refuses_every_corrupted_product(K, i, j):
         _check_truncated(bad)
 
 
+@pytest.mark.parametrize("chi,message", [
+    (["1", "2"], r"declared point 0 is not multiplicative at \(1,1\)"),
+    (["2", "2"], "declared point 0 is not unital"),
+])
+def test_check_refuses_a_point_that_is_not_a_homomorphism(K, chi, message):
+    """A declared point must be a unital homomorphism A -> K: on
+    K[t]/(t^2 - 1), t -> 2 breaks t * t = 1, and 1 -> 2 the unit."""
+    a = two_point(K)
+    bad = _with_table(a, a.mult, [[parse_scalar(K, x) for x in chi]])
+    with pytest.raises(AssertionError, match=message):
+        bad.check()
+
+
 def test_truncated_check_needs_t_powers(K):
     """The shortcut needs t * t^(k-1) = t^k.  K[t]/(t^4 - 1) on the
     basis 1, t, t^3, t^2 is associative (the full sweep passes), but
@@ -388,7 +402,8 @@ def test_truncated_check_needs_t_powers(K):
     for i in range(4):
         for j in range(4):
             mult[p[i]][p[j]] = {p[k]: v for k, v in a.mult[i][j].items()}
-    perm = _with_table(a, mult)
+    chis = [[chi[p.index(k)] for k in range(4)] for chi in a.eval_functionals]
+    perm = _with_table(a, mult, chis)
     perm.check()
     with pytest.raises(AssertionError, match=r"t \* t\^1 is not t\^2"):
         _check_truncated(perm)
@@ -444,3 +459,147 @@ def test_ideal_key_equality_is_ideal_equality(gens1, gens2, rnd):
     # the ideal generated by both lists does not depend on which comes first
     assert IdealRep.from_generators(_FOUR, gens1 + gens2).basis == \
         IdealRep.from_generators(_FOUR, gens2 + gens1).basis
+
+
+# ---------------------------------------------------------------------------
+# Points are evaluation functionals: references built from ideals
+# ---------------------------------------------------------------------------
+
+def sixteen_root(K):
+    # K[t]/(t^4 - 16), points 2, -2, 2i and -2i
+    return preset_truncated(
+        K, [K.from_int(-16), K.zero(), K.zero(), K.zero(), K.one()],
+        [(K.from_int(2), 1), (K.from_int(-2), 1), (K.from_qi(0, 2), 1),
+         (K.from_qi(0, -2), 1)])
+
+
+_POINT_PRESETS = [make(_GK) for make in (two_point, dual_numbers,
+                                         cusp_point, sixteen_root)]
+
+
+def _linear(a, root):
+    """t - root as a coordinate dict."""
+    return {k: c for k, c in ((0, -root), (1, a.tower.one())) if c.co}
+
+
+def _generated_maximal_ideals(a):
+    """The maximal ideals (t - root) of a preset, each generated as an
+    ideal."""
+    return [IdealRep.from_generators(a, [_linear(a, root)])
+            for root, _ in a.points]
+
+
+@st.composite
+def _preset_and_ideal(draw):
+    """A preset and the ideal generated by one to three elements, each a
+    random element times a random product of the (t - root)^e, e up to
+    the root's multiplicity, so that proper ideals of every support
+    occur."""
+    a = draw(st.sampled_from(_POINT_PRESETS))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = sparse([a.tower.from_int(draw(st.integers(-2, 2)))
+                    for _ in range(a.dim)])
+        for root, mult in a.points:
+            for _ in range(draw(st.integers(0, mult))):
+                g = a.product(g, _linear(a, root))
+        gens.append(g)
+    return a, IdealRep.from_generators(a, gens)
+
+
+def _trace_form_radical(ideal):
+    """sqrt(I) as the preimage of the radical of the trace form of A/I,
+    which is the nilradical of A/I in characteristic zero."""
+    a = ideal.algebra
+    q = QuotientAlgebra(a, ideal)
+    return IdealRep.from_generators(
+        a, ideal.vectors + [q.lift(g) for g in trace_form_kernel(q)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_preset_and_ideal())
+def test_points_questions_match_the_ideal_references(case):
+    """The maximal ideals are the generated (t - root); support is the
+    set of maximal ideals containing I; kept_points is the support; and
+    the radical, the vanishing ideal of the support, equals the
+    preimage of the trace-form radical of A/I."""
+    a, ideal = case
+    maximal = _generated_maximal_ideals(a)
+    assert a.maximal_ideals == maximal
+    want = [k for k, m in enumerate(maximal) if ideal.is_subideal_of(m)]
+    assert support(ideal) == want
+    assert QuotientAlgebra(a, ideal).kept_points == want
+    assert radical(ideal).basis == _trace_form_radical(ideal).basis
+
+
+def _one_minus_t(a):
+    """The linear map t^k -> (1 - t)^k; k < dim A, so nothing is
+    reduced and the map is invertible."""
+    K = a.tower
+    col, cols = dict(a.unit), []
+    for _ in range(a.dim):
+        cols.append(col)
+        col = a.product(col, {k: -c for k, c in _linear(a, K.one()).items()})
+    return GradedMap(K, a.space, a.space,
+                     {(r, k): x for k, c in enumerate(cols)
+                      for r, x in c.items()}, parity=EVEN)
+
+
+def _ideal_image_orbits(act, a, relations):
+    """gamma_validate's orbit part read off ideals: element e sends point
+    k to the declared maximal ideal equal to e(m_k).  Returns the
+    undeclared-image and freeness failures, in report order, and the
+    orbits."""
+    maximal = _generated_maximal_ideals(a)
+    ident_a = GradedMap.identity(a.tower, a.space)
+    ident_q = GradedMap.identity(a.tower, _GQ2.space)
+    failures, perms = [], []
+    for ek, (a_map, q_map) in enumerate(act.elements):
+        perm = []
+        for k, m in enumerate(maximal):
+            img = IdealRep(a, [a_map.apply(v) for v in m.vectors])
+            target = next((k2 for k2, m2 in enumerate(maximal)
+                           if img == m2), None)
+            if target is None:
+                failures.append(
+                    f"element {ek}: image of maximal ideal {k} is undeclared")
+            perm.append(target)
+        perms.append(perm)
+        if ek == 0 or (not relations and a_map == ident_a
+                       and q_map == ident_q):
+            continue
+        fixed = [k for k, k2 in enumerate(perm) if k2 == k]
+        if fixed:
+            failures.append(f"freeness violated at maximal ideal {fixed[0]}")
+    orbits, seen = [], set()
+    for k in range(len(maximal)):
+        if k not in seen:
+            orbit = sorted({perm[k] for perm in perms} - {None})
+            seen.update(orbit)
+            orbits.append(orbit)
+    return failures, orbits
+
+
+@pytest.mark.parametrize("a", _POINT_PRESETS,
+                         ids=["two", "dual", "cusp", "sixteen"])
+@pytest.mark.parametrize("order,scale", [(2, "-1"), (4, "i"), (2, None)],
+                         ids=["t->-t", "t->it", "t->1-t"])
+def test_gamma_orbits_match_the_ideal_images(a, order, scale):
+    """gamma_validate sends point k to k2 when chi_k2 o a is a nonzero
+    multiple of chi_k.  For invertible maps (t -> -t, t -> i t and the
+    matrix of t -> 1 - t, automorphisms or not) its orbits, freeness
+    and failure lines equal those read off the images of the maximal
+    ideals."""
+    K = a.tower
+    a_map = _one_minus_t(a) if scale is None else GradedMap(
+        K, a.space, a.space,
+        {(k, k): x for k in range(a.dim)
+         if (x := parse_scalar(K, scale) ** k).co}, parity=EVEN)
+    act = GammaAction(K, [(order, a_map, GradedMap.identity(K, _GQ2.space))])
+    rep = gamma_validate(act, a, _GQ2)
+    failures, orbits = _ideal_image_orbits(act, a, rep["relations"])
+    assert [f for f in rep["failures"]
+            if f.startswith(("element", "freeness"))] == failures
+    assert rep["orbits"] == orbits
+    assert rep["free"] == (not any(f.startswith("freeness")
+                                   for f in failures))

@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_ref import dense
+from queeralg.cartanmod import CartanAlgebra, PsiFunctional
+from queeralg.coeffalg import preset_base_field
 from queeralg.graded import EVEN, Span
+from queeralg.hwmod import TruncatedVerma
 from queeralg.liesuper import is_simple, is_solvable, subalgebra
+from queeralg.mapsuper import tensor_lie
 from queeralg.queer import build_q, build_q_tilde, cartan_generation_check
 from queeralg.scalars import Tower, raw_of
 
@@ -264,11 +268,15 @@ def test_structure_constants_match_dense_oracle(K, n):
 @pytest.mark.filterwarnings("ignore:q\\(1\\) is not simple")
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_raw_table_matches_structure_constants(K, n):
-    """build_q emits the raw table with the Scalar one; it must be the
-    conversion of every entry, in the same key order."""
-    alg = build_q(K, n).algebra
-    assert alg.raw_bk == [[tuple((k, raw_of(c)) for k, c in d.items())
-                           for d in row] for row in alg.bk]
+    """TruncatedVerma straightens over a raw view of the bracket table
+    that it converts once; it must be the conversion of every entry, in
+    the same key order."""
+    qd = build_q(K, n)
+    base = preset_base_field(K)
+    psi = PsiFunctional(CartanAlgebra(qd, base), [K.one()] * n)
+    vm = TruncatedVerma(tensor_lie(qd, base), psi, 0)
+    assert vm._bk == [[tuple((k, raw_of(c)) for k, c in d.items())
+                       for d in row] for row in qd.algebra.bk]
 
 
 @pytest.mark.filterwarnings("ignore:q\\(1\\) is not simple")
