@@ -456,7 +456,9 @@ def is_irreducible_hw(m: WeightModule, details: dict | None = None) -> bool:
     over the Cartan part, by its Clifford rank details["clifford_rank"];
     the top block generates the module, checked by one rank per weight
     (generated_by_top).  details["reason"] names the clause that failed,
-    or is "irreducible"."""
+    or is "irreducible".  Only hand-built blocks reach "top block not
+    singular": a raising generator maps a genuine module's top block to a
+    weight above the top, where the module is zero."""
     if m.algebra.triangular is None:
         raise ValueError(f"{m.algebra.name or 'the algebra'} has no "
                          "triangular split")

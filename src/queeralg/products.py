@@ -7,8 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assocsuper import _raw_products, density_type_from_maps, make_Q
-from .graded import (EVEN, ODD, GradedMap, GradedSpace, add_entries, kernel,
-                     odd_schur, solve_columns)
+from .graded import EVEN, ODD, GradedMap, add_entries, odd_schur
 from .coeffalg import GammaAction
 from .hwmod import is_irreducible_hw
 from .liesuper import (WeightModule, direct_sum, from_assoc,
@@ -136,7 +135,8 @@ def q1_module(tower: Tower) -> WeightModule:
 
 def tensor_same_algebra(m1: WeightModule, m2: WeightModule) -> WeightModule:
     """V1 (x) V2 with the diagonal action over a common algebra; weights
-    add.  The Koszul sign acts through the parity of the first factor.
+    add.  g acts by the Koszul tensors rho1(g) (x) 1 + 1 (x) rho2(g)
+    (_koszul).
 
     Weights are handled by position: i1, i2 index m1.weights and
     m2.weights, t the product's weights.  out.pair_data holds
@@ -144,10 +144,8 @@ def tensor_same_algebra(m1: WeightModule, m2: WeightModule) -> WeightModule:
     (i1, k1, i2, k2) spanning product weight t, and the pair block
     (i1, i2) sits in weight target[i1][i2] from position offset[i1][i2]
     on, k1-major, so (i1, k1, i2, k2) is at offset + k1 * d2 + k2."""
-    tower = m1.tower
     alg = m1.algebra
     ws1, ws2 = m1.weights, m2.weights
-    d2 = [m2.block_dim(w) for w in ws2]
     sums: dict = {}   # product weight -> [(i1, i2), ...] in meeting order
     for i1, w1 in enumerate(ws1):
         for i2, w2 in enumerate(ws2):
@@ -164,127 +162,67 @@ def tensor_same_algebra(m1: WeightModule, m2: WeightModule) -> WeightModule:
             target[i1][i2], offset[i1][i2] = t, len(basis)
             basis.extend((i1, k1, i2, k2)
                          for k1 in range(m1.block_dim(ws1[i1]))
-                         for k2 in range(d2[i2]))
+                         for k2 in range(m2.block_dim(ws2[i2])))
         pair_basis.append(basis)
         parities[w] = tuple((m1.parities[ws1[i1]][k1]
                              + m2.parities[ws2[i2]][k2]) % 2
                             for (i1, k1, i2, k2) in basis)
+    pair = (m1, m2, pair_basis, target, offset)
     pos1 = {w: i for i, w in enumerate(ws1)}
     pos2 = {w: i for i, w in enumerate(ws2)}
-    par1 = [m1.parities[w] for w in ws1]
     act = []
     for g in range(alg.dim):
-        odd = alg.space.parity(g)
         # each factor's blocks of g as (target position, entries)
         b1 = [[(pos1[wt], blk) for wt, blk in m1.blocks_of(g, w)]
               for w in ws1]
         b2 = [[(pos2[wt], blk) for wt, blk in m2.blocks_of(g, w)]
               for w in ws2]
         blocks: dict = {}
-        for t, w in enumerate(weights):
-            # target weight -> {(row, col): entry}, in order of first meeting
-            found: dict = {}
-            for i1, i2 in sums[w]:
-                c0, dd = offset[i1][i2], d2[i2]
-                # rho1(g) (x) 1
-                for i1t, nz in b1[i1]:
-                    r0 = offset[i1t][i2]
-                    add_entries(found.setdefault(target[i1t][i2], {}),
-                                (((r0 + r * dd + k2, c0 + k1 * dd + k2), v)
-                                 for (r, k1), v in nz.items()
-                                 for k2 in range(dd)))
-                # 1 (x) rho2(g), sign by parity of the first factor
-                for i2t, nz in b2[i2]:
-                    r0, dt = offset[i1][i2t], d2[i2t]
-                    add_entries(found.setdefault(target[i1][i2t], {}),
-                                (((r0 + k1 * dt + r, c0 + k1 * dd + k2),
-                                  -v if odd and p else v)
-                                 for k1, p in enumerate(par1[i1])
-                                 for (r, k2), v in nz.items()))
+        for w, found in zip(weights, _koszul(
+                pair, ((b1, None, False), (None, b2, alg.space.parity(g))))):
             # entries that cancelled are gone; so is a block left empty
             pieces = [(weights[tt], ent) for tt, ent in found.items() if ent]
             if pieces:
                 blocks[w] = pieces
         act.append(blocks)
-    out = WeightModule(alg, tower, weights, parities, act, qd=m1.qd)
-    out.pair_data = (m1, m2, pair_basis, target, offset)
+    out = WeightModule(alg, m1.tower, weights, parities, act, qd=m1.qd)
+    out.pair_data = pair
     return out
 
 
-def restrict_weight_module(m: WeightModule, emb: dict) -> WeightModule:
-    """Submodule spanned per weight w by the columns of emb[w], an even
-    injective GradedMap into block w (a kernel embedding), which must be
-    action-invariant.  Each image rho(g) emb[w] landing in block wt is
-    solved as emb[wt] X = image, every column of all images in one target
-    weight by one solve_columns, and every X is checked exactly
-    (AssertionError when the subspace is not invariant)."""
-    tower = m.tower
-    weights = [w for w in m.weights if w in emb]
-    spaces = {w: GradedSpace.from_parities(p) for w, p in m.parities.items()}
-
-    def image(w, wt, blk):
-        return GradedMap(tower, spaces[w], spaces[wt], blk) * emb[w]
-    pieces = []       # (g, w, wt, block), in action order
-    for g in range(m.algebra.dim):
-        for w in weights:
-            for wt, blk in m.blocks_of(g, w):
-                if wt in emb:
-                    pieces.append((g, w, wt, blk))
-                elif not image(w, wt, blk).is_zero:
-                    raise AssertionError("subspace is not invariant")
-    by_target: dict = {}
-    for k, (_, _, wt, _) in enumerate(pieces):
-        by_target.setdefault(wt, []).append(k)
-    sols = [None] * len(pieces)
-    # the images of one target weight at a time: only they are held
-    for wt, ks in by_target.items():
-        e = emb[wt]
-        rows = [{} for _ in range(e.target.dim)]
-        for (i, j), x in e.entries.items():
-            rows[i][j] = x
-        images = [image(*pieces[k][1:]) for k in ks]
-        cols = [img.columns() for img in images]
-        xs = solve_columns(rows, [c.get(j, {}) for img, c in zip(images, cols)
-                                  for j in range(img.source.dim)],
-                           e.source.dim, tower)
-        if xs is None:
-            raise AssertionError("operator image leaves the subspace")
-        xs = iter(xs)
-        for k, img in zip(ks, images):
-            x = GradedMap(tower, img.source, e.source,
-                          {(p, j): v for j in range(img.source.dim)
-                           for p, v in next(xs).items()})
-            if e * x != img:
-                raise AssertionError("operator image leaves the subspace")
-            sols[k] = x.entries
-    act = [{} for _ in range(m.algebra.dim)]
-    for (g, w, wt, _), x in zip(pieces, sols):
-        if x:
-            act[g].setdefault(w, []).append((wt, x))
-    return WeightModule(m.algebra, tower, weights,
-                        {w: emb[w].source.parities for w in weights}, act,
-                        qd=m.qd)
-
-
-def _tensor_phi_blocks(full: WeightModule, side: int, phi: dict) -> dict:
-    """Blocks of phi (x) 1 (side 0) or 1 (x) phi (side 1) on a tensor
-    module built by tensor_same_algebra; the second-factor case carries
-    the Koszul sign of the first factor's parity."""
-    m1, m2, _, target, offset = full.pair_data
-    out: dict = {w: {} for w in full.weights}
+def _koszul(pair, terms) -> list:
+    """The sum of the Koszul tensors A (x) B over the (a, b, |B|) in terms,
+    on the pair blocks of the layout pair of tensor_same_algebra:
+    (A (x) B)(v (x) w) = (-1)^{|B||v|} Av (x) Bw.  a[i1] lists A's blocks
+    (target position, entries) from m1.weights[i1], b[i2] B's from
+    m2.weights[i2]; None is the identity, which is never multiplied.
+    out[t] maps each target weight position to the entries from product
+    weight t, in order of first meeting."""
+    m1, m2, pair_basis, target, offset = pair
+    d2 = [m2.block_dim(w) for w in m2.weights]
+    ident1 = [[(i1, {(k, k): None for k in range(m1.block_dim(w))})]
+              for i1, w in enumerate(m1.weights)]
+    ident2 = [[(i2, {(k, k): None for k in range(d)})]
+              for i2, d in enumerate(d2)]
+    out = [{} for _ in pair_basis]
     for i1, w1 in enumerate(m1.weights):
-        for i2, w2 in enumerate(m2.weights):
-            ent = out[full.weights[target[i1][i2]]]
-            base, dd = offset[i1][i2], m2.block_dim(w2)
-            if side == 0:
-                for (r, k1), v in phi[w1].items():
-                    for k2 in range(dd):
-                        ent[(base + r * dd + k2, base + k1 * dd + k2)] = v
-            else:
-                for k1, p in enumerate(m1.parities[w1]):
-                    for (r, k2), v in phi[w2].items():
-                        ent[(base + k1 * dd + r, base + k1 * dd + k2)] = \
-                            -v if p else v
+        par = m1.parities[w1]
+        for i2, dd in enumerate(d2):
+            c0, found = offset[i1][i2], out[target[i1][i2]]
+            for a, b, b_odd in terms:
+                for i1t, x in (ident1 if a is None else a)[i1]:
+                    for i2t, y in (ident2 if b is None else b)[i2]:
+                        r0, dt = offset[i1t][i2t], d2[i2t]
+                        items = []
+                        for (r1, k1), u in x.items():
+                            for (r2, k2), v in y.items():
+                                e = v if u is None else u if v is None \
+                                    else u * v
+                                items.append(((r0 + r1 * dt + r2,
+                                               c0 + k1 * dd + k2),
+                                              -e if b_odd and par[k1] else e))
+                        add_entries(found.setdefault(target[i1t][i2t], {}),
+                                    items)
     return out
 
 
@@ -297,123 +235,162 @@ def hat_tensor_weight(m1: WeightModule, m2: WeightModule,
     info carries the split decision, the resulting WeightSchur (the odd
     endomorphism of a product with exactly one type-Q factor is phi (x) 1
     or 1 (x) phi, checked by _check_product_phi; a split result is type
-    M), and in the split case both eigenspace halves.  The split
-    operator phi1_tilde (x) phi2 must square to id on every block;
-    AssertionError otherwise."""
-    tower = m1.tower
+    M), and in the split case both halves (_split_half), the +1 and -1
+    eigenspaces of the even J = (i phi1) (x) phi2.  J is checked exactly
+    to square to id ("normalization broken" otherwise) and to commute
+    with the action (_check_blockwise); AssertionError otherwise."""
     full = tensor_same_algebra(m1, m2)
-    info = {"split": False}
+
+    def on_full(phi1, phi2):
+        # phi1 (x) phi2 for weight-preserving blocks {w: entries}, None
+        # the identity and phi2 odd, as the product's blocks
+        a, b = (None if phi is None else
+                [[(i, phi[w])] for i, w in enumerate(m.weights)]
+                for m, phi in ((m1, phi1), (m2, phi2)))
+        found = _koszul(full.pair_data, ((a, b, phi2 is not None),))
+        return {w: f.get(t, {})
+                for t, (w, f) in enumerate(zip(full.weights, found))}
     if not (s1.is_type_q and s2.is_type_q):
         result = WeightSchur(False, None)
         if s1.is_type_q or s2.is_type_q:
-            side, s = (0, s1) if s1.is_type_q else (1, s2)
-            phi = _tensor_phi_blocks(full, side, s.phi_blocks)
+            phi = on_full(s1.phi_blocks, s2.phi_blocks)
             _check_product_phi(full, phi)
             result = WeightSchur(True, phi)
-        info["result_schur"] = result
-        return full, info
-    _, _, pair_basis, target, offset = full.pair_data
-    i_unit = tower.adjoin_sqrt(tower.from_int(-1))
-    # op(v (x) w) = (-1)^{|phi2||v|} phi1_tilde v (x) phi2 w, one even
-    # map per product weight
-    ops = [{} for _ in pair_basis]
-    for i1, w1 in enumerate(m1.weights):
-        for i2, w2 in enumerate(m2.weights):
-            op = ops[target[i1][i2]]
-            base, dd = offset[i1][i2], m2.block_dim(w2)
-            for (r1, k1), v1 in s1.phi_blocks[w1].items():
-                v1 = v1 * i_unit
-                if m1.parities[w1][k1]:
-                    v1 = -v1
-                for (r2, k2), v2 in s2.phi_blocks[w2].items():
-                    op[(base + r1 * dd + r2, base + k1 * dd + k2)] = v1 * v2
-    plus_basis: dict = {}
-    minus_basis: dict = {}
-    for w, entries in zip(full.weights, ops):
-        space = GradedSpace.from_parities(full.parities[w])
-        op = GradedMap(tower, space, space, entries, parity=EVEN)
-        ident = GradedMap.identity(tower, space)
-        if op * op != ident:
-            raise AssertionError("(phi1_hat (x) phi2)^2 != id; "
-                                 "normalization broken")
-        # eigenspaces, blockwise and parity-homogeneous, by their
-        # kernel embeddings
-        for eig, store in ((ident, plus_basis), (-ident, minus_basis)):
-            _, emb = kernel(op - eig)
-            if emb.source.dim:
-                store[w] = emb
-    plus = restrict_weight_module(full, plus_basis)
-    minus = restrict_weight_module(full, minus_basis)
-    info.update({"split": True, "plus": plus, "minus": minus,
-                 "result_schur": WeightSchur(False, None)})
-    return plus, info
+        return full, {"split": False, "result_schur": result}
+    i_unit = m1.tower.i()
+    j = on_full({w: {k: v * i_unit for k, v in blk.items()}
+                 for w, blk in s1.phi_blocks.items()}, s2.phi_blocks)
+    _check_blockwise(full, j, False, 1, "(phi1_hat (x) phi2)")
+    plus, minus = (_split_half(full, j, sign) for sign in (1, -1))
+    return plus, {"split": True, "plus": plus, "minus": minus,
+                  "result_schur": WeightSchur(False, None)}
+
+
+def _split_half(full: WeightModule, j: dict, sign: int) -> WeightModule:
+    """The sign-eigenspace of the even involution J, given by its blocks j,
+    on the product full, where J commutes with the action.  J swaps the
+    pair vectors whose first factor is even with the others (checked;
+    AssertionError otherwise), so a basis is b_k = e_k + sign J e_k over
+    the even-first positions k, in order: a vector of the eigenspace has
+    coordinate v_k at b_k, and b_k has the parity of e_k.  g acts by the
+    block of rho(g) (1 + sign J) at the rows and columns of those
+    positions."""
+    m1, _, pair_basis, _, _ = full.pair_data
+    keep = {w: [k for k, (i1, k1, _, _) in enumerate(basis)
+                if m1.parities[m1.weights[i1]][k1] == EVEN]
+            for w, basis in zip(full.weights, pair_basis)}
+    at = {w: {k: i for i, k in enumerate(ks)} for w, ks in keep.items()}
+    # column k of 1 + sign J, for k kept, as (row, entry); None is 1
+    cols = {w: {k: [(k, None)] for k in ks} for w, ks in keep.items()}
+    for w, blk in j.items():
+        for (r, c), v in blk.items():
+            if (r in at[w]) == (c in at[w]):
+                raise AssertionError("J keeps the parity of the first factor")
+            if c in cols[w]:
+                cols[w][c].append((r, v if sign > 0 else -v))
+    act = []
+    for g in range(full.algebra.dim):
+        blocks: dict = {}
+        for w in full.weights:
+            pieces = []
+            for wt, blk in full.blocks_of(g, w):
+                rows = at[wt]
+                by_col: dict = {}   # column -> [(row in the half, entry)]
+                for (r, c), v in blk.items():
+                    if r in rows:
+                        by_col.setdefault(c, []).append((rows[r], v))
+                ent: dict = {}
+                for col, k in enumerate(keep[w]):
+                    add_entries(ent, (((i, col), v if u is None else v * u)
+                                      for r, u in cols[w][k]
+                                      for i, v in by_col.get(r, ())))
+                if ent:
+                    pieces.append((wt, ent))
+            if pieces:
+                blocks[w] = pieces
+        act.append(blocks)
+    return WeightModule(full.algebra, full.tower, full.weights,
+                        {w: tuple(full.parities[w][k] for k in ks)
+                         for w, ks in keep.items()}, act, qd=full.qd)
 
 
 def _check_product_phi(m: WeightModule, phi: dict):
-    """The type rule's phi on a product, checked exactly: it must be odd,
-    supercommute with every generator of m's algebra
-    (LieSuper.generators) and square to -id (each entry one raw_dot);
-    AssertionError otherwise.  The x with phi rho(x) = (-1)^|x| rho(x) phi
-    form a Lie sub-superalgebra (see _solve_weight_schur), so phi then
-    supercommutes with every element."""
+    """The type rule's phi on a product, checked exactly to be odd, to
+    supercommute with the action and to square to -id (_check_blockwise);
+    AssertionError otherwise."""
+    _check_blockwise(m, phi, True, -1, "phi of the product")
+
+
+def _check_blockwise(m: WeightModule, op: dict, odd: bool, square: int,
+                     name: str):
+    """Exact checks on raw entries (each entry one raw_dot) of a
+    weight-preserving operator op on m, given by its blocks {w: entries}:
+    it has parity odd, supercommutes with every generator x of m's algebra
+    (LieSuper.generators), op rho(x) = (-1)^{|op||x|} rho(x) op, and
+    squares to square * id; AssertionError naming the operator otherwise.
+    The x with which op supercommutes form a Lie sub-superalgebra (expand
+    rho([x, y]) and move op past each factor), so op then supercommutes
+    with every element."""
     tower = m.tower
+    base, pos = {}, 0   # weight -> flat position of its block
+    for w in m.weights:
+        base[w], pos = pos, pos + m.block_dim(w)
     ph, neg = {}, {}
-    for w, blk in phi.items():
-        pars = m.parities[w]
+    for w, blk in op.items():
+        pars, b = m.parities[w], base[w]
         for (r, c), v in blk.items():
-            if pars[r] == pars[c]:
-                raise AssertionError("phi of the product is not odd")
-            ph.setdefault((w, r), {})[(w, c)] = raw_of(v)
-            neg.setdefault((w, r), {})[(w, c)] = raw_of(-v)
-    one = tower.one()
+            if (pars[r] != pars[c]) != odd:
+                raise AssertionError(f"{name} is not "
+                                     f"{'odd' if odd else 'even'}")
+            ph.setdefault(b + r, {})[b + c] = raw_of(v)
+            neg.setdefault(b + r, {})[b + c] = raw_of(-v)
     for g in m.algebra.generators:
-        # x phi - (-1)^|x| phi x
+        # x op - (-1)^{|x||op|} op x
         xs: dict = {}
-        for (row, col), v in m.op_entries({g: one}).items():
-            xs.setdefault(row, {})[col] = raw_of(v)
-        odd = m.algebra.space.parity(g) == ODD
-        if _raw_products(((xs, ph), (ph if odd else neg, xs)), tower.gens):
-            raise AssertionError("phi of the product does not supercommute "
+        for w in m.weights:
+            for wt, blk in m.blocks_of(g, w):
+                for (r, c), v in blk.items():
+                    xs.setdefault(base[wt] + r, {})[base[w] + c] = raw_of(v)
+        anti = odd and m.algebra.space.parity(g) == ODD
+        if _raw_products(((xs, ph), (ph if anti else neg, xs)), tower.gens):
+            raise AssertionError(f"{name} does not "
+                                 f"{'supercommute' if odd else 'commute'} "
                                  "with the action")
-    minus_one = raw_of(-one)
+    want = raw_of(tower.from_int(square))
     if _raw_products(((ph, ph),), tower.gens) != \
-            {(w, r): {(w, r): minus_one}
-             for w in m.weights for r in range(m.block_dim(w))}:
-        raise AssertionError("phi of the product does not square to -id")
+            {i: {i: want} for i in range(pos)}:
+        raise AssertionError(f"{name} does not square to "
+                             f"{'-id' if square < 0 else 'id'}; "
+                             "normalization broken")
 
 
 def outer_factors(m1: WeightModule, m2: WeightModule,
                   s1: WeightSchur, s2: WeightSchur):
     """The factors of V1 (x) V2 over g1 (+) g2, in the argument order of
-    hat_tensor_weight: each is pulled back along its projection, and its
-    weights become weights of h1 (+) h2, w -> (w, 0) and w -> (0, w), so
-    that the diagonal product carries true weights.  The phi blocks of
-    the Schur data move with them."""
+    hat_tensor_weight: each keeps its own blocks on its summand's basis
+    elements and acts by zero on the other's, and its weights become
+    weights of h1 (+) h2, w -> (w, 0) and w -> (0, w), so that the
+    diagonal product carries true weights (and no root datum of q).  The
+    phi blocks of the Schur data move with them."""
     g = direct_sum(m1.algebra, m2.algebra)
-    zero, one = m1.tower.zero(), m1.tower.one()
+    zero = m1.tower.zero()
     z1 = tuple(zero for _ in m1.weights[0])
     z2 = tuple(zero for _ in m2.weights[0])
-    # the projections: each basis element of one summand acts as itself
-    n1, n2 = m1.algebra.dim, m2.algebra.dim
-    own = [[(k, one)] for k in range(max(n1, n2))]
-    p1, t1 = _relabelled(pullback(m1, g, own[:n1] + [()] * n2), s1,
-                         lambda w: w + z2)
-    p2, t2 = _relabelled(pullback(m2, g, [()] * n1 + own[:n2]), s2,
-                         lambda w: z1 + w)
-    return p1, p2, t1, t2
 
-
-def _relabelled(m: WeightModule, s: WeightSchur, f):
-    """m and its Schur data with every weight w renamed f(w); the weights
-    are no longer those of q, so the result carries no root datum."""
-    act = [{f(w): [(f(wt), rows) for wt, rows in blks]
-            for w, blks in a.items()} for a in m.act]
-    out = WeightModule(m.algebra, m.tower, [f(w) for w in m.weights],
-                       {f(w): p for w, p in m.parities.items()}, act)
-    if not s.is_type_q:
-        return out, s
-    return out, WeightSchur(True, {f(w): blk
+    def own(m, s, f, before, after):
+        act = [{} for _ in range(before)] + \
+            [{f(w): [(f(wt), blk) for wt, blk in blks]
+              for w, blks in a.items()} for a in m.act] + \
+            [{} for _ in range(after)]
+        if s.is_type_q:
+            s = WeightSchur(True, {f(w): blk
                                    for w, blk in s.phi_blocks.items()})
+        return WeightModule(g, m.tower, [f(w) for w in m.weights],
+                            {f(w): p for w, p in m.parities.items()},
+                            act), s
+    p1, t1 = own(m1, s1, lambda w: w + z2, 0, m2.algebra.dim)
+    p2, t2 = own(m2, s2, lambda w: z1 + w, m1.algebra.dim, 0)
+    return p1, p2, t1, t2
 
 
 def assoc_check(m1: WeightModule, m2: WeightModule,

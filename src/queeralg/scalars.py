@@ -281,41 +281,11 @@ def _co_neg(c: dict) -> dict:
     return {m: qi_neg(q) for m, q in c.items()}
 
 
-def _co_scale(c: dict, q) -> dict:
-    if q == QI_ZERO:
-        return {}
-    return {m: qi_mul(v, q) for m, v in c.items()}
-
-
 def _co_mul(c1: dict, c2: dict, gens) -> dict:
-    # fast paths: purely rational-complex factors need no reduction
-    if len(c1) == 1 and 0 in c1:
-        return _co_scale(c2, c1[0])
-    if len(c2) == 1 and 0 in c2:
-        return _co_scale(c1, c2[0])
-    out: dict = {}
-    for m1, q1 in c1.items():
-        for m2, q2 in c2.items():
-            q = qi_mul(q1, q2)
-            common = m1 & m2
-            m = m1 ^ m2
-            if common == 0:
-                cur = out.get(m)
-                s = qi_add(cur, q) if cur is not None else q
-                if s == QI_ZERO:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-            else:
-                term = {m: q}
-                j = 0
-                while common:
-                    if common & 1:
-                        term = _co_mul(term, gens[j].co, gens)
-                    common >>= 1
-                    j += 1
-                out = _co_add(out, term)
-    return out
+    # the products accumulate unnormalized; one qi_make per monomial
+    acc: dict = {}
+    _raw_prod_into(acc, c1, c2, gens)
+    return {m: qi_make(a, b, d) for m, (a, b, d) in acc.items() if a or b}
 
 
 def _co_inv(c: dict, gens) -> dict:

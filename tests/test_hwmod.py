@@ -321,6 +321,49 @@ def test_generation_clause_fails_without_lowering(setup, into_lowest_only):
     assert why["reason"] == "top block does not generate"
 
 
+
+def _reason(m):
+    why = {}
+    assert not is_irreducible_hw(m, why)
+    return why["reason"]
+
+
+def test_zero_module_is_refused(setup):
+    q2 = setup["q2"]
+    zero = WeightModule(q2.algebra, setup["K"], [], {},
+                        [{} for _ in range(q2.dim)], qd=q2)
+    assert _reason(zero) == "zero module"
+
+
+def test_two_maximal_weights_are_refused(setup):
+    """trivial (+) V(2, 1) over q(2): (2, 1) is not in the root lattice,
+    so 0 and (2, 1) are both maximal.  V(2, 1) is the conclusive simple
+    quotient at depth 8, re-pointed at q by Catalog.add."""
+    K, q2 = setup["K"], setup["q2"]
+    _, ms, ctx = setup["C"]
+    sq = simple_quotient(ms, PsiFunctional(ctx, [K.from_int(2), K.one()]),
+                         depth=8)
+    assert sq.conclusive and sq.module.dim == 48
+    cat = Catalog(q2)
+    cat.add("V(2, 1)", sq.module)
+    m = direct_sum_weight(cat.module("trivial"), cat.module("V(2, 1)"))
+    assert set(m.maximal_weights()) == {(K.zero(), K.zero()),
+                                        (K.from_int(2), K.one())}
+    assert _reason(m) == "several maximal weights"
+
+
+def test_top_block_not_singular_is_refused(setup):
+    """Hand-built blocks: a raising generator maps the one-dimensional
+    top block to itself.  (In a genuine module it maps the top block to
+    a weight above the top, so no genuine module reaches this clause.)"""
+    K, q2 = setup["K"], setup["q2"]
+    w0 = (K.zero(), K.zero())
+    act = [{} for _ in range(q2.dim)]
+    act[q2.algebra.triangular[0][0]] = {w0: [(w0, {(0, 0): K.one()})]}
+    m = WeightModule(q2.algebra, K, [w0], {w0: (EVEN,)}, act, qd=q2)
+    assert _reason(m) == "top block not singular"
+
+
 QI = Tower()   # Q(i) only
 
 

@@ -12,9 +12,8 @@ from queeralg.assocsuper import density_type_from_maps, make_Q
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional, build_H
 from queeralg.coeffalg import (algebra_from_spec, gamma_from_spec,
                                preset_base_field, preset_truncated)
-from queeralg.graded import (EVEN, ODD, GradedMap, GradedSpace, Span,
-                             commutant, homogeneous_entries, nonzero_entries,
-                             odd_schur)
+from queeralg.graded import (EVEN, ODD, GradedMap, Span, commutant,
+                             homogeneous_entries, nonzero_entries, odd_schur)
 from queeralg.hwmod import is_irreducible_hw, top_psi
 from queeralg.liesuper import (LieSuper, WeightModule, direct_sum_weight,
                                from_assoc, hom_map, hom_space_weight,
@@ -358,11 +357,12 @@ def test_twisted_classify_builds_group_elements_once(tmp_path, monkeypatch,
 
 def test_decompose_reaches_type_q_branches(monkeypatch, capsys):
     """adjoint,qone,qone: the first step takes phi from the qone factor
-    and checks it, the second splits and restricts to both halves."""
+    and checks it, the second checks the split operator J and reads off
+    both halves."""
     import queeralg.products as products
     from queeralg.cli import main
-    calls = {"_tensor_phi_blocks": 0, "_check_product_phi": 0,
-             "restrict_weight_module": 0}
+    calls = {"_check_product_phi": 0, "_check_blockwise": 0,
+             "_split_half": 0}
     for name in calls:
         real = getattr(products, name)
 
@@ -373,8 +373,8 @@ def test_decompose_reaches_type_q_branches(monkeypatch, capsys):
     assert main(["decompose", "--n", "2",
                  "--factors", "adjoint,qone,qone"]) == 0
     assert "splits V(32) (+) V(32)" in capsys.readouterr().out
-    assert calls == {"_tensor_phi_blocks": 1, "_check_product_phi": 1,
-                     "restrict_weight_module": 2}
+    assert calls == {"_check_product_phi": 1, "_check_blockwise": 2,
+                     "_split_half": 2}
 
 
 def assert_entry_blocks(m, phi=None):
@@ -1500,36 +1500,43 @@ def test_combine_matches_dense_sums_and_drops_cancelled_blocks():
     assert all(rows for blks in act[0].values() for _, rows in blks)
 
 
-def test_restrict_check_is_exact_on_every_row(monkeypatch):
-    """restrict_weight_module checks emb X == image exactly on every row,
-    at tower height 1 as well: a solution that is wrong in the last row
-    only is rejected."""
+def test_split_check_rejects_phi_that_does_not_supercommute():
+    """phi2 = [[0, 2], [-1/2, 0]] on C^{1|1} squares to -id, so the split
+    operator J = (i phi1) (x) phi2 of C^{1|1} (x) C^{1|1} squares to id,
+    but phi2 does not supercommute with the parity swap: the check that J
+    commutes with the action refuses it."""
     K = Tower()
-    s = K.adjoin_sqrt(K.from_int(3))
-    one, zero = K.one(), K.zero()
-    sp2, sp3 = GradedSpace(2, 0), GradedSpace(3, 0)
-    emb = GradedMap.from_rows(K, sp2, sp3,
-                              [[one, zero], [zero, s], [s, one]])
-    x = GradedMap.from_rows(K, sp2, sp2,
-                            [[K.from_int(2), zero], [s + one, zero]])
-    left = GradedMap.from_rows(K, sp3, sp2,
-                               [[one, zero, zero], [zero, s.inv(), zero]])
-    assert left * emb == GradedMap.identity(K, sp2)
-    rho = emb * x * left          # so rho emb = emb x
-    alg = LieSuper(K, GradedSpace(1, 0), [[{}]])
+    qone = q1_module(K)
+    s_q = weight_schur_data(qone)
+    half = K.from_int(1) / K.from_int(2)
+    bad = WeightSchur(True, {(): {(0, 1): K.from_int(2), (1, 0): -half}})
+    phi = _phi_flat(qone, bad.phi_blocks)
+    assert phi * phi == GradedMap.identity(K, qone.space) * (-1)
+    swap = qone.mats[1]
+    assert phi * swap != swap * phi * (-1)
+    with pytest.raises(AssertionError, match="does not commute with the "
+                                             "action"):
+        _hat(qone, qone, s_q, bad)
 
-    def restrict(op):
-        m = WeightModule.from_flat(alg, sp3, [op])
-        return products.restrict_weight_module(m, {(): emb})
-    assert restrict(rho).act == [{(): [((), x.entries)]}]
-    # the image of the first embedded vector gains 1 in the last row only
-    bad = rho + GradedMap(K, sp3, sp3, {(2, 0): one})
-    assert (bad * emb - emb * x).entries == {(2, 0): one}
-    with pytest.raises(AssertionError, match="leaves the subspace"):
-        restrict(bad)
-    # the solver returns the columns of x, the solution for rho
-    monkeypatch.setattr(products, "solve_columns",
-                        lambda rows, rhs, ncols, tower:
-                        [x.columns().get(j, {}) for j in range(2)])
-    with pytest.raises(AssertionError, match="leaves the subspace"):
-        restrict(bad)
+
+@pytest.mark.parametrize("factors", ["qone,qone", "adjoint,qone,qone"])
+def test_split_halves_are_isomorphic_halves_of_the_product(factors):
+    """The halves of the last, split step of decompose over q(2) are
+    modules, isomorphic to each other, each of half the graded dimensions
+    of the full product."""
+    from queeralg.cli import _decompose_factor
+    K = Tower()
+    cat = Catalog(build_q(K, 2))
+    built = [_decompose_factor(K, cat, name) for name in factors.split(",")]
+    cur, cur_s = built[0]
+    for m, s in built[1:]:
+        outer = outer_factors(cur, m, cur_s, s)
+        cur, info = hat_tensor_weight(*outer)
+        cur_s = info["result_schur"]
+    assert info["split"]
+    full = tensor_same_algebra(*outer[:2])
+    plus, minus = info["plus"], info["minus"]
+    for half in (plus, minus):
+        half.check()
+        assert tuple(2 * d for d in half.graded_dims()) == full.graded_dims()
+    assert is_isomorphic_weight(plus, minus)[0]
