@@ -6,6 +6,7 @@ structured reports."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -273,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("suite", choices=tuple(SUITES) + ("all",))
     pv.add_argument("--seed", type=int, default=7)
     common(pv)
-    pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("classify",
                         help="enumerate irreducible modules over the preset")
@@ -283,14 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--group", default=None, help="JSON group-action file")
     pc.add_argument("--catalog", default="trivial,adjoint")
     common(pc)
-    pc.set_defaults(func=cmd_classify)
 
     pd = sub.add_parser("dims", help="weight table of a truncated module")
     pd.add_argument("--n", type=int, default=2)
     pd.add_argument("--psi", required=True, help="JSON functional file")
     pd.add_argument("--depth", type=int, default=None)
     common(pd)
-    pd.set_defaults(func=cmd_dims)
 
     pq = sub.add_parser("decompose",
                         help="Schur/product report for catalog factors")
@@ -298,14 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     pq.add_argument("--factors", required=True,
                     help="comma-separated catalog names (or 'qone')")
     common(pq)
-    pq.set_defaults(func=cmd_decompose)
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built on first use and kept for the process:
+    it depends on no input, and parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     if getattr(args, "n", 1) < 1:
@@ -318,7 +321,9 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _warning_line
-            return args.func(args)
+            # looked up by name on each call, so a handler rebound on this
+            # module after the parser was built is the one that runs
+            return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

@@ -557,8 +557,13 @@ def intertwiners(pairs, slots, tower: Tower):
                         eq[t] = x
             # an entry that cancels is dropped, and so is an equation left
             # empty: an even Cartan generator acts by the same scalar on
-            # both sides, so every equation of its pair vanishes
-            yield from (eq for eq in eqs.values() if eq)
+            # both sides, so every equation of its pair vanishes.  A
+            # pair's equations go in decreasing order of their first
+            # column, so a new pivot mostly lies left of the stored ones
+            # and back-substitution rarely has work (hwmod._add_rows)
+            batch = [eq for eq in eqs.values() if eq]
+            batch.sort(key=min, reverse=True)
+            yield from batch
 
     return mat_kernel(equations(), n, tower)
 

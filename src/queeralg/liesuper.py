@@ -324,6 +324,13 @@ class WeightModule:
                 for (r, s), v in blk.items()]
         return ent
 
+    def flat_entries(self, i: int, idx: dict) -> dict:
+        """Generator i's operator as {(row, col): value}, rows and columns
+        the flat positions idx = flat_index(); its entries are read as
+        they are, not multiplied by a coefficient."""
+        return {(idx[row], idx[col]): v
+                for (row, col), v in self._gen_entries(i)}
+
     def op_entries(self, coords: dict) -> dict:
         """Sparse entries {((w2, r), (w, s)): value} of the operator of an
         algebra element given in coordinates: row r of block w2, column s
@@ -379,9 +386,7 @@ class WeightModule:
         blocks on each access."""
         idx = self.flat_index()
         space = self.space
-        return [GradedMap(self.tower, space, space,
-                          {(idx[row], idx[col]): v
-                           for (row, col), v in self._gen_entries(i)})
+        return [GradedMap(self.tower, space, space, self.flat_entries(i, idx))
                 for i in range(self.algebra.dim)]
 
     def check(self, pairs="all"):
@@ -548,11 +553,11 @@ def hom_space_weight(m: WeightModule, n: WeightModule):
     n_weights = set(n.weights)
     slots = [(w, i, j) for w in m.weights if w in n_weights
              for i in range(n.block_dim(w)) for j in range(m.block_dim(w))]
-    one = tower.one()
-    pairs = ((m.op_entries({g: one}), n.op_entries({g: one}), 1)
+    src, tgt = m.flat_index(), n.flat_index()
+    pairs = ((m.flat_entries(g, src), n.flat_entries(g, tgt), 1)
              for g in m.algebra.generators)
-    return intertwiners(pairs, [((w, i), (w, j)) for w, i, j in slots],
-                        tower), slots
+    return intertwiners(pairs, [(tgt[(w, i)], src[(w, j)])
+                                for w, i, j in slots], tower), slots
 
 
 def hom_map(vec, slots, m: WeightModule, n: WeightModule) -> GradedMap:

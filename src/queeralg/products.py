@@ -98,10 +98,8 @@ def _solve_weight_schur(m: WeightModule) -> WeightSchur:
     when needed)."""
     tower = m.tower
     idx = m.flat_index()
-    one = tower.one()
-    ops = [({(idx[row], idx[col]): v
-             for (row, col), v in m.op_entries({g: one}).items()},
-            m.algebra.space.parity(g)) for g in m.algebra.generators]
+    ops = [(m.flat_entries(g, idx), m.algebra.space.parity(g))
+           for g in m.algebra.generators]
     slots = [(idx[(w, i)], idx[(w, j)]) for w in m.weights
              for i, p in enumerate(m.parities[w])
              for j, q in enumerate(m.parities[w]) if p != q]

@@ -11,9 +11,10 @@ the root datum, and the triangular decomposition.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .graded import EVEN, ODD, GradedSpace, GradedMap, Span
 from .liesuper import LieSuper
@@ -98,7 +99,10 @@ class RootDatum:
 class QueerData:
     """q(n) with labeled basis, root datum and triangular parts.  units[k]
     is (parity, sparse integer matrix) of basis vector k, the matrix of
-    its block (_queer_units)."""
+    its block (_queer_units).  Everything that depends on n alone comes
+    from _queer_core, built once per n in a process; each instance gets
+    its own lists, unit matrices and index, and a bracket table of
+    Scalars of its own tower."""
 
     def __init__(self, tower: Tower, n: int):
         if n < 1:
@@ -106,50 +110,35 @@ class QueerData:
         if n == 1:
             warnings.warn("q(1) is not simple; constructions that assume "
                           "simplicity do not apply", stacklevel=3)
+        core = _queer_core(n)
         self.tower = tower
         self.n = n
-        n1 = n + 1
-        labels, units = _queer_units(n)
-        self.units = units
-        offdiag = [(i, j) for i in range(1, n1 + 1) for j in range(1, n1 + 1)
-                   if i != j]
-        n_even = sum(1 for p, _ in units if p == EVEN)
-        self.space = GradedSpace(n_even, len(labels) - n_even, tuple(labels))
-        self.index = {lbl: k for k, lbl in enumerate(labels)}
+        self.units = [(p, dict(m)) for p, m in core.units]
+        self.space = core.space
+        self.index = dict(core.index)
         # triangular parts (indices into the global basis)
-        self.h0_indices = [self.index[f"h{i}"] for i in range(1, n + 1)]
-        self.h1_indices = [self.index[f"h'{i}"] for i in range(1, n + 1)]
+        self.h0_indices = list(core.h0_indices)
+        self.h1_indices = list(core.h1_indices)
         self.cartan_indices = self.h0_indices + self.h1_indices
-        self.npos_indices = [self.index[f"e[{i},{j}]"] for i, j in offdiag if i < j] + \
-            [self.index[f"e'[{i},{j}]"] for i, j in offdiag if i < j]
-        self.nneg_indices = [self.index[f"e[{i},{j}]"] for i, j in offdiag if i > j] + \
-            [self.index[f"e'[{i},{j}]"] for i, j in offdiag if i > j]
-        # the simple root vectors e_{+-alpha_k} and e'_{+-alpha_k} generate
-        # q(n) (Cheng-Wang, ch. 1-2): [e[k,k+1], e[k+1,k]] and
-        # [e[k,k+1], e'[k+1,k]] give h_k and h'_k, and the even and odd
-        # root vectors follow by bracketing along the simple roots
-        generators = sorted(self.index[f"e{w}[{i},{j}]"] for w in ("", "'")
-                            for k in range(1, n + 1)
-                            for i, j in ((k, k + 1), (k + 1, k)))
-        bk = _queer_structure(tower, n, units, self.index)
-        self.algebra = LieSuper(tower, self.space, bk, name=f"q({n})",
+        self.npos_indices = list(core.npos_indices)
+        self.nneg_indices = list(core.nneg_indices)
+        self.algebra = LieSuper(tower, self.space, core.bind(tower),
+                                name=f"q({n})",
                                 triangular=(self.npos_indices,
                                             self.cartan_indices,
                                             self.nneg_indices),
-                                generators=generators)
+                                generators=list(core.generators))
         self.roots = RootDatum(self)
         # the ad-weight of each basis vector, read off where the basis is
         # built: e[i,j] and e'[i,j] carry eps_i - eps_j, h_k and h'_k carry
         # 0 (weight_of recomputes it by bracketing with every h_k)
         zero_w = tuple(tower.zero() for _ in range(n))
         self.basis_root = [zero_w] * n + \
-            [self.roots.root_tuple(p) for p in offdiag]
+            [self.roots.root_tuple(p) for p in core.offdiag]
         self.basis_root += self.basis_root
         # the simple root vectors e_{alpha_k} and their odd twins, which
         # generate npos as a Lie superalgebra
-        self.simple_pos_indices = \
-            [self.index[f"e[{k},{k + 1}]"] for k in range(1, n + 1)] + \
-            [self.index[f"e'[{k},{k + 1}]"] for k in range(1, n + 1)]
+        self.simple_pos_indices = list(core.simple_pos_indices)
         self.borel_indices = sorted(self.cartan_indices + self.npos_indices)
 
     @property
@@ -243,9 +232,71 @@ def _queer_units(n: int):
     return labels, units
 
 
-def _queer_structure(tower: Tower, n: int, units, index: dict,
-                     center=None):
-    """The bracket table: bk[i][j] holds the coordinates of [e_i, e_j].
+class _QueerCore:
+    """q(n), or q~(n) when tilde, before a tower is chosen: the units and
+    labels of the basis, its index, and the bracket table in exact
+    rationals (_queer_structure); for q(n) also the index lists of the
+    triangular parts, the generators and the simple root vectors, and the
+    off-diagonal entries in basis order.  Nothing here is written after
+    construction; bind gives a tower its own Scalar table."""
+
+    def __init__(self, n: int, tilde: bool):
+        labels, units = _queer_units(n)
+        if tilde:
+            # q~(n) prepends the identity pair I, which spans the center
+            labels = ["I"] + labels
+            units = [(EVEN, {(i, i): 1 for i in range(n + 1)})] + units
+        self.units = tuple(units)
+        n_even = sum(1 for p, _ in units if p == EVEN)
+        self.space = GradedSpace(n_even, len(labels) - n_even, tuple(labels))
+        index = self.index = {lbl: k for k, lbl in enumerate(labels)}
+        self.rationals, self.cells, self.table = _queer_structure(
+            n, units, index, center=0 if tilde else None)
+        if tilde:
+            return   # q~(n) carries no triangular split
+        n1 = n + 1
+        self.offdiag = tuple((i, j) for i in range(1, n1 + 1)
+                             for j in range(1, n1 + 1) if i != j)
+        self.h0_indices = tuple(index[f"h{i}"] for i in range(1, n + 1))
+        self.h1_indices = tuple(index[f"h'{i}"] for i in range(1, n + 1))
+        upper = [(i, j) for i, j in self.offdiag if i < j]
+        lower = [(i, j) for i, j in self.offdiag if i > j]
+        self.npos_indices = tuple(index[f"e{w}[{i},{j}]"]
+                                  for w in ("", "'") for i, j in upper)
+        self.nneg_indices = tuple(index[f"e{w}[{i},{j}]"]
+                                  for w in ("", "'") for i, j in lower)
+        # the simple root vectors e_{+-alpha_k} and e'_{+-alpha_k} generate
+        # q(n) (Cheng-Wang, ch. 1-2): [e[k,k+1], e[k+1,k]] and
+        # [e[k,k+1], e'[k+1,k]] give h_k and h'_k, and the even and odd
+        # root vectors follow by bracketing along the simple roots
+        self.generators = tuple(sorted(
+            index[f"e{w}[{i},{j}]"] for w in ("", "'")
+            for k in range(1, n + 1) for i, j in ((k, k + 1), (k + 1, k))))
+        self.simple_pos_indices = tuple(
+            index[f"e{w}[{k},{k + 1}]"] for w in ("", "'")
+            for k in range(1, n + 1))
+
+    def bind(self, tower: Tower) -> list:
+        """The bracket table over tower: bk[i][j] holds the coordinates of
+        [e_i, e_j] as Scalars of tower, one per distinct rational, in the
+        core's key order, each cell a dict of its own."""
+        value = {q: tower.from_qi(q[0], 0, q[1]) for q in self.rationals}
+        cells = [{k: value[num, den] for k, num, den in cell}
+                 for cell in self.cells]
+        return [[cells[c].copy() for c in row] for row in self.table]
+
+
+@functools.cache
+def _queer_core(n: int, tilde: bool = False) -> _QueerCore:
+    """The core of q(n) (q~(n) when tilde), built once per process."""
+    return _QueerCore(n, tilde)
+
+
+def _queer_structure(n: int, units, index: dict, center=None):
+    """The bracket table in exact rationals, as (rationals, cells, table):
+    the coordinates of [e_i, e_j] are cells[table[i][j]], a tuple of
+    (k, numerator, denominator) in lowest terms, cells[0] the empty one;
+    rationals lists the distinct (numerator, denominator) pairs.
 
     The basis matrices are bracketed as sparse integer matrices, and only
     pairs whose product can be nonzero are visited: x y needs a unit with
@@ -258,9 +309,7 @@ def _queer_structure(tower: Tower, n: int, units, index: dict,
     anticommutator divides, by n + 1.  When center is the index of the
     identity unit (q~(n)), the trace part tr/(n+1) that the projection
     removes is kept on it, after the other entries; otherwise it is
-    dropped (q(n) is the quotient).  Each distinct (numerator,
-    denominator) becomes one Scalar, shared by every entry that has it
-    (none is ever mutated)."""
+    dropped (q(n) is the quotient).  Equal cells are stored once."""
     n1 = n + 1
     dim = len(units)
     # coordinate indices by parity of the bracket: "" even, "'" odd
@@ -281,15 +330,16 @@ def _queer_structure(tower: Tower, n: int, units, index: dict,
             in_row.setdefault(i, set()).add(u)
             in_col.setdefault(j, set()).add(u)
         by_row.append(rows)
-    values: dict = {}
+    cell_ids: dict = {(): 0}
 
-    def value(num, den):
-        v = values.get((num, den))
-        if v is None:
-            v = values[(num, den)] = tower.from_fraction(Fraction(num, den))
-        return v
+    def cell_id(entries, sign):
+        cell = []
+        for k, v, d in entries:
+            g = gcd(v, d)
+            cell.append((k, sign * v // g, d // g))
+        return cell_ids.setdefault(tuple(cell), len(cell_ids))
 
-    bk = [[{} for _ in range(dim)] for _ in range(dim)]
+    table = [[0] * dim for _ in range(dim)]
     for a, ((pi, x), xrows) in enumerate(zip(units, by_row)):
         partners = set()
         for (i, k) in x:
@@ -331,13 +381,13 @@ def _queer_structure(tower: Tower, n: int, units, index: dict,
                     entries.append((center, tr, n1))
             if not entries:
                 continue
-            vals = [(k, value(v, d)) for k, v, d in entries]
-            bk[a][b] = dict(vals)
+            table[a][b] = cell_id(entries, 1)
             if b != a:
-                if sign < 0:
-                    vals = [(k, value(-v, d)) for k, v, d in entries]
-                bk[b][a] = dict(vals)
-    return bk
+                table[b][a] = cell_id(entries, sign)
+    cells = tuple(cell_ids)
+    rationals = tuple(dict.fromkeys((num, den) for cell in cells
+                                    for _, num, den in cell))
+    return rationals, cells, tuple(map(tuple, table))
 
 
 def build_q(tower: Tower, n: int) -> QueerData:
@@ -349,15 +399,9 @@ def build_q_tilde(tower: Tower, n: int) -> LieSuper:
     """The pre-quotient algebra: pairs (A, B) with tr B = 0, including the
     identity pair as an explicit basis vector I spanning the center.  Its
     table is q(n)'s with the trace part of each anticommutator kept on I
-    (_queer_structure with center=0)."""
-    labels, units = _queer_units(n)
-    labels = ["I"] + labels
-    units = [(EVEN, {(i, i): 1 for i in range(n + 1)})] + units
-    n_even = sum(1 for p, _ in units if p == EVEN)
-    space = GradedSpace(n_even, len(labels) - n_even, tuple(labels))
-    index = {lbl: k for k, lbl in enumerate(labels)}
-    bk = _queer_structure(tower, n, units, index, center=0)
-    return LieSuper(tower, space, bk, name=f"q~({n})")
+    (_queer_structure with center=0); the core is built once per n."""
+    core = _queer_core(n, tilde=True)
+    return LieSuper(tower, core.space, core.bind(tower), name=f"q~({n})")
 
 
 def cartan_generation_check(qd: QueerData) -> bool:

@@ -650,7 +650,8 @@ def test_twisted_classify_reads_no_maximal_ideal(tmp_path, monkeypatch,
     _assert_classify_golden(tmp_path, golden, algebra, group)
 
 
-def _assert_classify_golden(tmp_path, golden, algebra, group):
+def _assert_classify_golden(tmp_path, golden, algebra, group,
+                            fmt=("--format", "structured")):
     alg = tmp_path / "algebra.json"
     alg.write_text(json.dumps(algebra))
     args = ["classify", "--n", "2", "--algebra", str(alg),
@@ -660,8 +661,39 @@ def _assert_classify_golden(tmp_path, golden, algebra, group):
         grp.write_text(json.dumps(group))
         args += ["--group", str(grp)]
     out = tmp_path / "report.json"
-    assert main(args + ["--format", "structured", "--out", str(out)]) == 0
+    assert main(args + list(fmt) + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("text_first", [True, False])
+def test_main_twice_in_one_process_writes_both_goldens(tmp_path, text_first):
+    """main keeps one parser for the process: a text run (the default
+    format, no --format given) and a structured run on another input, in
+    either order, each write their golden bytes, so nothing of one parse
+    reaches the next."""
+    two_point = CLASSIFY_GOLDENS[3][1]   # the algebra of classify_two_point
+    runs = [("classify_two_point.txt", two_point, None, ()),
+            ("classify_twisted4_r3.json", _four_point(3), _group(),
+             ("--format", "structured"))]
+    for golden, algebra, group, fmt in runs if text_first else runs[::-1]:
+        _assert_classify_golden(tmp_path, golden, algebra, group, fmt)
+
+
+def test_handler_rebound_after_the_parser_is_built_is_reached(monkeypatch,
+                                                               capsys):
+    """main looks each handler up by name when it runs, so a cmd_*
+    handler rebound on the module (traced, or patched as here) after the
+    parser was built is the one called."""
+    assert main(["decompose", "--factors", "qone,qone"]) == 0
+    seen = []
+
+    def handler(args):
+        seen.append(args.factors)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_decompose", handler)
+    assert main(["decompose", "--factors", "qone,qone,qone"]) == 0
+    assert seen == ["qone,qone,qone"]
 
 
 @pytest.mark.parametrize("n,factors", [

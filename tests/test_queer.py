@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_ref import dense
+from queeralg import queer
 from queeralg.cartanmod import CartanAlgebra, PsiFunctional
 from queeralg.coeffalg import preset_base_field
 from queeralg.graded import EVEN, Span
@@ -395,3 +396,58 @@ def test_structure_constants_live_in_calling_tower(n):
     bk = build_q(K, n).algebra.bk
     assert all(v.tower is K for row in bk for d in row for v in d.values())
 
+
+
+def _table_strings(bk):
+    return [[[(k, str(v)) for k, v in d.items()] for d in row] for row in bk]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("extended_first", [False, True])
+def test_core_is_bound_per_tower(n, extended_first):
+    """q(n)'s rational core is built once per n and bound per tower: over
+    a plain tower and one extended by sqrt 2, built in either order from
+    an empty cache, the tables agree entry by entry, every Scalar lives in
+    its caller's tower, and no cell dict is shared."""
+    queer._queer_core.cache_clear()
+    plain, ext = Tower(), Tower()
+    ext.adjoin_sqrt(ext.from_int(2))
+    towers = [ext, plain] if extended_first else [plain, ext]
+    tables = {id(t): build_q(t, n).algebra.bk for t in towers}
+    bk_plain, bk_ext = tables[id(plain)], tables[id(ext)]
+    assert _table_strings(bk_plain) == _table_strings(bk_ext)
+    for tower, bk in ((plain, bk_plain), (ext, bk_ext)):
+        assert all(v.tower is tower for row in bk for d in row
+                   for v in d.values())
+    cells = [id(d) for bk in (bk_plain, bk_ext) for row in bk for d in row]
+    assert len(set(cells)) == len(cells) == 2 * len(bk_plain) ** 2
+
+
+@pytest.mark.filterwarnings("ignore:q\\(1\\) is not simple")
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_q_and_q_tilde_keep_their_tables_in_either_order(n):
+    """q(n) and q~(n) have cores of their own: built in either order from
+    an empty cache, q(n) matches the dense oracle, q~(n) keeps the
+    identity first, and each gives the same table both ways."""
+    seen = []
+    for q_first in (True, False):
+        queer._queer_core.cache_clear()
+        K = Tower()
+        if q_first:
+            qd, qt = build_q(K, n), build_q_tilde(K, n)
+        else:
+            qt, qd = build_q_tilde(K, n), build_q(K, n)
+        assert _table_strings(qd.algebra.bk) == \
+            _table_strings(dense_structure(qd))
+        assert qt.space.labels == ("I",) + qd.space.labels
+        seen.append((_table_strings(qd.algebra.bk),
+                     _table_strings(qt.bk)))
+    assert seen[0] == seen[1]
+
+
+def test_q1_warning_fires_on_every_build(K):
+    """The warning is given by each build, not only by the one that
+    builds the cached core."""
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="q\\(1\\) is not simple"):
+            build_q(K, 1)
